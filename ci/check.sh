@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build every target (library, tests, benches,
-# examples), run the test suite. CI and local pre-push both run exactly this,
+# examples, plus the pierbench driver), run the test suite. CI and local pre-push both run exactly this,
 # so the README's build instructions can never rot.
 #
 # Usage: ci/check.sh [--sanitize] [--release] [--no-perf] [--fuzz] [build-dir]
@@ -69,6 +69,14 @@ cmake -B "$BUILD_DIR" -S . -DPIER_WERROR=ON ${EXTRA_CMAKE_ARGS[@]+"${EXTRA_CMAKE
 
 echo "== build (all targets: pier, tests, benches, examples) =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
+
+# The end-to-end benchmark driver is its own CMake package and reads the
+# engine's public stats structs; build it (never run it here) so a change to
+# those structs cannot silently break the benchmark. It keeps its own
+# Release configuration in every lane.
+echo "== build (pierbench driver) =="
+cmake -S pierbench -B "$BUILD_DIR/pierbench" -DCMAKE_CXX_FLAGS=-Werror
+cmake --build "$BUILD_DIR/pierbench" -j "$JOBS" --target pierbench
 
 echo "== ctest (tier1) =="
 # The tier-1 lane must stay the fixed fast smoke: fuzz knobs exported for

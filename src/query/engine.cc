@@ -15,6 +15,12 @@ using catalog::Tuple;
 
 namespace {
 
+/// Max rows per kResultBatch frame on the member->origin hop. A lost frame
+/// costs the whole frame until its retransmit lands: a small cap keeps the
+/// loss blast radius (and thus recall under faulty links) close to a
+/// row-at-a-time plane while still amortizing per-message framing.
+constexpr size_t kResultFrameRows = 4;
+
 /// True when every source of `g` is an index scan and nothing in the graph
 /// needs other members: such a query executes entirely at the origin (plus
 /// the DHT owners the cursor contacts) and is never broadcast.
@@ -395,11 +401,9 @@ void QueryEngine::DeliverResultBatch(uint64_t qid, uint64_t epoch,
   }
   size_t n = b.ActiveRows();
   if (n == 0) return;
-  // Chunked delivery: one lost frame costs at most result_frame_rows rows,
-  // keeping best-effort recall under lossy links near the tuple plane's.
-  size_t cap = options_.result_frame_rows == 0 ? n : options_.result_frame_rows;
-  for (size_t start = 0; start < n; start += cap) {
-    size_t len = std::min(cap, n - start);
+  // Chunked delivery: one lost frame costs at most kResultFrameRows rows.
+  for (size_t start = 0; start < n; start += kResultFrameRows) {
+    size_t len = std::min(kResultFrameRows, n - start);
     if (len == 1) {
       // A single row ships in the legacy frame — it is smaller.
       Tuple t;
@@ -664,10 +668,6 @@ void QueryEngine::SendReliable(ActiveQuery* aq, sim::HostId to, Writer&& inner,
     }
     aq->bytes_shipped += inner.size();
   }
-  if (!options_.reliable_results) {
-    SendDirect(to, inner);
-    return;
-  }
   std::string bytes = inner.Release();
   pending_result_bytes_ += bytes.size();
   if (!control && to == aq->env.origin) ++aq->outbox.data_to_origin;
@@ -789,10 +789,7 @@ void QueryEngine::OnFrameAck(Reader* r) {
 }
 
 void QueryEngine::OnOutboxDrained(ActiveQuery* aq) {
-  if (aq->is_origin || aq->ended || !aq->accountable ||
-      !options_.reliable_results) {
-    return;
-  }
+  if (aq->is_origin || aq->ended || !aq->accountable) return;
   // A drained outbox means nothing while this epoch's scheduled scans are
   // still queued: more data frames are coming, and an early "done" claim
   // would let the origin certify an answer missing them.
@@ -832,10 +829,7 @@ void QueryEngine::OnCoverage(uint64_t seq, uint64_t members, bool complete) {
 }
 
 void QueryEngine::MaybeEarlyFinalize(ActiveQuery* aq, uint64_t epoch) {
-  if (!aq->is_origin || aq->ended || !aq->accountable ||
-      !options_.reliable_results) {
-    return;
-  }
+  if (!aq->is_origin || aq->ended || !aq->accountable) return;
   if (aq->cancelled || aq->deadline_expired) return;
   if (!aq->coverage_complete || aq->members_expected == 0) return;
   if (!aq->shed_members.empty()) return;
@@ -906,8 +900,7 @@ void QueryEngine::OnEpochScansDone(uint64_t qid, uint64_t epoch) {
   aq->scans_done_epoch =
       std::max(aq->scans_done_epoch, static_cast<int64_t>(epoch));
   if (aq->ended) return;
-  if (!aq->is_origin && aq->accountable && options_.reliable_results &&
-      aq->outbox.data_drained()) {
+  if (!aq->is_origin && aq->accountable && aq->outbox.data_drained()) {
     // Everything this member will contribute for the epoch is already
     // acked — the drain event fired before the scans-done gate opened, so
     // report now.
@@ -1045,7 +1038,8 @@ Completeness QueryEngine::BuildCompleteness(ActiveQuery* aq, uint64_t epoch,
   } else {
     c.members_expected = aq->members_expected;
     c.coverage_complete = aq->coverage_complete;
-    if (aq->accountable && options_.reliable_results) {
+    c.members_reported = reporters;
+    if (aq->accountable) {
       // Members with nothing to contribute still report; count them (and
       // the origin itself) over the raw data-reporter set.
       uint64_t reported = 1;
@@ -1053,8 +1047,6 @@ Completeness QueryEngine::BuildCompleteness(ActiveQuery* aq, uint64_t epoch,
         if (rep.epoch >= epoch) ++reported;
       }
       c.members_reported = std::max(reported, reporters);
-    } else {
-      c.members_reported = reporters;
     }
   }
   for (const auto& [host, rep] : aq->reports) {
@@ -1443,9 +1435,8 @@ void QueryEngine::StartEpoch(ActiveQuery* aq, uint64_t epoch) {
       if (seq != 0) coverage_waits_[seq] = {qid, epoch};
     }
   }
-  // The runtime signals OnEpochScansDone when this epoch's scans complete
-  // (synchronously on the legacy path, after the scheduler drains them on
-  // the multi-tenant path); members report and origins certify from there.
+  // The runtime signals OnEpochScansDone once the scheduler has drained
+  // this epoch's scans; members report and origins certify from there.
   aq->runtime->StartEpoch(epoch);
 }
 
@@ -1456,7 +1447,21 @@ void QueryEngine::StartEpoch(ActiveQuery* aq, uint64_t epoch) {
 void QueryEngine::OnDirect(sim::HostId from, Reader* r) {
   uint8_t type = 0;
   if (!r->GetU8(&type).ok()) return;
-  DispatchMessage(from, type, r);
+  switch (static_cast<MsgType>(type)) {
+    case MsgType::kResultTuple:
+    case MsgType::kPartialAgg:
+    case MsgType::kResultBatch:
+    case MsgType::kPartialBatch:
+    case MsgType::kEpochReport:
+    case MsgType::kBudgetTrip:
+      // Frame-only types: data and completion claims count toward an
+      // answer only through OnFrame, which dedupes and tallies them against
+      // the members' reports. A bare one would land in the answer unseen by
+      // that accounting, so it is dropped.
+      return;
+    default:
+      DispatchMessage(from, type, r);
+  }
 }
 
 void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {

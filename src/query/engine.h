@@ -157,6 +157,8 @@ class QueryEngine : public ops::StageHost {
   // -- plumbing --------------------------------------------------------------
   void OnBroadcast(sim::HostId origin, uint64_t seq, sim::HostId parent,
                    int depth, const sim::Payload& payload);
+  /// Raw kQuery messages. Drops bare result, partial, epoch-report and
+  /// budget-trip messages: those are accepted only inside a kFrame.
   void OnDirect(sim::HostId from, Reader* r);
   /// The shared direct-message switch: called with the type byte already
   /// consumed, both for raw messages and for the inner bytes of an admitted
@@ -168,8 +170,8 @@ class QueryEngine : public ops::StageHost {
 
   // -- reliable result plane -------------------------------------------------
   /// Wraps `inner` (a complete direct message) in an acked kFrame envelope
-  /// and owns its retransmit schedule; falls back to a bare send when
-  /// EngineOptions::reliable_results is off.
+  /// and owns its retransmit schedule. Data frames are charged to the
+  /// query's result-byte budget first; control frames are exempt.
   void SendReliable(ActiveQuery* aq, sim::HostId to, Writer&& inner,
                     bool control);
   void SendFrameOnce(ActiveQuery* aq, uint64_t frame_id);

@@ -298,6 +298,9 @@ Status OpGraph::Validate() const {
     const OpNode& n = nodes[i];
     for (uint32_t in : n.inputs) {
       if (in >= i) return Status::Corruption("opgraph edge not topological");
+      if (nodes[in].out == ExchangeKind::kRehash && n.type != OpType::kJoin) {
+        return Status::Corruption("rehash exchange requires a join consumer");
+      }
       ++consumers[in];
     }
     size_t want_inputs = 0;
@@ -347,6 +350,9 @@ Status OpGraph::Validate() const {
   }
   if (nodes.back().type != OpType::kCollect) {
     return Status::Corruption("opgraph root must be collect");
+  }
+  if (nodes.back().out == ExchangeKind::kRehash) {
+    return Status::Corruption("rehash exchange requires a join consumer");
   }
   for (size_t i = 0; i + 1 < nodes.size(); ++i) {
     if (consumers[i] != 1) {

@@ -147,8 +147,8 @@ struct OpGraph {
   size_t size() const { return nodes.size(); }
 
   /// Structural sanity: topological input edges, per-type arity, a single
-  /// terminal collect, exchange kinds that the runtime can execute.
-  /// Deserialized graphs MUST be validated before execution.
+  /// terminal collect, exchange kinds that the runtime can execute (a tree
+  /// edge leaves a partial-agg, a rehash edge ends at a join). Deserialized graphs MUST be validated before execution.
   Status Validate() const;
 
   /// First node of `type`, or -1.

@@ -37,14 +37,7 @@ void AggStage::DeliverAll(uint64_t epoch,
 
 void AggStage::BeginEpoch(uint64_t epoch) {
   scan_epoch_ = epoch;
-  partial_op_ = std::make_unique<exec::GroupByOp>(
-      node_->group_cols, node_->aggs, exec::AggPhase::kPartial);
   vgb_.reset();
-}
-
-bool AggStage::PushRaw(const Tuple& t) {
-  if (partial_op_ != nullptr) partial_op_->Push(t, 0);
-  return true;
 }
 
 bool AggStage::PushRawBatch(exec::RowBatch& b) {
@@ -58,10 +51,10 @@ bool AggStage::PushRawBatch(exec::RowBatch& b) {
 }
 
 void AggStage::EndScan() {
-  std::vector<Tuple> partials = DrainGroupBy(std::move(partial_op_));
+  std::vector<Tuple> partials;
   if (vgb_ != nullptr) {
-    // Same sorted group order as GroupByOp's drain — downstream combining
-    // cannot tell which plane produced the partials.
+    // Sorted group order, the same as GroupByOp's drain on the streaming
+    // path.
     vgb_->DrainAndReset([&partials](Tuple& t) {
       partials.push_back(std::move(t));
       return true;

@@ -2,8 +2,8 @@
 // kPartialAgg opgraph node plus the kTree exchange's combine duty.
 //
 // Two input protocols share one stage:
-//  - Scan-fed (epochal): BeginEpoch / PushRaw / EndScan once per epoch.
-//    Local rows partial-aggregate, then flush by the node's output
+//  - Scan-fed (epochal): BeginEpoch / PushRawBatch / EndScan once per
+//    epoch. Local rows partial-aggregate, then flush by the node's output
 //    exchange: kTree folds into this node's TreeCombiner (held until
 //    children have flushed), anything else ships partials immediately.
 //  - Join-fed (streaming): joined rows arrive continuously at rendezvous
@@ -40,11 +40,8 @@ class AggStage : public Stage {
 
   // -- scan-fed (epochal) ----------------------------------------------------
   void BeginEpoch(uint64_t epoch);
-  bool PushRaw(const catalog::Tuple& t);  ///< EmitFn-compatible
-  /// Batch-plane twin of PushRaw: folds every live row of `b` into the
-  /// epoch's grouped partial states via VectorGroupBy (BatchEmitFn shape).
-  /// Both paths drain through the same EndScan; their partials are
-  /// identical row for row (the vectorized differential suite's contract).
+  /// Folds every live row of `b` into the epoch's grouped partial states
+  /// via VectorGroupBy (BatchEmitFn shape).
   bool PushRawBatch(exec::RowBatch& b);
   void EndScan();
 
@@ -74,9 +71,7 @@ class AggStage : public Stage {
   ExchangeKind route_;  ///< the node's output exchange (kTree or kToOrigin)
 
   uint64_t scan_epoch_ = 0;
-  std::unique_ptr<exec::GroupByOp> partial_op_;
-  /// Batch-plane accumulator; an epoch feeds exactly one of partial_op_ /
-  /// vgb_ (the scan ran either the tuple or the batch pipeline).
+  /// The scan-fed epoch's accumulator (created on the first batch).
   std::unique_ptr<exec::VectorGroupBy> vgb_;
 
   std::unique_ptr<exec::GroupByOp> streaming_op_;

@@ -90,7 +90,9 @@ void IndexScanStage::RunEpoch(const EmitFn& emit) {
   cursors_pending_ = 0;
   emitted_.clear();
   reported_ = false;
-  ++host_->mutable_stats()->index_scans_run;
+  EngineStats* stats = host_->mutable_stats();
+  ++stats->index_scans_run;
+  ++stats->vectorized_fallbacks;  // cursor rows emit tuple-at-a-time
   if (!bounds_ok_) {
     host_->OnIndexScanDone(qid_, /*ok=*/false);
     return;

@@ -253,14 +253,11 @@ void JoinStage::ProduceFromScans(bool bloom_phase2) {
           }
           rows.erase(kept, rows.end());
         }
+        // Rows only ever come from this side's own (non-null) scan. One
+        // column-major frame per rendezvous owner per scan, instead of one
+        // DHT put per tuple.
         if (rows.empty()) return;
-        if (host_->engine_options().vectorized && scan != nullptr) {
-          // One column-major frame per rendezvous owner per scan, instead
-          // of one DHT put per tuple.
-          exchange_->PublishBatch(side, keys, scan->schema, rows);
-          return;
-        }
-        for (const Tuple& t : rows) exchange_->Publish(side, keys, t);
+        exchange_->PublishBatch(side, keys, scan->schema, rows);
       };
       publish_side(left, node_->left_keys, dist_right_.get(), left_scan_, 0);
       publish_side(right, node_->right_keys, dist_left_.get(), right_scan_,
@@ -296,17 +293,12 @@ void JoinStage::ProduceFromScans(bool bloom_phase2) {
           projs.push_back(std::move(proj));
         }
         host_->mutable_stats()->semijoin_bytes_saved += saved;
-        if (host_->engine_options().vectorized && scan != nullptr &&
-            !projs.empty()) {
-          // Key projections ride the columnar plane exactly like the hash
-          // path: one frame per rendezvous owner instead of one put per
-          // row (this used to fall back to tuple-at-a-time silently).
-          exchange_->PublishBatch(side, leading,
-                                  SemiProjectionSchema(scan->schema, keys),
-                                  projs);
-          return;
-        }
-        for (const Tuple& p : projs) exchange_->Publish(side, leading, p);
+        // Key projections ride the columnar plane exactly like the hash
+        // path: one frame per rendezvous owner instead of one put per row.
+        if (projs.empty()) return;
+        exchange_->PublishBatch(side, leading,
+                                SemiProjectionSchema(scan->schema, keys),
+                                projs);
       };
       rehash_keys(left, node_->left_keys, left_scan_, 0);
       rehash_keys(right, node_->right_keys, right_scan_, 1);

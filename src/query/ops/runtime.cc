@@ -1,6 +1,5 @@
 #include "query/ops/runtime.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "exec/kernels.h"
@@ -10,21 +9,6 @@ namespace query {
 namespace ops {
 
 using catalog::Tuple;
-
-namespace {
-
-/// Collects every column index a bound expression reads (via Expr::Info()).
-void CollectExprColumns(const exec::Expr* e, std::vector<int>* out) {
-  if (e == nullptr) return;
-  exec::ExprInfo info = e->Info();
-  if (info.kind == exec::ExprInfo::Kind::kColumn && info.column >= 0) {
-    out->push_back(info.column);
-  }
-  CollectExprColumns(info.left, out);
-  CollectExprColumns(info.right, out);
-}
-
-}  // namespace
 
 QueryRuntime::QueryRuntime(StageHost* host, const PlanEnvelope* env,
                            bool is_origin)
@@ -192,10 +176,8 @@ EmitFn QueryRuntime::BuildEmitFrom(uint32_t producer_id) {
       };
     }
     case ExchangeKind::kRehash: {
+      // OpGraph::Validate guarantees a rehash edge ends at a join.
       int cons = graph_->ConsumerOf(producer_id);
-      if (cons < 0 || graph_->nodes[cons].type != OpType::kJoin) {
-        return [](const Tuple&) { return true; };
-      }
       JoinStage* js = static_cast<JoinStage*>(stages_[cons].get());
       int side = graph_->nodes[cons].inputs[0] == producer_id ? 0 : 1;
       return [js, side](const Tuple& t) {
@@ -241,10 +223,9 @@ EmitFn QueryRuntime::BuildEmitFrom(uint32_t producer_id) {
       };
     }
     case OpType::kPartialAgg: {
+      // Only join output reaches a partial aggregate tuple-at-a-time:
+      // epochal scans feed it batches, and index scans cannot feed it.
       AggStage* as = static_cast<AggStage*>(stages_[cons_id].get());
-      if (epochal_) {
-        return [as](const Tuple& t) { return as->PushRaw(t); };
-      }
       return [as](const Tuple& t) { return as->PushStreaming(t); };
     }
     default:
@@ -258,7 +239,6 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
   const OpNode& n = graph_->nodes[producer_id];
   switch (n.out) {
     case ExchangeKind::kToOrigin: {
-      if (!epochal_) return nullptr;  // the batch plane is epochal-only
       return [this](exec::RowBatch& b) {
         if (local_cap_ >= 0) {
           int64_t room = local_cap_ - epoch_sent_;
@@ -276,8 +256,9 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
     }
     case ExchangeKind::kRehash:
     case ExchangeKind::kTree:
-      // Rehash targets (joins) and tree edges are fed per-tuple elsewhere.
-      return nullptr;
+      // Not on a validated epochal chain: a rehash edge needs a join
+      // consumer, and a tree edge leaves the partial-agg stage itself.
+      return [](exec::RowBatch&) { return true; };
     case ExchangeKind::kLocal:
       break;
   }
@@ -290,7 +271,6 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
   switch (c.type) {
     case OpType::kFilter: {
       BatchEmitFn next = BuildBatchEmitFrom(cons_id);
-      if (!next) return nullptr;
       std::shared_ptr<const exec::CompiledExpr> kernel =
           exec::CompiledExpr::Compile(c.predicate);
       return [kernel, next](exec::RowBatch& b) {
@@ -303,7 +283,6 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
     }
     case OpType::kProject: {
       BatchEmitFn next = BuildBatchEmitFrom(cons_id);
-      if (!next) return nullptr;
       auto kernels = std::make_shared<
           std::vector<std::unique_ptr<exec::CompiledExpr>>>();
       for (const auto& e : c.exprs) {
@@ -341,7 +320,6 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
       };
     }
     case OpType::kPartialAgg: {
-      if (!epochal_) return nullptr;
       AggStage* as = static_cast<AggStage*>(stages_[cons_id].get());
       return [as](exec::RowBatch& b) { return as->PushRawBatch(b); };
     }
@@ -350,44 +328,6 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
       // never local member edges.
       return [](exec::RowBatch&) { return true; };
   }
-}
-
-std::vector<int> QueryRuntime::NeededColumnsFor(uint32_t scan_id) const {
-  std::vector<int> needed;
-  uint32_t id = scan_id;
-  while (true) {
-    const OpNode& n = graph_->nodes[id];
-    if (n.out == ExchangeKind::kToOrigin) {
-      // Full scan-layout rows ship to the origin: every column is read.
-      return {};
-    }
-    if (n.out != ExchangeKind::kLocal) return {};
-    int cons = graph_->ConsumerOf(id);
-    if (cons < 0) return {};
-    const OpNode& c = graph_->nodes[cons];
-    if (c.type == OpType::kFilter) {
-      CollectExprColumns(c.predicate.get(), &needed);
-      id = static_cast<uint32_t>(cons);
-      continue;  // the filter preserves the layout; keep walking
-    }
-    if (c.type == OpType::kProject) {
-      // Downstream of a projection the layout changes; only the projected
-      // expressions read scan columns.
-      for (const auto& e : c.exprs) CollectExprColumns(e.get(), &needed);
-      break;
-    }
-    if (c.type == OpType::kPartialAgg) {
-      for (int g : c.group_cols) needed.push_back(g);
-      for (const exec::AggSpec& a : c.aggs) {
-        if (a.col >= 0) needed.push_back(a.col);
-      }
-      break;
-    }
-    return {};  // unknown consumer: decode everything
-  }
-  std::sort(needed.begin(), needed.end());
-  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
-  return needed;  // empty (e.g. bare COUNT(*)) still means "all" downstream
 }
 
 std::vector<std::string> QueryRuntime::Namespaces() const {
@@ -409,36 +349,18 @@ void QueryRuntime::StartEpoch(uint64_t epoch) {
   current_epoch_ = epoch;
   epoch_sent_ = 0;
   if (agg_ != nullptr) agg_->BeginEpoch(epoch);
-  const EngineOptions& opts = host_->engine_options();
-  if (opts.scheduler_enabled) {
-    // Multi-tenant path: hand each scan pass to the node's QueryScheduler
-    // and finish the epoch (EndScan + the engine's scans-done gate) only
-    // when the last one completes. Queries with no epochal scans (pure
-    // index plans, join graphs) complete the gate immediately.
-    pending_epoch_scans_ = epochal_scans_.size();
-    if (pending_epoch_scans_ == 0) {
-      if (agg_ != nullptr) agg_->EndScan();
-      host_->OnEpochScansDone(qid_, epoch);
-    } else {
-      for (uint32_t id : epochal_scans_) {
-        host_->SubmitScan(BuildScanWork(id, epoch));
-      }
-    }
-  } else {
-    for (uint32_t id : epochal_scans_) {
-      ScanStage scan(host_, &graph_->nodes[id], env_->plan.window);
-      if (opts.vectorized) {
-        BatchEmitFn bemit = BuildBatchEmitFrom(id);
-        if (bemit) {
-          scan.RunBatch(opts.batch_size, NeededColumnsFor(id), bemit);
-          continue;
-        }
-        ++host_->mutable_stats()->vectorized_fallbacks;
-      }
-      scan.Run(BuildEmitFrom(id));
-    }
+  // Hand each scan pass to the node's QueryScheduler and finish the epoch
+  // (EndScan + the engine's scans-done gate) only when the last one
+  // completes. Queries with no epochal scans (pure index plans, join
+  // graphs) complete the gate immediately.
+  pending_epoch_scans_ = epochal_scans_.size();
+  if (pending_epoch_scans_ == 0) {
     if (agg_ != nullptr) agg_->EndScan();
     host_->OnEpochScansDone(qid_, epoch);
+  } else {
+    for (uint32_t id : epochal_scans_) {
+      host_->SubmitScan(BuildScanWork(id, epoch));
+    }
   }
   // Index scans run at the origin only and complete asynchronously within
   // the epoch's result window.
@@ -458,27 +380,7 @@ ScanWork QueryRuntime::BuildScanWork(uint32_t scan_id, uint64_t epoch) {
   work.table = node.table;
   work.schema = node.schema;
   work.window = env_->plan.window;
-  const EngineOptions& opts = host_->engine_options();
-  BatchEmitFn bemit;
-  if (opts.vectorized) bemit = BuildBatchEmitFrom(scan_id);
-  if (bemit) {
-    work.count_batches = true;
-    work.feed = std::move(bemit);
-  } else {
-    if (opts.vectorized) ++host_->mutable_stats()->vectorized_fallbacks;
-    // Tuple-plane chain fed from the shared batch stream: box each live row
-    // back out. Slower, but answers are identical — the same fallback
-    // contract the legacy path keeps.
-    EmitFn emit = BuildEmitFrom(scan_id);
-    work.feed = [this, emit](exec::RowBatch& b) {
-      catalog::Tuple t;
-      for (size_t i = 0; i < b.ActiveRows(); ++i) {
-        b.ToTuple(b.RowId(i), &t);
-        if (!emit(t)) return false;
-      }
-      return true;
-    };
-  }
+  work.feed = BuildBatchEmitFrom(scan_id);
   work.done = [this, epoch](bool) { OnEpochScanDone(epoch); };
   return work;
 }

@@ -70,21 +70,17 @@ class QueryRuntime {
   Stage* stage(uint32_t node_id);
 
  private:
+  /// Compiles the tuple-at-a-time chain downstream of a join, recursion or
+  /// index-scan producer.
   EmitFn BuildEmitFrom(uint32_t producer_id);
-  /// Batch-plane twin of BuildEmitFrom: compiles the local chain downstream
-  /// of `producer_id` into a RowBatch pipeline (kernel filters narrowing
-  /// selections, vectorized projection, VectorGroupBy partial aggregation,
-  /// one-frame-per-batch origin delivery). Returns an empty function when
-  /// the chain has a shape the batch plane cannot express (the caller falls
-  /// back to the tuple path and counts it).
+  /// Batch-plane twin of BuildEmitFrom for epochal scans: compiles the
+  /// local chain downstream of `producer_id` into a RowBatch pipeline
+  /// (kernel filters narrowing selections, vectorized projection,
+  /// VectorGroupBy partial aggregation, one-frame-per-batch origin
+  /// delivery).
   BatchEmitFn BuildBatchEmitFrom(uint32_t producer_id);
-  /// Scan-side column pruning: the columns of scan `scan_id`'s layout its
-  /// downstream chain actually reads. Empty = all columns (either the full
-  /// rows ship to the origin, or pruning could not be proven safe).
-  std::vector<int> NeededColumnsFor(uint32_t scan_id) const;
   /// Packages one epochal scan as scheduler work: the compiled batch chain
-  /// (or the tuple-fallback adapter) as the feed, and an epoch-completion
-  /// callback as done.
+  /// as the feed, and an epoch-completion callback as done.
   ScanWork BuildScanWork(uint32_t scan_id, uint64_t epoch);
   /// One scheduled scan of `epoch` finished; when the last one does, runs
   /// the end-of-scan work (agg EndScan, the host's scans-done gate).
@@ -102,7 +98,7 @@ class QueryRuntime {
   int64_t local_cap_ = -1;
   uint64_t current_epoch_ = 0;
   int64_t epoch_sent_ = 0;
-  /// Scheduler path: scans of current_epoch_ still draining.
+  /// Scheduled scans of current_epoch_ still draining.
   size_t pending_epoch_scans_ = 0;
 
   std::vector<std::unique_ptr<Stage>> stages_;  // indexed by graph node id

@@ -8,6 +8,7 @@ using catalog::Tuple;
 
 void ScanStage::Run(const EmitFn& emit) {
   ++host_->mutable_stats()->scans_run;
+  ++host_->mutable_stats()->vectorized_fallbacks;
   TimePoint cutoff = window_ > 0 ? host_->sim()->now() - window_ : 0;
   // In-place visitation: the store is scanned once per epoch per relation on
   // every node, so this path must not copy values (see dht::LocalStore).
@@ -22,36 +23,6 @@ void ScanStage::Run(const EmitFn& emit) {
     ++host_->mutable_stats()->tuples_scanned;
     return emit(t);
   });
-}
-
-void ScanStage::RunBatch(size_t batch_size,
-                         const std::vector<int>& needed_cols,
-                         const BatchEmitFn& emit) {
-  ++host_->mutable_stats()->scans_run;
-  TimePoint cutoff = window_ > 0 ? host_->sim()->now() - window_ : 0;
-  if (batch_size == 0) batch_size = 1;
-  exec::RowBatchBuilder builder(node_->schema);
-  builder.Reserve(batch_size);
-  builder.SetNeededColumns(needed_cols);
-  bool go = true;
-  auto flush = [&]() {
-    size_t rows = builder.num_rows();
-    if (rows == 0) return;
-    host_->mutable_stats()->tuples_scanned += rows;
-    ++host_->mutable_stats()->batches_scanned;
-    exec::RowBatch b = builder.Take();
-    go = emit(b);
-  };
-  host_->dht()->ForEachLocalReadable(node_->table,
-                                     [&](const dht::StoredItem& item) {
-    if (item.stored_at < cutoff) return true;
-    // AppendSerialized skips exactly the rows the tuple scan skips:
-    // undecodable bytes and width mismatches.
-    builder.AppendSerialized(item.value);
-    if (builder.num_rows() >= batch_size) flush();
-    return go;
-  });
-  if (go) flush();
 }
 
 }  // namespace ops

@@ -1,6 +1,8 @@
-// ScanStage: the leaf of every opgraph — one relation's local slice on this
-// node. PIER's "lscan": primaries only (replicas would double count),
-// windowed for continuous queries, soft-failing on undecodable rows.
+// ScanStage: the tuple-at-a-time leaf that join and recursion stages drive
+// over one relation's local slice on this node. PIER's "lscan": primaries
+// only (replicas would double count), windowed for continuous queries,
+// soft-failing on undecodable rows. Epochal pipelines do not use it: their
+// scans run as batch sweeps in the QueryScheduler.
 
 #ifndef PIER_QUERY_OPS_SCAN_STAGE_H_
 #define PIER_QUERY_OPS_SCAN_STAGE_H_
@@ -18,17 +20,10 @@ class ScanStage : public Stage {
   ScanStage(StageHost* host, const OpNode* node, Duration window)
       : host_(host), node_(node), window_(window) {}
 
-  /// Runs one scan pass, pushing each decoded row into `emit`. Stops early
-  /// when `emit` returns false (LIMIT pushdown).
+  /// Runs one scan pass, pushing each decoded row into `emit` (counted in
+  /// EngineStats::vectorized_fallbacks). Stops early when `emit` returns
+  /// false.
   void Run(const EmitFn& emit);
-
-  /// Batch-plane scan pass: decodes the slice straight into column batches
-  /// of up to `batch_size` rows and flushes each into `emit`. `needed_cols`
-  /// enables scan-side column pruning (empty = decode everything); rows the
-  /// tuple path would skip (malformed bytes, width mismatch) are skipped
-  /// identically. Stops at the first `emit` returning false.
-  void RunBatch(size_t batch_size, const std::vector<int>& needed_cols,
-                const BatchEmitFn& emit);
 
  private:
   StageHost* host_;

@@ -111,10 +111,9 @@ class StageHost {
   /// quanta + shared-sweep batching). The engine injects its abort probe
   /// before enqueueing; `work.done` fires when the scan finishes.
   virtual void SubmitScan(ScanWork work) = 0;
-  /// The runtime finished (or scheduled the completion of) every epochal
-  /// scan for `epoch`: members may report their outbox-drain epoch claims,
-  /// origins may certify. Fired on both the scheduler and the legacy
-  /// synchronous path so the engine has one gate.
+  /// The scheduler finished every epochal scan for `epoch` (immediately
+  /// when there are none): members may report their outbox-drain epoch
+  /// claims, origins may certify.
   virtual void OnEpochScansDone(uint64_t qid, uint64_t epoch) = 0;
   /// Budget gate for rehash-exchange fan-out: returns false (and trips the
   /// query's budget) when `n` more puts would exceed the per-query cap —

@@ -55,27 +55,14 @@ struct EngineOptions {
   Duration recursion_deadline = Seconds(120);
   /// Member-side state GC delay after a query ends.
   Duration cleanup_delay = Seconds(30);
-  /// Vectorized data plane: epochal scan pipelines decode store slices into
-  /// column batches, evaluate compiled predicate kernels, aggregate with
-  /// VectorGroupBy, and ship results/partials as column-major RowBatch
-  /// frames (one message per batch instead of one per tuple). Pipelines the
-  /// batch plane cannot express (joins, recursion, index cursors) fall back
-  /// to the tuple path per scan — answers are identical either way.
-  bool vectorized = true;
-  /// Rows per batch on the vectorized path.
+  /// Rows per column batch: the scheduler's shared store sweeps decode
+  /// slices into batches of this many rows, which the compiled
+  /// filter/project/aggregate kernels consume a batch at a time.
   uint32_t batch_size = 1024;
-  /// Max rows per kResultBatch frame on the member->origin hop. A lost
-  /// frame costs the whole frame (until its retransmit lands, or for good
-  /// with reliable_results off): a small cap keeps the loss blast radius
-  /// (and thus recall under faulty links) close to the row-at-a-time plane
-  /// while still amortizing per-message framing. 0 = unbounded.
-  uint32_t result_frame_rows = 4;
   // -- reliable result plane --------------------------------------------------
-  /// Wrap every member->origin / member->parent result and partial frame in
-  /// an acked, retried kFrame envelope with per-query monotone frame ids.
-  /// Receivers dedupe by frame id, so retransmits are idempotent. Off =
-  /// PR 7's fire-and-forget plane (kept for A/B tests and measurement).
-  bool reliable_results = true;
+  // Every member->origin / member->parent result and partial frame rides an
+  // acked, retried kFrame envelope with per-query monotone frame ids;
+  // receivers dedupe by frame id, so retransmits are idempotent.
   /// First retransmit after this long without an ack; subsequent attempts
   /// back off exponentially (x2) up to retry_max, each delay jittered by
   /// +/- retry_jitter to decorrelate retransmit storms across senders.
@@ -108,11 +95,8 @@ struct EngineOptions {
   /// origin admission (a PIQL-style bounded-cost gate).
   uint32_t max_plan_operators = 64;
   // -- multi-tenant scheduler -------------------------------------------------
-  /// Run epochal scans through the per-node QueryScheduler (round-robin over
-  /// live queries with per-query quanta + shared-scan batching) instead of
-  /// synchronously inside StartEpoch. Off = the single-tenant PR 7 path,
-  /// kept for A/B tests.
-  bool scheduler_enabled = true;
+  // Epochal scans run through the per-node QueryScheduler: round-robin over
+  // live queries with per-query quanta and shared-scan batching.
   /// Rows one query may consume from the store per scheduler round before
   /// the round-robin cursor moves on (fairness quantum). Served in whole
   /// batches, so the effective quantum rounds up to a batch boundary.
@@ -186,8 +170,9 @@ struct EngineStats {
   uint64_t batches_scanned = 0;      ///< RowBatches flushed by batch scans
   uint64_t batch_frames_sent = 0;    ///< column-major wire frames sent
   uint64_t batch_frames_received = 0;
-  /// Epochal scan pipelines that requested vectorization but ran the tuple
-  /// path (unsupported chain shape downstream of the scan).
+  /// Tuple-at-a-time scan passes: join and recursion catch-up scans
+  /// (ScanStage::Run) and index-cursor epochs (IndexScanStage::RunEpoch) —
+  /// the stragglers the batch plane does not cover yet.
   uint64_t vectorized_fallbacks = 0;
   // -- reliable result plane -------------------------------------------------
   uint64_t frames_sent = 0;           ///< kFrame envelopes first-sent
@@ -300,6 +285,8 @@ struct ResultBatch {
 };
 
 /// Message types under overlay::Proto::kQuery (direct engine traffic).
+/// Result, partial, epoch-report and budget-trip messages are accepted only
+/// as the inner bytes of an admitted kFrame; a bare one is dropped.
 enum class MsgType : uint8_t {
   kResultTuple = 1,
   kPartialAgg = 2,

@@ -135,7 +135,7 @@ bool QueryScheduler::ServeTask(Task* task) {
     exec::RowBatch copy = src;  // feeds install selections; keep src pristine
     size_t rows = copy.num_rows();
     stats_->tuples_scanned += rows;
-    if (w.count_batches) ++stats_->batches_scanned;
+    ++stats_->batches_scanned;
     served += rows;
     bool more = w.feed ? w.feed(copy) : true;
     if (!more) {

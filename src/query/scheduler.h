@@ -48,10 +48,6 @@ struct ScanWork {
   /// Continuous-query window (0 = whole live snapshot). Rows stored before
   /// now - window are excluded from the sweep.
   Duration window = 0;
-  /// Count served batches in EngineStats::batches_scanned (the vectorized
-  /// pipeline does; the tuple-adapter fallback does not, matching the
-  /// legacy ScanStage accounting).
-  bool count_batches = false;
   /// The query's own pipeline: filter/project/agg kernels plus the emit
   /// sink. Receives each shared batch (as a private copy — feeds mutate
   /// selections); returns false to stop the scan early (LIMIT pushdown).

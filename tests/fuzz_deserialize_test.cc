@@ -216,7 +216,7 @@ TEST(FuzzDeserialize, MalformedOpGraphStructureRejected) {
     query::OpGraph g;
     EXPECT_FALSE(query::OpGraph::Deserialize(&r, &g).ok());
   }
-  // ...and a graph whose root is not a collect.
+  // ...a graph whose root is not a collect...
   query::OpGraph noroot;
   noroot.nodes.resize(1);
   noroot.nodes[0].type = query::OpType::kScan;
@@ -225,6 +225,22 @@ TEST(FuzzDeserialize, MalformedOpGraphStructureRejected) {
   noroot.Serialize(&w2);
   {
     Reader r(w2.buffer());
+    query::OpGraph g;
+    EXPECT_FALSE(query::OpGraph::Deserialize(&r, &g).ok());
+  }
+  // ...and a rehash edge with no join behind it: the scan's rows would
+  // have nowhere to go.
+  query::OpGraph rehash;
+  rehash.nodes.resize(2);
+  rehash.nodes[0].type = query::OpType::kScan;
+  rehash.nodes[0].table = "t";
+  rehash.nodes[0].out = query::ExchangeKind::kRehash;
+  rehash.nodes[1].type = query::OpType::kCollect;
+  rehash.nodes[1].inputs = {0};
+  Writer w3;
+  rehash.Serialize(&w3);
+  {
+    Reader r(w3.buffer());
     query::OpGraph g;
     EXPECT_FALSE(query::OpGraph::Deserialize(&r, &g).ok());
   }

@@ -191,54 +191,43 @@ TEST(QuerySelectTest, OrderByAndLimitAtOrigin) {
 }
 
 // LIMIT without ORDER BY / DISTINCT / aggregation pushes first-k into the
-// member scans. The batch plane must stop mid-batch exactly like the tuple
-// plane stops mid-scan: same answer size, and members stop reading the
-// store long before exhausting it.
+// member scans. The batch plane stops mid-batch: the answer has exactly k
+// rows, and members stop reading the store long before exhausting it.
 TEST(QuerySelectTest, LimitPushdownStopsBatchScanEarly) {
-  for (bool vectorized : {true, false}) {
-    SCOPED_TRACE(vectorized ? "vectorized" : "tuple");
-    PierNetworkOptions opts = OneHopOpts(53);
-    opts.node.engine.vectorized = vectorized;
-    opts.node.engine.batch_size = 4;
-    PierNetwork net(2, opts);
-    net.Boot(Seconds(5));
-    RegisterEverywhere(net, AlertsTable());
-    std::vector<std::tuple<int, std::string, int>> rows;
-    for (int i = 0; i < 64; ++i) rows.push_back({i, "r", i});
-    PublishAlerts(net, rows);
+  PierNetworkOptions opts = OneHopOpts(53);
+  opts.node.engine.batch_size = 4;
+  PierNetwork net(2, opts);
+  net.Boot(Seconds(5));
+  RegisterEverywhere(net, AlertsTable());
+  std::vector<std::tuple<int, std::string, int>> rows;
+  for (int i = 0; i < 64; ++i) rows.push_back({i, "r", i});
+  PublishAlerts(net, rows);
 
-    QueryPlan plan;
-    plan.kind = PlanKind::kSelectProject;
-    plan.table = "alerts";
-    plan.scan_schema = AlertsTable().schema;
-    plan.limit = 3;
+  QueryPlan plan;
+  plan.kind = PlanKind::kSelectProject;
+  plan.table = "alerts";
+  plan.scan_schema = AlertsTable().schema;
+  plan.limit = 3;
 
-    std::vector<ResultBatch> batches;
-    ASSERT_TRUE(net.node(0)
-                    ->query_engine()
-                    ->Execute(plan,
-                              [&](const ResultBatch& b) {
-                                batches.push_back(b);
-                              })
-                    .ok());
-    net.RunFor(Seconds(10));
-    ASSERT_EQ(batches.size(), 1u);
-    EXPECT_EQ(batches[0].rows.size(), 3u);
+  std::vector<ResultBatch> batches;
+  ASSERT_TRUE(net.node(0)
+                  ->query_engine()
+                  ->Execute(plan,
+                            [&](const ResultBatch& b) { batches.push_back(b); })
+                  .ok());
+  net.RunFor(Seconds(10));
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].rows.size(), 3u);
 
-    uint64_t scanned = 0, batch_scans = 0;
-    for (size_t i = 0; i < net.size(); ++i) {
-      scanned += net.node(i)->query_engine()->stats().tuples_scanned;
-      batch_scans += net.node(i)->query_engine()->stats().batches_scanned;
-    }
-    // Each member caps at LIMIT(3) rows (tuple plane) or one 4-row batch
-    // (batch plane) — nowhere near the 64 published rows.
-    EXPECT_LE(scanned, 16u);
-    if (vectorized) {
-      EXPECT_GT(batch_scans, 0u);
-    } else {
-      EXPECT_EQ(batch_scans, 0u);
-    }
+  uint64_t scanned = 0, batch_scans = 0;
+  for (size_t i = 0; i < net.size(); ++i) {
+    scanned += net.node(i)->query_engine()->stats().tuples_scanned;
+    batch_scans += net.node(i)->query_engine()->stats().batches_scanned;
   }
+  // Each member serves one 4-row batch — nowhere near the 64 published
+  // rows.
+  EXPECT_LE(scanned, 16u);
+  EXPECT_GT(batch_scans, 0u);
 }
 
 TEST(QuerySelectTest, DistinctAtOrigin) {

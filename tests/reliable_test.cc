@@ -1,7 +1,8 @@
-// Unit and A/B tests for the reliable result plane: receiver-side frame
-// dedupe, the sender-side pending-frame outbox, the shared jittered backoff
-// schedule, and — end to end — that wrapping result frames in the acked
-// kFrame envelope changes nothing about the answer on a clean network.
+// Unit and end-to-end tests for the reliable result plane: receiver-side
+// frame dedupe, the sender-side pending-frame outbox, the shared jittered
+// backoff schedule, and — end to end — that answers carried in the acked
+// kFrame envelope equal the testkit oracle, and that result rows arriving
+// outside it are dropped.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +13,12 @@
 
 #include "common/backoff.h"
 #include "core/network.h"
+#include "overlay/transport.h"
 #include "query/engine.h"
 #include "query/plan.h"
 #include "query/reliable.h"
 #include "sim/fault_plane.h"
+#include "testkit/oracle.h"
 
 namespace pier {
 namespace query {
@@ -172,7 +175,7 @@ TEST(RetryDelayTest, SaltsDecorrelateSenders) {
 }
 
 // ---------------------------------------------------------------------------
-// A/B: the acked envelope must be invisible in the answer
+// End to end: the acked envelope against the testkit oracle
 // ---------------------------------------------------------------------------
 
 TableDef AlertsTable() {
@@ -186,68 +189,106 @@ TableDef AlertsTable() {
   return def;
 }
 
-std::multiset<int64_t> RunScan(bool reliable, EngineStats* stats_out) {
+PierNetworkOptions CleanOneHopOpts() {
   PierNetworkOptions o;
   o.seed = 71;
   o.node.router_kind = RouterKind::kOneHop;
   o.node.engine.result_wait = Seconds(5);
-  o.node.engine.reliable_results = reliable;
-  PierNetwork net(6, o);
+  return o;
+}
+
+/// Boots `net`, registers `alerts` everywhere and publishes 30 rows
+/// (rule_id 0..29) spread across the publishers.
+void SeedAlerts(PierNetwork& net) {
   net.Boot(Seconds(5));
   for (size_t i = 0; i < net.size(); ++i) {
-    EXPECT_TRUE(net.node(i)->catalog()->Register(AlertsTable()).ok());
+    ASSERT_TRUE(net.node(i)->catalog()->Register(AlertsTable()).ok());
   }
   for (int r = 0; r < 30; ++r) {
     Tuple t{Value::Int64(r), Value::String("d"), Value::Int64(r * 10)};
-    EXPECT_TRUE(net.node(static_cast<size_t>(r) % net.size())
+    ASSERT_TRUE(net.node(static_cast<size_t>(r) % net.size())
                     ->query_engine()
                     ->Publish("alerts", t)
                     .ok());
   }
   net.RunFor(Seconds(5));
+}
 
+QueryPlan AlertsScan() {
   QueryPlan plan;
   plan.kind = PlanKind::kSelectProject;
   plan.table = "alerts";
   plan.scan_schema = AlertsTable().schema;
+  return plan;
+}
 
+/// The answer must be the oracle's row multiset, nothing more or less.
+void ExpectOracleAnswer(PierNetwork& net, const QueryPlan& plan,
+                        const ResultBatch& batch) {
+  auto oracle = testkit::OracleEvaluate(net, plan);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(oracle.value().size(), 30u);
+  testkit::OracleScore score = testkit::ScoreAnswer(oracle.value(), batch.rows);
+  EXPECT_EQ(score.answer_rows, score.oracle_rows) << score.ToString();
+  EXPECT_EQ(score.matched, score.oracle_rows) << score.ToString();
+}
+
+TEST(ReliablePlaneTest, CleanNetworkAnswerMatchesOracleAndCertifiesExact) {
+  PierNetwork net(6, CleanOneHopOpts());
+  SeedAlerts(net);
+  QueryPlan plan = AlertsScan();
   std::vector<ResultBatch> batches;
   auto r = net.node(0)->query_engine()->Execute(
       plan, [&](const ResultBatch& b) { batches.push_back(b); });
-  EXPECT_TRUE(r.ok());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   net.RunFor(Seconds(10));
 
-  std::multiset<int64_t> rules;
-  EXPECT_EQ(batches.size(), 1u);
-  for (const ResultBatch& b : batches) {
-    for (const Tuple& t : b.rows) rules.insert(t[0].int64_value());
+  ASSERT_EQ(batches.size(), 1u);
+  ExpectOracleAnswer(net, plan, batches[0]);
+  EXPECT_TRUE(batches[0].completeness.exact)
+      << batches[0].completeness.ToString();
+  // Members are the frame senders; sum the plane counters network-wide.
+  // The envelope was exercised and, on clean links, never retransmitted.
+  EngineStats total;
+  for (size_t i = 0; i < net.size(); ++i) {
+    const EngineStats& s = net.node(i)->query_engine()->stats();
+    total.frames_acked += s.frames_acked;
+    total.frames_lost += s.frames_lost;
+    total.frames_retransmitted += s.frames_retransmitted;
   }
-  if (stats_out != nullptr) {
-    // Members are the frame senders; aggregate the plane counters network-
-    // wide rather than reading only the origin.
-    *stats_out = EngineStats{};
-    for (size_t i = 0; i < net.size(); ++i) {
-      const EngineStats& s = net.node(i)->query_engine()->stats();
-      stats_out->frames_sent += s.frames_sent;
-      stats_out->frames_acked += s.frames_acked;
-      stats_out->frames_lost += s.frames_lost;
-    }
-  }
-  return rules;
+  EXPECT_GT(total.frames_acked, 0u);
+  EXPECT_EQ(total.frames_lost, 0u);
+  EXPECT_EQ(total.frames_retransmitted, 0u);
 }
 
-TEST(ReliableAbTest, CleanNetworkAnswersAreIdenticalWithRetriesOnAndOff) {
-  EngineStats on_stats, off_stats;
-  std::multiset<int64_t> with_acks = RunScan(/*reliable=*/true, &on_stats);
-  std::multiset<int64_t> without = RunScan(/*reliable=*/false, &off_stats);
-  EXPECT_EQ(with_acks, without);
-  EXPECT_EQ(with_acks.size(), 30u);
-  // The reliable run actually exercised the envelope (and, clean links,
-  // never needed a retransmit); the best-effort run never touched it.
-  EXPECT_GT(on_stats.frames_acked, 0u);
-  EXPECT_EQ(on_stats.frames_lost, 0u);
-  EXPECT_EQ(off_stats.frames_sent, 0u);
-  EXPECT_EQ(off_stats.frames_acked, 0u);
+// Result rows count toward an answer only through an admitted kFrame: a
+// bare kResultTuple from another node (a stale sender, or a spoofer) must
+// never land in the answer, let alone in one certified exact.
+TEST(ReliablePlaneTest, BareResultTupleInjectedMidQueryIsDropped) {
+  PierNetwork net(6, CleanOneHopOpts());
+  SeedAlerts(net);
+  QueryPlan plan = AlertsScan();
+  std::vector<ResultBatch> batches;
+  auto r = net.node(0)->query_engine()->Execute(
+      plan, [&](const ResultBatch& b) { batches.push_back(b); });
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  Writer w;
+  w.PutU8(static_cast<uint8_t>(MsgType::kResultTuple));
+  w.PutVarint64(r.value());
+  w.PutVarint64(/*epoch=*/0);
+  catalog::SerializeTuple(
+      Tuple{Value::Int64(999), Value::String("forged"), Value::Int64(1)}, &w);
+  ASSERT_TRUE(net.node(3)
+                  ->transport()
+                  ->Send(net.node(0)->host(), overlay::Proto::kQuery, w)
+                  .ok());
+  net.RunFor(Seconds(10));
+
+  ASSERT_EQ(batches.size(), 1u);
+  ExpectOracleAnswer(net, plan, batches[0]);
+  EXPECT_TRUE(batches[0].completeness.exact)
+      << batches[0].completeness.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +307,6 @@ TEST(ReliableTeardownTest, StormWithCancelsAndCrashLeavesAdmissionOpen) {
   o.seed = 77;
   o.node.router_kind = RouterKind::kOneHop;
   o.node.engine.result_wait = Seconds(2);
-  o.node.engine.reliable_results = true;
   PierNetwork net(6, o);
   net.Boot(Seconds(5));
   for (size_t i = 0; i < net.size(); ++i) {
