@@ -26,12 +26,13 @@ BroadcastService::~BroadcastService() {
 
 sim::TimerId BroadcastService::ScheduleTimer(Duration delay,
                                              std::function<void()> fn) {
-  sim::TimerId id = transport_->simulation()->ScheduleAfter(
-      delay, [this, fn = std::move(fn)] {
-        if (!running_) return;
-        fn();
-      });
-  timers_.push_back(id);
+  sim::Simulation* sim = transport_->simulation();
+  sim::TimerId id = sim->ScheduleAfter(delay, [this, sim, fn = std::move(fn)] {
+    timers_.erase(sim->firing());
+    if (!running_) return;
+    fn();
+  });
+  timers_.insert(id);
   return id;
 }
 
@@ -40,63 +41,50 @@ uint64_t BroadcastService::Broadcast(sim::Payload payload) {
   uint64_t seq = next_seq_++;
   ++stats_.initiated;
   sim::HostId self = transport_->self();
-  AlreadySeen(self, seq);  // mark, so loops back to us are suppressed
-  Deliver(self, seq, /*parent=*/self, 0, payload);
-  // Whole ring: limit == own id (the interval (self, self) wraps all the
-  // way around).
-  if (!options_.reliable) {
-    Relay(nullptr, self, seq, router_->self().id, 0, payload);
-    return seq;
-  }
-  RelayState& state = relays_[{self, seq}];
+  ExpireSeen();
+  // Marked seen before delivery, so loops back to us are suppressed.
+  RelayState& state = MarkSeen(self, seq);
   state.parent = self;
   state.is_origin = true;
   state.payload = payload;
-  state.expires = transport_->simulation()->now() + kSeenTtl;
-  Relay(&state, self, seq, router_->self().id, 0, payload);
+  Deliver(self, seq, /*parent=*/self, 0, payload);
+  // Whole ring: limit == own id (the interval (self, self) wraps all the
+  // way around).
+  Relay(state, self, seq, router_->self().id, 0, payload);
   ArmCoverDeadline(self, seq);
   MaybeFinishCover(self, seq, &state);  // leaf origin: fire immediately
   return seq;
 }
 
-void BroadcastService::Relay(RelayState* state, sim::HostId origin,
+void BroadcastService::Relay(RelayState& state, sim::HostId origin,
                              uint64_t seq, const Id160& limit, int depth,
                              const sim::Payload& payload) {
   if (depth >= kMaxDepth) return;
   const Id160 self_id = router_->self().id;
   std::vector<overlay::NodeInfo> neighbors = router_->RoutingNeighbors();
-  // Keep only neighbors strictly inside (self, limit), sorted clockwise.
-  std::vector<overlay::NodeInfo> in_range;
+  // Keep only neighbors strictly inside (self, limit), sorted clockwise
+  // (each keyed by its distance from us, computed once).
+  using Ranked = std::pair<Id160, overlay::NodeInfo>;
+  std::vector<Ranked> in_range;
   for (const auto& n : neighbors) {
     if (limit == self_id || n.id.InIntervalOpenOpen(self_id, limit)) {
-      in_range.push_back(n);
+      in_range.emplace_back(self_id.DistanceTo(n.id), n);
     }
   }
   std::sort(in_range.begin(), in_range.end(),
-            [&](const overlay::NodeInfo& a, const overlay::NodeInfo& b) {
-              return self_id.DistanceTo(a.id) < self_id.DistanceTo(b.id);
-            });
+            [](const Ranked& a, const Ranked& b) { return a.first < b.first; });
   in_range.erase(std::unique(in_range.begin(), in_range.end(),
-                             [](const overlay::NodeInfo& a,
-                                const overlay::NodeInfo& b) {
-                               return a.host == b.host;
+                             [](const Ranked& a, const Ranked& b) {
+                               return a.second.host == b.second.host;
                              }),
                  in_range.end());
   for (size_t i = 0; i < in_range.size(); ++i) {
     // Neighbor i covers up to the next neighbor (or our limit for the last).
     const Id160& sub_limit =
-        (i + 1 < in_range.size()) ? in_range[i + 1].id : limit;
-    if (state == nullptr) {
-      ChildEdge edge;
-      edge.host = in_range[i].host;
-      edge.sub_limit = sub_limit;
-      edge.depth = depth + 1;
-      SendDataEdge(origin, seq, &edge, payload);
-      continue;
-    }
-    state->children.emplace_back();
-    ChildEdge& edge = state->children.back();
-    edge.host = in_range[i].host;
+        (i + 1 < in_range.size()) ? in_range[i + 1].second.id : limit;
+    state.children.emplace_back();
+    ChildEdge& edge = state.children.back();
+    edge.host = in_range[i].second.host;
     edge.sub_limit = sub_limit;
     edge.depth = depth + 1;
     SendDataEdge(origin, seq, &edge, payload);
@@ -186,8 +174,9 @@ void BroadcastService::OnData(sim::HostId from, Reader* r,
       !Id160::Deserialize(r, &limit).ok() || !r->GetVarint32(&depth).ok()) {
     return;
   }
-  if (options_.reliable) SendAck(from, origin, seq, kAckData);
-  if (AlreadySeen(origin, seq)) {
+  SendAck(from, origin, seq, kAckData);
+  ExpireSeen();
+  if (RelayState* seen = FindRelay(origin, seq)) {
     ++stats_.duplicates;
     // A second parent picked us up. Its subtree count must not double-count
     // ours (the first parent accounts for it), so cover it with zero
@@ -198,32 +187,24 @@ void BroadcastService::OnData(sim::HostId from, Reader* r,
     // races ahead of the real cover would erase the subtree from the
     // origin's count while leaving the wave marked complete. The ack above
     // already stops its retries; the real cover has its own retry loop.
-    if (options_.reliable) {
-      RelayState* state = FindRelay(origin, seq);
-      if (state == nullptr || state->parent != from) {
-        Writer w;
-        w.PutU8(kCover);
-        w.PutFixed32(origin);
-        w.PutVarint64(seq);
-        w.PutVarint64(0);
-        w.PutU8(1);
-        transport_->Send(from, overlay::Proto::kBroadcast, w);
-      }
+    if (seen->parent != from) {
+      Writer w;
+      w.PutU8(kCover);
+      w.PutFixed32(origin);
+      w.PutVarint64(seq);
+      w.PutVarint64(0);
+      w.PutU8(1);
+      transport_->Send(from, overlay::Proto::kBroadcast, w);
     }
     return;
   }
   stats_.max_depth_seen =
       std::max(stats_.max_depth_seen, static_cast<int>(depth));
-  Deliver(origin, seq, from, static_cast<int>(depth), body);
-  if (!options_.reliable) {
-    Relay(nullptr, origin, seq, limit, static_cast<int>(depth), body);
-    return;
-  }
-  RelayState& state = relays_[{origin, seq}];
+  RelayState& state = MarkSeen(origin, seq);
   state.parent = from;
   state.payload = body;
-  state.expires = transport_->simulation()->now() + kSeenTtl;
-  Relay(&state, origin, seq, limit, static_cast<int>(depth), body);
+  Deliver(origin, seq, from, static_cast<int>(depth), body);
+  Relay(state, origin, seq, limit, static_cast<int>(depth), body);
   ArmCoverDeadline(origin, seq);
   MaybeFinishCover(origin, seq, &state);  // leaf: cover immediately
 }
@@ -372,26 +353,19 @@ void BroadcastService::Deliver(sim::HostId origin, uint64_t seq,
   if (handler_) handler_(origin, seq, parent, depth, payload);
 }
 
-bool BroadcastService::AlreadySeen(sim::HostId origin, uint64_t seq) {
+void BroadcastService::ExpireSeen() {
   TimePoint now = transport_->simulation()->now();
-  for (auto it = seen_.begin(); it != seen_.end();) {
-    if (it->second <= now) {
-      it = seen_.erase(it);
-    } else {
-      ++it;
-    }
+  while (!expiry_.empty() && expiry_.front().first <= now) {
+    relays_.erase(expiry_.front().second);
+    expiry_.pop_front();
   }
-  for (auto it = relays_.begin(); it != relays_.end();) {
-    if (it->second.expires <= now) {
-      it = relays_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  auto [it, inserted] = seen_.emplace(std::make_pair(origin, seq),
-                                      now + kSeenTtl);
-  (void)it;
-  return !inserted;
+}
+
+BroadcastService::RelayState& BroadcastService::MarkSeen(sim::HostId origin,
+                                                        uint64_t seq) {
+  RelayKey key{origin, seq};
+  expiry_.emplace_back(transport_->simulation()->now() + kSeenTtl, key);
+  return relays_[key];
 }
 
 }  // namespace dht

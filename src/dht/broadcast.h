@@ -15,14 +15,19 @@
 // once all children have covered or conclusively failed. The origin's
 // coverage callback is how the query engine learns members_expected /
 // coverage_complete for its Completeness accounting.
+//
+// The relay state is the seen-cache: holding it for (origin, seq) marks a
+// duplicate. Entries live a fixed kSeenTtl, so they expire in creation order.
 
 #ifndef PIER_DHT_BROADCAST_H_
 #define PIER_DHT_BROADCAST_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "overlay/router.h"
@@ -33,9 +38,6 @@ namespace pier {
 namespace dht {
 
 struct BroadcastOptions {
-  /// Ack + retransmit each tree edge and run the cover wave. Off restores
-  /// the fire-and-forget tree (kept for measurement).
-  bool reliable = true;
   /// First retransmit after this long; exponential backoff (x2) up to
   /// ack_max, jittered +/-25% per attempt (deterministic hash jitter).
   Duration ack_timeout = Millis(400);
@@ -123,7 +125,6 @@ class BroadcastService {
     int cover_attempts = 0;
     uint64_t cover_count = 0;
     bool cover_complete = true;
-    TimePoint expires = 0;
   };
   using RelayKey = std::pair<sim::HostId, uint64_t>;
 
@@ -131,9 +132,9 @@ class BroadcastService {
   void OnData(sim::HostId from, Reader* r, const sim::Payload& body);
   void OnAck(sim::HostId from, Reader* r);
   void OnCover(sim::HostId from, Reader* r);
-  /// Forwards into (self, limit), splitting among neighbors. When `state`
-  /// is non-null (reliable mode) the edges are recorded for ack tracking.
-  void Relay(RelayState* state, sim::HostId origin, uint64_t seq,
+  /// Forwards into (self, limit), splitting among neighbors; the edges are
+  /// recorded in `state` for ack tracking.
+  void Relay(RelayState& state, sim::HostId origin, uint64_t seq,
              const Id160& limit, int depth, const sim::Payload& payload);
   void SendDataEdge(sim::HostId origin, uint64_t seq, ChildEdge* edge,
                     const sim::Payload& payload);
@@ -149,7 +150,11 @@ class BroadcastService {
   RelayState* FindRelay(sim::HostId origin, uint64_t seq);
   void Deliver(sim::HostId origin, uint64_t seq, sim::HostId parent,
                int depth, const sim::Payload& payload);
-  bool AlreadySeen(sim::HostId origin, uint64_t seq);
+  /// Drops the seen-cache entries whose kSeenTtl has run out (FIFO order:
+  /// virtual time never goes backwards).
+  void ExpireSeen();
+  /// Creates the relay state (and seen-cache entry) for a first delivery.
+  RelayState& MarkSeen(sim::HostId origin, uint64_t seq);
   sim::TimerId ScheduleTimer(Duration delay, std::function<void()> fn);
 
   overlay::Transport* transport_;
@@ -159,10 +164,11 @@ class BroadcastService {
   CoverageFn coverage_fn_;
   bool running_ = true;
   uint64_t next_seq_ = 1;
-  /// (origin, seq) -> expiry of the dedup entry.
-  std::map<RelayKey, TimePoint> seen_;
   std::map<RelayKey, RelayState> relays_;
-  std::vector<sim::TimerId> timers_;
+  /// (expiry, key) of every relays_ entry, in creation (= expiry) order.
+  std::deque<std::pair<TimePoint, RelayKey>> expiry_;
+  /// Timers scheduled and not yet fired or cancelled.
+  std::unordered_set<sim::TimerId> timers_;
   BroadcastStats stats_;
 
   static constexpr int kMaxDepth = 64;

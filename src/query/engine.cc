@@ -253,17 +253,18 @@ void QueryEngine::Stop() {
 
 sim::TimerId QueryEngine::ScheduleEngineTimer(Duration delay,
                                               std::function<void()> fn) {
-  if (stopped_) return 0;
-  sim::TimerId id = sim_->ScheduleAfter(delay, std::move(fn));
-  engine_timers_.push_back(id);
-  return id;
+  return ScheduleEngineTimerAt(sim_->now() + std::max<Duration>(delay, 0),
+                               std::move(fn));
 }
 
 sim::TimerId QueryEngine::ScheduleEngineTimerAt(TimePoint when,
                                                 std::function<void()> fn) {
   if (stopped_) return 0;
-  sim::TimerId id = sim_->ScheduleAt(when, std::move(fn));
-  engine_timers_.push_back(id);
+  sim::TimerId id = sim_->ScheduleAt(when, [this, fn = std::move(fn)] {
+    engine_timers_.erase(sim_->firing());
+    fn();
+  });
+  engine_timers_.insert(id);
   return id;
 }
 
@@ -310,9 +311,11 @@ bool QueryEngine::HasLiveQuery(uint64_t qid) const {
 
 Status QueryEngine::CheckReliableAccounting() const {
   uint64_t live_pending = 0;
+  size_t live = 0;
   for (const auto& [qid, aq] : queries_) {
     if (!aq->ended) {
       live_pending += aq->outbox.pending_bytes();
+      ++live;
       continue;
     }
     // Ended-but-unGCed husks exist only to absorb stragglers; any reliable
@@ -337,6 +340,11 @@ Status QueryEngine::CheckReliableAccounting() const {
         "admission counter drift: pending_result_bytes=" +
         std::to_string(pending_result_bytes_) + " but live outboxes hold " +
         std::to_string(live_pending));
+  }
+  if (live != live_queries_) {
+    return Status::Internal("admission counter drift: live_queries=" +
+                            std::to_string(live_queries_) + " but " +
+                            std::to_string(live) + " queries have not ended");
   }
   return Status::OK();
 }
@@ -537,7 +545,10 @@ sim::TimerId QueryEngine::ScheduleStageTimer(Duration delay, uint64_t qid,
   });
 }
 
-void QueryEngine::CancelTimer(sim::TimerId id) { sim_->Cancel(id); }
+void QueryEngine::CancelTimer(sim::TimerId id) {
+  engine_timers_.erase(id);
+  sim_->Cancel(id);
+}
 
 void QueryEngine::PostToStage(uint64_t qid, uint32_t node_id,
                               const std::function<void(ops::Stage*)>& fn) {
@@ -1011,7 +1022,7 @@ void QueryEngine::ArmMemberLifecycle(ActiveQuery* aq) {
   } else {
     lease = aq->env.issued_at + options_.result_wait + options_.member_lease;
   }
-  if (aq->lease_timer != 0) sim_->Cancel(aq->lease_timer);
+  if (aq->lease_timer != 0) CancelTimer(aq->lease_timer);
   aq->lease_timer = ScheduleEngineTimerAt(lease, [this, qid] {
     auto it = queries_.find(qid);
     if (it == queries_.end() || it->second->ended) return;
@@ -1104,11 +1115,7 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
 
   // Admission: refuse at issue time rather than degrade mid-flight. A
   // refused caller gets a typed Busy and nothing was broadcast.
-  size_t live = 0;
-  for (const auto& [id, q] : queries_) {
-    if (!q->ended) ++live;
-  }
-  if (live >= options_.max_live_queries) {
+  if (live_queries_ >= options_.max_live_queries) {
     ++stats_.admission_refusals;
     return Status::Busy("admission: live-query budget exhausted");
   }
@@ -1150,6 +1157,7 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
   raw->accountable =
       raw->runtime->epochal() && IsAccountableGraph(raw->env.plan.graph);
   queries_.emplace(query_id, std::move(aq));
+  ++live_queries_;
 
   if (raw->env.deadline > 0) {
     raw->deadline_timer = ScheduleEngineTimerAt(
@@ -1266,6 +1274,7 @@ void QueryEngine::HandleQueryEnd(uint64_t qid) {
   if (it == queries_.end() || it->second->ended) return;
   ActiveQuery* aq = it->second.get();
   aq->ended = true;
+  --live_queries_;
   aq->epoch_task.Stop();
   aq->quiesce_task.Stop();
   // Drop unacked frames with the query: retransmitting into a dead query
@@ -1284,11 +1293,11 @@ void QueryEngine::HandleQueryEnd(uint64_t qid) {
   // Queued scan work captures the runtime about to be torn down.
   scheduler_->DropQuery(qid);
   if (aq->deadline_timer != 0) {
-    sim_->Cancel(aq->deadline_timer);
+    CancelTimer(aq->deadline_timer);
     aq->deadline_timer = 0;
   }
   if (aq->lease_timer != 0) {
-    sim_->Cancel(aq->lease_timer);
+    CancelTimer(aq->lease_timer);
     aq->lease_timer = 0;
   }
   if (aq->runtime != nullptr) {
@@ -1324,11 +1333,7 @@ void QueryEngine::InstallQuery(const PlanEnvelope& env, sim::HostId parent,
     if (env.origin != transport_->self()) {
       AdmissionReason refuse_reason{};
       bool refused = false;
-      size_t live = 0;
-      for (const auto& [id, q] : queries_) {
-        if (!q->ended) ++live;
-      }
-      if (live >= options_.max_live_queries) {
+      if (live_queries_ >= options_.max_live_queries) {
         refused = true;
         refuse_reason = AdmissionReason::kLiveQueries;
       } else if (pending_result_bytes_ > options_.max_pending_result_bytes) {
@@ -1350,6 +1355,7 @@ void QueryEngine::InstallQuery(const PlanEnvelope& env, sim::HostId parent,
     aq->parent = parent;
     aq->depth = depth;
     queries_.emplace(env.query_id, std::move(aq));
+    ++live_queries_;
     ++stats_.plans_received;
   }
   ActiveQuery* aq = queries_.find(env.query_id)->second.get();
@@ -1798,7 +1804,7 @@ void QueryEngine::FinalizeEpoch(ActiveQuery* aq, uint64_t epoch,
   if (es.finalized) return;
   es.finalized = true;
   if (es.finalize_timer != 0) {
-    sim_->Cancel(es.finalize_timer);
+    CancelTimer(es.finalize_timer);
     es.finalize_timer = 0;
   }
 

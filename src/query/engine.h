@@ -112,8 +112,9 @@ class QueryEngine : public ops::StageHost {
 
   /// Audits the reliable result plane's teardown accounting: the admission
   /// gate's pending-byte counter must equal the bytes actually sitting in
-  /// live outboxes, and ended queries must hold no reliable-plane state
-  /// (frames, dedupe windows, member reports). The testkit's
+  /// live outboxes, its live-query counter must equal the number of tracked
+  /// queries not yet ended, and ended queries must hold no reliable-plane
+  /// state (frames, dedupe windows, member reports). The testkit's
   /// ExchangeHygieneChecker runs this on every node — a leak here is what
   /// wedges admission into permanent Busy under query storms.
   Status CheckReliableAccounting() const;
@@ -246,14 +247,17 @@ class QueryEngine : public ops::StageHost {
 
   /// Schedules an engine-owned timer: cancelled automatically when the
   /// engine is destroyed (node crash/reboot), so callbacks never fire on a
-  /// dead engine.
+  /// dead engine. Cancel one early through CancelTimer.
   sim::TimerId ScheduleEngineTimer(Duration delay, std::function<void()> fn);
   sim::TimerId ScheduleEngineTimerAt(TimePoint when, std::function<void()> fn);
 
   uint64_t next_query_seq_ = 1;
   uint64_t publish_seq_ = 1;
   std::map<uint64_t, std::unique_ptr<ActiveQuery>> queries_;
-  std::vector<sim::TimerId> engine_timers_;
+  /// Entries of queries_ not yet ended — the admission gate's live count.
+  size_t live_queries_ = 0;
+  /// Engine timers scheduled and not yet fired or cancelled.
+  std::unordered_set<sim::TimerId> engine_timers_;
   bool stopped_ = false;
   /// Bytes sitting in unacked reliable outboxes across all queries — the
   /// admission gate's backpressure signal.

@@ -24,11 +24,14 @@ void Simulation::FreeNode(uint32_t index) {
 
 void Simulation::FireNode(uint32_t index) {
   EventNode& node = NodeAt(index);
+  TimerId outer = firing_;
+  firing_ = MakeTimerId(index, node.gen);
   ++node.gen;  // the TimerId dies before the callback runs
   --live_;
   ++executed_;
   node.cb();  // node storage is chunk-stable: safe even if this schedules
   node.cb.Reset();
+  firing_ = outer;
   free_nodes_.push_back(index);
 }
 

@@ -172,6 +172,9 @@ class Simulation {
   /// guard). Returns the number of events executed.
   size_t RunAll(size_t max_events = 100'000'000);
 
+  /// The TimerId of the event whose callback is running (0 outside one).
+  TimerId firing() const { return firing_; }
+
   /// Number of pending (scheduled, not yet fired or cancelled) events.
   size_t pending() const { return live_; }
   /// Total events executed since construction.
@@ -229,6 +232,7 @@ class Simulation {
   uint64_t next_seq_ = 1;
   uint64_t executed_ = 0;
   size_t live_ = 0;
+  TimerId firing_ = 0;
   // 4-ary min-heap on (time, seq): parallel key/ref arrays so the
   // sift-down's compare path reads one cache line per level.
   std::vector<HeapKey> heap_keys_;

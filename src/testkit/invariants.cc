@@ -149,8 +149,9 @@ Status ExchangeHygieneChecker::Check(const CheckContext& ctx) {
     if (!node->alive()) continue;
     // Rule 0 — reliable-plane teardown accounting: ended queries must hold
     // no outbox frames / dedupe windows / member reports, and the admission
-    // gate's pending-byte counter must match what live outboxes actually
-    // hold. A drifted counter wedges admission into permanent Busy.
+    // gate's pending-byte and live-query counters must match what live
+    // outboxes and queries actually hold. A drifted counter wedges admission
+    // into permanent Busy.
     Status acct = node->query_engine()->CheckReliableAccounting();
     if (!acct.ok()) {
       return Status::Internal("reliable-plane accounting at " +

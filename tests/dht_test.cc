@@ -536,6 +536,61 @@ TEST(BroadcastTest, MostNodesReachedDespiteCrashes) {
   EXPECT_GE(reached, 20) << "broadcast should reach nearly all live nodes";
 }
 
+TEST(BroadcastTest, SeenCacheSuppressesReplayUntilTtlExpires) {
+  // A node remembers a broadcast for the seen-cache TTL (120 s) from its
+  // first delivery. A replayed data frame is a suppressed duplicate just
+  // before that and a fresh delivery just after.
+  constexpr Duration kSeenTtl = Seconds(120);
+  PierNetwork net(8, OneHopOpts());
+  net.Boot(Seconds(5));
+  constexpr size_t kTarget = 3;
+  BroadcastService* target = net.node(kTarget)->broadcast();
+  int deliveries = 0;
+  sim::HostId origin = 0, parent = 0;
+  uint64_t seq = 0;
+  TimePoint delivered_at = 0;
+  target->SetHandler([&](sim::HostId o, uint64_t s, sim::HostId p, int,
+                         const sim::Payload&) {
+    if (++deliveries > 1) return;
+    origin = o;
+    seq = s;
+    parent = p;
+    delivered_at = net.sim()->now();
+  });
+  net.node(0)->broadcast()->Broadcast(sim::Payload("plan"));
+  net.RunFor(Seconds(10));
+  ASSERT_EQ(deliveries, 1);
+
+  // Replay from a node that is neither the target nor its tree parent, so
+  // the duplicate cannot pass for a parent retransmit.
+  core::PierNode* replayer = nullptr;
+  for (size_t i = 0; i < net.size() && replayer == nullptr; ++i) {
+    if (i != kTarget && net.node(i)->host() != parent) replayer = net.node(i);
+  }
+  ASSERT_NE(replayer, nullptr);
+  auto replay_at = [&](TimePoint when) {
+    net.RunFor(when - net.sim()->now());
+    Writer w;
+    w.PutU8(1);  // kData
+    w.PutFixed32(origin);
+    w.PutVarint64(seq);
+    net.node(kTarget)->id().Serialize(&w);  // limit: the whole ring
+    w.PutVarint32(1);                       // depth
+    replayer->transport()->SendWithBody(net.node(kTarget)->host(),
+                                        overlay::Proto::kBroadcast, w,
+                                        sim::Payload("plan"));
+    net.RunFor(Seconds(1));  // one link delay is well under a second
+  };
+
+  uint64_t duplicates = target->stats().duplicates;
+  replay_at(delivered_at + kSeenTtl - Seconds(1));
+  EXPECT_EQ(deliveries, 1) << "replay inside the TTL must be suppressed";
+  EXPECT_EQ(target->stats().duplicates, duplicates + 1);
+
+  replay_at(delivered_at + kSeenTtl + Seconds(1));
+  EXPECT_EQ(deliveries, 2) << "replay after the TTL must deliver again";
+}
+
 }  // namespace
 }  // namespace dht
 }  // namespace pier

@@ -113,6 +113,19 @@ TEST(SimulationTest, CancelOwnIdInsideCallbackIsNoop) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+TEST(SimulationTest, FiringNamesTheRunningEvent) {
+  // Owners that track their pending timers drop a fired id from inside the
+  // callback, so firing() must name exactly the event that is running.
+  Simulation sim;
+  std::vector<TimerId> seen;
+  TimerId a = sim.ScheduleAt(Seconds(1), [&] { seen.push_back(sim.firing()); });
+  TimerId b = sim.ScheduleAt(Seconds(2), [&] { seen.push_back(sim.firing()); });
+  EXPECT_EQ(sim.firing(), 0u);
+  sim.RunAll();
+  EXPECT_EQ(seen, (std::vector<TimerId>{a, b}));
+  EXPECT_EQ(sim.firing(), 0u);
+}
+
 TEST(SimulationTest, StaleTimerIdCannotCancelRecycledSlot) {
   // After an event fires, its pool slot is recycled for new events; the old
   // TimerId carries a dead generation and must not cancel the newcomer.
