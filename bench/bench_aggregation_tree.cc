@@ -34,13 +34,12 @@ void RunOne(size_t n, query::AggStrategy strategy) {
   net.RunFor(Seconds(30));
 
   query::QueryPlan plan;
-  plan.kind = query::PlanKind::kAggregate;
-  plan.table = "node_stats";
-  plan.scan_schema = workload::NodeStatsTable().schema;
-  plan.group_cols = {};
-  plan.aggs = {{exec::AggFunc::kSum, 1, "kbps"},
-               {exec::AggFunc::kCount, -1, "nodes"}};
-  plan.agg_strategy = strategy;
+  query::AddScan(&plan.graph, "node_stats",
+                 workload::NodeStatsTable().schema);
+  query::AppendTail(&plan.graph, nullptr,
+                    query::AggNode({}, {{exec::AggFunc::kSum, 1, "kbps"},
+                                        {exec::AggFunc::kCount, -1, "nodes"}}),
+                    {}, strategy);
 
   TimePoint t0 = net.sim()->now();
   TimePoint t_done = 0;

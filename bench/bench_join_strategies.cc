@@ -145,7 +145,6 @@ RunResult RunJoin(query::JoinStrategy strategy, bool via_planner,
         parsed.value(), *net.node(0)->query_engine()->catalog(), popts);
     if (!planned.ok()) return out;
     plan = std::move(planned).value();
-    plan.EnsureGraph();
     // Pull the join line out of the EXPLAIN rendering for the report.
     std::string expl = plan.graph.ToString();
     size_t at = expl.find("join[");
@@ -153,15 +152,12 @@ RunResult RunJoin(query::JoinStrategy strategy, bool via_planner,
       out.planned = expl.substr(at, expl.find(']', at) + 1 - at);
     }
   } else {
-    plan.kind = query::PlanKind::kJoin;
-    plan.join_strategy = strategy;
-    plan.table = "r_tab";
-    plan.scan_schema = MakeTable("r_tab", false).schema;
-    plan.right_table = "s_tab";
-    plan.right_schema = MakeTable("s_tab", false).schema;
-    plan.left_key_cols = {0};
-    plan.right_key_cols = {0};
-    plan.projections = {exec::Expr::Column(0)};
+    query::AddJoin(
+        &plan.graph,
+        query::AddScan(&plan.graph, "r_tab", MakeTable("r_tab", false).schema),
+        "s_tab", MakeTable("s_tab", false).schema, strategy, {0}, {0});
+    query::AppendTail(&plan.graph, nullptr,
+                      query::ProjectNode({exec::Expr::Column(0)}));
   }
 
   TimePoint t0 = net.sim()->now();

@@ -68,12 +68,9 @@ void RunSize(size_t vertices) {
   auto exact = ExactClosure(edges, kMaxHops);
 
   query::QueryPlan plan;
-  plan.kind = query::PlanKind::kRecursive;
-  plan.table = "links";
-  plan.scan_schema = workload::LinksTable().schema;
-  plan.src_col = 0;
-  plan.dst_col = 1;
-  plan.max_hops = kMaxHops;
+  query::AddScan(&plan.graph, "links", workload::LinksTable().schema);
+  query::AddRecurse(&plan.graph, 0, 1, kMaxHops, nullptr);
+  query::AppendTail(&plan.graph, nullptr, query::ProjectNode({}));
 
   TimePoint t0 = net.sim()->now();
   TimePoint t_done = 0;

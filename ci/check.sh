@@ -16,11 +16,12 @@
 #                bench_range_scan + bench_multiway_join +
 #                bench_exec_vectorized + bench_query_storm +
 #                bench_join_strategies with --json, merged into
-#                BENCH_PR10.json, then a short pierbench storm run). The
-#                smoke fails only on a bench self-check mismatch (all
-#                deterministic), the vectorized bench's >=5x speedup gate,
-#                the join-strategy bench's >=5x traffic-reduction gate, or
-#                a pierbench oracle failure, never on raw timing.
+#                BENCH_PR10.json, then short pierbench storm, table1 and
+#                joins runs). The smoke fails only on a bench self-check
+#                mismatch (all deterministic), the vectorized bench's >=5x
+#                speedup gate, the join-strategy bench's >=5x
+#                traffic-reduction gate, or a pierbench oracle failure,
+#                never on raw timing.
 #   --fuzz       Also run the extended fault-injection fuzz lane: configures
 #                with -DPIER_FUZZ_LANE=ON and runs `ctest -L fuzz`
 #                (PIER_FUZZ_ITERS scenarios, default 60). Failing seeds +
@@ -127,11 +128,17 @@ if [[ $PERF -eq 1 ]]; then
   # cutting query-plane bytes >=5x versus the stats-blind symmetric-hash
   # plan for the same low-match workload (deterministic virtual time).
   "$BUILD_DIR/bench_join_strategies" --json=BENCH_PR10.json | tail -6
-  # End-to-end correctness smoke on the pierbench storm workload (open-loop
-  # index ranges, broadcast scans and joins on 128 nodes). The driver exits
-  # nonzero on a failed oracle check or an exact-claimed wrong answer;
-  # nothing timed is gated.
+  # End-to-end correctness smoke on pierbench, checked by its oracle:
+  # storm runs index ranges, broadcast scans and binary joins on 128 nodes;
+  # table1 the tree aggregate on 300 nodes; joins a stats-planned two-way
+  # join and a three-way join with GROUP BY. pierbench exits nonzero on a
+  # failed oracle check or an exact-claimed wrong answer; nothing timed is
+  # gated.
   "$BUILD_DIR/pierbench/pierbench" --workload storm --seed 1 --seconds 2 \
+    --trace 0 | tail -1
+  "$BUILD_DIR/pierbench/pierbench" --workload table1 --seed 1 --seconds 1 \
+    --trace 0 | tail -1
+  "$BUILD_DIR/pierbench/pierbench" --workload joins --seed 1 --seconds 1 \
     --trace 0 | tail -1
 fi
 

@@ -188,8 +188,16 @@ SymmetricHashJoinOp::SymmetricHashJoinOp(std::vector<int> left_key_cols,
 bool SymmetricHashJoinOp::KeysEqual(const catalog::Tuple& l,
                                     const catalog::Tuple& r) const {
   for (size_t i = 0; i < left_keys_.size(); ++i) {
-    const Value& lv = l[left_keys_[i]];
-    const Value& rv = r[right_keys_[i]];
+    // Rows arrive from the network: a key column past a tuple's end never
+    // matches (such tuples all hash to one bucket, so they do meet here).
+    int lc = left_keys_[i];
+    int rc = right_keys_[i];
+    if (lc < 0 || static_cast<size_t>(lc) >= l.size() || rc < 0 ||
+        static_cast<size_t>(rc) >= r.size()) {
+      return false;
+    }
+    const Value& lv = l[lc];
+    const Value& rv = r[rc];
     if (lv.is_null() || rv.is_null()) return false;  // SQL join semantics
     if (lv.Compare(rv) != 0) return false;
   }

@@ -13,7 +13,8 @@ using catalog::Schema;
 using exec::AggSpec;
 using exec::Expr;
 using exec::ExprPtr;
-using query::PlanKind;
+using query::OpNode;
+using query::OpType;
 using query::QueryPlan;
 using sql::AstExpr;
 using sql::AstExprPtr;
@@ -128,31 +129,24 @@ int ColumnIndexIn(const AstExprPtr& e, const Schema& schema) {
   return index;
 }
 
-struct AggAnalysis {
-  std::vector<int> group_cols;           // indices into the input schema
-  std::vector<std::string> group_names;  // as written in GROUP BY
-  std::vector<AggSpec> aggs;
-  std::vector<int> final_projection;     // select-order over [group|aggs]
-  std::vector<std::string> output_names;
-};
-
-/// Finds (or appends) an aggregate spec matching fn over column `col`.
-int FindOrAddAgg(AggAnalysis* a, exec::AggFunc fn, int col,
+/// Finds (or appends) an aggregate spec matching fn over column `col` in
+/// the kFinalAgg node `agg`.
+int FindOrAddAgg(OpNode* agg, exec::AggFunc fn, int col,
                  const std::string& name) {
-  for (size_t i = 0; i < a->aggs.size(); ++i) {
-    if (a->aggs[i].fn == fn && a->aggs[i].col == col) {
+  for (size_t i = 0; i < agg->aggs.size(); ++i) {
+    if (agg->aggs[i].fn == fn && agg->aggs[i].col == col) {
       return static_cast<int>(i);
     }
   }
-  a->aggs.push_back(AggSpec{fn, col, name});
-  return static_cast<int>(a->aggs.size()) - 1;
+  agg->aggs.push_back(AggSpec{fn, col, name});
+  return static_cast<int>(agg->aggs.size()) - 1;
 }
 
 /// Rewrites an expression over the aggregate output layout
 /// [group values..., aggregate results...]: group columns become column refs
 /// into the prefix; aggregate calls become refs past the prefix.
 Status BindOverAggLayout(const AstExprPtr& ast, const Schema& input,
-                         AggAnalysis* a, ExprPtr* out) {
+                         OpNode* agg, ExprPtr* out) {
   if (ast == nullptr) return Status::InvalidArgument("null expression");
   if (ast->kind == AstExpr::Kind::kAggCall) {
     int col = -1;
@@ -163,16 +157,16 @@ Status BindOverAggLayout(const AstExprPtr& ast, const Schema& input,
             "aggregate argument must be a column: " + ast->ToString());
       }
     }
-    int agg_index = FindOrAddAgg(a, ast->agg, col, ast->ToString());
-    *out = Expr::Column(static_cast<int>(a->group_cols.size()) + agg_index,
+    int agg_index = FindOrAddAgg(agg, ast->agg, col, ast->ToString());
+    *out = Expr::Column(static_cast<int>(agg->group_cols.size()) + agg_index,
                         ast->ToString());
     return Status::OK();
   }
   if (ast->kind == AstExpr::Kind::kColumn) {
     int input_index = -1;
     PIER_RETURN_IF_ERROR(input.Resolve(ast->column, &input_index));
-    for (size_t g = 0; g < a->group_cols.size(); ++g) {
-      if (a->group_cols[g] == input_index) {
+    for (size_t g = 0; g < agg->group_cols.size(); ++g) {
+      if (agg->group_cols[g] == input_index) {
         *out = Expr::Column(static_cast<int>(g), ast->column);
         return Status::OK();
       }
@@ -187,36 +181,36 @@ Status BindOverAggLayout(const AstExprPtr& ast, const Schema& input,
       return Status::OK();
     case AstExpr::Kind::kCompare: {
       ExprPtr l, r;
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, a, &l));
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->right, input, a, &r));
+      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, agg, &l));
+      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->right, input, agg, &r));
       *out = Expr::Compare(ast->cmp, l, r);
       return Status::OK();
     }
     case AstExpr::Kind::kArith: {
       ExprPtr l, r;
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, a, &l));
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->right, input, a, &r));
+      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, agg, &l));
+      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->right, input, agg, &r));
       *out = Expr::Arith(ast->arith, l, r);
       return Status::OK();
     }
     case AstExpr::Kind::kAnd:
     case AstExpr::Kind::kOr: {
       ExprPtr l, r;
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, a, &l));
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->right, input, a, &r));
+      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, agg, &l));
+      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->right, input, agg, &r));
       *out = ast->kind == AstExpr::Kind::kAnd ? Expr::And(l, r)
                                               : Expr::Or(l, r);
       return Status::OK();
     }
     case AstExpr::Kind::kNot: {
       ExprPtr inner;
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, a, &inner));
+      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, agg, &inner));
       *out = Expr::Not(inner);
       return Status::OK();
     }
     case AstExpr::Kind::kNeg: {
       ExprPtr inner;
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, a, &inner));
+      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, agg, &inner));
       *out = Expr::Negate(inner);
       return Status::OK();
     }
@@ -226,14 +220,15 @@ Status BindOverAggLayout(const AstExprPtr& ast, const Schema& input,
   }
 }
 
+/// Binds GROUP BY / aggregate SELECT items / HAVING into the kFinalAgg node
+/// `agg`, and the SELECT-order permutation and ORDER BY into `collect`.
 Status PlanAggregation(const SelectStmt& stmt, const Schema& input,
-                       QueryPlan* plan) {
-  AggAnalysis a;
+                       OpNode* agg, OpNode* collect) {
+  agg->type = OpType::kFinalAgg;
   for (const std::string& g : stmt.group_by) {
     int index = -1;
     PIER_RETURN_IF_ERROR(input.Resolve(g, &index));
-    a.group_cols.push_back(index);
-    a.group_names.push_back(g);
+    agg->group_cols.push_back(index);
   }
   // Each SELECT item must reduce to a group column or an aggregate.
   for (const sql::SelectItem& item : stmt.items) {
@@ -249,29 +244,22 @@ Status PlanAggregation(const SelectStmt& stmt, const Schema& input,
       }
       std::string name =
           item.alias.empty() ? item.expr->ToString() : item.alias;
-      int agg_index = FindOrAddAgg(&a, item.expr->agg, col, name);
-      a.final_projection.push_back(
-          static_cast<int>(a.group_cols.size()) + agg_index);
-      a.output_names.push_back(name);
+      int agg_index = FindOrAddAgg(agg, item.expr->agg, col, name);
+      collect->final_projection.push_back(
+          static_cast<int>(agg->group_cols.size()) + agg_index);
       continue;
     }
     if (item.expr->kind == AstExpr::Kind::kColumn) {
       int input_index = -1;
       PIER_RETURN_IF_ERROR(input.Resolve(item.expr->column, &input_index));
-      bool found = false;
-      for (size_t g = 0; g < a.group_cols.size(); ++g) {
-        if (a.group_cols[g] == input_index) {
-          a.final_projection.push_back(static_cast<int>(g));
-          a.output_names.push_back(
-              item.alias.empty() ? item.expr->column : item.alias);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
+      auto g = std::find(agg->group_cols.begin(), agg->group_cols.end(),
+                         input_index);
+      if (g == agg->group_cols.end()) {
         return Status::InvalidArgument("column " + item.expr->column +
                                        " must appear in GROUP BY");
       }
+      collect->final_projection.push_back(
+          static_cast<int>(g - agg->group_cols.begin()));
       continue;
     }
     return Status::NotSupported(
@@ -280,7 +268,7 @@ Status PlanAggregation(const SelectStmt& stmt, const Schema& input,
   }
   if (stmt.having != nullptr) {
     PIER_RETURN_IF_ERROR(
-        BindOverAggLayout(stmt.having, input, &a, &plan->having));
+        BindOverAggLayout(stmt.having, input, agg, &agg->having));
   }
   // ORDER BY: an alias of a select item, a group column, or an agg call.
   if (stmt.order_by != nullptr) {
@@ -308,30 +296,22 @@ Status PlanAggregation(const SelectStmt& stmt, const Schema& input,
       return Status::NotSupported(
           "ORDER BY must reference a SELECT item in aggregate queries");
     }
-    plan->order_col = order;
-    plan->order_desc = stmt.order_desc;
+    collect->order_col = order;
+    collect->order_desc = stmt.order_desc;
   }
-  plan->group_cols = std::move(a.group_cols);
-  plan->aggs = std::move(a.aggs);
-  plan->final_projection = std::move(a.final_projection);
-  plan->output_names = std::move(a.output_names);
   return Status::OK();
 }
 
+/// Binds the SELECT list into the kProject node `project` (SELECT * = no
+/// exprs) and ORDER BY into `collect`.
 Status PlanSelectItems(const SelectStmt& stmt, const Schema& schema,
-                       QueryPlan* plan) {
-  if (stmt.select_star) {
-    // Identity projection.
-    for (size_t i = 0; i < schema.num_columns(); ++i) {
-      plan->output_names.push_back(schema.column(i).name);
-    }
-  } else {
+                       OpNode* project, OpNode* collect) {
+  project->type = OpType::kProject;
+  if (!stmt.select_star) {
     for (const sql::SelectItem& item : stmt.items) {
       ExprPtr bound;
       PIER_RETURN_IF_ERROR(BindScalar(item.expr, schema, &bound));
-      plan->projections.push_back(bound);
-      plan->output_names.push_back(
-          item.alias.empty() ? item.expr->ToString() : item.alias);
+      project->exprs.push_back(bound);
     }
   }
   if (stmt.order_by != nullptr) {
@@ -362,10 +342,28 @@ Status PlanSelectItems(const SelectStmt& stmt, const Schema& schema,
     if (order < 0) {
       return Status::NotSupported("cannot resolve ORDER BY expression");
     }
-    plan->order_col = order;
-    plan->order_desc = stmt.order_desc;
+    collect->order_col = order;
+    collect->order_desc = stmt.order_desc;
   }
   return Status::OK();
+}
+
+bool HasAgg(const SelectStmt& stmt) {
+  bool has_agg = !stmt.group_by.empty();
+  for (const sql::SelectItem& item : stmt.items) {
+    has_agg = has_agg || ContainsAgg(item.expr);
+  }
+  return has_agg;
+}
+
+/// Binds everything a SELECT does after its FROM/WHERE over `layout`: the
+/// tail's body (AggNode or ProjectNode) and its collect node.
+Status PlanOutput(const SelectStmt& stmt, const Schema& layout, OpNode* body,
+                  OpNode* collect) {
+  collect->limit = stmt.limit;
+  if (HasAgg(stmt)) return PlanAggregation(stmt, layout, body, collect);
+  collect->distinct = stmt.distinct;
+  return PlanSelectItems(stmt, layout, body, collect);
 }
 
 /// Plans FROM lists of three or more relations as a left-deep chain of
@@ -454,58 +452,29 @@ Result<QueryPlan> PlanMultiwayJoin(const SelectStmt& stmt,
     }
   }
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kJoin;
-  plan.table = defs[0]->name;
-  plan.scan_schema = schemas[0];
-  plan.join_strategy = query::JoinStrategy::kSymmetricHash;
-  plan.distinct = stmt.distinct;
-  plan.limit = stmt.limit;
-  plan.every = Seconds(stmt.every_seconds);
-  plan.window = Seconds(stmt.window_seconds);
-
   // Residual predicate over the full concat layout.
   std::vector<AstExprPtr> residual;
   for (size_t ci = 0; ci < conjuncts.size(); ++ci) {
     if (!used[ci]) residual.push_back(conjuncts[ci]);
   }
+  ExprPtr where;
   AstExprPtr residual_ast = AndAll(residual);
   if (residual_ast != nullptr) {
-    PIER_RETURN_IF_ERROR(BindScalar(residual_ast, layout, &plan.where));
+    PIER_RETURN_IF_ERROR(BindScalar(residual_ast, layout, &where));
   }
+  OpNode body, collect;
+  PIER_RETURN_IF_ERROR(PlanOutput(stmt, layout, &body, &collect));
 
-  bool has_agg = !stmt.group_by.empty();
-  for (const sql::SelectItem& item : stmt.items) {
-    has_agg = has_agg || ContainsAgg(item.expr);
-  }
-  if (has_agg) {
-    plan.agg_strategy = options.agg_strategy;
-    PIER_RETURN_IF_ERROR(PlanAggregation(stmt, layout, &plan));
-  } else {
-    PIER_RETURN_IF_ERROR(PlanSelectItems(stmt, layout, &plan));
-  }
-
-  // -- emit the composed opgraph --------------------------------------------
-  query::OpGraph g;
-  auto add_scan = [&](size_t t) {
-    query::OpNode s;
-    s.type = query::OpType::kScan;
-    s.table = defs[t]->name;
-    s.schema = schemas[t];
-    s.out = query::ExchangeKind::kRehash;
-    g.nodes.push_back(std::move(s));
-    return static_cast<uint32_t>(g.nodes.size()) - 1;
-  };
-  uint32_t upstream = add_scan(0);
+  QueryPlan plan;
+  plan.every = Seconds(stmt.every_seconds);
+  plan.window = Seconds(stmt.window_seconds);
+  uint32_t upstream = query::AddScan(&plan.graph, defs[0]->name, schemas[0]);
   for (size_t k = 0; k < steps.size(); ++k) {
-    uint32_t right = add_scan(steps[k].table);
-    query::OpNode j;
-    j.type = query::OpType::kJoin;
-    j.strategy = query::JoinStrategy::kSymmetricHash;
     // Per-edge strategy selection. Only the first edge joins two base-table
     // scans; later edges consume a prior join's rehash output, whose
     // tuples exist nowhere until that join runs — semi/Bloom pre-filtering
     // has no scan to suppress, so those edges stay symmetric hash.
+    query::JoinStrategy strategy = query::JoinStrategy::kSymmetricHash;
     if (k == 0 && options.join_strategy ==
                       query::JoinStrategy::kSymmetricHash) {
       JoinCostInputs ci;
@@ -513,75 +482,17 @@ Result<QueryPlan> PlanMultiwayJoin(const SelectStmt& stmt,
       ci.right = &defs[steps[k].table]->stats;
       ci.left_key_cols = steps[k].left_keys;
       ci.right_key_cols = steps[k].right_keys;
-      j.strategy = ChooseJoinStrategy(ci).strategy;
-      plan.join_strategy = j.strategy;
+      strategy = ChooseJoinStrategy(ci).strategy;
     }
-    j.left_keys = steps[k].left_keys;
-    j.right_keys = steps[k].right_keys;
-    j.inputs = {upstream, right};
-    // Intermediate joins rehash into the next join; the final join feeds
-    // the local post-join pipeline.
-    j.out = k + 1 < steps.size() ? query::ExchangeKind::kRehash
-                                 : query::ExchangeKind::kLocal;
-    g.nodes.push_back(std::move(j));
-    upstream = static_cast<uint32_t>(g.nodes.size()) - 1;
+    upstream = query::AddJoin(&plan.graph, upstream, defs[steps[k].table]->name,
+                              schemas[steps[k].table], strategy,
+                              steps[k].left_keys, steps[k].right_keys);
   }
-  auto chain = [&](query::OpNode node) {
-    node.inputs = {static_cast<uint32_t>(g.nodes.size()) - 1};
-    g.nodes.push_back(std::move(node));
-    return static_cast<uint32_t>(g.nodes.size()) - 1;
-  };
-  if (plan.where != nullptr) {
-    query::OpNode f;
-    f.type = query::OpType::kFilter;
-    f.predicate = plan.where;
-    chain(std::move(f));
-  }
-  query::OpNode collect;
-  collect.type = query::OpType::kCollect;
-  collect.order_col = plan.order_col;
-  collect.order_desc = plan.order_desc;
-  collect.limit = plan.limit;
-  if (has_agg) {
-    // In-network aggregation over the join output: partial-aggregate at
-    // the rendezvous nodes, combine per AggStrategy, finalize at origin.
-    query::OpNode pa;
-    pa.type = query::OpType::kPartialAgg;
-    pa.group_cols = plan.group_cols;
-    pa.aggs = plan.aggs;
-    pa.out = plan.agg_strategy == query::AggStrategy::kTree
-                 ? query::ExchangeKind::kTree
-                 : query::ExchangeKind::kToOrigin;
-    chain(std::move(pa));
-    query::OpNode fa;
-    fa.type = query::OpType::kFinalAgg;
-    fa.group_cols = plan.group_cols;
-    fa.aggs = plan.aggs;
-    fa.having = plan.having;
-    chain(std::move(fa));
-    collect.final_projection = plan.final_projection;
-  } else {
-    if (!plan.projections.empty()) {
-      query::OpNode pr;
-      pr.type = query::OpType::kProject;
-      pr.exprs = plan.projections;
-      chain(std::move(pr));
-    }
-    g.nodes.back().out = query::ExchangeKind::kToOrigin;
-    collect.distinct = plan.distinct;
-  }
-  chain(std::move(collect));
-  plan.graph = std::move(g);
-  // Composed plans execute (and ship) the graph only: drop the classic
-  // expression/aggregate fields the graph nodes now carry so the broadcast
-  // doesn't pay for them twice. Scalars the runtime reads off the plan
-  // (every/window/limit) and client-facing output_names stay.
-  plan.where.reset();
-  plan.projections.clear();
-  plan.group_cols.clear();
-  plan.aggs.clear();
-  plan.having.reset();
-  plan.final_projection.clear();
+  // In-network aggregation over the join output: partial-aggregate at the
+  // final join's rendezvous nodes, combine per AggStrategy, finalize at the
+  // origin.
+  query::AppendTail(&plan.graph, where, std::move(body), std::move(collect),
+                    options.agg_strategy);
   return plan;
 }
 
@@ -673,80 +584,9 @@ IndexChoice ChooseIndex(const sql::SelectStmt& stmt,
   return best;
 }
 
-/// Rewrites a planned single-table query into its index-scan opgraph:
-///   index-scan -> filter(full WHERE) [-> project] -> origin tail.
-/// The graph executes entirely at the origin (plus the trie owners the
-/// cursor contacts) — EXPLAIN shows the chosen access path.
-void EmitIndexGraph(const catalog::TableDef& def, const Schema& schema,
-                    const IndexChoice& choice, bool has_agg,
-                    QueryPlan* plan) {
-  query::OpGraph g;
-  query::OpNode scan;
-  scan.type = query::OpType::kIndexScan;
-  scan.table = def.name;
-  scan.schema = schema;
-  scan.index_col = choice.col;
-  scan.index_lo = choice.lo;
-  scan.index_hi = choice.hi;
-  g.nodes.push_back(std::move(scan));
-  auto chain = [&](query::OpNode node) {
-    node.inputs = {static_cast<uint32_t>(g.nodes.size()) - 1};
-    g.nodes.push_back(std::move(node));
-  };
-  // The full predicate re-applies after the cursor: the encoded range is a
-  // superset (string truncation, double bounds), and WHERE may carry
-  // conjuncts the index never saw.
-  query::OpNode f;
-  f.type = query::OpType::kFilter;
-  f.predicate = plan->where;
-  chain(std::move(f));
-
-  query::OpNode collect;
-  collect.type = query::OpType::kCollect;
-  collect.order_col = plan->order_col;
-  collect.order_desc = plan->order_desc;
-  collect.limit = plan->limit;
-  if (has_agg) {
-    // Raw in-range rows aggregate completely at the origin (the cursor
-    // already gathered them; a partial-agg layer would add nothing).
-    g.nodes.back().out = query::ExchangeKind::kToOrigin;
-    query::OpNode fa;
-    fa.type = query::OpType::kFinalAgg;
-    fa.group_cols = plan->group_cols;
-    fa.aggs = plan->aggs;
-    fa.having = plan->having;
-    chain(std::move(fa));
-    collect.final_projection = plan->final_projection;
-  } else {
-    if (!plan->projections.empty()) {
-      query::OpNode pr;
-      pr.type = query::OpType::kProject;
-      pr.exprs = plan->projections;
-      chain(std::move(pr));
-    }
-    g.nodes.back().out = query::ExchangeKind::kToOrigin;
-    collect.distinct = plan->distinct;
-  }
-  chain(std::move(collect));
-  plan->graph = std::move(g);
-  // Composed plans ship (and execute) the graph only; see PlanMultiwayJoin.
-  plan->where.reset();
-  plan->projections.clear();
-  plan->group_cols.clear();
-  plan->aggs.clear();
-  plan->having.reset();
-  plan->final_projection.clear();
-}
-
 Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
                              const catalog::Catalog& catalog,
                              const PlannerOptions& options) {
-  QueryPlan plan;
-  plan.distinct = stmt.distinct;
-  plan.limit = stmt.limit;
-  plan.every = Seconds(stmt.every_seconds);
-  plan.window = Seconds(stmt.window_seconds);
-
   if (stmt.from.empty()) {
     return Status::InvalidArgument("FROM must name at least one relation");
   }
@@ -759,35 +599,40 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
   }
   Schema left_schema = AliasSchema(*left_def, stmt.from[0].alias);
 
-  bool has_agg = !stmt.group_by.empty();
-  for (const sql::SelectItem& item : stmt.items) {
-    has_agg = has_agg || ContainsAgg(item.expr);
-  }
+  QueryPlan plan;
+  plan.every = Seconds(stmt.every_seconds);
+  plan.window = Seconds(stmt.window_seconds);
+  ExprPtr where;
+  OpNode body, collect;
 
   if (stmt.from.size() == 1) {
-    plan.table = left_def->name;
-    plan.scan_schema = left_schema;
     if (stmt.where != nullptr) {
-      PIER_RETURN_IF_ERROR(BindScalar(stmt.where, left_schema, &plan.where));
+      PIER_RETURN_IF_ERROR(BindScalar(stmt.where, left_schema, &where));
     }
-    if (has_agg) {
-      plan.kind = PlanKind::kAggregate;
-      plan.agg_strategy = options.agg_strategy;
-      PIER_RETURN_IF_ERROR(PlanAggregation(stmt, left_schema, &plan));
-    } else {
-      plan.kind = PlanKind::kSelectProject;
-      PIER_RETURN_IF_ERROR(PlanSelectItems(stmt, left_schema, &plan));
-    }
+    PIER_RETURN_IF_ERROR(PlanOutput(stmt, left_schema, &body, &collect));
     // Access-path selection: a WHERE that pins an indexed attribute to a
     // range turns the broadcast scan into a PHT index scan. Windowed
     // continuous queries keep scanning — index entries carry their own
     // arrival times, not the base copies', so window semantics differ.
-    if (options.use_index && plan.where != nullptr && plan.window == 0) {
-      IndexChoice choice = ChooseIndex(stmt, *left_def, left_schema);
-      if (choice.bound_count > 0) {
-        EmitIndexGraph(*left_def, left_schema, choice, has_agg, &plan);
-      }
+    IndexChoice choice;
+    if (options.use_index && where != nullptr && plan.window == 0) {
+      choice = ChooseIndex(stmt, *left_def, left_schema);
     }
+    if (choice.bound_count == 0) {
+      query::AddScan(&plan.graph, left_def->name, left_schema);
+      query::AppendTail(&plan.graph, where, std::move(body),
+                        std::move(collect), options.agg_strategy);
+      return plan;
+    }
+    // The index-scan graph executes entirely at the origin (plus the trie
+    // owners the cursor contacts). The full predicate re-applies after the
+    // cursor: the encoded range is a superset (string truncation, double
+    // bounds), and WHERE may carry conjuncts the index never saw. Raw
+    // in-range rows aggregate completely at the origin (the cursor already
+    // gathered them; a partial-agg layer would add nothing).
+    query::AddIndexScan(&plan.graph, left_def->name, left_schema, choice.col,
+                        choice.lo, choice.hi);
+    query::AppendTail(&plan.graph, where, std::move(body), std::move(collect));
     return plan;
   }
 
@@ -799,17 +644,12 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
   Schema right_schema = AliasSchema(*right_def, stmt.from[1].alias);
   Schema concat = Schema::Concat(left_schema, right_schema);
 
-  plan.kind = PlanKind::kJoin;
-  plan.table = left_def->name;
-  plan.scan_schema = left_schema;
-  plan.right_table = right_def->name;
-  plan.right_schema = right_schema;
-
   // Collect conjuncts from ON and WHERE; extract equi-join keys.
   std::vector<AstExprPtr> conjuncts;
   Conjuncts(stmt.join_on, &conjuncts);
   Conjuncts(stmt.where, &conjuncts);
   std::vector<AstExprPtr> residual;
+  std::vector<int> left_keys, right_keys;
   size_t left_width = left_schema.num_columns();
   for (const AstExprPtr& c : conjuncts) {
     bool is_key = false;
@@ -823,31 +663,30 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
         if (a_left != b_left) {
           int l = a_left ? a : b;
           int r = a_left ? b : a;
-          plan.left_key_cols.push_back(l);
-          plan.right_key_cols.push_back(r -
-                                        static_cast<int>(left_width));
+          left_keys.push_back(l);
+          right_keys.push_back(r - static_cast<int>(left_width));
           is_key = true;
         }
       }
     }
     if (!is_key) residual.push_back(c);
   }
-  if (plan.left_key_cols.empty()) {
+  if (left_keys.empty()) {
     return Status::NotSupported(
         "joins require at least one equality predicate between the two "
         "relations");
   }
   AstExprPtr residual_ast = AndAll(residual);
   if (residual_ast != nullptr) {
-    PIER_RETURN_IF_ERROR(BindScalar(residual_ast, concat, &plan.where));
+    PIER_RETURN_IF_ERROR(BindScalar(residual_ast, concat, &where));
   }
 
-  plan.join_strategy = options.join_strategy;
+  query::JoinStrategy strategy = options.join_strategy;
   if (options.prefer_fetch_matches &&
-      right_def->partition_cols == plan.right_key_cols) {
+      right_def->partition_cols == right_keys) {
     // Partitioning alignment beats any cardinality argument: fetch-matches
     // ships zero tuples for the inner relation.
-    plan.join_strategy = query::JoinStrategy::kFetchMatches;
+    strategy = query::JoinStrategy::kFetchMatches;
   } else if (options.join_strategy == query::JoinStrategy::kSymmetricHash) {
     // The caller left the strategy at its default, so the planner owns the
     // choice: consult table statistics and pick the cheapest shipping
@@ -855,17 +694,19 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
     JoinCostInputs ci;
     ci.left = &left_def->stats;
     ci.right = &right_def->stats;
-    ci.left_key_cols = plan.left_key_cols;
-    ci.right_key_cols = plan.right_key_cols;
-    plan.join_strategy = ChooseJoinStrategy(ci).strategy;
+    ci.left_key_cols = left_keys;
+    ci.right_key_cols = right_keys;
+    strategy = ChooseJoinStrategy(ci).strategy;
   }
 
-  if (has_agg) {
-    plan.agg_strategy = options.agg_strategy;
-    PIER_RETURN_IF_ERROR(PlanAggregation(stmt, concat, &plan));
-  } else {
-    PIER_RETURN_IF_ERROR(PlanSelectItems(stmt, concat, &plan));
-  }
+  PIER_RETURN_IF_ERROR(PlanOutput(stmt, concat, &body, &collect));
+  query::AddJoin(&plan.graph,
+                 query::AddScan(&plan.graph, left_def->name, left_schema),
+                 right_def->name, right_schema, strategy,
+                 std::move(left_keys), std::move(right_keys));
+  // Joined rows ship to the origin either way: projected, or raw for the
+  // origin to aggregate.
+  query::AppendTail(&plan.graph, where, std::move(body), std::move(collect));
   return plan;
 }
 
@@ -903,15 +744,9 @@ Result<QueryPlan> PlanRecursive(const sql::RecursiveQuery& rq,
         "recursive step must join " + rq.name + " with " + edge_def->name);
   }
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kRecursive;
-  plan.table = edge_def->name;
-  plan.scan_schema = edge_schema;
-  plan.src_col = src_col;
-  plan.dst_col = dst_col;
-  plan.max_hops = static_cast<int>(rq.max_hops);
+  ExprPtr edge_where;
   if (rq.base.where != nullptr) {
-    PIER_RETURN_IF_ERROR(BindScalar(rq.base.where, edge_schema, &plan.where));
+    PIER_RETURN_IF_ERROR(BindScalar(rq.base.where, edge_schema, &edge_where));
   }
 
   // Outer select runs over (src, dst, hops).
@@ -921,24 +756,27 @@ Result<QueryPlan> PlanRecursive(const sql::RecursiveQuery& rq,
   if (rq.outer.from.size() != 1 || rq.outer.from[0].table != rq.name) {
     return Status::NotSupported("outer select must read FROM " + rq.name);
   }
+  ExprPtr outer_where;
   if (rq.outer.where != nullptr) {
-    PIER_RETURN_IF_ERROR(
-        BindScalar(rq.outer.where, closure, &plan.outer_where));
+    PIER_RETURN_IF_ERROR(BindScalar(rq.outer.where, closure, &outer_where));
   }
+  OpNode project = query::ProjectNode({});
   if (!rq.outer.select_star) {
     for (const sql::SelectItem& item : rq.outer.items) {
       ExprPtr bound;
       PIER_RETURN_IF_ERROR(BindScalar(item.expr, closure, &bound));
-      plan.projections.push_back(bound);
-      plan.output_names.push_back(
-          item.alias.empty() ? item.expr->ToString() : item.alias);
-    }
-  } else {
-    for (size_t i = 0; i < closure.num_columns(); ++i) {
-      plan.output_names.push_back(closure.column(i).name);
+      project.exprs.push_back(bound);
     }
   }
-  plan.limit = rq.outer.limit;
+  OpNode collect;
+  collect.limit = rq.outer.limit;
+
+  QueryPlan plan;
+  query::AddScan(&plan.graph, edge_def->name, edge_schema);
+  query::AddRecurse(&plan.graph, src_col, dst_col,
+                    static_cast<int>(rq.max_hops), std::move(edge_where));
+  query::AppendTail(&plan.graph, std::move(outer_where), std::move(project),
+                    std::move(collect));
   return plan;
 }
 
@@ -964,7 +802,6 @@ Result<uint64_t> ExecuteSql(query::QueryEngine* engine, const std::string& sql,
   if (stmt.explain) {
     // EXPLAIN answers locally: the planned opgraph's rendering as a
     // one-row result. Nothing is disseminated; the id 0 marks "no query".
-    plan.EnsureGraph();
     query::ResultBatch batch;
     batch.rows.push_back({Value::String(plan.graph.ToString())});
     if (cb) cb(batch);

@@ -1,10 +1,11 @@
-// Planner: binds a parsed SQL statement against the catalog and produces the
-// distributed QueryPlan (and its opgraph) the engine disseminates.
+// Planner: binds a parsed SQL statement against the catalog and builds the
+// distributed QueryPlan — the opgraph the engine disseminates — through the
+// graph builders in query/plan.h.
 //
 // Responsibilities: name resolution (aliases, qualified columns), equi-join
 // key extraction from WHERE / ON conjuncts, join-order selection for 3+
-// relation FROM lists (left-deep symmetric-hash chains emitted as composed
-// opgraphs, with group-by pushed to the join rendezvous per AggStrategy),
+// relation FROM lists (left-deep join chains, with group-by pushed to the
+// join rendezvous per AggStrategy),
 // aggregate analysis (partial/final split, HAVING and ORDER BY rewritten
 // over the aggregate layout), join/aggregation strategy selection, and
 // validation (e.g. fetch-matches partitioning compatibility is re-checked

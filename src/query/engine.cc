@@ -609,14 +609,8 @@ void QueryEngine::FallbackToScan(ActiveQuery* aq) {
   scheduler_->DropQuery(aq->env.query_id);  // queued feeds capture the runtime
   aq->runtime.reset();
   for (OpNode& n : aq->env.plan.graph.nodes) {
-    if (n.type == OpType::kIndexScan) {
-      n.type = OpType::kScan;
-      n.index_col = 0;
-      n.index_lo = Value::Null();
-      n.index_hi = Value::Null();
-    }
+    if (n.type == OpType::kIndexScan) n.type = OpType::kScan;
   }
-  aq->env.plan.graph_is_derived = false;  // must travel as-is
   aq->origin_local = false;
   // Rows the failed cursor already delivered would double-count against
   // the broadcast re-execution: reset this epoch's collection (its
@@ -1109,7 +1103,6 @@ Status QueryEngine::ValidateGraphAgainstCatalog(const OpGraph& graph) const {
 }
 
 Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
-  plan.EnsureGraph();
   PIER_RETURN_IF_ERROR(plan.graph.Validate());
   PIER_RETURN_IF_ERROR(ValidateGraphAgainstCatalog(plan.graph));
 
@@ -1208,7 +1201,8 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
     if (seq != 0) coverage_waits_[seq] = {query_id, 0};
   }
   PLOG(kInfo, "qe@" + std::to_string(transport_->self()))
-      << "issued query " << query_id << " " << raw->env.plan.ToString();
+      << "issued query " << query_id << " ("
+      << raw->env.plan.graph.size() << " ops)";
   return query_id;
 }
 
@@ -1362,7 +1356,6 @@ void QueryEngine::InstallQuery(const PlanEnvelope& env, sim::HostId parent,
   aq->installed = true;
 
   if (aq->runtime == nullptr) {
-    aq->env.plan.EnsureGraph();
     aq->runtime = std::make_unique<ops::QueryRuntime>(this, &aq->env,
                                                       aq->is_origin);
     if (!aq->runtime->Init().ok()) {

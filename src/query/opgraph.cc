@@ -65,7 +65,7 @@ const char* ExchangeKindName(ExchangeKind k) {
   return "?";
 }
 
-namespace detail {
+namespace {
 
 void PutOptionalExpr(Writer* w, const exec::ExprPtr& e) {
   w->PutBool(e != nullptr);
@@ -101,15 +101,7 @@ Status GetIntVec(Reader* r, std::vector<int>* out) {
   return Status::OK();
 }
 
-}  // namespace detail
-
-using detail::GetIntVec;
-using detail::GetOptionalExpr;
-using detail::PutIntVec;
-using detail::PutOptionalExpr;
-
 // Wire caps that bound allocation on corrupt input.
-namespace {
 constexpr uint32_t kMaxNodes = 64;
 constexpr uint32_t kMaxInputs = 2;
 constexpr uint32_t kMaxExprs = 1000;
@@ -121,32 +113,55 @@ void OpNode::Serialize(Writer* w) const {
   w->PutVarint32(static_cast<uint32_t>(inputs.size()));
   for (uint32_t in : inputs) w->PutVarint32(in);
   w->PutU8(static_cast<uint8_t>(out));
-  w->PutString(table);
-  schema.Serialize(w);
-  PutOptionalExpr(w, predicate);
-  w->PutVarint32(static_cast<uint32_t>(exprs.size()));
-  for (const auto& e : exprs) e->Serialize(w);
-  w->PutU8(static_cast<uint8_t>(strategy));
-  PutIntVec(w, left_keys);
-  PutIntVec(w, right_keys);
-  PutIntVec(w, group_cols);
-  w->PutVarint32(static_cast<uint32_t>(aggs.size()));
-  for (const auto& a : aggs) a.Serialize(w);
-  PutOptionalExpr(w, having);
-  w->PutVarint64Signed(src_col);
-  w->PutVarint64Signed(dst_col);
-  w->PutVarint64Signed(max_hops);
-  w->PutBool(distinct);
-  PutIntVec(w, final_projection);
-  w->PutVarint64Signed(order_col);
-  w->PutBool(order_desc);
-  w->PutVarint64Signed(limit);
-  w->PutVarint64Signed(index_col);
-  index_lo.Serialize(w);
-  index_hi.Serialize(w);
+  // Only the field group of the node's own type travels.
+  switch (type) {
+    case OpType::kScan:
+    case OpType::kIndexScan:
+      w->PutString(table);
+      schema.Serialize(w);
+      if (type == OpType::kIndexScan) {
+        w->PutVarint64Signed(index_col);
+        index_lo.Serialize(w);
+        index_hi.Serialize(w);
+      }
+      break;
+    case OpType::kFilter:
+      PutOptionalExpr(w, predicate);
+      break;
+    case OpType::kProject:
+      w->PutVarint32(static_cast<uint32_t>(exprs.size()));
+      for (const auto& e : exprs) e->Serialize(w);
+      break;
+    case OpType::kJoin:
+      w->PutU8(static_cast<uint8_t>(strategy));
+      PutIntVec(w, left_keys);
+      PutIntVec(w, right_keys);
+      break;
+    case OpType::kPartialAgg:
+    case OpType::kFinalAgg:
+      PutIntVec(w, group_cols);
+      w->PutVarint32(static_cast<uint32_t>(aggs.size()));
+      for (const auto& a : aggs) a.Serialize(w);
+      if (type == OpType::kFinalAgg) PutOptionalExpr(w, having);
+      break;
+    case OpType::kRecurse:
+      w->PutVarint64Signed(src_col);
+      w->PutVarint64Signed(dst_col);
+      w->PutVarint64Signed(max_hops);
+      PutOptionalExpr(w, predicate);
+      break;
+    case OpType::kCollect:
+      w->PutBool(distinct);
+      PutIntVec(w, final_projection);
+      w->PutVarint64Signed(order_col);
+      w->PutBool(order_desc);
+      w->PutVarint64Signed(limit);
+      break;
+  }
 }
 
 Status OpNode::Deserialize(Reader* r, OpNode* out) {
+  *out = OpNode();
   uint8_t type = 0;
   PIER_RETURN_IF_ERROR(r->GetU8(&type));
   if (type > static_cast<uint8_t>(OpType::kIndexScan)) {
@@ -156,7 +171,6 @@ Status OpNode::Deserialize(Reader* r, OpNode* out) {
   uint32_t n = 0;
   PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
   if (n > kMaxInputs) return Status::Corruption("too many op inputs");
-  out->inputs.clear();
   for (uint32_t i = 0; i < n; ++i) {
     uint32_t in = 0;
     PIER_RETURN_IF_ERROR(r->GetVarint32(&in));
@@ -168,54 +182,74 @@ Status OpNode::Deserialize(Reader* r, OpNode* out) {
     return Status::Corruption("bad exchange kind");
   }
   out->out = static_cast<ExchangeKind>(exch);
-  PIER_RETURN_IF_ERROR(r->GetString(&out->table));
-  PIER_RETURN_IF_ERROR(catalog::Schema::Deserialize(r, &out->schema));
-  PIER_RETURN_IF_ERROR(GetOptionalExpr(r, &out->predicate));
-  PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
-  if (n > kMaxExprs) return Status::Corruption("too many op exprs");
-  out->exprs.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    exec::ExprPtr e;
-    PIER_RETURN_IF_ERROR(exec::Expr::Deserialize(r, &e));
-    out->exprs.push_back(std::move(e));
+  switch (out->type) {
+    case OpType::kScan:
+    case OpType::kIndexScan: {
+      PIER_RETURN_IF_ERROR(r->GetString(&out->table));
+      PIER_RETURN_IF_ERROR(catalog::Schema::Deserialize(r, &out->schema));
+      if (out->type == OpType::kScan) return Status::OK();
+      int64_t col = 0;
+      PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&col));
+      out->index_col = static_cast<int>(col);
+      PIER_RETURN_IF_ERROR(Value::Deserialize(r, &out->index_lo));
+      return Value::Deserialize(r, &out->index_hi);
+    }
+    case OpType::kFilter:
+      return GetOptionalExpr(r, &out->predicate);
+    case OpType::kProject:
+      PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
+      if (n > kMaxExprs) return Status::Corruption("too many op exprs");
+      for (uint32_t i = 0; i < n; ++i) {
+        exec::ExprPtr e;
+        PIER_RETURN_IF_ERROR(exec::Expr::Deserialize(r, &e));
+        out->exprs.push_back(std::move(e));
+      }
+      return Status::OK();
+    case OpType::kJoin: {
+      uint8_t strategy = 0;
+      PIER_RETURN_IF_ERROR(r->GetU8(&strategy));
+      if (strategy > static_cast<uint8_t>(JoinStrategy::kBloom)) {
+        return Status::Corruption("bad join strategy");
+      }
+      out->strategy = static_cast<JoinStrategy>(strategy);
+      PIER_RETURN_IF_ERROR(GetIntVec(r, &out->left_keys));
+      return GetIntVec(r, &out->right_keys);
+    }
+    case OpType::kPartialAgg:
+    case OpType::kFinalAgg:
+      PIER_RETURN_IF_ERROR(GetIntVec(r, &out->group_cols));
+      PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
+      if (n > kMaxAggs) return Status::Corruption("too many aggs");
+      for (uint32_t i = 0; i < n; ++i) {
+        exec::AggSpec spec;
+        PIER_RETURN_IF_ERROR(exec::AggSpec::Deserialize(r, &spec));
+        out->aggs.push_back(std::move(spec));
+      }
+      if (out->type == OpType::kFinalAgg) {
+        return GetOptionalExpr(r, &out->having);
+      }
+      return Status::OK();
+    case OpType::kRecurse: {
+      int64_t src = 0, dst = 0, hops = 0;
+      PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&src));
+      PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&dst));
+      PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&hops));
+      out->src_col = static_cast<int>(src);
+      out->dst_col = static_cast<int>(dst);
+      out->max_hops = static_cast<int>(hops);
+      return GetOptionalExpr(r, &out->predicate);
+    }
+    case OpType::kCollect: {
+      PIER_RETURN_IF_ERROR(r->GetBool(&out->distinct));
+      PIER_RETURN_IF_ERROR(GetIntVec(r, &out->final_projection));
+      int64_t order_col = 0;
+      PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&order_col));
+      out->order_col = static_cast<int>(order_col);
+      PIER_RETURN_IF_ERROR(r->GetBool(&out->order_desc));
+      return r->GetVarint64Signed(&out->limit);
+    }
   }
-  uint8_t strategy = 0;
-  PIER_RETURN_IF_ERROR(r->GetU8(&strategy));
-  if (strategy > static_cast<uint8_t>(JoinStrategy::kBloom)) {
-    return Status::Corruption("bad join strategy");
-  }
-  out->strategy = static_cast<JoinStrategy>(strategy);
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->left_keys));
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->right_keys));
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->group_cols));
-  PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
-  if (n > kMaxAggs) return Status::Corruption("too many aggs");
-  out->aggs.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    exec::AggSpec a;
-    PIER_RETURN_IF_ERROR(exec::AggSpec::Deserialize(r, &a));
-    out->aggs.push_back(std::move(a));
-  }
-  PIER_RETURN_IF_ERROR(GetOptionalExpr(r, &out->having));
-  int64_t src_col = 0, dst_col = 0, max_hops = 0, order_col = 0, limit = 0;
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&src_col));
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&dst_col));
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&max_hops));
-  out->src_col = static_cast<int>(src_col);
-  out->dst_col = static_cast<int>(dst_col);
-  out->max_hops = static_cast<int>(max_hops);
-  PIER_RETURN_IF_ERROR(r->GetBool(&out->distinct));
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->final_projection));
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&order_col));
-  out->order_col = static_cast<int>(order_col);
-  PIER_RETURN_IF_ERROR(r->GetBool(&out->order_desc));
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&limit));
-  out->limit = limit;
-  int64_t index_col = 0;
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&index_col));
-  out->index_col = static_cast<int>(index_col);
-  PIER_RETURN_IF_ERROR(Value::Deserialize(r, &out->index_lo));
-  return Value::Deserialize(r, &out->index_hi);
+  return Status::Corruption("bad op type");
 }
 
 std::string OpNode::ToString() const {
@@ -294,6 +328,15 @@ Status OpGraph::Validate() const {
   if (nodes.empty()) return Status::InvalidArgument("empty opgraph");
   if (nodes.size() > kMaxNodes) return Status::Corruption("opgraph too large");
   std::vector<int> consumers(nodes.size(), 0);
+  // Output width of scans (their schema) and joins (left then right): the
+  // layouts join keys index into. -1 = not a join input the runtime runs.
+  std::vector<int64_t> width(nodes.size(), -1);
+  auto keys_fit = [&](const std::vector<int>& keys, uint32_t input) {
+    for (int k : keys) {
+      if (k < 0 || (width[input] >= 0 && k >= width[input])) return false;
+    }
+    return true;
+  };
   for (size_t i = 0; i < nodes.size(); ++i) {
     const OpNode& n = nodes[i];
     for (uint32_t in : n.inputs) {
@@ -308,6 +351,7 @@ Status OpGraph::Validate() const {
       case OpType::kScan:
         want_inputs = 0;
         if (n.table.empty()) return Status::Corruption("scan without table");
+        width[i] = static_cast<int64_t>(n.schema.num_columns());
         break;
       case OpType::kIndexScan:
         want_inputs = 0;
@@ -328,6 +372,15 @@ Status OpGraph::Validate() const {
         want_inputs = 2;
         if (n.left_keys.empty() || n.left_keys.size() != n.right_keys.size()) {
           return Status::Corruption("join key arity mismatch");
+        }
+        if (n.inputs.size() == 2) {
+          if (!keys_fit(n.left_keys, n.inputs[0]) ||
+              !keys_fit(n.right_keys, n.inputs[1])) {
+            return Status::Corruption("join key column out of range");
+          }
+          if (width[n.inputs[0]] >= 0 && width[n.inputs[1]] >= 0) {
+            width[i] = width[n.inputs[0]] + width[n.inputs[1]];
+          }
         }
         break;
       case OpType::kFilter:

@@ -15,12 +15,11 @@
 //             tree that delivered the plan.
 //
 // The graph is pure data: nodes carry bound expressions and column indices,
-// never live operator state. Every node of the network rebuilds an
-// identical graph from bytes and instantiates the runtime stages it is
-// responsible for (src/query/ops/). The four legacy PlanKind shapes are
-// degenerate opgraphs (see QueryPlan::CanonicalGraph in plan.h); composed
-// graphs (multi-way joins, in-network aggregation over joins) are emitted
-// by the planner.
+// never live operator state. It is the whole executable plan: the plan
+// broadcast carries it (query/plan.h), every node of the network rebuilds
+// an identical graph from bytes and instantiates the runtime stages it is
+// responsible for (src/query/ops/). The planner and hand-built plans
+// assemble every shape through the builders in plan.h.
 
 #ifndef PIER_QUERY_OPGRAPH_H_
 #define PIER_QUERY_OPGRAPH_H_
@@ -79,8 +78,8 @@ enum class ExchangeKind : uint8_t {
 
 const char* ExchangeKindName(ExchangeKind k);
 
-/// One typed operator box. Field groups are meaningful per `type`; unused
-/// groups stay empty and serialize compactly.
+/// One typed operator box. Field groups are meaningful per `type`; only the
+/// node's own group goes on the wire, so the others read back as defaults.
 struct OpNode {
   OpType type = OpType::kScan;
   /// Upstream node ids (indices into OpGraph::nodes; strictly smaller than
@@ -148,7 +147,9 @@ struct OpGraph {
 
   /// Structural sanity: topological input edges, per-type arity, a single
   /// terminal collect, exchange kinds that the runtime can execute (a tree
-  /// edge leaves a partial-agg, a rehash edge ends at a join). Deserialized graphs MUST be validated before execution.
+  /// edge leaves a partial-agg, a rehash edge ends at a join), and index and
+  /// join key columns inside their input layouts. Deserialized graphs MUST
+  /// be validated before execution.
   Status Validate() const;
 
   /// First node of `type`, or -1.
@@ -165,14 +166,6 @@ struct OpGraph {
   /// inputs and output exchange.
   std::string ToString() const;
 };
-
-namespace detail {
-// Shared wire helpers (also used by plan.cc).
-void PutOptionalExpr(Writer* w, const exec::ExprPtr& e);
-Status GetOptionalExpr(Reader* r, exec::ExprPtr* out);
-void PutIntVec(Writer* w, const std::vector<int>& v);
-Status GetIntVec(Reader* r, std::vector<int>* out);
-}  // namespace detail
 
 }  // namespace query
 }  // namespace pier

@@ -3,333 +3,29 @@
 namespace pier {
 namespace query {
 
-using detail::GetIntVec;
-using detail::GetOptionalExpr;
-using detail::PutIntVec;
-using detail::PutOptionalExpr;
-
-const char* PlanKindName(PlanKind k) {
-  switch (k) {
-    case PlanKind::kSelectProject:
-      return "select-project";
-    case PlanKind::kAggregate:
-      return "aggregate";
-    case PlanKind::kJoin:
-      return "join";
-    case PlanKind::kRecursive:
-      return "recursive";
-  }
-  return "?";
-}
-
-// ---------------------------------------------------------------------------
-// Canonicalization: classic fields -> degenerate opgraph
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Appends `node` reading from the current chain tail and returns its id.
-uint32_t Chain(OpGraph* g, OpNode node) {
-  if (!g->nodes.empty()) {
-    node.inputs = {static_cast<uint32_t>(g->nodes.size()) - 1};
-  }
-  g->nodes.push_back(std::move(node));
-  return static_cast<uint32_t>(g->nodes.size()) - 1;
-}
-
-OpNode ScanNode(const std::string& table, const catalog::Schema& schema) {
-  OpNode n;
-  n.type = OpType::kScan;
-  n.table = table;
-  n.schema = schema;
-  return n;
-}
-
-OpNode CollectNode(const QueryPlan& p, bool aggregated) {
-  OpNode n;
-  n.type = OpType::kCollect;
-  n.distinct = aggregated ? false : p.distinct;
-  if (aggregated) n.final_projection = p.final_projection;
-  n.order_col = p.order_col;
-  n.order_desc = p.order_desc;
-  n.limit = p.limit;
-  return n;
-}
-
-OpNode FinalAggNode(const QueryPlan& p) {
-  OpNode n;
-  n.type = OpType::kFinalAgg;
-  n.group_cols = p.group_cols;
-  n.aggs = p.aggs;
-  n.having = p.having;
-  return n;
-}
-
-}  // namespace
-
-OpGraph QueryPlan::CanonicalGraph() const {
-  OpGraph g;
-  switch (kind) {
-    case PlanKind::kSelectProject: {
-      Chain(&g, ScanNode(table, scan_schema));
-      if (where != nullptr) {
-        OpNode f;
-        f.type = OpType::kFilter;
-        f.predicate = where;
-        Chain(&g, std::move(f));
-      }
-      if (!projections.empty()) {
-        OpNode pr;
-        pr.type = OpType::kProject;
-        pr.exprs = projections;
-        Chain(&g, std::move(pr));
-      }
-      g.nodes.back().out = ExchangeKind::kToOrigin;
-      Chain(&g, CollectNode(*this, /*aggregated=*/false));
-      break;
-    }
-    case PlanKind::kAggregate: {
-      Chain(&g, ScanNode(table, scan_schema));
-      if (where != nullptr) {
-        OpNode f;
-        f.type = OpType::kFilter;
-        f.predicate = where;
-        Chain(&g, std::move(f));
-      }
-      OpNode pa;
-      pa.type = OpType::kPartialAgg;
-      pa.group_cols = group_cols;
-      pa.aggs = aggs;
-      pa.out = agg_strategy == AggStrategy::kTree ? ExchangeKind::kTree
-                                                  : ExchangeKind::kToOrigin;
-      Chain(&g, std::move(pa));
-      Chain(&g, FinalAggNode(*this));
-      Chain(&g, CollectNode(*this, /*aggregated=*/true));
-      break;
-    }
-    case PlanKind::kJoin: {
-      OpNode left = ScanNode(table, scan_schema);
-      left.out = ExchangeKind::kRehash;
-      g.nodes.push_back(std::move(left));
-      OpNode right = ScanNode(right_table, right_schema);
-      right.out = ExchangeKind::kRehash;
-      g.nodes.push_back(std::move(right));
-      OpNode j;
-      j.type = OpType::kJoin;
-      j.strategy = join_strategy;
-      j.left_keys = left_key_cols;
-      j.right_keys = right_key_cols;
-      j.inputs = {0, 1};
-      g.nodes.push_back(std::move(j));
-      if (where != nullptr) {
-        OpNode f;
-        f.type = OpType::kFilter;
-        f.predicate = where;
-        Chain(&g, std::move(f));
-      }
-      bool aggregated = !aggs.empty();
-      if (!aggregated && !projections.empty()) {
-        OpNode pr;
-        pr.type = OpType::kProject;
-        pr.exprs = projections;
-        Chain(&g, std::move(pr));
-      }
-      // Joined rows ship to the origin either way: raw for origin-side
-      // aggregation, projected otherwise.
-      g.nodes.back().out = ExchangeKind::kToOrigin;
-      if (aggregated) Chain(&g, FinalAggNode(*this));
-      Chain(&g, CollectNode(*this, aggregated));
-      break;
-    }
-    case PlanKind::kRecursive: {
-      Chain(&g, ScanNode(table, scan_schema));
-      OpNode rec;
-      rec.type = OpType::kRecurse;
-      rec.src_col = src_col;
-      rec.dst_col = dst_col;
-      rec.max_hops = max_hops;
-      rec.predicate = where;  // base/expansion edge filter
-      Chain(&g, std::move(rec));
-      if (outer_where != nullptr) {
-        OpNode f;
-        f.type = OpType::kFilter;
-        f.predicate = outer_where;
-        Chain(&g, std::move(f));
-      }
-      if (!projections.empty()) {
-        OpNode pr;
-        pr.type = OpType::kProject;
-        pr.exprs = projections;
-        Chain(&g, std::move(pr));
-      }
-      g.nodes.back().out = ExchangeKind::kToOrigin;
-      Chain(&g, CollectNode(*this, /*aggregated=*/false));
-      break;
-    }
-  }
-  return g;
-}
-
-void QueryPlan::EnsureGraph() {
-  if (graph.empty()) {
-    graph = CanonicalGraph();
-    graph_is_derived = true;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Wire format
 // ---------------------------------------------------------------------------
 
 void QueryPlan::Serialize(Writer* w) const {
-  w->PutU8(static_cast<uint8_t>(kind));
-  w->PutString(table);
-  scan_schema.Serialize(w);
-  PutOptionalExpr(w, where);
-  w->PutVarint32(static_cast<uint32_t>(projections.size()));
-  for (const auto& e : projections) e->Serialize(w);
-  w->PutVarint32(static_cast<uint32_t>(output_names.size()));
-  for (const auto& n : output_names) w->PutString(n);
-  w->PutBool(distinct);
-  PutIntVec(w, group_cols);
-  w->PutVarint32(static_cast<uint32_t>(aggs.size()));
-  for (const auto& a : aggs) a.Serialize(w);
-  PutOptionalExpr(w, having);
-  w->PutU8(static_cast<uint8_t>(agg_strategy));
-  PutIntVec(w, final_projection);
-  w->PutVarint64Signed(order_col);
-  w->PutBool(order_desc);
-  w->PutVarint64Signed(limit);
-  w->PutU8(static_cast<uint8_t>(join_strategy));
-  w->PutString(right_table);
-  right_schema.Serialize(w);
-  PutIntVec(w, left_key_cols);
-  PutIntVec(w, right_key_cols);
+  graph.Serialize(w);
   w->PutVarint64(static_cast<uint64_t>(every));
   w->PutVarint64(static_cast<uint64_t>(window));
-  w->PutVarint64Signed(src_col);
-  w->PutVarint64Signed(dst_col);
-  w->PutVarint64Signed(max_hops);
-  PutOptionalExpr(w, outer_where);
-  bool ship_graph = !graph.empty() && !graph_is_derived;
-  w->PutBool(ship_graph);
-  if (ship_graph) graph.Serialize(w);
-  // Budget travels last so members enforce the same caps as the origin.
   w->PutVarint64(budget.max_result_bytes);
   w->PutVarint64(budget.max_rehash_puts);
   w->PutVarint64(budget.max_result_rows);
 }
 
 Status QueryPlan::Deserialize(Reader* r, QueryPlan* out) {
-  uint8_t kind = 0;
-  PIER_RETURN_IF_ERROR(r->GetU8(&kind));
-  if (kind > static_cast<uint8_t>(PlanKind::kRecursive)) {
-    return Status::Corruption("bad plan kind");
-  }
-  out->kind = static_cast<PlanKind>(kind);
-  PIER_RETURN_IF_ERROR(r->GetString(&out->table));
-  PIER_RETURN_IF_ERROR(catalog::Schema::Deserialize(r, &out->scan_schema));
-  PIER_RETURN_IF_ERROR(GetOptionalExpr(r, &out->where));
-  uint32_t n = 0;
-  PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
-  if (n > 10000) return Status::Corruption("too many projections");
-  out->projections.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    exec::ExprPtr e;
-    PIER_RETURN_IF_ERROR(exec::Expr::Deserialize(r, &e));
-    out->projections.push_back(std::move(e));
-  }
-  PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
-  if (n > 10000) return Status::Corruption("too many output names");
-  out->output_names.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string name;
-    PIER_RETURN_IF_ERROR(r->GetString(&name));
-    out->output_names.push_back(std::move(name));
-  }
-  PIER_RETURN_IF_ERROR(r->GetBool(&out->distinct));
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->group_cols));
-  PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
-  if (n > 1000) return Status::Corruption("too many aggs");
-  out->aggs.clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    exec::AggSpec a;
-    PIER_RETURN_IF_ERROR(exec::AggSpec::Deserialize(r, &a));
-    out->aggs.push_back(std::move(a));
-  }
-  PIER_RETURN_IF_ERROR(GetOptionalExpr(r, &out->having));
-  uint8_t agg_strategy = 0;
-  PIER_RETURN_IF_ERROR(r->GetU8(&agg_strategy));
-  if (agg_strategy > static_cast<uint8_t>(AggStrategy::kTree)) {
-    return Status::Corruption("bad agg strategy");
-  }
-  out->agg_strategy = static_cast<AggStrategy>(agg_strategy);
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->final_projection));
-  int64_t order_col = 0, limit = 0;
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&order_col));
-  PIER_RETURN_IF_ERROR(r->GetBool(&out->order_desc));
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&limit));
-  out->order_col = static_cast<int>(order_col);
-  out->limit = limit;
-  uint8_t join_strategy = 0;
-  PIER_RETURN_IF_ERROR(r->GetU8(&join_strategy));
-  if (join_strategy > static_cast<uint8_t>(JoinStrategy::kBloom)) {
-    return Status::Corruption("bad join strategy");
-  }
-  out->join_strategy = static_cast<JoinStrategy>(join_strategy);
-  PIER_RETURN_IF_ERROR(r->GetString(&out->right_table));
-  PIER_RETURN_IF_ERROR(catalog::Schema::Deserialize(r, &out->right_schema));
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->left_key_cols));
-  PIER_RETURN_IF_ERROR(GetIntVec(r, &out->right_key_cols));
+  PIER_RETURN_IF_ERROR(OpGraph::Deserialize(r, &out->graph));
   uint64_t every = 0, window = 0;
   PIER_RETURN_IF_ERROR(r->GetVarint64(&every));
   PIER_RETURN_IF_ERROR(r->GetVarint64(&window));
   out->every = static_cast<Duration>(every);
   out->window = static_cast<Duration>(window);
-  int64_t src_col = 0, dst_col = 0, max_hops = 0;
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&src_col));
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&dst_col));
-  PIER_RETURN_IF_ERROR(r->GetVarint64Signed(&max_hops));
-  out->src_col = static_cast<int>(src_col);
-  out->dst_col = static_cast<int>(dst_col);
-  out->max_hops = static_cast<int>(max_hops);
-  PIER_RETURN_IF_ERROR(GetOptionalExpr(r, &out->outer_where));
-  bool has_graph = false;
-  PIER_RETURN_IF_ERROR(r->GetBool(&has_graph));
-  out->graph.nodes.clear();
-  out->graph_is_derived = false;
-  if (has_graph) {
-    PIER_RETURN_IF_ERROR(OpGraph::Deserialize(r, &out->graph));
-  }
   PIER_RETURN_IF_ERROR(r->GetVarint64(&out->budget.max_result_bytes));
   PIER_RETURN_IF_ERROR(r->GetVarint64(&out->budget.max_rehash_puts));
-  PIER_RETURN_IF_ERROR(r->GetVarint64(&out->budget.max_result_rows));
-  return Status::OK();
-}
-
-std::string QueryPlan::ToString() const {
-  std::string out = "plan{";
-  out += PlanKindName(kind);
-  out += " table=" + table;
-  if (kind == PlanKind::kJoin) {
-    out += " join=" + std::string(JoinStrategyName(join_strategy));
-    out += " right=" + right_table;
-  }
-  if (!aggs.empty()) {
-    out += " aggs=";
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      if (i > 0) out += ",";
-      out += exec::AggFuncName(aggs[i].fn);
-    }
-    out += " strategy=";
-    out += AggStrategyName(agg_strategy);
-  }
-  if (where != nullptr) out += " where=" + where->ToString();
-  if (every > 0) out += " every=" + FormatDuration(every);
-  if (limit >= 0) out += " limit=" + std::to_string(limit);
-  if (!graph.empty()) out += " ops=" + std::to_string(graph.size());
-  out += "}";
-  return out;
+  return r->GetVarint64(&out->budget.max_result_rows);
 }
 
 void PlanEnvelope::Serialize(Writer* w) const {
@@ -350,6 +46,119 @@ Status PlanEnvelope::Deserialize(Reader* r, PlanEnvelope* out) {
   PIER_RETURN_IF_ERROR(r->GetVarint64(&deadline));
   out->deadline = static_cast<TimePoint>(deadline);
   return QueryPlan::Deserialize(r, &out->plan);
+}
+
+// ---------------------------------------------------------------------------
+// Graph builders
+// ---------------------------------------------------------------------------
+
+namespace {
+
+uint32_t Append(OpGraph* g, OpNode node) {
+  g->nodes.push_back(std::move(node));
+  return static_cast<uint32_t>(g->nodes.size()) - 1;
+}
+
+/// Appends `node` fed by the graph's current last node.
+uint32_t Chain(OpGraph* g, OpNode node) {
+  node.inputs = {static_cast<uint32_t>(g->nodes.size()) - 1};
+  return Append(g, std::move(node));
+}
+
+}  // namespace
+
+uint32_t AddScan(OpGraph* g, std::string table, catalog::Schema schema) {
+  OpNode n;
+  n.type = OpType::kScan;
+  n.table = std::move(table);
+  n.schema = std::move(schema);
+  return Append(g, std::move(n));
+}
+
+uint32_t AddIndexScan(OpGraph* g, std::string table, catalog::Schema schema,
+                      int col, Value lo, Value hi) {
+  OpNode n;
+  n.type = OpType::kIndexScan;
+  n.table = std::move(table);
+  n.schema = std::move(schema);
+  n.index_col = col;
+  n.index_lo = std::move(lo);
+  n.index_hi = std::move(hi);
+  return Append(g, std::move(n));
+}
+
+uint32_t AddJoin(OpGraph* g, uint32_t left, std::string right_table,
+                 catalog::Schema right_schema, JoinStrategy strategy,
+                 std::vector<int> left_keys, std::vector<int> right_keys) {
+  g->nodes[left].out = ExchangeKind::kRehash;
+  uint32_t right =
+      AddScan(g, std::move(right_table), std::move(right_schema));
+  g->nodes[right].out = ExchangeKind::kRehash;
+  OpNode j;
+  j.type = OpType::kJoin;
+  j.inputs = {left, right};
+  j.strategy = strategy;
+  j.left_keys = std::move(left_keys);
+  j.right_keys = std::move(right_keys);
+  return Append(g, std::move(j));
+}
+
+uint32_t AddRecurse(OpGraph* g, int src_col, int dst_col, int max_hops,
+                    exec::ExprPtr edge_where) {
+  OpNode n;
+  n.type = OpType::kRecurse;
+  n.src_col = src_col;
+  n.dst_col = dst_col;
+  n.max_hops = max_hops;
+  n.predicate = std::move(edge_where);
+  return Chain(g, std::move(n));
+}
+
+OpNode ProjectNode(std::vector<exec::ExprPtr> exprs) {
+  OpNode n;
+  n.type = OpType::kProject;
+  n.exprs = std::move(exprs);
+  return n;
+}
+
+OpNode AggNode(std::vector<int> group_cols, std::vector<exec::AggSpec> aggs,
+               exec::ExprPtr having) {
+  OpNode n;
+  n.type = OpType::kFinalAgg;
+  n.group_cols = std::move(group_cols);
+  n.aggs = std::move(aggs);
+  n.having = std::move(having);
+  return n;
+}
+
+void AppendTail(OpGraph* g, exec::ExprPtr where, OpNode body, OpNode collect,
+                std::optional<AggStrategy> in_network) {
+  if (where != nullptr) {
+    OpNode f;
+    f.type = OpType::kFilter;
+    f.predicate = std::move(where);
+    Chain(g, std::move(f));
+  }
+  if (body.type == OpType::kFinalAgg) {
+    if (in_network.has_value()) {
+      OpNode partial;
+      partial.type = OpType::kPartialAgg;
+      partial.group_cols = body.group_cols;
+      partial.aggs = body.aggs;
+      partial.out = *in_network == AggStrategy::kTree
+                        ? ExchangeKind::kTree
+                        : ExchangeKind::kToOrigin;
+      Chain(g, std::move(partial));
+    } else {
+      g->nodes.back().out = ExchangeKind::kToOrigin;
+    }
+    Chain(g, std::move(body));
+  } else {
+    if (!body.exprs.empty()) Chain(g, std::move(body));
+    g->nodes.back().out = ExchangeKind::kToOrigin;
+  }
+  collect.type = OpType::kCollect;
+  Chain(g, std::move(collect));
 }
 
 }  // namespace query

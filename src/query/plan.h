@@ -1,28 +1,29 @@
 // QueryPlan: the distributed plan PIER disseminates to every node.
 //
-// The executable representation is the opgraph (query/opgraph.h): a DAG of
-// typed operator nodes wired by exchanges, interpreted by every node's
-// QueryRuntime. A plan also keeps the flat "classic" fields describing the
-// four canonical shapes (select/project, aggregate, binary join,
-// recursion); plans built through the algebraic API fill only those, and
-// EnsureGraph() canonicalizes them into the equivalent degenerate opgraph
-// before execution. Planner-built plans (multi-way joins, in-network
-// aggregation over joins) carry a composed graph directly.
+// The plan IS its opgraph (query/opgraph.h): a DAG of typed operator nodes
+// wired by exchanges, interpreted by every node's QueryRuntime. Besides the
+// graph a plan carries only what the graph does not say: the continuous
+// period and window, the origin-local deadline override and the resource
+// budget. Every node rebuilds an identical plan from bytes.
 //
-// Column references inside expressions are bound to tuple layouts at
-// planning time:
-//   - `where`               -> the scan schema (full concat for joins)
-//   - `projections`         -> same layout as `where`
-//   - `having`              -> the aggregate output layout
+// Plans are assembled through the builder helpers below, by the planner
+// and by callers of the algebraic API alike: a source (scan, index scan,
+// left-deep join chain, recursion over an edge scan), then the shared tail
+// that filters, projects or aggregates, and collects at the origin.
+//
+// Column references inside expressions are bound to tuple layouts when the
+// graph is built:
+//   - filter / project      -> the layout of the node's input (the full
+//                              concat for joins; (src, dst, hops) after
+//                              recursion)
+//   - final-agg `having`    -> the aggregate output layout
 //                              [group values..., aggregate results...]
-//   - `order_col`           -> the final output layout
-//
-// Plans serialize; every node rebuilds an identical plan from bytes.
+//   - collect `order_col`   -> the final output layout
 
 #ifndef PIER_QUERY_PLAN_H_
 #define PIER_QUERY_PLAN_H_
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,63 +38,10 @@
 namespace pier {
 namespace query {
 
-/// The four canonical plan shapes of the algebraic API (each canonicalizes
-/// into a degenerate opgraph; composed graphs have no PlanKind).
-enum class PlanKind : uint8_t {
-  kSelectProject = 0,  ///< scan -> filter -> project, results to origin
-  kAggregate = 1,      ///< scan -> filter -> partial agg -> in-network tree
-  kJoin = 2,           ///< equi-join (binary via `kind`; n-way via graph)
-  kRecursive = 3,      ///< transitive closure over an edge table
-};
-
-const char* PlanKindName(PlanKind k);
-
-/// One distributed query. Plain data; built by the planner or directly via
-/// the algebraic API.
+/// One distributed query. Plain data.
 struct QueryPlan {
-  PlanKind kind = PlanKind::kSelectProject;
-
-  /// The executable dataflow. Empty for algebraic-API plans until
-  /// EnsureGraph() derives it from the classic fields below.
+  /// The executable dataflow.
   OpGraph graph;
-  /// True when `graph` came from EnsureGraph(): derived graphs are NOT
-  /// serialized (the classic fields already carry everything, and every
-  /// member re-derives the identical graph at install), so legacy-shape
-  /// broadcasts don't pay twice for expressions and schemas. Composed
-  /// planner graphs always travel.
-  bool graph_is_derived = false;
-
-  // -- Source relation(s) ---------------------------------------------------
-  std::string table;            ///< left/only relation (DHT namespace)
-  catalog::Schema scan_schema;  ///< its schema (join: left schema)
-
-  // -- Row pipeline ----------------------------------------------------------
-  exec::ExprPtr where;  ///< predicate; null = accept all
-  std::vector<exec::ExprPtr> projections;  ///< empty = identity
-  std::vector<std::string> output_names;   ///< names for projections
-  bool distinct = false;
-
-  // -- Aggregation (kAggregate; or post-join aggregation at the origin) -----
-  std::vector<int> group_cols;
-  std::vector<exec::AggSpec> aggs;
-  exec::ExprPtr having;
-  AggStrategy agg_strategy = AggStrategy::kTree;
-  /// Applied at the origin after aggregation: indices into the
-  /// [group values..., aggregate results...] layout, reordering to the
-  /// SELECT-list order. Empty = identity.
-  std::vector<int> final_projection;
-
-  // -- Ordering / limiting (applied at the origin) ---------------------------
-  int order_col = -1;
-  bool order_desc = false;
-  int64_t limit = -1;
-
-  // -- Join (kJoin) -----------------------------------------------------------
-  JoinStrategy join_strategy = JoinStrategy::kSymmetricHash;
-  std::string right_table;
-  catalog::Schema right_schema;
-  std::vector<int> left_key_cols;
-  std::vector<int> right_key_cols;
 
   // -- Continuous execution ---------------------------------------------------
   Duration every = 0;   ///< 0 = one-shot; else re-evaluate per period
@@ -111,26 +59,9 @@ struct QueryPlan {
   /// enforces the same caps.
   QueryBudget budget;
 
-  // -- Recursion (kRecursive) -------------------------------------------------
-  int src_col = 0;      ///< edge source column in `scan_schema`
-  int dst_col = 1;      ///< edge destination column
-  int max_hops = 16;    ///< expansion bound
-  /// Outer predicate over the closure output layout (src, dst, hops);
-  /// `where` filters base edges instead.
-  exec::ExprPtr outer_where;
-
-  /// Builds the degenerate opgraph equivalent to the classic fields. The
-  /// four legacy shapes reproduce their historical dataflow byte-for-byte.
-  OpGraph CanonicalGraph() const;
-  /// Fills `graph` from CanonicalGraph() when empty (idempotent).
-  void EnsureGraph();
-
   void Serialize(Writer* w) const;
+  /// Fails on a malformed graph (OpGraph::Deserialize validates it).
   static Status Deserialize(Reader* r, QueryPlan* out);
-
-  /// One-line summary ("plan{join table=... }"); the opgraph's ToString()
-  /// is the full EXPLAIN rendering.
-  std::string ToString() const;
 };
 
 /// What actually travels in the dissemination broadcast.
@@ -146,6 +77,50 @@ struct PlanEnvelope {
   void Serialize(Writer* w) const;
   static Status Deserialize(Reader* r, PlanEnvelope* out);
 };
+
+// ---------------------------------------------------------------------------
+// Graph builders
+// ---------------------------------------------------------------------------
+
+/// Appends a scan of `table`; returns its id.
+uint32_t AddScan(OpGraph* g, std::string table, catalog::Schema schema);
+
+/// Appends a PHT range scan over column `col` of `table`: the closed range
+/// [lo, hi], a null bound leaving that side open. Returns its id.
+uint32_t AddIndexScan(OpGraph* g, std::string table, catalog::Schema schema,
+                      int col, Value lo, Value hi);
+
+/// Appends a scan of `right_table` and the equi-join of node `left` with
+/// it; both inputs rehash to the join's rendezvous. Feed one join's id to
+/// the next to build a left-deep chain. Returns the join's id.
+uint32_t AddJoin(OpGraph* g, uint32_t left, std::string right_table,
+                 catalog::Schema right_schema, JoinStrategy strategy,
+                 std::vector<int> left_keys, std::vector<int> right_keys);
+
+/// Appends the transitive closure over the edge relation the graph's last
+/// node scans; `edge_where` (may be null) filters base and expansion edges.
+/// The output layout is (src, dst, hops). Returns its id.
+uint32_t AddRecurse(OpGraph* g, int src_col, int dst_col, int max_hops,
+                    exec::ExprPtr edge_where);
+
+/// Tail bodies: a projection (no exprs = identity) or an aggregation over
+/// the tail's input layout.
+OpNode ProjectNode(std::vector<exec::ExprPtr> exprs);
+OpNode AggNode(std::vector<int> group_cols, std::vector<exec::AggSpec> aggs,
+               exec::ExprPtr having = nullptr);
+
+/// Appends the tail every plan shape ends in, fed by the graph's last node:
+///   [filter(where)] -> [project] => to-origin -> collect
+///   [filter(where)] -> partial-agg => tree|to-origin -> final-agg -> collect
+///   [filter(where)] => to-origin -> final-agg -> collect
+/// `body` comes from ProjectNode or AggNode. An aggregation combines
+/// partials in the network per `in_network`; without it the origin
+/// aggregates the raw rows (binary joins and index scans, whose rows meet
+/// there anyway). `collect` carries the kCollect fields (distinct,
+/// final_projection, order, limit); its type is set here.
+void AppendTail(OpGraph* g, exec::ExprPtr where, OpNode body,
+                OpNode collect = {},
+                std::optional<AggStrategy> in_network = std::nullopt);
 
 }  // namespace query
 }  // namespace pier

@@ -65,14 +65,12 @@ std::vector<Tuple> RunGroupBy(const std::vector<Tuple>& input,
 
 Result<std::vector<Tuple>> OracleEvaluate(core::PierNetwork& net,
                                           const query::QueryPlan& plan) {
-  query::QueryPlan bound = plan;
-  bound.EnsureGraph();
-  const OpGraph& g = bound.graph;
+  const OpGraph& g = plan.graph;
   PIER_RETURN_IF_ERROR(g.Validate());
   if (g.Has(OpType::kRecurse)) {
     return Status::NotSupported("oracle: recursive graphs are not scored");
   }
-  if (bound.window > 0) {
+  if (plan.window > 0) {
     // Windowed scans filter on per-copy arrival time (stored_at), which
     // differs across replicas and nodes — there is no single central
     // ground truth to score against.

@@ -405,6 +405,19 @@ TEST(OperatorTest, SymmetricHashJoinNullKeysNeverMatch) {
   EXPECT_TRUE(sink.rows().empty());
 }
 
+TEST(OperatorTest, SymmetricHashJoinKeyPastTupleEndNeverMatches) {
+  // Rehash arrivals narrower than the key index (a faulty peer's short key
+  // projections) all hash to one bucket; comparing them must not read past
+  // the tuples.
+  SymmetricHashJoinOp shj({1}, {1}, nullptr);
+  CollectorSink sink;
+  shj.AddOutput(&sink);
+  shj.Push(Tuple{Value::Int64(1)}, 0);
+  shj.Push(Tuple{Value::Int64(1)}, 1);
+  shj.Push(Tuple{Value::Int64(2)}, 0);
+  EXPECT_TRUE(sink.rows().empty());
+}
+
 TEST(OperatorTest, SymmetricHashJoinResidualPredicate) {
   // Residual over concat: left payload < right payload.
   auto residual =

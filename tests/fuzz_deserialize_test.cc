@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "exec/batch.h"
 #include "exec/expr.h"
+#include "golden_plans.h"
 #include "index/pht.h"
 #include "query/bloom_wire.h"
 #include "query/exchange.h"
@@ -36,23 +37,46 @@ std::string ValidTupleBytes() {
        Value::Null(), Value::Bool(true)});
 }
 
+/// Plans one golden shape through the planner.
+query::QueryPlan GoldenPlan(const golden::Shape& shape) {
+  auto stmt = sql::Parse(shape.sql);
+  EXPECT_TRUE(stmt.ok()) << shape.name;
+  auto plan =
+      planner::PlanStatement(stmt.value(), golden::Catalog(), shape.options);
+  EXPECT_TRUE(plan.ok()) << shape.name << ": " << plan.status().ToString();
+  return plan.value();
+}
+
+/// A planner-built continuous aggregate (filter, partial/final agg with
+/// HAVING, permuted ordered collect) with every field of the plan set.
+query::QueryPlan ValidPlan() {
+  query::QueryPlan plan =
+      GoldenPlan({"aggregate_tree", golden::kAggregateSql,
+                  golden::Options(query::AggStrategy::kTree), ""});
+  plan.every = Seconds(10);
+  plan.window = Seconds(20);
+  plan.budget.max_result_bytes = 1 << 20;
+  plan.budget.max_rehash_puts = 5000;
+  plan.budget.max_result_rows = 100;
+  return plan;
+}
+
 std::string ValidPlanBytes() {
-  query::QueryPlan plan;
-  plan.kind = query::PlanKind::kAggregate;
-  plan.table = "snort_alerts";
-  plan.scan_schema = catalog::Schema(
-      "snort_alerts",
-      {{"rule_id", ValueType::kInt64}, {"hits", ValueType::kInt64}});
-  plan.where = exec::Expr::Compare(exec::CompareOp::kGt,
-                                   exec::Expr::Column(1),
-                                   exec::Expr::Literal(Value::Int64(0)));
-  plan.group_cols = {0};
-  plan.aggs = {{exec::AggFunc::kSum, 1, "total"}};
-  plan.order_col = 1;
-  plan.limit = 10;
   Writer w;
-  plan.Serialize(&w);
+  ValidPlan().Serialize(&w);
   return w.Release();
+}
+
+/// The serialized graph of every golden planner shape: together they use
+/// every node type, and so every branch of the per-type node encoding.
+std::vector<std::string> GoldenGraphBytes() {
+  std::vector<std::string> out;
+  for (const golden::Shape& shape : golden::Shapes()) {
+    Writer w;
+    GoldenPlan(shape).graph.Serialize(&w);
+    out.push_back(w.Release());
+  }
+  return out;
 }
 
 template <typename Fn>
@@ -148,20 +172,24 @@ TEST(FuzzDeserialize, QueryPlanGarbage) {
     (void)query::QueryPlan::Deserialize(&r, &p);
   };
   NoCrashOnGarbage(parse, 2000, 200, 8);
-  NoCrashOnMutation(parse, ValidPlanBytes(), 9);
+  std::string valid = ValidPlanBytes();
+  NoCrashOnMutation(parse, valid, 9);
+  // The valid plan itself round-trips: graph and plan fields alike.
+  Reader r(valid);
+  query::QueryPlan back;
+  ASSERT_TRUE(query::QueryPlan::Deserialize(&r, &back).ok());
+  EXPECT_EQ(back.every, Seconds(10));
+  EXPECT_EQ(back.window, Seconds(20));
+  EXPECT_EQ(back.budget.max_rehash_puts, 5000u);
+  EXPECT_EQ(back.budget.max_result_rows, 100u);
+  Writer w;
+  back.Serialize(&w);
+  EXPECT_EQ(w.buffer(), valid);
 }
 
 std::string ValidOpGraphBytes() {
-  // The canonical graph of the aggregate plan above, plus a composed
-  // multi-join flavor is covered by the planner tests; here the wire form.
-  std::string plan_bytes = ValidPlanBytes();
-  Reader r(plan_bytes);
-  query::QueryPlan plan;
-  EXPECT_TRUE(query::QueryPlan::Deserialize(&r, &plan).ok());
-  query::OpGraph g = plan.CanonicalGraph();
-  EXPECT_TRUE(g.Validate().ok());
   Writer w;
-  g.Serialize(&w);
+  ValidPlan().graph.Serialize(&w);
   return w.Release();
 }
 
@@ -178,25 +206,34 @@ TEST(FuzzDeserialize, OpGraphGarbage) {
 TEST(FuzzDeserialize, OpGraphTruncationsAllRejected) {
   // Graph bytes end exactly at the last node, so every strict prefix must
   // fail with a Status — never crash, never "succeed" on partial input.
-  std::string valid = ValidOpGraphBytes();
-  for (size_t cut = 0; cut < valid.size(); ++cut) {
-    std::string truncated = valid.substr(0, cut);
-    Reader r(truncated);
-    query::OpGraph g;
-    EXPECT_FALSE(query::OpGraph::Deserialize(&r, &g).ok()) << "cut=" << cut;
+  for (const std::string& valid : GoldenGraphBytes()) {
+    for (size_t cut = 0; cut < valid.size(); ++cut) {
+      std::string truncated = valid.substr(0, cut);
+      Reader r(truncated);
+      query::OpGraph g;
+      EXPECT_FALSE(query::OpGraph::Deserialize(&r, &g).ok())
+          << "cut=" << cut;
+    }
   }
 }
 
 TEST(FuzzDeserialize, OpGraphRoundTripsByteIdentical) {
-  std::string valid = ValidOpGraphBytes();
-  Reader r(valid);
-  query::OpGraph g;
-  ASSERT_TRUE(query::OpGraph::Deserialize(&r, &g).ok());
-  ASSERT_TRUE(g.Validate().ok());
-  EXPECT_EQ(g.nodes.back().type, query::OpType::kCollect);
-  Writer w;
-  g.Serialize(&w);
-  EXPECT_EQ(w.buffer(), valid);
+  std::vector<golden::Shape> shapes = golden::Shapes();
+  std::vector<std::string> graphs = GoldenGraphBytes();
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE(shapes[i].name);
+    Reader r(graphs[i]);
+    query::OpGraph g;
+    ASSERT_TRUE(query::OpGraph::Deserialize(&r, &g).ok());
+    ASSERT_TRUE(g.Validate().ok());
+    EXPECT_EQ(g.nodes.back().type, query::OpType::kCollect);
+    // Only each node's own field group travels, and it is all EXPLAIN (and
+    // the runtime) reads: the rendering survives the trip unchanged.
+    EXPECT_EQ(g.ToString(), shapes[i].explain);
+    Writer w;
+    g.Serialize(&w);
+    EXPECT_EQ(w.buffer(), graphs[i]);
+  }
 }
 
 TEST(FuzzDeserialize, MalformedOpGraphStructureRejected) {
@@ -244,57 +281,39 @@ TEST(FuzzDeserialize, MalformedOpGraphStructureRejected) {
     query::OpGraph g;
     EXPECT_FALSE(query::OpGraph::Deserialize(&r, &g).ok());
   }
-}
-
-TEST(FuzzDeserialize, PlanWithGraphRoundTrips) {
-  std::string plan_bytes = ValidPlanBytes();
-  Reader r0(plan_bytes);
-  query::QueryPlan plan;
-  ASSERT_TRUE(query::QueryPlan::Deserialize(&r0, &plan).ok());
-  // Planner-composed graphs travel on the wire (derived canonical graphs
-  // do not — members rebuild those from the classic fields).
-  plan.graph = plan.CanonicalGraph();
-  Writer w;
-  plan.Serialize(&w);
-  Reader r(w.buffer());
-  query::QueryPlan back;
-  ASSERT_TRUE(query::QueryPlan::Deserialize(&r, &back).ok());
-  ASSERT_FALSE(back.graph.empty());
-  EXPECT_TRUE(back.graph.Validate().ok());
-  EXPECT_EQ(back.graph.size(), plan.graph.size());
-}
-
-TEST(FuzzDeserialize, DerivedGraphNotShippedButRederivable) {
-  std::string plan_bytes = ValidPlanBytes();
-  Reader r0(plan_bytes);
-  query::QueryPlan plan;
-  ASSERT_TRUE(query::QueryPlan::Deserialize(&r0, &plan).ok());
-  plan.EnsureGraph();
-  ASSERT_TRUE(plan.graph_is_derived);
-  Writer w;
-  plan.Serialize(&w);
-  Reader r(w.buffer());
-  query::QueryPlan back;
-  ASSERT_TRUE(query::QueryPlan::Deserialize(&r, &back).ok());
-  EXPECT_TRUE(back.graph.empty());  // not on the wire...
-  back.EnsureGraph();               // ...but identical when re-derived
-  Writer wa, wb;
-  plan.graph.Serialize(&wa);
-  back.graph.Serialize(&wb);
-  EXPECT_EQ(wa.buffer(), wb.buffer());
-}
-
-TEST(FuzzDeserialize, PlanRoundTripSurvivesAndMatches) {
-  // Sanity inside the fuzz suite: the *valid* plan still round-trips.
-  std::string bytes = ValidPlanBytes();
-  Reader r(bytes);
-  query::QueryPlan p;
-  ASSERT_TRUE(query::QueryPlan::Deserialize(&r, &p).ok());
-  EXPECT_EQ(p.kind, query::PlanKind::kAggregate);
-  EXPECT_EQ(p.table, "snort_alerts");
-  EXPECT_EQ(p.aggs.size(), 1u);
-  EXPECT_EQ(p.limit, 10);
-  EXPECT_NE(p.where, nullptr);
+  // ...and join keys outside their input layouts: every rendezvous would
+  // read past its tuples. Three one-column scans joined left-deep; the
+  // chained join's left input is two columns wide.
+  auto chain = [](int first_left_key, int second_left_key) {
+    query::OpGraph join;
+    join.nodes.resize(6);
+    for (uint32_t scan : {0u, 1u, 3u}) {
+      join.nodes[scan].type = query::OpType::kScan;
+      join.nodes[scan].table = "t";
+      join.nodes[scan].schema =
+          catalog::Schema("t", {{"k", ValueType::kInt64}});
+      join.nodes[scan].out = query::ExchangeKind::kRehash;
+    }
+    for (uint32_t id : {2u, 4u}) {
+      join.nodes[id].type = query::OpType::kJoin;
+      join.nodes[id].inputs = {id - 2, id - 1};
+      join.nodes[id].left_keys = {id == 2 ? first_left_key : second_left_key};
+      join.nodes[id].right_keys = {0};
+    }
+    join.nodes[2].out = query::ExchangeKind::kRehash;
+    join.nodes[4].out = query::ExchangeKind::kToOrigin;
+    join.nodes[5].type = query::OpType::kCollect;
+    join.nodes[5].inputs = {4};
+    Writer w;
+    join.Serialize(&w);
+    Reader r(w.buffer());
+    query::OpGraph g;
+    return query::OpGraph::Deserialize(&r, &g);
+  };
+  EXPECT_TRUE(chain(0, 1).ok());   // column 1 of the 2-wide join output
+  EXPECT_FALSE(chain(1, 1).ok());  // past the 1-column scan
+  EXPECT_FALSE(chain(0, 2).ok());  // past the 2-column join output
+  EXPECT_FALSE(chain(-1, 0).ok());
 }
 
 std::string ValidIndexGraphBytes() {

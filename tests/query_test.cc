@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -80,6 +81,37 @@ TableDef LinksTable() {
   return def;
 }
 
+// Hand-built plans (the algebraic API): a source, then the shared tail.
+QueryPlan AlertsPlan(exec::ExprPtr where, OpNode body, OpNode collect = {},
+                     std::optional<AggStrategy> in_network = std::nullopt) {
+  QueryPlan plan;
+  AddScan(&plan.graph, "alerts", AlertsTable().schema);
+  AppendTail(&plan.graph, std::move(where), std::move(body),
+             std::move(collect), in_network);
+  return plan;
+}
+
+/// alerts JOIN rules ON rule_id; rows (or the aggregate) ship to the origin.
+QueryPlan AlertsRulesJoinPlan(JoinStrategy strategy, exec::ExprPtr where,
+                              OpNode body,
+                              const Schema& rules = RulesTable().schema) {
+  QueryPlan plan;
+  AddJoin(&plan.graph, AddScan(&plan.graph, "alerts", AlertsTable().schema),
+          "rules", rules, strategy, {0}, {0});
+  AppendTail(&plan.graph, std::move(where), std::move(body));
+  return plan;
+}
+
+/// Transitive closure over links(src, dst); `outer_where` filters the
+/// (src, dst, hops) output.
+QueryPlan ClosurePlan(int max_hops, exec::ExprPtr outer_where = nullptr) {
+  QueryPlan plan;
+  AddScan(&plan.graph, "links", LinksTable().schema);
+  AddRecurse(&plan.graph, 0, 1, max_hops, nullptr);
+  AppendTail(&plan.graph, std::move(outer_where), ProjectNode({}));
+  return plan;
+}
+
 void RegisterEverywhere(PierNetwork& net, const TableDef& def) {
   for (size_t i = 0; i < net.size(); ++i) {
     ASSERT_TRUE(net.node(i)->catalog()->Register(def).ok());
@@ -110,10 +142,7 @@ TEST(QuerySelectTest, SelectStarCollectsAllRows) {
   RegisterEverywhere(net, AlertsTable());
   PublishAlerts(net, {{1, "a", 10}, {2, "b", 20}, {3, "c", 30}, {4, "d", 40}});
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  QueryPlan plan = AlertsPlan(nullptr, ProjectNode({}));
 
   std::vector<ResultBatch> batches;
   auto r = net.node(0)->query_engine()->Execute(
@@ -134,17 +163,13 @@ TEST(QuerySelectTest, WhereFiltersAndProjectionComputes) {
   RegisterEverywhere(net, AlertsTable());
   PublishAlerts(net, {{1, "a", 10}, {2, "b", 20}, {3, "c", 30}, {4, "d", 40}});
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
   // WHERE hits >= 25  SELECT rule_id, hits * 2
-  plan.where = Expr::Compare(CompareOp::kGe, Expr::Column(2),
-                             Expr::Literal(Value::Int64(25)));
-  plan.projections = {Expr::Column(0),
-                      Expr::Arith(exec::ArithOp::kMul, Expr::Column(2),
-                                  Expr::Literal(Value::Int64(2)))};
-  plan.output_names = {"rule_id", "hits2"};
+  QueryPlan plan = AlertsPlan(
+      Expr::Compare(CompareOp::kGe, Expr::Column(2),
+                    Expr::Literal(Value::Int64(25))),
+      ProjectNode({Expr::Column(0),
+                   Expr::Arith(exec::ArithOp::kMul, Expr::Column(2),
+                               Expr::Literal(Value::Int64(2)))}));
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(1)
@@ -169,13 +194,11 @@ TEST(QuerySelectTest, OrderByAndLimitAtOrigin) {
   RegisterEverywhere(net, AlertsTable());
   PublishAlerts(net, {{1, "a", 40}, {2, "b", 10}, {3, "c", 30}, {4, "d", 20}});
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.order_col = 2;
-  plan.order_desc = true;
-  plan.limit = 2;
+  OpNode collect;
+  collect.order_col = 2;
+  collect.order_desc = true;
+  collect.limit = 2;
+  QueryPlan plan = AlertsPlan(nullptr, ProjectNode({}), collect);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -203,11 +226,9 @@ TEST(QuerySelectTest, LimitPushdownStopsBatchScanEarly) {
   for (int i = 0; i < 64; ++i) rows.push_back({i, "r", i});
   PublishAlerts(net, rows);
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.limit = 3;
+  OpNode collect;
+  collect.limit = 3;
+  QueryPlan plan = AlertsPlan(nullptr, ProjectNode({}), collect);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -237,12 +258,10 @@ TEST(QuerySelectTest, DistinctAtOrigin) {
   PublishAlerts(net,
                 {{1, "x", 5}, {1, "x", 5}, {2, "y", 6}, {2, "y", 6}});
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.projections = {Expr::Column(0), Expr::Column(1)};
-  plan.distinct = true;
+  OpNode collect;
+  collect.distinct = true;
+  QueryPlan plan = AlertsPlan(
+      nullptr, ProjectNode({Expr::Column(0), Expr::Column(1)}), collect);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -277,13 +296,10 @@ TEST_P(QueryAggTest, GroupBySumMatchesReference) {
   }
   PublishAlerts(net, rows);
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {0};
-  plan.aggs = {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "n"}};
-  plan.agg_strategy = GetParam();
+  QueryPlan plan = AlertsPlan(
+      nullptr,
+      AggNode({0}, {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "n"}}),
+      {}, GetParam());
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -312,16 +328,13 @@ TEST(QueryAggregateTest, AllFiveAggregateFunctions) {
   RegisterEverywhere(net, AlertsTable());
   PublishAlerts(net, {{1, "a", 10}, {1, "b", 20}, {1, "c", 60}});
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {0};
-  plan.aggs = {{AggFunc::kSum, 2, "sum"},
-               {AggFunc::kCount, -1, "cnt"},
-               {AggFunc::kAvg, 2, "avg"},
-               {AggFunc::kMin, 2, "min"},
-               {AggFunc::kMax, 2, "max"}};
+  QueryPlan plan = AlertsPlan(nullptr,
+                              AggNode({0}, {{AggFunc::kSum, 2, "sum"},
+                                            {AggFunc::kCount, -1, "cnt"},
+                                            {AggFunc::kAvg, 2, "avg"},
+                                            {AggFunc::kMin, 2, "min"},
+                                            {AggFunc::kMax, 2, "max"}}),
+                              {}, AggStrategy::kTree);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(2)
@@ -355,20 +368,19 @@ TEST(QueryAggregateTest, HavingTopKAndFinalProjection) {
   // Totals: rule r -> r * 100r = 100 r^2 (100, 400, 900, 1600, 2500, 3600).
   PublishAlerts(net, rows);
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {0};
-  plan.aggs = {{AggFunc::kSum, 2, "total"}};
-  // HAVING SUM(hits) >= 900 over layout [rule_id, total].
-  plan.having = Expr::Compare(CompareOp::kGe, Expr::Column(1),
-                              Expr::Literal(Value::Int64(900)));
   // SELECT total, rule_id (permuted).
-  plan.final_projection = {1, 0};
-  plan.order_col = 0;  // total, post-permutation
-  plan.order_desc = true;
-  plan.limit = 3;
+  OpNode collect;
+  collect.final_projection = {1, 0};
+  collect.order_col = 0;  // total, post-permutation
+  collect.order_desc = true;
+  collect.limit = 3;
+  // HAVING SUM(hits) >= 900 over layout [rule_id, total].
+  QueryPlan plan = AlertsPlan(
+      nullptr,
+      AggNode({0}, {{AggFunc::kSum, 2, "total"}},
+              Expr::Compare(CompareOp::kGe, Expr::Column(1),
+                            Expr::Literal(Value::Int64(900)))),
+      collect, AggStrategy::kTree);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -398,13 +410,10 @@ TEST(QueryAggregateTest, TreeAggregationOnChordMatchesReference) {
   PublishAlerts(net, rows);
   net.RunFor(Seconds(5));
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {0};
-  plan.aggs = {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "n"}};
-  plan.agg_strategy = AggStrategy::kTree;
+  QueryPlan plan = AlertsPlan(
+      nullptr,
+      AggNode({0}, {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "n"}}),
+      {}, AggStrategy::kTree);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -441,13 +450,10 @@ TEST(QueryContinuousTest, EpochsTrackChangingData) {
   publish_round(1);
   net.RunFor(Seconds(3));
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {};
-  plan.aggs = {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "rows"}};
-  plan.agg_strategy = AggStrategy::kDirect;
+  QueryPlan plan = AlertsPlan(nullptr,
+                              AggNode({}, {{AggFunc::kSum, 2, "total"},
+                                           {AggFunc::kCount, -1, "rows"}}),
+                              {}, AggStrategy::kDirect);
   plan.every = Seconds(10);
   plan.window = Seconds(10);  // only rows published this epoch
 
@@ -485,10 +491,7 @@ TEST(QueryContinuousTest, CancelStopsEpochs) {
   RegisterEverywhere(net, AlertsTable());
   PublishAlerts(net, {{1, "x", 1}});
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  QueryPlan plan = AlertsPlan(nullptr, ProjectNode({}));
   plan.every = Seconds(8);
 
   std::vector<ResultBatch> batches;
@@ -550,19 +553,12 @@ TEST_P(QueryJoinTest, EquiJoinMatchesReference) {
   }
   net.RunFor(Seconds(5));
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kJoin;
-  plan.join_strategy = GetParam();
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.right_table = "rules";
-  plan.right_schema = RulesTable().schema;
-  plan.left_key_cols = {0};
-  plan.right_key_cols = {0};
   // Concat layout: [rule_id, descr, hits, rules.rule_id, severity].
-  plan.where = Expr::Compare(CompareOp::kGe, Expr::Column(4),
-                             Expr::Literal(Value::Int64(2)));
-  plan.projections = {Expr::Column(0), Expr::Column(2), Expr::Column(4)};
+  QueryPlan plan = AlertsRulesJoinPlan(
+      GetParam(),
+      Expr::Compare(CompareOp::kGe, Expr::Column(4),
+                    Expr::Literal(Value::Int64(2))),
+      ProjectNode({Expr::Column(0), Expr::Column(2), Expr::Column(4)}));
 
   std::vector<ResultBatch> batches;
   auto r = net.node(0)->query_engine()->Execute(
@@ -630,17 +626,10 @@ TEST(QueryJoinTest2, JoinWithOriginAggregation) {
   }
   net.RunFor(Seconds(5));
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kJoin;
-  plan.join_strategy = JoinStrategy::kSymmetricHash;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.right_table = "rules";
-  plan.right_schema = RulesTable().schema;
-  plan.left_key_cols = {0};
-  plan.right_key_cols = {0};
-  plan.group_cols = {4};  // severity in concat layout
-  plan.aggs = {{AggFunc::kCount, -1, "n"}};
+  // Group on severity (concat column 4); the origin aggregates.
+  QueryPlan plan = AlertsRulesJoinPlan(
+      JoinStrategy::kSymmetricHash, nullptr,
+      AggNode({4}, {{AggFunc::kCount, -1, "n"}}));
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(1)
@@ -674,16 +663,9 @@ TEST(QueryJoinTest2, SymmetricHashJoinOnChord) {
   }
   net.RunFor(Seconds(8));
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kJoin;
-  plan.join_strategy = JoinStrategy::kSymmetricHash;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.right_table = "rules";
-  plan.right_schema = RulesTable().schema;
-  plan.left_key_cols = {0};
-  plan.right_key_cols = {0};
-  plan.projections = {Expr::Column(0), Expr::Column(4)};
+  QueryPlan plan = AlertsRulesJoinPlan(
+      JoinStrategy::kSymmetricHash, nullptr,
+      ProjectNode({Expr::Column(0), Expr::Column(4)}));
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -704,15 +686,8 @@ TEST(QueryJoinTest2, FetchMatchesRequiresCompatiblePartitioning) {
   rules.partition_cols = {1};  // partitioned on severity, not rule_id
   RegisterEverywhere(net, rules);
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kJoin;
-  plan.join_strategy = JoinStrategy::kFetchMatches;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.right_table = "rules";
-  plan.right_schema = rules.schema;
-  plan.left_key_cols = {0};
-  plan.right_key_cols = {0};
+  QueryPlan plan = AlertsRulesJoinPlan(JoinStrategy::kFetchMatches, nullptr,
+                                       ProjectNode({}), rules.schema);
 
   auto r = net.node(0)->query_engine()->Execute(plan,
                                                 [](const ResultBatch&) {});
@@ -743,13 +718,7 @@ TEST(QueryRecursiveTest, TransitiveClosureOfChain) {
   }
   net.RunFor(Seconds(5));
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kRecursive;
-  plan.table = "links";
-  plan.scan_schema = LinksTable().schema;
-  plan.src_col = 0;
-  plan.dst_col = 1;
-  plan.max_hops = 8;
+  QueryPlan plan = ClosurePlan(8);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -786,11 +755,7 @@ TEST(QueryRecursiveTest, CycleTerminatesViaDedup) {
   }
   net.RunFor(Seconds(5));
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kRecursive;
-  plan.table = "links";
-  plan.scan_schema = LinksTable().schema;
-  plan.max_hops = 10;
+  QueryPlan plan = ClosurePlan(10);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -820,14 +785,11 @@ TEST(QueryRecursiveTest, OuterWhereAndMaxHops) {
   }
   net.RunFor(Seconds(5));
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kRecursive;
-  plan.table = "links";
-  plan.scan_schema = LinksTable().schema;
-  plan.max_hops = 2;  // only paths of length <= 2
-  // Only pairs starting at 'a': layout (src, dst, hops).
-  plan.outer_where = Expr::Compare(CompareOp::kEq, Expr::Column(0),
-                                   Expr::Literal(Value::String("a")));
+  // Only paths of length <= 2, and only pairs starting at 'a': layout
+  // (src, dst, hops).
+  QueryPlan plan = ClosurePlan(
+      2, Expr::Compare(CompareOp::kEq, Expr::Column(0),
+                       Expr::Literal(Value::String("a"))));
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -859,13 +821,9 @@ TEST(QueryRobustnessTest, AggregationSurvivesNodeCrashMidQuery) {
   for (int i = 0; i < 36; ++i) rows.push_back({1, "x", 1});
   PublishAlerts(net, rows);
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {0};
-  plan.aggs = {{AggFunc::kCount, -1, "n"}};
-  plan.agg_strategy = AggStrategy::kDirect;
+  QueryPlan plan =
+      AlertsPlan(nullptr, AggNode({0}, {{AggFunc::kCount, -1, "n"}}), {},
+                 AggStrategy::kDirect);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -904,13 +862,9 @@ TEST(QueryRobustnessTest, LatePartialsCountedAfterFinalize) {
   }
   PublishAlerts(net, rows);
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kAggregate;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
-  plan.group_cols = {};
-  plan.aggs = {{AggFunc::kCount, -1, "n"}};
-  plan.agg_strategy = AggStrategy::kDirect;
+  QueryPlan plan =
+      AlertsPlan(nullptr, AggNode({}, {{AggFunc::kCount, -1, "n"}}), {},
+                 AggStrategy::kDirect);
 
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
@@ -936,10 +890,7 @@ TEST(QueryRobustnessTest, EngineStatsAccumulate) {
   RegisterEverywhere(net, AlertsTable());
   PublishAlerts(net, {{1, "a", 1}});
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  QueryPlan plan = AlertsPlan(nullptr, ProjectNode({}));
   std::vector<ResultBatch> batches;
   ASSERT_TRUE(net.node(0)
                   ->query_engine()
@@ -969,35 +920,16 @@ TableDef IndexedAlertsTable() {
 /// SELECT rule_id, hits FROM alerts WHERE hits >= lo AND hits <= hi.
 QueryPlan IndexRangePlan(int64_t lo, int64_t hi, int64_t limit = -1) {
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = IndexedAlertsTable().schema;
-  plan.limit = limit;
-  OpGraph g;
-  OpNode scan;
-  scan.type = OpType::kIndexScan;
-  scan.table = "alerts";
-  scan.schema = plan.scan_schema;
-  scan.index_col = 2;
-  scan.index_lo = Value::Int64(lo);
-  scan.index_hi = Value::Int64(hi);
-  g.nodes.push_back(std::move(scan));
-  OpNode f;
-  f.type = OpType::kFilter;
-  f.predicate = Expr::And(
-      Expr::Compare(CompareOp::kGe, Expr::Column(2),
-                    Expr::Literal(Value::Int64(lo))),
-      Expr::Compare(CompareOp::kLe, Expr::Column(2),
-                    Expr::Literal(Value::Int64(hi))));
-  f.inputs = {0};
-  f.out = ExchangeKind::kToOrigin;
-  g.nodes.push_back(std::move(f));
+  AddIndexScan(&plan.graph, "alerts", IndexedAlertsTable().schema, 2,
+               Value::Int64(lo), Value::Int64(hi));
   OpNode collect;
-  collect.type = OpType::kCollect;
   collect.limit = limit;
-  collect.inputs = {1};
-  g.nodes.push_back(std::move(collect));
-  plan.graph = std::move(g);
+  AppendTail(&plan.graph,
+             Expr::And(Expr::Compare(CompareOp::kGe, Expr::Column(2),
+                                     Expr::Literal(Value::Int64(lo))),
+                       Expr::Compare(CompareOp::kLe, Expr::Column(2),
+                                     Expr::Literal(Value::Int64(hi)))),
+             ProjectNode({}), collect);
   return plan;
 }
 

@@ -216,9 +216,8 @@ void SeedAlerts(PierNetwork& net) {
 
 QueryPlan AlertsScan() {
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  AddScan(&plan.graph, "alerts", AlertsTable().schema);
+  AppendTail(&plan.graph, nullptr, ProjectNode({}));
   return plan;
 }
 
@@ -332,10 +331,7 @@ TEST(ReliableTeardownTest, StormWithCancelsAndCrashLeavesAdmissionOpen) {
              net.sim()->now() + Seconds(60));
   net.net()->SetFaultPlane(&plane);
 
-  QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  QueryPlan plan = AlertsScan();
 
   // Twelve overlapping short queries from rotating origins (node 5 is the
   // crash victim, so it only ever serves as a member). Every third query is

@@ -57,9 +57,8 @@ void PublishAlerts(PierNetwork& net, int n) {
 
 QueryPlan ScanPlan() {
   QueryPlan plan;
-  plan.kind = PlanKind::kSelectProject;
-  plan.table = "alerts";
-  plan.scan_schema = AlertsTable().schema;
+  AddScan(&plan.graph, "alerts", AlertsTable().schema);
+  AppendTail(&plan.graph, nullptr, ProjectNode({}));
   return plan;
 }
 

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "core/network.h"
+#include "golden_plans.h"
 #include "planner/join_cost.h"
 #include "planner/planner.h"
 #include "sql/lexer.h"
@@ -24,7 +26,8 @@ using catalog::Tuple;
 using core::PierNetwork;
 using core::PierNetworkOptions;
 using core::RouterKind;
-using query::PlanKind;
+using query::OpNode;
+using query::OpType;
 using query::QueryPlan;
 using query::ResultBatch;
 
@@ -231,88 +234,66 @@ TEST(ParserTest, TrailingGarbageRejected) {
 // Planner
 // ---------------------------------------------------------------------------
 
-catalog::Catalog TestCatalog() {
-  catalog::Catalog cat;
-  TableDef alerts;
-  alerts.name = "alerts";
-  alerts.schema = Schema("alerts", {{"rule_id", ValueType::kInt64},
-                                    {"descr", ValueType::kString},
-                                    {"hits", ValueType::kInt64}});
-  alerts.partition_cols = {0};
-  EXPECT_TRUE(cat.Register(alerts).ok());
-  TableDef rules;
-  rules.name = "rules";
-  rules.schema = Schema("rules", {{"rule_id", ValueType::kInt64},
-                                  {"severity", ValueType::kInt64}});
-  rules.partition_cols = {0};
-  EXPECT_TRUE(cat.Register(rules).ok());
-  TableDef links;
-  links.name = "links";
-  links.schema = Schema("links", {{"src", ValueType::kString},
-                                  {"dst", ValueType::kString}});
-  links.partition_cols = {0};
-  EXPECT_TRUE(cat.Register(links).ok());
-  TableDef sevs;
-  sevs.name = "sevs";
-  sevs.schema = Schema("sevs", {{"severity", ValueType::kInt64},
-                                {"label", ValueType::kString}});
-  sevs.partition_cols = {0};
-  EXPECT_TRUE(cat.Register(sevs).ok());
-  TableDef metrics;  // PHT-indexed on value and host: the range-query table
-  metrics.name = "metrics";
-  metrics.schema = Schema("metrics", {{"host", ValueType::kString},
-                                      {"value", ValueType::kInt64},
-                                      {"note", ValueType::kString}});
-  metrics.partition_cols = {0};
-  metrics.indexes = {catalog::IndexDef{1, 8}, catalog::IndexDef{0, 8}};
-  EXPECT_TRUE(cat.Register(metrics).ok());
-  return cat;
-}
-
 QueryPlan MustPlan(const std::string& text) {
   auto stmt = sql::Parse(text);
   EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
-  catalog::Catalog cat = TestCatalog();
+  catalog::Catalog cat = golden::Catalog();
   auto plan = planner::PlanStatement(stmt.value(), cat);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   return plan.value();
 }
 
+/// The first node of `type` in `p`'s graph (fails the test if absent).
+const OpNode& NodeOf(const QueryPlan& p, OpType type) {
+  int id = p.graph.FindFirst(type);
+  EXPECT_GE(id, 0) << query::OpTypeName(type) << " missing from "
+                   << p.graph.ToString();
+  return p.graph.nodes[static_cast<size_t>(std::max(id, 0))];
+}
+
 TEST(PlannerTest, SimpleSelectBindsColumns) {
   QueryPlan p = MustPlan("SELECT rule_id, hits * 2 FROM alerts WHERE hits > 5");
-  EXPECT_EQ(p.kind, PlanKind::kSelectProject);
-  EXPECT_EQ(p.table, "alerts");
-  EXPECT_EQ(p.projections.size(), 2u);
-  EXPECT_NE(p.where, nullptr);
+  ASSERT_EQ(p.graph.size(), 4u) << p.graph.ToString();
+  EXPECT_EQ(p.graph.nodes[0].type, OpType::kScan);
+  EXPECT_EQ(p.graph.nodes[0].table, "alerts");
+  EXPECT_NE(NodeOf(p, OpType::kFilter).predicate, nullptr);
+  EXPECT_EQ(NodeOf(p, OpType::kProject).exprs.size(), 2u);
+  EXPECT_TRUE(p.graph.Validate().ok());
 }
 
 TEST(PlannerTest, AggregateAnalysis) {
   QueryPlan p = MustPlan(
       "SELECT SUM(hits) AS total, rule_id FROM alerts GROUP BY rule_id "
       "HAVING COUNT(*) > 1 ORDER BY total DESC LIMIT 3");
-  EXPECT_EQ(p.kind, PlanKind::kAggregate);
-  EXPECT_EQ(p.group_cols, std::vector<int>{0});
+  const OpNode& partial = NodeOf(p, OpType::kPartialAgg);
+  EXPECT_EQ(partial.out, query::ExchangeKind::kTree);
+  const OpNode& agg = NodeOf(p, OpType::kFinalAgg);
+  EXPECT_EQ(agg.group_cols, std::vector<int>{0});
+  EXPECT_EQ(partial.group_cols, agg.group_cols);
   // SUM for the item, COUNT added by HAVING.
-  ASSERT_EQ(p.aggs.size(), 2u);
-  EXPECT_EQ(p.aggs[0].fn, exec::AggFunc::kSum);
-  EXPECT_EQ(p.aggs[1].fn, exec::AggFunc::kCount);
+  ASSERT_EQ(agg.aggs.size(), 2u);
+  EXPECT_EQ(agg.aggs[0].fn, exec::AggFunc::kSum);
+  EXPECT_EQ(agg.aggs[1].fn, exec::AggFunc::kCount);
+  EXPECT_EQ(partial.aggs.size(), 2u);
+  EXPECT_NE(agg.having, nullptr);
   // SELECT order: total (agg 0 at layout pos 1), rule_id (group 0 at pos 0).
-  EXPECT_EQ(p.final_projection, (std::vector<int>{1, 0}));
-  EXPECT_EQ(p.order_col, 0);
-  EXPECT_TRUE(p.order_desc);
-  EXPECT_EQ(p.limit, 3);
+  const OpNode& collect = p.graph.nodes.back();
+  EXPECT_EQ(collect.final_projection, (std::vector<int>{1, 0}));
+  EXPECT_EQ(collect.order_col, 0);
+  EXPECT_TRUE(collect.order_desc);
+  EXPECT_EQ(collect.limit, 3);
 }
 
 TEST(PlannerTest, NonGroupedColumnRejected) {
   auto stmt = sql::Parse("SELECT descr, SUM(hits) FROM alerts GROUP BY rule_id");
   ASSERT_TRUE(stmt.ok());
-  catalog::Catalog cat = TestCatalog();
+  catalog::Catalog cat = golden::Catalog();
   auto plan = planner::PlanStatement(stmt.value(), cat);
   EXPECT_FALSE(plan.ok());
 }
 
 TEST(PlannerTest, UnknownTableAndColumn) {
-  catalog::Catalog cat = TestCatalog();
+  catalog::Catalog cat = golden::Catalog();
   auto s1 = sql::Parse("SELECT x FROM nope");
   ASSERT_TRUE(s1.ok());
   EXPECT_TRUE(planner::PlanStatement(s1.value(), cat).status().IsNotFound());
@@ -325,12 +306,13 @@ TEST(PlannerTest, JoinKeyExtraction) {
   QueryPlan p = MustPlan(
       "SELECT a.rule_id, r.severity FROM alerts a, rules r "
       "WHERE a.rule_id = r.rule_id AND r.severity > 1");
-  EXPECT_EQ(p.kind, PlanKind::kJoin);
-  EXPECT_EQ(p.left_key_cols, std::vector<int>{0});
-  EXPECT_EQ(p.right_key_cols, std::vector<int>{0});
-  EXPECT_NE(p.where, nullptr);  // residual severity > 1
+  const OpNode& join = NodeOf(p, OpType::kJoin);
+  EXPECT_EQ(join.left_keys, std::vector<int>{0});
+  EXPECT_EQ(join.right_keys, std::vector<int>{0});
+  EXPECT_NE(NodeOf(p, OpType::kFilter).predicate,
+            nullptr);  // residual severity > 1
   // rules is partitioned on rule_id, so the planner picks fetch-matches.
-  EXPECT_EQ(p.join_strategy, query::JoinStrategy::kFetchMatches);
+  EXPECT_EQ(join.strategy, query::JoinStrategy::kFetchMatches);
 }
 
 TEST(PlannerTest, MultiwayJoinComposesOpgraph) {
@@ -434,28 +416,31 @@ TEST(PlannerTest, StatsDriveBinaryJoinStrategy) {
   opts.prefer_fetch_matches = false;  // isolate the statistics path
   QueryPlan semi = MustPlanStats(
       "SELECT w.k FROM wide w, narrow n WHERE w.k = n.k", opts);
-  EXPECT_EQ(semi.join_strategy, query::JoinStrategy::kSymmetricSemi);
+  EXPECT_EQ(NodeOf(semi, OpType::kJoin).strategy,
+            query::JoinStrategy::kSymmetricSemi);
 
   QueryPlan bloom = MustPlanStats(
       "SELECT a.k FROM biga a, bigb b WHERE a.k = b.k", opts);
-  EXPECT_EQ(bloom.join_strategy, query::JoinStrategy::kBloom);
+  EXPECT_EQ(NodeOf(bloom, OpType::kJoin).strategy,
+            query::JoinStrategy::kBloom);
 
   // EXPLAIN surfaces the planner's choice per edge.
-  bloom.EnsureGraph();
   EXPECT_NE(bloom.graph.ToString().find("join[bloom]"), std::string::npos)
       << bloom.graph.ToString();
 
   // No stats on one side: conservative symmetric hash.
   QueryPlan hash = MustPlanStats(
       "SELECT w.k FROM wide w, nostats x WHERE w.k = x.k", opts);
-  EXPECT_EQ(hash.join_strategy, query::JoinStrategy::kSymmetricHash);
+  EXPECT_EQ(NodeOf(hash, OpType::kJoin).strategy,
+            query::JoinStrategy::kSymmetricHash);
 
   // An explicit caller strategy is a directive, not a hint: the cost
   // model must not override it.
   opts.join_strategy = query::JoinStrategy::kBloom;
   QueryPlan forced = MustPlanStats(
       "SELECT w.k FROM wide w, narrow n WHERE w.k = n.k", opts);
-  EXPECT_EQ(forced.join_strategy, query::JoinStrategy::kBloom);
+  EXPECT_EQ(NodeOf(forced, OpType::kJoin).strategy,
+            query::JoinStrategy::kBloom);
 }
 
 TEST(PlannerTest, StatsDriveMultiwayFirstEdgeOnly) {
@@ -486,7 +471,7 @@ TEST(PlannerTest, DisconnectedMultiwayJoinRejected) {
       "SELECT a.rule_id FROM alerts a, rules r, sevs s "
       "WHERE a.rule_id = r.rule_id");  // sevs connects to nothing
   ASSERT_TRUE(stmt.ok());
-  catalog::Catalog cat = TestCatalog();
+  catalog::Catalog cat = golden::Catalog();
   EXPECT_FALSE(planner::PlanStatement(stmt.value(), cat).ok());
 }
 
@@ -494,7 +479,7 @@ TEST(PlannerTest, JoinWithoutEquiPredicateRejected) {
   auto stmt = sql::Parse(
       "SELECT a.rule_id FROM alerts a, rules r WHERE a.hits > r.severity");
   ASSERT_TRUE(stmt.ok());
-  catalog::Catalog cat = TestCatalog();
+  catalog::Catalog cat = golden::Catalog();
   EXPECT_FALSE(planner::PlanStatement(stmt.value(), cat).ok());
 }
 
@@ -505,12 +490,15 @@ TEST(PlannerTest, RecursivePlan) {
       "  UNION SELECT reach.src, l.dst FROM reach JOIN links l "
       "    ON reach.dst = l.src"
       ") SELECT * FROM reach WHERE hops <= 3 MAXHOPS 5");
-  EXPECT_EQ(p.kind, PlanKind::kRecursive);
-  EXPECT_EQ(p.table, "links");
-  EXPECT_EQ(p.src_col, 0);
-  EXPECT_EQ(p.dst_col, 1);
-  EXPECT_EQ(p.max_hops, 5);
-  EXPECT_NE(p.outer_where, nullptr);
+  EXPECT_EQ(p.graph.nodes[0].type, OpType::kScan);
+  EXPECT_EQ(p.graph.nodes[0].table, "links");
+  const OpNode& rec = NodeOf(p, OpType::kRecurse);
+  EXPECT_EQ(rec.src_col, 0);
+  EXPECT_EQ(rec.dst_col, 1);
+  EXPECT_EQ(rec.max_hops, 5);
+  // The outer WHERE filters the closure output, after the recursion.
+  EXPECT_GT(p.graph.FindFirst(OpType::kFilter),
+            p.graph.FindFirst(OpType::kRecurse));
 }
 
 TEST(PlannerTest, ContinuousClausesCarryThrough) {
@@ -592,7 +580,7 @@ TEST(PlannerIndexTest, NonIndexedOrUnusableShapesKeepBroadcastScan) {
   {
     auto stmt = sql::Parse("SELECT value FROM metrics WHERE value < 50");
     ASSERT_TRUE(stmt.ok());
-    catalog::Catalog cat = TestCatalog();
+    catalog::Catalog cat = golden::Catalog();
     planner::PlannerOptions no_index;
     no_index.use_index = false;
     auto plan = planner::PlanStatement(stmt.value(), cat, no_index);
@@ -620,7 +608,7 @@ TEST(PlannerIndexTest, IndexGraphSerializesAndValidates) {
   Reader r(w.buffer());
   QueryPlan back;
   ASSERT_TRUE(QueryPlan::Deserialize(&r, &back).ok());
-  ASSERT_FALSE(back.graph.empty());  // composed graphs travel
+  ASSERT_FALSE(back.graph.empty());  // the graph travels
   EXPECT_TRUE(back.graph.Has(query::OpType::kIndexScan));
   EXPECT_TRUE(back.graph.Validate().ok());
 }
@@ -640,7 +628,7 @@ class SqlEndToEnd : public ::testing::Test {
     opts.node.engine.quiesce_window = Seconds(5);
     net_ = std::make_unique<PierNetwork>(n, opts);
     net_->Boot(Seconds(5));
-    catalog::Catalog cat = TestCatalog();
+    catalog::Catalog cat = golden::Catalog();
     for (const std::string& name : cat.TableNames()) {
       for (size_t i = 0; i < net_->size(); ++i) {
         ASSERT_TRUE(net_->node(i)->catalog()->Register(*cat.Find(name)).ok());
@@ -739,6 +727,28 @@ TEST_F(SqlEndToEnd, JoinQuery) {
   EXPECT_EQ(batches[0].rows[0][1].int64_value(), 5);
 }
 
+TEST_F(SqlEndToEnd, JoinGroupByWithoutAggregateCallsGroups) {
+  Boot();
+  PublishAlert(1, "one", 10);
+  PublishAlert(2, "two", 20);
+  for (auto [rule, sev] : std::vector<std::pair<int, int>>{{1, 5}, {2, 5}}) {
+    ASSERT_TRUE(net_->node(0)
+                    ->query_engine()
+                    ->Publish("rules", Tuple{Value::Int64(rule),
+                                             Value::Int64(sev)})
+                    .ok());
+  }
+  net_->RunFor(Seconds(5));
+
+  auto batches = Run(
+      "SELECT r.severity FROM alerts a JOIN rules r "
+      "ON a.rule_id = r.rule_id GROUP BY r.severity");
+  ASSERT_EQ(batches.size(), 1u);
+  ASSERT_EQ(batches[0].rows.size(), 1u);
+  ASSERT_EQ(batches[0].rows[0].size(), 1u);
+  EXPECT_EQ(batches[0].rows[0][0].int64_value(), 5);
+}
+
 TEST_F(SqlEndToEnd, RecursiveSqlQuery) {
   Boot(5);
   for (auto& e : std::vector<std::pair<std::string, std::string>>{
@@ -818,6 +828,24 @@ TEST_F(SqlEndToEnd, ExplainNamesTheAccessPath) {
   EXPECT_NE(scan_rendering.find("scan(alerts)"), std::string::npos)
       << scan_rendering;
   EXPECT_EQ(scan_rendering.find("index-scan"), std::string::npos);
+}
+
+// Golden EXPLAIN for every shape the planner emits. The rendering is
+// what a member would run: a change to any shape's dataflow shows up here.
+TEST_F(SqlEndToEnd, ExplainGoldenForEveryPlannerShape) {
+  Boot(3);
+  for (const golden::Shape& shape : golden::Shapes()) {
+    SCOPED_TRACE(shape.name);
+    std::vector<ResultBatch> batches;
+    auto r = planner::ExecuteSql(
+        net_->node(0)->query_engine(), std::string("EXPLAIN ") + shape.sql,
+        [&](const ResultBatch& b) { batches.push_back(b); }, shape.options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(batches.size(), 1u);
+    ASSERT_EQ(batches[0].rows.size(), 1u);
+    EXPECT_EQ(batches[0].rows[0][0].string_value(), shape.explain);
+  }
+  EXPECT_EQ(net_->node(0)->query_engine()->stats().queries_issued, 0u);
 }
 
 TEST_F(SqlEndToEnd, IndexedRangeQueryMatchesFilteredBaseline) {

@@ -282,13 +282,15 @@ TEST(VectorizedDifferentialTest, SqlCorpusWhereAndProjectionsMatch) {
     ASSERT_TRUE(stmt.ok()) << q << ": " << stmt.status().ToString();
     auto plan = planner::PlanStatement(stmt.value(), cat);
     ASSERT_TRUE(plan.ok()) << q << ": " << plan.status().ToString();
-    if (plan.value().where != nullptr) {
-      CheckExpr(plan.value().where, tb, 424242);
-      ++exprs_checked;
-    }
-    for (const ExprPtr& p : plan.value().projections) {
-      CheckExpr(p, tb, 424242);
-      ++exprs_checked;
+    for (const query::OpNode& n : plan.value().graph.nodes) {
+      if (n.type == query::OpType::kFilter) {
+        CheckExpr(n.predicate, tb, 424242);
+        ++exprs_checked;
+      }
+      for (const ExprPtr& p : n.exprs) {
+        CheckExpr(p, tb, 424242);
+        ++exprs_checked;
+      }
     }
   }
   EXPECT_GT(exprs_checked, 20u);
