@@ -5,6 +5,13 @@
 // (mean session length) and measure coverage (responding nodes / alive
 // nodes) and the relative error of the measured sum against the workload
 // oracle.
+//
+// Usage: bench_churn [--json=PATH] [--nodes=N] [--seed=N]
+//   --json=PATH  one medium-churn run (1,000 nodes by default), merged into
+//                the perf-trajectory file; exits nonzero unless coverage
+//                stays above 30%
+//   --nodes=N    overlay size (default 128, or 1,000 with --json)
+//   --seed=N     simulation seed (default 555)
 
 #include <cmath>
 #include <cstdio>
@@ -28,12 +35,12 @@ struct ChurnResult {
   bool ok = false;
 };
 
-ChurnResult RunChurn(size_t nodes, Duration mean_session, Duration query_span,
-                     const char* label) {
+ChurnResult RunChurn(size_t nodes, uint64_t seed, Duration mean_session,
+                     Duration query_span, const char* label) {
   const size_t kNodes = nodes;
   ChurnResult result;
   core::PierNetworkOptions opts;
-  opts.seed = 555;
+  opts.seed = seed;
   opts.node.router_kind = core::RouterKind::kChord;
   opts.node.engine.result_wait = Seconds(8);
   opts.node.engine.agg_hold_base = Millis(600);
@@ -104,20 +111,23 @@ int main(int argc, char** argv) {
   using namespace pier;
   bench::JsonOptions json = bench::ParseJsonFlag(argc, argv);
   size_t nodes = json.enabled ? 1000 : 128;
+  uint64_t seed = 555;
   for (const std::string& arg : json.args) {
     if (arg.rfind("--nodes=", 0) == 0) nodes = std::stoul(arg.substr(8));
+    if (arg.rfind("--seed=", 0) == 0) seed = std::stoull(arg.substr(7));
   }
 
   if (json.enabled) {
     // Perf-trajectory mode: one representative run (medium churn) at scale,
     // timed wall-clock. The self-check is answer quality, never timing.
-    std::printf("== churn perf run: nodes=%zu, medium churn (180s) ==\n",
-                nodes);
+    std::printf("== churn perf run: nodes=%zu, seed=%llu, medium churn "
+                "(180s) ==\n",
+                nodes, static_cast<unsigned long long>(seed));
     std::printf("%-14s %7s %11s %11s %8s\n", "churn", "epochs", "coverage",
                 "sum.err", "alive@end");
     bench::WallTimer timer;
     ChurnResult r =
-        RunChurn(nodes, Seconds(180), Seconds(120), "medium(180s)");
+        RunChurn(nodes, seed, Seconds(180), Seconds(120), "medium(180s)");
     double wall = timer.Seconds();
     bool ok = r.ok && r.epochs > 0 && r.mean_coverage > 0.3;
     std::printf("\nwall-clock: %.2fs  self-check: %s\n", wall,
@@ -137,13 +147,14 @@ int main(int argc, char** argv) {
   }
 
   std::printf("== Ablation D: continuous aggregates under churn ==\n");
-  std::printf("nodes=%zu, 10s epochs for 4 virtual minutes\n\n", nodes);
+  std::printf("nodes=%zu, seed=%llu, 10s epochs for 4 virtual minutes\n\n",
+              nodes, static_cast<unsigned long long>(seed));
   std::printf("%-14s %7s %11s %11s %8s\n", "churn", "epochs", "coverage",
               "sum.err", "alive@end");
-  RunChurn(nodes, 0, Seconds(240), "none");
-  RunChurn(nodes, Seconds(600), Seconds(240), "mild(600s)");
-  RunChurn(nodes, Seconds(180), Seconds(240), "medium(180s)");
-  RunChurn(nodes, Seconds(60), Seconds(240), "heavy(60s)");
+  RunChurn(nodes, seed, 0, Seconds(240), "none");
+  RunChurn(nodes, seed, Seconds(600), Seconds(240), "mild(600s)");
+  RunChurn(nodes, seed, Seconds(180), Seconds(240), "medium(180s)");
+  RunChurn(nodes, seed, Seconds(60), Seconds(240), "heavy(60s)");
   std::printf("\nexpected shape: coverage and accuracy degrade gracefully — "
               "the query keeps answering over responding nodes\n");
   return 0;

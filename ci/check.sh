@@ -15,13 +15,13 @@
 #   --no-perf    Skip the perf-smoke step (bench_sim_core + bench_table1 +
 #                bench_range_scan + bench_multiway_join +
 #                bench_exec_vectorized + bench_query_storm +
-#                bench_join_strategies with --json, merged into
-#                BENCH_PR10.json, then short pierbench storm, table1 and
-#                joins runs). The smoke fails only on a bench self-check
+#                bench_join_strategies + bench_churn with --json, merged
+#                into BENCH_PR10.json, then short pierbench storm, table1
+#                and joins runs). The smoke fails only on a bench self-check
 #                mismatch (all deterministic), the vectorized bench's >=5x
 #                speedup gate, the join-strategy bench's >=5x
-#                traffic-reduction gate, or a pierbench oracle failure,
-#                never on raw timing.
+#                traffic-reduction gate, the churn bench's coverage floor,
+#                or a pierbench oracle failure, never on raw timing.
 #   --fuzz       Also run the extended fault-injection fuzz lane: configures
 #                with -DPIER_FUZZ_LANE=ON and runs `ctest -L fuzz`
 #                (PIER_FUZZ_ITERS scenarios, default 60). Failing seeds +
@@ -128,6 +128,10 @@ if [[ $PERF -eq 1 ]]; then
   # cutting query-plane bytes >=5x versus the stats-blind symmetric-hash
   # plan for the same low-match workload (deterministic virtual time).
   "$BUILD_DIR/bench_join_strategies" --json=BENCH_PR10.json | tail -6
+  # Chord repair under churn, the one bench here that runs it: 1,000 nodes at
+  # medium churn (180 s mean sessions) under a continuous SUM. Gates on the
+  # query answering with a mean coverage above 30% of the alive nodes.
+  "$BUILD_DIR/bench_churn" --json=BENCH_PR10.json | tail -4
   # End-to-end correctness smoke on pierbench, checked by its oracle:
   # storm runs index ranges, broadcast scans and binary joins on 128 nodes;
   # table1 the tree aggregate on 300 nodes; joins a stats-planned two-way

@@ -415,6 +415,10 @@ void ChordNode::Stabilize() {
           Suspect(succ.host);
           return;
         }
+        // The reply describes succ's neighbourhood. If succ is no longer our
+        // head (it left, or was evicted or displaced meanwhile), the next
+        // round asks the new head instead.
+        if (successors_.empty() || successors_[0].host != succ.host) return;
         bool has_pred = false;
         NodeInfo pred;
         uint32_t n = 0;
@@ -640,6 +644,12 @@ void ChordNode::FixFingers() {
     int index = next_finger_;
     next_finger_ = (next_finger_ - 1 + Id160::kBits) % Id160::kBits;
     Id160 target = self_.id.AddPowerOfTwo(index);
+    // find_successor answers locally when the successor owns the target;
+    // only slots past it need a network lookup.
+    if (target.InIntervalOpenClosed(self_.id, successors_[0].id)) {
+      SetFinger(index, successors_[0]);
+      continue;
+    }
     uint64_t req_id = rpc_.Begin(
         [this, index](Status s, Reader* r) {
           if (!s.ok() || state_ != State::kActive) return;
@@ -649,16 +659,19 @@ void ChordNode::FixFingers() {
               !r->GetVarint32(&hops).ok()) {
             return;
           }
-          if (owner.host == self_.host) {
-            fingers_[index].reset();
-          } else {
-            fingers_[index] = owner;
-          }
-          InvalidateFingerCache();
+          SetFinger(index, owner);
         },
         options_.rpc_timeout);
     ForwardFindSucc(target, req_id, self_.host, 0);
   }
+}
+
+void ChordNode::SetFinger(int index, const NodeInfo& owner) {
+  std::optional<NodeInfo> value;
+  if (owner.host != self_.host) value = owner;
+  if (fingers_[index] == value) return;
+  fingers_[index] = value;
+  InvalidateFingerCache();
 }
 
 void ChordNode::CheckPredecessor() {

@@ -7,7 +7,9 @@
 //   - join:     FIND_SUCCESSOR(self.id) via a bootstrap node
 //   - routing:  greedy forwarding to the closest preceding finger/successor
 //   - repair:   stabilize (successor's predecessor + successor-list merge),
-//               notify, fix-fingers, predecessor liveness pings
+//               notify, fix-fingers, predecessor liveness pings; a finger
+//               whose target the successor owns is set from it locally, so
+//               only slots past the successor cost a FIND_SUCCESSOR lookup
 //   - failure:  RPC timeouts mark hosts suspect; suspects are routed around
 //               until stabilization removes them
 //
@@ -45,7 +47,9 @@ struct ChordOptions {
   Duration stabilize_interval = Millis(500);
   /// How often to refresh a batch of finger-table entries.
   Duration fix_fingers_interval = Millis(500);
-  /// Finger entries refreshed per fix-fingers tick.
+  /// Finger slots refreshed per fix-fingers tick (round-robin). A slot whose
+  /// target lies in (self, successor] is set to the successor without a
+  /// message; each other slot costs one FIND_SUCCESSOR lookup.
   int fingers_per_tick = 8;
   /// Predecessor liveness probe period.
   Duration check_predecessor_interval = Seconds(1);
@@ -184,6 +188,9 @@ class ChordNode : public Router {
   void RememberEvicted(const NodeInfo& info);
   void ConsiderRejoinCandidate(const NodeInfo& candidate);
   void FixFingers();
+  /// Sets finger slot `index` to `owner` (empty when we own the target
+  /// ourselves); the compact cache is rebuilt only if the slot changed.
+  void SetFinger(int index, const NodeInfo& owner);
   void CheckPredecessor();
   void AttemptJoin();
   void AdoptSuccessorCandidate(const NodeInfo& candidate);

@@ -1,12 +1,17 @@
 // Overlay tests: Chord ring formation, lookup correctness, consistency with
 // a reference successor computation, routing under churn, graceful leave,
-// and the one-hop baseline router.
+// maintenance cost on a stable ring, and the one-hop baseline router.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "overlay/chord.h"
@@ -26,12 +31,20 @@ class ChordRing : public ::testing::Test {
     std::unique_ptr<Transport> transport;
     std::unique_ptr<ChordNode> chord;
     std::vector<RoutedMessage> delivered;
+    /// Test hook: sees every inbound packet first; returning true swallows
+    /// it (the test may hold it and Dispatch it later).
+    std::function<bool(sim::HostId from, const sim::Packet&)> intercept;
     void OnMessage(sim::HostId from, const sim::Packet& packet) override {
+      if (intercept && intercept(from, packet)) return;
       transport->Dispatch(from, packet);
     }
   };
 
   void Build(int n, uint64_t seed = 42, ChordOptions options = {}) {
+    // Tear down any previous ring first (nodes before the sim they run on),
+    // so one test can build several sizes in turn.
+    endpoints_.clear();
+    net_.reset();
     sim_ = std::make_unique<sim::Simulation>(seed);
     net_ = std::make_unique<sim::Network>(sim_.get(), sim::NetworkOptions{});
     for (int i = 0; i < n; ++i) {
@@ -69,6 +82,14 @@ class ChordRing : public ::testing::Test {
     auto it = ring.lower_bound(key);
     if (it == ring.end()) it = ring.begin();
     return it->second;
+  }
+
+  uint64_t OverlayMessagesOut() const {
+    uint64_t total = 0;
+    for (const auto& ep : endpoints_) {
+      total += ep->transport->traffic(Proto::kOverlay).messages_out;
+    }
+    return total;
   }
 
   std::unique_ptr<sim::Simulation> sim_;
@@ -268,6 +289,93 @@ TEST_F(ChordRing, StatsAreAccounted) {
   const ChordStats& st = endpoints_[0]->chord->stats();
   EXPECT_GE(st.lookups_ok, 9u);
   EXPECT_GT(st.stabilize_rounds, 10u);
+}
+
+// Every finger slot i must hold the true owner of self + 2^i: the slots a
+// node resolves from its own successor and the ones it looks up over the
+// network alike. On a small ring nearly every slot falls before the
+// successor; on a large one more of them route.
+TEST_F(ChordRing, FingersMatchReferenceRing) {
+  for (int n : {16, 64, 200}) {
+    SCOPED_TRACE("ring size " + std::to_string(n));
+    Build(n, /*seed=*/2000 + n);
+    Stabilize(Seconds(60) + Seconds(1) * n / 2);
+    int mismatched = 0;
+    for (int i = 0; i < n; ++i) {
+      const ChordNode& chord = *endpoints_[i]->chord;
+      ASSERT_TRUE(chord.active()) << i;
+      std::set<sim::HostId> expected;
+      for (int bit = 0; bit < Id160::kBits; ++bit) {
+        int owner = ExpectedOwner(chord.self().id.AddPowerOfTwo(bit));
+        if (owner != i) expected.insert(sim::HostId(owner));
+      }
+      std::set<sim::HostId> actual;
+      for (const NodeInfo& f : chord.FingerEntries()) actual.insert(f.host);
+      if (actual != expected) ++mismatched;
+    }
+    EXPECT_EQ(mismatched, 0);
+  }
+}
+
+// A settled ring's upkeep is stabilize (request, reply and notify), the
+// predecessor ping and its reply, and lookups for the finger slots past the
+// successor: about 8 + log2(n) / 10 * (lookup path + 1) messages per node
+// per second. Slots the successor owns cost no messages.
+TEST_F(ChordRing, StableRingMaintenanceRateIsBounded) {
+  for (int n : {64, 300}) {
+    SCOPED_TRACE("ring size " + std::to_string(n));
+    Build(n);
+    Stabilize(Seconds(120));
+    uint64_t before = OverlayMessagesOut();
+    const int kWindowS = 60;
+    Stabilize(Seconds(kWindowS));
+    double sent = static_cast<double>(OverlayMessagesOut() - before);
+    double per_node_second = sent / (static_cast<double>(n) * kWindowS);
+    EXPECT_LE(per_node_second, 15.0);
+  }
+}
+
+// A stabilize reply describes the neighbourhood of the successor it was
+// asked of. If that successor has left in the meantime, the reply must not
+// resurrect it (nor read the head of an emptied successor list).
+TEST_F(ChordRing, StaleStabilizeReplyAfterLeaveIsDropped) {
+  // First byte is Proto::kOverlay, second ChordNode's GET_NEIGHBORS reply.
+  constexpr uint8_t kGetNeighborsResp = 5;
+  Build(2);
+  Stabilize(Seconds(30));
+  Endpoint& a = *endpoints_[0];
+  ChordNode& b = *endpoints_[1]->chord;
+  ASSERT_EQ(a.chord->successor().host, sim::HostId(1));
+
+  std::optional<sim::Packet> held;
+  a.intercept = [&](sim::HostId from, const sim::Packet& packet) {
+    std::string_view head = packet.head.view();
+    if (held.has_value() || from != sim::HostId(1) || head.size() < 2 ||
+        head[0] != static_cast<char>(Proto::kOverlay) ||
+        head[1] != static_cast<char>(kGetNeighborsResp)) {
+      return false;
+    }
+    held = packet;
+    return true;
+  };
+  for (int step = 0; step < 40 && !held.has_value(); ++step) {
+    sim_->RunFor(Millis(50));
+  }
+  ASSERT_TRUE(held.has_value());
+
+  // B departs; its leave notice empties A's successor list.
+  b.Leave();
+  net_->SetHostUp(sim::HostId(1), false);
+  sim_->RunFor(Millis(200));
+  ASSERT_TRUE(a.chord->successor_list().empty());
+
+  // The held reply now arrives, still inside its RPC timeout.
+  a.intercept = nullptr;
+  a.transport->Dispatch(sim::HostId(1), *held);
+  for (const NodeInfo& s : a.chord->successor_list()) {
+    EXPECT_NE(s.host, sim::HostId(1)) << "departed successor came back";
+  }
+  EXPECT_EQ(a.chord->successor().host, sim::HostId(0));
 }
 
 // Sweep ring sizes: lookups stay correct as n grows (property-style).
