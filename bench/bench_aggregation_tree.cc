@@ -3,10 +3,17 @@
 // in-network aggregation". The tree bounds the origin's fan-in: partials
 // combine along the dissemination tree, so origin inbound messages should
 // stay far below N, while the direct strategy scales linearly with N.
+//
+// Usage: bench_aggregation_tree [--json[=PATH]]
+// Self-check (exit 1 on failure, all deterministic virtual time): both
+// strategies count every node at every size, and the tree's origin receives
+// fewer partial messages than the direct strategy's.
 
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 
+#include "common/bench_json.h"
 #include "core/network.h"
 #include "planner/planner.h"
 #include "workload/workloads.h"
@@ -14,7 +21,12 @@
 namespace pier {
 namespace {
 
-void RunOne(size_t n, query::AggStrategy strategy) {
+struct RunResult {
+  int64_t rows_seen = 0;
+  uint64_t origin_msgs = 0;
+};
+
+RunResult RunOne(size_t n, query::AggStrategy strategy) {
   core::PierNetworkOptions opts;
   opts.seed = 808 + n;  // same data per size across strategies
   opts.node.router_kind = core::RouterKind::kChord;
@@ -49,7 +61,7 @@ void RunOne(size_t n, query::AggStrategy strategy) {
         t_done = net.sim()->now();
         if (!b.rows.empty()) counted_nodes = b.rows[0][1].int64_value();
       });
-  if (!r.ok()) return;
+  if (!r.ok()) return {};
   net.RunFor(Seconds(25));
   traffic.Stop();
 
@@ -62,22 +74,48 @@ void RunOne(size_t n, query::AggStrategy strategy) {
               n, query::AggStrategyName(strategy), counted_nodes,
               origin_stats.partial_msgs_received, total_partials,
               ToSecondsF(t_done - t0));
+  return {counted_nodes, origin_stats.partial_msgs_received};
 }
 
 }  // namespace
 }  // namespace pier
 
-int main() {
+int main(int argc, char** argv) {
+  pier::bench::JsonOptions json = pier::bench::ParseJsonFlag(argc, argv);
+  pier::bench::JsonReport report("aggregation_tree");
+  pier::bench::WallTimer timer;
   std::printf("== Ablation C: flat vs. in-network tree aggregation ==\n");
   std::printf("query: SELECT SUM(out_kbps), COUNT(*) FROM node_stats "
               "(every node holds + contributes data)\n\n");
   std::printf("%6s %-8s %10s %12s %14s %9s\n", "nodes", "strategy",
               "rows.seen", "origin.msgs", "total.partials", "time.s");
+  bool ok = true;
   for (size_t n : {32, 64, 128, 256}) {
-    pier::RunOne(n, pier::query::AggStrategy::kDirect);
-    pier::RunOne(n, pier::query::AggStrategy::kTree);
+    pier::RunResult direct = pier::RunOne(n, pier::query::AggStrategy::kDirect);
+    pier::RunResult tree = pier::RunOne(n, pier::query::AggStrategy::kTree);
+    const int64_t nodes = static_cast<int64_t>(n);
+    ok = ok && direct.rows_seen == nodes && tree.rows_seen == nodes &&
+         tree.origin_msgs < direct.origin_msgs;
+    const std::string size = std::to_string(n);
+    report.Metric("direct_" + size + "_origin_msgs",
+                  static_cast<double>(direct.origin_msgs), "count");
+    report.Metric("tree_" + size + "_origin_msgs",
+                  static_cast<double>(tree.origin_msgs), "count");
   }
   std::printf("\nexpected shape: direct origin.msgs ~= nodes; tree "
               "origin.msgs bounded by tree fan-in (<< nodes at scale)\n");
+  double wall = timer.Seconds();
+  std::printf("wall-clock: %.2fs  self-check: %s\n", wall,
+              ok ? "OK" : "FAIL");
+  report.Metric("wall_clock", wall, "s");
+  if (json.enabled && !report.WriteMerged(json.path)) {
+    std::fprintf(stderr, "failed to write %s\n", json.path.c_str());
+    return 1;
+  }
+  if (!ok) {
+    std::printf("FAIL: a strategy missed a node, or the tree's origin took "
+                "no fewer partial messages than direct collection\n");
+    return 1;
+  }
   return 0;
 }

@@ -15,13 +15,15 @@
 #   --no-perf    Skip the perf-smoke step (bench_sim_core + bench_table1 +
 #                bench_range_scan + bench_multiway_join +
 #                bench_exec_vectorized + bench_query_storm +
-#                bench_join_strategies + bench_churn with --json, merged
-#                into BENCH_PR10.json, then short pierbench storm, table1
-#                and joins runs). The smoke fails only on a bench self-check
-#                mismatch (all deterministic), the vectorized bench's >=5x
-#                speedup gate, the join-strategy bench's >=5x
-#                traffic-reduction gate, the churn bench's coverage floor,
-#                or a pierbench oracle failure, never on raw timing.
+#                bench_join_strategies + bench_churn +
+#                bench_aggregation_tree with --json, merged into
+#                BENCH_PR10.json, then short pierbench storm, table1,
+#                table1_lossy and joins runs). The smoke fails only on a
+#                bench self-check mismatch (all deterministic), the
+#                vectorized bench's >=5x speedup gate, the join-strategy
+#                bench's >=5x traffic-reduction gate, the churn bench's
+#                coverage floor, or a pierbench oracle failure, never on
+#                raw timing.
 #   --fuzz       Also run the extended fault-injection fuzz lane: configures
 #                with -DPIER_FUZZ_LANE=ON and runs `ctest -L fuzz`
 #                (PIER_FUZZ_ITERS scenarios, default 60). Failing seeds +
@@ -132,16 +134,23 @@ if [[ $PERF -eq 1 ]]; then
   # medium churn (180 s mean sessions) under a continuous SUM. Gates on the
   # query answering with a mean coverage above 30% of the alive nodes.
   "$BUILD_DIR/bench_churn" --json=BENCH_PR10.json | tail -4
+  # The combine tree against direct collection at 32..256 nodes. Gates on
+  # both strategies counting every node and on the tree's origin taking
+  # fewer partial messages than direct collection at every size.
+  "$BUILD_DIR/bench_aggregation_tree" --json=BENCH_PR10.json | tail -3
   # End-to-end correctness smoke on pierbench, checked by its oracle:
   # storm runs index ranges, broadcast scans and binary joins on 128 nodes;
-  # table1 the tree aggregate on 300 nodes; joins a stats-planned two-way
-  # join and a three-way join with GROUP BY. pierbench exits nonzero on a
-  # failed oracle check or an exact-claimed wrong answer; nothing timed is
-  # gated.
+  # table1 the tree aggregate on 300 nodes, and table1_lossy the same under
+  # link loss, the one run that retransmits frames into the tree's root;
+  # joins a stats-planned two-way join and a three-way join with GROUP BY.
+  # pierbench exits nonzero on a failed oracle check or an exact-claimed
+  # wrong answer; nothing timed is gated.
   "$BUILD_DIR/pierbench/pierbench" --workload storm --seed 1 --seconds 2 \
     --trace 0 | tail -1
   "$BUILD_DIR/pierbench/pierbench" --workload table1 --seed 1 --seconds 1 \
     --trace 0 | tail -1
+  "$BUILD_DIR/pierbench/pierbench" --workload table1_lossy --seed 1 \
+    --seconds 1 --trace 0 | tail -1
   "$BUILD_DIR/pierbench/pierbench" --workload joins --seed 1 --seconds 1 \
     --trace 0 | tail -1
 fi

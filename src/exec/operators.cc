@@ -146,14 +146,25 @@ bool TopKOp::Before(const catalog::Tuple& a, const catalog::Tuple& b) const {
 
 void TopKOp::Push(const catalog::Tuple& t, int /*port*/) {
   rows_.push_back(t);
+  if (rows_.size() >= 2 * k_) Trim();
+}
+
+void TopKOp::Trim() {
+  if (rows_.size() <= k_) return;
+  std::nth_element(rows_.begin(), rows_.begin() + static_cast<ptrdiff_t>(k_),
+                   rows_.end(),
+                   [this](const catalog::Tuple& a, const catalog::Tuple& b) {
+                     return Before(a, b);
+                   });
+  rows_.resize(k_);
+}
+
+void TopKOp::FlushOnly() {
+  Trim();
   std::sort(rows_.begin(), rows_.end(),
             [this](const catalog::Tuple& a, const catalog::Tuple& b) {
               return Before(a, b);
             });
-  if (rows_.size() > k_) rows_.resize(k_);
-}
-
-void TopKOp::FlushOnly() {
   for (const catalog::Tuple& t : rows_) Emit(t);
 }
 

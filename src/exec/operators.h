@@ -99,7 +99,8 @@ class DistinctOp : public Operator {
 };
 
 /// ORDER BY <col> [DESC] LIMIT k. Blocking: keeps the best k, emits sorted
-/// on EOS or FlushAndReset().
+/// on EOS or FlushAndReset(). Rows buffer up to 2k before trimming back to
+/// the best k: amortized O(1) per push, one sort at the end.
 class TopKOp : public Operator {
  public:
   TopKOp(int order_col, bool descending, size_t k)
@@ -113,12 +114,14 @@ class TopKOp : public Operator {
 
  private:
   void FlushOnly();
+  /// Cuts the buffer back to its best k rows (unordered).
+  void Trim();
   bool Before(const catalog::Tuple& a, const catalog::Tuple& b) const;
 
   int order_col_;
   bool descending_;
   size_t k_;
-  std::vector<catalog::Tuple> rows_;  // kept at most k after each insert
+  std::vector<catalog::Tuple> rows_;  // fewer than 2k between pushes
 };
 
 /// Passes through the first `k` tuples, then drops.

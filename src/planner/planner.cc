@@ -361,8 +361,8 @@ bool HasAgg(const SelectStmt& stmt) {
 Status PlanOutput(const SelectStmt& stmt, const Schema& layout, OpNode* body,
                   OpNode* collect) {
   collect->limit = stmt.limit;
-  if (HasAgg(stmt)) return PlanAggregation(stmt, layout, body, collect);
   collect->distinct = stmt.distinct;
+  if (HasAgg(stmt)) return PlanAggregation(stmt, layout, body, collect);
   return PlanSelectItems(stmt, layout, body, collect);
 }
 

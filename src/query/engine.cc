@@ -21,65 +21,13 @@ namespace {
 /// row-at-a-time plane while still amortizing per-message framing.
 constexpr size_t kResultFrameRows = 4;
 
-/// True when every source of `g` is an index scan and nothing in the graph
-/// needs other members: such a query executes entirely at the origin (plus
-/// the DHT owners the cursor contacts) and is never broadcast.
-bool IsOriginLocalGraph(const OpGraph& g) {
-  bool has_index_scan = false;
-  for (const OpNode& n : g.nodes) {
-    switch (n.type) {
-      case OpType::kIndexScan:
-        has_index_scan = true;
-        break;
-      case OpType::kFilter:
-      case OpType::kProject:
-      case OpType::kFinalAgg:
-      case OpType::kCollect:
-        break;
-      default:
-        return false;  // scans, joins, recursion, partial agg: distributed
-    }
-    if (n.out == ExchangeKind::kRehash || n.out == ExchangeKind::kTree) {
-      return false;
-    }
-  }
-  return has_index_scan;
-}
-
-/// True when the query's data plane is pure member->origin AND every member
-/// produces its whole epoch from its scans alone (no async operator state).
-/// Only such ("accountable") epochal queries send per-epoch completion
-/// reports and can be certified exact: an interior tree relay can fold and
-/// forward after its subtree reported, and a partial-agg combiner holds its
-/// flush on a timer — either would let a member report "done" while rows
-/// are still to come, making the certification chain unsound. Scheduled
-/// scans complete asynchronously, so both the member report and the origin
-/// certification additionally gate on the runtime's scans-done signal
-/// (ActiveQuery::scans_done_epoch).
-bool IsAccountableGraph(const OpGraph& g) {
-  for (const OpNode& n : g.nodes) {
-    if (n.out == ExchangeKind::kRehash || n.out == ExchangeKind::kTree) {
-      return false;
-    }
-    // Whitelist, not blacklist: only operators that produce their whole
-    // epoch synchronously inside StartEpoch qualify. Joins (even the
-    // fetch-matches kind with direct out-edges) emit from async DHT-get
-    // callbacks, recursion expands over arrival callbacks, partial-agg
-    // combiners flush on hold timers, index cursors walk the trie
-    // asynchronously — any of them would let a member's completion report
-    // race its own rows.
-    switch (n.type) {
-      case OpType::kScan:
-      case OpType::kFilter:
-      case OpType::kProject:
-      case OpType::kFinalAgg:
-      case OpType::kCollect:
-        break;
-      default:
-        return false;
-    }
-  }
-  return true;
+/// Starts a result or partial message: [type][qid][epoch], then its rows.
+Writer DataMessage(MsgType type, uint64_t qid, uint64_t epoch) {
+  Writer w;
+  w.PutU8(static_cast<uint8_t>(type));
+  w.PutVarint64(qid);
+  w.PutVarint64(epoch);
+  return w;
 }
 
 }  // namespace
@@ -95,9 +43,6 @@ struct QueryEngine::ActiveQuery {
   sim::HostId parent = sim::kInvalidHost;  ///< aggregation-tree parent
   int depth = 0;
   bool ended = false;
-  /// Index-only plan executing without dissemination; cleared when a
-  /// fallback rewrites it into a broadcast scan.
-  bool origin_local = false;
   /// One rewrite per query: a fallback graph has no index scans left.
   bool fallback_done = false;
 
@@ -107,24 +52,19 @@ struct QueryEngine::ActiveQuery {
   // Continuous execution driver (member side, including the origin).
   sim::PeriodicTask epoch_task;
 
-  // Origin-side collection.
+  // Origin-side epoch lifecycle; the rows themselves collect in the
+  // runtime's CollectStage.
   ResultCallback cb;
   struct EpochState {
-    std::vector<Tuple> rows;
-    std::unique_ptr<exec::GroupByOp> final_gb;
-    std::unordered_set<uint32_t> reporters;
     sim::TimerId finalize_timer = 0;
-    bool finalized = false;
     /// A certified early finalize is already queued (deferred one tick so a
     /// degenerate single-node query cannot call back inside Execute()).
     bool early_finalize_scheduled = false;
   };
   std::map<uint64_t, EpochState> epochs;
-  /// Epochs at or below this number already reported; stragglers count as
-  /// late_partials instead of resurrecting dead epoch state.
+  /// Epochs at or below this number are closed (see EpochClosed);
+  /// stragglers count as late_partials instead of resurrecting them.
   int64_t last_finalized_epoch = -1;
-  std::unordered_set<std::string> origin_result_seen;  // recursion dedup
-  TimePoint last_new_result = 0;
   sim::PeriodicTask quiesce_task;
 
   // -- lifecycle (PR 8) ------------------------------------------------------
@@ -136,8 +76,6 @@ struct QueryEngine::ActiveQuery {
   sim::TimerId lease_timer = 0;
 
   // -- reliable result plane (PR 8) ------------------------------------------
-  /// Epochal with a pure member->origin data plane (see IsAccountableGraph).
-  bool accountable = false;
   ReliableOutbox outbox;
   /// Receiver-side frame dedupe, per sender.
   std::map<uint32_t, FrameDedupe> rx_dedupe;
@@ -354,44 +292,36 @@ int QueryEngine::QueryDepth(uint64_t qid) const {
   return it == queries_.end() ? 0 : it->second->depth;
 }
 
+bool QueryEngine::EpochClosed(uint64_t qid, uint64_t epoch) const {
+  auto it = queries_.find(qid);
+  if (it == queries_.end()) return true;
+  const ActiveQuery& aq = *it->second;
+  return aq.is_origin ? static_cast<int64_t>(epoch) <= aq.last_finalized_epoch
+                      : aq.ended;
+}
+
+bool QueryEngine::ChargeResultRow(uint64_t qid, uint64_t held) {
+  auto it = queries_.find(qid);
+  if (it == queries_.end()) return false;
+  // Result-window budget: the origin stops accumulating past the row cap
+  // and flags the trip — callers get a bounded prefix declared degraded,
+  // never an unbounded buffer or a silent truncation.
+  const uint64_t row_cap = EffectiveBudget(*it->second).max_result_rows;
+  if (row_cap == 0 || held < row_cap) return true;
+  TripBudget(it->second.get());
+  ++stats_.budget_rows_dropped;
+  return false;
+}
+
 void QueryEngine::DeliverResult(uint64_t qid, uint64_t epoch,
                                 const Tuple& t) {
   auto it = queries_.find(qid);
   if (it == queries_.end()) return;
   ActiveQuery* aq = it->second.get();
-  if (aq->is_origin) {
-    OriginAccept(aq, epoch, transport_->self(), t, /*is_partial=*/false);
-    return;
-  }
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kResultTuple));
-  w.PutVarint64(qid);
-  w.PutVarint64(epoch);
+  Writer w = DataMessage(MsgType::kResultTuple, qid, epoch);
   catalog::SerializeTuple(t, &w);
   ++stats_.result_msgs_sent;
   SendReliable(aq, aq->env.origin, std::move(w), /*control=*/false);
-}
-
-void QueryEngine::DeliverPartial(uint64_t qid, uint64_t epoch, const Tuple& t,
-                                 ExchangeKind route) {
-  auto it = queries_.find(qid);
-  if (it == queries_.end()) return;
-  ActiveQuery* aq = it->second.get();
-  if (aq->is_origin) {
-    OriginAccept(aq, epoch, transport_->self(), t, /*is_partial=*/true);
-    return;
-  }
-  sim::HostId to = aq->env.origin;
-  if (route == ExchangeKind::kTree && aq->parent != sim::kInvalidHost) {
-    to = aq->parent;
-  }
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kPartialAgg));
-  w.PutVarint64(qid);
-  w.PutVarint64(epoch);
-  catalog::SerializeTuple(t, &w);
-  ++stats_.partial_msgs_sent;
-  SendReliable(aq, to, std::move(w), /*control=*/false);
 }
 
 void QueryEngine::DeliverResultBatch(uint64_t qid, uint64_t epoch,
@@ -399,14 +329,6 @@ void QueryEngine::DeliverResultBatch(uint64_t qid, uint64_t epoch,
   auto it = queries_.find(qid);
   if (it == queries_.end()) return;
   ActiveQuery* aq = it->second.get();
-  if (aq->is_origin) {
-    Tuple t;
-    for (size_t i = 0; i < b.ActiveRows(); ++i) {
-      b.ToTuple(b.RowId(i), &t);
-      OriginAccept(aq, epoch, transport_->self(), t, /*is_partial=*/false);
-    }
-    return;
-  }
   size_t n = b.ActiveRows();
   if (n == 0) return;
   // Chunked delivery: one lost frame costs at most kResultFrameRows rows.
@@ -419,10 +341,7 @@ void QueryEngine::DeliverResultBatch(uint64_t qid, uint64_t epoch,
       DeliverResult(qid, epoch, t);
       continue;
     }
-    Writer w;
-    w.PutU8(static_cast<uint8_t>(MsgType::kResultBatch));
-    w.PutVarint64(qid);
-    w.PutVarint64(epoch);
+    Writer w = DataMessage(MsgType::kResultBatch, qid, epoch);
     if (len == n) {
       b.Encode(&w);  // compacts the selection: the wire carries live rows
     } else {
@@ -441,17 +360,6 @@ void QueryEngine::DeliverPartialBatch(uint64_t qid, uint64_t epoch,
   auto it = queries_.find(qid);
   if (it == queries_.end()) return;
   ActiveQuery* aq = it->second.get();
-  if (aq->is_origin) {
-    for (const Tuple& t : partials) {
-      OriginAccept(aq, epoch, transport_->self(), t, /*is_partial=*/true);
-    }
-    return;
-  }
-  if (partials.size() == 1) {
-    // A single partial ships in the legacy row frame — it is smaller.
-    DeliverPartial(qid, epoch, partials[0], route);
-    return;
-  }
   sim::HostId to = aq->env.origin;
   if (route == ExchangeKind::kTree && aq->parent != sim::kInvalidHost) {
     to = aq->parent;
@@ -459,23 +367,26 @@ void QueryEngine::DeliverPartialBatch(uint64_t qid, uint64_t epoch,
   // Partial rows from one flush share a layout ([group..., v1, v2 per
   // agg]); columns whose state types diverge across rows (the int->double
   // widening ladder) ride the boxed lane via AppendValue's promotion.
+  // Ragged widths cannot share one batch, and a single partial ships in
+  // the row frame — it is smaller.
+  bool ragged = false;
+  for (const Tuple& t : partials) ragged |= t.size() != partials[0].size();
+  if (partials.size() == 1 || ragged) {
+    for (const Tuple& t : partials) {
+      Writer w = DataMessage(MsgType::kPartialAgg, qid, epoch);
+      catalog::SerializeTuple(t, &w);
+      ++stats_.partial_msgs_sent;
+      SendReliable(aq, to, std::move(w), /*control=*/false);
+    }
+    return;
+  }
   std::vector<ValueType> types;
   types.reserve(partials[0].size());
   for (const Value& v : partials[0]) types.push_back(v.type());
-  for (const Tuple& t : partials) {
-    if (t.size() != types.size()) {
-      // Ragged widths cannot share one batch; ship row frames instead.
-      for (const Tuple& p : partials) DeliverPartial(qid, epoch, p, route);
-      return;
-    }
-  }
   exec::RowBatchBuilder builder(types);
   builder.Reserve(partials.size());
   for (const Tuple& t : partials) builder.Append(t);
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kPartialBatch));
-  w.PutVarint64(qid);
-  w.PutVarint64(epoch);
+  Writer w = DataMessage(MsgType::kPartialBatch, qid, epoch);
   builder.Take().Encode(&w);
   ++stats_.partial_msgs_sent;
   ++stats_.batch_frames_sent;
@@ -584,7 +495,7 @@ void QueryEngine::OnIndexScanDone(uint64_t qid, bool ok) {
   // finalize is deferred a tick because degenerate walks (an empty range)
   // complete synchronously inside Execute(), and the client must never see
   // its result callback fire before Execute has returned the query id.
-  if (aq->origin_local && aq->env.plan.every == 0) {
+  if (aq->runtime->origin_local() && aq->env.plan.every == 0) {
     ++stats_.index_early_finalizes;
     uint64_t query_id = aq->env.query_id;
     ScheduleEngineTimer(0, [this, query_id] {
@@ -606,30 +517,14 @@ void QueryEngine::FallbackToScan(ActiveQuery* aq) {
   // Rewrite in place: every index scan becomes the plain scan of the same
   // relation. The planner always keeps the full WHERE in the trailing
   // filter node, so the rewritten graph computes the identical answer.
-  scheduler_->DropQuery(aq->env.query_id);  // queued feeds capture the runtime
-  aq->runtime.reset();
   for (OpNode& n : aq->env.plan.graph.nodes) {
     if (n.type == OpType::kIndexScan) n.type = OpType::kScan;
   }
-  aq->origin_local = false;
   // Rows the failed cursor already delivered would double-count against
-  // the broadcast re-execution: reset this epoch's collection (its
+  // the broadcast re-execution: this epoch's collection starts over (its
   // finalize deadline stays armed).
   uint64_t epoch = CurrentEpoch(*aq);
-  auto eit = aq->epochs.find(epoch);
-  if (eit != aq->epochs.end()) {
-    eit->second.rows.clear();
-    eit->second.final_gb.reset();
-    eit->second.reporters.clear();
-  }
-  aq->runtime = std::make_unique<ops::QueryRuntime>(this, &aq->env,
-                                                    /*is_origin=*/true);
-  if (!aq->runtime->Init().ok()) {
-    aq->runtime.reset();
-    return;  // defensive: leaves the query to time out best-effort
-  }
-  aq->accountable =
-      aq->runtime->epochal() && IsAccountableGraph(aq->env.plan.graph);
+  aq->runtime->FallBackToScans(epoch);
   Writer w;
   w.PutU8(static_cast<uint8_t>(BcastKind::kPlan));
   aq->env.Serialize(&w);
@@ -771,7 +666,7 @@ void QueryEngine::OnFrame(sim::HostId from, Reader* r) {
   // reordering).
   auto it2 = queries_.find(qid);
   if (it2 != queries_.end() && it2->second->is_origin &&
-      !it2->second->ended && it2->second->accountable) {
+      !it2->second->ended && it2->second->runtime->accountable()) {
     MaybeEarlyFinalize(it2->second.get(), CurrentEpoch(*it2->second));
   }
 }
@@ -794,7 +689,7 @@ void QueryEngine::OnFrameAck(Reader* r) {
 }
 
 void QueryEngine::OnOutboxDrained(ActiveQuery* aq) {
-  if (aq->is_origin || aq->ended || !aq->accountable) return;
+  if (aq->is_origin || aq->ended || !aq->runtime->accountable()) return;
   // A drained outbox means nothing while this epoch's scheduled scans are
   // still queued: more data frames are coming, and an early "done" claim
   // would let the origin certify an answer missing them.
@@ -834,7 +729,7 @@ void QueryEngine::OnCoverage(uint64_t seq, uint64_t members, bool complete) {
 }
 
 void QueryEngine::MaybeEarlyFinalize(ActiveQuery* aq, uint64_t epoch) {
-  if (!aq->is_origin || aq->ended || !aq->accountable) return;
+  if (!aq->is_origin || aq->ended || !aq->runtime->accountable()) return;
   if (aq->cancelled || aq->deadline_expired) return;
   if (!aq->coverage_complete || aq->members_expected == 0) return;
   if (!aq->shed_members.empty()) return;
@@ -848,14 +743,13 @@ void QueryEngine::MaybeEarlyFinalize(ActiveQuery* aq, uint64_t epoch) {
     return;
   }
   // Budget degradation anywhere bars exactness, and the origin's own
-  // scheduled scans must have drained — its loopback rows are part of the
+  // scheduled scans must have drained — its own rows are part of the
   // answer being certified.
   if (aq->budget_tripped || !aq->budget_tripped_members.empty()) return;
   if (aq->scans_done_epoch < static_cast<int64_t>(epoch)) return;
   if (static_cast<int64_t>(epoch) <= aq->last_finalized_epoch) return;
   auto eit = aq->epochs.find(epoch);
-  if (eit == aq->epochs.end() || eit->second.finalized ||
-      eit->second.early_finalize_scheduled) {
+  if (eit == aq->epochs.end() || eit->second.early_finalize_scheduled) {
     return;
   }
   // Every covered member (origin included: the +1) must have reported this
@@ -905,14 +799,15 @@ void QueryEngine::OnEpochScansDone(uint64_t qid, uint64_t epoch) {
   aq->scans_done_epoch =
       std::max(aq->scans_done_epoch, static_cast<int64_t>(epoch));
   if (aq->ended) return;
-  if (!aq->is_origin && aq->accountable && aq->outbox.data_drained()) {
+  if (!aq->is_origin && aq->runtime->accountable() &&
+      aq->outbox.data_drained()) {
     // Everything this member will contribute for the epoch is already
     // acked — the drain event fired before the scans-done gate opened, so
     // report now.
     SendEpochReport(aq);
   }
-  if (aq->is_origin && aq->accountable) {
-    // The origin's own loopback scan was the last missing piece; the
+  if (aq->is_origin && aq->runtime->accountable()) {
+    // The origin's own scan was the last missing piece; the
     // member reports may already all be in.
     MaybeEarlyFinalize(aq, epoch);
   }
@@ -981,10 +876,8 @@ void QueryEngine::OnDeadline(uint64_t qid) {
   }
   // Degrade loudly: report whatever arrived, flagged deadline_expired, then
   // cancel network-wide so members free their state now.
-  bool origin_local = aq->origin_local;
   FinalizeEpoch(aq, CurrentEpoch(*aq));
-  auto it2 = queries_.find(qid);
-  if (it2 != queries_.end() && !it2->second->ended && !origin_local) {
+  if (!aq->ended && !aq->runtime->origin_local()) {
     Writer w;
     w.PutU8(static_cast<uint8_t>(BcastKind::kCancel));
     w.PutVarint64(qid);
@@ -1026,6 +919,7 @@ void QueryEngine::ArmMemberLifecycle(ActiveQuery* aq) {
 }
 
 Completeness QueryEngine::BuildCompleteness(ActiveQuery* aq, uint64_t epoch,
+                                            uint64_t reporters,
                                             bool exact_certified) const {
   Completeness c;
   c.cancelled = aq->cancelled;
@@ -1033,10 +927,7 @@ Completeness QueryEngine::BuildCompleteness(ActiveQuery* aq, uint64_t epoch,
   c.members_shed = aq->shed_members.size();
   c.budget_trips = aq->budget_tripped_members.size() +
                    (aq->budget_tripped ? 1 : 0);
-  auto eit = aq->epochs.find(epoch);
-  uint64_t reporters =
-      eit != aq->epochs.end() ? eit->second.reporters.size() : 0;
-  if (aq->origin_local) {
+  if (aq->runtime->origin_local()) {
     c.members_expected = 1;
     c.members_reported = 1;
     c.coverage_complete = true;
@@ -1044,7 +935,7 @@ Completeness QueryEngine::BuildCompleteness(ActiveQuery* aq, uint64_t epoch,
     c.members_expected = aq->members_expected;
     c.coverage_complete = aq->coverage_complete;
     c.members_reported = reporters;
-    if (aq->accountable) {
+    if (aq->runtime->accountable()) {
       // Members with nothing to contribute still report; count them (and
       // the origin itself) over the raw data-reporter set.
       uint64_t reported = 1;
@@ -1131,8 +1022,6 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
   aq->env.issued_at = sim_->now();
   aq->env.plan = std::move(plan);
   aq->is_origin = true;
-  aq->origin_local = IsOriginLocalGraph(aq->env.plan.graph);
-  aq->parent = transport_->self();
   aq->cb = std::move(cb);
   // Resolve the deadline once, at the origin: the wire carries the absolute
   // time so every member counts down against the same clock.
@@ -1147,8 +1036,6 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
   PIER_RETURN_IF_ERROR(aq->runtime->Init());
   ++stats_.queries_issued;
   ActiveQuery* raw = aq.get();
-  raw->accountable =
-      raw->runtime->epochal() && IsAccountableGraph(raw->env.plan.graph);
   queries_.emplace(query_id, std::move(aq));
   ++live_queries_;
 
@@ -1164,14 +1051,13 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
   if (raw->runtime->has_recurse()) {
     // Recursion: the origin watches for quiescence.
     TimePoint deadline = sim_->now() + options_.recursion_deadline;
-    raw->last_new_result = sim_->now();
     raw->quiesce_task.Start(sim_, Seconds(1), Seconds(1), [this, query_id,
                                                            deadline] {
       auto it = queries_.find(query_id);
       if (it == queries_.end() || it->second->ended) return;
       ActiveQuery* q = it->second.get();
       bool quiet =
-          sim_->now() - q->last_new_result >= options_.quiesce_window;
+          sim_->now() - q->runtime->last_new_row() >= options_.quiesce_window;
       if (quiet || sim_->now() >= deadline) {
         FinalizeEpoch(q, 0);
       }
@@ -1187,7 +1073,7 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
         });
   }
 
-  if (raw->origin_local) {
+  if (raw->runtime->origin_local()) {
     // Index-only plan: nothing for other members to do — install locally
     // and let the cursor touch exactly the DHT owners it needs. The
     // dissemination broadcast (and its network-wide scan work) is the
@@ -1215,7 +1101,7 @@ void QueryEngine::Cancel(uint64_t query_id) {
   aq->cancelled = true;
   ++stats_.queries_cancelled;
   aq->quiesce_task.Stop();
-  if (aq->origin_local) {
+  if (aq->runtime->origin_local()) {
     // Never disseminated: tear down locally.
     HandleQueryEnd(query_id);
     return;
@@ -1365,8 +1251,6 @@ void QueryEngine::InstallQuery(const PlanEnvelope& env, sim::HostId parent,
       ArmMemberLifecycle(aq);
       return;
     }
-    aq->accountable =
-        aq->runtime->epochal() && IsAccountableGraph(aq->env.plan.graph);
   }
   ArmMemberLifecycle(aq);
 
@@ -1426,7 +1310,7 @@ void QueryEngine::StartEpoch(ActiveQuery* aq, uint64_t epoch) {
           auto it = queries_.find(qid);
           if (it != queries_.end()) FinalizeEpoch(it->second.get(), epoch);
         });
-    if (!aq->origin_local) {
+    if (!aq->runtime->origin_local()) {
       Writer w;
       w.PutU8(static_cast<uint8_t>(BcastKind::kPlan));
       aq->env.Serialize(&w);
@@ -1532,11 +1416,21 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
   }
   switch (static_cast<MsgType>(type)) {
     case MsgType::kResultTuple:
-    case MsgType::kPartialAgg: {
+    case MsgType::kPartialAgg:
+    case MsgType::kResultBatch:
+    case MsgType::kPartialBatch: {
+      const MsgType kind = static_cast<MsgType>(type);
+      const bool batch =
+          kind == MsgType::kResultBatch || kind == MsgType::kPartialBatch;
+      const bool partial =
+          kind == MsgType::kPartialAgg || kind == MsgType::kPartialBatch;
       uint64_t qid = 0, epoch = 0;
       Tuple t;
+      exec::RowBatch b;
       if (!r->GetVarint64(&qid).ok() || !r->GetVarint64(&epoch).ok() ||
-          !catalog::DeserializeTuple(r, &t).ok()) {
+          !(batch ? exec::RowBatch::Decode(r, &b)
+                  : catalog::DeserializeTuple(r, &t))
+               .ok()) {
         return;
       }
       // Epochs count periods since issue time; anything near the integer
@@ -1545,51 +1439,19 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
       if (epoch >= (1ull << 62)) return;
       auto it = queries_.find(qid);
       if (it == queries_.end()) return;
-      ActiveQuery* aq = it->second.get();
-      bool is_partial = static_cast<MsgType>(type) == MsgType::kPartialAgg;
-      if (is_partial) {
-        ++stats_.partial_msgs_received;
-      } else {
-        ++stats_.result_msgs_received;
+      ++(partial ? stats_.partial_msgs_received : stats_.result_msgs_received);
+      if (batch) ++stats_.batch_frames_received;
+      ops::QueryRuntime* runtime = it->second->runtime.get();
+      if (runtime == nullptr) break;
+      if (!batch) {
+        runtime->OnRemoteRow(from, epoch, t, partial);
+        break;
       }
-      if (aq->is_origin) {
-        OriginAccept(aq, epoch, from, t, is_partial);
-      } else if (is_partial && !aq->ended && aq->runtime != nullptr) {
-        // Interior tree node: combine if the window is open, else relay
-        // upward unmodified (late child).
-        aq->runtime->OnRemotePartial(epoch, t);
-      }
-      break;
-    }
-    case MsgType::kResultBatch:
-    case MsgType::kPartialBatch: {
-      uint64_t qid = 0, epoch = 0;
-      exec::RowBatch b;
-      if (!r->GetVarint64(&qid).ok() || !r->GetVarint64(&epoch).ok() ||
-          !exec::RowBatch::Decode(r, &b).ok()) {
-        return;
-      }
-      if (epoch >= (1ull << 62)) return;  // same spoof guard as row frames
-      auto it = queries_.find(qid);
-      if (it == queries_.end()) return;
-      ActiveQuery* aq = it->second.get();
-      bool is_partial = static_cast<MsgType>(type) == MsgType::kPartialBatch;
-      if (is_partial) {
-        ++stats_.partial_msgs_received;
-      } else {
-        ++stats_.result_msgs_received;
-      }
-      ++stats_.batch_frames_received;
       // Unpack and treat each row exactly like its row-frame twin — one
       // frame, N accept/combine decisions.
-      Tuple t;
       for (size_t i = 0; i < b.num_rows(); ++i) {
         b.ToTuple(i, &t);
-        if (aq->is_origin) {
-          OriginAccept(aq, epoch, from, t, is_partial);
-        } else if (is_partial && !aq->ended && aq->runtime != nullptr) {
-          aq->runtime->OnRemotePartial(epoch, t);
-        }
+        runtime->OnRemoteRow(from, epoch, t, partial);
       }
       break;
     }
@@ -1631,150 +1493,8 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
 }
 
 // ---------------------------------------------------------------------------
-// Origin-side collection and post-processing
+// Origin-side finalization
 // ---------------------------------------------------------------------------
-
-void QueryEngine::OriginAccept(ActiveQuery* aq, uint64_t epoch,
-                               sim::HostId from, const Tuple& t,
-                               bool is_partial) {
-  if (static_cast<int64_t>(epoch) <= aq->last_finalized_epoch) {
-    ++stats_.late_partials;  // straggler past the window
-    return;
-  }
-  ActiveQuery::EpochState& es = aq->epochs[epoch];
-  if (es.finalized) {
-    ++stats_.late_partials;
-    return;
-  }
-  es.reporters.insert(from);
-  if (is_partial) {
-    const OpNode* fagg = aq->runtime != nullptr
-                             ? aq->runtime->final_agg_node()
-                             : nullptr;
-    if (fagg == nullptr) return;  // partial for a non-aggregate graph
-    if (es.final_gb == nullptr) {
-      es.final_gb = std::make_unique<exec::GroupByOp>(
-          fagg->group_cols, fagg->aggs, exec::AggPhase::kFinal);
-    }
-    es.final_gb->Push(t, 0);
-    return;
-  }
-  if (aq->runtime != nullptr && aq->runtime->has_recurse()) {
-    // Global dedup: the same pair may be reported via multiple temp owners
-    // after churn.
-    std::string key = catalog::TupleToBytes(t);
-    if (!aq->origin_result_seen.insert(key).second) return;
-    aq->last_new_result = sim_->now();
-  }
-  // Result-window budget: the origin stops accumulating past the row cap
-  // and flags the trip — callers get a bounded prefix declared degraded,
-  // never an unbounded buffer or a silent truncation.
-  const uint64_t row_cap = EffectiveBudget(*aq).max_result_rows;
-  if (row_cap > 0 && es.rows.size() >= row_cap) {
-    TripBudget(aq);
-    ++stats_.budget_rows_dropped;
-    return;
-  }
-  es.rows.push_back(t);
-}
-
-std::vector<Tuple> QueryEngine::OriginPostProcess(ActiveQuery* aq,
-                                                  uint64_t epoch) {
-  ActiveQuery::EpochState& es = aq->epochs[epoch];
-  std::vector<Tuple> rows;
-  const OpNode* fagg =
-      aq->runtime != nullptr ? aq->runtime->final_agg_node() : nullptr;
-  const OpNode* collect =
-      aq->runtime != nullptr ? aq->runtime->collect_node() : nullptr;
-
-  if (fagg != nullptr) {
-    // Merge network partials (and, for join+aggregate, aggregate the raw
-    // joined rows collected in es.rows with a complete group-by).
-    bool from_partials =
-        aq->runtime != nullptr && aq->runtime->has_partial_agg();
-    exec::GroupByOp* gb = es.final_gb.get();
-    std::unique_ptr<exec::GroupByOp> local;
-    if (gb == nullptr || !es.rows.empty()) {
-      local = std::make_unique<exec::GroupByOp>(
-          fagg->group_cols, fagg->aggs,
-          from_partials ? exec::AggPhase::kFinal
-                        : exec::AggPhase::kComplete);
-      gb = local.get();
-      for (const Tuple& t : es.rows) gb->Push(t, 0);
-      if (es.final_gb != nullptr) {
-        // Should not happen (either partials or raw rows), but merge anyway.
-        exec::FnSink relay([&gb](const Tuple& t) { gb->Push(t, 0); });
-        es.final_gb->AddOutput(&relay);
-        es.final_gb->FlushAndReset();
-      }
-    }
-    exec::FnSink sink([&rows](const Tuple& t) { rows.push_back(t); });
-    gb->AddOutput(&sink);
-    gb->FlushAndReset();
-
-    // SQL scalar-aggregate semantics: no groups and no input still yields
-    // one row (COUNT = 0, SUM = NULL, ...).
-    if (fagg->group_cols.empty() && rows.empty()) {
-      Tuple identity;
-      for (const exec::AggSpec& spec : fagg->aggs) {
-        Value v1, v2;
-        exec::AggInit(spec, &v1, &v2);
-        identity.push_back(exec::AggFinalize(spec, v1, v2));
-      }
-      rows.push_back(std::move(identity));
-    }
-
-    if (fagg->having != nullptr) {
-      std::vector<Tuple> kept;
-      for (const Tuple& t : rows) {
-        bool pass = false;
-        if (exec::EvalPredicate(*fagg->having, t, &pass).ok() && pass) {
-          kept.push_back(t);
-        }
-      }
-      rows = std::move(kept);
-    }
-    if (collect != nullptr && !collect->final_projection.empty()) {
-      for (Tuple& t : rows) {
-        Tuple permuted;
-        permuted.reserve(collect->final_projection.size());
-        for (int c : collect->final_projection) {
-          permuted.push_back(c >= 0 && static_cast<size_t>(c) < t.size()
-                                 ? t[c]
-                                 : Value::Null());
-        }
-        t = std::move(permuted);
-      }
-    }
-  } else {
-    rows = std::move(es.rows);
-    es.rows.clear();
-    if (collect != nullptr && collect->distinct) {
-      std::vector<Tuple> unique;
-      exec::DistinctOp distinct;
-      exec::FnSink sink([&unique](const Tuple& t) { unique.push_back(t); });
-      distinct.AddOutput(&sink);
-      for (const Tuple& t : rows) distinct.Push(t, 0);
-      rows = std::move(unique);
-    }
-  }
-
-  if (collect != nullptr && collect->order_col >= 0) {
-    size_t k = collect->limit >= 0 ? static_cast<size_t>(collect->limit)
-                                   : rows.size();
-    exec::TopKOp topk(collect->order_col, collect->order_desc, k);
-    std::vector<Tuple> ordered;
-    exec::FnSink sink([&ordered](const Tuple& t) { ordered.push_back(t); });
-    topk.AddOutput(&sink);
-    for (const Tuple& t : rows) topk.Push(t, 0);
-    topk.FlushAndReset();
-    rows = std::move(ordered);
-  } else if (collect != nullptr && collect->limit >= 0 &&
-             rows.size() > static_cast<size_t>(collect->limit)) {
-    rows.resize(static_cast<size_t>(collect->limit));
-  }
-  return rows;
-}
 
 void QueryEngine::FinalizeEpoch(ActiveQuery* aq, uint64_t epoch,
                                 bool exact_certified) {
@@ -1790,43 +1510,32 @@ void QueryEngine::FinalizeEpoch(ActiveQuery* aq, uint64_t epoch,
     exact_certified = false;
   }
   // A continuous query may race its early finalize against the result-wait
-  // timer; whichever fired first already erased this epoch's state, and
-  // operator[] below must not resurrect it.
+  // timer; whichever fired first already closed the epoch.
   if (static_cast<int64_t>(epoch) <= aq->last_finalized_epoch) return;
-  ActiveQuery::EpochState& es = aq->epochs[epoch];
-  if (es.finalized) return;
-  es.finalized = true;
-  if (es.finalize_timer != 0) {
-    CancelTimer(es.finalize_timer);
-    es.finalize_timer = 0;
+  aq->last_finalized_epoch = static_cast<int64_t>(epoch);
+  auto eit = aq->epochs.find(epoch);
+  if (eit != aq->epochs.end()) {
+    if (eit->second.finalize_timer != 0) {
+      CancelTimer(eit->second.finalize_timer);
+    }
+    aq->epochs.erase(eit);
   }
 
   ResultBatch batch;
   batch.query_id = aq->env.query_id;
   batch.epoch = epoch;
-  batch.reporting_nodes = es.reporters.size();
-  batch.reporters.assign(es.reporters.begin(), es.reporters.end());
-  std::sort(batch.reporters.begin(), batch.reporters.end());
-  batch.completeness = BuildCompleteness(aq, epoch, exact_certified);
-  batch.rows = OriginPostProcess(aq, epoch);
-  aq->last_finalized_epoch =
-      std::max(aq->last_finalized_epoch, static_cast<int64_t>(epoch));
+  aq->runtime->FinishEpoch(epoch, &batch);
+  batch.completeness =
+      BuildCompleteness(aq, epoch, batch.reporting_nodes, exact_certified);
   if (aq->cb && !aq->cancelled) aq->cb(batch);
-
-  bool one_shot = aq->env.plan.every == 0;
-  if (one_shot) {
-    EndQuery(aq->env.query_id);
-  } else {
-    // Keep the query running; retire this epoch's state.
-    aq->epochs.erase(epoch);
-  }
+  if (aq->env.plan.every == 0) EndQuery(aq->env.query_id);  // one-shot
 }
 
 void QueryEngine::EndQuery(uint64_t query_id) {
   auto it = queries_.find(query_id);
   if (it == queries_.end() || !it->second->is_origin) return;
   it->second->quiesce_task.Stop();
-  if (it->second->origin_local) {
+  if (it->second->runtime->origin_local()) {
     // Never disseminated, so nothing remote to tear down.
     HandleQueryEnd(query_id);
     return;

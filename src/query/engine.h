@@ -3,16 +3,17 @@
 // The engine is the host side of the opgraph runtime (query/opgraph.h,
 // query/ops/): it disseminates plans over the DHT broadcast tree, builds a
 // per-query ops::QueryRuntime from each plan's graph, and routes network
-// events — exchange arrivals, relayed partials, fetch/Bloom traffic,
-// timers — to the runtime's stages. Operator logic lives in the stages;
-// the engine owns only choreography:
+// events — exchange arrivals, members' rows and partials, fetch/Bloom
+// traffic, timers — to the runtime's stages. Operator logic lives in the
+// stages, the origin's collection and final aggregation included (the
+// runtime's CollectStage, fed by the root of the combine tree); the engine
+// owns only choreography:
 //   - query dissemination and refresh (soft-state plan broadcasts);
 //   - epoch alignment for continuous queries;
-//   - the kToOrigin / kTree exchange routing (who a result or partial is
-//     sent to, given this node's dissemination-tree position);
-//   - origin-side collection and post-processing (final aggregation,
-//     HAVING, DISTINCT, ORDER BY / LIMIT) driven by the graph's
-//     final-agg / collect nodes;
+//   - the kToOrigin / kTree sends (who a member's result or partial goes
+//     to, given its dissemination-tree position);
+//   - the reliable result plane, budgets and exact-answer certification;
+//   - each epoch's finalize deadline, and handing its answer to the client;
 //   - recursion quiescence detection and query teardown/GC.
 //
 // Everything is soft state: one-shot results are "best effort within the
@@ -33,7 +34,6 @@
 #include "common/result.h"
 #include "dht/broadcast.h"
 #include "dht/storage.h"
-#include "exec/operators.h"
 #include "overlay/router.h"
 #include "overlay/transport.h"
 #include "query/ops/runtime.h"
@@ -126,10 +126,9 @@ class QueryEngine : public ops::StageHost {
   const EngineOptions& engine_options() const override { return options_; }
   EngineStats* mutable_stats() override { return &stats_; }
   int QueryDepth(uint64_t qid) const override;
+  bool EpochClosed(uint64_t qid, uint64_t epoch) const override;
   void DeliverResult(uint64_t qid, uint64_t epoch,
                      const catalog::Tuple& t) override;
-  void DeliverPartial(uint64_t qid, uint64_t epoch, const catalog::Tuple& t,
-                      ExchangeKind route) override;
   void DeliverResultBatch(uint64_t qid, uint64_t epoch,
                           const exec::RowBatch& b) override;
   void DeliverPartialBatch(uint64_t qid, uint64_t epoch,
@@ -151,6 +150,7 @@ class QueryEngine : public ops::StageHost {
   void SubmitScan(ScanWork work) override;
   void OnEpochScansDone(uint64_t qid, uint64_t epoch) override;
   bool ChargeRehashPuts(uint64_t qid, uint64_t n) override;
+  bool ChargeResultRow(uint64_t qid, uint64_t held) override;
 
  private:
   struct ActiveQuery;
@@ -189,6 +189,7 @@ class QueryEngine : public ops::StageHost {
   /// Dissemination cover wave returned for broadcast `seq`.
   void OnCoverage(uint64_t seq, uint64_t members, bool complete);
   Completeness BuildCompleteness(ActiveQuery* aq, uint64_t epoch,
+                                 uint64_t reporters,
                                  bool exact_certified) const;
 
   // -- lifecycle -------------------------------------------------------------
@@ -226,12 +227,6 @@ class QueryEngine : public ops::StageHost {
   /// abort probe stops its scans, and a member tells the origin via
   /// kBudgetTrip so Completeness reports the degradation.
   void TripBudget(ActiveQuery* aq);
-
-  // -- origin-side post-processing --------------------------------------------
-  void OriginAccept(ActiveQuery* aq, uint64_t epoch, sim::HostId from,
-                    const catalog::Tuple& t, bool is_partial);
-  std::vector<catalog::Tuple> OriginPostProcess(ActiveQuery* aq,
-                                                uint64_t epoch);
 
   overlay::Transport* transport_;
   overlay::Router* router_;

@@ -6,11 +6,13 @@
 //                ("q<qid>.x<edge>"); the owner consumes arrivals. This is
 //                the traffic that used to be inlined in the engine as
 //                RehashTuple/OnTempArrival.
-//   kTree     -> TreeCombiner: the per-epoch combine box an interior
-//                dissemination-tree node runs over its children's partials
-//                before forwarding one merged partial upward.
-//   kToOrigin -> no object needed: StageHost::DeliverResult/DeliverPartial
-//                route directly.
+//   kTree     -> TreeCombiner: the per-epoch combine box a
+//                dissemination-tree node runs over its children's partials:
+//                interior nodes forward one merged partial upward, and the
+//                origin, the tree's root, hands it to its CollectStage.
+//   kToOrigin -> no object needed: members send through
+//                StageHost::DeliverResult*/DeliverPartialBatch; at the
+//                origin the runtime feeds its own stages directly.
 //
 // Exchanges are owned by the per-query runtime and die with it; in-flight
 // DHT tuples carry their own TTL (soft state all the way down).

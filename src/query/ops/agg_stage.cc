@@ -9,12 +9,12 @@ namespace ops {
 using catalog::Tuple;
 
 AggStage::AggStage(StageHost* host, uint64_t qid, uint32_t node_id,
-                   const OpNode* node, bool is_origin, bool streaming)
+                   const OpNode* node, CollectStage* root, bool streaming)
     : host_(host),
       qid_(qid),
       node_id_(node_id),
       node_(node),
-      is_origin_(is_origin),
+      root_(root),
       streaming_(streaming),
       route_(node->out) {}
 
@@ -25,12 +25,21 @@ Duration AggStage::HoldDelay() const {
   return o.agg_hold_base * levels_above;
 }
 
-void AggStage::DeliverAll(uint64_t epoch,
-                          const std::vector<Tuple>& partials) {
-  // One column-major frame per flush instead of one message per group; the
-  // receiver unpacks and folds row by row, so combine semantics are
-  // untouched.
-  host_->DeliverPartialBatch(qid_, epoch, partials, route_);
+void AggStage::Ship(uint64_t epoch, const std::vector<Tuple>& partials) {
+  if (root_ == nullptr && route_ != ExchangeKind::kTree) {
+    // One column-major frame per flush instead of one message per group;
+    // the receiver unpacks and folds row by row, so combine semantics are
+    // untouched.
+    host_->DeliverPartialBatch(qid_, epoch, partials, route_);
+    return;
+  }
+  // A tree node holds its own partials in its combiner so children flush
+  // before parents; the root folds them like any child's.
+  for (const Tuple& p : partials) {
+    if (root_ == nullptr || root_->Admit(host_->self_host(), epoch)) {
+      Fold(epoch, p);
+    }
+  }
 }
 
 // -- scan-fed ---------------------------------------------------------------
@@ -61,13 +70,7 @@ void AggStage::EndScan() {
     });
     vgb_.reset();
   }
-  if (route_ != ExchangeKind::kTree || is_origin_) {
-    DeliverAll(scan_epoch_, partials);
-    return;
-  }
-  // Tree strategy: hold local partials in this node's combiner so children
-  // flush before parents.
-  for (const Tuple& p : partials) FoldIntoCombiner(scan_epoch_, p);
+  Ship(scan_epoch_, partials);
 }
 
 // -- join-fed ---------------------------------------------------------------
@@ -87,59 +90,59 @@ bool AggStage::PushStreaming(const Tuple& t) {
 
 void AggStage::FlushStreaming() {
   stream_timer_armed_ = false;
-  std::vector<Tuple> partials = DrainGroupBy(std::move(streaming_op_));
-  if (route_ != ExchangeKind::kTree || is_origin_) {
-    DeliverAll(0, partials);
-    return;
-  }
-  for (const Tuple& p : partials) FoldIntoCombiner(0, p);
+  Ship(0, DrainGroupBy(std::move(streaming_op_)));
 }
 
 // -- tree combine -----------------------------------------------------------
 
-void AggStage::FoldIntoCombiner(uint64_t epoch, const Tuple& partial) {
-  if (combiner_ == nullptr || combiner_->epoch() != epoch ||
-      !combiner_->open()) {
-    if (combiner_ != nullptr && combiner_->open()) {
-      FlushCombiner(combiner_->epoch());
+void AggStage::Fold(uint64_t epoch, const Tuple& partial) {
+  auto it = combiners_.find(epoch);
+  if (it == combiners_.end()) {
+    // An interior node holds one combiner, flushed on its hold timer or
+    // when the next epoch opens; the root holds one per open epoch until
+    // the origin finalizes it.
+    if (root_ == nullptr && !combiners_.empty()) {
+      FlushCombiner(combiners_.begin()->first);
     }
-    combiner_ =
-        std::make_unique<TreeCombiner>(node_->group_cols, node_->aggs, epoch);
-    combiner_->flush_timer = host_->ScheduleStageTimer(
-        HoldDelay(), qid_, node_id_, /*token=*/1 + epoch);
+    it = combiners_.try_emplace(epoch, node_->group_cols, node_->aggs, epoch)
+             .first;
+    if (root_ == nullptr) {
+      it->second.flush_timer = host_->ScheduleStageTimer(
+          HoldDelay(), qid_, node_id_, /*token=*/1 + epoch);
+    }
   }
-  combiner_->Push(partial);
+  it->second.Push(partial);
+}
+
+std::vector<Tuple> AggStage::TakeCombined(uint64_t epoch) {
+  auto it = combiners_.find(epoch);
+  if (it == combiners_.end()) return {};
+  if (it->second.flush_timer != 0) host_->CancelTimer(it->second.flush_timer);
+  std::vector<Tuple> combined = it->second.Flush();
+  combiners_.erase(it);
+  return combined;
 }
 
 void AggStage::FlushCombiner(uint64_t epoch) {
-  if (combiner_ == nullptr || combiner_->epoch() != epoch ||
-      !combiner_->open()) {
-    return;
-  }
-  if (combiner_->flush_timer != 0) {
-    host_->CancelTimer(combiner_->flush_timer);
-    combiner_->flush_timer = 0;
-  }
-  std::vector<Tuple> combined = combiner_->Flush();
-  combiner_.reset();
-  DeliverAll(epoch, combined);
+  host_->DeliverPartialBatch(qid_, epoch, TakeCombined(epoch), route_);
 }
 
-void AggStage::OnRemotePartial(uint64_t epoch, const Tuple& t) {
-  if (combiner_ != nullptr && combiner_->open() &&
-      combiner_->epoch() == epoch) {
-    combiner_->Push(t);
+void AggStage::OnRemotePartial(uint32_t from, uint64_t epoch,
+                               const Tuple& t) {
+  if (root_ != nullptr) {
+    if (root_->Admit(from, epoch)) Fold(epoch, t);  // else counted late
     return;
   }
-  if (streaming_) {
-    // Join-fed aggregation has no epoch scans to open combine windows, so
-    // a tree parent opens one lazily on the first child partial.
-    FoldIntoCombiner(epoch, t);
+  if (host_->EpochClosed(qid_, epoch)) return;  // the query ended here
+  // Join-fed aggregation has no epoch scans to open combine windows, so a
+  // tree parent opens one lazily on the first child partial.
+  if (streaming_ || combiners_.count(epoch) != 0) {
+    Fold(epoch, t);
     return;
   }
   // Epochal: the combine window for this epoch already closed (or never
   // opened here) — relay upward unmodified, like a late child.
-  host_->DeliverPartial(qid_, epoch, t, route_);
+  host_->DeliverPartialBatch(qid_, epoch, {t}, route_);
 }
 
 void AggStage::OnTimer(uint64_t token) {

@@ -1,5 +1,5 @@
-// AggStage: the member-side half of distributed aggregation — the
-// kPartialAgg opgraph node plus the kTree exchange's combine duty.
+// AggStage: distributed aggregation's in-network half — the kPartialAgg
+// opgraph node plus the kTree exchange's combine duty.
 //
 // Two input protocols share one stage:
 //  - Scan-fed (epochal): BeginEpoch / PushRawBatch / EndScan once per
@@ -12,19 +12,26 @@
 //    shipping raw rows to the origin.
 //
 // Either way, partials relayed through this node as a dissemination-tree
-// parent (OnRemotePartial) merge into the open combiner, or — matching the
-// engine's historical behavior for epochal queries — relay upward
-// unmodified when the combine window already closed.
+// parent (OnRemotePartial) merge into the open combiner, or relay upward
+// unmodified when the epochal combine window already closed.
+//
+// At the origin the stage is the root of the combine tree: its own and its
+// children's partials fold into one combiner per open epoch (result
+// windows longer than the period overlap epochs), with no hold timer and
+// no relay. Finalizing an epoch takes its combined partials to the
+// CollectStage; later partials for it count as late.
 
 #ifndef PIER_QUERY_OPS_AGG_STAGE_H_
 #define PIER_QUERY_OPS_AGG_STAGE_H_
 
+#include <map>
 #include <memory>
 #include <vector>
 
 #include "exec/kernels.h"
 #include "exec/operators.h"
 #include "query/exchange.h"
+#include "query/ops/collect_stage.h"
 #include "query/ops/stage.h"
 
 namespace pier {
@@ -33,10 +40,11 @@ namespace ops {
 
 class AggStage : public Stage {
  public:
-  /// `node` must be a kPartialAgg OpNode and outlive the stage.
-  /// `streaming` selects the join-fed protocol.
+  /// `node` must be a kPartialAgg OpNode and outlive the stage. `root`:
+  /// the origin's CollectStage (null elsewhere). `streaming` selects the
+  /// join-fed protocol.
   AggStage(StageHost* host, uint64_t qid, uint32_t node_id,
-           const OpNode* node, bool is_origin, bool streaming);
+           const OpNode* node, CollectStage* root, bool streaming);
 
   // -- scan-fed (epochal) ----------------------------------------------------
   void BeginEpoch(uint64_t epoch);
@@ -48,8 +56,12 @@ class AggStage : public Stage {
   // -- join-fed (streaming) --------------------------------------------------
   bool PushStreaming(const catalog::Tuple& t);
 
-  /// A partial relayed to this node as a tree parent.
-  void OnRemotePartial(uint64_t epoch, const catalog::Tuple& t);
+  /// A partial from `from`: a child in the tree, or any member at the root.
+  void OnRemotePartial(uint32_t from, uint64_t epoch,
+                       const catalog::Tuple& t);
+  /// The epoch's combined partials; its combiner is spent. The origin takes
+  /// each epoch's when it finalizes it.
+  std::vector<catalog::Tuple> TakeCombined(uint64_t epoch);
 
   void OnTimer(uint64_t token) override;
 
@@ -57,8 +69,9 @@ class AggStage : public Stage {
   static constexpr uint64_t kStreamFlushToken = 0;  // combiner tokens: 1+epoch
 
   Duration HoldDelay() const;
-  void DeliverAll(uint64_t epoch, const std::vector<catalog::Tuple>& partials);
-  void FoldIntoCombiner(uint64_t epoch, const catalog::Tuple& partial);
+  /// This node's own partials: into a combiner, or straight to the origin.
+  void Ship(uint64_t epoch, const std::vector<catalog::Tuple>& partials);
+  void Fold(uint64_t epoch, const catalog::Tuple& partial);
   void FlushCombiner(uint64_t epoch);
   void FlushStreaming();
 
@@ -66,7 +79,7 @@ class AggStage : public Stage {
   uint64_t qid_;
   uint32_t node_id_;
   const OpNode* node_;
-  bool is_origin_;
+  CollectStage* root_;
   bool streaming_;
   ExchangeKind route_;  ///< the node's output exchange (kTree or kToOrigin)
 
@@ -77,7 +90,9 @@ class AggStage : public Stage {
   std::unique_ptr<exec::GroupByOp> streaming_op_;
   bool stream_timer_armed_ = false;
 
-  std::unique_ptr<TreeCombiner> combiner_;
+  /// Open combiners by epoch: at most one on an interior node, one per
+  /// open epoch at the root.
+  std::map<uint64_t, TreeCombiner> combiners_;
 };
 
 }  // namespace ops

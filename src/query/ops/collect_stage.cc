@@ -1,0 +1,125 @@
+#include "query/ops/collect_stage.h"
+
+#include "exec/operators.h"
+
+namespace pier {
+namespace query {
+namespace ops {
+
+using catalog::Tuple;
+
+namespace {
+
+/// Streams `rows` through the scalar operator `op` to end of stream and
+/// returns what it emits.
+std::vector<Tuple> Through(exec::Operator* op, const std::vector<Tuple>& rows) {
+  std::vector<Tuple> out;
+  exec::FnSink sink([&out](const Tuple& t) { out.push_back(t); });
+  op->AddOutput(&sink);
+  for (const Tuple& t : rows) op->Push(t, 0);
+  op->PushEos(0);
+  return out;
+}
+
+}  // namespace
+
+CollectStage::CollectStage(StageHost* host, uint64_t qid,
+                           const OpNode* final_agg, const OpNode* collect,
+                           bool partials, bool dedup)
+    : host_(host),
+      qid_(qid),
+      final_agg_(final_agg),
+      collect_(collect),
+      partials_(partials),
+      dedup_(dedup),
+      last_new_row_(host->sim()->now()) {}
+
+bool CollectStage::Admit(uint32_t from, uint64_t epoch) {
+  if (host_->EpochClosed(qid_, epoch)) {
+    ++host_->mutable_stats()->late_partials;  // straggler past the window
+    return false;
+  }
+  epochs_[epoch].reporters.insert(from);
+  return true;
+}
+
+void CollectStage::Accept(uint32_t from, uint64_t epoch, const Tuple& t) {
+  if (!Admit(from, epoch)) return;
+  if (dedup_) {
+    // The same pair may be reported via multiple temp owners after churn.
+    if (!seen_.insert(catalog::TupleToBytes(t)).second) return;
+    last_new_row_ = host_->sim()->now();
+  }
+  std::vector<Tuple>& rows = epochs_[epoch].rows;
+  if (!host_->ChargeResultRow(qid_, rows.size())) return;
+  rows.push_back(t);
+}
+
+void CollectStage::Accept(uint32_t from, uint64_t epoch,
+                          const exec::RowBatch& b) {
+  Tuple t;
+  for (size_t i = 0; i < b.ActiveRows(); ++i) {
+    b.ToTuple(b.RowId(i), &t);
+    Accept(from, epoch, t);
+  }
+}
+
+void CollectStage::Finish(uint64_t epoch, const std::vector<Tuple>& partials,
+                          ResultBatch* out) {
+  EpochRows e;
+  if (auto it = epochs_.find(epoch); it != epochs_.end()) {
+    e = std::move(it->second);
+    epochs_.erase(it);
+  }
+  out->reporters.assign(e.reporters.begin(), e.reporters.end());
+  out->reporting_nodes = out->reporters.size();
+  std::vector<Tuple> rows = std::move(e.rows);
+  if (final_agg_ != nullptr) {
+    exec::GroupByOp gb(
+        final_agg_->group_cols, final_agg_->aggs,
+        partials_ ? exec::AggPhase::kFinal : exec::AggPhase::kComplete);
+    for (const Tuple& t : partials) gb.Push(t, 0);
+    rows = Through(&gb, rows);
+    // SQL scalar-aggregate semantics: no groups and no input still yields
+    // one row (COUNT = 0, SUM = NULL, ...).
+    if (final_agg_->group_cols.empty() && rows.empty()) {
+      Tuple identity;
+      for (const exec::AggSpec& spec : final_agg_->aggs) {
+        Value v1, v2;
+        exec::AggInit(spec, &v1, &v2);
+        identity.push_back(exec::AggFinalize(spec, v1, v2));
+      }
+      rows.push_back(std::move(identity));
+    }
+    if (final_agg_->having != nullptr) {
+      exec::FilterOp having(final_agg_->having);
+      rows = Through(&having, rows);
+    }
+    if (!collect_->final_projection.empty()) {
+      std::vector<exec::ExprPtr> select;
+      for (int c : collect_->final_projection) {
+        select.push_back(exec::Expr::Column(c));  // out of range: NULL
+      }
+      exec::ProjectOp permute(std::move(select));
+      rows = Through(&permute, rows);
+    }
+  }
+  if (collect_->distinct) {
+    exec::DistinctOp distinct;
+    rows = Through(&distinct, rows);
+  }
+  const size_t limit = collect_->limit >= 0
+                           ? static_cast<size_t>(collect_->limit)
+                           : rows.size();
+  if (collect_->order_col >= 0) {
+    exec::TopKOp topk(collect_->order_col, collect_->order_desc, limit);
+    rows = Through(&topk, rows);
+  } else if (rows.size() > limit) {
+    rows.resize(limit);
+  }
+  out->rows = std::move(rows);
+}
+
+}  // namespace ops
+}  // namespace query
+}  // namespace pier

@@ -22,12 +22,22 @@ Status QueryRuntime::Init() {
   PIER_RETURN_IF_ERROR(graph_->Validate());
   stages_.resize(graph_->size());
 
-  bool has_join = false, has_recurse = false;
+  bool has_join = false, has_recurse = false, has_partial_agg = false;
   for (const OpNode& n : graph_->nodes) {
     has_join |= n.type == OpType::kJoin;
     has_recurse |= n.type == OpType::kRecurse;
+    has_partial_agg |= n.type == OpType::kPartialAgg;
+    if (n.type == OpType::kFinalAgg) final_agg_ = &n;
   }
   epochal_ = !has_join && !has_recurse;
+  collect_ = &graph_->nodes.back();  // Validate: the root is the collect
+  if (is_origin_) {
+    // Built first: the root of the combine tree hands its epochs to it.
+    auto stage = std::make_unique<CollectStage>(
+        host_, qid_, final_agg_, collect_, has_partial_agg, has_recurse);
+    collection_ = stage.get();
+    stages_.back() = std::move(stage);
+  }
 
   for (uint32_t id = 0; id < graph_->size(); ++id) {
     const OpNode& n = graph_->nodes[id];
@@ -63,7 +73,7 @@ Status QueryRuntime::Init() {
           return Status::InvalidArgument("multiple partial-agg nodes");
         }
         auto stage = std::make_unique<AggStage>(host_, qid_, id, &n,
-                                                is_origin_, !epochal_);
+                                                collection_, !epochal_);
         agg_ = stage.get();
         stages_[id] = std::move(stage);
         break;
@@ -87,12 +97,6 @@ Status QueryRuntime::Init() {
         stages_[id] = std::move(stage);
         break;
       }
-      case OpType::kFinalAgg:
-        final_agg_ = &n;
-        break;
-      case OpType::kCollect:
-        collect_ = &n;
-        break;
       case OpType::kScan: {
         int cons = graph_->ConsumerOf(id);
         if (cons >= 0) {
@@ -165,13 +169,13 @@ EmitFn QueryRuntime::BuildEmitFrom(uint32_t producer_id) {
     case ExchangeKind::kToOrigin: {
       if (epochal_) {
         return [this](const Tuple& t) {
-          host_->DeliverResult(qid_, current_epoch_, t);
+          ToOrigin(current_epoch_, t);
           if (local_cap_ < 0) return true;
           return ++epoch_sent_ < local_cap_;
         };
       }
       return [this](const Tuple& t) {
-        host_->DeliverResult(qid_, 0, t);
+        ToOrigin(0, t);
         return true;
       };
     }
@@ -250,7 +254,11 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
           }
         }
         epoch_sent_ += static_cast<int64_t>(b.ActiveRows());
-        host_->DeliverResultBatch(qid_, current_epoch_, b);
+        if (collection_ != nullptr) {
+          collection_->Accept(host_->self_host(), current_epoch_, b);
+        } else {
+          host_->DeliverResultBatch(qid_, current_epoch_, b);
+        }
         return local_cap_ < 0 || epoch_sent_ < local_cap_;
       };
     }
@@ -416,13 +424,38 @@ void QueryRuntime::OnArrival(const std::string& ns,
   }
 }
 
-void QueryRuntime::OnRemotePartial(uint64_t epoch, const Tuple& t) {
-  if (agg_ != nullptr) {
-    agg_->OnRemotePartial(epoch, t);
-    return;
+void QueryRuntime::ToOrigin(uint64_t epoch, const Tuple& t) {
+  if (collection_ != nullptr) {
+    collection_->Accept(host_->self_host(), epoch, t);
+  } else {
+    host_->DeliverResult(qid_, epoch, t);
   }
-  // No aggregation stage on this graph: forward straight to the origin.
-  host_->DeliverPartial(qid_, epoch, t, ExchangeKind::kToOrigin);
+}
+
+void QueryRuntime::OnRemoteRow(uint32_t from, uint64_t epoch, const Tuple& t,
+                               bool partial) {
+  if (partial) {
+    if (agg_ != nullptr) agg_->OnRemotePartial(from, epoch, t);
+  } else if (collection_ != nullptr) {
+    collection_->Accept(from, epoch, t);
+  }
+}
+
+void QueryRuntime::FinishEpoch(uint64_t epoch, ResultBatch* out) {
+  collection_->Finish(epoch, agg_ != nullptr ? agg_->TakeCombined(epoch)
+                                             : std::vector<Tuple>{},
+                      out);
+}
+
+void QueryRuntime::FallBackToScans(uint64_t restart_epoch) {
+  // An index scan feeds only local chains (Init), so each becomes an
+  // epochal scan exactly as Init would build it.
+  for (uint32_t id : index_scans_) {
+    stages_[id].reset();
+    epochal_scans_.push_back(id);
+  }
+  index_scans_.clear();
+  collection_->Restart(restart_epoch);
 }
 
 void QueryRuntime::OnFetchReq(uint32_t from, Reader* r) {

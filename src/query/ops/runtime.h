@@ -1,12 +1,13 @@
 // QueryRuntime: one installed query's live dataflow on one node.
 //
 // Built from the plan's opgraph at install time, it instantiates the
-// stages this node participates in (joins, partial aggregation, recursion),
-// compiles the kLocal edges into direct call chains (filter/project fused
-// into their producer's emit path), and routes engine events — exchange
-// arrivals, relayed partials, fetch/Bloom traffic, timers — to the right
-// stage. The engine owns one runtime per active query and destroys it at
-// query GC.
+// stages this node participates in (joins, partial aggregation, recursion,
+// and at the origin the collection, where kToOrigin edges end), compiles
+// the kLocal edges into direct call chains (filter/project fused into
+// their producer's emit path), and routes engine events — exchange
+// arrivals, members' rows and partials, fetch/Bloom traffic, timers — to
+// the right stage. The engine owns one runtime per active query and
+// destroys it at query GC.
 
 #ifndef PIER_QUERY_OPS_RUNTIME_H_
 #define PIER_QUERY_OPS_RUNTIME_H_
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "query/ops/agg_stage.h"
+#include "query/ops/collect_stage.h"
 #include "query/ops/index_scan_stage.h"
 #include "query/ops/join_stage.h"
 #include "query/ops/recursive_stage.h"
@@ -43,9 +45,15 @@ class QueryRuntime {
   /// (select/project and scan aggregation); joins and recursion set up once.
   bool epochal() const { return epochal_; }
   bool has_recurse() const { return recurse_ != nullptr; }
-  bool has_partial_agg() const { return agg_ != nullptr; }
-  const OpNode* final_agg_node() const { return final_agg_; }
-  const OpNode* collect_node() const { return collect_; }
+  /// Index scans are the plan's only source (Init keeps them off every
+  /// distributed operator): it runs at the origin, never disseminated.
+  bool origin_local() const { return !index_scans_.empty(); }
+  /// Members produce each epoch from their own scans alone and ship it
+  /// straight to the origin — no relay, hold, join or cursor owes rows
+  /// after the scans finish — so their reports can certify it exact.
+  bool accountable() const {
+    return epochal_ && agg_ == nullptr && index_scans_.empty();
+  }
   /// Exchange namespaces this query consumes on this node (subscribe at
   /// install, drop at query end).
   std::vector<std::string> Namespaces() const;
@@ -59,7 +67,11 @@ class QueryRuntime {
   /// Runs one epoch of every epochal scan pipeline.
   void StartEpoch(uint64_t epoch);
   void OnArrival(const std::string& ns, const dht::StoredItem& item);
-  void OnRemotePartial(uint64_t epoch, const catalog::Tuple& t);
+  /// One row of a member's frame: a partial for the aggregation stage, a
+  /// result for the origin's collection. Anything else is malformed (every
+  /// member builds the same graph) and dropped.
+  void OnRemoteRow(uint32_t from, uint64_t epoch, const catalog::Tuple& t,
+                   bool partial);
   void OnFetchReq(uint32_t from, Reader* r);
   void OnFetchResp(Reader* r);
   /// Filter-wave frames route per-edge by the frame's join node id (a
@@ -68,6 +80,14 @@ class QueryRuntime {
   void OnBloomPart(uint32_t from, const BloomPartFrame& frame);
   void OnBloomDist(BloomDistFrame frame);
   Stage* stage(uint32_t node_id);
+
+  // -- origin only -----------------------------------------------------------
+  /// Closes `epoch`: fills `out`'s rows and reporters (CollectStage).
+  void FinishEpoch(uint64_t epoch, ResultBatch* out);
+  /// The engine rewrote the index scans into scans: the cursors stop, the
+  /// scans run per epoch, and `restart_epoch` collects afresh.
+  void FallBackToScans(uint64_t restart_epoch);
+  TimePoint last_new_row() const { return collection_->last_new_row(); }
 
  private:
   /// Compiles the tuple-at-a-time chain downstream of a join, recursion or
@@ -85,6 +105,8 @@ class QueryRuntime {
   /// One scheduled scan of `epoch` finished; when the last one does, runs
   /// the end-of-scan work (agg EndScan, the host's scans-done gate).
   void OnEpochScanDone(uint64_t epoch);
+  /// The kToOrigin edge: the origin's own collection, or a result frame.
+  void ToOrigin(uint64_t epoch, const catalog::Tuple& t);
 
   StageHost* host_;
   const PlanEnvelope* env_;
@@ -105,6 +127,7 @@ class QueryRuntime {
   std::vector<JoinStage*> joins_;               // in topological order
   AggStage* agg_ = nullptr;
   RecursiveStage* recurse_ = nullptr;
+  CollectStage* collection_ = nullptr;  ///< the origin only
   const OpNode* final_agg_ = nullptr;
   const OpNode* collect_ = nullptr;
   std::vector<uint32_t> epochal_scans_;

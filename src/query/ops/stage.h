@@ -6,7 +6,9 @@
 // Stages never talk to the network directly; they go through StageHost, the
 // narrow engine interface below. That keeps the choreography (who a partial
 // is sent to, which timers survive a node crash) in one place and the
-// operator logic testable in isolation.
+// operator logic testable in isolation. The Deliver* calls are member-only
+// sends: at the origin, kToOrigin rows and partials never leave the node —
+// the runtime hands them to its own CollectStage and root AggStage.
 
 #ifndef PIER_QUERY_OPS_STAGE_H_
 #define PIER_QUERY_OPS_STAGE_H_
@@ -46,24 +48,20 @@ class StageHost {
   /// This node's current dissemination-tree depth for `qid` (refresh
   /// broadcasts can reparent a node between epochs).
   virtual int QueryDepth(uint64_t qid) const = 0;
+  /// True once this node takes no more data for `epoch` of `qid`: at the
+  /// origin the epoch was finalized, elsewhere the query ended here.
+  virtual bool EpochClosed(uint64_t qid, uint64_t epoch) const = 0;
 
-  /// kToOrigin exchange: routes a result row to the query origin (loops
-  /// back into origin collection when this node *is* the origin).
+  /// kToOrigin exchange: sends a result row to the query origin.
   virtual void DeliverResult(uint64_t qid, uint64_t epoch,
                              const catalog::Tuple& t) = 0;
-  /// Routes a partial aggregate. kTree sends to the dissemination-tree
-  /// parent (which combines before forwarding); anything else goes straight
-  /// to the origin.
-  virtual void DeliverPartial(uint64_t qid, uint64_t epoch,
-                              const catalog::Tuple& t, ExchangeKind route) = 0;
-  /// Batch-plane kToOrigin: delivers every live row of `b` to the origin in
-  /// ONE column-major wire frame (looping back row-by-row into origin
-  /// collection when this node is the origin).
+  /// Batch-plane kToOrigin: sends every live row of `b` to the origin in
+  /// column-major wire frames of a few rows each.
   virtual void DeliverResultBatch(uint64_t qid, uint64_t epoch,
                                   const exec::RowBatch& b) = 0;
-  /// Batch-plane partial routing: one frame carries a whole flush worth of
-  /// partial rows; the receiver unpacks and folds them exactly as if each
-  /// had arrived as a kPartialAgg message.
+  /// Sends partial aggregates: kTree to the dissemination-tree parent
+  /// (which combines before forwarding), anything else to the origin. One
+  /// frame carries a whole flush (one partial: the smaller row frame).
   virtual void DeliverPartialBatch(uint64_t qid, uint64_t epoch,
                                    const std::vector<catalog::Tuple>& partials,
                                    ExchangeKind route) = 0;
@@ -119,6 +117,10 @@ class StageHost {
   /// query's budget) when `n` more puts would exceed the per-query cap —
   /// the exchange drops the put and the query degrades loudly.
   virtual bool ChargeRehashPuts(uint64_t qid, uint64_t n) = 0;
+  /// Budget gate for the origin's result buffer: returns false (and trips
+  /// the query's budget) when an epoch holding `held` rows is at the row
+  /// cap — the row is dropped and the answer degrades loudly.
+  virtual bool ChargeResultRow(uint64_t qid, uint64_t held) = 0;
 };
 
 /// A stage consuming tuples from a local edge. Returns false to stop the

@@ -195,7 +195,7 @@ Result<std::vector<Tuple>> OracleEvaluate(core::PierNetwork& net,
             t = std::move(permuted);
           }
         }
-        if (!aggregated && node.distinct) {
+        if (node.distinct) {
           std::vector<Tuple> unique;
           exec::DistinctOp distinct;
           exec::FnSink sink(

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 
 #include "common/rng.h"
 #include "exec/agg.h"
@@ -310,6 +312,40 @@ TEST(OperatorTest, TopKOrdersAndBounds) {
   EXPECT_EQ(sink.rows()[0][0].int64_value(), 9);
   EXPECT_EQ(sink.rows()[1][0].int64_value(), 7);
   EXPECT_EQ(sink.rows()[2][0].int64_value(), 5);
+}
+
+// Random rows with heavy ties on the order column: the top-k must equal a
+// full sort-and-truncate under the same total order (the order column, then
+// the whole row), for k below, at and above the row count, and k = 0.
+TEST(OperatorTest, TopKMatchesSortAndTruncate) {
+  Rng rng(2024);
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 300; ++i) {
+    rows.push_back(Tuple{Value::Int64(rng.UniformInt(0, 9)),
+                         Value::Int64(rng.UniformInt(0, 49))});
+  }
+  for (bool desc : {false, true}) {
+    std::vector<Tuple> sorted = rows;
+    std::sort(sorted.begin(), sorted.end(),
+              [desc](const Tuple& a, const Tuple& b) {
+                int c = a[0].Compare(b[0]);
+                if (c != 0) return desc ? c > 0 : c < 0;
+                return catalog::CompareTuples(a, b) < 0;
+              });
+    for (size_t k : {size_t{0}, size_t{1}, size_t{7}, size_t{64},
+                     rows.size(), rows.size() + 10}) {
+      SCOPED_TRACE("desc=" + std::to_string(desc) +
+                   " k=" + std::to_string(k));
+      std::vector<Tuple> want(
+          sorted.begin(), sorted.begin() + std::min(k, sorted.size()));
+      TopKOp topk(/*order_col=*/0, desc, k);
+      CollectorSink sink;
+      topk.AddOutput(&sink);
+      for (const Tuple& t : rows) topk.Push(t, 0);
+      topk.FlushAndReset();
+      EXPECT_EQ(sink.rows(), want);
+    }
+  }
 }
 
 TEST(OperatorTest, LimitPassesFirstK) {

@@ -1,8 +1,10 @@
 // Golden planner shapes shared by the SQL and wire-format suites: one
 // catalog and one SQL statement per shape the planner emits, each with the
-// EXPLAIN rendering of its opgraph. sql_test checks the renderings;
-// fuzz_deserialize_test feeds the planned graphs to its truncation and
-// round-trip properties so every branch of the node encoding is exercised.
+// EXPLAIN rendering of its opgraph and the roles the runtime derives for
+// it. sql_test checks the renderings and runs each shape to check its
+// roles; fuzz_deserialize_test feeds the planned graphs to its truncation
+// and round-trip properties so every branch of the node encoding is
+// exercised.
 
 #ifndef PIER_TESTS_GOLDEN_PLANS_H_
 #define PIER_TESTS_GOLDEN_PLANS_H_
@@ -65,6 +67,10 @@ struct Shape {
   const char* sql;
   planner::PlannerOptions options;
   const char* explain;
+  /// The plan runs at the origin alone and is never disseminated.
+  bool origin_local = false;
+  /// Members report each epoch, so the origin can certify the answer exact.
+  bool accountable = false;
 };
 
 inline planner::PlannerOptions Options(query::AggStrategy agg) {
@@ -102,7 +108,8 @@ inline std::vector<Shape> Shapes() {
        "  1: filter((hits > 5)) <- (0)\n"
        "  2: project(2 exprs) <- (1) => to-origin\n"
        "  3: collect() <- (2)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/true},
       {"select_order_limit",
        "SELECT rule_id, hits FROM alerts ORDER BY hits DESC LIMIT 3",
        {},
@@ -110,7 +117,8 @@ inline std::vector<Shape> Shapes() {
        "  0: scan(alerts)\n"
        "  1: project(2 exprs) <- (0) => to-origin\n"
        "  2: collect(order=1 desc limit=3) <- (1)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/true},
       {"select_distinct",
        "SELECT DISTINCT descr FROM alerts",
        {},
@@ -118,7 +126,8 @@ inline std::vector<Shape> Shapes() {
        "  0: scan(alerts)\n"
        "  1: project(1 exprs) <- (0) => to-origin\n"
        "  2: collect(distinct) <- (1)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/true},
       {"aggregate_tree",
        kAggregateSql,
        Options(AggStrategy::kTree),
@@ -129,7 +138,8 @@ inline std::vector<Shape> Shapes() {
        "  3: final-agg(group=[0] aggs=SUM,COUNT) having=(COUNT(*) > 1)"
        " <- (2)\n"
        "  4: collect(select=[1,0] order=0 desc limit=3) <- (3)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/false},
       {"aggregate_direct",
        kAggregateSql,
        Options(AggStrategy::kDirect),
@@ -140,7 +150,18 @@ inline std::vector<Shape> Shapes() {
        "  3: final-agg(group=[0] aggs=SUM,COUNT) having=(COUNT(*) > 1)"
        " <- (2)\n"
        "  4: collect(select=[1,0] order=0 desc limit=3) <- (3)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/false},
+      {"aggregate_distinct",
+       "SELECT DISTINCT COUNT(*) AS n FROM alerts GROUP BY rule_id",
+       {},
+       "opgraph{\n"
+       "  0: scan(alerts)\n"
+       "  1: partial-agg(group=[0] aggs=COUNT) <- (0) => tree\n"
+       "  2: final-agg(group=[0] aggs=COUNT) <- (1)\n"
+       "  3: collect(distinct select=[1]) <- (2)\n"
+       "}",
+       /*origin_local=*/false, /*accountable=*/false},
       {"join_symmetric_hash",
        kJoinSql,
        Options(JoinStrategy::kSymmetricHash),
@@ -151,7 +172,8 @@ inline std::vector<Shape> Shapes() {
        "  3: filter((r.severity > 1)) <- (2)\n"
        "  4: project(2 exprs) <- (3) => to-origin\n"
        "  5: collect() <- (4)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/false},
       {"join_fetch_matches",
        kJoinSql,
        {},
@@ -162,7 +184,8 @@ inline std::vector<Shape> Shapes() {
        "  3: filter((r.severity > 1)) <- (2)\n"
        "  4: project(2 exprs) <- (3) => to-origin\n"
        "  5: collect() <- (4)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/false},
       {"join_symmetric_semi",
        kJoinSql,
        Options(JoinStrategy::kSymmetricSemi),
@@ -173,7 +196,8 @@ inline std::vector<Shape> Shapes() {
        "  3: filter((r.severity > 1)) <- (2)\n"
        "  4: project(2 exprs) <- (3) => to-origin\n"
        "  5: collect() <- (4)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/false},
       {"join_bloom",
        kJoinSql,
        Options(JoinStrategy::kBloom),
@@ -184,7 +208,8 @@ inline std::vector<Shape> Shapes() {
        "  3: filter((r.severity > 1)) <- (2)\n"
        "  4: project(2 exprs) <- (3) => to-origin\n"
        "  5: collect() <- (4)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/false},
       {"join_group_by",
        "SELECT r.severity, COUNT(*) AS n FROM alerts a JOIN rules r "
        "ON a.rule_id = r.rule_id GROUP BY r.severity",
@@ -195,7 +220,8 @@ inline std::vector<Shape> Shapes() {
        "  2: join[fetch-matches] keys=[0]x[0] <- (0,1) => to-origin\n"
        "  3: final-agg(group=[4] aggs=COUNT) <- (2)\n"
        "  4: collect(select=[0,1]) <- (3)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/false},
       {"three_way_join_group_by",
        "SELECT s.label, SUM(a.hits) AS total FROM alerts a, rules r, sevs s "
        "WHERE a.rule_id = r.rule_id AND r.severity = s.severity "
@@ -211,7 +237,8 @@ inline std::vector<Shape> Shapes() {
        "  6: partial-agg(group=[6] aggs=SUM) <- (5) => tree\n"
        "  7: final-agg(group=[6] aggs=SUM) <- (6)\n"
        "  8: collect(select=[0,1]) <- (7)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/false},
       {"index_select",
        "SELECT host, value FROM metrics WHERE value BETWEEN 10 AND 20",
        {},
@@ -220,7 +247,8 @@ inline std::vector<Shape> Shapes() {
        "  1: filter(((value >= 10) AND (value <= 20))) <- (0)\n"
        "  2: project(2 exprs) <- (1) => to-origin\n"
        "  3: collect() <- (2)\n"
-       "}"},
+       "}",
+       /*origin_local=*/true, /*accountable=*/false},
       {"index_aggregate",
        "SELECT host, SUM(value) AS total FROM metrics "
        "WHERE value BETWEEN 0 AND 100 GROUP BY host ORDER BY total DESC",
@@ -230,7 +258,8 @@ inline std::vector<Shape> Shapes() {
        "  1: filter(((value >= 0) AND (value <= 100))) <- (0) => to-origin\n"
        "  2: final-agg(group=[0] aggs=SUM) <- (1)\n"
        "  3: collect(select=[0,1] order=1 desc) <- (2)\n"
-       "}"},
+       "}",
+       /*origin_local=*/true, /*accountable=*/false},
       {"recursion",
        "WITH RECURSIVE reach(src, dst) AS ("
        "  SELECT src, dst FROM links WHERE src <> 'z' "
@@ -244,7 +273,8 @@ inline std::vector<Shape> Shapes() {
        "  2: filter((hops <= 3)) <- (1)\n"
        "  3: project(2 exprs) <- (2) => to-origin\n"
        "  4: collect(limit=20) <- (3)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/false},
       {"every_window",
        "SELECT SUM(hits) AS rate, COUNT(*) AS n FROM alerts "
        "EVERY 10 SECONDS WINDOW 20 SECONDS",
@@ -254,7 +284,8 @@ inline std::vector<Shape> Shapes() {
        "  1: partial-agg(group=[] aggs=SUM,COUNT) <- (0) => tree\n"
        "  2: final-agg(group=[] aggs=SUM,COUNT) <- (1)\n"
        "  3: collect(select=[0,1]) <- (2)\n"
-       "}"},
+       "}",
+       /*origin_local=*/false, /*accountable=*/false},
   };
 }
 

@@ -485,6 +485,44 @@ TEST(QueryContinuousTest, EpochsTrackChangingData) {
   EXPECT_GT(sum_later, sum_first);
 }
 
+// A continuous tree aggregate whose result window (7 s) outlasts its period
+// (4 s): depth-1 partials, held 5.6 s, reach the origin after the next
+// epoch has opened, so the root of the combine tree collects two epochs at
+// once. Every epoch must still see every row, none of them late.
+TEST(QueryContinuousTest, OverlappingEpochsCombineAtTheTreeRoot) {
+  PierNetworkOptions opts = ChordOpts(53);
+  opts.node.engine.result_wait = Seconds(7);
+  PierNetwork net(24, opts);
+  net.Boot(Seconds(60));
+  RegisterEverywhere(net, AlertsTable());
+  std::vector<std::tuple<int, std::string, int>> rows;
+  for (int i = 0; i < 96; ++i) rows.push_back({i, "r", i});
+  PublishAlerts(net, rows);
+
+  QueryPlan plan = AlertsPlan(
+      nullptr,
+      AggNode({}, {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "n"}}),
+      {}, AggStrategy::kTree);
+  plan.every = Seconds(4);
+  std::vector<ResultBatch> batches;
+  auto r = net.node(0)->query_engine()->Execute(
+      plan, [&](const ResultBatch& b) { batches.push_back(b); });
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  net.RunFor(Seconds(28));  // epochs 0..5 close at 7, 11, ..., 27 s
+  net.node(0)->query_engine()->Cancel(r.value());
+  net.RunFor(Seconds(5));
+
+  ASSERT_EQ(batches.size(), 6u);
+  for (const ResultBatch& b : batches) {
+    SCOPED_TRACE("epoch " + std::to_string(b.epoch));
+    ASSERT_EQ(b.rows.size(), 1u);
+    EXPECT_EQ(b.rows[0][0].int64_value(), 4560);  // 0 + 1 + ... + 95
+    EXPECT_EQ(b.rows[0][1].int64_value(), 96);
+    EXPECT_EQ(b.reporting_nodes, 10u);
+  }
+  EXPECT_EQ(net.node(0)->query_engine()->stats().late_partials, 0u);
+}
+
 TEST(QueryContinuousTest, CancelStopsEpochs) {
   PierNetwork net(4, OneHopOpts(41));
   net.Boot(Seconds(5));
@@ -882,6 +920,34 @@ TEST(QueryRobustnessTest, LatePartialsCountedAfterFinalize) {
   const EngineStats& st = net.node(0)->query_engine()->stats();
   EXPECT_GE(st.late_partials, 3u);
   EXPECT_LE(st.late_partials, 4u);  // 4 surviving non-origin reporters
+}
+
+// The per-query result-row budget: the origin keeps the first rows up to the
+// cap, drops the rest, and says so — a bounded prefix declared degraded,
+// never a silent truncation.
+TEST(QueryRobustnessTest, ResultRowCapKeepsAPrefixAndFlagsTheTrip) {
+  PierNetwork net(6, OneHopOpts(19));
+  net.Boot(Seconds(5));
+  RegisterEverywhere(net, AlertsTable());
+  std::vector<std::tuple<int, std::string, int>> rows;
+  for (int i = 0; i < 20; ++i) rows.push_back({i, "r", i});
+  PublishAlerts(net, rows);
+
+  QueryPlan plan = AlertsPlan(nullptr, ProjectNode({}));
+  plan.budget.max_result_rows = 5;
+  std::vector<ResultBatch> batches;
+  ASSERT_TRUE(net.node(0)
+                  ->query_engine()
+                  ->Execute(plan,
+                            [&](const ResultBatch& b) { batches.push_back(b); })
+                  .ok());
+  net.RunFor(Seconds(10));
+
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].rows.size(), 5u);
+  EXPECT_EQ(batches[0].completeness.budget_trips, 1u);
+  EXPECT_FALSE(batches[0].completeness.exact);
+  EXPECT_EQ(net.node(0)->query_engine()->stats().budget_rows_dropped, 15u);
 }
 
 TEST(QueryRobustnessTest, EngineStatsAccumulate) {

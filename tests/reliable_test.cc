@@ -290,6 +290,45 @@ TEST(ReliablePlaneTest, BareResultTupleInjectedMidQueryIsDropped) {
       << batches[0].completeness.ToString();
 }
 
+// Every member builds the same graph, so a partial can only reach a member
+// of an aggregate-free query in a malformed frame. The member admits the
+// frame (acking it) and drops the partial; it must not relay it onward.
+TEST(ReliablePlaneTest, FramedPartialForSelectQueryIsDroppedAtMember) {
+  PierNetwork net(6, CleanOneHopOpts());
+  SeedAlerts(net);
+  QueryPlan plan = AlertsScan();
+  plan.every = Seconds(10);  // keeps the query live at the member
+  auto r = net.node(0)->query_engine()->Execute(plan,
+                                                [](const ResultBatch&) {});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  net.RunFor(Seconds(1));
+  ASSERT_TRUE(net.node(2)->query_engine()->HasLiveQuery(r.value()));
+
+  Writer w;
+  w.PutU8(static_cast<uint8_t>(MsgType::kFrame));
+  w.PutVarint64(r.value());
+  w.PutVarint64(/*frame_id=*/1);
+  w.PutU8(static_cast<uint8_t>(MsgType::kPartialAgg));
+  w.PutVarint64(r.value());
+  w.PutVarint64(/*epoch=*/0);
+  catalog::SerializeTuple(Tuple{Value::Int64(7)}, &w);
+  const EngineStats& member = net.node(2)->query_engine()->stats();
+  const EngineStats& origin = net.node(0)->query_engine()->stats();
+  const uint64_t member_sent = member.partial_msgs_sent;
+  const uint64_t origin_received = origin.partial_msgs_received;
+  ASSERT_TRUE(net.node(3)
+                  ->transport()
+                  ->Send(net.node(2)->host(), overlay::Proto::kQuery, w)
+                  .ok());
+  net.RunFor(Seconds(2));
+
+  EXPECT_EQ(member.partial_msgs_received, 1u);  // admitted, then dropped
+  EXPECT_EQ(member.partial_msgs_sent, member_sent);
+  EXPECT_EQ(origin.partial_msgs_received, origin_received);
+  net.node(0)->query_engine()->Cancel(r.value());
+  net.RunFor(Seconds(2));
+}
+
 // ---------------------------------------------------------------------------
 // Regression: messy teardowns must not wedge admission
 // ---------------------------------------------------------------------------

@@ -848,6 +848,70 @@ TEST_F(SqlEndToEnd, ExplainGoldenForEveryPlannerShape) {
   EXPECT_EQ(net_->node(0)->query_engine()->stats().queries_issued, 0u);
 }
 
+// The roles the runtime derives for each planner shape, observed on the
+// running network: an origin-local plan never leaves the origin (no member
+// receives it), and only the members of an accountable plan report their
+// epochs — the reports the origin certifies an exact answer from.
+TEST_F(SqlEndToEnd, GoldenShapesRunInTheirPinnedRoles) {
+  Boot();
+  // Index rows, so the index shapes answer from the index instead of
+  // falling back to a broadcast scan.
+  for (int i = 0; i < 40; ++i) {
+    Tuple t{Value::String("h-" + std::to_string(i % 5)), Value::Int64(i),
+            Value::String("n")};
+    ASSERT_TRUE(net_->node(i % net_->size())
+                    ->query_engine()
+                    ->Publish("metrics", t)
+                    .ok());
+  }
+  PublishAlert(1, "one", 10);
+  PublishAlert(2, "two", 20);
+  net_->RunFor(Seconds(15));  // index forwards/splits settle
+
+  auto member_totals = [&](uint64_t* plans, uint64_t* reports) {
+    *plans = 0;
+    *reports = 0;
+    for (size_t i = 1; i < net_->size(); ++i) {
+      const query::EngineStats& s = net_->node(i)->query_engine()->stats();
+      *plans += s.plans_received;
+      *reports += s.epoch_reports_sent;
+    }
+  };
+  for (const golden::Shape& shape : golden::Shapes()) {
+    SCOPED_TRACE(shape.name);
+    uint64_t plans_before = 0, reports_before = 0;
+    member_totals(&plans_before, &reports_before);
+    std::vector<ResultBatch> batches;
+    auto r = planner::ExecuteSql(
+        net_->node(0)->query_engine(), shape.sql,
+        [&](const ResultBatch& b) { batches.push_back(b); }, shape.options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    net_->RunFor(Seconds(12));
+    net_->node(0)->query_engine()->Cancel(r.value());  // continuous shapes
+    net_->RunFor(Seconds(2));
+    EXPECT_FALSE(batches.empty());
+    uint64_t plans_after = 0, reports_after = 0;
+    member_totals(&plans_after, &reports_after);
+    EXPECT_EQ(plans_after == plans_before, shape.origin_local);
+    EXPECT_EQ(reports_after > reports_before, shape.accountable);
+  }
+}
+
+// DISTINCT applies to the SELECT list after aggregation too: two rules with
+// two alerts each and one with a single alert give two distinct counts.
+TEST_F(SqlEndToEnd, DistinctOverAggregateDeduplicates) {
+  Boot();
+  for (int rule : {1, 1, 2, 2, 3}) PublishAlert(rule, "a", 1);
+  net_->RunFor(Seconds(5));
+
+  auto batches =
+      Run("SELECT DISTINCT COUNT(*) AS n FROM alerts GROUP BY rule_id");
+  ASSERT_EQ(batches.size(), 1u);
+  std::multiset<int64_t> got;
+  for (const Tuple& t : batches[0].rows) got.insert(t[0].int64_value());
+  EXPECT_EQ(got, (std::multiset<int64_t>{1, 2}));
+}
+
 TEST_F(SqlEndToEnd, IndexedRangeQueryMatchesFilteredBaseline) {
   Boot(8);
   // metrics rows across all nodes; values 0..79.
