@@ -3,12 +3,19 @@
 // UCB/CSD-04-1301). Computes the transitive closure of a distributed link
 // table and compares against an exact in-memory closure, sweeping graph
 // size. Reports expansion traffic and time-to-fixpoint.
+//
+// Usage: bench_recursive [--json[=PATH]]
+// Self-check (exit 1 on failure, deterministic virtual time): at every
+// graph size the reported closure is exactly the in-memory one (reported
+// == correct == exact pairs).
 
 #include <cinttypes>
 #include <cstdio>
 #include <queue>
 #include <set>
+#include <string>
 
+#include "common/bench_json.h"
 #include "core/network.h"
 #include "query/plan.h"
 #include "workload/workloads.h"
@@ -48,7 +55,15 @@ std::set<std::pair<std::string, std::string>> ExactClosure(
   return closure;
 }
 
-void RunSize(size_t vertices) {
+struct SizeResult {
+  size_t exact = 0;
+  size_t reported = 0;
+  size_t correct = 0;
+  uint64_t expansions = 0;
+  double fixpoint_s = 0;
+};
+
+SizeResult RunSize(size_t vertices) {
   const size_t kNodes = 32;
   const int kMaxHops = 12;
   core::PierNetworkOptions opts;
@@ -86,7 +101,7 @@ void RunSize(size_t vertices) {
       });
   if (!r.ok()) {
     std::printf("query failed: %s\n", r.status().ToString().c_str());
-    return;
+    return {exact.size(), 0, 0, 0, 0};
   }
   net.RunFor(Seconds(280));
 
@@ -100,19 +115,48 @@ void RunSize(size_t vertices) {
   std::printf("%8zu %6zu %9zu %9zu %9zu %10" PRIu64 " %9" PRIu64 " %8.1f\n",
               vertices, edges.size(), exact.size(), got.size(), correct,
               expansions, duplicates, ToSecondsF(t_done - t0));
+  return {exact.size(), got.size(), correct, expansions,
+          ToSecondsF(t_done - t0)};
 }
 
 }  // namespace
 }  // namespace pier
 
-int main() {
+int main(int argc, char** argv) {
+  pier::bench::JsonOptions json = pier::bench::ParseJsonFlag(argc, argv);
+  pier::bench::JsonReport report("recursive");
+  pier::bench::WallTimer timer;
   std::printf("== Ablation F: recursive transitive closure (topology "
               "mapping) ==\n\n");
   std::printf("%8s %6s %9s %9s %9s %10s %9s %8s\n", "vertices", "edges",
               "exact", "reported", "correct", "expansions", "dup.cut",
               "time.s");
-  for (size_t v : {8, 16, 32, 48}) pier::RunSize(v);
+  bool ok = true;
+  for (size_t v : {8, 16, 32, 48}) {
+    pier::SizeResult res = pier::RunSize(v);
+    ok = ok && res.reported == res.exact && res.correct == res.exact;
+    const std::string size = "v" + std::to_string(v);
+    report.Metric(size + "_exact_pairs", static_cast<double>(res.exact),
+                  "count");
+    report.Metric(size + "_reported_pairs",
+                  static_cast<double>(res.reported), "count");
+    report.Metric(size + "_expansions", static_cast<double>(res.expansions),
+                  "count");
+    report.Metric(size + "_fixpoint", res.fixpoint_s, "s");
+  }
   std::printf("\nexpected shape: reported == exact (semi-naive evaluation "
               "reaches fixpoint); duplicates grow with cycle density\n");
+  double wall = timer.Seconds();
+  std::printf("wall-clock: %.2fs  self-check: %s\n", wall,
+              ok ? "OK" : "FAIL");
+  report.Metric("wall_clock", wall, "s");
+  if (json.enabled && !report.WriteMerged(json.path)) {
+    std::fprintf(stderr, "failed to write %s\n", json.path.c_str());
+    return 1;
+  }
+  if (!ok) {
+    std::printf("FAIL: a reported closure differs from the exact one\n");
+    return 1;
+  }
   return 0;
 }

@@ -16,14 +16,14 @@
 #                bench_range_scan + bench_multiway_join +
 #                bench_exec_vectorized + bench_query_storm +
 #                bench_join_strategies + bench_churn +
-#                bench_aggregation_tree with --json, merged into
-#                BENCH_PR10.json, then short pierbench storm, table1,
-#                table1_lossy and joins runs). The smoke fails only on a
-#                bench self-check mismatch (all deterministic), the
+#                bench_aggregation_tree + bench_recursive with --json,
+#                merged into BENCH_PR10.json, then short pierbench storm,
+#                table1, table1_lossy and joins runs). The smoke fails only
+#                on a bench self-check mismatch (all deterministic), the
 #                vectorized bench's >=5x speedup gate, the join-strategy
 #                bench's >=5x traffic-reduction gate, the churn bench's
-#                coverage floor, or a pierbench oracle failure, never on
-#                raw timing.
+#                coverage floor, the recursion bench's exact-closure gate,
+#                or a pierbench oracle failure, never on raw timing.
 #   --fuzz       Also run the extended fault-injection fuzz lane: configures
 #                with -DPIER_FUZZ_LANE=ON and runs `ctest -L fuzz`
 #                (PIER_FUZZ_ITERS scenarios, default 60). Failing seeds +
@@ -138,6 +138,10 @@ if [[ $PERF -eq 1 ]]; then
   # both strategies counting every node and on the tree's origin taking
   # fewer partial messages than direct collection at every size.
   "$BUILD_DIR/bench_aggregation_tree" --json=BENCH_PR10.json | tail -3
+  # Recursion to fixpoint on 32 Chord nodes at 8..48 vertices. Gates on the
+  # reported closure equalling the exact in-memory closure at every size —
+  # reach pairs that beat the plan to their owner must not be lost.
+  "$BUILD_DIR/bench_recursive" --json=BENCH_PR10.json | tail -2
   # End-to-end correctness smoke on pierbench, checked by its oracle:
   # storm runs index ranges, broadcast scans and binary joins on 128 nodes;
   # table1 the tree aggregate on 300 nodes, and table1_lossy the same under

@@ -83,7 +83,7 @@ std::string ResourceForCols(const Tuple& t, const std::vector<int>& cols) {
   for (int c : cols) {
     uint64_t h = (c >= 0 && static_cast<size_t>(c) < t.size())
                      ? t[c].Hash()
-                     : 0x6e756c6cull;
+                     : kMissingColumnHash;
     w.PutFixed64(h);
   }
   return w.Release();

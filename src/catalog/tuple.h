@@ -39,8 +39,10 @@ int CompareTuples(const Tuple& a, const Tuple& b);
 
 /// Encodes the values of `cols` as a DHT resource string: equal key values
 /// (including INT64 5 vs DOUBLE 5.0) produce identical resources, so they
-/// rendezvous at the same node.
+/// rendezvous at the same node. The resource is each column's Value::Hash
+/// as a fixed64, kMissingColumnHash for a column past the tuple's end.
 std::string ResourceForCols(const Tuple& t, const std::vector<int>& cols);
+constexpr uint64_t kMissingColumnHash = 0x6e756c6cull;
 
 }  // namespace catalog
 }  // namespace pier

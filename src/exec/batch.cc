@@ -14,9 +14,20 @@ namespace {
 // Decode guards: a frame claiming more than this is corrupt, not big.
 constexpr uint32_t kMaxBatchRows = 1u << 20;
 constexpr uint32_t kMaxBatchCols = 4096;
-constexpr uint8_t kBatchVersion = 1;
+/// Leads the column-major form. A one-row frame leads with its column
+/// count instead, a single varint byte below 0x80.
+constexpr uint8_t kBatchVersion = 0x81;
+/// Column counts below this fit the one-row form's single leading byte.
+constexpr size_t kRowFormMaxCols = 0x80;
 
 constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+/// True when the frame at `r` is the one-row (tuple) form; reads nothing.
+bool LeadsRowForm(const Reader& r) {
+  Reader peek = r;
+  uint8_t lead = 0;
+  return peek.GetU8(&lead).ok() && lead < kRowFormMaxCols;
+}
 
 }  // namespace
 
@@ -337,36 +348,32 @@ void RowBatch::ToTuple(size_t row, catalog::Tuple* out) const {
   for (const Column& c : cols_) out->push_back(c.ValueAt(row));
 }
 
-RowBatch RowBatch::Compact() const {
+RowBatch RowBatch::Gather(const std::vector<uint32_t>& rows) const {
   RowBatch out;
   out.cols_.reserve(cols_.size());
-  for (const Column& c : cols_) out.cols_.push_back(Column(c.kind()));
-  size_t n = ActiveRows();
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t row = RowId(i);
+  for (const Column& c : cols_) {
+    out.cols_.push_back(Column(c.kind()));
+    out.cols_.back().Reserve(rows.size());
+  }
+  for (uint32_t row : rows) {
     for (size_t c = 0; c < cols_.size(); ++c) {
       out.cols_[c].AppendFrom(cols_[c], row);
     }
   }
-  out.num_rows_ = n;
+  out.num_rows_ = rows.size();
   return out;
 }
 
+RowBatch RowBatch::Compact() const { return SliceLive(0, ActiveRows()); }
+
 RowBatch RowBatch::SliceLive(size_t start, size_t len) const {
-  RowBatch out;
-  out.cols_.reserve(cols_.size());
-  for (const Column& c : cols_) out.cols_.push_back(Column(c.kind()));
   size_t n = ActiveRows();
   if (start > n) start = n;
   size_t end = (len > n - start) ? n : start + len;
-  for (size_t i = start; i < end; ++i) {
-    uint32_t row = RowId(i);
-    for (size_t c = 0; c < cols_.size(); ++c) {
-      out.cols_[c].AppendFrom(cols_[c], row);
-    }
-  }
-  out.num_rows_ = end - start;
-  return out;
+  std::vector<uint32_t> rows;
+  rows.reserve(end - start);
+  for (size_t i = start; i < end; ++i) rows.push_back(RowId(i));
+  return Gather(rows);
 }
 
 void RowBatch::TruncateLive(size_t n) {
@@ -387,7 +394,35 @@ RowBatch RowBatch::FromColumns(std::vector<Column> cols, size_t rows) {
   return out;
 }
 
+RowBatch RowBatch::OfRow(const catalog::Tuple& t) {
+  RowBatch out;
+  out.AssignRow(t);
+  return out;
+}
+
+void RowBatch::AssignRow(const catalog::Tuple& t) {
+  ClearSelection();
+  cols_.resize(t.size());
+  for (size_t i = 0; i < t.size(); ++i) {
+    const Column::Kind kind = Column::KindForType(t[i].type());
+    if (cols_[i].kind() == kind) {
+      cols_[i].Clear();
+    } else {
+      cols_[i] = Column(kind);
+    }
+    cols_[i].AppendValue(t[i]);
+  }
+  num_rows_ = 1;
+}
+
 void RowBatch::Encode(Writer* w) const {
+  if (ActiveRows() == 1 && cols_.size() < kRowFormMaxCols) {
+    // The one-row form is the tuple encoding itself.
+    catalog::Tuple t;
+    ToTuple(RowId(0), &t);
+    catalog::SerializeTuple(t, w);
+    return;
+  }
   if (has_selection_) {
     // The wire never carries dead rows: compact first.
     Compact().Encode(w);
@@ -452,6 +487,28 @@ std::string RowBatch::EncodeToBytes() const {
 }
 
 Status RowBatch::Decode(Reader* r, RowBatch* out) {
+  if (LeadsRowForm(*r)) {
+    catalog::Tuple t;
+    PIER_RETURN_IF_ERROR(catalog::DeserializeTuple(r, &t));
+    *out = OfRow(t);
+    return Status::OK();
+  }
+  return DecodeColumnar(r, out);
+}
+
+Status RowBatch::DecodeRows(Reader* r, std::vector<catalog::Tuple>* rows) {
+  if (LeadsRowForm(*r)) {
+    rows->resize(1);
+    return catalog::DeserializeTuple(r, &rows->front());
+  }
+  RowBatch b;
+  PIER_RETURN_IF_ERROR(DecodeColumnar(r, &b));
+  rows->resize(b.num_rows());
+  for (size_t i = 0; i < b.num_rows(); ++i) b.ToTuple(i, &(*rows)[i]);
+  return Status::OK();
+}
+
+Status RowBatch::DecodeColumnar(Reader* r, RowBatch* out) {
   uint8_t version = 0;
   PIER_RETURN_IF_ERROR(r->GetU8(&version));
   if (version != kBatchVersion) return Status::Corruption("bad batch version");
@@ -708,6 +765,10 @@ bool RowBatchBuilder::AppendSerialized(std::string_view bytes) {
         break;
       }
       case static_cast<uint8_t>(ValueType::kBool): {
+        if (p == end) {
+          ok = false;
+          break;
+        }
         uint8_t b = *p++;
         if (!wanted) break;
         if (col.kind() == Column::Kind::kBool) {

@@ -5,12 +5,13 @@
 // fallback column for anything the typed lanes cannot carry). Operators
 // process whole batches at a time: scans decode store slices straight into
 // builders, filters narrow a selection vector without materializing, and
-// exchanges ship one column-major wire frame per batch instead of one frame
-// per tuple.
+// exchanges ship one wire frame per batch instead of one frame per tuple (a
+// one-row batch travels in the tuple encoding, so scalar producers pay
+// nothing extra on the wire for entering the batch plane).
 //
 // Values round-trip losslessly: Column::ValueAt() re-boxes exactly the Value
-// that was appended, so the batch plane and the tuple plane agree bit for
-// bit (the differential tests in tests/vectorized_test.cc hold both planes
+// that was appended, so the batch kernels and the scalar operators agree
+// bit for bit (the differential tests in tests/vectorized_test.cc hold both
 // to that contract).
 
 #ifndef PIER_EXEC_BATCH_H_
@@ -165,21 +166,46 @@ class RowBatch {
   /// mid-batch truncates the tail instead of delivering it.
   void TruncateLive(size_t n);
 
+  /// Dense copy of physical rows `rows`, in the given order — how an
+  /// exchange cuts one batch into per-destination frames.
+  RowBatch Gather(const std::vector<uint32_t>& rows) const;
+
   /// Assembles a batch directly from pre-built columns (all of size `rows`)
   /// — how projection stages emit without re-boxing through a builder.
   static RowBatch FromColumns(std::vector<Column> cols, size_t rows);
+  /// A one-row batch holding `t`, each column's kind taken from its value
+  /// (NULL and BYTES ride the boxed lane) — how scalar producers (join
+  /// output, recursion, fetched rows) enter the batch chain.
+  static RowBatch OfRow(const catalog::Tuple& t);
+  /// Makes this batch OfRow(t) in place, from any prior state (narrowed,
+  /// truncated or moved from), keeping its columns' storage: a producer
+  /// that emits row after row refills one batch instead of allocating one
+  /// per row.
+  void AssignRow(const catalog::Tuple& t);
 
-  /// Column-major wire frame of the live rows (selection compacted away).
-  /// One Encode is one network Payload body — the whole point.
+  /// The wire frame of the live rows (selection compacted away); one
+  /// Encode is one network Payload body. One live row of fewer than 128
+  /// columns is written as exactly catalog::SerializeTuple's bytes, whose
+  /// leading column count is below 0x80; every other batch is the
+  /// column-major form, led by the 0x81 version byte. The first byte tells
+  /// the two forms apart.
   void Encode(Writer* w) const;
   std::string EncodeToBytes() const;
-  /// Strict inverse of Encode. Malformed bytes return a Status and leave
-  /// `out` unspecified; never crashes (fuzz-hardened like every decoder).
+  /// Strict inverse of Encode for both forms (a one-row frame decodes as
+  /// OfRow of its tuple). Malformed bytes return a Status and leave `out`
+  /// unspecified; never crashes (fuzz-hardened like every decoder).
   static Status Decode(Reader* r, RowBatch* out);
   static Status FromBytes(std::string_view bytes, RowBatch* out);
+  /// Reads one frame of either form straight into tuples (replacing
+  /// `rows`): a one-row frame costs exactly catalog::DeserializeTuple.
+  /// Receivers that consume rows one at a time use this.
+  static Status DecodeRows(Reader* r, std::vector<catalog::Tuple>* rows);
 
  private:
   friend class RowBatchBuilder;
+
+  /// The column-major form, version byte first.
+  static Status DecodeColumnar(Reader* r, RowBatch* out);
 
   std::vector<Column> cols_;
   size_t num_rows_ = 0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "query/bloom_wire.h"
+
 namespace pier {
 namespace planner {
 
@@ -58,7 +60,7 @@ JoinChoice ChooseJoinStrategy(const JoinCostInputs& in) {
   // the tree — both filters per frame) plus the surviving rehash. Under
   // the containment assumption the smaller key domain is a subset of the
   // larger, so a side survives in proportion to the other side's domain.
-  const uint64_t filter_bytes = 2 * (in.bloom_bits / 8);
+  const uint64_t filter_bytes = 2 * (query::kBloomBits / 8);
   const uint64_t wave = 3 * std::max<uint64_t>(in.members, 1) * filter_bytes;
   const double fL = dL <= dR ? 1.0 : static_cast<double>(dR) / dL;
   const double fR = dR <= dL ? 1.0 : static_cast<double>(dL) / dR;

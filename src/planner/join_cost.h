@@ -35,8 +35,6 @@ struct JoinCostInputs {
   /// because the wave term is dwarfed by per-tuple terms at any scale
   /// where Bloom wins.
   uint64_t members = 32;
-  /// Filter sizing, mirroring EngineOptions::bloom_bits.
-  uint64_t bloom_bits = 1 << 14;
 };
 
 /// The selection plus the estimates it was based on (surfaced in tests and

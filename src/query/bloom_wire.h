@@ -19,6 +19,7 @@
 #ifndef PIER_QUERY_BLOOM_WIRE_H_
 #define PIER_QUERY_BLOOM_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/bloom.h"
@@ -27,6 +28,12 @@
 
 namespace pier {
 namespace query {
+
+/// Geometry of every join filter: the members build their parts, and the
+/// origin its union, at this size; the planner's cost model prices the
+/// wave with it.
+constexpr size_t kBloomBits = 1 << 14;
+constexpr int kBloomHashes = 5;
 
 /// Member -> origin: one node's contribution to a join edge's filter wave.
 /// Payload of MsgType::kBloomPart (after the type byte).

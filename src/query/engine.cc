@@ -15,11 +15,39 @@ using catalog::Tuple;
 
 namespace {
 
-/// Max rows per kResultBatch frame on the member->origin hop. A lost frame
+/// Max rows per kResult frame on the member->origin hop. A lost frame
 /// costs the whole frame until its retransmit lands: a small cap keeps the
 /// loss blast radius (and thus recall under faulty links) close to a
 /// row-at-a-time plane while still amortizing per-message framing.
 constexpr size_t kResultFrameRows = 4;
+
+// Fixed pacing (the windows a deployment sets are in EngineOptions).
+/// Reliable result plane: retransmit after kRetryInitial, backing off x2 up
+/// to kRetryMax, each delay jittered by +/- kRetryJitter; a frame is lost
+/// for good (Completeness::frames_lost) after kRetryBudget attempts — 7 fit
+/// the default 8s result window at 20% per-hop loss with P(loss) ~ 1e-3.
+constexpr Duration kRetryInitial = Millis(300);
+constexpr Duration kRetryMax = Seconds(2);
+constexpr double kRetryJitter = 0.25;
+constexpr int kRetryBudget = 7;
+/// Member-side state GC delay after a query ends.
+constexpr Duration kCleanupDelay = Seconds(30);
+/// Member-side origin-liveness lease: grace beyond a query's expected end
+/// after which a member whose origin died without kQueryEnd/kCancel
+/// reclaims the query's stage state and exchange namespaces on its own.
+constexpr Duration kMemberLease = Seconds(20);
+/// Origin admission refuses plans with more operators than this.
+constexpr size_t kMaxPlanOperators = 64;
+/// No `exact` certification while the overlay topology changed within this
+/// window: the minority side of a fresh partition sees "every member
+/// reported" over its shrunken ring. Sized so a one-shot query issued
+/// within ~window - result_wait of a split cannot certify in its window.
+constexpr Duration kCertifyStabilityWindow = Seconds(30);
+/// QueryScheduler pacing: rows per query per round-robin round, the delay
+/// between rounds, and how long a store sweep stays shareable.
+constexpr uint32_t kSchedQuantumRows = 2048;
+constexpr Duration kSchedRoundInterval = Millis(5);
+constexpr Duration kSharedScanWindow = Millis(500);
 
 /// Starts a result or partial message: [type][qid][epoch], then its rows.
 Writer DataMessage(MsgType type, uint64_t qid, uint64_t epoch) {
@@ -149,9 +177,9 @@ QueryEngine::QueryEngine(overlay::Transport* transport,
         OnCoverage(seq, members, complete);
       });
   QueryScheduler::Options sched;
-  sched.quantum_rows = options_.sched_quantum_rows;
-  sched.round_interval = options_.sched_round_interval;
-  sched.shared_window = options_.shared_scan_window;
+  sched.quantum_rows = kSchedQuantumRows;
+  sched.round_interval = kSchedRoundInterval;
+  sched.shared_window = kSharedScanWindow;
   sched.batch_rows = options_.batch_size;
   scheduler_ = std::make_unique<QueryScheduler>(
       sim_, dht_, &stats_,
@@ -306,22 +334,11 @@ bool QueryEngine::ChargeResultRow(uint64_t qid, uint64_t held) {
   // Result-window budget: the origin stops accumulating past the row cap
   // and flags the trip — callers get a bounded prefix declared degraded,
   // never an unbounded buffer or a silent truncation.
-  const uint64_t row_cap = EffectiveBudget(*it->second).max_result_rows;
+  const uint64_t row_cap = it->second->env.plan.budget.max_result_rows;
   if (row_cap == 0 || held < row_cap) return true;
   TripBudget(it->second.get());
   ++stats_.budget_rows_dropped;
   return false;
-}
-
-void QueryEngine::DeliverResult(uint64_t qid, uint64_t epoch,
-                                const Tuple& t) {
-  auto it = queries_.find(qid);
-  if (it == queries_.end()) return;
-  ActiveQuery* aq = it->second.get();
-  Writer w = DataMessage(MsgType::kResultTuple, qid, epoch);
-  catalog::SerializeTuple(t, &w);
-  ++stats_.result_msgs_sent;
-  SendReliable(aq, aq->env.origin, std::move(w), /*control=*/false);
 }
 
 void QueryEngine::DeliverResultBatch(uint64_t qid, uint64_t epoch,
@@ -330,25 +347,16 @@ void QueryEngine::DeliverResultBatch(uint64_t qid, uint64_t epoch,
   if (it == queries_.end()) return;
   ActiveQuery* aq = it->second.get();
   size_t n = b.ActiveRows();
-  if (n == 0) return;
   // Chunked delivery: one lost frame costs at most kResultFrameRows rows.
   for (size_t start = 0; start < n; start += kResultFrameRows) {
     size_t len = std::min(kResultFrameRows, n - start);
-    if (len == 1) {
-      // A single row ships in the legacy frame — it is smaller.
-      Tuple t;
-      b.ToTuple(b.RowId(start), &t);
-      DeliverResult(qid, epoch, t);
-      continue;
-    }
-    Writer w = DataMessage(MsgType::kResultBatch, qid, epoch);
+    Writer w = DataMessage(MsgType::kResult, qid, epoch);
     if (len == n) {
       b.Encode(&w);  // compacts the selection: the wire carries live rows
     } else {
       b.SliceLive(start, len).Encode(&w);
     }
     ++stats_.result_msgs_sent;
-    ++stats_.batch_frames_sent;
     SendReliable(aq, aq->env.origin, std::move(w), /*control=*/false);
   }
 }
@@ -367,29 +375,15 @@ void QueryEngine::DeliverPartialBatch(uint64_t qid, uint64_t epoch,
   // Partial rows from one flush share a layout ([group..., v1, v2 per
   // agg]); columns whose state types diverge across rows (the int->double
   // widening ladder) ride the boxed lane via AppendValue's promotion.
-  // Ragged widths cannot share one batch, and a single partial ships in
-  // the row frame — it is smaller.
-  bool ragged = false;
-  for (const Tuple& t : partials) ragged |= t.size() != partials[0].size();
-  if (partials.size() == 1 || ragged) {
-    for (const Tuple& t : partials) {
-      Writer w = DataMessage(MsgType::kPartialAgg, qid, epoch);
-      catalog::SerializeTuple(t, &w);
-      ++stats_.partial_msgs_sent;
-      SendReliable(aq, to, std::move(w), /*control=*/false);
-    }
-    return;
-  }
   std::vector<ValueType> types;
   types.reserve(partials[0].size());
   for (const Value& v : partials[0]) types.push_back(v.type());
   exec::RowBatchBuilder builder(types);
   builder.Reserve(partials.size());
   for (const Tuple& t : partials) builder.Append(t);
-  Writer w = DataMessage(MsgType::kPartialBatch, qid, epoch);
+  Writer w = DataMessage(MsgType::kPartial, qid, epoch);
   builder.Take().Encode(&w);
   ++stats_.partial_msgs_sent;
-  ++stats_.batch_frames_sent;
   SendReliable(aq, to, std::move(w), /*control=*/false);
 }
 
@@ -559,9 +553,8 @@ void QueryEngine::SendReliable(ActiveQuery* aq, sim::HostId to, Writer&& inner,
     // Bytes-shipped budget: data frames only — control traffic (acks,
     // reports, the trip notice itself) must always flow or the origin
     // would read the degradation as loss.
-    const QueryBudget budget = EffectiveBudget(*aq);
-    if (budget.max_result_bytes > 0 &&
-        aq->bytes_shipped + inner.size() > budget.max_result_bytes) {
+    const uint64_t byte_cap = aq->env.plan.budget.max_result_bytes;
+    if (byte_cap > 0 && aq->bytes_shipped + inner.size() > byte_cap) {
       TripBudget(aq);
       ++stats_.budget_frames_dropped;
       return;
@@ -597,15 +590,15 @@ void QueryEngine::ScheduleFrameRetry(uint64_t qid, uint64_t frame_id) {
   uint64_t salt = MixHash64(
       qid ^ (frame_id << 20) ^
       (static_cast<uint64_t>(transport_->self()) << 48));
-  Duration delay = RetryDelay(options_.retry_initial, options_.retry_max,
-                              options_.retry_jitter, salt, f->attempts);
+  Duration delay =
+      RetryDelay(kRetryInitial, kRetryMax, kRetryJitter, salt, f->attempts);
   ScheduleEngineTimer(delay, [this, qid, frame_id] {
     auto qit = queries_.find(qid);
     if (qit == queries_.end()) return;
     ActiveQuery* q = qit->second.get();
     ReliableOutbox::Frame* fr = q->outbox.Get(frame_id);
     if (fr == nullptr || q->ended) return;
-    if (fr->attempts >= options_.retry_budget) {
+    if (fr->attempts >= kRetryBudget) {
       // Lost for good: charge it loudly instead of pretending.
       bool was_data = !fr->control;
       pending_result_bytes_ -= fr->bytes.size();
@@ -656,8 +649,7 @@ void QueryEngine::OnFrame(sim::HostId from, Reader* r) {
   if (!r->GetU8(&inner).ok()) return;
   MsgType t = static_cast<MsgType>(inner);
   if (t == MsgType::kFrame || t == MsgType::kFrameAck) return;  // no nesting
-  if (t == MsgType::kResultTuple || t == MsgType::kPartialAgg ||
-      t == MsgType::kResultBatch || t == MsgType::kPartialBatch) {
+  if (t == MsgType::kResult || t == MsgType::kPartial) {
     ++aq->rx_data_frames[from];
   }
   DispatchMessage(from, inner, r);
@@ -738,8 +730,7 @@ void QueryEngine::MaybeEarlyFinalize(ActiveQuery* aq, uint64_t epoch) {
   // complete over 3 nodes of 10): no global exactness claim until the view
   // has been stable for a detection window.
   const TimePoint topo = router_->last_topology_change();
-  if (options_.certify_stability_window > 0 && topo != 0 &&
-      sim_->now() - topo < options_.certify_stability_window) {
+  if (topo != 0 && sim_->now() - topo < kCertifyStabilityWindow) {
     return;
   }
   // Budget degradation anywhere bars exactness, and the origin's own
@@ -817,29 +808,15 @@ bool QueryEngine::ChargeRehashPuts(uint64_t qid, uint64_t n) {
   auto it = queries_.find(qid);
   if (it == queries_.end() || it->second->ended) return false;
   ActiveQuery* aq = it->second.get();
-  const QueryBudget budget = EffectiveBudget(*aq);
-  if (budget.max_rehash_puts == 0) return true;  // unlimited
-  if (aq->budget_tripped || aq->rehash_puts + n > budget.max_rehash_puts) {
+  const uint64_t put_cap = aq->env.plan.budget.max_rehash_puts;
+  if (put_cap == 0) return true;  // unlimited
+  if (aq->budget_tripped || aq->rehash_puts + n > put_cap) {
     TripBudget(aq);
     stats_.budget_rehash_dropped += n;
     return false;
   }
   aq->rehash_puts += n;
   return true;
-}
-
-QueryBudget QueryEngine::EffectiveBudget(const ActiveQuery& aq) const {
-  QueryBudget b = aq.env.plan.budget;
-  if (b.max_result_bytes == 0) {
-    b.max_result_bytes = options_.default_budget.max_result_bytes;
-  }
-  if (b.max_rehash_puts == 0) {
-    b.max_rehash_puts = options_.default_budget.max_rehash_puts;
-  }
-  if (b.max_result_rows == 0) {
-    b.max_result_rows = options_.default_budget.max_result_rows;
-  }
-  return b;
 }
 
 void QueryEngine::TripBudget(ActiveQuery* aq) {
@@ -902,12 +879,11 @@ void QueryEngine::ArmMemberLifecycle(ActiveQuery* aq) {
     // Refreshed on every plan re-broadcast: one missed period plus the
     // result window plus slack means the origin is gone.
     lease = sim_->now() + aq->env.plan.every + options_.result_wait +
-            options_.member_lease;
+            kMemberLease;
   } else if (aq->runtime != nullptr && aq->runtime->has_recurse()) {
-    lease = aq->env.issued_at + options_.recursion_deadline +
-            options_.member_lease;
+    lease = aq->env.issued_at + options_.recursion_deadline + kMemberLease;
   } else {
-    lease = aq->env.issued_at + options_.result_wait + options_.member_lease;
+    lease = aq->env.issued_at + options_.result_wait + kMemberLease;
   }
   if (aq->lease_timer != 0) CancelTimer(aq->lease_timer);
   aq->lease_timer = ScheduleEngineTimerAt(lease, [this, qid] {
@@ -1003,7 +979,7 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
     ++stats_.admission_refusals;
     return Status::Busy("admission: live-query budget exhausted");
   }
-  if (plan.graph.nodes.size() > options_.max_plan_operators) {
+  if (plan.graph.nodes.size() > kMaxPlanOperators) {
     ++stats_.admission_refusals;
     return Status::Busy("admission: plan exceeds operator budget");
   }
@@ -1025,11 +1001,8 @@ Result<uint64_t> QueryEngine::Execute(QueryPlan plan, ResultCallback cb) {
   aq->cb = std::move(cb);
   // Resolve the deadline once, at the origin: the wire carries the absolute
   // time so every member counts down against the same clock.
-  Duration deadline_after = aq->env.plan.deadline > 0
-                                ? aq->env.plan.deadline
-                                : options_.query_deadline;
-  if (deadline_after > 0) {
-    aq->env.deadline = aq->env.issued_at + deadline_after;
+  if (aq->env.plan.deadline > 0) {
+    aq->env.deadline = aq->env.issued_at + aq->env.plan.deadline;
   }
   aq->runtime =
       std::make_unique<ops::QueryRuntime>(this, &aq->env, /*is_origin=*/true);
@@ -1186,7 +1159,7 @@ void QueryEngine::HandleQueryEnd(uint64_t qid) {
       dht_->local_store()->DropNamespace(ns);
     }
   }
-  ScheduleEngineTimer(options_.cleanup_delay, [this, qid] { GcQuery(qid); });
+  ScheduleEngineTimer(kCleanupDelay, [this, qid] { GcQuery(qid); });
 }
 
 void QueryEngine::InstallQuery(const PlanEnvelope& env, sim::HostId parent,
@@ -1331,10 +1304,8 @@ void QueryEngine::OnDirect(sim::HostId from, Reader* r) {
   uint8_t type = 0;
   if (!r->GetU8(&type).ok()) return;
   switch (static_cast<MsgType>(type)) {
-    case MsgType::kResultTuple:
-    case MsgType::kPartialAgg:
-    case MsgType::kResultBatch:
-    case MsgType::kPartialBatch:
+    case MsgType::kResult:
+    case MsgType::kPartial:
     case MsgType::kEpochReport:
     case MsgType::kBudgetTrip:
       // Frame-only types: data and completion claims count toward an
@@ -1415,22 +1386,13 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
       break;
   }
   switch (static_cast<MsgType>(type)) {
-    case MsgType::kResultTuple:
-    case MsgType::kPartialAgg:
-    case MsgType::kResultBatch:
-    case MsgType::kPartialBatch: {
-      const MsgType kind = static_cast<MsgType>(type);
-      const bool batch =
-          kind == MsgType::kResultBatch || kind == MsgType::kPartialBatch;
-      const bool partial =
-          kind == MsgType::kPartialAgg || kind == MsgType::kPartialBatch;
+    case MsgType::kResult:
+    case MsgType::kPartial: {
+      const bool partial = static_cast<MsgType>(type) == MsgType::kPartial;
       uint64_t qid = 0, epoch = 0;
-      Tuple t;
-      exec::RowBatch b;
+      std::vector<Tuple> rows;
       if (!r->GetVarint64(&qid).ok() || !r->GetVarint64(&epoch).ok() ||
-          !(batch ? exec::RowBatch::Decode(r, &b)
-                  : catalog::DeserializeTuple(r, &t))
-               .ok()) {
+          !exec::RowBatch::DecodeRows(r, &rows).ok()) {
         return;
       }
       // Epochs count periods since issue time; anything near the integer
@@ -1440,17 +1402,10 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
       auto it = queries_.find(qid);
       if (it == queries_.end()) return;
       ++(partial ? stats_.partial_msgs_received : stats_.result_msgs_received);
-      if (batch) ++stats_.batch_frames_received;
       ops::QueryRuntime* runtime = it->second->runtime.get();
       if (runtime == nullptr) break;
-      if (!batch) {
-        runtime->OnRemoteRow(from, epoch, t, partial);
-        break;
-      }
-      // Unpack and treat each row exactly like its row-frame twin — one
-      // frame, N accept/combine decisions.
-      for (size_t i = 0; i < b.num_rows(); ++i) {
-        b.ToTuple(i, &t);
+      // One frame, one accept/combine decision per row.
+      for (const Tuple& t : rows) {
         runtime->OnRemoteRow(from, epoch, t, partial);
       }
       break;

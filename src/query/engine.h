@@ -127,8 +127,6 @@ class QueryEngine : public ops::StageHost {
   EngineStats* mutable_stats() override { return &stats_; }
   int QueryDepth(uint64_t qid) const override;
   bool EpochClosed(uint64_t qid, uint64_t epoch) const override;
-  void DeliverResult(uint64_t qid, uint64_t epoch,
-                     const catalog::Tuple& t) override;
   void DeliverResultBatch(uint64_t qid, uint64_t epoch,
                           const exec::RowBatch& b) override;
   void DeliverPartialBatch(uint64_t qid, uint64_t epoch,
@@ -220,9 +218,6 @@ class QueryEngine : public ops::StageHost {
   void FallbackToScan(ActiveQuery* aq);
 
   // -- per-query budgets -------------------------------------------------------
-  /// The plan's budget with engine-wide defaults filled into unset (0)
-  /// dimensions.
-  QueryBudget EffectiveBudget(const ActiveQuery& aq) const;
   /// Marks the query budget-tripped on this node (once): the scheduler's
   /// abort probe stops its scans, and a member tells the origin via
   /// kBudgetTrip so Completeness reports the degradation.

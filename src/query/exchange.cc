@@ -10,10 +10,9 @@ namespace query {
 using catalog::Tuple;
 
 namespace {
-/// First byte of a column-major exchange frame. Legacy row frames start
-/// with the side byte (0 or 1), so the marker is unambiguous and old
-/// decoders reject batch frames cleanly ("bad exchange side").
-constexpr uint8_t kBatchFrameMarker = 0x42;
+/// TTL on rehashed temp tuples: they die with the query's namespaces at
+/// teardown, so this only bounds what a crashed query leaves behind.
+constexpr Duration kTempTtl = Seconds(90);
 }  // namespace
 
 RehashExchange::RehashExchange(ops::StageHost* host, uint64_t qid,
@@ -28,23 +27,6 @@ std::string RehashExchange::NamespaceFor(uint64_t qid, uint32_t edge_id) {
   return "q" + std::to_string(qid) + ".x" + std::to_string(edge_id);
 }
 
-void RehashExchange::Publish(int side, const std::vector<int>& key_cols,
-                             const Tuple& t) {
-  PublishAt(side, catalog::ResourceForCols(t, key_cols), t);
-}
-
-void RehashExchange::PublishAt(int side, const std::string& resource,
-                               const Tuple& t) {
-  // Per-query fan-out budget: a tripped query stops feeding the DHT and
-  // degrades loudly (the engine flags Completeness) instead of flooding it.
-  if (!host_->ChargeRehashPuts(qid_, 1)) return;
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(side));
-  catalog::SerializeTuple(t, &w);
-  ++host_->mutable_stats()->rehash_puts;
-  PublishValue(resource, w.Release());
-}
-
 void RehashExchange::PublishValue(const std::string& resource,
                                   std::string value) {
   uint64_t instance =
@@ -55,68 +37,51 @@ void RehashExchange::PublishValue(const std::string& resource,
   // owner-side arrival dedupe absorbs any retry duplicates.
   EngineStats* stats = host_->mutable_stats();
   host_->dht()->PutEx(dht::DhtKey{ns_, resource, instance}, std::move(value),
-                      host_->engine_options().temp_ttl, /*replicate=*/false,
+                      kTempTtl, /*replicate=*/false,
                       [stats](Status s) {
                         if (!s.ok()) ++stats->rehash_put_failures;
                       });
 }
 
 void RehashExchange::PublishBatch(int side, const std::vector<int>& key_cols,
-                                  const catalog::Schema& schema,
-                                  const std::vector<Tuple>& rows) {
-  std::map<std::string, std::vector<const Tuple*>> buckets;
-  for (const Tuple& t : rows) {
-    buckets[catalog::ResourceForCols(t, key_cols)].push_back(&t);
-  }
-  for (const auto& [resource, bucket] : buckets) {
-    if (bucket.size() == 1) {
-      PublishAt(side, resource, *bucket[0]);
-      continue;
-    }
-    // One batch frame is one DHT put regardless of row count, so it charges
-    // one unit — the budget caps network operations, not rows.
-    if (!host_->ChargeRehashPuts(qid_, 1)) continue;
-    exec::RowBatchBuilder builder(schema);
-    builder.Reserve(bucket.size());
-    for (const Tuple* t : bucket) builder.Append(*t);
-    exec::RowBatch batch = builder.Take();
+                                  const exec::RowBatch& b) {
+  // The same resource bytes catalog::ResourceForCols builds from the boxed
+  // row: Column::CellHash is Value::Hash without the boxing.
+  std::map<std::string, std::vector<uint32_t>> buckets;
+  for (size_t i = 0; i < b.ActiveRows(); ++i) {
+    const uint32_t row = b.RowId(i);
     Writer w;
-    w.PutU8(kBatchFrameMarker);
+    w.Reserve(key_cols.size() * 8);
+    for (int c : key_cols) {
+      w.PutFixed64(c >= 0 && static_cast<size_t>(c) < b.num_columns()
+                       ? b.column(static_cast<size_t>(c)).CellHash(row)
+                       : catalog::kMissingColumnHash);
+    }
+    buckets[w.Release()].push_back(row);
+  }
+  for (const auto& [resource, rows] : buckets) {
+    // One frame is one DHT put regardless of row count, so it charges one
+    // unit — the budget caps network operations, not rows.
+    if (!host_->ChargeRehashPuts(qid_, 1)) continue;
+    Writer w;
     w.PutU8(static_cast<uint8_t>(side));
-    batch.Encode(&w);
+    if (buckets.size() == 1) {
+      b.Encode(&w);  // every live row shares this owner: no copy
+    } else {
+      b.Gather(rows).Encode(&w);
+    }
     ++host_->mutable_stats()->rehash_puts;
-    ++host_->mutable_stats()->batch_frames_sent;
     PublishValue(resource, w.Release());
   }
 }
 
-bool RehashExchange::IsBatchFrame(const dht::StoredItem& item) {
-  return !item.value.empty() &&
-         static_cast<uint8_t>(item.value[0]) == kBatchFrameMarker;
-}
-
-Status RehashExchange::DecodeBatchArrival(const dht::StoredItem& item,
-                                          int* side, exec::RowBatch* out) {
-  Reader r(item.value);
-  uint8_t marker = 0, s = 0;
-  PIER_RETURN_IF_ERROR(r.GetU8(&marker));
-  if (marker != kBatchFrameMarker) {
-    return Status::Corruption("not a batch frame");
-  }
-  PIER_RETURN_IF_ERROR(r.GetU8(&s));
-  if (s > 1) return Status::Corruption("bad exchange side");
-  PIER_RETURN_IF_ERROR(exec::RowBatch::Decode(&r, out));
-  *side = s;
-  return Status::OK();
-}
-
 Status RehashExchange::DecodeArrival(const dht::StoredItem& item, int* side,
-                                     Tuple* t) {
+                                     std::vector<Tuple>* rows) {
   Reader r(item.value);
   uint8_t s = 0;
   PIER_RETURN_IF_ERROR(r.GetU8(&s));
   if (s > 1) return Status::Corruption("bad exchange side");
-  PIER_RETURN_IF_ERROR(catalog::DeserializeTuple(&r, t));
+  PIER_RETURN_IF_ERROR(exec::RowBatch::DecodeRows(&r, rows));
   *side = s;
   return Status::OK();
 }
@@ -133,16 +98,12 @@ void TreeCombiner::Push(const Tuple& partial) {
 }
 
 std::vector<Tuple> TreeCombiner::Flush() {
-  return DrainGroupBy(std::move(op_));
-}
-
-std::vector<Tuple> DrainGroupBy(std::unique_ptr<exec::GroupByOp> op) {
   std::vector<Tuple> out;
-  if (op == nullptr) return out;
+  if (op_ == nullptr) return out;
   exec::FnSink sink([&out](const Tuple& t) { out.push_back(t); });
-  op->AddOutput(&sink);
-  op->FlushAndReset();
-  // `op` dies here, with its sink: a spent group-by is never reused.
+  op_->AddOutput(&sink);
+  op_->FlushAndReset();
+  op_.reset();  // dies with its sink: a spent group-by is never reused
   return out;
 }
 

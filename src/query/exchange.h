@@ -11,8 +11,11 @@
 //                interior nodes forward one merged partial upward, and the
 //                origin, the tree's root, hands it to its CollectStage.
 //   kToOrigin -> no object needed: members send through
-//                StageHost::DeliverResult*/DeliverPartialBatch; at the
-//                origin the runtime feeds its own stages directly.
+//                StageHost::DeliverResultBatch/DeliverPartialBatch; at
+//                the origin the runtime feeds its own stages directly.
+//
+// Every edge ships RowBatch frames, and RowBatch's codec alone decides the
+// bytes: a single row goes in the tuple encoding, more rows column-major.
 //
 // Exchanges are owned by the per-query runtime and die with it; in-flight
 // DHT tuples carry their own TTL (soft state all the way down).
@@ -47,35 +50,20 @@ class RehashExchange {
   static std::string NamespaceFor(uint64_t qid, uint32_t edge_id);
   const std::string& ns() const { return ns_; }
 
-  /// Ships `t` to the owner of hash(t[key_cols]) tagged with `side`.
-  void Publish(int side, const std::vector<int>& key_cols,
-               const catalog::Tuple& t);
-  /// Batch-plane rehash: buckets `rows` by owner resource and ships ONE
-  /// column-major RowBatch frame per bucket (marker + side + batch) instead
-  /// of one put per tuple. Single-row buckets use the legacy row frame —
-  /// it is smaller. `schema` is the rows' layout (the producing scan's).
+  /// Buckets the live rows of `b` by the owner resource of their key
+  /// columns and ships ONE [side][RowBatch] frame per bucket, instead of
+  /// one put per row.
   void PublishBatch(int side, const std::vector<int>& key_cols,
-                    const catalog::Schema& schema,
-                    const std::vector<catalog::Tuple>& rows);
-  /// Ships `t` under an explicit precomputed resource (key-projection
-  /// shipping for the semi-join).
-  void PublishAt(int side, const std::string& resource,
-                 const catalog::Tuple& t);
+                    const exec::RowBatch& b);
   /// Ships pre-encoded bytes under `resource` with a fresh per-node
   /// instance id — the shared bottom half of every rehash put (untagged:
   /// consumers that use this decode the value themselves).
   void PublishValue(const std::string& resource, std::string value);
 
-  /// Decodes one arrival payload ([side u8][tuple]); Corruption on garbage.
+  /// Decodes one PublishBatch frame into its side and rows; Corruption on
+  /// garbage.
   static Status DecodeArrival(const dht::StoredItem& item, int* side,
-                              catalog::Tuple* t);
-
-  /// True when `item` holds a PublishBatch frame (legacy row frames start
-  /// with side 0/1; batch frames with the 0x42 marker byte).
-  static bool IsBatchFrame(const dht::StoredItem& item);
-  /// Decodes a PublishBatch frame; Corruption on garbage.
-  static Status DecodeBatchArrival(const dht::StoredItem& item, int* side,
-                                   exec::RowBatch* out);
+                              std::vector<catalog::Tuple>* rows);
 
  private:
   ops::StageHost* host_;
@@ -83,10 +71,6 @@ class RehashExchange {
   std::string ns_;
   uint64_t seq_ = 1;
 };
-
-/// Drains a spent aggregation box into a vector (single-shot: the op dies
-/// with its sink and is never emitted into again).
-std::vector<catalog::Tuple> DrainGroupBy(std::unique_ptr<exec::GroupByOp> op);
 
 /// The combine box of a kTree edge: partials in, one merged partial stream
 /// out when flushed. Single-shot per epoch — open, push, flush, discard —

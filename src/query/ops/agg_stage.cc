@@ -8,6 +8,13 @@ namespace ops {
 
 using catalog::Tuple;
 
+namespace {
+/// The tree depth hold times are paced for: a node at depth d holds
+/// agg_hold_base * max(1, kAggAssumedDepth - d), so children flush before
+/// their parents on any tree up to this deep.
+constexpr int kAggAssumedDepth = 8;
+}  // namespace
+
 AggStage::AggStage(StageHost* host, uint64_t qid, uint32_t node_id,
                    const OpNode* node, CollectStage* root, bool streaming)
     : host_(host),
@@ -19,10 +26,8 @@ AggStage::AggStage(StageHost* host, uint64_t qid, uint32_t node_id,
       route_(node->out) {}
 
 Duration AggStage::HoldDelay() const {
-  const EngineOptions& o = host_->engine_options();
-  int levels_above =
-      std::max(1, o.agg_assumed_depth - host_->QueryDepth(qid_));
-  return o.agg_hold_base * levels_above;
+  int levels_above = std::max(1, kAggAssumedDepth - host_->QueryDepth(qid_));
+  return host_->engine_options().agg_hold_base * levels_above;
 }
 
 void AggStage::Ship(uint64_t epoch, const std::vector<Tuple>& partials) {
@@ -42,8 +47,6 @@ void AggStage::Ship(uint64_t epoch, const std::vector<Tuple>& partials) {
   }
 }
 
-// -- scan-fed ---------------------------------------------------------------
-
 void AggStage::BeginEpoch(uint64_t epoch) {
   scan_epoch_ = epoch;
   vgb_.reset();
@@ -54,43 +57,28 @@ bool AggStage::PushRawBatch(exec::RowBatch& b) {
     vgb_ = std::make_unique<exec::VectorGroupBy>(node_->group_cols,
                                                  node_->aggs,
                                                  /*finalize=*/false);
+    if (streaming_) {
+      host_->ScheduleStageTimer(HoldDelay(), qid_, node_id_,
+                                kStreamFlushToken);
+    }
   }
   vgb_->PushBatch(b);
   return true;
 }
 
-void AggStage::EndScan() {
+void AggStage::EndScan() { FlushAccumulator(scan_epoch_); }
+
+void AggStage::FlushAccumulator(uint64_t epoch) {
   std::vector<Tuple> partials;
   if (vgb_ != nullptr) {
-    // Sorted group order, the same as GroupByOp's drain on the streaming
-    // path.
+    // Sorted group order, the same as GroupByOp's drain.
     vgb_->DrainAndReset([&partials](Tuple& t) {
       partials.push_back(std::move(t));
       return true;
     });
     vgb_.reset();
   }
-  Ship(scan_epoch_, partials);
-}
-
-// -- join-fed ---------------------------------------------------------------
-
-bool AggStage::PushStreaming(const Tuple& t) {
-  if (streaming_op_ == nullptr) {
-    streaming_op_ = std::make_unique<exec::GroupByOp>(
-        node_->group_cols, node_->aggs, exec::AggPhase::kPartial);
-  }
-  if (!stream_timer_armed_) {
-    stream_timer_armed_ = true;
-    host_->ScheduleStageTimer(HoldDelay(), qid_, node_id_, kStreamFlushToken);
-  }
-  streaming_op_->Push(t, 0);
-  return true;
-}
-
-void AggStage::FlushStreaming() {
-  stream_timer_armed_ = false;
-  Ship(0, DrainGroupBy(std::move(streaming_op_)));
+  Ship(epoch, partials);
 }
 
 // -- tree combine -----------------------------------------------------------
@@ -147,7 +135,7 @@ void AggStage::OnRemotePartial(uint32_t from, uint64_t epoch,
 
 void AggStage::OnTimer(uint64_t token) {
   if (token == kStreamFlushToken) {
-    FlushStreaming();
+    FlushAccumulator(/*epoch=*/0);
     return;
   }
   FlushCombiner(token - 1);

@@ -1,15 +1,17 @@
 // AggStage: distributed aggregation's in-network half — the kPartialAgg
 // opgraph node plus the kTree exchange's combine duty.
 //
-// Two input protocols share one stage:
+// Local rows arrive as RowBatches and fold into one accumulator (a
+// VectorGroupBy) whoever produced them; only what closes it differs:
 //  - Scan-fed (epochal): BeginEpoch / PushRawBatch / EndScan once per
-//    epoch. Local rows partial-aggregate, then flush by the node's output
-//    exchange: kTree folds into this node's TreeCombiner (held until
-//    children have flushed), anything else ships partials immediately.
+//    epoch.
 //  - Join-fed (streaming): joined rows arrive continuously at rendezvous
-//    nodes; PushStreaming partial-aggregates them and flushes on a hold
-//    timer, so aggregation happens in-network at the join site instead of
-//    shipping raw rows to the origin.
+//    nodes, one-row batches; the first batch after a flush arms a hold
+//    timer that closes the accumulator, so aggregation happens in-network
+//    at the join site instead of shipping raw rows to the origin.
+// The closed accumulator's partials flush by the node's output exchange:
+// kTree folds them into this node's TreeCombiner (held until children have
+// flushed), anything else ships them immediately.
 //
 // Either way, partials relayed through this node as a dissemination-tree
 // parent (OnRemotePartial) merge into the open combiner, or relay upward
@@ -29,7 +31,6 @@
 #include <vector>
 
 #include "exec/kernels.h"
-#include "exec/operators.h"
 #include "query/exchange.h"
 #include "query/ops/collect_stage.h"
 #include "query/ops/stage.h"
@@ -46,15 +47,14 @@ class AggStage : public Stage {
   AggStage(StageHost* host, uint64_t qid, uint32_t node_id,
            const OpNode* node, CollectStage* root, bool streaming);
 
-  // -- scan-fed (epochal) ----------------------------------------------------
+  /// Scan-fed: opens `epoch`'s accumulator pass.
   void BeginEpoch(uint64_t epoch);
-  /// Folds every live row of `b` into the epoch's grouped partial states
-  /// via VectorGroupBy (BatchEmitFn shape).
+  /// Folds every live row of `b` into the accumulator's grouped partial
+  /// states (BatchEmitFn shape). Join-fed, the first batch after a flush
+  /// arms the hold timer.
   bool PushRawBatch(exec::RowBatch& b);
+  /// Scan-fed: the epoch's scans finished; flush its partials.
   void EndScan();
-
-  // -- join-fed (streaming) --------------------------------------------------
-  bool PushStreaming(const catalog::Tuple& t);
 
   /// A partial from `from`: a child in the tree, or any member at the root.
   void OnRemotePartial(uint32_t from, uint64_t epoch,
@@ -69,11 +69,12 @@ class AggStage : public Stage {
   static constexpr uint64_t kStreamFlushToken = 0;  // combiner tokens: 1+epoch
 
   Duration HoldDelay() const;
+  /// Closes the accumulator and flushes its partials for `epoch`.
+  void FlushAccumulator(uint64_t epoch);
   /// This node's own partials: into a combiner, or straight to the origin.
   void Ship(uint64_t epoch, const std::vector<catalog::Tuple>& partials);
   void Fold(uint64_t epoch, const catalog::Tuple& partial);
   void FlushCombiner(uint64_t epoch);
-  void FlushStreaming();
 
   StageHost* host_;
   uint64_t qid_;
@@ -84,11 +85,9 @@ class AggStage : public Stage {
   ExchangeKind route_;  ///< the node's output exchange (kTree or kToOrigin)
 
   uint64_t scan_epoch_ = 0;
-  /// The scan-fed epoch's accumulator (created on the first batch).
+  /// The open accumulator (created on the first batch after a flush): the
+  /// scan-fed epoch's rows, or the join-fed rows since the last flush.
   std::unique_ptr<exec::VectorGroupBy> vgb_;
-
-  std::unique_ptr<exec::GroupByOp> streaming_op_;
-  bool stream_timer_armed_ = false;
 
   /// Open combiners by epoch: at most one on an interior node, one per
   /// open epoch at the root.

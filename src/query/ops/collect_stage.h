@@ -1,9 +1,9 @@
 // CollectStage: the graph's kFinalAgg and kCollect nodes, instantiated at
-// the query origin only. An epoch collects kToOrigin rows — straight from
-// this node's emit chains or unpacked from members' frames — and, when it
-// closes, the combined partials of the root AggStage, where the combine
-// tree ends. Finish runs the tail once: final (or, over raw rows,
-// complete) group-by, the scalar identity row, HAVING, the SELECT
+// the query origin only. An epoch collects kToOrigin rows — batches
+// straight from this node's chains, or rows unpacked from members' frames
+// — and, when it closes, the combined partials of the root AggStage, where
+// the combine tree ends. Finish runs the tail once: final (or, over raw
+// rows, complete) group-by, the scalar identity row, HAVING, the SELECT
 // permutation, DISTINCT, ORDER BY / top-k and LIMIT. Rows are capped per
 // epoch by the query's max_result_rows budget and, for recursion, deduped
 // across the query.

@@ -9,8 +9,6 @@ namespace pier {
 namespace query {
 namespace ops {
 
-using catalog::Tuple;
-
 IndexScanStage::IndexScanStage(StageHost* host, uint64_t qid,
                                uint32_t node_id, const OpNode* node)
     : host_(host), qid_(qid), node_id_(node_id), node_(node) {
@@ -53,30 +51,30 @@ index::PhtCursor::GetFn IndexScanStage::MakeGetFn(uint64_t token) {
   };
 }
 
-index::PhtCursor::RowFn IndexScanStage::MakeRowFn(const EmitFn& emit) {
-  EmitFn emit_copy = emit;
+index::PhtCursor::RowFn IndexScanStage::MakeRowFn(const BatchEmitFn& emit) {
+  BatchEmitFn emit_copy = emit;
   return [this, emit_copy](const index::PhtEntry& entry,
                            uint64_t instance) {
     // Fan-out cursors share the upper trie path, so residual entries at
     // internal nodes could reach more than one of them: dedup epoch-wide.
     if (!emitted_.insert(instance).second) return true;
-    Tuple t;
-    if (!catalog::TupleFromBytes(entry.tuple_bytes, &t).ok()) {
-      return true;  // undecodable entry: soft-skip, like ScanStage
-    }
-    if (t.size() != node_->schema.num_columns()) return true;
+    // Undecodable or wrong-width entries soft-skip, like ScanStage.
+    exec::RowBatchBuilder builder(node_->schema);
+    if (!builder.AppendSerialized(entry.tuple_bytes)) return true;
     ++host_->mutable_stats()->index_rows;
-    return emit_copy(t);
+    exec::RowBatch row = builder.Take();
+    return emit_copy(row);
   };
 }
 
 void IndexScanStage::StartCursor(uint64_t lo, uint64_t hi,
-                                 uint64_t max_leaves, const EmitFn& emit) {
+                                 uint64_t max_leaves,
+                                 const BatchEmitFn& emit) {
   cursors_.push_back(std::make_unique<index::PhtCursor>(
       MakeGetFn(run_token_), lo, hi, max_leaves));
   index::PhtCursor* cursor = cursors_.back().get();
   ++cursors_pending_;
-  EmitFn emit_copy = emit;
+  BatchEmitFn emit_copy = emit;
   cursor->Run(MakeRowFn(emit),
               [this, cursor, emit_copy](index::PhtCursor::Outcome outcome,
                                         Status /*s*/) {
@@ -84,7 +82,7 @@ void IndexScanStage::StartCursor(uint64_t lo, uint64_t hi,
               });
 }
 
-void IndexScanStage::RunEpoch(const EmitFn& emit) {
+void IndexScanStage::RunEpoch(const BatchEmitFn& emit) {
   ++run_token_;
   cursors_.clear();  // previous epoch's walk (if any) is token-invalidated
   cursors_pending_ = 0;
@@ -92,7 +90,7 @@ void IndexScanStage::RunEpoch(const EmitFn& emit) {
   reported_ = false;
   EngineStats* stats = host_->mutable_stats();
   ++stats->index_scans_run;
-  ++stats->vectorized_fallbacks;  // cursor rows emit tuple-at-a-time
+  ++stats->vectorized_fallbacks;  // cursor rows emit one-row batches
   if (!bounds_ok_) {
     host_->OnIndexScanDone(qid_, /*ok=*/false);
     return;
@@ -103,7 +101,7 @@ void IndexScanStage::RunEpoch(const EmitFn& emit) {
 
 void IndexScanStage::OnCursorDone(index::PhtCursor* cursor,
                                   index::PhtCursor::Outcome outcome,
-                                  const EmitFn& emit) {
+                                  const BatchEmitFn& emit) {
   EngineStats* stats = host_->mutable_stats();
   stats->index_probes += cursor->stats().probes;
   stats->index_leaves += cursor->stats().leaves;
@@ -126,7 +124,7 @@ void IndexScanStage::OnCursorDone(index::PhtCursor* cursor,
   }
 }
 
-void IndexScanStage::FanOut(uint64_t resume, const EmitFn& emit) {
+void IndexScanStage::FanOut(uint64_t resume, const BatchEmitFn& emit) {
   // Partition the unvisited remainder by the leaf density the scout saw:
   // it covered (resume - lo) of encoded keyspace with kScoutLeaves leaves,
   // so size sub-ranges to a handful of leaves' worth each, capped at the

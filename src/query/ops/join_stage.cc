@@ -13,6 +13,15 @@ constexpr uint64_t kBloomBroadcastToken = 0;
 /// Every node: the distribution never arrived — produce the full rehash.
 constexpr uint64_t kBloomFallbackToken = 1;
 
+/// `rows` as one batch with `schema`'s column kinds, ready to rehash.
+exec::RowBatch BatchOf(const catalog::Schema& schema,
+                       const std::vector<Tuple>& rows) {
+  exec::RowBatchBuilder builder(schema);
+  builder.Reserve(rows.size());
+  for (const Tuple& t : rows) builder.Append(t);
+  return builder.Take();
+}
+
 /// Layout of the semi-join's rehashed key projection:
 /// [key columns (typed from the scan's schema)..., host, row id].
 catalog::Schema SemiProjectionSchema(const catalog::Schema& scan_schema,
@@ -46,9 +55,24 @@ JoinStage::JoinStage(StageHost* host, uint64_t qid, uint32_t node_id,
       window_(window),
       is_origin_(is_origin),
       origin_host_(origin_host) {
-  if (node_->strategy != JoinStrategy::kFetchMatches) {
-    exchange_ = std::make_unique<RehashExchange>(host_, qid_, node_id_);
+  if (node_->strategy == JoinStrategy::kFetchMatches) return;
+  exchange_ = std::make_unique<RehashExchange>(host_, qid_, node_id_);
+  // Rendezvous role: join rehashed arrivals incrementally.
+  std::vector<int> lkeys, rkeys;
+  if (node_->strategy == JoinStrategy::kSymmetricSemi) {
+    // Rehashed key-projections: [key values..., host, row id].
+    for (size_t i = 0; i < node_->left_keys.size(); ++i) {
+      lkeys.push_back(static_cast<int>(i));
+      rkeys.push_back(static_cast<int>(i));
+    }
+  } else {
+    lkeys = node_->left_keys;
+    rkeys = node_->right_keys;
   }
+  shj_ = flow_.Add<exec::SymmetricHashJoinOp>(lkeys, rkeys, nullptr);
+  exec::FnSink* sink = flow_.Add<exec::FnSink>(
+      [this](const Tuple& t) { HandleJoinOutput(t); });
+  flow_.Connect(shj_, sink);
 }
 
 const std::string& JoinStage::ns() const {
@@ -57,13 +81,10 @@ const std::string& JoinStage::ns() const {
 
 void JoinStage::InitOrigin() {
   if (node_->strategy != JoinStrategy::kBloom) return;
-  const EngineOptions& o = host_->engine_options();
-  collect_left_ =
-      std::make_unique<BloomFilter>(o.bloom_bits, o.bloom_hashes);
-  collect_right_ =
-      std::make_unique<BloomFilter>(o.bloom_bits, o.bloom_hashes);
-  host_->ScheduleStageTimer(o.bloom_wait, qid_, node_id_,
-                            kBloomBroadcastToken);
+  collect_left_ = std::make_unique<BloomFilter>(kBloomBits, kBloomHashes);
+  collect_right_ = std::make_unique<BloomFilter>(kBloomBits, kBloomHashes);
+  host_->ScheduleStageTimer(host_->engine_options().bloom_wait, qid_,
+                            node_id_, kBloomBroadcastToken);
 }
 
 void JoinStage::OnTimer(uint64_t token) {
@@ -94,32 +115,6 @@ void JoinStage::OnTimer(uint64_t token) {
 }
 
 void JoinStage::Setup() {
-  if (node_->strategy != JoinStrategy::kFetchMatches) {
-    // Rendezvous role: join rehashed arrivals incrementally.
-    std::vector<int> lkeys, rkeys;
-    if (node_->strategy == JoinStrategy::kSymmetricSemi) {
-      // Rehashed key-projections: [key values..., host, row id].
-      for (size_t i = 0; i < node_->left_keys.size(); ++i) {
-        lkeys.push_back(static_cast<int>(i));
-        rkeys.push_back(static_cast<int>(i));
-      }
-    } else {
-      lkeys = node_->left_keys;
-      rkeys = node_->right_keys;
-    }
-    shj_ = flow_.Add<exec::SymmetricHashJoinOp>(lkeys, rkeys, nullptr);
-    exec::FnSink* sink = flow_.Add<exec::FnSink>(
-        [this](const Tuple& t) { HandleJoinOutput(t); });
-    flow_.Connect(shj_, sink);
-    // Catch-up: tuples rehashed by fast nodes may land here before the
-    // plan broadcast did; they are waiting in the exchange namespace.
-    host_->dht()->ForEachLocalReadable(ns(),
-                                       [this](const dht::StoredItem& item) {
-      OnArrival(item);
-      return true;
-    });
-  }
-
   if (node_->strategy == JoinStrategy::kBloom) {
     BloomPhase1();
     // Backstop for a lost distribution: twice the collection window gives
@@ -133,9 +128,8 @@ void JoinStage::Setup() {
 }
 
 void JoinStage::BloomPhase1() {
-  const EngineOptions& o = host_->engine_options();
-  BloomFilter left(o.bloom_bits, o.bloom_hashes);
-  BloomFilter right(o.bloom_bits, o.bloom_hashes);
+  BloomFilter left(kBloomBits, kBloomHashes);
+  BloomFilter right(kBloomBits, kBloomHashes);
   // One pass per side: the same scan builds the filter AND caches the rows
   // phase 2 publishes. Besides halving the scan cost, this pins the filter
   // and the published snapshot to the same instant — a tuple arriving
@@ -254,10 +248,10 @@ void JoinStage::ProduceFromScans(bool bloom_phase2) {
           rows.erase(kept, rows.end());
         }
         // Rows only ever come from this side's own (non-null) scan. One
-        // column-major frame per rendezvous owner per scan, instead of one
-        // DHT put per tuple.
+        // frame per rendezvous owner per scan, instead of one DHT put per
+        // tuple.
         if (rows.empty()) return;
-        exchange_->PublishBatch(side, keys, scan->schema, rows);
+        exchange_->PublishBatch(side, keys, BatchOf(scan->schema, rows));
       };
       publish_side(left, node_->left_keys, dist_right_.get(), left_scan_, 0);
       publish_side(right, node_->right_keys, dist_left_.get(), right_scan_,
@@ -293,12 +287,12 @@ void JoinStage::ProduceFromScans(bool bloom_phase2) {
           projs.push_back(std::move(proj));
         }
         host_->mutable_stats()->semijoin_bytes_saved += saved;
-        // Key projections ride the columnar plane exactly like the hash
-        // path: one frame per rendezvous owner instead of one put per row.
+        // Key projections ride the batch plane exactly like the hash path:
+        // one frame per rendezvous owner instead of one put per row.
         if (projs.empty()) return;
-        exchange_->PublishBatch(side, leading,
-                                SemiProjectionSchema(scan->schema, keys),
-                                projs);
+        exchange_->PublishBatch(
+            side, leading,
+            BatchOf(SemiProjectionSchema(scan->schema, keys), projs));
       };
       rehash_keys(left, node_->left_keys, left_scan_, 0);
       rehash_keys(right, node_->right_keys, right_scan_, 1);
@@ -358,29 +352,17 @@ void JoinStage::ResolveFetchMatches(const Tuple& probe,
   }
 }
 
-void JoinStage::PublishUpstream(int side, const Tuple& t) {
+void JoinStage::PublishUpstream(int side, const exec::RowBatch& b) {
   if (exchange_ == nullptr) return;
-  exchange_->Publish(side, side == 0 ? node_->left_keys : node_->right_keys,
-                     t);
+  exchange_->PublishBatch(
+      side, side == 0 ? node_->left_keys : node_->right_keys, b);
 }
 
 void JoinStage::OnArrival(const dht::StoredItem& item) {
-  if (shj_ == nullptr) return;
   int side = 0;
-  if (RehashExchange::IsBatchFrame(item)) {
-    exec::RowBatch b;
-    if (!RehashExchange::DecodeBatchArrival(item, &side, &b).ok()) return;
-    ++host_->mutable_stats()->batch_frames_received;
-    Tuple t;
-    for (size_t i = 0; i < b.num_rows(); ++i) {
-      b.ToTuple(i, &t);
-      shj_->Push(t, side);
-    }
-    return;
-  }
-  Tuple t;
-  if (!RehashExchange::DecodeArrival(item, &side, &t).ok()) return;
-  shj_->Push(t, side);
+  std::vector<Tuple> rows;
+  if (!RehashExchange::DecodeArrival(item, &side, &rows).ok()) return;
+  for (const Tuple& t : rows) shj_->Push(t, side);
 }
 
 void JoinStage::HandleJoinOutput(const Tuple& joined) {
@@ -413,7 +395,12 @@ void JoinStage::HandleJoinOutput(const Tuple& joined) {
     send_fetch(rhost, rrow, 1);
     return;
   }
-  if (downstream_) downstream_(joined);
+  EmitJoined(joined);
+}
+
+void JoinStage::EmitJoined(const Tuple& joined) {
+  joined_.AssignRow(joined);
+  downstream_(joined_);
 }
 
 void JoinStage::OnFetchReq(uint32_t /*from*/, Reader* r) {
@@ -465,7 +452,7 @@ void JoinStage::OnFetchResp(Reader* r) {
                   pm->second.right.end());
     pending_matches_.erase(pm);
     // Route through the standard full-row path (residual + project).
-    if (downstream_) downstream_(joined);
+    EmitJoined(joined);
   }
 }
 

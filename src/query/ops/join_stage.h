@@ -46,15 +46,16 @@ class JoinStage : public Stage {
  public:
   /// `left_scan`/`right_scan` are the kScan nodes feeding the join, or
   /// nullptr for a side fed by an upstream join. All OpNode pointers must
-  /// outlive the stage.
+  /// outlive the stage. The rendezvous hash table exists from construction
+  /// on, so exchange arrivals are joined whenever they land.
   JoinStage(StageHost* host, uint64_t qid, uint32_t node_id,
             const OpNode* node, const OpNode* left_scan,
             const OpNode* right_scan, Duration window, bool is_origin,
             uint32_t origin_host);
 
-  /// Receives full joined rows (the runtime attaches the residual filter /
-  /// projection / aggregation chain here).
-  void SetDownstream(EmitFn fn) { downstream_ = std::move(fn); }
+  /// Receives full joined rows, one-row batches (the runtime attaches the
+  /// residual filter / projection / aggregation chain here).
+  void SetDownstream(BatchEmitFn fn) { downstream_ = std::move(fn); }
 
   /// Exchange namespace this stage consumes (empty for fetch-matches).
   const std::string& ns() const;
@@ -63,13 +64,14 @@ class JoinStage : public Stage {
   /// filter-collection window before the plan broadcast goes out.
   void InitOrigin();
 
-  /// Wires the local dataflow, catches up on early exchange arrivals, and
-  /// produces this node's slice (phase 1 for Bloom joins).
+  /// Produces this node's slice (phase 1 for Bloom joins). Exchange
+  /// arrivals that beat the plan here are the runtime's to replay first.
   void Setup();
 
   /// An upstream join's output entering this join on `side`.
-  void PublishUpstream(int side, const catalog::Tuple& t);
+  void PublishUpstream(int side, const exec::RowBatch& b);
 
+  /// A rehash frame for a key this node owns: its rows join incrementally.
   void OnArrival(const dht::StoredItem& item);
   void OnFetchReq(uint32_t from, Reader* r);
   void OnFetchResp(Reader* r);
@@ -88,6 +90,7 @@ class JoinStage : public Stage {
   void ProduceFromScans(bool bloom_phase2);
   void BloomPhase1();
   void HandleJoinOutput(const catalog::Tuple& joined);
+  void EmitJoined(const catalog::Tuple& joined);
   void ResolveFetchMatches(const catalog::Tuple& probe,
                            const std::vector<dht::DhtItem>& items);
 
@@ -100,7 +103,10 @@ class JoinStage : public Stage {
   Duration window_;
   bool is_origin_;
   uint32_t origin_host_;
-  EmitFn downstream_;
+  BatchEmitFn downstream_;
+  /// The one-row batch each joined row enters the chain in, refilled per
+  /// row (RowBatch::AssignRow): join output is the hot producer.
+  exec::RowBatch joined_;
 
   std::unique_ptr<RehashExchange> exchange_;  // null for fetch-matches
   exec::Dataflow flow_;

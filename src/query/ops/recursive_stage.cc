@@ -53,8 +53,10 @@ void RecursiveStage::OnArrival(const dht::StoredItem& item) {
     return;
   }
 
-  // Report (src, dst, hops) to the origin through the outer pipeline.
-  if (downstream_) downstream_(reach);
+  // Report (src, dst, hops) to the origin through the outer pipeline. The
+  // reach value already is the one-row frame of this batch.
+  exec::RowBatch row = exec::RowBatch::OfRow(reach);
+  downstream_(row);
 
   // Expand: reach(s, d, h) ⋈ edge(d, w) -> reach(s, w, h+1).
   int64_t hops = 0;

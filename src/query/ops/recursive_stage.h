@@ -3,10 +3,11 @@
 //
 // Reach tuples (src, dst, hops) live in a per-query DHT namespace keyed on
 // the canonical (src, dst) pair, so the pair's owner deduplicates
-// re-derivations in-network. Each new pair is reported downstream (the
-// runtime attaches the outer filter/projection chain) and expanded by
-// probing the edge table — which must be partitioned on the source column —
-// for edges leaving `dst`.
+// re-derivations in-network. A reach tuple that lands before the plan does
+// waits in the namespace until the runtime replays it. Each new pair is
+// reported downstream as a one-row batch (the runtime attaches the outer
+// filter/projection chain) and expanded by probing the edge table — which
+// must be partitioned on the source column — for edges leaving `dst`.
 
 #ifndef PIER_QUERY_OPS_RECURSIVE_STAGE_H_
 #define PIER_QUERY_OPS_RECURSIVE_STAGE_H_
@@ -30,8 +31,8 @@ class RecursiveStage : public Stage {
                  const OpNode* node, const OpNode* edge_scan,
                  Duration window);
 
-  /// Receives deduplicated (src, dst, hops) tuples.
-  void SetDownstream(EmitFn fn) { downstream_ = std::move(fn); }
+  /// Receives deduplicated (src, dst, hops) rows, one-row batches.
+  void SetDownstream(BatchEmitFn fn) { downstream_ = std::move(fn); }
 
   const std::string& ns() const { return exchange_.ns(); }
 
@@ -55,7 +56,7 @@ class RecursiveStage : public Stage {
   /// Reach tuples travel like any rehash traffic, keyed on the canonical
   /// (src, dst) resource; only the namespace name is bespoke.
   RehashExchange exchange_;
-  EmitFn downstream_;
+  BatchEmitFn downstream_;
   std::unordered_set<std::string> reach_seen_;  // dedup by canonical resource
 };
 

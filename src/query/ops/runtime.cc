@@ -145,98 +145,22 @@ Status QueryRuntime::Init() {
     local_cap_ = collect_->limit;
   }
 
-  // Wire downstream chains for streaming producers.
-  for (JoinStage* js : joins_) {
-    // A join's node id is recoverable from its namespace map entry; walk
-    // the graph instead to stay simple.
-    for (uint32_t id = 0; id < graph_->size(); ++id) {
-      if (stages_[id].get() == js) js->SetDownstream(BuildEmitFrom(id));
-    }
-  }
-  if (recurse_ != nullptr) {
-    for (uint32_t id = 0; id < graph_->size(); ++id) {
-      if (stages_[id].get() == recurse_) {
-        recurse_->SetDownstream(BuildEmitFrom(id));
-      }
+  // Wire downstream chains for the streaming producers, now that every
+  // stage they may feed exists.
+  for (uint32_t id = 0; id < graph_->size(); ++id) {
+    switch (graph_->nodes[id].type) {
+      case OpType::kJoin:
+        static_cast<JoinStage*>(stages_[id].get())
+            ->SetDownstream(BuildBatchEmitFrom(id));
+        break;
+      case OpType::kRecurse:
+        recurse_->SetDownstream(BuildBatchEmitFrom(id));
+        break;
+      default:
+        break;
     }
   }
   return Status::OK();
-}
-
-EmitFn QueryRuntime::BuildEmitFrom(uint32_t producer_id) {
-  const OpNode& n = graph_->nodes[producer_id];
-  switch (n.out) {
-    case ExchangeKind::kToOrigin: {
-      if (epochal_) {
-        return [this](const Tuple& t) {
-          ToOrigin(current_epoch_, t);
-          if (local_cap_ < 0) return true;
-          return ++epoch_sent_ < local_cap_;
-        };
-      }
-      return [this](const Tuple& t) {
-        ToOrigin(0, t);
-        return true;
-      };
-    }
-    case ExchangeKind::kRehash: {
-      // OpGraph::Validate guarantees a rehash edge ends at a join.
-      int cons = graph_->ConsumerOf(producer_id);
-      JoinStage* js = static_cast<JoinStage*>(stages_[cons].get());
-      int side = graph_->nodes[cons].inputs[0] == producer_id ? 0 : 1;
-      return [js, side](const Tuple& t) {
-        js->PublishUpstream(side, t);
-        return true;
-      };
-    }
-    case ExchangeKind::kTree:
-      // Tree routing happens inside AggStage; a raw producer can't emit
-      // into a tree edge.
-      return [](const Tuple&) { return true; };
-    case ExchangeKind::kLocal:
-      break;
-  }
-
-  int cons_id = graph_->ConsumerOf(producer_id);
-  if (cons_id < 0) {
-    return [](const Tuple&) { return true; };
-  }
-  const OpNode& c = graph_->nodes[cons_id];
-  switch (c.type) {
-    case OpType::kFilter: {
-      EmitFn next = BuildEmitFrom(cons_id);
-      exec::ExprPtr pred = c.predicate;
-      return [pred, next](const Tuple& t) {
-        bool pass = false;
-        if (!exec::EvalPredicate(*pred, t, &pass).ok() || !pass) return true;
-        return next(t);
-      };
-    }
-    case OpType::kProject: {
-      EmitFn next = BuildEmitFrom(cons_id);
-      std::vector<exec::ExprPtr> exprs = c.exprs;
-      return [exprs, next](const Tuple& t) {
-        Tuple out;
-        out.reserve(exprs.size());
-        for (const auto& e : exprs) {
-          Value v;
-          if (!e->Eval(t, &v).ok()) v = Value::Null();
-          out.push_back(std::move(v));
-        }
-        return next(out);
-      };
-    }
-    case OpType::kPartialAgg: {
-      // Only join output reaches a partial aggregate tuple-at-a-time:
-      // epochal scans feed it batches, and index scans cannot feed it.
-      AggStage* as = static_cast<AggStage*>(stages_[cons_id].get());
-      return [as](const Tuple& t) { return as->PushStreaming(t); };
-    }
-    default:
-      // Origin-side nodes (final-agg, collect) are fed through exchanges,
-      // never local member edges.
-      return [](const Tuple&) { return true; };
-  }
 }
 
 BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
@@ -244,11 +168,13 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
   switch (n.out) {
     case ExchangeKind::kToOrigin: {
       return [this](exec::RowBatch& b) {
+        // Non-epochal producers (joins, recursion) deliver as epoch 0 with
+        // no cap: local_cap_ is set for epochal graphs only.
         if (local_cap_ >= 0) {
           int64_t room = local_cap_ - epoch_sent_;
           if (room <= 0) return false;
           // LIMIT pushdown mid-batch: the tail past the cap is never
-          // delivered, exactly like the tuple sink stopping at row `cap`.
+          // delivered.
           if (static_cast<int64_t>(b.ActiveRows()) > room) {
             b.TruncateLive(static_cast<size_t>(room));
           }
@@ -262,10 +188,20 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
         return local_cap_ < 0 || epoch_sent_ < local_cap_;
       };
     }
-    case ExchangeKind::kRehash:
+    case ExchangeKind::kRehash: {
+      // OpGraph::Validate guarantees a rehash edge ends at a join; here it
+      // leaves a join's output for the next join of the chain.
+      int cons = graph_->ConsumerOf(producer_id);
+      JoinStage* js = static_cast<JoinStage*>(stages_[cons].get());
+      int side = graph_->nodes[cons].inputs[0] == producer_id ? 0 : 1;
+      return [js, side](exec::RowBatch& b) {
+        js->PublishUpstream(side, b);
+        return true;
+      };
+    }
     case ExchangeKind::kTree:
-      // Not on a validated epochal chain: a rehash edge needs a join
-      // consumer, and a tree edge leaves the partial-agg stage itself.
+      // Tree routing happens inside AggStage; a raw producer can't emit
+      // into a tree edge.
       return [](exec::RowBatch&) { return true; };
     case ExchangeKind::kLocal:
       break;
@@ -309,7 +245,7 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
           kernel->EvalColumn(in, &col, &err);
           if (!err.none()) {
             // Rows whose scalar evaluation would error project as NULL,
-            // matching the tuple chain.
+            // as exec::ProjectOp does.
             exec::Column fixed(col.kind());
             for (size_t i = 0; i < rows; ++i) {
               if (err.Get(i)) {
@@ -349,8 +285,32 @@ void QueryRuntime::InitOrigin() {
 }
 
 void QueryRuntime::Start() {
-  for (JoinStage* js : joins_) js->Setup();
-  if (recurse_ != nullptr) recurse_->Setup();
+  // Rows rehashed by fast nodes can land here before the plan broadcast
+  // did: they wait in the stage's namespace, and each stage replays them
+  // before it produces. Every join's hash table exists since Init, so an
+  // arrival is joined whenever it lands — a replayed row's join output may
+  // reach a later join's namespace on this very node.
+  for (JoinStage* js : joins_) {
+    CatchUp(js->ns());
+    js->Setup();
+  }
+  if (recurse_ != nullptr) {
+    CatchUp(recurse_->ns());
+    recurse_->Setup();
+  }
+}
+
+void QueryRuntime::CatchUp(const std::string& ns) {
+  if (ns.empty()) return;  // fetch-matches joins consume no namespace
+  // Copied first: replaying can store into this very namespace. The replay
+  // goes through OnArrival's instance dedupe, which also admits an item
+  // the arrival subscription delivered first exactly once.
+  std::vector<dht::StoredItem> early;
+  host_->dht()->ForEachLocalReadable(ns, [&early](const dht::StoredItem& it) {
+    early.push_back(it);
+    return true;
+  });
+  for (const dht::StoredItem& item : early) OnArrival(ns, item);
 }
 
 void QueryRuntime::StartEpoch(uint64_t epoch) {
@@ -375,7 +335,7 @@ void QueryRuntime::StartEpoch(uint64_t epoch) {
   if (is_origin_) {
     for (uint32_t id : index_scans_) {
       static_cast<IndexScanStage*>(stages_[id].get())
-          ->RunEpoch(BuildEmitFrom(id));
+          ->RunEpoch(BuildBatchEmitFrom(id));
     }
   }
 }
@@ -421,14 +381,6 @@ void QueryRuntime::OnArrival(const std::string& ns,
     static_cast<JoinStage*>(s)->OnArrival(item);
   } else if (n.type == OpType::kRecurse) {
     static_cast<RecursiveStage*>(s)->OnArrival(item);
-  }
-}
-
-void QueryRuntime::ToOrigin(uint64_t epoch, const Tuple& t) {
-  if (collection_ != nullptr) {
-    collection_->Accept(host_->self_host(), epoch, t);
-  } else {
-    host_->DeliverResult(qid_, epoch, t);
   }
 }
 

@@ -62,7 +62,8 @@ class QueryRuntime {
   /// Origin-only, at Execute time (before the plan broadcast): pre-install
   /// setup such as the Bloom collection window.
   void InitOrigin();
-  /// One-time member setup for non-epochal graphs (joins, recursion).
+  /// One-time member setup for non-epochal graphs (joins, recursion):
+  /// each stage catches up on early arrivals, then produces.
   void Start();
   /// Runs one epoch of every epochal scan pipeline.
   void StartEpoch(uint64_t epoch);
@@ -90,23 +91,21 @@ class QueryRuntime {
   TimePoint last_new_row() const { return collection_->last_new_row(); }
 
  private:
-  /// Compiles the tuple-at-a-time chain downstream of a join, recursion or
-  /// index-scan producer.
-  EmitFn BuildEmitFrom(uint32_t producer_id);
-  /// Batch-plane twin of BuildEmitFrom for epochal scans: compiles the
-  /// local chain downstream of `producer_id` into a RowBatch pipeline
-  /// (kernel filters narrowing selections, vectorized projection,
-  /// VectorGroupBy partial aggregation, one-frame-per-batch origin
-  /// delivery).
+  /// Compiles the chain downstream of `producer_id` — a scan, join,
+  /// recursion or index scan — into a RowBatch pipeline: kernel filters
+  /// narrowing selections, vectorized projection, VectorGroupBy partial
+  /// aggregation, the kRehash edge into the next join, and
+  /// one-frame-per-few-rows origin delivery.
   BatchEmitFn BuildBatchEmitFrom(uint32_t producer_id);
+  /// Replays the items already stored in exchange namespace `ns` through
+  /// OnArrival: what fast nodes rehashed here before the plan arrived.
+  void CatchUp(const std::string& ns);
   /// Packages one epochal scan as scheduler work: the compiled batch chain
   /// as the feed, and an epoch-completion callback as done.
   ScanWork BuildScanWork(uint32_t scan_id, uint64_t epoch);
   /// One scheduled scan of `epoch` finished; when the last one does, runs
   /// the end-of-scan work (agg EndScan, the host's scans-done gate).
   void OnEpochScanDone(uint64_t epoch);
-  /// The kToOrigin edge: the origin's own collection, or a result frame.
-  void ToOrigin(uint64_t epoch, const catalog::Tuple& t);
 
   StageHost* host_;
   const PlanEnvelope* env_;

@@ -6,7 +6,7 @@ namespace ops {
 
 using catalog::Tuple;
 
-void ScanStage::Run(const EmitFn& emit) {
+void ScanStage::Run(const std::function<bool(const Tuple&)>& row) {
   ++host_->mutable_stats()->scans_run;
   ++host_->mutable_stats()->vectorized_fallbacks;
   TimePoint cutoff = window_ > 0 ? host_->sim()->now() - window_ : 0;
@@ -21,7 +21,7 @@ void ScanStage::Run(const EmitFn& emit) {
     if (!catalog::TupleFromBytes(item.value, &t).ok()) return true;
     if (t.size() != node_->schema.num_columns()) return true;
     ++host_->mutable_stats()->tuples_scanned;
-    return emit(t);
+    return row(t);
   });
 }
 

@@ -20,10 +20,10 @@ class ScanStage : public Stage {
   ScanStage(StageHost* host, const OpNode* node, Duration window)
       : host_(host), node_(node), window_(window) {}
 
-  /// Runs one scan pass, pushing each decoded row into `emit` (counted in
-  /// EngineStats::vectorized_fallbacks). Stops early when `emit` returns
+  /// Runs one scan pass, handing each decoded row to `row` (counted in
+  /// EngineStats::vectorized_fallbacks). Stops early when `row` returns
   /// false.
-  void Run(const EmitFn& emit);
+  void Run(const std::function<bool(const catalog::Tuple&)>& row);
 
  private:
   StageHost* host_;

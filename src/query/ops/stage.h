@@ -9,6 +9,10 @@
 // operator logic testable in isolation. The Deliver* calls are member-only
 // sends: at the origin, kToOrigin rows and partials never leave the node —
 // the runtime hands them to its own CollectStage and root AggStage.
+//
+// Between stages on one node rows flow in one form only: RowBatches pushed
+// down a BatchEmitFn chain the runtime compiles from the graph. Scalar
+// producers (join output, recursion, index cursors) push one-row batches.
 
 #ifndef PIER_QUERY_OPS_STAGE_H_
 #define PIER_QUERY_OPS_STAGE_H_
@@ -52,16 +56,13 @@ class StageHost {
   /// origin the epoch was finalized, elsewhere the query ended here.
   virtual bool EpochClosed(uint64_t qid, uint64_t epoch) const = 0;
 
-  /// kToOrigin exchange: sends a result row to the query origin.
-  virtual void DeliverResult(uint64_t qid, uint64_t epoch,
-                             const catalog::Tuple& t) = 0;
-  /// Batch-plane kToOrigin: sends every live row of `b` to the origin in
-  /// column-major wire frames of a few rows each.
+  /// kToOrigin exchange: sends every live row of `b` to the origin in
+  /// kResult frames of a few rows each.
   virtual void DeliverResultBatch(uint64_t qid, uint64_t epoch,
                                   const exec::RowBatch& b) = 0;
   /// Sends partial aggregates: kTree to the dissemination-tree parent
   /// (which combines before forwarding), anything else to the origin. One
-  /// frame carries a whole flush (one partial: the smaller row frame).
+  /// kPartial frame carries a whole flush.
   virtual void DeliverPartialBatch(uint64_t qid, uint64_t epoch,
                                    const std::vector<catalog::Tuple>& partials,
                                    ExchangeKind route) = 0;
@@ -123,13 +124,9 @@ class StageHost {
   virtual bool ChargeResultRow(uint64_t qid, uint64_t held) = 0;
 };
 
-/// A stage consuming tuples from a local edge. Returns false to stop the
-/// producer early (LIMIT pushdown into scans).
-using EmitFn = std::function<bool(const catalog::Tuple&)>;
-
-/// The batch-plane twin: a stage consuming whole RowBatches from a local
-/// edge. The callee may narrow or truncate the batch's selection in place;
-/// returning false stops the producing scan early, exactly like EmitFn.
+/// A stage consuming RowBatches from a local edge. The callee may narrow
+/// or truncate the batch's selection in place; returning false stops the
+/// producer early (LIMIT pushdown into scans and index cursors).
 using BatchEmitFn = std::function<bool(exec::RowBatch&)>;
 
 /// Base class for per-query runtime stages.

@@ -3,8 +3,8 @@
 // The plan IS its opgraph (query/opgraph.h): a DAG of typed operator nodes
 // wired by exchanges, interpreted by every node's QueryRuntime. Besides the
 // graph a plan carries only what the graph does not say: the continuous
-// period and window, the origin-local deadline override and the resource
-// budget. Every node rebuilds an identical plan from bytes.
+// period and window, the origin-local deadline and the resource budget.
+// Every node rebuilds an identical plan from bytes.
 //
 // Plans are assembled through the builder helpers below, by the planner
 // and by callers of the algebraic API alike: a source (scan, index scan,
@@ -49,14 +49,13 @@ struct QueryPlan {
                         ///< `window` at scan time
 
   // -- Lifecycle --------------------------------------------------------------
-  /// Per-query deadline override (0 = use EngineOptions::query_deadline).
-  /// Origin-local only — the wire carries the resolved absolute deadline in
+  /// Per-query deadline, relative to issue time (0 = none). Origin-local
+  /// only — the wire carries the resolved absolute deadline in
   /// PlanEnvelope::deadline, so this field is not serialized.
   Duration deadline = 0;
 
-  /// Per-query resource budget (0-dimensions fall back to
-  /// EngineOptions::default_budget). Travels with the plan so every member
-  /// enforces the same caps.
+  /// Per-query resource budget (0-dimensions are unlimited). Travels with
+  /// the plan so every member enforces the same caps.
   QueryBudget budget;
 
   void Serialize(Writer* w) const;

@@ -32,58 +32,30 @@ struct QueryBudget {
   uint64_t max_result_rows = 0;
 };
 
+/// The engine's tuning knobs: the windows and bounds a deployment (or a
+/// test shrinking virtual time) actually sets. Everything else the engine
+/// paces itself by is a named constant beside the code that uses it.
 struct EngineOptions {
   /// How long the origin waits for distributed results before finalizing an
   /// epoch (the paper's demo semantics: sum over nodes *responding* in the
   /// window).
   Duration result_wait = Seconds(8);
   /// Tree aggregation: a node at depth d holds partials for
-  /// agg_hold_base * (agg_assumed_depth - d) before flushing to its parent,
-  /// so children flush before parents.
+  /// agg_hold_base * max(1, kAggAssumedDepth - d) before flushing to its
+  /// parent (kAggAssumedDepth = 8, query/ops/agg_stage.cc), so children
+  /// flush before parents.
   Duration agg_hold_base = Millis(800);
-  int agg_assumed_depth = 8;
   /// Bloom join: origin collects per-node filters for this long before
-  /// redistributing the union.
+  /// redistributing the union (filter geometry: query/bloom_wire.h).
   Duration bloom_wait = Seconds(4);
-  size_t bloom_bits = 1 << 14;
-  int bloom_hashes = 5;
-  /// TTL on rehashed temp tuples (per-query exchange namespaces).
-  Duration temp_ttl = Seconds(90);
   /// Recursion: the origin declares fixpoint after this long without a new
   /// result, bounded by recursion_deadline.
   Duration quiesce_window = Seconds(6);
   Duration recursion_deadline = Seconds(120);
-  /// Member-side state GC delay after a query ends.
-  Duration cleanup_delay = Seconds(30);
   /// Rows per column batch: the scheduler's shared store sweeps decode
   /// slices into batches of this many rows, which the compiled
   /// filter/project/aggregate kernels consume a batch at a time.
   uint32_t batch_size = 1024;
-  // -- reliable result plane --------------------------------------------------
-  // Every member->origin / member->parent result and partial frame rides an
-  // acked, retried kFrame envelope with per-query monotone frame ids;
-  // receivers dedupe by frame id, so retransmits are idempotent.
-  /// First retransmit after this long without an ack; subsequent attempts
-  /// back off exponentially (x2) up to retry_max, each delay jittered by
-  /// +/- retry_jitter to decorrelate retransmit storms across senders.
-  Duration retry_initial = Millis(300);
-  Duration retry_max = Seconds(2);
-  /// Total send attempts per frame before it is declared lost-for-good and
-  /// charged to Completeness::frames_lost. 7 attempts fit inside the
-  /// default 8s result window at 20% per-hop loss with P(loss) ~ 1e-3.
-  int retry_budget = 7;
-  double retry_jitter = 0.25;
-  // -- lifecycle --------------------------------------------------------------
-  /// Default query deadline (0 = none). The origin finalizes whatever it has
-  /// at issued_at + deadline, flags the batch deadline_expired, and tears
-  /// the query down everywhere. Per-query override: QueryPlan::deadline.
-  Duration query_deadline{0};
-  /// Member-side origin-liveness lease: grace beyond a query's expected end
-  /// (one-shot: issued_at + result_wait; continuous: refreshed by each
-  /// epoch's plan re-broadcast) after which a member reclaims the query's
-  /// stage state and exchange namespaces on its own. Protects against an
-  /// origin that crashed without broadcasting kQueryEnd/kCancel.
-  Duration member_lease = Seconds(20);
   // -- admission control ------------------------------------------------------
   /// Per-node live-query budget. Origins refuse Execute() with
   /// Status::Busy; members shed the plan at install time and answer with a
@@ -91,33 +63,6 @@ struct EngineOptions {
   uint32_t max_live_queries = 256;
   /// Per-node bound on bytes sitting in unacked reliable-result outboxes.
   uint64_t max_pending_result_bytes = 8ull << 20;
-  /// Fan-out budget: plans with more operators than this are refused at
-  /// origin admission (a PIQL-style bounded-cost gate).
-  uint32_t max_plan_operators = 64;
-  // -- multi-tenant scheduler -------------------------------------------------
-  // Epochal scans run through the per-node QueryScheduler: round-robin over
-  // live queries with per-query quanta and shared-scan batching.
-  /// Rows one query may consume from the store per scheduler round before
-  /// the round-robin cursor moves on (fairness quantum). Served in whole
-  /// batches, so the effective quantum rounds up to a batch boundary.
-  uint32_t sched_quantum_rows = 2048;
-  /// Delay between scheduler rounds while runnable scan work remains.
-  Duration sched_round_interval = Millis(5);
-  /// A materialized store sweep stays attachable to later same-table scans
-  /// for this long (and only while the namespace is unmodified), so a burst
-  /// of concurrent queries shares one sweep.
-  Duration shared_scan_window = Millis(500);
-  /// Engine-wide default budget applied when a plan ships none (0s =
-  /// unlimited). Per-query override: QueryPlan::budget.
-  QueryBudget default_budget;
-  /// The origin refuses the `exact` certification while its overlay
-  /// topology changed within this window: a freshly split (or merging)
-  /// ring makes "every member reported" locally true but globally false —
-  /// the minority side of a partition would otherwise certify a fraction
-  /// of the answer as exact. Sized so a one-shot query issued within
-  /// ~window - result_wait of a detected split can never certify before
-  /// its result window closes. 0 = certify regardless (single-node tests).
-  Duration certify_stability_window = Seconds(30);
 };
 
 struct EngineStats {
@@ -168,11 +113,10 @@ struct EngineStats {
                                      ///< re-planned as broadcast scan
   // -- vectorized data plane -------------------------------------------------
   uint64_t batches_scanned = 0;      ///< RowBatches flushed by batch scans
-  uint64_t batch_frames_sent = 0;    ///< column-major wire frames sent
-  uint64_t batch_frames_received = 0;
-  /// Tuple-at-a-time scan passes: join and recursion catch-up scans
-  /// (ScanStage::Run) and index-cursor epochs (IndexScanStage::RunEpoch) —
-  /// the stragglers the batch plane does not cover yet.
+  /// Row-at-a-time producer passes: join and recursion scans
+  /// (ScanStage::Run) and index-cursor epochs (IndexScanStage::RunEpoch),
+  /// which feed the batch chain one-row batches — the stragglers the
+  /// vectorized scan does not cover yet.
   uint64_t vectorized_fallbacks = 0;
   // -- reliable result plane -------------------------------------------------
   uint64_t frames_sent = 0;           ///< kFrame envelopes first-sent
@@ -288,19 +232,18 @@ struct ResultBatch {
 /// Result, partial, epoch-report and budget-trip messages are accepted only
 /// as the inner bytes of an admitted kFrame; a bare one is dropped.
 enum class MsgType : uint8_t {
-  kResultTuple = 1,
-  kPartialAgg = 2,
   kFetchReq = 3,
   kFetchResp = 4,
   kBloomPart = 5,
-  /// Column-major RowBatch frames: the batch-plane twins of kResultTuple
-  /// and kPartialAgg. Payload: [qid][epoch][RowBatch] — one frame carries a
-  /// whole batch of rows.
-  kResultBatch = 6,
-  kPartialBatch = 7,
+  /// Result rows (kToOrigin) and partial aggregates (kTree / to the
+  /// origin). Payload: [qid][epoch][RowBatch] — one frame carries a batch
+  /// of rows, and a single row goes in RowBatch's tuple-encoded one-row
+  /// form.
+  kResult = 6,
+  kPartial = 7,
   /// Reliable envelope: [qid][frame_id][inner message bytes]. The inner
-  /// bytes are a complete direct message (kResultTuple/kPartialAgg/
-  /// kResultBatch/kPartialBatch/kEpochReport). Receivers always ack —
+  /// bytes are a complete direct message (kResult/kPartial/kEpochReport/
+  /// kBudgetTrip). Receivers always ack —
   /// including duplicates and unknown queries, so retransmit storms die —
   /// and admit the inner message only on first sight of the frame id.
   kFrame = 8,

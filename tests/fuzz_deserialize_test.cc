@@ -502,13 +502,26 @@ std::string ValidRowBatchBytes() {
   return builder.Take().EncodeToBytes();
 }
 
+// A one-row batch: the tuple-encoded form RowBatch::Encode picks for a
+// single live row.
+std::string ValidOneRowBatchBytes() {
+  return exec::RowBatch::OfRow({Value::Int64(1322), Value::String("scan"),
+                                Value::Null(), Value::Double(2.5),
+                                Value::Bool(true)})
+      .EncodeToBytes();
+}
+
 TEST(FuzzDeserialize, RowBatchGarbage) {
   auto parse = [](const std::string& b) {
     exec::RowBatch batch;
     (void)exec::RowBatch::FromBytes(b, &batch);
+    Reader r(b);
+    std::vector<catalog::Tuple> rows;
+    (void)exec::RowBatch::DecodeRows(&r, &rows);
   };
   NoCrashOnGarbage(parse, 3000, 128, 30);
   NoCrashOnMutation(parse, ValidRowBatchBytes(), 31);
+  NoCrashOnMutation(parse, ValidOneRowBatchBytes(), 34);
 }
 
 TEST(FuzzDeserialize, RowBatchRoundTripsByteIdentical) {
@@ -527,36 +540,35 @@ TEST(FuzzDeserialize, RowBatchRoundTripsByteIdentical) {
   EXPECT_EQ(bytes, back.EncodeToBytes());
 }
 
-// The rehash exchange's batch frame ([marker][side][RowBatch]) rides the
-// same DHT arrivals as legacy row frames; both decoders must survive each
-// other's frames and arbitrary corruption.
+// The rehash exchange's frame is [side][RowBatch], in either of RowBatch's
+// forms: one decoder must survive both and arbitrary corruption.
 TEST(FuzzDeserialize, ExchangeBatchFrameGarbage) {
-  std::string frame = "\x42";
-  frame.push_back('\x01');
-  frame += ValidRowBatchBytes();
+  std::string columnar = "\x01" + ValidRowBatchBytes();
+  std::string one_row = std::string(1, '\0') + ValidOneRowBatchBytes();
   auto parse = [](const std::string& b) {
     dht::StoredItem item;
     item.value = b;
     int side = 0;
-    if (query::RehashExchange::IsBatchFrame(item)) {
-      exec::RowBatch batch;
-      (void)query::RehashExchange::DecodeBatchArrival(item, &side, &batch);
-    }
-    catalog::Tuple t;
-    (void)query::RehashExchange::DecodeArrival(item, &side, &t);
+    std::vector<catalog::Tuple> rows;
+    (void)query::RehashExchange::DecodeArrival(item, &side, &rows);
   };
   NoCrashOnGarbage(parse, 3000, 128, 32);
-  NoCrashOnMutation(parse, frame, 33);
-  // The valid frame itself decodes.
+  NoCrashOnMutation(parse, columnar, 33);
+  NoCrashOnMutation(parse, one_row, 35);
+  // The valid frames themselves decode.
   dht::StoredItem item;
-  item.value = frame;
-  ASSERT_TRUE(query::RehashExchange::IsBatchFrame(item));
+  item.value = columnar;
   int side = -1;
-  exec::RowBatch batch;
-  ASSERT_TRUE(
-      query::RehashExchange::DecodeBatchArrival(item, &side, &batch).ok());
+  std::vector<catalog::Tuple> rows;
+  ASSERT_TRUE(query::RehashExchange::DecodeArrival(item, &side, &rows).ok());
   EXPECT_EQ(side, 1);
-  EXPECT_EQ(batch.num_rows(), 3u);
+  EXPECT_EQ(rows.size(), 3u);
+  item.value = one_row;
+  ASSERT_TRUE(query::RehashExchange::DecodeArrival(item, &side, &rows).ok());
+  EXPECT_EQ(side, 0);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].size(), 5u);
+  EXPECT_EQ(rows[0][1].string_value(), "scan");
 }
 
 // The Bloom filter wave's two frame bodies (kBloomPart member->origin,

@@ -15,7 +15,9 @@
 
 #include "core/network.h"
 #include "query/engine.h"
+#include "query/exchange.h"
 #include "query/plan.h"
+#include "workload/workloads.h"
 
 namespace pier {
 namespace query {
@@ -716,6 +718,59 @@ TEST(QueryJoinTest2, SymmetricHashJoinOnChord) {
   EXPECT_EQ(batches[0].rows.size(), 2u);
 }
 
+// A rehash frame can reach its rendezvous before the plan does. The runtime
+// replays it when the join installs; a later re-delivery of the same put
+// (a DHT put retry whose ack was lost) must not join it a second time.
+TEST(QueryJoinTest2, EarlyArrivalReplayedOnceDespiteRedelivery) {
+  PierNetwork net(6, OneHopOpts(83));
+  net.Boot(Seconds(5));
+  RegisterEverywhere(net, AlertsTable());
+  RegisterEverywhere(net, RulesTable());
+  ASSERT_TRUE(net.node(2)
+                  ->query_engine()
+                  ->Publish("rules", Tuple{Value::Int64(7), Value::Int64(3)})
+                  .ok());
+  net.RunFor(Seconds(5));
+
+  // The id of node 0's next query; in its plan the scans are graph nodes 0
+  // and 1, so the join consumes exchange namespace q<qid>.x2.
+  const uint64_t qid = ((static_cast<uint64_t>(net.node(0)->host()) + 1)
+                        << 32) |
+                       1;
+  const Tuple early{Value::Int64(7), Value::String("early"),
+                    Value::Int64(70)};
+  Writer frame;
+  frame.PutU8(0);  // left side: alerts
+  catalog::SerializeTuple(early, &frame);
+  const dht::DhtKey key{RehashExchange::NamespaceFor(qid, 2),
+                        catalog::ResourceForCols(early, {0}),
+                        /*instance=*/777};
+  auto put = [&] {
+    net.node(4)->dht()->Put(key, frame.buffer(), Seconds(60),
+                            [](Status) {});
+  };
+  put();
+  net.RunFor(Seconds(1));
+
+  QueryPlan plan = AlertsRulesJoinPlan(
+      JoinStrategy::kSymmetricHash, nullptr,
+      ProjectNode({Expr::Column(0), Expr::Column(2), Expr::Column(4)}));
+  std::vector<ResultBatch> batches;
+  auto r = net.node(0)->query_engine()->Execute(
+      plan, [&](const ResultBatch& b) { batches.push_back(b); });
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value(), qid);
+  net.RunFor(Seconds(1));
+  put();
+  net.RunFor(Seconds(10));
+
+  ASSERT_EQ(batches.size(), 1u);
+  ASSERT_EQ(batches[0].rows.size(), 1u);
+  EXPECT_EQ(batches[0].rows[0][0].int64_value(), 7);
+  EXPECT_EQ(batches[0].rows[0][1].int64_value(), 70);
+  EXPECT_EQ(batches[0].rows[0][2].int64_value(), 3);
+}
+
 TEST(QueryJoinTest2, FetchMatchesRequiresCompatiblePartitioning) {
   PierNetwork net(4, OneHopOpts(59));
   net.Boot(Seconds(5));
@@ -774,6 +829,68 @@ TEST(QueryRecursiveTest, TransitiveClosureOfChain) {
   std::set<std::pair<std::string, std::string>> expected = {
       {"a", "b"}, {"b", "c"}, {"c", "d"},
       {"a", "c"}, {"b", "d"}, {"a", "d"}};
+  EXPECT_EQ(got, expected);
+}
+
+// On a multi-hop ring the seed reach tuples of fast nodes reach their
+// (src, dst) owners before the plan broadcast does. Those early pairs wait
+// in the reach namespace and must still be reported and expanded: the
+// closure is exact.
+TEST(QueryRecursiveTest, EarlyReachPairsAreNotLostOnChord) {
+  PierNetworkOptions opts;
+  opts.seed = 908;
+  opts.node.router_kind = RouterKind::kChord;
+  opts.node.engine.quiesce_window = Seconds(8);
+  opts.node.engine.recursion_deadline = Seconds(240);
+  opts.join_stagger = Millis(100);
+  PierNetwork net(32, opts);
+  net.Boot(Seconds(60));
+  workload::TopologyOptions topo;
+  topo.num_vertices = 8;
+  topo.out_degree = 2;
+  const auto edges = workload::PublishTopology(&net, topo, /*seed=*/17);
+  net.RunFor(Seconds(10));
+
+  const int kMaxHops = 12;
+  std::set<std::pair<std::string, std::string>> expected;
+  std::set<std::string> vertices;
+  for (const auto& [src, dst] : edges) {
+    vertices.insert(src);
+    vertices.insert(dst);
+  }
+  for (const std::string& src : vertices) {
+    std::set<std::string> reached;
+    std::vector<std::string> frontier{src};
+    for (int hop = 0; hop < kMaxHops && !frontier.empty(); ++hop) {
+      std::vector<std::string> next;
+      for (const std::string& v : frontier) {
+        for (const auto& [from, to] : edges) {
+          if (from == v && reached.insert(to).second) next.push_back(to);
+        }
+      }
+      frontier = std::move(next);
+    }
+    for (const std::string& dst : reached) {
+      if (dst != src) expected.insert({src, dst});
+    }
+  }
+  ASSERT_EQ(expected.size(), 56u);
+
+  std::vector<ResultBatch> batches;
+  ASSERT_TRUE(net.node(0)
+                  ->query_engine()
+                  ->Execute(ClosurePlan(kMaxHops),
+                            [&](const ResultBatch& b) { batches.push_back(b); })
+                  .ok());
+  net.RunFor(Seconds(280));
+
+  ASSERT_EQ(batches.size(), 1u);
+  std::set<std::pair<std::string, std::string>> got;
+  for (const Tuple& t : batches[0].rows) {
+    if (t[0].Compare(t[1]) != 0) {
+      got.insert({t[0].string_value(), t[1].string_value()});
+    }
+  }
   EXPECT_EQ(got, expected);
 }
 

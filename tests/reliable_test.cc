@@ -261,8 +261,8 @@ TEST(ReliablePlaneTest, CleanNetworkAnswerMatchesOracleAndCertifiesExact) {
 }
 
 // Result rows count toward an answer only through an admitted kFrame: a
-// bare kResultTuple from another node (a stale sender, or a spoofer) must
-// never land in the answer, let alone in one certified exact.
+// bare kResult from another node (a stale sender, or a spoofer) must never
+// land in the answer, let alone in one certified exact.
 TEST(ReliablePlaneTest, BareResultTupleInjectedMidQueryIsDropped) {
   PierNetwork net(6, CleanOneHopOpts());
   SeedAlerts(net);
@@ -273,7 +273,7 @@ TEST(ReliablePlaneTest, BareResultTupleInjectedMidQueryIsDropped) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
   Writer w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kResultTuple));
+  w.PutU8(static_cast<uint8_t>(MsgType::kResult));
   w.PutVarint64(r.value());
   w.PutVarint64(/*epoch=*/0);
   catalog::SerializeTuple(
@@ -308,7 +308,7 @@ TEST(ReliablePlaneTest, FramedPartialForSelectQueryIsDroppedAtMember) {
   w.PutU8(static_cast<uint8_t>(MsgType::kFrame));
   w.PutVarint64(r.value());
   w.PutVarint64(/*frame_id=*/1);
-  w.PutU8(static_cast<uint8_t>(MsgType::kPartialAgg));
+  w.PutU8(static_cast<uint8_t>(MsgType::kPartial));
   w.PutVarint64(r.value());
   w.PutVarint64(/*epoch=*/0);
   catalog::SerializeTuple(Tuple{Value::Int64(7)}, &w);

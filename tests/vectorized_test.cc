@@ -227,6 +227,19 @@ TEST(VectorizedDifferentialTest, HandCorpusMatchesScalarPlane) {
   }
 }
 
+// Scalar producers (join output, recursion, fetched rows) enter the batch
+// chain as RowBatch::OfRow batches, whose column kinds follow each row's
+// values — NULL and BYTES cells ride the boxed lane.
+TEST(VectorizedDifferentialTest, OneRowBatchesMatchScalarPlane) {
+  Rng rng(4242);
+  for (int i = 0; i < 48; ++i) {
+    TestBatch tb;
+    tb.rows.push_back(RandomRow(&rng));
+    tb.batch = RowBatch::OfRow(tb.rows[0]);
+    for (const ExprPtr& e : HandCorpus()) CheckExpr(e, tb, 4242);
+  }
+}
+
 TEST(VectorizedDifferentialTest, SerializedExprsRoundTripThroughKernels) {
   // Expressions that traveled the wire (as real plans do) compile the same.
   Rng rng(99);
@@ -339,6 +352,133 @@ TEST(RowBatchCodecTest, EncodeCompactsSelection) {
   }
 }
 
+// One live row of fewer than 128 columns is the tuple encoding, byte for
+// byte — whether the batch holds one row or a selection narrowed to one.
+TEST(RowBatchCodecTest, OneLiveRowEncodesAsTuple) {
+  Rng rng(6);
+  for (int i = 0; i < 20; ++i) {
+    TestBatch one = MakeBatch(&rng, 1);
+    EXPECT_EQ(one.batch.EncodeToBytes(), catalog::TupleToBytes(one.rows[0]));
+    EXPECT_EQ(RowBatch::OfRow(one.rows[0]).EncodeToBytes(),
+              catalog::TupleToBytes(one.rows[0]));
+  }
+  TestBatch tb = MakeBatch(&rng, 50);
+  tb.batch.SetSelection({37});
+  EXPECT_EQ(tb.batch.EncodeToBytes(), catalog::TupleToBytes(tb.rows[37]));
+  tb.batch.SetSelection({4, 9});
+  tb.batch.TruncateLive(1);
+  EXPECT_EQ(tb.batch.EncodeToBytes(), catalog::TupleToBytes(tb.rows[4]));
+}
+
+// A producer refills one batch per row: whatever the chain left behind (a
+// narrowed selection, a move, other column kinds), AssignRow yields OfRow.
+TEST(RowBatchCodecTest, AssignRowEqualsOfRowFromAnyState) {
+  Rng rng(7);
+  RowBatch b = MakeBatch(&rng, 10).batch;
+  b.SetSelection({3, 8});
+  for (int i = 0; i < 40; ++i) {
+    Tuple row = RandomRow(&rng);
+    if (i % 7 == 3) row.push_back(Value::Bytes("extra"));  // width changes
+    b.AssignRow(row);
+    ASSERT_EQ(b.ActiveRows(), 1u);
+    ASSERT_FALSE(b.has_selection());
+    EXPECT_EQ(b.EncodeToBytes(), RowBatch::OfRow(row).EncodeToBytes());
+    Tuple back;
+    b.ToTuple(0, &back);
+    ASSERT_EQ(back.size(), row.size());
+    for (size_t c = 0; c < row.size(); ++c) {
+      ExpectValuesIdentical(row[c], back[c],
+                            "AssignRow i=" + std::to_string(i));
+      EXPECT_EQ(b.column(c).kind(), Column::KindForType(row[c].type()));
+    }
+    if (i % 5 == 0) b.SetSelection({});
+    if (i % 5 == 1) RowBatch moved = std::move(b);
+  }
+}
+
+TEST(RowBatchCodecTest, WideRowAndEmptyBatchAreColumnar) {
+  Tuple wide;
+  for (int c = 0; c < 128; ++c) wide.push_back(Value::Int64(c));
+  std::string bytes = RowBatch::OfRow(wide).EncodeToBytes();
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(static_cast<uint8_t>(bytes[0]), 0x81);
+  RowBatch back;
+  ASSERT_TRUE(RowBatch::FromBytes(bytes, &back).ok());
+  ASSERT_EQ(back.num_rows(), 1u);
+  Tuple t;
+  back.ToTuple(0, &t);
+  EXPECT_EQ(catalog::CompareTuples(t, wide), 0);
+
+  std::string empty = RowBatch(TestSchema()).EncodeToBytes();
+  ASSERT_FALSE(empty.empty());
+  EXPECT_EQ(static_cast<uint8_t>(empty[0]), 0x81);
+  ASSERT_TRUE(RowBatch::FromBytes(empty, &back).ok());
+  EXPECT_EQ(back.num_rows(), 0u);
+  EXPECT_EQ(back.num_columns(), TestSchema().num_columns());
+}
+
+// Decode (into a batch) and DecodeRows (into tuples) agree on both forms.
+TEST(RowBatchCodecTest, DecodeAndDecodeRowsReadBothForms) {
+  Rng rng(8);
+  for (size_t n : {1ull, 2ull, 5ull, 70ull}) {
+    TestBatch tb = MakeBatch(&rng, n);
+    std::string bytes = tb.batch.EncodeToBytes();
+    RowBatch batch;
+    Reader r1(bytes);
+    ASSERT_TRUE(RowBatch::Decode(&r1, &batch).ok()) << "n=" << n;
+    EXPECT_TRUE(r1.AtEnd());
+    std::vector<Tuple> rows{Tuple{Value::Int64(-1)}};  // replaced, not appended
+    Reader r2(bytes);
+    ASSERT_TRUE(RowBatch::DecodeRows(&r2, &rows).ok()) << "n=" << n;
+    EXPECT_TRUE(r2.AtEnd());
+    ASSERT_EQ(batch.num_rows(), n);
+    ASSERT_EQ(rows.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      Tuple t;
+      batch.ToTuple(i, &t);
+      ASSERT_EQ(t.size(), tb.rows[i].size());
+      ASSERT_EQ(rows[i].size(), tb.rows[i].size());
+      for (size_t c = 0; c < t.size(); ++c) {
+        ExpectValuesIdentical(tb.rows[i][c], t[c], "Decode n=" +
+                                                       std::to_string(n));
+        ExpectValuesIdentical(tb.rows[i][c], rows[i][c],
+                              "DecodeRows n=" + std::to_string(n));
+      }
+    }
+    // Strict inverse: re-encoding what was decoded gives the same bytes.
+    EXPECT_EQ(batch.EncodeToBytes(), bytes) << "n=" << n;
+  }
+}
+
+TEST(RowBatchCodecTest, UnknownLeadByteIsCorruption) {
+  Rng rng(9);
+  std::string columnar = MakeBatch(&rng, 3).batch.EncodeToBytes();
+  for (int lead = 0x80; lead <= 0xff; ++lead) {
+    if (lead == 0x81) continue;
+    std::string bytes = columnar;
+    bytes[0] = static_cast<char>(lead);
+    RowBatch batch;
+    EXPECT_TRUE(RowBatch::FromBytes(bytes, &batch).IsCorruption())
+        << "lead=" << lead;
+    Reader r(bytes);
+    std::vector<Tuple> rows;
+    EXPECT_TRUE(RowBatch::DecodeRows(&r, &rows).IsCorruption())
+        << "lead=" << lead;
+  }
+}
+
+// Index cursors decode PHT entries from the network through
+// AppendSerialized: a row cut off after a BOOL tag is rejected without
+// reading past the buffer (exact-size heap storage, so the sanitizer lane
+// sees any overread).
+TEST(RowBatchCodecTest, AppendSerializedRejectsTruncatedBool) {
+  std::vector<char> bytes = {1, static_cast<char>(ValueType::kBool)};
+  RowBatchBuilder builder(std::vector<ValueType>{ValueType::kBool});
+  EXPECT_FALSE(
+      builder.AppendSerialized(std::string_view(bytes.data(), bytes.size())));
+  EXPECT_TRUE(builder.Empty());
+}
+
 // ---------------------------------------------------------------------------
 // VectorGroupBy vs GroupByOp
 // ---------------------------------------------------------------------------
@@ -397,6 +537,42 @@ TEST(VectorGroupByTest, MatchesGroupByOpCompletePhase) {
   CheckGroupBy({3}, /*finalize=*/true, 22);
   CheckGroupBy({3, 4}, /*finalize=*/true, 23);
   CheckGroupBy({}, /*finalize=*/true, 24);
+}
+
+// Join-fed aggregation: joined rows reach the accumulator one-row batch at
+// a time, each batch's column kinds taken from that row's values.
+TEST(VectorGroupByTest, OneRowBatchesMatchGroupByOpPartialPhase) {
+  for (const std::vector<int>& group_cols :
+       {std::vector<int>{3}, std::vector<int>{3, 2}, std::vector<int>{},
+        std::vector<int>{5}}) {
+    Rng rng(41);
+    std::vector<Tuple> rows;
+    for (int i = 0; i < 300; ++i) rows.push_back(RandomRow(&rng));
+
+    GroupByOp reference(group_cols, AllAggs(), AggPhase::kPartial);
+    CollectorSink ref_sink;
+    reference.AddOutput(&ref_sink);
+    for (const Tuple& t : rows) reference.Push(t, 0);
+    reference.FlushAndReset();
+
+    VectorGroupBy vgb(group_cols, AllAggs(), /*finalize=*/false);
+    for (const Tuple& t : rows) vgb.PushBatch(RowBatch::OfRow(t));
+    std::vector<Tuple> got;
+    vgb.DrainAndReset([&](Tuple& t) {
+      got.push_back(std::move(t));
+      return true;
+    });
+
+    ASSERT_EQ(got.size(), ref_sink.rows().size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].size(), ref_sink.rows()[i].size());
+      for (size_t c = 0; c < got[i].size(); ++c) {
+        ExpectValuesIdentical(ref_sink.rows()[i][c], got[i][c],
+                              "group=" + std::to_string(i) +
+                                  " col=" + std::to_string(c));
+      }
+    }
+  }
 }
 
 TEST(VectorGroupByTest, SelectionRestrictsAccumulation) {
