@@ -4,16 +4,16 @@
 // every node runs when the paper's top-intrusions query lands on it. The
 // stored rows carry the full alert record (timestamps, addresses, ports,
 // description) the way a real snort feed does; the Table-1 query touches
-// only rule_id and hits, which is precisely where columnar scan pruning
-// pays: the batch plane validates but never materializes the other five
-// columns, while the tuple operators must box every field of every row.
+// only rule_id and hits. Both planes decode all seven columns of every
+// row, as the engine's scan sweep does: the tuple plane boxes them into a
+// Tuple, the batch plane appends them to typed column lanes.
 //
 // Both planes consume identical serialized tuple bytes (what the DHT store
 // actually holds) and must drain identical partial-aggregate rows; the
-// bench's exit code carries that self-check (and optionally --min-speedup,
-// off by default: timing alone never fails CI on a slow machine). The
-// tentpole gate is the printed speedup: the batch plane must sustain >=5x
-// rows/s over the tuple plane.
+// bench's exit code carries that self-check only. --min-speedup is off by
+// default (timing alone never fails CI on a slow machine). The printed
+// target is >=5x rows/s for the batch plane over the tuple plane; on the
+// all-column decode path it is not met (see docs/benchmarks.md).
 //
 //   bench_exec_vectorized [--rows=N] [--reps=N] [--min-speedup=X] [--json[=path]]
 
@@ -30,7 +30,6 @@
 #include "common/rng.h"
 #include "exec/batch.h"
 #include "exec/kernels.h"
-#include "exec/operator.h"
 #include "exec/operators.h"
 #include "workload/workloads.h"
 
@@ -110,26 +109,20 @@ std::vector<exec::AggSpec> Aggs() {
           {exec::AggFunc::kCount, -1, "n"}};
 }
 
-/// The tuple plane: per-row deserialize, scalar predicate, GroupByOp —
-/// exactly the per-tuple pipeline ScanStage + filter + AggStage ran before
-/// vectorization.
+/// The tuple plane: per-row deserialize, scalar predicate, scalar
+/// group-by — the per-tuple pipeline ScanStage + filter + AggStage ran
+/// before vectorization.
 std::vector<Tuple> RunTuplePlane(const std::vector<std::string>& slice,
                                  const exec::ExprPtr& pred) {
-  // The real per-tuple operator chain a scan feeds: FilterOp -> GroupByOp
-  // -> sink, one virtual Push per tuple per stage.
-  exec::FilterOp filter(pred);
-  exec::GroupByOp gb({kRuleId}, Aggs(), exec::AggPhase::kPartial);
-  exec::CollectorSink sink;
-  filter.AddOutput(&gb);
-  gb.AddOutput(&sink);
+  exec::GroupBy gb({kRuleId}, Aggs(), exec::AggPhase::kPartial);
   Tuple t;
   for (const std::string& bytes : slice) {
     if (!catalog::TupleFromBytes(bytes, &t).ok()) continue;
     if (t.size() != kNumCols) continue;
-    filter.Push(t, 0);
+    bool pass = false;
+    if (exec::EvalPredicate(*pred, t, &pass).ok() && pass) gb.Push(t);
   }
-  gb.FlushAndReset();
-  return sink.rows();
+  return gb.Drain();
 }
 
 /// The batch plane: serialized bytes decode straight into column vectors,
@@ -140,11 +133,6 @@ std::vector<Tuple> RunBatchPlane(const std::vector<std::string>& slice,
                                  size_t batch_size) {
   exec::RowBatchBuilder builder(RawAlertSchema());
   builder.Reserve(batch_size);
-  // The query touches rule_id (group key) and hits (filter + SUM) but none
-  // of the other alert fields — scan-side column pruning skips decoding
-  // them entirely, an advantage the tuple plane structurally cannot
-  // express.
-  builder.SetNeededColumns({kRuleId, kHits});
   exec::VectorGroupBy vgb({kRuleId}, Aggs(), /*finalize=*/false);
   exec::Bitmap keep;
   auto flush = [&]() {
@@ -205,8 +193,8 @@ int Run(const Config& cfg, bench::JsonReport* report) {
               cfg.reps);
   std::printf("batch plane:  %12.0f rows/s (best of %d)\n", batch_rps,
               cfg.reps);
-  std::printf("speedup:      %12.2fx (gate: >=5x)   [guard=%zu]\n", speedup,
-              guard);
+  std::printf("speedup:      %12.2fx (target: >=5x)   [guard=%zu]\n",
+              speedup, guard);
 
   report->Metric("tuple_rows_per_s", tuple_rps, "rows/s");
   report->Metric("batch_rows_per_s", batch_rps, "rows/s");

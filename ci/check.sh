@@ -19,8 +19,10 @@
 #                bench_aggregation_tree + bench_recursive with --json,
 #                merged into BENCH_PR10.json, then short pierbench storm,
 #                table1, table1_lossy and joins runs). The smoke fails only
-#                on a bench self-check mismatch (all deterministic), the
-#                vectorized bench's >=5x speedup gate, the join-strategy
+#                on a bench self-check mismatch (all deterministic; for
+#                the vectorized bench, its two planes' answers differing
+#                — its >=5x speedup target is printed, not gated, since
+#                --min-speedup is not passed), the join-strategy
 #                bench's >=5x traffic-reduction gate, the churn bench's
 #                coverage floor, the recursion bench's exact-closure gate,
 #                or a pierbench oracle failure, never on raw timing.
@@ -116,9 +118,9 @@ if [[ $PERF -eq 1 ]]; then
   "$BUILD_DIR/bench_table1_top_intrusions" --lossy --json=BENCH_PR10.json | tail -6
   "$BUILD_DIR/bench_range_scan" --json=BENCH_PR10.json | tail -3
   "$BUILD_DIR/bench_multiway_join" --json=BENCH_PR10.json | tail -3
-  # Self-check: the batch plane must hold its >=5x rows/s edge over the
-  # tuple plane (deterministic row counts; the ratio gate rides wall-clock
-  # but is interleaved best-of-N, far from the 5x line on any idle box).
+  # Self-check: both planes must drain identical group-by rows. The
+  # printed batch-vs-tuple speedup (target >=5x, unmet on the all-column
+  # decode path) is recorded, not gated: --min-speedup is not passed.
   "$BUILD_DIR/bench_exec_vectorized" --json=BENCH_PR10.json | tail -3
   # The multi-tenant storm: 1000 mixed index/scan/join queries over 256
   # nodes. Gates on exact answers for every query, zero admission refusals

@@ -42,9 +42,6 @@ class BloomFilter {
   void Serialize(Writer* w) const;
   static Status Deserialize(Reader* r, BloomFilter* out);
 
-  /// Wire size in bytes (for traffic accounting).
-  size_t SerializedBytes() const { return 8 + words_.size() * 8; }
-
  private:
   std::vector<uint64_t> words_;
   int num_hashes_;

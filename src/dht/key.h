@@ -37,11 +37,6 @@ struct DhtKey {
     return Id160::FromName(w.buffer());
   }
 
-  /// Ring position shared by a whole namespace (used for aggregation roots).
-  static Id160 NamespaceRoot(const std::string& ns) {
-    return Id160::FromName("ns-root:" + ns);
-  }
-
   bool operator==(const DhtKey& o) const {
     return ns == o.ns && resource == o.resource && instance == o.instance;
   }

@@ -285,46 +285,5 @@ void Dht::OnDirect(sim::HostId /*from*/, Reader* r) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// RenewingPublisher
-// ---------------------------------------------------------------------------
-
-RenewingPublisher::RenewingPublisher(Dht* dht, sim::Simulation* sim,
-                                     Duration ttl)
-    : dht_(dht), sim_(sim), ttl_(ttl) {}
-
-void RenewingPublisher::Publish(const DhtKey& key, std::string value) {
-  for (auto& [k, v] : items_) {
-    if (k == key) {
-      v = std::move(value);
-      dht_->Put(key, v, ttl_, nullptr);
-      return;
-    }
-  }
-  items_.emplace_back(key, std::move(value));
-  dht_->Put(key, items_.back().second, ttl_, nullptr);
-}
-
-void RenewingPublisher::Withdraw(const DhtKey& key) {
-  for (auto it = items_.begin(); it != items_.end(); ++it) {
-    if (it->first == key) {
-      items_.erase(it);
-      return;
-    }
-  }
-}
-
-void RenewingPublisher::Start() {
-  renew_task_.Start(sim_, ttl_ / 2, ttl_ / 2, [this] { RenewAll(); });
-}
-
-void RenewingPublisher::Stop() { renew_task_.Stop(); }
-
-void RenewingPublisher::RenewAll() {
-  for (const auto& [key, value] : items_) {
-    dht_->Renew(key, value, ttl_, nullptr);
-  }
-}
-
 }  // namespace dht
 }  // namespace pier

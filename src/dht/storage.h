@@ -184,31 +184,6 @@ class Dht {
   std::unordered_map<std::string, ArrivalFn> arrival_subscribers_;
 };
 
-/// Keeps a set of items alive by re-putting them every ttl/2 — the
-/// publisher side of soft state. Base tables (file indexes, node stats)
-/// stay in the DHT only while their publisher keeps renewing.
-class RenewingPublisher {
- public:
-  RenewingPublisher(Dht* dht, sim::Simulation* sim, Duration ttl);
-
-  /// Adds/updates an item under management and puts it immediately.
-  void Publish(const DhtKey& key, std::string value);
-  /// Stops renewing (item will expire within one TTL).
-  void Withdraw(const DhtKey& key);
-  void Start();
-  void Stop();
-  size_t item_count() const { return items_.size(); }
-
- private:
-  void RenewAll();
-
-  Dht* dht_;
-  sim::Simulation* sim_;
-  Duration ttl_;
-  std::vector<std::pair<DhtKey, std::string>> items_;
-  sim::PeriodicTask renew_task_;
-};
-
 }  // namespace dht
 }  // namespace pier
 

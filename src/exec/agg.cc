@@ -21,12 +21,15 @@ const char* AggFuncName(AggFunc fn) {
 
 namespace {
 
-/// Numeric addition preserving integerness when both sides are INT64.
+/// Numeric addition preserving integerness when both sides are INT64 and
+/// the sum fits; otherwise it widens to DOUBLE.
 Value AddValues(const Value& a, const Value& b) {
   if (a.is_null()) return b;
   if (b.is_null()) return a;
-  if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64) {
-    return Value::Int64(a.int64_value() + b.int64_value());
+  int64_t sum = 0;
+  if (a.type() == ValueType::kInt64 && b.type() == ValueType::kInt64 &&
+      !__builtin_add_overflow(a.int64_value(), b.int64_value(), &sum)) {
+    return Value::Int64(sum);
   }
   double x = 0, y = 0;
   (void)a.AsDouble(&x);
@@ -142,6 +145,17 @@ Value AggFinalize(const AggSpec& spec, const Value& v1, const Value& v2) {
     }
   }
   return Value::Null();
+}
+
+catalog::Tuple AggIdentityRow(const std::vector<AggSpec>& aggs) {
+  catalog::Tuple row;
+  row.reserve(aggs.size());
+  for (const AggSpec& spec : aggs) {
+    Value v1, v2;
+    AggInit(spec, &v1, &v2);
+    row.push_back(AggFinalize(spec, v1, v2));
+  }
+  return row;
 }
 
 }  // namespace exec

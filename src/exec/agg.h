@@ -75,6 +75,9 @@ void AggMerge(const AggSpec& spec, const Value& in1, const Value& in2,
               Value* v1, Value* v2);
 /// Produces the final value from a partial state.
 Value AggFinalize(const AggSpec& spec, const Value& v1, const Value& v2);
+/// The one row a scalar aggregate (no GROUP BY) yields over no input, per
+/// SQL: COUNT = 0, SUM = NULL, ...
+catalog::Tuple AggIdentityRow(const std::vector<AggSpec>& aggs);
 
 }  // namespace exec
 }  // namespace pier

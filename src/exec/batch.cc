@@ -284,29 +284,6 @@ void Column::Reserve(size_t n) {
   }
 }
 
-void Column::ResizeNull(size_t n) {
-  Clear();
-  size_ = n;
-  validity_.assign((n + 63) / 64, 0);
-  switch (kind_) {
-    case Kind::kInt64:
-      i64_.resize(n);
-      break;
-    case Kind::kDouble:
-      f64_.resize(n);
-      break;
-    case Kind::kString:
-      str_.resize(n);
-      break;
-    case Kind::kBool:
-      b8_.resize(n);
-      break;
-    case Kind::kMixed:
-      mixed_.resize(n);
-      break;
-  }
-}
-
 void Column::Clear() {
   size_ = 0;
   validity_.clear();
@@ -626,7 +603,6 @@ RowBatchBuilder::RowBatchBuilder(std::vector<ValueType> types)
 
 void RowBatchBuilder::Append(const catalog::Tuple& t) {
   for (size_t i = 0; i < batch_.cols_.size(); ++i) {
-    if (!needed_.empty() && needed_[i] == 0) continue;  // bulk-nulled in Take()
     if (i < t.size()) {
       batch_.cols_[i].AppendValue(t[i]);
     } else {
@@ -658,44 +634,11 @@ inline bool FastVarint(const uint8_t*& p, const uint8_t* end, uint64_t* out) {
   return false;
 }
 
-/// Steps over a varint without decoding it, with FastVarint's exact
-/// failure behavior (truncation and overlong encodings fail). When eight
-/// bytes are in bounds the stop byte is found in one word op — skipping is
-/// the whole cost of a pruned column, so this loop earns its tuning.
-inline bool SkipVarint(const uint8_t*& p, const uint8_t* end) {
-  int cap = 10;
-  if (kLittleEndian && end - p >= 8) {
-    uint64_t chunk;
-    std::memcpy(&chunk, p, 8);
-    uint64_t stops = ~chunk & 0x8080808080808080ull;
-    if (stops != 0) {
-      p += (std::countr_zero(stops) >> 3) + 1;
-      return true;
-    }
-    p += 8;  // 9- and 10-byte varints finish below
-    cap = 2;
-  }
-  for (int k = 0; k < cap; ++k) {
-    if (p == end) return false;
-    if ((*p++ & 0x80) == 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 void RowBatchBuilder::Reserve(size_t n) {
   reserve_hint_ = n;
   for (Column& c : batch_.cols_) c.Reserve(n);
-}
-
-void RowBatchBuilder::SetNeededColumns(const std::vector<int>& needed) {
-  needed_.clear();
-  if (needed.empty()) return;
-  needed_.assign(batch_.cols_.size(), 0);
-  for (int c : needed) {
-    if (c >= 0 && static_cast<size_t>(c) < needed_.size()) needed_[c] = 1;
-  }
 }
 
 bool RowBatchBuilder::AppendSerialized(std::string_view bytes) {
@@ -706,14 +649,11 @@ bool RowBatchBuilder::AppendSerialized(std::string_view bytes) {
   if (count != batch_.cols_.size()) return false;
   // Decode straight into the column lanes; a tag that disagrees with the
   // lane boxes through AppendValue (promoting the column), so malformed
-  // rows are the only ones that bail out below. Columns outside the needed
-  // set are validated but not materialized: their payload bytes are stepped
-  // over and the lane gets a NULL (scan-side column pruning).
+  // rows are the only ones that bail out below.
   size_t appended = 0;
   bool ok = true;
   for (uint64_t i = 0; i < count && ok; ++i) {
     Column& col = batch_.cols_[i];
-    const bool wanted = needed_.empty() || needed_[i] != 0;
     if (p == end) {
       ok = false;
       break;
@@ -721,13 +661,9 @@ bool RowBatchBuilder::AppendSerialized(std::string_view bytes) {
     uint8_t tag = *p++;
     switch (tag) {
       case static_cast<uint8_t>(ValueType::kNull):
-        if (wanted) col.AppendNull();
+        col.AppendNull();
         break;
       case static_cast<uint8_t>(ValueType::kInt64): {
-        if (!wanted) {
-          if (!SkipVarint(p, end)) ok = false;
-          break;
-        }
         uint64_t zz = 0;
         if (!FastVarint(p, end, &zz)) {
           ok = false;
@@ -744,10 +680,6 @@ bool RowBatchBuilder::AppendSerialized(std::string_view bytes) {
       case static_cast<uint8_t>(ValueType::kDouble): {
         if (end - p < 8) {
           ok = false;
-          break;
-        }
-        if (!wanted) {
-          p += 8;
           break;
         }
         uint64_t bits = 0;
@@ -770,7 +702,6 @@ bool RowBatchBuilder::AppendSerialized(std::string_view bytes) {
           break;
         }
         uint8_t b = *p++;
-        if (!wanted) break;
         if (col.kind() == Column::Kind::kBool) {
           col.AppendBool(b != 0);
         } else {
@@ -784,10 +715,6 @@ bool RowBatchBuilder::AppendSerialized(std::string_view bytes) {
         if (!FastVarint(p, end, &n) ||
             n > static_cast<uint64_t>(end - p)) {
           ok = false;
-          break;
-        }
-        if (!wanted) {
-          p += n;
           break;
         }
         std::string s(reinterpret_cast<const char*>(p), n);
@@ -810,11 +737,8 @@ bool RowBatchBuilder::AppendSerialized(std::string_view bytes) {
   }
   if (ok && p != end) ok = false;
   if (!ok) {
-    // Roll back the columns touched before the row went bad (pruned
-    // columns were never appended to).
-    for (size_t i = 0; i < appended; ++i) {
-      if (needed_.empty() || needed_[i] != 0) batch_.cols_[i].PopBack();
-    }
+    // Roll back the columns touched before the row went bad.
+    for (size_t i = 0; i < appended; ++i) batch_.cols_[i].PopBack();
     return false;
   }
   ++batch_.num_rows_;
@@ -822,13 +746,6 @@ bool RowBatchBuilder::AppendSerialized(std::string_view bytes) {
 }
 
 RowBatch RowBatchBuilder::Take() {
-  // Pruned columns carried no per-row storage during the append loop;
-  // materialize them as all-null now so the batch is uniformly shaped.
-  if (!needed_.empty()) {
-    for (size_t i = 0; i < batch_.cols_.size(); ++i) {
-      if (needed_[i] == 0) batch_.cols_[i].ResizeNull(batch_.num_rows_);
-    }
-  }
   RowBatch out = std::move(batch_);
   batch_ = RowBatch(types_);
   if (reserve_hint_ > 0) {

@@ -75,9 +75,6 @@ class Column {
   /// Removes the last row (builder rollback when a serialized row turns
   /// out malformed mid-decode).
   void PopBack();
-  /// Replaces the contents with `n` all-NULL rows (bulk form the builder
-  /// uses to materialize pruned columns at Take() time).
-  void ResizeNull(size_t n);
 
   /// Pre-sizes storage for `n` rows (lanes and validity words).
   void Reserve(size_t n);
@@ -228,15 +225,6 @@ class RowBatchBuilder {
   /// scan loop reserves once for its whole lifetime.
   void Reserve(size_t n);
 
-  /// Restricts decoding to the named columns: AppendSerialized validates
-  /// but steps over the payload bytes of every other column, and Take()
-  /// materializes those columns as all-NULL in one bulk resize. This is
-  /// scan-side column pruning — a query that never reads a column does not
-  /// pay to decode or store it (the planner passes the set of columns its
-  /// stages touch). An empty `needed` means all columns. Wire validation
-  /// is unchanged: malformed rows are still rejected whole.
-  void SetNeededColumns(const std::vector<int>& needed);
-
   void Append(const catalog::Tuple& t);
   /// Decodes one wire-format tuple (SerializeTuple layout) directly into
   /// the columns. Returns true if the row was appended; false (with no
@@ -249,8 +237,6 @@ class RowBatchBuilder {
 
  private:
   std::vector<ValueType> types_;
-  /// Empty = decode everything; else one byte per column, nonzero = decode.
-  std::vector<uint8_t> needed_;
   size_t reserve_hint_ = 0;
   RowBatch batch_;
 };

@@ -165,32 +165,8 @@ class ArithExpr : public Expr {
     bool both_int = lv.type() == ValueType::kInt64 &&
                     rv.type() == ValueType::kInt64;
     if (both_int) {
-      int64_t a = lv.int64_value(), b = rv.int64_value();
-      switch (op_) {
-        case ArithOp::kAdd:
-          *out = Value::Int64(a + b);
-          return Status::OK();
-        case ArithOp::kSub:
-          *out = Value::Int64(a - b);
-          return Status::OK();
-        case ArithOp::kMul:
-          *out = Value::Int64(a * b);
-          return Status::OK();
-        case ArithOp::kDiv:
-          if (b == 0) {
-            *out = Value::Null();
-            return Status::OK();
-          }
-          *out = Value::Int64(a / b);
-          return Status::OK();
-        case ArithOp::kMod:
-          if (b == 0) {
-            *out = Value::Null();
-            return Status::OK();
-          }
-          *out = Value::Int64(a % b);
-          return Status::OK();
-      }
+      *out = Int64ArithValue(op_, lv.int64_value(), rv.int64_value());
+      return Status::OK();
     }
     double a = 0, b = 0;
     PIER_RETURN_IF_ERROR(lv.AsDouble(&a));
@@ -326,7 +302,7 @@ class NegExpr : public Expr {
       return Status::OK();
     }
     if (v.type() == ValueType::kInt64) {
-      *out = Value::Int64(-v.int64_value());
+      *out = Int64ArithValue(ArithOp::kSub, 0, v.int64_value());
       return Status::OK();
     }
     double d = 0;

@@ -11,6 +11,7 @@
 #ifndef PIER_EXEC_EXPR_H_
 #define PIER_EXEC_EXPR_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +32,36 @@ enum class ArithOp : uint8_t { kAdd, kSub, kMul, kDiv, kMod };
 
 const char* CompareOpName(CompareOp op);
 const char* ArithOpName(ArithOp op);
+
+/// INT64 `a op b` into `*out`, the one definition both planes use. False
+/// means the result is NULL: division or modulo by zero, or a result that
+/// does not fit in int64 (overflowing + - *, INT64_MIN / -1). Negation is
+/// 0 - a. INT64_MIN % -1 is 0.
+inline bool Int64Arith(ArithOp op, int64_t a, int64_t b, int64_t* out) {
+  switch (op) {
+    case ArithOp::kAdd:
+      return !__builtin_add_overflow(a, b, out);
+    case ArithOp::kSub:
+      return !__builtin_sub_overflow(a, b, out);
+    case ArithOp::kMul:
+      return !__builtin_mul_overflow(a, b, out);
+    case ArithOp::kDiv:
+      if (b == 0 || (b == -1 && a == INT64_MIN)) return false;
+      *out = a / b;
+      return true;
+    case ArithOp::kMod:
+      if (b == 0) return false;
+      *out = b == -1 ? 0 : a % b;
+      return true;
+  }
+  return false;
+}
+
+/// Int64Arith boxed: the INT64 result, or NULL.
+inline Value Int64ArithValue(ArithOp op, int64_t a, int64_t b) {
+  int64_t r = 0;
+  return Int64Arith(op, a, b, &r) ? Value::Int64(r) : Value::Null();
+}
 
 /// Structural description of one expression node, exposed through
 /// Expr::Info() so the batch compiler (exec/kernels.h) can walk a bound

@@ -160,24 +160,8 @@ bool ScalarArithValue(ArithOp op, const Value& lv, const Value& rv,
     return true;
   }
   if (lv.type() == ValueType::kInt64 && rv.type() == ValueType::kInt64) {
-    int64_t a = lv.int64_value(), b = rv.int64_value();
-    switch (op) {
-      case ArithOp::kAdd:
-        *out = Value::Int64(a + b);
-        return true;
-      case ArithOp::kSub:
-        *out = Value::Int64(a - b);
-        return true;
-      case ArithOp::kMul:
-        *out = Value::Int64(a * b);
-        return true;
-      case ArithOp::kDiv:
-        *out = b == 0 ? Value::Null() : Value::Int64(a / b);
-        return true;
-      case ArithOp::kMod:
-        *out = b == 0 ? Value::Null() : Value::Int64(a % b);
-        return true;
-    }
+    *out = Int64ArithValue(op, lv.int64_value(), rv.int64_value());
+    return true;
   }
   double a = 0, b = 0;
   if (!lv.AsDouble(&a).ok() || !rv.AsDouble(&b).ok()) return false;
@@ -484,31 +468,11 @@ void EvalArith(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
           out->owned.AppendNull();
           continue;
         }
-        int64_t a = ln.I64(i), c = rn.I64(i);
-        switch (op) {
-          case ArithOp::kAdd:
-            out->owned.AppendInt64(a + c);
-            break;
-          case ArithOp::kSub:
-            out->owned.AppendInt64(a - c);
-            break;
-          case ArithOp::kMul:
-            out->owned.AppendInt64(a * c);
-            break;
-          case ArithOp::kDiv:
-            if (c == 0) {
-              out->owned.AppendNull();
-            } else {
-              out->owned.AppendInt64(a / c);
-            }
-            break;
-          case ArithOp::kMod:
-            if (c == 0) {
-              out->owned.AppendNull();
-            } else {
-              out->owned.AppendInt64(a % c);
-            }
-            break;
+        int64_t r = 0;
+        if (Int64Arith(op, ln.I64(i), rn.I64(i), &r)) {
+          out->owned.AppendInt64(r);
+        } else {
+          out->owned.AppendNull();
         }
       }
     } else {
@@ -646,7 +610,7 @@ void EvalNode(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
         if (v.is_null()) {
           out->cval = Value::Null();
         } else if (v.type() == ValueType::kInt64) {
-          out->cval = Value::Int64(-v.int64_value());
+          out->cval = Int64ArithValue(ArithOp::kSub, 0, v.int64_value());
         } else if (v.type() == ValueType::kDouble) {
           out->cval = Value::Double(-v.double_value());
         } else {
@@ -660,10 +624,12 @@ void EvalNode(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
       if (c.kind() == Column::Kind::kInt64) {
         out->owned = Column(Column::Kind::kInt64);
         for (size_t i = 0; i < n; ++i) {
-          if (c.IsNull(i)) {
-            out->owned.AppendNull();
+          int64_t r = 0;
+          if (!c.IsNull(i) &&
+              Int64Arith(ArithOp::kSub, 0, c.int64s()[i], &r)) {
+            out->owned.AppendInt64(r);
           } else {
-            out->owned.AppendInt64(-c.int64s()[i]);
+            out->owned.AppendNull();
           }
         }
         return;
@@ -689,7 +655,8 @@ void EvalNode(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
           continue;
         }
         if (v.type() == ValueType::kInt64) {
-          out->owned.AppendValue(Value::Int64(-v.int64_value()));
+          out->owned.AppendValue(
+              Int64ArithValue(ArithOp::kSub, 0, v.int64_value()));
           continue;
         }
         double d = 0;
@@ -1011,10 +978,12 @@ void VectorGroupBy::PushBatch(const RowBatch& b) {
           if (f.col->IsNull(row)) break;
           const int64_t v = f.lane[row];
           Value& v1 = st[f.s1];
+          int64_t sum = 0;
           if (v1.is_null()) {
             v1 = Value::Int64(v);
-          } else if (v1.type() == ValueType::kInt64) {
-            v1 = Value::Int64(v1.int64_value() + v);
+          } else if (v1.type() == ValueType::kInt64 &&
+                     !__builtin_add_overflow(v1.int64_value(), v, &sum)) {
+            v1 = Value::Int64(sum);
           } else {
             double x = 0;
             (void)v1.AsDouble(&x);
@@ -1102,17 +1071,20 @@ void VectorGroupBy::FoldAgg(const RowBatch& b, size_t a) {
           v2 = Value::Int64(v2.int64_value() + 1);
           [[fallthrough]];
         }
-        case AggFunc::kSum:
+        case AggFunc::kSum: {
+          int64_t sum = 0;
           if (v1.is_null()) {
             v1 = Value::Int64(v);
-          } else if (v1.type() == ValueType::kInt64) {
-            v1 = Value::Int64(v1.int64_value() + v);
+          } else if (v1.type() == ValueType::kInt64 &&
+                     !__builtin_add_overflow(v1.int64_value(), v, &sum)) {
+            v1 = Value::Int64(sum);
           } else {
             double x = 0;
             (void)v1.AsDouble(&x);
             v1 = Value::Double(x + static_cast<double>(v));
           }
           break;
+        }
         case AggFunc::kMin:
           if (v1.is_null()) {
             v1 = Value::Int64(v);

@@ -7,13 +7,14 @@
 // of Status returns. Scalar Expr::Eval stays the semantic reference — the
 // kernels must agree with it row for row, including SQL NULL semantics
 // (NULL comparisons are false, NULL arithmetic is NULL, division by zero
-// is NULL) and error propagation (a row whose evaluation would error under
+// and INT64 overflow are NULL) and error propagation (a row whose evaluation would error under
 // the scalar plane is marked in the error bitmap; filters drop such rows,
 // projections null them, exactly as the tuple plane does).
 //
-// VectorGroupBy is the batch twin of GroupByOp for the raw-row phases:
-// it accumulates grouped partial states per batch through the same
-// AggInit/AggUpdateValue folds, and drains in the same sorted group order.
+// VectorGroupBy is the batch twin of the scalar exec::GroupBy
+// (exec/operators.h) for the raw-row phases: it accumulates grouped
+// partial states per batch through the same AggInit/AggUpdateValue folds,
+// and drains in the same sorted group order.
 
 #ifndef PIER_EXEC_KERNELS_H_
 #define PIER_EXEC_KERNELS_H_
@@ -125,8 +126,8 @@ void NarrowSelection(RowBatch* b, const Bitmap& keep);
 
 /// Batch-at-a-time GROUP BY accumulator for the raw-row phases. With
 /// `finalize` false it drains partial tuples [group values..., v1, v2 per
-/// agg] (GroupByOp kPartial); with `finalize` true it drains finalized rows
-/// (kComplete). Drain order matches GroupByOp's sorted map order.
+/// agg] (GroupBy kPartial); with `finalize` true it drains finalized rows
+/// (kComplete). Drain order matches GroupBy's sorted map order.
 class VectorGroupBy {
  public:
   VectorGroupBy(std::vector<int> group_cols, std::vector<AggSpec> aggs,

@@ -5,47 +5,87 @@
 namespace pier {
 namespace exec {
 
-// ---------------------------------------------------------------------------
-// FilterOp
-// ---------------------------------------------------------------------------
+using catalog::Tuple;
 
-void FilterOp::Push(const catalog::Tuple& t, int /*port*/) {
-  bool pass = false;
-  Status s = EvalPredicate(*predicate_, t, &pass);
-  if (!s.ok() || !pass) {
-    ++dropped_;
-    return;
+std::vector<Tuple> Filter(const Expr& predicate, std::vector<Tuple> rows) {
+  std::erase_if(rows, [&predicate](const Tuple& t) {
+    bool pass = false;
+    return !EvalPredicate(predicate, t, &pass).ok() || !pass;
+  });
+  return rows;
+}
+
+std::vector<Tuple> Project(const std::vector<ExprPtr>& exprs,
+                           const std::vector<Tuple>& rows) {
+  std::vector<Tuple> out;
+  out.reserve(rows.size());
+  for (const Tuple& t : rows) {
+    Tuple projected;
+    projected.reserve(exprs.size());
+    for (const ExprPtr& e : exprs) {
+      Value v;
+      if (!e->Eval(t, &v).ok()) v = Value::Null();  // soft failure
+      projected.push_back(std::move(v));
+    }
+    out.push_back(std::move(projected));
   }
-  Emit(t);
+  return out;
+}
+
+std::vector<Tuple> Distinct(std::vector<Tuple> rows) {
+  // Hash -> indexes into `out` of the rows kept with that hash
+  // (collision-safe exact check).
+  std::unordered_map<uint64_t, std::vector<size_t>> seen;
+  std::vector<Tuple> out;
+  for (Tuple& t : rows) {
+    std::vector<size_t>& bucket = seen[catalog::HashTuple(t)];
+    if (std::any_of(bucket.begin(), bucket.end(), [&](size_t kept) {
+          return catalog::CompareTuples(out[kept], t) == 0;
+        })) {
+      continue;
+    }
+    bucket.push_back(out.size());
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+std::vector<Tuple> TopK(std::vector<Tuple> rows, int order_col,
+                        bool descending, size_t k) {
+  static const Value kMissing;  // an order column past the row's end
+  auto key = [order_col](const Tuple& t) -> const Value& {
+    return order_col >= 0 && static_cast<size_t>(order_col) < t.size()
+               ? t[order_col]
+               : kMissing;
+  };
+  auto before = [&key, descending](const Tuple& a, const Tuple& b) {
+    int c = key(a).Compare(key(b));
+    if (c != 0) return descending ? c > 0 : c < 0;
+    // Stable total order for determinism across runs.
+    return catalog::CompareTuples(a, b) < 0;
+  };
+  // Cut to the best k (unordered) before the one sort.
+  if (rows.size() > k) {
+    std::nth_element(rows.begin(), rows.begin() + static_cast<ptrdiff_t>(k),
+                     rows.end(), before);
+    rows.resize(k);
+  }
+  std::sort(rows.begin(), rows.end(), before);
+  return rows;
 }
 
 // ---------------------------------------------------------------------------
-// ProjectOp
+// GroupBy
 // ---------------------------------------------------------------------------
 
-void ProjectOp::Push(const catalog::Tuple& t, int /*port*/) {
-  catalog::Tuple out;
-  out.reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    Value v;
-    if (!e->Eval(t, &v).ok()) v = Value::Null();  // soft failure
-    out.push_back(std::move(v));
-  }
-  Emit(out);
-}
-
-// ---------------------------------------------------------------------------
-// GroupByOp
-// ---------------------------------------------------------------------------
-
-GroupByOp::GroupByOp(std::vector<int> group_cols, std::vector<AggSpec> aggs,
-                     AggPhase phase)
+GroupBy::GroupBy(std::vector<int> group_cols, std::vector<AggSpec> aggs,
+                 AggPhase phase)
     : group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)),
       phase_(phase) {}
 
-catalog::Tuple GroupByOp::GroupKey(const catalog::Tuple& t) const {
-  catalog::Tuple key;
+Tuple GroupBy::GroupKey(const Tuple& t) const {
+  Tuple key;
   if (phase_ == AggPhase::kCombine || phase_ == AggPhase::kFinal) {
     // Partial layout: group values occupy the first G slots.
     key.assign(t.begin(),
@@ -61,8 +101,8 @@ catalog::Tuple GroupByOp::GroupKey(const catalog::Tuple& t) const {
   return key;
 }
 
-void GroupByOp::Push(const catalog::Tuple& t, int /*port*/) {
-  catalog::Tuple key = GroupKey(t);
+void GroupBy::Push(const Tuple& t) {
+  Tuple key = GroupKey(t);
   auto it = groups_.find(key);
   if (it == groups_.end()) {
     std::vector<Value> state(aggs_.size() * kPartialWidth);
@@ -93,114 +133,38 @@ void GroupByOp::Push(const catalog::Tuple& t, int /*port*/) {
   }
 }
 
-void GroupByOp::FlushOnly() {
-  for (const auto& [key, state] : groups_) {
-    catalog::Tuple out = key;
+std::vector<Tuple> GroupBy::Drain() {
+  std::vector<Tuple> out;
+  out.reserve(groups_.size());
+  for (auto& [key, state] : groups_) {
+    Tuple row = key;
     if (phase_ == AggPhase::kComplete || phase_ == AggPhase::kFinal) {
       for (size_t a = 0; a < aggs_.size(); ++a) {
-        out.push_back(AggFinalize(aggs_[a], state[a * kPartialWidth],
+        row.push_back(AggFinalize(aggs_[a], state[a * kPartialWidth],
                                   state[a * kPartialWidth + 1]));
       }
     } else {
-      for (const Value& v : state) out.push_back(v);
+      for (Value& v : state) row.push_back(std::move(v));
     }
-    Emit(out);
+    out.push_back(std::move(row));
   }
-}
-
-void GroupByOp::FlushAndReset() {
-  FlushOnly();
   groups_.clear();
+  return out;
 }
 
 // ---------------------------------------------------------------------------
-// DistinctOp
+// SymmetricHashJoin
 // ---------------------------------------------------------------------------
 
-void DistinctOp::Push(const catalog::Tuple& t, int /*port*/) {
-  uint64_t h = catalog::HashTuple(t);
-  std::vector<catalog::Tuple>& bucket = seen_[h];
-  for (const catalog::Tuple& prev : bucket) {
-    if (catalog::CompareTuples(prev, t) == 0) return;  // duplicate
-  }
-  bucket.push_back(t);
-  Emit(t);
-}
-
-// ---------------------------------------------------------------------------
-// TopKOp
-// ---------------------------------------------------------------------------
-
-bool TopKOp::Before(const catalog::Tuple& a, const catalog::Tuple& b) const {
-  const Value& va = order_col_ >= 0 && static_cast<size_t>(order_col_) < a.size()
-                        ? a[order_col_]
-                        : Value();
-  const Value& vb = order_col_ >= 0 && static_cast<size_t>(order_col_) < b.size()
-                        ? b[order_col_]
-                        : Value();
-  int c = va.Compare(vb);
-  if (c != 0) return descending_ ? c > 0 : c < 0;
-  // Stable total order for determinism across runs.
-  return catalog::CompareTuples(a, b) < 0;
-}
-
-void TopKOp::Push(const catalog::Tuple& t, int /*port*/) {
-  rows_.push_back(t);
-  if (rows_.size() >= 2 * k_) Trim();
-}
-
-void TopKOp::Trim() {
-  if (rows_.size() <= k_) return;
-  std::nth_element(rows_.begin(), rows_.begin() + static_cast<ptrdiff_t>(k_),
-                   rows_.end(),
-                   [this](const catalog::Tuple& a, const catalog::Tuple& b) {
-                     return Before(a, b);
-                   });
-  rows_.resize(k_);
-}
-
-void TopKOp::FlushOnly() {
-  Trim();
-  std::sort(rows_.begin(), rows_.end(),
-            [this](const catalog::Tuple& a, const catalog::Tuple& b) {
-              return Before(a, b);
-            });
-  for (const catalog::Tuple& t : rows_) Emit(t);
-}
-
-void TopKOp::FlushAndReset() {
-  FlushOnly();
-  rows_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// LimitOp
-// ---------------------------------------------------------------------------
-
-void LimitOp::Push(const catalog::Tuple& t, int /*port*/) {
-  if (passed_ >= k_) return;
-  ++passed_;
-  Emit(t);
-}
-
-// ---------------------------------------------------------------------------
-// SymmetricHashJoinOp
-// ---------------------------------------------------------------------------
-
-SymmetricHashJoinOp::SymmetricHashJoinOp(std::vector<int> left_key_cols,
-                                         std::vector<int> right_key_cols,
-                                         ExprPtr residual)
+SymmetricHashJoin::SymmetricHashJoin(std::vector<int> left_key_cols,
+                                     std::vector<int> right_key_cols)
     : left_keys_(std::move(left_key_cols)),
-      right_keys_(std::move(right_key_cols)),
-      residual_(std::move(residual)) {
-  SetNumInputs(2);
-}
+      right_keys_(std::move(right_key_cols)) {}
 
-bool SymmetricHashJoinOp::KeysEqual(const catalog::Tuple& l,
-                                    const catalog::Tuple& r) const {
+bool SymmetricHashJoin::KeysEqual(const Tuple& l, const Tuple& r) const {
   for (size_t i = 0; i < left_keys_.size(); ++i) {
-    // Rows arrive from the network: a key column past a tuple's end never
-    // matches (such tuples all hash to one bucket, so they do meet here).
+    // Rows arrive from the network: a key column past a row's end never
+    // matches (such rows all hash to one bucket, so they do meet here).
     int lc = left_keys_[i];
     int rc = right_keys_[i];
     if (lc < 0 || static_cast<size_t>(lc) >= l.size() || rc < 0 ||
@@ -215,40 +179,23 @@ bool SymmetricHashJoinOp::KeysEqual(const catalog::Tuple& l,
   return true;
 }
 
-void SymmetricHashJoinOp::EmitJoined(const catalog::Tuple& l,
-                                     const catalog::Tuple& r) {
-  catalog::Tuple joined;
-  joined.reserve(l.size() + r.size());
-  joined.insert(joined.end(), l.begin(), l.end());
-  joined.insert(joined.end(), r.begin(), r.end());
-  if (residual_ != nullptr) {
-    bool pass = false;
-    if (!EvalPredicate(*residual_, joined, &pass).ok() || !pass) return;
-  }
-  Emit(joined);
-}
-
-void SymmetricHashJoinOp::Push(const catalog::Tuple& t, int port) {
-  if (port == 0) {
-    uint64_t h = catalog::HashTupleCols(t, left_keys_);
-    left_table_[h].push_back(t);
-    ++left_rows_;
-    auto it = right_table_.find(h);
-    if (it != right_table_.end()) {
-      for (const catalog::Tuple& r : it->second) {
-        if (KeysEqual(t, r)) EmitJoined(t, r);
-      }
-    }
-  } else {
-    uint64_t h = catalog::HashTupleCols(t, right_keys_);
-    right_table_[h].push_back(t);
-    ++right_rows_;
-    auto it = left_table_.find(h);
-    if (it != left_table_.end()) {
-      for (const catalog::Tuple& l : it->second) {
-        if (KeysEqual(l, t)) EmitJoined(l, t);
-      }
-    }
+void SymmetricHashJoin::Insert(int side, const Tuple& row,
+                               const MatchFn& on_match) {
+  const bool left = side == 0;
+  uint64_t h = catalog::HashTupleCols(row, left ? left_keys_ : right_keys_);
+  (left ? left_table_ : right_table_)[h].push_back(row);
+  const auto& other = left ? right_table_ : left_table_;
+  auto it = other.find(h);
+  if (it == other.end()) return;
+  for (const Tuple& o : it->second) {
+    const Tuple& l = left ? row : o;
+    const Tuple& r = left ? o : row;
+    if (!KeysEqual(l, r)) continue;
+    Tuple joined;
+    joined.reserve(l.size() + r.size());
+    joined.insert(joined.end(), l.begin(), l.end());
+    joined.insert(joined.end(), r.begin(), r.end());
+    on_match(joined);
   }
 }
 

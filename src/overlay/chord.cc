@@ -746,7 +746,6 @@ void ChordNode::RemoveSuccessor(sim::HostId host) {
 void ChordNode::NotifyNeighborsChanged() {
   ++stats_.neighbor_changes;
   last_neighbor_change_ = transport_->simulation()->now();
-  if (on_neighbors_changed_) on_neighbors_changed_();
 }
 
 bool ChordNode::RingStable(Duration window) const {

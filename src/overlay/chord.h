@@ -143,11 +143,6 @@ class ChordNode : public Router {
   const ChordStats& stats() const { return stats_; }
   ChordStats* mutable_stats() { return &stats_; }
 
-  /// Fired after predecessor/successor changes (replication hooks).
-  void SetNeighborsChangedCallback(std::function<void()> fn) {
-    on_neighbors_changed_ = std::move(fn);
-  }
-
  private:
   enum class State { kIdle, kJoining, kActive, kStopped };
 
@@ -229,7 +224,6 @@ class ChordNode : public Router {
   sim::PeriodicTask check_pred_task_;
 
   DeliverFn deliver_;
-  std::function<void()> on_neighbors_changed_;
   std::function<void(Status)> join_done_;
   sim::HostId join_bootstrap_ = sim::kInvalidHost;
   int join_attempts_ = 0;

@@ -86,26 +86,5 @@ Status RehashExchange::DecodeArrival(const dht::StoredItem& item, int* side,
   return Status::OK();
 }
 
-TreeCombiner::TreeCombiner(std::vector<int> group_cols,
-                           std::vector<exec::AggSpec> aggs, uint64_t epoch)
-    : epoch_(epoch),
-      op_(std::make_unique<exec::GroupByOp>(std::move(group_cols),
-                                            std::move(aggs),
-                                            exec::AggPhase::kCombine)) {}
-
-void TreeCombiner::Push(const Tuple& partial) {
-  if (op_ != nullptr) op_->Push(partial, 0);
-}
-
-std::vector<Tuple> TreeCombiner::Flush() {
-  std::vector<Tuple> out;
-  if (op_ == nullptr) return out;
-  exec::FnSink sink([&out](const Tuple& t) { out.push_back(t); });
-  op_->AddOutput(&sink);
-  op_->FlushAndReset();
-  op_.reset();  // dies with its sink: a spent group-by is never reused
-  return out;
-}
-
 }  // namespace query
 }  // namespace pier

@@ -6,8 +6,8 @@
 //                ("q<qid>.x<edge>"); the owner consumes arrivals. This is
 //                the traffic that used to be inlined in the engine as
 //                RehashTuple/OnTempArrival.
-//   kTree     -> TreeCombiner: the per-epoch combine box a
-//                dissemination-tree node runs over its children's partials:
+//   kTree     -> no object here: AggStage (query/ops/agg_stage.h) keeps
+//                one exec::GroupBy per epoch over its children's partials;
 //                interior nodes forward one merged partial upward, and the
 //                origin, the tree's root, hands it to its CollectStage.
 //   kToOrigin -> no object needed: members send through
@@ -23,7 +23,6 @@
 #ifndef PIER_QUERY_EXCHANGE_H_
 #define PIER_QUERY_EXCHANGE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,7 +30,6 @@
 #include "catalog/tuple.h"
 #include "dht/local_store.h"
 #include "exec/batch.h"
-#include "exec/operators.h"
 #include "query/ops/stage.h"
 #include "query/opgraph.h"
 
@@ -70,27 +68,6 @@ class RehashExchange {
   uint64_t qid_;
   std::string ns_;
   uint64_t seq_ = 1;
-};
-
-/// The combine box of a kTree edge: partials in, one merged partial stream
-/// out when flushed. Single-shot per epoch — open, push, flush, discard —
-/// mirroring the decomposable-aggregate contract (exec/agg.h).
-class TreeCombiner {
- public:
-  TreeCombiner(std::vector<int> group_cols, std::vector<exec::AggSpec> aggs,
-               uint64_t epoch);
-
-  uint64_t epoch() const { return epoch_; }
-  bool open() const { return op_ != nullptr; }
-  void Push(const catalog::Tuple& partial);
-  /// Drains the combined partials; the combiner is spent afterwards.
-  std::vector<catalog::Tuple> Flush();
-
-  sim::TimerId flush_timer = 0;  ///< owned by the stage that armed it
-
- private:
-  uint64_t epoch_;
-  std::unique_ptr<exec::GroupByOp> op_;
 };
 
 }  // namespace query

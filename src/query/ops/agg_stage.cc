@@ -71,7 +71,7 @@ void AggStage::EndScan() { FlushAccumulator(scan_epoch_); }
 void AggStage::FlushAccumulator(uint64_t epoch) {
   std::vector<Tuple> partials;
   if (vgb_ != nullptr) {
-    // Sorted group order, the same as GroupByOp's drain.
+    // Sorted group order, the same as exec::GroupBy's drain.
     vgb_->DrainAndReset([&partials](Tuple& t) {
       partials.push_back(std::move(t));
       return true;
@@ -92,21 +92,24 @@ void AggStage::Fold(uint64_t epoch, const Tuple& partial) {
     if (root_ == nullptr && !combiners_.empty()) {
       FlushCombiner(combiners_.begin()->first);
     }
-    it = combiners_.try_emplace(epoch, node_->group_cols, node_->aggs, epoch)
+    it = combiners_
+             .try_emplace(epoch, Combiner{exec::GroupBy(
+                                     node_->group_cols, node_->aggs,
+                                     exec::AggPhase::kCombine)})
              .first;
     if (root_ == nullptr) {
       it->second.flush_timer = host_->ScheduleStageTimer(
           HoldDelay(), qid_, node_id_, /*token=*/1 + epoch);
     }
   }
-  it->second.Push(partial);
+  it->second.partials.Push(partial);
 }
 
 std::vector<Tuple> AggStage::TakeCombined(uint64_t epoch) {
   auto it = combiners_.find(epoch);
   if (it == combiners_.end()) return {};
   if (it->second.flush_timer != 0) host_->CancelTimer(it->second.flush_timer);
-  std::vector<Tuple> combined = it->second.Flush();
+  std::vector<Tuple> combined = it->second.partials.Drain();
   combiners_.erase(it);
   return combined;
 }

@@ -10,8 +10,9 @@
 //    timer that closes the accumulator, so aggregation happens in-network
 //    at the join site instead of shipping raw rows to the origin.
 // The closed accumulator's partials flush by the node's output exchange:
-// kTree folds them into this node's TreeCombiner (held until children have
-// flushed), anything else ships them immediately.
+// kTree folds them into this node's combiner for the epoch, a kCombine
+// exec::GroupBy (held until children have flushed); anything else ships
+// them immediately.
 //
 // Either way, partials relayed through this node as a dissemination-tree
 // parent (OnRemotePartial) merge into the open combiner, or relay upward
@@ -31,7 +32,7 @@
 #include <vector>
 
 #include "exec/kernels.h"
-#include "query/exchange.h"
+#include "exec/operators.h"
 #include "query/ops/collect_stage.h"
 #include "query/ops/stage.h"
 
@@ -89,9 +90,15 @@ class AggStage : public Stage {
   /// scan-fed epoch's rows, or the join-fed rows since the last flush.
   std::unique_ptr<exec::VectorGroupBy> vgb_;
 
+  /// One epoch's combine: partials in, one merged partial stream out when
+  /// drained. Only an interior node arms a flush timer.
+  struct Combiner {
+    exec::GroupBy partials;
+    sim::TimerId flush_timer = 0;
+  };
   /// Open combiners by epoch: at most one on an interior node, one per
   /// open epoch at the root.
-  std::map<uint64_t, TreeCombiner> combiners_;
+  std::map<uint64_t, Combiner> combiners_;
 };
 
 }  // namespace ops

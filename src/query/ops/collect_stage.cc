@@ -8,21 +8,6 @@ namespace ops {
 
 using catalog::Tuple;
 
-namespace {
-
-/// Streams `rows` through the scalar operator `op` to end of stream and
-/// returns what it emits.
-std::vector<Tuple> Through(exec::Operator* op, const std::vector<Tuple>& rows) {
-  std::vector<Tuple> out;
-  exec::FnSink sink([&out](const Tuple& t) { out.push_back(t); });
-  op->AddOutput(&sink);
-  for (const Tuple& t : rows) op->Push(t, 0);
-  op->PushEos(0);
-  return out;
-}
-
-}  // namespace
-
 CollectStage::CollectStage(StageHost* host, uint64_t qid,
                            const OpNode* final_agg, const OpNode* collect,
                            bool partials, bool dedup)
@@ -75,45 +60,33 @@ void CollectStage::Finish(uint64_t epoch, const std::vector<Tuple>& partials,
   out->reporting_nodes = out->reporters.size();
   std::vector<Tuple> rows = std::move(e.rows);
   if (final_agg_ != nullptr) {
-    exec::GroupByOp gb(
+    exec::GroupBy gb(
         final_agg_->group_cols, final_agg_->aggs,
         partials_ ? exec::AggPhase::kFinal : exec::AggPhase::kComplete);
-    for (const Tuple& t : partials) gb.Push(t, 0);
-    rows = Through(&gb, rows);
-    // SQL scalar-aggregate semantics: no groups and no input still yields
-    // one row (COUNT = 0, SUM = NULL, ...).
+    for (const Tuple& t : partials) gb.Push(t);
+    for (const Tuple& t : rows) gb.Push(t);
+    rows = gb.Drain();
     if (final_agg_->group_cols.empty() && rows.empty()) {
-      Tuple identity;
-      for (const exec::AggSpec& spec : final_agg_->aggs) {
-        Value v1, v2;
-        exec::AggInit(spec, &v1, &v2);
-        identity.push_back(exec::AggFinalize(spec, v1, v2));
-      }
-      rows.push_back(std::move(identity));
+      rows.push_back(exec::AggIdentityRow(final_agg_->aggs));
     }
     if (final_agg_->having != nullptr) {
-      exec::FilterOp having(final_agg_->having);
-      rows = Through(&having, rows);
+      rows = exec::Filter(*final_agg_->having, std::move(rows));
     }
     if (!collect_->final_projection.empty()) {
       std::vector<exec::ExprPtr> select;
       for (int c : collect_->final_projection) {
         select.push_back(exec::Expr::Column(c));  // out of range: NULL
       }
-      exec::ProjectOp permute(std::move(select));
-      rows = Through(&permute, rows);
+      rows = exec::Project(select, rows);
     }
   }
-  if (collect_->distinct) {
-    exec::DistinctOp distinct;
-    rows = Through(&distinct, rows);
-  }
+  if (collect_->distinct) rows = exec::Distinct(std::move(rows));
   const size_t limit = collect_->limit >= 0
                            ? static_cast<size_t>(collect_->limit)
                            : rows.size();
   if (collect_->order_col >= 0) {
-    exec::TopKOp topk(collect_->order_col, collect_->order_desc, limit);
-    rows = Through(&topk, rows);
+    rows = exec::TopK(std::move(rows), collect_->order_col,
+                      collect_->order_desc, limit);
   } else if (rows.size() > limit) {
     rows.resize(limit);
   }

@@ -1,5 +1,7 @@
 #include "query/ops/join_stage.h"
 
+#include <numeric>
+
 namespace pier {
 namespace query {
 namespace ops {
@@ -40,6 +42,18 @@ catalog::Schema SemiProjectionSchema(const catalog::Schema& scan_schema,
   return catalog::Schema(scan_schema.relation(), std::move(cols));
 }
 
+/// The rendezvous join's key columns on `side`: semi-joins rehash key
+/// projections [key values..., host, row id], keyed on their leading k
+/// columns.
+std::vector<int> RendezvousKeys(const OpNode& node, int side) {
+  if (node.strategy != JoinStrategy::kSymmetricSemi) {
+    return side == 0 ? node.left_keys : node.right_keys;
+  }
+  std::vector<int> keys(node.left_keys.size());
+  std::iota(keys.begin(), keys.end(), 0);
+  return keys;
+}
+
 }  // namespace
 
 JoinStage::JoinStage(StageHost* host, uint64_t qid, uint32_t node_id,
@@ -54,25 +68,11 @@ JoinStage::JoinStage(StageHost* host, uint64_t qid, uint32_t node_id,
       right_scan_(right_scan),
       window_(window),
       is_origin_(is_origin),
-      origin_host_(origin_host) {
-  if (node_->strategy == JoinStrategy::kFetchMatches) return;
-  exchange_ = std::make_unique<RehashExchange>(host_, qid_, node_id_);
-  // Rendezvous role: join rehashed arrivals incrementally.
-  std::vector<int> lkeys, rkeys;
-  if (node_->strategy == JoinStrategy::kSymmetricSemi) {
-    // Rehashed key-projections: [key values..., host, row id].
-    for (size_t i = 0; i < node_->left_keys.size(); ++i) {
-      lkeys.push_back(static_cast<int>(i));
-      rkeys.push_back(static_cast<int>(i));
-    }
-  } else {
-    lkeys = node_->left_keys;
-    rkeys = node_->right_keys;
+      origin_host_(origin_host),
+      join_(RendezvousKeys(*node, 0), RendezvousKeys(*node, 1)) {
+  if (node_->strategy != JoinStrategy::kFetchMatches) {
+    exchange_ = std::make_unique<RehashExchange>(host_, qid_, node_id_);
   }
-  shj_ = flow_.Add<exec::SymmetricHashJoinOp>(lkeys, rkeys, nullptr);
-  exec::FnSink* sink = flow_.Add<exec::FnSink>(
-      [this](const Tuple& t) { HandleJoinOutput(t); });
-  flow_.Connect(shj_, sink);
 }
 
 const std::string& JoinStage::ns() const {
@@ -362,7 +362,11 @@ void JoinStage::OnArrival(const dht::StoredItem& item) {
   int side = 0;
   std::vector<Tuple> rows;
   if (!RehashExchange::DecodeArrival(item, &side, &rows).ok()) return;
-  for (const Tuple& t : rows) shj_->Push(t, side);
+  for (const Tuple& t : rows) {
+    join_.Insert(side, t, [this](const Tuple& joined) {
+      HandleJoinOutput(joined);
+    });
+  }
 }
 
 void JoinStage::HandleJoinOutput(const Tuple& joined) {

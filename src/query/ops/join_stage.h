@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/bloom.h"
-#include "exec/operator.h"
 #include "exec/operators.h"
 #include "query/bloom_wire.h"
 #include "query/exchange.h"
@@ -109,8 +108,9 @@ class JoinStage : public Stage {
   exec::RowBatch joined_;
 
   std::unique_ptr<RehashExchange> exchange_;  // null for fetch-matches
-  exec::Dataflow flow_;
-  exec::SymmetricHashJoinOp* shj_ = nullptr;
+  /// Rendezvous: rehashed arrivals join incrementally (unused by
+  /// fetch-matches, which joins as its fetches return).
+  exec::SymmetricHashJoin join_;
 
   // Semi-join: this node's shipped rows, fetchable by id, and matches
   // awaiting both full tuples.

@@ -245,7 +245,7 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
           kernel->EvalColumn(in, &col, &err);
           if (!err.none()) {
             // Rows whose scalar evaluation would error project as NULL,
-            // as exec::ProjectOp does.
+            // as exec::Project does.
             exec::Column fixed(col.kind());
             for (size_t i = 0; i < rows; ++i) {
               if (err.Get(i)) {

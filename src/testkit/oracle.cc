@@ -52,13 +52,9 @@ std::vector<Tuple> RunGroupBy(const std::vector<Tuple>& input,
                               const std::vector<int>& group_cols,
                               const std::vector<exec::AggSpec>& aggs,
                               exec::AggPhase phase) {
-  exec::GroupByOp gb(group_cols, aggs, phase);
-  std::vector<Tuple> out;
-  exec::FnSink sink([&out](const Tuple& t) { out.push_back(t); });
-  gb.AddOutput(&sink);
-  for (const Tuple& t : input) gb.Push(t, 0);
-  gb.FlushAndReset();
-  return out;
+  exec::GroupBy gb(group_cols, aggs, phase);
+  for (const Tuple& t : input) gb.Push(t);
+  return gb.Drain();
 }
 
 }  // namespace
@@ -108,41 +104,21 @@ Result<std::vector<Tuple>> OracleEvaluate(core::PierNetwork& net,
         }
         break;
       }
-      case OpType::kFilter: {
-        for (const Tuple& t : out[node.inputs[0]]) {
-          bool pass = false;
-          if (node.predicate != nullptr &&
-              exec::EvalPredicate(*node.predicate, t, &pass).ok() && pass) {
-            out[id].push_back(t);
-          }
+      case OpType::kFilter:
+        if (node.predicate != nullptr) {
+          out[id] = exec::Filter(*node.predicate, out[node.inputs[0]]);
         }
         break;
-      }
-      case OpType::kProject: {
-        for (const Tuple& t : out[node.inputs[0]]) {
-          Tuple projected;
-          projected.reserve(node.exprs.size());
-          bool ok = true;
-          for (const exec::ExprPtr& e : node.exprs) {
-            Value v;
-            if (!e->Eval(t, &v).ok()) {
-              ok = false;
-              break;
-            }
-            projected.push_back(std::move(v));
-          }
-          if (ok) out[id].push_back(std::move(projected));
-        }
+      case OpType::kProject:
+        // A row whose expression errors projects NULL there, as the
+        // engine's projection kernels do.
+        out[id] = exec::Project(node.exprs, out[node.inputs[0]]);
         break;
-      }
       case OpType::kJoin: {
-        exec::SymmetricHashJoinOp join(node.left_keys, node.right_keys,
-                                       /*residual=*/nullptr);
-        exec::FnSink sink(
-            [&out, id](const Tuple& t) { out[id].push_back(t); });
-        join.AddOutput(&sink);
-        for (const Tuple& t : out[node.inputs[0]]) join.Push(t, 0);
-        for (const Tuple& t : out[node.inputs[1]]) join.Push(t, 1);
+        exec::SymmetricHashJoin join(node.left_keys, node.right_keys);
+        auto keep = [&out, id](const Tuple& t) { out[id].push_back(t); };
+        for (const Tuple& t : out[node.inputs[0]]) join.Insert(0, t, keep);
+        for (const Tuple& t : out[node.inputs[1]]) join.Insert(1, t, keep);
         break;
       }
       case OpType::kPartialAgg:
@@ -157,26 +133,11 @@ Result<std::vector<Tuple>> OracleEvaluate(core::PierNetwork& net,
         out[id] = RunGroupBy(out[node.inputs[0]], node.group_cols, node.aggs,
                              from_partials ? exec::AggPhase::kFinal
                                            : exec::AggPhase::kComplete);
-        // SQL scalar-aggregate semantics: no groups + no input still yields
-        // one identity row (COUNT = 0, SUM = NULL, ...).
         if (node.group_cols.empty() && out[id].empty()) {
-          Tuple identity;
-          for (const exec::AggSpec& spec : node.aggs) {
-            Value v1, v2;
-            exec::AggInit(spec, &v1, &v2);
-            identity.push_back(exec::AggFinalize(spec, v1, v2));
-          }
-          out[id].push_back(std::move(identity));
+          out[id].push_back(exec::AggIdentityRow(node.aggs));
         }
         if (node.having != nullptr) {
-          std::vector<Tuple> kept;
-          for (const Tuple& t : out[id]) {
-            bool pass = false;
-            if (exec::EvalPredicate(*node.having, t, &pass).ok() && pass) {
-              kept.push_back(t);
-            }
-          }
-          out[id] = std::move(kept);
+          out[id] = exec::Filter(*node.having, std::move(out[id]));
         }
         break;
       }
@@ -195,26 +156,12 @@ Result<std::vector<Tuple>> OracleEvaluate(core::PierNetwork& net,
             t = std::move(permuted);
           }
         }
-        if (node.distinct) {
-          std::vector<Tuple> unique;
-          exec::DistinctOp distinct;
-          exec::FnSink sink(
-              [&unique](const Tuple& t) { unique.push_back(t); });
-          distinct.AddOutput(&sink);
-          for (const Tuple& t : rows) distinct.Push(t, 0);
-          rows = std::move(unique);
-        }
+        if (node.distinct) rows = exec::Distinct(std::move(rows));
         if (node.order_col >= 0) {
           size_t k = node.limit >= 0 ? static_cast<size_t>(node.limit)
                                      : rows.size();
-          exec::TopKOp topk(node.order_col, node.order_desc, k);
-          std::vector<Tuple> ordered;
-          exec::FnSink sink(
-              [&ordered](const Tuple& t) { ordered.push_back(t); });
-          topk.AddOutput(&sink);
-          for (const Tuple& t : rows) topk.Push(t, 0);
-          topk.FlushAndReset();
-          rows = std::move(ordered);
+          rows = exec::TopK(std::move(rows), node.order_col, node.order_desc,
+                            k);
         } else if (node.limit >= 0 &&
                    rows.size() > static_cast<size_t>(node.limit)) {
           rows.resize(static_cast<size_t>(node.limit));

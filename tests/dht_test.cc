@@ -312,30 +312,6 @@ TEST(DhtTest, TtlExpiresWithoutRenewal) {
   EXPECT_EQ(after, 0u);
 }
 
-TEST(DhtTest, RenewingPublisherKeepsDataAlive) {
-  PierNetwork net(4, OneHopOpts());
-  net.Boot(Seconds(5));
-  RenewingPublisher pub(net.node(2)->dht(), net.sim(), Seconds(20));
-  pub.Publish(DhtKey{"alive", "k", 0}, "persistent");
-  pub.Start();
-  net.RunFor(Seconds(120));  // six TTLs
-  size_t count = 0;
-  net.node(0)->dht()->Get("alive", "k", [&](Status, std::vector<DhtItem> v) {
-    count = v.size();
-  });
-  net.RunFor(Seconds(5));
-  EXPECT_EQ(count, 1u);
-  // After Stop, the item ages out.
-  pub.Stop();
-  net.RunFor(Seconds(60));
-  bool gone = false;
-  net.node(0)->dht()->Get("alive", "k", [&](Status, std::vector<DhtItem> v) {
-    gone = v.empty();
-  });
-  net.RunFor(Seconds(5));
-  EXPECT_TRUE(gone);
-}
-
 TEST(DhtTest, ReplicationSurvivesOwnerCrash) {
   PierNetworkOptions opts = ChordOpts(21);
   opts.node.dht.replicas = 2;

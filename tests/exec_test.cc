@@ -1,5 +1,5 @@
 // Exec tests: expression evaluation and serialization, aggregate partial/
-// merge/finalize algebra, and every local dataflow operator — including a
+// merge/finalize algebra, and every scalar operator — including a
 // property-style check that partial+combine+final equals single-site
 // aggregation for random inputs, the invariant in-network aggregation
 // depends on.
@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -14,7 +15,6 @@
 #include "exec/agg.h"
 #include "exec/batch.h"
 #include "exec/expr.h"
-#include "exec/operator.h"
 #include "exec/operators.h"
 
 namespace pier {
@@ -68,6 +68,41 @@ TEST(ExprTest, DivisionByZeroYieldsNull) {
   Value out;
   ASSERT_TRUE(e->Eval({}, &out).ok());
   EXPECT_TRUE(out.is_null());
+}
+
+// An INT64 result that does not fit is NULL, like division by zero —
+// never a trap (INT64_MIN / -1 raises SIGFPE on x86) or signed overflow.
+TEST(ExprTest, Int64OverflowYieldsNull) {
+  const int64_t kMin = INT64_MIN, kMax = INT64_MAX;
+  auto eval = [](ArithOp op, int64_t a, int64_t b) {
+    Value out;
+    EXPECT_TRUE(Expr::Arith(op, Expr::Column(0), Expr::Column(1))
+                    ->Eval(Tuple{Value::Int64(a), Value::Int64(b)}, &out)
+                    .ok());
+    return out;
+  };
+  EXPECT_TRUE(eval(ArithOp::kDiv, kMin, -1).is_null());
+  EXPECT_EQ(eval(ArithOp::kMod, kMin, -1).int64_value(), 0);
+  EXPECT_TRUE(eval(ArithOp::kAdd, kMax, 1).is_null());
+  EXPECT_TRUE(eval(ArithOp::kSub, kMin, 1).is_null());
+  EXPECT_TRUE(eval(ArithOp::kMul, kMax, 2).is_null());
+  EXPECT_TRUE(eval(ArithOp::kMul, kMin, -1).is_null());
+  // In range, every operator stays exact at the edges.
+  EXPECT_EQ(eval(ArithOp::kDiv, kMin, 1).int64_value(), kMin);
+  EXPECT_EQ(eval(ArithOp::kAdd, kMax, kMin).int64_value(), -1);
+  EXPECT_EQ(eval(ArithOp::kSub, kMin, kMin).int64_value(), 0);
+  EXPECT_EQ(eval(ArithOp::kMul, kMin, 1).int64_value(), kMin);
+  EXPECT_EQ(eval(ArithOp::kMod, kMin, 3).int64_value(), kMin % 3);
+
+  Value neg;
+  ASSERT_TRUE(Expr::Negate(Expr::Column(0))
+                  ->Eval(Tuple{Value::Int64(kMin)}, &neg)
+                  .ok());
+  EXPECT_TRUE(neg.is_null());
+  ASSERT_TRUE(Expr::Negate(Expr::Column(0))
+                  ->Eval(Tuple{Value::Int64(kMax)}, &neg)
+                  .ok());
+  EXPECT_EQ(neg.int64_value(), -kMax);
 }
 
 TEST(ExprTest, NullComparisonIsFalse) {
@@ -180,6 +215,38 @@ TEST(AggTest, AvgAcrossPartials) {
   EXPECT_DOUBLE_EQ(AggFinalize(avg, a1, a2).double_value(), 3.0);
 }
 
+// An INT64 SUM that would overflow widens to DOUBLE, as a mixed
+// INT64/DOUBLE sum does; so does AVG's running sum.
+TEST(AggTest, OverflowingSumWidensToDouble) {
+  const double kBig = static_cast<double>(INT64_MAX);
+  AggSpec sum{AggFunc::kSum, 0, "s"};
+  Value v1, v2;
+  AggInit(sum, &v1, &v2);
+  AggUpdate(sum, Tuple{Value::Int64(INT64_MAX)}, &v1, &v2);
+  EXPECT_EQ(v1.type(), ValueType::kInt64);
+  AggUpdate(sum, Tuple{Value::Int64(INT64_MAX)}, &v1, &v2);
+  ASSERT_EQ(v1.type(), ValueType::kDouble);
+  EXPECT_DOUBLE_EQ(v1.double_value(), 2 * kBig);
+
+  // Merging two partials that each fit, across the tree.
+  Value p1, p2, q1, q2;
+  AggInit(sum, &p1, &p2);
+  AggInit(sum, &q1, &q2);
+  AggUpdate(sum, Tuple{Value::Int64(INT64_MIN)}, &p1, &p2);
+  AggUpdate(sum, Tuple{Value::Int64(-1)}, &q1, &q2);
+  AggMerge(sum, q1, q2, &p1, &p2);
+  ASSERT_EQ(p1.type(), ValueType::kDouble);
+  EXPECT_DOUBLE_EQ(p1.double_value(), static_cast<double>(INT64_MIN) - 1);
+
+  GroupBy gb({}, {sum, {AggFunc::kAvg, 0, "a"}}, AggPhase::kComplete);
+  for (int i = 0; i < 4; ++i) gb.Push(Tuple{Value::Int64(INT64_MAX)});
+  std::vector<Tuple> rows = gb.Drain();
+  ASSERT_EQ(rows.size(), 1u);
+  ASSERT_EQ(rows[0][0].type(), ValueType::kDouble);
+  EXPECT_DOUBLE_EQ(rows[0][0].double_value(), 4 * kBig);
+  EXPECT_DOUBLE_EQ(rows[0][1].double_value(), kBig);
+}
+
 // Property: for random data and any partition into k fragments,
 // partial -> combine -> final equals single-site aggregation.
 class AggDecomposabilityTest : public ::testing::TestWithParam<int> {};
@@ -200,34 +267,20 @@ TEST_P(AggDecomposabilityTest, PartialsComposeToSameAnswer) {
   }
 
   // Reference: single-site complete aggregation.
-  GroupByOp reference({0}, specs, AggPhase::kComplete);
-  CollectorSink ref_sink;
-  reference.AddOutput(&ref_sink);
-  for (const Tuple& t : rows) reference.Push(t, 0);
-  reference.FlushAndReset();
+  GroupBy reference({0}, specs, AggPhase::kComplete);
+  for (const Tuple& t : rows) reference.Push(t);
 
   // Distributed: k partial fragments, one combine stage, then final.
-  std::vector<Tuple> partials;
+  GroupBy combine({0}, specs, AggPhase::kCombine);
   for (int f = 0; f < kFragments; ++f) {
-    GroupByOp partial({0}, specs, AggPhase::kPartial);
-    FnSink sink([&partials](const Tuple& t) { partials.push_back(t); });
-    partial.AddOutput(&sink);
+    GroupBy partial({0}, specs, AggPhase::kPartial);
     for (size_t i = f; i < rows.size(); i += kFragments) {
-      partial.Push(rows[i], 0);
+      partial.Push(rows[i]);
     }
-    partial.FlushAndReset();
+    for (const Tuple& t : partial.Drain()) combine.Push(t);
   }
-  GroupByOp combine({0}, specs, AggPhase::kCombine);
-  std::vector<Tuple> combined;
-  FnSink csink([&combined](const Tuple& t) { combined.push_back(t); });
-  combine.AddOutput(&csink);
-  for (const Tuple& t : partials) combine.Push(t, 0);
-  combine.FlushAndReset();
-  GroupByOp final_gb({0}, specs, AggPhase::kFinal);
-  CollectorSink final_sink;
-  final_gb.AddOutput(&final_sink);
-  for (const Tuple& t : combined) final_gb.Push(t, 0);
-  final_gb.FlushAndReset();
+  GroupBy final_gb({0}, specs, AggPhase::kFinal);
+  for (const Tuple& t : combine.Drain()) final_gb.Push(t);
 
   // Same groups, same values.
   auto key_fn = [](const std::vector<Tuple>& ts) {
@@ -235,8 +288,8 @@ TEST_P(AggDecomposabilityTest, PartialsComposeToSameAnswer) {
     for (const Tuple& t : ts) by_group[t[0].int64_value()] = t;
     return by_group;
   };
-  auto ref = key_fn(ref_sink.rows());
-  auto got = key_fn(final_sink.rows());
+  auto ref = key_fn(reference.Drain());
+  auto got = key_fn(final_gb.Drain());
   ASSERT_EQ(ref.size(), got.size());
   for (const auto& [group, expected] : ref) {
     ASSERT_TRUE(got.count(group));
@@ -253,65 +306,54 @@ INSTANTIATE_TEST_SUITE_P(Fragments, AggDecomposabilityTest,
 // Operators
 // ---------------------------------------------------------------------------
 
-TEST(OperatorTest, FilterDropsAndCounts) {
-  FilterOp filter(Expr::Compare(CompareOp::kGt, Expr::Column(0),
-                                Expr::Literal(Value::Int64(5))));
-  CollectorSink sink;
-  filter.AddOutput(&sink);
-  for (int64_t v : {3, 7, 5, 9}) filter.Push(Tuple{Value::Int64(v)}, 0);
-  filter.PushEos(0);
-  EXPECT_EQ(sink.rows().size(), 2u);
-  EXPECT_EQ(filter.dropped(), 2u);
-  EXPECT_TRUE(sink.eos());
+std::vector<Tuple> Ints(std::initializer_list<int64_t> vs) {
+  std::vector<Tuple> rows;
+  for (int64_t v : vs) rows.push_back(Tuple{Value::Int64(v)});
+  return rows;
+}
+
+TEST(OperatorTest, FilterKeepsMatchesInOrder) {
+  std::vector<Tuple> kept =
+      Filter(*Expr::Compare(CompareOp::kGt, Expr::Column(0),
+                            Expr::Literal(Value::Int64(5))),
+             Ints({3, 7, 5, 9}));
+  EXPECT_EQ(kept, Ints({7, 9}));
 }
 
 TEST(OperatorTest, FilterEvalErrorDropsTupleNotQuery) {
   // Predicate multiplies a string — an error for bad rows only.
-  FilterOp filter(Expr::Compare(CompareOp::kGt,
-                                Expr::Arith(ArithOp::kMul, Expr::Column(0),
-                                            Expr::Literal(Value::Int64(2))),
-                                Expr::Literal(Value::Int64(0))));
-  CollectorSink sink;
-  filter.AddOutput(&sink);
-  filter.Push(Tuple{Value::String("bad")}, 0);
-  filter.Push(Tuple{Value::Int64(3)}, 0);
-  EXPECT_EQ(sink.rows().size(), 1u);
+  std::vector<Tuple> kept =
+      Filter(*Expr::Compare(CompareOp::kGt,
+                            Expr::Arith(ArithOp::kMul, Expr::Column(0),
+                                        Expr::Literal(Value::Int64(2))),
+                            Expr::Literal(Value::Int64(0))),
+             {Tuple{Value::String("bad")}, Tuple{Value::Int64(3)}});
+  EXPECT_EQ(kept, Ints({3}));
 }
 
 TEST(OperatorTest, ProjectComputes) {
-  ProjectOp project({Expr::Column(1),
-                     Expr::Arith(ArithOp::kAdd, Expr::Column(0),
-                                 Expr::Literal(Value::Int64(100)))});
-  CollectorSink sink;
-  project.AddOutput(&sink);
-  project.Push(Tuple{Value::Int64(1), Value::String("x")}, 0);
-  ASSERT_EQ(sink.rows().size(), 1u);
-  EXPECT_EQ(sink.rows()[0][0].string_value(), "x");
-  EXPECT_EQ(sink.rows()[0][1].int64_value(), 101);
+  // The second row's sum errors (string + int): it keeps its slot, with
+  // NULL in the failed column.
+  std::vector<Tuple> out =
+      Project({Expr::Column(1), Expr::Arith(ArithOp::kAdd, Expr::Column(0),
+                                            Expr::Literal(Value::Int64(100)))},
+              {Tuple{Value::Int64(1), Value::String("x")},
+               Tuple{Value::String("bad"), Value::String("y")}});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0][0].string_value(), "x");
+  EXPECT_EQ(out[0][1].int64_value(), 101);
+  EXPECT_EQ(out[1][0].string_value(), "y");
+  EXPECT_TRUE(out[1][1].is_null());
 }
 
 TEST(OperatorTest, DistinctSuppressesDuplicates) {
-  DistinctOp distinct;
-  CollectorSink sink;
-  distinct.AddOutput(&sink);
-  distinct.Push(Tuple{Value::Int64(1)}, 0);
-  distinct.Push(Tuple{Value::Int64(1)}, 0);
-  distinct.Push(Tuple{Value::Int64(2)}, 0);
-  distinct.Push(Tuple{Value::Int64(1)}, 0);
-  EXPECT_EQ(sink.rows().size(), 2u);
-  EXPECT_EQ(distinct.unique_count(), 2u);
+  EXPECT_EQ(Distinct(Ints({1, 1, 2, 1})), Ints({1, 2}));
 }
 
 TEST(OperatorTest, TopKOrdersAndBounds) {
-  TopKOp topk(/*order_col=*/0, /*descending=*/true, /*k=*/3);
-  CollectorSink sink;
-  topk.AddOutput(&sink);
-  for (int64_t v : {5, 1, 9, 3, 7, 2}) topk.Push(Tuple{Value::Int64(v)}, 0);
-  topk.PushEos(0);
-  ASSERT_EQ(sink.rows().size(), 3u);
-  EXPECT_EQ(sink.rows()[0][0].int64_value(), 9);
-  EXPECT_EQ(sink.rows()[1][0].int64_value(), 7);
-  EXPECT_EQ(sink.rows()[2][0].int64_value(), 5);
+  EXPECT_EQ(TopK(Ints({5, 1, 9, 3, 7, 2}), /*order_col=*/0,
+                 /*descending=*/true, /*k=*/3),
+            Ints({9, 7, 5}));
 }
 
 // Random rows with heavy ties on the order column: the top-k must equal a
@@ -338,22 +380,9 @@ TEST(OperatorTest, TopKMatchesSortAndTruncate) {
                    " k=" + std::to_string(k));
       std::vector<Tuple> want(
           sorted.begin(), sorted.begin() + std::min(k, sorted.size()));
-      TopKOp topk(/*order_col=*/0, desc, k);
-      CollectorSink sink;
-      topk.AddOutput(&sink);
-      for (const Tuple& t : rows) topk.Push(t, 0);
-      topk.FlushAndReset();
-      EXPECT_EQ(sink.rows(), want);
+      EXPECT_EQ(TopK(rows, /*order_col=*/0, desc, k), want);
     }
   }
-}
-
-TEST(OperatorTest, LimitPassesFirstK) {
-  LimitOp limit(2);
-  CollectorSink sink;
-  limit.AddOutput(&sink);
-  for (int64_t v : {1, 2, 3, 4}) limit.Push(Tuple{Value::Int64(v)}, 0);
-  EXPECT_EQ(sink.rows().size(), 2u);
 }
 
 // LIMIT pushdown on the batch plane: a kToOrigin sink that hits its cap
@@ -400,129 +429,79 @@ TEST(BatchTest, SliceLiveChunksInLiveOrder) {
   EXPECT_EQ(b.SliceLive(9, 2).ActiveRows(), 0u);
 }
 
-TEST(OperatorTest, UnionMergesAndCountsEos) {
-  UnionOp u;
-  u.SetNumInputs(3);
-  CollectorSink sink;
-  u.AddOutput(&sink);
-  u.Push(Tuple{Value::Int64(1)}, 0);
-  u.Push(Tuple{Value::Int64(2)}, 1);
-  u.PushEos(0);
-  u.PushEos(1);
-  EXPECT_FALSE(sink.eos());  // third input still open
-  u.PushEos(2);
-  EXPECT_TRUE(sink.eos());
-  EXPECT_EQ(sink.rows().size(), 2u);
+/// Inserts `rows` on `side`, collecting what they join with.
+void InsertAll(SymmetricHashJoin* join, int side,
+               const std::vector<Tuple>& rows, std::vector<Tuple>* out) {
+  for (const Tuple& t : rows) {
+    join->Insert(side, t, [out](const Tuple& j) { out->push_back(j); });
+  }
 }
 
 TEST(OperatorTest, SymmetricHashJoinStreamsMatches) {
-  SymmetricHashJoinOp shj({0}, {0}, nullptr);
-  CollectorSink sink;
-  shj.AddOutput(&sink);
-  shj.Push(Tuple{Value::Int64(1), Value::String("l1")}, 0);
-  EXPECT_TRUE(sink.rows().empty());
-  shj.Push(Tuple{Value::Int64(1), Value::String("r1")}, 1);  // match now
-  ASSERT_EQ(sink.rows().size(), 1u);
-  EXPECT_EQ(sink.rows()[0].size(), 4u);
-  // Later left arrival still matches earlier right (symmetry).
-  shj.Push(Tuple{Value::Int64(1), Value::String("l2")}, 0);
-  EXPECT_EQ(sink.rows().size(), 2u);
+  SymmetricHashJoin shj({0}, {0});
+  std::vector<Tuple> out;
+  InsertAll(&shj, 0, {Tuple{Value::Int64(1), Value::String("l1")}}, &out);
+  EXPECT_TRUE(out.empty());
+  InsertAll(&shj, 1, {Tuple{Value::Int64(1), Value::String("r1")}}, &out);
+  ASSERT_EQ(out.size(), 1u);  // match now
+  EXPECT_EQ(out[0], (Tuple{Value::Int64(1), Value::String("l1"),
+                           Value::Int64(1), Value::String("r1")}));
+  // Later left arrival still matches earlier right (symmetry); the output
+  // stays left ++ right.
+  InsertAll(&shj, 0, {Tuple{Value::Int64(1), Value::String("l2")}}, &out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1][1].string_value(), "l2");
   // Non-matching key.
-  shj.Push(Tuple{Value::Int64(9), Value::String("l3")}, 0);
-  EXPECT_EQ(sink.rows().size(), 2u);
+  InsertAll(&shj, 0, {Tuple{Value::Int64(9), Value::String("l3")}}, &out);
+  EXPECT_EQ(out.size(), 2u);
 }
 
 TEST(OperatorTest, SymmetricHashJoinNullKeysNeverMatch) {
-  SymmetricHashJoinOp shj({0}, {0}, nullptr);
-  CollectorSink sink;
-  shj.AddOutput(&sink);
-  shj.Push(Tuple{Value::Null()}, 0);
-  shj.Push(Tuple{Value::Null()}, 1);
-  EXPECT_TRUE(sink.rows().empty());
+  SymmetricHashJoin shj({0}, {0});
+  std::vector<Tuple> out;
+  InsertAll(&shj, 0, {Tuple{Value::Null()}}, &out);
+  InsertAll(&shj, 1, {Tuple{Value::Null()}}, &out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(OperatorTest, SymmetricHashJoinKeyPastTupleEndNeverMatches) {
   // Rehash arrivals narrower than the key index (a faulty peer's short key
   // projections) all hash to one bucket; comparing them must not read past
   // the tuples.
-  SymmetricHashJoinOp shj({1}, {1}, nullptr);
-  CollectorSink sink;
-  shj.AddOutput(&sink);
-  shj.Push(Tuple{Value::Int64(1)}, 0);
-  shj.Push(Tuple{Value::Int64(1)}, 1);
-  shj.Push(Tuple{Value::Int64(2)}, 0);
-  EXPECT_TRUE(sink.rows().empty());
-}
-
-TEST(OperatorTest, SymmetricHashJoinResidualPredicate) {
-  // Residual over concat: left payload < right payload.
-  auto residual =
-      Expr::Compare(CompareOp::kLt, Expr::Column(1), Expr::Column(3));
-  SymmetricHashJoinOp shj({0}, {0}, residual);
-  CollectorSink sink;
-  shj.AddOutput(&sink);
-  shj.Push(Tuple{Value::Int64(1), Value::Int64(10)}, 0);
-  shj.Push(Tuple{Value::Int64(1), Value::Int64(5)}, 1);   // 10 < 5: no
-  shj.Push(Tuple{Value::Int64(1), Value::Int64(20)}, 1);  // 10 < 20: yes
-  EXPECT_EQ(sink.rows().size(), 1u);
+  SymmetricHashJoin shj({1}, {1});
+  std::vector<Tuple> out;
+  InsertAll(&shj, 0, Ints({1}), &out);
+  InsertAll(&shj, 1, Ints({1}), &out);
+  InsertAll(&shj, 0, Ints({2}), &out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(OperatorTest, GroupByReferenceMatchesHandComputation) {
-  GroupByOp gb({0}, {{AggFunc::kSum, 1, "s"}, {AggFunc::kMax, 1, "m"}},
-               AggPhase::kComplete);
-  CollectorSink sink;
-  gb.AddOutput(&sink);
-  gb.Push(Tuple{Value::String("a"), Value::Int64(1)}, 0);
-  gb.Push(Tuple{Value::String("b"), Value::Int64(5)}, 0);
-  gb.Push(Tuple{Value::String("a"), Value::Int64(3)}, 0);
-  gb.PushEos(0);
-  ASSERT_EQ(sink.rows().size(), 2u);
+  GroupBy gb({0}, {{AggFunc::kSum, 1, "s"}, {AggFunc::kMax, 1, "m"}},
+             AggPhase::kComplete);
+  gb.Push(Tuple{Value::String("a"), Value::Int64(1)});
+  gb.Push(Tuple{Value::String("b"), Value::Int64(5)});
+  gb.Push(Tuple{Value::String("a"), Value::Int64(3)});
+  std::vector<Tuple> rows = gb.Drain();
+  ASSERT_EQ(rows.size(), 2u);
   // Ordered map keeps groups sorted: 'a' first.
-  EXPECT_EQ(sink.rows()[0][1].int64_value(), 4);
-  EXPECT_EQ(sink.rows()[0][2].int64_value(), 3);
-  EXPECT_EQ(sink.rows()[1][1].int64_value(), 5);
+  EXPECT_EQ(rows[0][1].int64_value(), 4);
+  EXPECT_EQ(rows[0][2].int64_value(), 3);
+  EXPECT_EQ(rows[1][1].int64_value(), 5);
 }
 
-TEST(OperatorTest, GroupByFlushAndResetForWindows) {
-  GroupByOp gb({}, {{AggFunc::kCount, -1, "c"}}, AggPhase::kComplete);
-  std::vector<Tuple> flushed;
-  FnSink sink([&flushed](const Tuple& t) { flushed.push_back(t); });
-  gb.AddOutput(&sink);
-  gb.Push(Tuple{Value::Int64(1)}, 0);
-  gb.Push(Tuple{Value::Int64(2)}, 0);
-  gb.FlushAndReset();
-  ASSERT_EQ(flushed.size(), 1u);
-  EXPECT_EQ(flushed[0][0].int64_value(), 2);
+TEST(OperatorTest, GroupByDrainResetsForWindows) {
+  GroupBy gb({}, {{AggFunc::kCount, -1, "c"}}, AggPhase::kComplete);
+  gb.Push(Tuple{Value::Int64(1)});
+  gb.Push(Tuple{Value::Int64(2)});
+  std::vector<Tuple> first = gb.Drain();
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0][0].int64_value(), 2);
   // Window 2: state was reset.
-  gb.Push(Tuple{Value::Int64(3)}, 0);
-  gb.FlushAndReset();
-  ASSERT_EQ(flushed.size(), 2u);
-  EXPECT_EQ(flushed[1][0].int64_value(), 1);
-}
-
-TEST(OperatorTest, DataflowOwnsAndConnects) {
-  Dataflow flow;
-  auto* filter = flow.Add<FilterOp>(Expr::Compare(
-      CompareOp::kGt, Expr::Column(0), Expr::Literal(Value::Int64(0))));
-  auto* project = flow.Add<ProjectOp>(std::vector<ExprPtr>{Expr::Column(0)});
-  auto* sink = flow.Add<CollectorSink>();
-  flow.Connect(filter, project);
-  flow.Connect(project, sink);
-  filter->Push(Tuple{Value::Int64(5), Value::String("x")}, 0);
-  filter->Push(Tuple{Value::Int64(-5), Value::String("y")}, 0);
-  EXPECT_EQ(sink->rows().size(), 1u);
-  EXPECT_EQ(flow.size(), 3u);
-}
-
-TEST(OperatorTest, DagFanOut) {
-  // One source feeding two sinks (DAG support).
-  ProjectOp identity({Expr::Column(0)});
-  CollectorSink a, b;
-  identity.AddOutput(&a);
-  identity.AddOutput(&b);
-  identity.Push(Tuple{Value::Int64(1)}, 0);
-  EXPECT_EQ(a.rows().size(), 1u);
-  EXPECT_EQ(b.rows().size(), 1u);
+  gb.Push(Tuple{Value::Int64(3)});
+  std::vector<Tuple> second = gb.Drain();
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0][0].int64_value(), 1);
 }
 
 }  // namespace

@@ -411,6 +411,51 @@ TEST(ScenarioTest, DuplicatedPutsDoNotInflateAnswers) {
   EXPECT_GT(report.messages_duplicated, 0u);
 }
 
+// A row whose projection errors reaches the answer with NULL in the failed
+// column, in the oracle as on the engine. Publishing checks a row's width
+// only, so a string can sit in an INT64 column; `v * 2` then errors on
+// that row alone.
+TEST(ScenarioTest, ProjectionErrorYieldsNullRowInOracleAndEngine) {
+  TableDef t;
+  t.name = "t";
+  t.schema = Schema("t", {{"k", ValueType::kInt64}, {"v", ValueType::kInt64}});
+  t.partition_cols = {0};
+  std::vector<Tuple> rows;
+  for (int64_t k : {1, 2, 3}) {
+    rows.push_back(Tuple{Value::Int64(k), Value::Int64(10 * k)});
+  }
+  rows.push_back(Tuple{Value::Int64(4), Value::String("bad")});
+
+  Scenario s(/*seed=*/4215);
+  s.WithNodes(6)
+      .WithRouter(RouterKind::kOneHop)
+      .WithTable(t)
+      .PublishRows("t", rows)
+      .AddQuery({.sql = "SELECT k, v * 2 FROM t",
+                 .issue_at = Seconds(30),
+                 .origin = 0,
+                 .wait = 0,
+                 .min_recall = 1.0,
+                 .min_precision = 1.0})
+      .WithDefaultCheckers();
+  ScenarioReport report = s.Run();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  ASSERT_EQ(report.queries.size(), 1u);
+  const QueryOutcome& q = report.queries[0];
+  ASSERT_TRUE(q.completed && q.oracle_ok) << report.ToString();
+  EXPECT_EQ(q.batch.rows.size(), 4u);
+  EXPECT_EQ(q.oracle_rows.size(), 4u);
+  EXPECT_DOUBLE_EQ(q.score.precision, 1.0) << q.score.ToString();
+  const Tuple want{Value::Int64(4), Value::Null()};
+  auto has_null_row = [&want](const std::vector<Tuple>& got) {
+    return std::any_of(got.begin(), got.end(), [&want](const Tuple& r) {
+      return catalog::CompareTuples(r, want) == 0;
+    });
+  };
+  EXPECT_TRUE(has_null_row(q.batch.rows));
+  EXPECT_TRUE(has_null_row(q.oracle_rows));
+}
+
 // Delay spikes + reordering windows inside the fault window, query after
 // the heal: answers must be unaffected once latencies normalize, and the
 // Chord ring must never have destabilized (spikes stay under the RPC

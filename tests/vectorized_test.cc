@@ -2,12 +2,13 @@
 // must agree with scalar Expr::Eval row for row (including SQL NULL
 // semantics, division-by-zero-to-NULL, type-error rows, and short-circuit
 // error behavior), the RowBatch wire codec must round-trip, and
-// VectorGroupBy must drain exactly what GroupByOp drains. Expressions come
+// VectorGroupBy must drain exactly what the scalar GroupBy drains. Expressions come
 // from a hand-built corpus covering every node kind plus WHERE clauses and
 // projections planned from the SQL corpus the sql/fuzz tests exercise.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,7 +17,6 @@
 #include "common/rng.h"
 #include "exec/batch.h"
 #include "exec/kernels.h"
-#include "exec/operator.h"
 #include "exec/operators.h"
 #include "planner/planner.h"
 #include "sql/parser.h"
@@ -45,8 +45,8 @@ Schema TestSchema() {
 
 Tuple RandomRow(Rng* rng) {
   Tuple t;
-  // Bounded so int arithmetic cannot overflow (the scalar plane has the
-  // same UB hazard; both planes stay inside ±2^31 here).
+  // Bounded so column-by-column products stay exact; the INT64 extremes
+  // come from the corpus's literal operands.
   t.push_back(rng->Chance(0.15)
                   ? Value::Null()
                   : Value::Int64(rng->UniformInt(-(1ll << 31), 1ll << 31)));
@@ -167,6 +167,19 @@ std::vector<ExprPtr> HandCorpus() {
   c.push_back(Expr::Arith(ArithOp::kDiv, Col(0), I(0)));
   c.push_back(Expr::Arith(ArithOp::kMod, Col(1), I(0)));
   c.push_back(Expr::Arith(ArithOp::kDiv, I(10), Col(3)));
+  // INT64 extremes: results that do not fit are NULL on both planes
+  // (INT64_MIN / -1 and % -1 via the zero-heavy column, which holds -1;
+  // overflowing + - * against any nonzero row; negation of INT64_MIN).
+  for (ArithOp op : {ArithOp::kAdd, ArithOp::kSub, ArithOp::kMul,
+                     ArithOp::kDiv, ArithOp::kMod}) {
+    c.push_back(Expr::Arith(op, I(INT64_MIN), Col(3)));
+    c.push_back(Expr::Arith(op, I(INT64_MAX), Col(3)));
+    c.push_back(Expr::Arith(op, Col(0), I(INT64_MIN)));
+    c.push_back(Expr::Arith(op, Col(0), I(INT64_MAX)));
+    c.push_back(Expr::Arith(op, I(INT64_MIN), I(-1)));
+  }
+  c.push_back(Expr::Negate(I(INT64_MIN)));
+  c.push_back(Expr::Negate(Expr::Arith(ArithOp::kAdd, I(INT64_MIN), Col(3))));
   // String concat, and type-error arithmetic ('a' + 1, bool math).
   c.push_back(Expr::Arith(ArithOp::kAdd, Col(2), S("-suffix")));
   c.push_back(Expr::Arith(ArithOp::kAdd, Col(2), Col(2)));
@@ -480,7 +493,7 @@ TEST(RowBatchCodecTest, AppendSerializedRejectsTruncatedBool) {
 }
 
 // ---------------------------------------------------------------------------
-// VectorGroupBy vs GroupByOp
+// VectorGroupBy vs GroupBy
 // ---------------------------------------------------------------------------
 
 std::vector<AggSpec> AllAggs() {
@@ -498,12 +511,10 @@ void CheckGroupBy(const std::vector<int>& group_cols, bool finalize,
   Rng rng(seed);
   TestBatch tb = MakeBatch(&rng, 400);
 
-  GroupByOp reference(group_cols, AllAggs(),
-                      finalize ? AggPhase::kComplete : AggPhase::kPartial);
-  CollectorSink ref_sink;
-  reference.AddOutput(&ref_sink);
-  for (const Tuple& t : tb.rows) reference.Push(t, 0);
-  reference.FlushAndReset();
+  GroupBy reference(group_cols, AllAggs(),
+                    finalize ? AggPhase::kComplete : AggPhase::kPartial);
+  for (const Tuple& t : tb.rows) reference.Push(t);
+  std::vector<Tuple> want = reference.Drain();
 
   VectorGroupBy vgb(group_cols, AllAggs(), finalize);
   vgb.PushBatch(tb.batch);
@@ -513,11 +524,11 @@ void CheckGroupBy(const std::vector<int>& group_cols, bool finalize,
     return true;
   });
 
-  ASSERT_EQ(got.size(), ref_sink.rows().size()) << "seed=" << seed;
+  ASSERT_EQ(got.size(), want.size()) << "seed=" << seed;
   for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].size(), ref_sink.rows()[i].size()) << "seed=" << seed;
+    ASSERT_EQ(got[i].size(), want[i].size()) << "seed=" << seed;
     for (size_t c = 0; c < got[i].size(); ++c) {
-      ExpectValuesIdentical(ref_sink.rows()[i][c], got[i][c],
+      ExpectValuesIdentical(want[i][c], got[i][c],
                             "groupby seed=" + std::to_string(seed) +
                                 " group=" + std::to_string(i) +
                                 " col=" + std::to_string(c));
@@ -525,7 +536,7 @@ void CheckGroupBy(const std::vector<int>& group_cols, bool finalize,
   }
 }
 
-TEST(VectorGroupByTest, MatchesGroupByOpPartialPhase) {
+TEST(VectorGroupByTest, MatchesGroupByPartialPhase) {
   CheckGroupBy({3}, /*finalize=*/false, 17);
   CheckGroupBy({3, 2}, /*finalize=*/false, 18);
   CheckGroupBy({}, /*finalize=*/false, 19);     // global aggregate
@@ -533,7 +544,7 @@ TEST(VectorGroupByTest, MatchesGroupByOpPartialPhase) {
   CheckGroupBy({5}, /*finalize=*/false, 21);    // mixed-lane group key
 }
 
-TEST(VectorGroupByTest, MatchesGroupByOpCompletePhase) {
+TEST(VectorGroupByTest, MatchesGroupByCompletePhase) {
   CheckGroupBy({3}, /*finalize=*/true, 22);
   CheckGroupBy({3, 4}, /*finalize=*/true, 23);
   CheckGroupBy({}, /*finalize=*/true, 24);
@@ -541,7 +552,7 @@ TEST(VectorGroupByTest, MatchesGroupByOpCompletePhase) {
 
 // Join-fed aggregation: joined rows reach the accumulator one-row batch at
 // a time, each batch's column kinds taken from that row's values.
-TEST(VectorGroupByTest, OneRowBatchesMatchGroupByOpPartialPhase) {
+TEST(VectorGroupByTest, OneRowBatchesMatchGroupByPartialPhase) {
   for (const std::vector<int>& group_cols :
        {std::vector<int>{3}, std::vector<int>{3, 2}, std::vector<int>{},
         std::vector<int>{5}}) {
@@ -549,11 +560,9 @@ TEST(VectorGroupByTest, OneRowBatchesMatchGroupByOpPartialPhase) {
     std::vector<Tuple> rows;
     for (int i = 0; i < 300; ++i) rows.push_back(RandomRow(&rng));
 
-    GroupByOp reference(group_cols, AllAggs(), AggPhase::kPartial);
-    CollectorSink ref_sink;
-    reference.AddOutput(&ref_sink);
-    for (const Tuple& t : rows) reference.Push(t, 0);
-    reference.FlushAndReset();
+    GroupBy reference(group_cols, AllAggs(), AggPhase::kPartial);
+    for (const Tuple& t : rows) reference.Push(t);
+    std::vector<Tuple> want = reference.Drain();
 
     VectorGroupBy vgb(group_cols, AllAggs(), /*finalize=*/false);
     for (const Tuple& t : rows) vgb.PushBatch(RowBatch::OfRow(t));
@@ -563,11 +572,11 @@ TEST(VectorGroupByTest, OneRowBatchesMatchGroupByOpPartialPhase) {
       return true;
     });
 
-    ASSERT_EQ(got.size(), ref_sink.rows().size());
+    ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].size(), ref_sink.rows()[i].size());
+      ASSERT_EQ(got[i].size(), want[i].size());
       for (size_t c = 0; c < got[i].size(); ++c) {
-        ExpectValuesIdentical(ref_sink.rows()[i][c], got[i][c],
+        ExpectValuesIdentical(want[i][c], got[i][c],
                               "group=" + std::to_string(i) +
                                   " col=" + std::to_string(c));
       }
@@ -580,11 +589,9 @@ TEST(VectorGroupByTest, SelectionRestrictsAccumulation) {
   TestBatch tb = MakeBatch(&rng, 100);
   tb.batch.SetSelection({2, 40, 41, 97});
 
-  GroupByOp reference({3}, AllAggs(), AggPhase::kPartial);
-  CollectorSink ref_sink;
-  reference.AddOutput(&ref_sink);
-  for (uint32_t r : tb.batch.selection()) reference.Push(tb.rows[r], 0);
-  reference.FlushAndReset();
+  GroupBy reference({3}, AllAggs(), AggPhase::kPartial);
+  for (uint32_t r : tb.batch.selection()) reference.Push(tb.rows[r]);
+  std::vector<Tuple> want = reference.Drain();
 
   VectorGroupBy vgb({3}, AllAggs(), /*finalize=*/false);
   vgb.PushBatch(tb.batch);
@@ -593,9 +600,70 @@ TEST(VectorGroupByTest, SelectionRestrictsAccumulation) {
     got.push_back(std::move(t));
     return true;
   });
-  ASSERT_EQ(got.size(), ref_sink.rows().size());
+  ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(catalog::CompareTuples(got[i], ref_sink.rows()[i]), 0);
+    EXPECT_EQ(catalog::CompareTuples(got[i], want[i]), 0);
+  }
+}
+
+// An INT64 SUM/AVG that would overflow widens to DOUBLE on the typed lanes
+// exactly as the scalar fold does — including a group that overflows in
+// one batch and keeps accumulating in the next. Aggregates over INT64
+// columns alone take the fused row loop; a DOUBLE aggregate beside them
+// sends every aggregate through the per-aggregate fold.
+TEST(VectorGroupByTest, OverflowingSumWidensLikeScalarFold) {
+  const std::vector<AggSpec> fused = {{AggFunc::kSum, 1, "s"},
+                                      {AggFunc::kAvg, 1, "a"},
+                                      {AggFunc::kCount, 1, "c"}};
+  std::vector<AggSpec> per_agg = fused;
+  per_agg.push_back({AggFunc::kSum, 2, "d"});
+  auto row = [](int64_t k, int64_t v) {
+    return Tuple{Value::Int64(k), Value::Int64(v), Value::Double(0.5)};
+  };
+  const std::vector<std::vector<Tuple>> batches = {
+      {row(1, INT64_MAX), row(2, INT64_MIN), row(1, INT64_MAX), row(2, -1),
+       row(3, INT64_MAX)},
+      {row(1, 5), row(3, INT64_MIN), row(3, 7)},
+  };
+  for (const std::vector<AggSpec>& aggs : {fused, per_agg}) {
+    for (bool finalize : {false, true}) {
+      SCOPED_TRACE(std::to_string(aggs.size()) + " aggs, " +
+                   (finalize ? "complete" : "partial"));
+      GroupBy reference({0}, aggs,
+                        finalize ? AggPhase::kComplete : AggPhase::kPartial);
+      VectorGroupBy vgb({0}, aggs, finalize);
+      for (const std::vector<Tuple>& rows : batches) {
+        RowBatchBuilder builder(std::vector<ValueType>{
+            ValueType::kInt64, ValueType::kInt64, ValueType::kDouble});
+        for (const Tuple& t : rows) {
+          builder.Append(t);
+          reference.Push(t);
+        }
+        vgb.PushBatch(builder.Take());
+      }
+      std::vector<Tuple> want = reference.Drain();
+      std::vector<Tuple> got;
+      vgb.DrainAndReset([&](Tuple& t) {
+        got.push_back(std::move(t));
+        return true;
+      });
+      ASSERT_EQ(got.size(), 3u);
+      ASSERT_EQ(want.size(), 3u);
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].size(), want[i].size());
+        for (size_t c = 0; c < got[i].size(); ++c) {
+          ExpectValuesIdentical(want[i][c], got[i][c],
+                                "group=" + std::to_string(i) +
+                                    " col=" + std::to_string(c));
+        }
+      }
+      // Group 1 overflowed in the first batch and kept accumulating as
+      // DOUBLE in the second; group 2 overflowed below INT64_MIN; group 3
+      // nets back into range without ever overflowing and stays INT64.
+      EXPECT_EQ(got[0][1].type(), ValueType::kDouble);
+      EXPECT_EQ(got[1][1].type(), ValueType::kDouble);
+      EXPECT_EQ(got[2][1].type(), ValueType::kInt64);
+    }
   }
 }
 
