@@ -16,16 +16,18 @@
 #                bench_range_scan + bench_multiway_join +
 #                bench_exec_vectorized + bench_query_storm +
 #                bench_join_strategies + bench_churn +
-#                bench_aggregation_tree + bench_recursive with --json,
-#                merged into BENCH_PR10.json, then short pierbench storm,
-#                table1, table1_lossy and joins runs). The smoke fails only
+#                bench_aggregation_tree + bench_recursive +
+#                bench_overlay_routing with --json, merged into
+#                BENCH_PR10.json, then short pierbench storm, table1,
+#                table1_lossy and joins runs). The smoke fails only
 #                on a bench self-check mismatch (all deterministic; for
 #                the vectorized bench, its two planes' answers differing
 #                — its >=5x speedup target is printed, not gated, since
 #                --min-speedup is not passed), the join-strategy
 #                bench's >=5x traffic-reduction gate, the churn bench's
 #                coverage floor, the recursion bench's exact-closure gate,
-#                or a pierbench oracle failure, never on raw timing.
+#                an unanswered overlay lookup, or a pierbench oracle
+#                failure, never on raw timing.
 #   --fuzz       Also run the extended fault-injection fuzz lane: configures
 #                with -DPIER_FUZZ_LANE=ON and runs `ctest -L fuzz`
 #                (PIER_FUZZ_ITERS scenarios, default 60). Failing seeds +
@@ -144,6 +146,10 @@ if [[ $PERF -eq 1 ]]; then
   # reported closure equalling the exact in-memory closure at every size —
   # reach pairs that beat the plan to their owner must not be lost.
   "$BUILD_DIR/bench_recursive" --json=BENCH_PR10.json | tail -2
+  # Chord lookups at 16..512 nodes, and the settled ring's upkeep (messages
+  # and bytes per node-second over a quiet window). Gates on all 300
+  # lookups answering at every size; the upkeep is recorded, not gated.
+  "$BUILD_DIR/bench_overlay_routing" --json=BENCH_PR10.json | tail -2
   # End-to-end correctness smoke on pierbench, checked by its oracle:
   # storm runs index ranges, broadcast scans and binary joins on 128 nodes;
   # table1 the tree aggregate on 300 nodes, and table1_lossy the same under

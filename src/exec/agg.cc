@@ -136,12 +136,15 @@ Value AggFinalize(const AggSpec& spec, const Value& v1, const Value& v2) {
     case AggFunc::kMax:
       return v1;
     case AggFunc::kAvg: {
-      if (v1.is_null() || v2.is_null()) return Value::Null();
-      int64_t count = v2.int64_value();
-      if (count == 0) return Value::Null();
+      // A count from another node's partial may be any type: a count
+      // that is not numeric, or is zero, has no average.
+      double count = 0;
+      if (v1.is_null() || !v2.AsDouble(&count).ok() || count == 0) {
+        return Value::Null();
+      }
       double sum = 0;
       (void)v1.AsDouble(&sum);
-      return Value::Double(sum / static_cast<double>(count));
+      return Value::Double(sum / count);
     }
   }
   return Value::Null();

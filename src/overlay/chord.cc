@@ -1,7 +1,9 @@
 #include "overlay/chord.h"
 
 #include <algorithm>
+#include <cstring>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace pier {
@@ -9,6 +11,10 @@ namespace overlay {
 
 namespace {
 std::string Who(const NodeInfo& n) { return n.ToString(); }
+
+// The form byte of a stabilize reply, after its request id.
+constexpr uint8_t kNeighbourhoodUnchanged = 0;
+constexpr uint8_t kNeighbourhoodFollows = 1;
 }  // namespace
 
 ChordNode::ChordNode(Transport* transport, const Id160& id,
@@ -30,6 +36,7 @@ void ChordNode::Create() {
   PIER_CHECK(state_ == State::kIdle || state_ == State::kStopped);
   pred_.reset();
   successors_.clear();
+  own_digest_ = 0;
   state_ = State::kActive;
   StartTasks();
   PLOG(kInfo, Who(self_)) << "created ring";
@@ -406,10 +413,15 @@ void ChordNode::Stabilize() {
   // evicted: an isolated node's only way back is probing its memory.
   ProbeEvicted();
   if (successors_.empty()) return;  // singleton
+  StabilizeWith(successors_[0]);
+}
 
-  NodeInfo succ = successors_[0];
+void ChordNode::StabilizeWith(const NodeInfo& succ) {
+  // Echo the digest of what this successor last sent us in full; 0 (a new
+  // successor) asks for its neighbourhood outright.
+  uint64_t echo = view_host_ == succ.host ? view_digest_ : 0;
   uint64_t req_id = rpc_.Begin(
-      [this, succ](Status s, Reader* r) {
+      [this, succ, echo](Status s, Reader* r) {
         if (state_ != State::kActive) return;
         if (!s.ok()) {
           Suspect(succ.host);
@@ -419,27 +431,29 @@ void ChordNode::Stabilize() {
         // head (it left, or was evicted or displaced meanwhile), the next
         // round asks the new head instead.
         if (successors_.empty() || successors_[0].host != succ.host) return;
-        bool has_pred = false;
-        NodeInfo pred;
-        uint32_t n = 0;
-        if (!r->GetBool(&has_pred).ok()) return;
-        if (has_pred && !NodeInfo::Deserialize(r, &pred).ok()) return;
-        if (!r->GetVarint32(&n).ok()) return;
-        std::vector<NodeInfo> their_list;
-        for (uint32_t i = 0; i < n; ++i) {
-          NodeInfo e;
-          if (!NodeInfo::Deserialize(r, &e).ok()) return;
-          their_list.push_back(e);
+        uint8_t form = 0;
+        if (!r->GetU8(&form).ok()) return;
+        if (form == kNeighbourhoodFollows) {
+          Neighbourhood view;
+          if (!Neighbourhood::Deserialize(r, &view).ok()) return;
+          view_host_ = succ.host;
+          view_digest_ = view.Digest();
+          view_ = std::move(view);
+        } else if (form != kNeighbourhoodUnchanged || !r->AtEnd() ||
+                   echo == 0 || view_host_ != succ.host ||
+                   view_digest_ != echo) {
+          return;  // nothing we hold is what the reply vouches for
         }
         // Rule 1: successor's predecessor may be a closer successor for us.
-        if (has_pred && pred.host != self_.host && !IsSuspect(pred.host) &&
-            pred.id.InIntervalOpenOpen(self_.id, succ.id)) {
-          AdoptSuccessorCandidate(pred);
-        }
+        const std::optional<NodeInfo>& pred = view_.pred;
+        bool closer = pred.has_value() && pred->host != self_.host &&
+                      !IsSuspect(pred->host) &&
+                      pred->id.InIntervalOpenOpen(self_.id, succ.id);
+        if (closer) AdoptSuccessorCandidate(*pred);
         // Rule 2: merge successor list = [succ] + succ's list.
         std::vector<NodeInfo> merged;
         merged.push_back(successors_[0]);
-        for (const auto& e : their_list) {
+        for (const auto& e : view_.successors) {
           if (e.host == self_.host) continue;
           if (IsSuspect(e.host)) continue;
           bool dup = false;
@@ -454,18 +468,64 @@ void ChordNode::Stabilize() {
           successors_ = std::move(merged);
           NotifyNeighborsChanged();
         }
-        // Rule 3: notify our successor about us.
-        Writer w;
-        w.PutU8(static_cast<uint8_t>(MsgType::kNotify));
-        self_.Serialize(&w);
-        SendMsg(successors_[0].host, w);
+        // Rule 1 moved our head: stabilize with the new successor at once,
+        // which also tells it about us (Chord's notify).
+        if (closer) StabilizeWith(successors_[0]);
       },
       options_.rpc_timeout);
+  SendStabilizeReq(succ.host, req_id, echo);
+}
 
+void ChordNode::SendStabilizeReq(sim::HostId to, uint64_t req_id,
+                                 uint64_t echo) {
   Writer w;
   w.PutU8(static_cast<uint8_t>(MsgType::kGetNeighborsReq));
   w.PutVarint64(req_id);
-  SendMsg(succ.host, w);
+  self_.Serialize(&w);
+  w.PutFixed64(echo);
+  SendMsg(to, w);
+}
+
+void ChordNode::Neighbourhood::Serialize(Writer* w) const {
+  w->PutBool(pred.has_value());
+  if (pred.has_value()) pred->Serialize(w);
+  w->PutVarint32(static_cast<uint32_t>(successors.size()));
+  for (const auto& s : successors) s.Serialize(w);
+}
+
+Status ChordNode::Neighbourhood::Deserialize(Reader* r, Neighbourhood* out) {
+  bool has_pred = false;
+  uint32_t n = 0;
+  PIER_RETURN_IF_ERROR(r->GetBool(&has_pred));
+  if (has_pred) {
+    NodeInfo pred;
+    PIER_RETURN_IF_ERROR(NodeInfo::Deserialize(r, &pred));
+    out->pred = pred;
+  }
+  PIER_RETURN_IF_ERROR(r->GetVarint32(&n));
+  for (uint32_t i = 0; i < n; ++i) {
+    NodeInfo e;
+    PIER_RETURN_IF_ERROR(NodeInfo::Deserialize(r, &e));
+    out->successors.push_back(e);
+  }
+  if (!r->AtEnd()) return Status::Corruption("trailing neighbourhood bytes");
+  return Status::OK();
+}
+
+uint64_t ChordNode::Neighbourhood::Digest() const {
+  // Every field, in order, one word at a time: under loss most replies
+  // carry a changed neighbourhood, so the asker computes this often.
+  uint64_t h = Mix64(pred.has_value() ? 1 : 2);
+  auto mix = [&h](const NodeInfo& n) {
+    uint64_t words[3] = {};
+    std::memcpy(words, n.id.bytes().data(), Id160::kBytes);
+    h = Mix64(h ^ n.host);
+    for (uint64_t w : words) h = Mix64(h ^ w);
+  };
+  if (pred.has_value()) mix(*pred);
+  h = Mix64(h ^ successors.size());
+  for (const NodeInfo& s : successors) mix(s);
+  return h == 0 ? 1 : h;
 }
 
 // ---------------------------------------------------------------------------
@@ -476,10 +536,11 @@ void ChordNode::Stabilize() {
 // half as suspects; once the halves stabilize into independent rings, no
 // routine exchange ever crosses the old boundary again. The heal path is
 // out-of-band memory: every eviction is remembered (bounded cache + TTL),
-// and each stabilize round re-probes one remembered peer. When a probe
-// answers after the heal, its neighborhood is fed through the usual
-// adoption rules and a notify is sent back, so both halves knit their
-// successor lists together and stabilization cascades the merge.
+// and each stabilize round re-probes one remembered peer with a stabilize
+// request, which carries our notify. When a probe answers after the heal,
+// its neighborhood is fed through the usual adoption rules, so both halves
+// knit their successor lists together and stabilization cascades the
+// merge.
 
 void ChordNode::RememberEvicted(const NodeInfo& info) {
   if (info.host == self_.host) return;
@@ -534,31 +595,19 @@ void ChordNode::ProbeEvicted() {
                            }),
             evicted_.end());
         ConsiderRejoinCandidate(target);
-        bool has_pred = false;
-        NodeInfo pred;
-        uint32_t n = 0;
-        if (!r->GetBool(&has_pred).ok()) return;
-        if (has_pred) {
-          if (!NodeInfo::Deserialize(r, &pred).ok()) return;
-          ConsiderRejoinCandidate(pred);
+        uint8_t form = 0;
+        Neighbourhood view;
+        if (!r->GetU8(&form).ok() || form != kNeighbourhoodFollows ||
+            !Neighbourhood::Deserialize(r, &view).ok()) {
+          return;
         }
-        if (!r->GetVarint32(&n).ok()) return;
-        for (uint32_t i = 0; i < n; ++i) {
-          NodeInfo e;
-          if (!NodeInfo::Deserialize(r, &e).ok()) return;
-          ConsiderRejoinCandidate(e);
-        }
-        // Tell the other side about us so its half can knit symmetrically.
-        Writer w;
-        w.PutU8(static_cast<uint8_t>(MsgType::kNotify));
-        self_.Serialize(&w);
-        SendMsg(target.host, w);
+        if (view.pred.has_value()) ConsiderRejoinCandidate(*view.pred);
+        for (const NodeInfo& e : view.successors) ConsiderRejoinCandidate(e);
       },
       options_.rpc_timeout);
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kGetNeighborsReq));
-  w.PutVarint64(req_id);
-  SendMsg(target.host, w);
+  // The probe carries our notify, so the other half knits symmetrically;
+  // echo 0 asks for the full neighbourhood.
+  SendStabilizeReq(target.host, req_id, 0);
 }
 
 void ChordNode::AdoptSuccessorCandidate(const NodeInfo& candidate) {
@@ -570,23 +619,37 @@ void ChordNode::AdoptSuccessorCandidate(const NodeInfo& candidate) {
 }
 
 void ChordNode::HandleGetNeighborsReq(sim::HostId from, Reader* r) {
-  uint64_t req_id = 0;
-  if (!r->GetVarint64(&req_id).ok()) return;
-  if (state_ != State::kActive) return;
+  uint64_t req_id = 0, echo = 0;
+  NodeInfo asker;
+  if (!r->GetVarint64(&req_id).ok() || !NodeInfo::Deserialize(r, &asker).ok() ||
+      !r->GetFixed64(&echo).ok() || !r->AtEnd()) {
+    return;
+  }
+  // A request speaks only for its sender.
+  if (asker.host != from || state_ != State::kActive) return;
+  // The notify rides on the request; from our predecessor, the request is
+  // also its heartbeat.
+  ApplyNotify(asker);
+  if (pred_.has_value() && pred_->host == from) {
+    pred_heard_host_ = from;
+    pred_heard_at_ = transport_->simulation()->now();
+  }
+  if (own_digest_ == 0) {
+    own_digest_ = Neighbourhood{pred_, successors_}.Digest();
+  }
   Writer w;
   w.PutU8(static_cast<uint8_t>(MsgType::kGetNeighborsResp));
   w.PutVarint64(req_id);
-  w.PutBool(pred_.has_value());
-  if (pred_.has_value()) pred_->Serialize(&w);
-  w.PutVarint32(static_cast<uint32_t>(successors_.size()));
-  for (const auto& s : successors_) s.Serialize(&w);
+  if (own_digest_ == echo) {
+    w.PutU8(kNeighbourhoodUnchanged);
+  } else {
+    w.PutU8(kNeighbourhoodFollows);
+    Neighbourhood{pred_, successors_}.Serialize(&w);
+  }
   SendMsg(from, w);
 }
 
-void ChordNode::HandleNotify(Reader* r) {
-  NodeInfo candidate;
-  if (!NodeInfo::Deserialize(r, &candidate).ok()) return;
-  if (state_ != State::kActive) return;
+void ChordNode::ApplyNotify(const NodeInfo& candidate) {
   if (candidate.host == self_.host) return;
   if (!pred_.has_value() ||
       candidate.id.InIntervalOpenOpen(pred_->id, self_.id) ||
@@ -676,6 +739,13 @@ void ChordNode::SetFinger(int index, const NodeInfo& owner) {
 
 void ChordNode::CheckPredecessor() {
   if (state_ != State::kActive || !pred_.has_value()) return;
+  // A stabilize request from the predecessor within the interval shows it
+  // alive; only silence costs a ping.
+  if (pred_heard_host_ == pred_->host &&
+      transport_->simulation()->now() - pred_heard_at_ <
+          options_.check_predecessor_interval) {
+    return;
+  }
   NodeInfo pred = *pred_;
   uint64_t req_id = rpc_.Begin(
       [this, pred](Status s, Reader* /*r*/) {
@@ -744,6 +814,7 @@ void ChordNode::RemoveSuccessor(sim::HostId host) {
 }
 
 void ChordNode::NotifyNeighborsChanged() {
+  own_digest_ = 0;
   ++stats_.neighbor_changes;
   last_neighbor_change_ = transport_->simulation()->now();
 }
@@ -789,9 +860,6 @@ void ChordNode::OnMessage(sim::HostId from, Reader* r,
       rpc_.Complete(req_id, r);
       break;
     }
-    case MsgType::kNotify:
-      HandleNotify(r);
-      break;
     case MsgType::kPingReq: {
       uint64_t req_id = 0;
       if (!r->GetVarint64(&req_id).ok()) return;

@@ -6,9 +6,16 @@
 // Protocol sketch (all messages under Proto::kOverlay):
 //   - join:     FIND_SUCCESSOR(self.id) via a bootstrap node
 //   - routing:  greedy forwarding to the closest preceding finger/successor
-//   - repair:   stabilize (successor's predecessor + successor-list merge),
-//               notify, fix-fingers, predecessor liveness pings; a finger
-//               whose target the successor owns is set from it locally, so
+//   - repair:   stabilize, one request and one reply every round. The
+//               request carries the asker's NodeInfo (Chord's notify, applied
+//               on arrival) and the digest of the successor's neighbourhood
+//               (predecessor + successor list) the asker last received; the
+//               reply carries that neighbourhood only when its digest
+//               differs, else one "unchanged" byte, and the asker re-runs
+//               the adoption rules on its cached copy. A predecessor's
+//               requests are its heartbeat: the liveness ping goes out only
+//               after a check interval without one. Fix-fingers sets a
+//               finger whose target the successor owns from it locally, so
 //               only slots past the successor cost a FIND_SUCCESSOR lookup
 //   - failure:  RPC timeouts mark hosts suspect; suspects are routed around
 //               until stabilization removes them
@@ -51,7 +58,9 @@ struct ChordOptions {
   /// target lies in (self, successor] is set to the successor without a
   /// message; each other slot costs one FIND_SUCCESSOR lookup.
   int fingers_per_tick = 8;
-  /// Predecessor liveness probe period.
+  /// Predecessor liveness check period. The predecessor's stabilize
+  /// requests count as its heartbeat; the node pings it (and suspects it on
+  /// timeout) only after this long without one.
   Duration check_predecessor_interval = Seconds(1);
   /// Timeout for all overlay RPCs.
   Duration rpc_timeout = Millis(1500);
@@ -146,24 +155,38 @@ class ChordNode : public Router {
  private:
   enum class State { kIdle, kJoining, kActive, kStopped };
 
-  // Wire message types under Proto::kOverlay.
+  // Wire message types under Proto::kOverlay. 6 was a separate NOTIFY,
+  // which now rides on the stabilize request.
   enum class MsgType : uint8_t {
     kRoute = 1,
     kFindSuccReq = 2,
     kFindSuccResp = 3,
-    kGetNeighborsReq = 4,
-    kGetNeighborsResp = 5,
-    kNotify = 6,
+    kGetNeighborsReq = 4,   ///< stabilize: [req_id][asker][digest echo]
+    kGetNeighborsResp = 5,  ///< [req_id][unchanged | changed + neighbourhood]
     kPingReq = 7,
     kPingResp = 8,
     kLeaveNotice = 9,
+  };
+
+  /// What a stabilize reply describes: a node's predecessor and successor
+  /// list.
+  struct Neighbourhood {
+    std::optional<NodeInfo> pred;
+    std::vector<NodeInfo> successors;
+
+    void Serialize(Writer* w) const;
+    /// Rejects a truncated encoding and one with trailing bytes.
+    static Status Deserialize(Reader* r, Neighbourhood* out);
+    /// 64-bit digest of the content; never 0, which stands for "none".
+    uint64_t Digest() const;
   };
 
   void OnMessage(sim::HostId from, Reader* r, const sim::Payload& body);
   void HandleRoute(Reader* r, const sim::Payload& body);
   void HandleFindSuccReq(Reader* r);
   void HandleGetNeighborsReq(sim::HostId from, Reader* r);
-  void HandleNotify(Reader* r);
+  /// Chord's notify: `candidate` believes it is our predecessor.
+  void ApplyNotify(const NodeInfo& candidate);
   void HandleLeaveNotice(Reader* r);
 
   /// Greedy next hop for `key`; self when locally responsible.
@@ -176,7 +199,13 @@ class ChordNode : public Router {
                        sim::HostId reply_to, int hops);
   void StartTasks();
   void StopTasks();
+  /// One periodic stabilize round: suspicion upkeep, a rejoin probe, then
+  /// the exchange with the successor.
   void Stabilize();
+  /// Sends `succ` a stabilize request and runs rules 1 and 2 on its reply.
+  void StabilizeWith(const NodeInfo& succ);
+  /// Sends a stabilize request (our notify plus `echo`) to `to`.
+  void SendStabilizeReq(sim::HostId to, uint64_t req_id, uint64_t echo);
   /// Partition healing: re-probes one remembered evicted peer; a response
   /// clears its suspicion and feeds its neighborhood back into ours.
   void ProbeEvicted();
@@ -192,6 +221,8 @@ class ChordNode : public Router {
   void RemoveSuccessor(sim::HostId host);
   void Suspect(sim::HostId host);
   bool IsSuspect(sim::HostId host) const;
+  /// Must follow every edit of pred_ or successors_: it stamps the change
+  /// time and drops own_digest_.
   void NotifyNeighborsChanged();
   Status SendMsg(sim::HostId to, const Writer& w);
 
@@ -202,6 +233,18 @@ class ChordNode : public Router {
 
   std::optional<NodeInfo> pred_;
   std::vector<NodeInfo> successors_;  // clockwise from self; [0] = successor
+  /// The neighbourhood `view_host_` last sent us in full, and its digest
+  /// (0: none). An "unchanged" reply from that host re-reads this copy.
+  sim::HostId view_host_ = sim::kInvalidHost;
+  uint64_t view_digest_ = 0;
+  Neighbourhood view_;
+  /// Digest of our own neighbourhood, for the replies we send; 0 until
+  /// recomputed after an edit.
+  uint64_t own_digest_ = 0;
+  /// The last stabilize request that came from our predecessor: its
+  /// heartbeat (see CheckPredecessor).
+  sim::HostId pred_heard_host_ = sim::kInvalidHost;
+  TimePoint pred_heard_at_ = 0;
   std::array<std::optional<NodeInfo>, Id160::kBits> fingers_;
   int next_finger_ = Id160::kBits - 1;
   /// Distinct finger entries in slot order, rebuilt lazily: NextHop runs on

@@ -247,6 +247,22 @@ TEST(AggTest, OverflowingSumWidensToDouble) {
   EXPECT_DOUBLE_EQ(rows[0][1].double_value(), kBig);
 }
 
+// A partial arrives from another node, so its AVG count slot may hold any
+// type. A count that is not numeric, or is zero, finalizes to NULL instead
+// of aborting the node that merges it.
+TEST(AggTest, AvgWithMalformedPartialCountIsNull) {
+  std::vector<AggSpec> specs = {{AggFunc::kAvg, 1, "a"}};
+  GroupBy final_gb({0}, specs, AggPhase::kFinal);
+  final_gb.Push(Tuple{Value::Int64(1), Value::Int64(10), Value::String("x")});
+  final_gb.Push(Tuple{Value::Int64(2), Value::Int64(10), Value::Int64(0)});
+  final_gb.Push(Tuple{Value::Int64(3), Value::Int64(10), Value::Double(4)});
+  std::vector<Tuple> rows = final_gb.Drain();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_TRUE(rows[0][1].is_null());
+  EXPECT_TRUE(rows[1][1].is_null());
+  EXPECT_DOUBLE_EQ(rows[2][1].double_value(), 2.5);
+}
+
 // Property: for random data and any partition into k fragments,
 // partial -> combine -> final equals single-site aggregation.
 class AggDecomposabilityTest : public ::testing::TestWithParam<int> {};
