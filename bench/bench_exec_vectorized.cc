@@ -126,10 +126,10 @@ std::vector<Tuple> RunTuplePlane(const std::vector<std::string>& slice,
 }
 
 /// The batch plane: serialized bytes decode straight into column vectors,
-/// the compiled kernel produces a selection bitmap, and VectorGroupBy
+/// the predicate's batch kernels produce a selection bitmap, and VectorGroupBy
 /// accumulates grouped partials batch-at-a-time.
 std::vector<Tuple> RunBatchPlane(const std::vector<std::string>& slice,
-                                 const exec::CompiledExpr& pred,
+                                 const exec::Expr& pred,
                                  size_t batch_size) {
   exec::RowBatchBuilder builder(RawAlertSchema());
   builder.Reserve(batch_size);
@@ -138,7 +138,7 @@ std::vector<Tuple> RunBatchPlane(const std::vector<std::string>& slice,
   auto flush = [&]() {
     exec::RowBatch b = builder.Take();
     if (b.num_rows() == 0) return;
-    pred.EvalSelection(b, &keep);
+    exec::EvalSelection(pred, b, &keep);
     exec::NarrowSelection(&b, keep);
     if (b.ActiveRows() > 0) vgb.PushBatch(b);
   };
@@ -162,11 +162,10 @@ int Run(const Config& cfg, bench::JsonReport* report) {
 
   std::vector<std::string> slice = MakeSlice(cfg.rows, /*seed=*/20040613);
   exec::ExprPtr pred = HitsPredicate();
-  auto compiled = exec::CompiledExpr::Compile(pred);
 
   // Correctness first: both planes must produce identical partial rows.
   std::vector<Tuple> want = RunTuplePlane(slice, pred);
-  std::vector<Tuple> got = RunBatchPlane(slice, *compiled, cfg.batch_size);
+  std::vector<Tuple> got = RunBatchPlane(slice, *pred, cfg.batch_size);
   bool identical = want.size() == got.size();
   for (size_t i = 0; identical && i < want.size(); ++i) {
     identical = catalog::CompareTuples(want[i], got[i]) == 0;
@@ -183,7 +182,7 @@ int Run(const Config& cfg, bench::JsonReport* report) {
     guard += RunTuplePlane(slice, pred).size();
     tuple_best = std::min(tuple_best, tt.Seconds());
     bench::WallTimer bt;
-    guard += RunBatchPlane(slice, *compiled, cfg.batch_size).size();
+    guard += RunBatchPlane(slice, *pred, cfg.batch_size).size();
     batch_best = std::min(batch_best, bt.Seconds());
   }
   double tuple_rps = static_cast<double>(cfg.rows) / tuple_best;

@@ -55,7 +55,7 @@ uint64_t HashTuple(const Tuple& t) {
 }
 
 uint64_t HashTupleCols(const Tuple& t, const std::vector<int>& cols) {
-  uint64_t h = 0x243f6a8885a308d3ull;
+  uint64_t h = kHashTupleColsSeed;
   for (int c : cols) {
     h = HashCombine(h, c >= 0 && static_cast<size_t>(c) < t.size()
                            ? t[c].Hash()

@@ -31,8 +31,10 @@ std::string TupleToString(const Tuple& t);
 
 /// Order-sensitive 64-bit hash over all values (Distinct, dedup tables).
 uint64_t HashTuple(const Tuple& t);
-/// Hash over a subset of columns (group keys, join keys).
+/// Hash over a subset of columns (group keys, join keys): each column's
+/// Value::Hash folded with HashCombine into kHashTupleColsSeed.
 uint64_t HashTupleCols(const Tuple& t, const std::vector<int>& cols);
+constexpr uint64_t kHashTupleColsSeed = 0x243f6a8885a308d3ull;
 
 /// Lexicographic comparison using Value::Compare.
 int CompareTuples(const Tuple& a, const Tuple& b);

@@ -96,26 +96,25 @@ int Value::Compare(const Value& other) const {
   }
 }
 
+uint64_t HashDouble(double d) {
+  if (std::nearbyint(d) == d && std::abs(d) < 9.2e18) {
+    return HashInt64(static_cast<int64_t>(d));
+  }
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return Mix64(0x5678efabull ^ bits);
+}
+
 uint64_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:
-      return 0x9e3779b97f4a7c15ull;
+      return kNullHash;
     case ValueType::kBool:
-      return Mix64(bool_value() ? 2 : 1);
+      return HashBool(bool_value());
     case ValueType::kInt64:
-      // Integral doubles must hash like the equal int64.
-      return Mix64(0x1234abcdull ^ static_cast<uint64_t>(int64_value()));
-    case ValueType::kDouble: {
-      double d = double_value();
-      double rounded = std::nearbyint(d);
-      if (rounded == d && std::abs(d) < 9.2e18) {
-        return Mix64(0x1234abcdull ^
-                     static_cast<uint64_t>(static_cast<int64_t>(d)));
-      }
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
-      return Mix64(0x5678efabull ^ bits);
-    }
+      return HashInt64(int64_value());
+    case ValueType::kDouble:
+      return HashDouble(double_value());
     case ValueType::kString:
       return HashBytes(string_value());
     case ValueType::kBytes:

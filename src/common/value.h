@@ -12,6 +12,7 @@
 #include <string_view>
 #include <variant>
 
+#include "common/hash.h"
 #include "common/serialize.h"
 #include "common/status.h"
 
@@ -30,6 +31,17 @@ enum class ValueType : uint8_t {
 
 /// Human-readable type name ("INT64" etc.).
 const char* ValueTypeName(ValueType t);
+
+/// The per-type hashes Value::Hash dispatches to, for code that hashes
+/// unboxed cells (Column::CellHash, VectorGroupBy). DHT resources are built
+/// from these bits, so changing one moves every rehash rendezvous.
+constexpr uint64_t kNullHash = 0x9e3779b97f4a7c15ull;
+inline uint64_t HashBool(bool b) { return Mix64(b ? 2 : 1); }
+inline uint64_t HashInt64(int64_t v) {
+  return Mix64(0x1234abcdull ^ static_cast<uint64_t>(v));
+}
+/// An integral DOUBLE hashes like the equal INT64.
+uint64_t HashDouble(double d);
 
 /// A single dynamically-typed scalar.
 class Value {

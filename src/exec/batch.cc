@@ -1,7 +1,6 @@
 #include "exec/batch.h"
 
 #include <bit>
-#include <cmath>
 #include <cstring>
 
 #include "common/hash.h"
@@ -197,25 +196,16 @@ Value Column::ValueAt(size_t row) const {
 }
 
 uint64_t Column::CellHash(size_t row) const {
-  if (IsNull(row)) return 0x9e3779b97f4a7c15ull;  // Value::Hash of NULL
+  if (IsNull(row)) return kNullHash;
   switch (kind_) {
     case Kind::kInt64:
-      return Mix64(0x1234abcdull ^ static_cast<uint64_t>(i64_[row]));
-    case Kind::kDouble: {
-      double d = f64_[row];
-      double rounded = std::nearbyint(d);
-      if (rounded == d && std::abs(d) < 9.2e18) {
-        return Mix64(0x1234abcdull ^
-                     static_cast<uint64_t>(static_cast<int64_t>(d)));
-      }
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
-      return Mix64(0x5678efabull ^ bits);
-    }
+      return HashInt64(i64_[row]);
+    case Kind::kDouble:
+      return HashDouble(f64_[row]);
     case Kind::kString:
       return HashBytes(str_[row]);
     case Kind::kBool:
-      return Mix64(b8_[row] != 0 ? 2 : 1);
+      return HashBool(b8_[row] != 0);
     case Kind::kMixed:
       return mixed_[row].Hash();
   }

@@ -1,435 +1,93 @@
 #include "exec/expr.h"
 
-#include <cmath>
+#include <algorithm>
+#include <string>
+#include <string_view>
 
 namespace pier {
 namespace exec {
 
 namespace {
 
-enum class ExprTag : uint8_t {
-  kLiteral = 1,
-  kColumn = 2,
-  kCompare = 3,
-  kArith = 4,
-  kAnd = 5,
-  kOr = 6,
-  kNot = 7,
-  kNeg = 8,
-  kIsNull = 9,
-  kIsNotNull = 10,
-};
+/// Operands a node of `kind` carries on the wire.
+int Arity(Expr::Kind kind) {
+  switch (kind) {
+    case Expr::Kind::kLiteral:
+    case Expr::Kind::kColumn:
+      return 0;
+    case Expr::Kind::kNot:
+    case Expr::Kind::kNeg:
+    case Expr::Kind::kIsNull:
+    case Expr::Kind::kIsNotNull:
+      return 1;
+    case Expr::Kind::kCompare:
+    case Expr::Kind::kArith:
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr:
+      return 2;
+  }
+  return 0;
+}
 
-constexpr int kMaxExprDepth = 64;
+std::shared_ptr<Expr> Node(Expr::Kind kind, ExprPtr l = nullptr,
+                           ExprPtr r = nullptr) {
+  auto e = std::make_shared<Expr>();
+  e->kind = kind;
+  e->left = std::move(l);
+  e->right = std::move(r);
+  return e;
+}
 
-Status DeserializeImpl(Reader* r, int depth, ExprPtr* out);
-
-// ---------------------------------------------------------------------------
-
-class LiteralExpr : public Expr {
- public:
-  explicit LiteralExpr(Value v) : value_(std::move(v)) {}
-  Status Eval(const catalog::Tuple&, Value* out) const override {
-    *out = value_;
-    return Status::OK();
-  }
-  void Serialize(Writer* w) const override {
-    w->PutU8(static_cast<uint8_t>(ExprTag::kLiteral));
-    value_.Serialize(w);
-  }
-  std::string ToString() const override { return value_.ToString(); }
-  ExprInfo Info() const override {
-    ExprInfo info;
-    info.kind = ExprInfo::Kind::kLiteral;
-    info.literal = value_;
-    return info;
-  }
-
- private:
-  Value value_;
-};
-
-class ColumnExpr : public Expr {
- public:
-  ColumnExpr(int index, std::string name)
-      : index_(index), name_(std::move(name)) {}
-  Status Eval(const catalog::Tuple& t, Value* out) const override {
-    if (index_ < 0 || static_cast<size_t>(index_) >= t.size()) {
-      return Status::InvalidArgument("column index " +
-                                     std::to_string(index_) +
-                                     " out of range for tuple of " +
-                                     std::to_string(t.size()));
-    }
-    *out = t[index_];
-    return Status::OK();
-  }
-  void Serialize(Writer* w) const override {
-    w->PutU8(static_cast<uint8_t>(ExprTag::kColumn));
-    w->PutVarint32(static_cast<uint32_t>(index_));
-    w->PutString(name_);
-  }
-  std::string ToString() const override {
-    return name_.empty() ? "$" + std::to_string(index_) : name_;
-  }
-  ExprInfo Info() const override {
-    ExprInfo info;
-    info.kind = ExprInfo::Kind::kColumn;
-    info.column = index_;
-    return info;
-  }
-
- private:
-  int index_;
-  std::string name_;
-};
-
-class CompareExpr : public Expr {
- public:
-  CompareExpr(CompareOp op, ExprPtr l, ExprPtr r)
-      : op_(op), l_(std::move(l)), r_(std::move(r)) {}
-  Status Eval(const catalog::Tuple& t, Value* out) const override {
-    Value lv, rv;
-    PIER_RETURN_IF_ERROR(l_->Eval(t, &lv));
-    PIER_RETURN_IF_ERROR(r_->Eval(t, &rv));
-    if (lv.is_null() || rv.is_null()) {
-      *out = Value::Bool(false);  // SQL: NULL comparisons are not true
-      return Status::OK();
-    }
-    int c = lv.Compare(rv);
-    bool result = false;
-    switch (op_) {
-      case CompareOp::kEq:
-        result = c == 0;
-        break;
-      case CompareOp::kNe:
-        result = c != 0;
-        break;
-      case CompareOp::kLt:
-        result = c < 0;
-        break;
-      case CompareOp::kLe:
-        result = c <= 0;
-        break;
-      case CompareOp::kGt:
-        result = c > 0;
-        break;
-      case CompareOp::kGe:
-        result = c >= 0;
-        break;
-    }
-    *out = Value::Bool(result);
-    return Status::OK();
-  }
-  void Serialize(Writer* w) const override {
-    w->PutU8(static_cast<uint8_t>(ExprTag::kCompare));
-    w->PutU8(static_cast<uint8_t>(op_));
-    l_->Serialize(w);
-    r_->Serialize(w);
-  }
-  std::string ToString() const override {
-    return "(" + l_->ToString() + " " + CompareOpName(op_) + " " +
-           r_->ToString() + ")";
-  }
-  ExprInfo Info() const override {
-    ExprInfo info;
-    info.kind = ExprInfo::Kind::kCompare;
-    info.cmp = op_;
-    info.left = l_.get();
-    info.right = r_.get();
-    return info;
-  }
-
- private:
-  CompareOp op_;
-  ExprPtr l_, r_;
-};
-
-class ArithExpr : public Expr {
- public:
-  ArithExpr(ArithOp op, ExprPtr l, ExprPtr r)
-      : op_(op), l_(std::move(l)), r_(std::move(r)) {}
-  Status Eval(const catalog::Tuple& t, Value* out) const override {
-    Value lv, rv;
-    PIER_RETURN_IF_ERROR(l_->Eval(t, &lv));
-    PIER_RETURN_IF_ERROR(r_->Eval(t, &rv));
-    if (lv.is_null() || rv.is_null()) {
-      *out = Value::Null();
-      return Status::OK();
-    }
-    // String concatenation via '+'.
-    if (op_ == ArithOp::kAdd && lv.type() == ValueType::kString &&
-        rv.type() == ValueType::kString) {
-      *out = Value::String(lv.string_value() + rv.string_value());
-      return Status::OK();
-    }
-    bool both_int = lv.type() == ValueType::kInt64 &&
-                    rv.type() == ValueType::kInt64;
-    if (both_int) {
-      *out = Int64ArithValue(op_, lv.int64_value(), rv.int64_value());
-      return Status::OK();
-    }
-    double a = 0, b = 0;
-    PIER_RETURN_IF_ERROR(lv.AsDouble(&a));
-    PIER_RETURN_IF_ERROR(rv.AsDouble(&b));
-    switch (op_) {
-      case ArithOp::kAdd:
-        *out = Value::Double(a + b);
-        return Status::OK();
-      case ArithOp::kSub:
-        *out = Value::Double(a - b);
-        return Status::OK();
-      case ArithOp::kMul:
-        *out = Value::Double(a * b);
-        return Status::OK();
-      case ArithOp::kDiv:
-        if (b == 0) {
-          *out = Value::Null();
-          return Status::OK();
-        }
-        *out = Value::Double(a / b);
-        return Status::OK();
-      case ArithOp::kMod:
-        if (b == 0) {
-          *out = Value::Null();
-          return Status::OK();
-        }
-        *out = Value::Double(std::fmod(a, b));
-        return Status::OK();
-    }
-    return Status::Internal("unreachable arith op");
-  }
-  void Serialize(Writer* w) const override {
-    w->PutU8(static_cast<uint8_t>(ExprTag::kArith));
-    w->PutU8(static_cast<uint8_t>(op_));
-    l_->Serialize(w);
-    r_->Serialize(w);
-  }
-  std::string ToString() const override {
-    return "(" + l_->ToString() + " " + ArithOpName(op_) + " " +
-           r_->ToString() + ")";
-  }
-  ExprInfo Info() const override {
-    ExprInfo info;
-    info.kind = ExprInfo::Kind::kArith;
-    info.arith = op_;
-    info.left = l_.get();
-    info.right = r_.get();
-    return info;
-  }
-
- private:
-  ArithOp op_;
-  ExprPtr l_, r_;
-};
-
-class LogicExpr : public Expr {
- public:
-  LogicExpr(bool is_and, ExprPtr l, ExprPtr r)
-      : is_and_(is_and), l_(std::move(l)), r_(std::move(r)) {}
-  Status Eval(const catalog::Tuple& t, Value* out) const override {
-    bool lb = false, rb = false;
-    PIER_RETURN_IF_ERROR(EvalPredicate(*l_, t, &lb));
-    // Short circuit.
-    if (is_and_ && !lb) {
-      *out = Value::Bool(false);
-      return Status::OK();
-    }
-    if (!is_and_ && lb) {
-      *out = Value::Bool(true);
-      return Status::OK();
-    }
-    PIER_RETURN_IF_ERROR(EvalPredicate(*r_, t, &rb));
-    *out = Value::Bool(rb);
-    return Status::OK();
-  }
-  void Serialize(Writer* w) const override {
-    w->PutU8(static_cast<uint8_t>(is_and_ ? ExprTag::kAnd : ExprTag::kOr));
-    l_->Serialize(w);
-    r_->Serialize(w);
-  }
-  std::string ToString() const override {
-    return "(" + l_->ToString() + (is_and_ ? " AND " : " OR ") +
-           r_->ToString() + ")";
-  }
-  ExprInfo Info() const override {
-    ExprInfo info;
-    info.kind = is_and_ ? ExprInfo::Kind::kAnd : ExprInfo::Kind::kOr;
-    info.left = l_.get();
-    info.right = r_.get();
-    return info;
-  }
-
- private:
-  bool is_and_;
-  ExprPtr l_, r_;
-};
-
-class NotExpr : public Expr {
- public:
-  explicit NotExpr(ExprPtr e) : e_(std::move(e)) {}
-  Status Eval(const catalog::Tuple& t, Value* out) const override {
-    bool b = false;
-    PIER_RETURN_IF_ERROR(EvalPredicate(*e_, t, &b));
-    *out = Value::Bool(!b);
-    return Status::OK();
-  }
-  void Serialize(Writer* w) const override {
-    w->PutU8(static_cast<uint8_t>(ExprTag::kNot));
-    e_->Serialize(w);
-  }
-  std::string ToString() const override {
-    return "(NOT " + e_->ToString() + ")";
-  }
-  ExprInfo Info() const override {
-    ExprInfo info;
-    info.kind = ExprInfo::Kind::kNot;
-    info.left = e_.get();
-    return info;
-  }
-
- private:
-  ExprPtr e_;
-};
-
-class NegExpr : public Expr {
- public:
-  explicit NegExpr(ExprPtr e) : e_(std::move(e)) {}
-  Status Eval(const catalog::Tuple& t, Value* out) const override {
-    Value v;
-    PIER_RETURN_IF_ERROR(e_->Eval(t, &v));
-    if (v.is_null()) {
-      *out = Value::Null();
-      return Status::OK();
-    }
-    if (v.type() == ValueType::kInt64) {
-      *out = Int64ArithValue(ArithOp::kSub, 0, v.int64_value());
-      return Status::OK();
-    }
-    double d = 0;
-    PIER_RETURN_IF_ERROR(v.AsDouble(&d));
-    *out = Value::Double(-d);
-    return Status::OK();
-  }
-  void Serialize(Writer* w) const override {
-    w->PutU8(static_cast<uint8_t>(ExprTag::kNeg));
-    e_->Serialize(w);
-  }
-  std::string ToString() const override { return "(-" + e_->ToString() + ")"; }
-  ExprInfo Info() const override {
-    ExprInfo info;
-    info.kind = ExprInfo::Kind::kNeg;
-    info.left = e_.get();
-    return info;
-  }
-
- private:
-  ExprPtr e_;
-};
-
-class IsNullExpr : public Expr {
- public:
-  IsNullExpr(ExprPtr e, bool negated) : e_(std::move(e)), negated_(negated) {}
-  Status Eval(const catalog::Tuple& t, Value* out) const override {
-    Value v;
-    PIER_RETURN_IF_ERROR(e_->Eval(t, &v));
-    *out = Value::Bool(negated_ ? !v.is_null() : v.is_null());
-    return Status::OK();
-  }
-  void Serialize(Writer* w) const override {
-    w->PutU8(static_cast<uint8_t>(negated_ ? ExprTag::kIsNotNull
-                                           : ExprTag::kIsNull));
-    e_->Serialize(w);
-  }
-  std::string ToString() const override {
-    return "(" + e_->ToString() + (negated_ ? " IS NOT NULL" : " IS NULL") +
-           ")";
-  }
-  ExprInfo Info() const override {
-    ExprInfo info;
-    info.kind =
-        negated_ ? ExprInfo::Kind::kIsNotNull : ExprInfo::Kind::kIsNull;
-    info.left = e_.get();
-    return info;
-  }
-
- private:
-  ExprPtr e_;
-  bool negated_;
-};
-
-Status DeserializeImpl(Reader* r, int depth, ExprPtr* out) {
+Status DeserializeAt(Reader* r, int depth, ExprPtr* out) {
   if (depth > kMaxExprDepth) return Status::Corruption("expr too deep");
   uint8_t tag = 0;
   PIER_RETURN_IF_ERROR(r->GetU8(&tag));
-  switch (static_cast<ExprTag>(tag)) {
-    case ExprTag::kLiteral: {
-      Value v;
-      PIER_RETURN_IF_ERROR(Value::Deserialize(r, &v));
-      *out = Expr::Literal(std::move(v));
-      return Status::OK();
-    }
-    case ExprTag::kColumn: {
+  if (tag < static_cast<uint8_t>(Expr::Kind::kLiteral) ||
+      tag > static_cast<uint8_t>(Expr::Kind::kIsNotNull)) {
+    return Status::Corruption("unknown expr tag");
+  }
+  std::shared_ptr<Expr> e = Node(static_cast<Expr::Kind>(tag));
+  switch (e->kind) {
+    case Expr::Kind::kLiteral:
+      PIER_RETURN_IF_ERROR(Value::Deserialize(r, &e->literal));
+      break;
+    case Expr::Kind::kColumn: {
       uint32_t index = 0;
       std::string name;
       PIER_RETURN_IF_ERROR(r->GetVarint32(&index));
       PIER_RETURN_IF_ERROR(r->GetString(&name));
-      *out = Expr::Column(static_cast<int>(index), std::move(name));
-      return Status::OK();
+      e->column = static_cast<int>(index);
+      if (!name.empty()) e->literal = Value::String(std::move(name));
+      break;
     }
-    case ExprTag::kCompare: {
+    case Expr::Kind::kCompare: {
       uint8_t op = 0;
       PIER_RETURN_IF_ERROR(r->GetU8(&op));
       if (op > static_cast<uint8_t>(CompareOp::kGe)) {
         return Status::Corruption("bad compare op");
       }
-      ExprPtr l, rr;
-      PIER_RETURN_IF_ERROR(DeserializeImpl(r, depth + 1, &l));
-      PIER_RETURN_IF_ERROR(DeserializeImpl(r, depth + 1, &rr));
-      *out = Expr::Compare(static_cast<CompareOp>(op), l, rr);
-      return Status::OK();
+      e->cmp = static_cast<CompareOp>(op);
+      break;
     }
-    case ExprTag::kArith: {
+    case Expr::Kind::kArith: {
       uint8_t op = 0;
       PIER_RETURN_IF_ERROR(r->GetU8(&op));
       if (op > static_cast<uint8_t>(ArithOp::kMod)) {
         return Status::Corruption("bad arith op");
       }
-      ExprPtr l, rr;
-      PIER_RETURN_IF_ERROR(DeserializeImpl(r, depth + 1, &l));
-      PIER_RETURN_IF_ERROR(DeserializeImpl(r, depth + 1, &rr));
-      *out = Expr::Arith(static_cast<ArithOp>(op), l, rr);
-      return Status::OK();
+      e->arith = static_cast<ArithOp>(op);
+      break;
     }
-    case ExprTag::kAnd:
-    case ExprTag::kOr: {
-      ExprPtr l, rr;
-      PIER_RETURN_IF_ERROR(DeserializeImpl(r, depth + 1, &l));
-      PIER_RETURN_IF_ERROR(DeserializeImpl(r, depth + 1, &rr));
-      *out = static_cast<ExprTag>(tag) == ExprTag::kAnd ? Expr::And(l, rr)
-                                                        : Expr::Or(l, rr);
-      return Status::OK();
-    }
-    case ExprTag::kNot: {
-      ExprPtr e;
-      PIER_RETURN_IF_ERROR(DeserializeImpl(r, depth + 1, &e));
-      *out = Expr::Not(e);
-      return Status::OK();
-    }
-    case ExprTag::kNeg: {
-      ExprPtr e;
-      PIER_RETURN_IF_ERROR(DeserializeImpl(r, depth + 1, &e));
-      *out = Expr::Negate(e);
-      return Status::OK();
-    }
-    case ExprTag::kIsNull:
-    case ExprTag::kIsNotNull: {
-      ExprPtr e;
-      PIER_RETURN_IF_ERROR(DeserializeImpl(r, depth + 1, &e));
-      *out = Expr::IsNull(e, static_cast<ExprTag>(tag) == ExprTag::kIsNotNull);
-      return Status::OK();
-    }
+    default:
+      break;
   }
-  return Status::Corruption("unknown expr tag");
+  int arity = Arity(e->kind);
+  if (arity >= 1) PIER_RETURN_IF_ERROR(DeserializeAt(r, depth + 1, &e->left));
+  if (arity == 2) {
+    PIER_RETURN_IF_ERROR(DeserializeAt(r, depth + 1, &e->right));
+  }
+  *out = std::move(e);
+  return Status::OK();
 }
 
 }  // namespace
@@ -468,36 +126,205 @@ const char* ArithOpName(ArithOp op) {
   return "?";
 }
 
-ExprPtr Expr::Literal(Value v) {
-  return std::make_shared<LiteralExpr>(std::move(v));
+bool CompareValues(CompareOp op, const Value& l, const Value& r) {
+  if (l.is_null() || r.is_null()) return false;
+  return CompareHolds(op, l.Compare(r));
 }
-ExprPtr Expr::Column(int index, std::string name) {
-  return std::make_shared<ColumnExpr>(index, std::move(name));
+
+Status ArithValues(ArithOp op, const Value& l, const Value& r, Value* out) {
+  if (l.is_null() || r.is_null()) {
+    *out = Value::Null();
+    return Status::OK();
+  }
+  if (op == ArithOp::kAdd && l.type() == ValueType::kString &&
+      r.type() == ValueType::kString) {
+    *out = Value::String(l.string_value() + r.string_value());
+    return Status::OK();
+  }
+  if (l.type() == ValueType::kInt64 && r.type() == ValueType::kInt64) {
+    int64_t v = 0;
+    *out = Int64Arith(op, l.int64_value(), r.int64_value(), &v)
+               ? Value::Int64(v)
+               : Value::Null();
+    return Status::OK();
+  }
+  double a = 0, b = 0, v = 0;
+  PIER_RETURN_IF_ERROR(l.AsDouble(&a));
+  PIER_RETURN_IF_ERROR(r.AsDouble(&b));
+  *out = DoubleArith(op, a, b, &v) ? Value::Double(v) : Value::Null();
+  return Status::OK();
 }
-ExprPtr Expr::Compare(CompareOp op, ExprPtr l, ExprPtr r) {
-  return std::make_shared<CompareExpr>(op, std::move(l), std::move(r));
+
+Status NegateValue(const Value& v, Value* out) {
+  if (v.is_null()) {
+    *out = Value::Null();
+    return Status::OK();
+  }
+  if (v.type() == ValueType::kInt64) {
+    int64_t n = 0;
+    *out = Int64Arith(ArithOp::kSub, 0, v.int64_value(), &n) ? Value::Int64(n)
+                                                             : Value::Null();
+    return Status::OK();
+  }
+  double d = 0;
+  PIER_RETURN_IF_ERROR(v.AsDouble(&d));
+  *out = Value::Double(-d);
+  return Status::OK();
 }
-ExprPtr Expr::Arith(ArithOp op, ExprPtr l, ExprPtr r) {
-  return std::make_shared<ArithExpr>(op, std::move(l), std::move(r));
+
+Status Expr::Eval(const catalog::Tuple& t, Value* out) const {
+  switch (kind) {
+    case Kind::kLiteral:
+      *out = literal;
+      return Status::OK();
+    case Kind::kColumn:
+      if (column < 0 || static_cast<size_t>(column) >= t.size()) {
+        return Status::InvalidArgument("column index " +
+                                       std::to_string(column) +
+                                       " out of range for tuple of " +
+                                       std::to_string(t.size()));
+      }
+      *out = t[column];
+      return Status::OK();
+    case Kind::kCompare:
+    case Kind::kArith: {
+      Value l, r;
+      PIER_RETURN_IF_ERROR(left->Eval(t, &l));
+      PIER_RETURN_IF_ERROR(right->Eval(t, &r));
+      if (kind == Kind::kArith) return ArithValues(arith, l, r, out);
+      *out = Value::Bool(CompareValues(cmp, l, r));
+      return Status::OK();
+    }
+    case Kind::kAnd:
+    case Kind::kOr: {
+      // Short circuit: the right operand runs, and can fail, only when the
+      // left one does not decide.
+      bool b = false;
+      PIER_RETURN_IF_ERROR(EvalPredicate(*left, t, &b));
+      if (b != (kind == Kind::kOr)) {
+        PIER_RETURN_IF_ERROR(EvalPredicate(*right, t, &b));
+      }
+      *out = Value::Bool(b);
+      return Status::OK();
+    }
+    case Kind::kNot: {
+      bool b = false;
+      PIER_RETURN_IF_ERROR(EvalPredicate(*left, t, &b));
+      *out = Value::Bool(!b);
+      return Status::OK();
+    }
+    case Kind::kNeg: {
+      Value v;
+      PIER_RETURN_IF_ERROR(left->Eval(t, &v));
+      return NegateValue(v, out);
+    }
+    case Kind::kIsNull:
+    case Kind::kIsNotNull: {
+      Value v;
+      PIER_RETURN_IF_ERROR(left->Eval(t, &v));
+      *out = Value::Bool(v.is_null() == (kind == Kind::kIsNull));
+      return Status::OK();
+    }
+  }
+  return Status::Internal("unreachable expr kind");
 }
-ExprPtr Expr::And(ExprPtr l, ExprPtr r) {
-  return std::make_shared<LogicExpr>(true, std::move(l), std::move(r));
-}
-ExprPtr Expr::Or(ExprPtr l, ExprPtr r) {
-  return std::make_shared<LogicExpr>(false, std::move(l), std::move(r));
-}
-ExprPtr Expr::Not(ExprPtr e) {
-  return std::make_shared<NotExpr>(std::move(e));
-}
-ExprPtr Expr::Negate(ExprPtr e) {
-  return std::make_shared<NegExpr>(std::move(e));
-}
-ExprPtr Expr::IsNull(ExprPtr e, bool negated) {
-  return std::make_shared<IsNullExpr>(std::move(e), negated);
+
+void Expr::Serialize(Writer* w) const {
+  w->PutU8(static_cast<uint8_t>(kind));
+  switch (kind) {
+    case Kind::kLiteral:
+      literal.Serialize(w);
+      break;
+    case Kind::kColumn:
+      w->PutVarint32(static_cast<uint32_t>(column));
+      w->PutString(literal.is_null() ? std::string_view()
+                                     : literal.string_value());
+      break;
+    case Kind::kCompare:
+      w->PutU8(static_cast<uint8_t>(cmp));
+      break;
+    case Kind::kArith:
+      w->PutU8(static_cast<uint8_t>(arith));
+      break;
+    default:
+      break;
+  }
+  if (left != nullptr) left->Serialize(w);
+  if (right != nullptr) right->Serialize(w);
 }
 
 Status Expr::Deserialize(Reader* r, ExprPtr* out) {
-  return DeserializeImpl(r, 0, out);
+  return DeserializeAt(r, 0, out);
+}
+
+std::string Expr::ToString() const {
+  auto infix = [this](const std::string& op) {
+    return "(" + left->ToString() + " " + op + " " + right->ToString() + ")";
+  };
+  switch (kind) {
+    case Kind::kLiteral:
+      return literal.ToString();
+    case Kind::kColumn:
+      return literal.is_null() ? "$" + std::to_string(column)
+                               : literal.string_value();
+    case Kind::kCompare:
+      return infix(CompareOpName(cmp));
+    case Kind::kArith:
+      return infix(ArithOpName(arith));
+    case Kind::kAnd:
+      return infix("AND");
+    case Kind::kOr:
+      return infix("OR");
+    case Kind::kNot:
+      return "(NOT " + left->ToString() + ")";
+    case Kind::kNeg:
+      return "(-" + left->ToString() + ")";
+    case Kind::kIsNull:
+      return "(" + left->ToString() + " IS NULL)";
+    case Kind::kIsNotNull:
+      return "(" + left->ToString() + " IS NOT NULL)";
+  }
+  return "?";
+}
+
+int Expr::Depth() const {
+  int below = 0;
+  if (left != nullptr) below = 1 + left->Depth();
+  if (right != nullptr) below = std::max(below, 1 + right->Depth());
+  return below;
+}
+
+ExprPtr Expr::Literal(Value v) {
+  std::shared_ptr<Expr> e = Node(Kind::kLiteral);
+  e->literal = std::move(v);
+  return e;
+}
+ExprPtr Expr::Column(int index, std::string name) {
+  std::shared_ptr<Expr> e = Node(Kind::kColumn);
+  e->column = index;
+  if (!name.empty()) e->literal = Value::String(std::move(name));
+  return e;
+}
+ExprPtr Expr::Compare(CompareOp op, ExprPtr l, ExprPtr r) {
+  std::shared_ptr<Expr> e = Node(Kind::kCompare, std::move(l), std::move(r));
+  e->cmp = op;
+  return e;
+}
+ExprPtr Expr::Arith(ArithOp op, ExprPtr l, ExprPtr r) {
+  std::shared_ptr<Expr> e = Node(Kind::kArith, std::move(l), std::move(r));
+  e->arith = op;
+  return e;
+}
+ExprPtr Expr::And(ExprPtr l, ExprPtr r) {
+  return Node(Kind::kAnd, std::move(l), std::move(r));
+}
+ExprPtr Expr::Or(ExprPtr l, ExprPtr r) {
+  return Node(Kind::kOr, std::move(l), std::move(r));
+}
+ExprPtr Expr::Not(ExprPtr e) { return Node(Kind::kNot, std::move(e)); }
+ExprPtr Expr::Negate(ExprPtr e) { return Node(Kind::kNeg, std::move(e)); }
+ExprPtr Expr::IsNull(ExprPtr e, bool negated) {
+  return Node(negated ? Kind::kIsNotNull : Kind::kIsNull, std::move(e));
 }
 
 Status EvalPredicate(const Expr& e, const catalog::Tuple& t, bool* out) {

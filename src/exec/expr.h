@@ -5,16 +5,21 @@
 // tuple indices, so evaluation needs no schema. They serialize, because
 // query plans carrying predicates are shipped to every node.
 //
+// One node type serves both evaluation planes: Expr::Eval walks it a row at
+// a time, and EvalSelection/EvalColumn (exec/kernels.h) walk the same node a
+// batch at a time. Both take SQL's value semantics from CompareValues,
+// ArithValues and NegateValue below.
+//
 // NULL semantics follow SQL: comparisons involving NULL are false,
 // arithmetic involving NULL is NULL, and IS NULL tests explicitly.
 
 #ifndef PIER_EXEC_EXPR_H_
 #define PIER_EXEC_EXPR_H_
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "catalog/tuple.h"
 #include "common/serialize.h"
@@ -32,6 +37,30 @@ enum class ArithOp : uint8_t { kAdd, kSub, kMul, kDiv, kMod };
 
 const char* CompareOpName(CompareOp op);
 const char* ArithOpName(ArithOp op);
+
+/// Expr::Deserialize refuses trees nested deeper than this below their root,
+/// and OpGraph::Validate refuses plans carrying one, so no member drops a
+/// plan its origin accepted.
+constexpr int kMaxExprDepth = 64;
+
+/// Whether a three-way comparison result (<0, 0, >0) satisfies `op`.
+inline bool CompareHolds(CompareOp op, int three_way) {
+  switch (op) {
+    case CompareOp::kEq:
+      return three_way == 0;
+    case CompareOp::kNe:
+      return three_way != 0;
+    case CompareOp::kLt:
+      return three_way < 0;
+    case CompareOp::kLe:
+      return three_way <= 0;
+    case CompareOp::kGt:
+      return three_way > 0;
+    case CompareOp::kGe:
+      return three_way >= 0;
+  }
+  return false;
+}
 
 /// INT64 `a op b` into `*out`, the one definition both planes use. False
 /// means the result is NULL: division or modulo by zero, or a result that
@@ -57,61 +86,90 @@ inline bool Int64Arith(ArithOp op, int64_t a, int64_t b, int64_t* out) {
   return false;
 }
 
-/// Int64Arith boxed: the INT64 result, or NULL.
-inline Value Int64ArithValue(ArithOp op, int64_t a, int64_t b) {
-  int64_t r = 0;
-  return Int64Arith(op, a, b, &r) ? Value::Int64(r) : Value::Null();
+/// DOUBLE `a op b` into `*out`. False means the result is NULL: division or
+/// modulo by zero.
+inline bool DoubleArith(ArithOp op, double a, double b, double* out) {
+  switch (op) {
+    case ArithOp::kAdd:
+      *out = a + b;
+      return true;
+    case ArithOp::kSub:
+      *out = a - b;
+      return true;
+    case ArithOp::kMul:
+      *out = a * b;
+      return true;
+    case ArithOp::kDiv:
+      if (b == 0) return false;
+      *out = a / b;
+      return true;
+    case ArithOp::kMod:
+      if (b == 0) return false;
+      *out = std::fmod(a, b);
+      return true;
+  }
+  return false;
 }
 
-/// Structural description of one expression node, exposed through
-/// Expr::Info() so the batch compiler (exec/kernels.h) can walk a bound
-/// tree and emit vectorized kernels without widening the Expr interface
-/// for every node type. Only the fields relevant to `kind` are meaningful.
-struct ExprInfo {
-  enum class Kind : uint8_t {
-    kLiteral,
-    kColumn,
-    kCompare,
-    kArith,
-    kAnd,
-    kOr,
-    kNot,
-    kNeg,
-    kIsNull,
-    kIsNotNull,
-  };
-  Kind kind = Kind::kLiteral;
-  Value literal;                 ///< kLiteral
-  int column = -1;               ///< kColumn
-  CompareOp cmp = CompareOp::kEq;  ///< kCompare
-  ArithOp arith = ArithOp::kAdd;   ///< kArith
-  /// Children (borrowed; valid while the owning Expr lives). Unary nodes
-  /// use `left` only.
-  const Expr* left = nullptr;
-  const Expr* right = nullptr;
-};
+/// SQL `l op r`: false when either side is NULL, else Value::Compare's
+/// order (INT64 and DOUBLE compare numerically).
+bool CompareValues(CompareOp op, const Value& l, const Value& r);
 
-/// Immutable expression tree node.
+/// SQL `l op r`: NULL when either side is NULL; STRING + STRING
+/// concatenates; two INT64s go through Int64Arith, other numeric pairs
+/// through DoubleArith. A non-numeric operand is InvalidArgument.
+Status ArithValues(ArithOp op, const Value& l, const Value& r, Value* out);
+
+/// SQL `-v`: NULL stays NULL, INT64 is 0 - v through Int64Arith, DOUBLE
+/// flips its sign; any other type is InvalidArgument.
+Status NegateValue(const Value& v, Value* out);
+
+/// Immutable expression tree node. `kind` says which fields are meaningful.
+/// Members hold the tree of every live plan, so the node stays small: the
+/// leaves' payloads share one Value slot.
 class Expr {
  public:
-  virtual ~Expr() = default;
+  /// The node kinds; each value is the node's tag on the wire.
+  enum class Kind : uint8_t {
+    kLiteral = 1,
+    kColumn = 2,
+    kCompare = 3,
+    kArith = 4,
+    kAnd = 5,
+    kOr = 6,
+    kNot = 7,
+    kNeg = 8,
+    kIsNull = 9,
+    kIsNotNull = 10,
+  };
+
+  Kind kind = Kind::kLiteral;
+  CompareOp cmp = CompareOp::kEq;  ///< kCompare
+  ArithOp arith = ArithOp::kAdd;   ///< kArith
+  int column = -1;                 ///< kColumn: tuple index
+  /// kLiteral: its value. kColumn: its cosmetic name for ToString, a
+  /// STRING, or NULL when unnamed.
+  Value literal;
+  /// Operands. The unary kinds (NOT, negation, IS [NOT] NULL) use `left`.
+  ExprPtr left, right;
 
   /// Evaluates against `t`. Type errors (e.g. 'a' + 1) return
   /// InvalidArgument; data-dependent hazards (division by zero) yield NULL.
-  virtual Status Eval(const catalog::Tuple& t, Value* out) const = 0;
+  /// The batch kernels must agree with it row for row
+  /// (tests/vectorized_test.cc checks this differentially).
+  Status Eval(const catalog::Tuple& t, Value* out) const;
 
-  /// Structural view of this node for the batch compiler. Scalar Eval()
-  /// stays the semantic reference; compiled kernels must agree with it row
-  /// for row (tests/vectorized_test.cc enforces this differentially).
-  virtual ExprInfo Info() const = 0;
-
-  /// Wire encoding (kind tag + operands).
-  virtual void Serialize(Writer* w) const = 0;
+  /// Wire encoding: the kind tag, then the operator or leaf payload, then
+  /// the operands.
+  void Serialize(Writer* w) const;
   /// Rebuilds a tree from the wire (depth-limited against malicious input).
   static Status Deserialize(Reader* r, ExprPtr* out);
 
   /// Human-readable rendering for EXPLAIN-style output.
-  virtual std::string ToString() const = 0;
+  std::string ToString() const;
+
+  /// Levels of operands below this node (0 for a leaf).
+  int Depth() const;
 
   // Factories (the algebraic expression-building API).
   static ExprPtr Literal(Value v);

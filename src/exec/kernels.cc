@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <cstring>
 
 #include "common/hash.h"
 
@@ -70,20 +68,6 @@ void Bitmap::FlipAll() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Compiled program representation
-
-struct CompiledExpr::Node {
-  ExprInfo::Kind kind = ExprInfo::Kind::kLiteral;
-  Value literal;
-  int column = -1;
-  CompareOp cmp = CompareOp::kEq;
-  ArithOp arith = ArithOp::kAdd;
-  std::unique_ptr<Node> l, r;
-};
-
-CompiledExpr::~CompiledExpr() = default;
-
 namespace {
 
 /// One evaluated intermediate: a broadcast constant, a column (borrowed
@@ -126,70 +110,7 @@ struct Vec {
   }
 };
 
-bool ApplyCmp(CompareOp op, int c) {
-  switch (op) {
-    case CompareOp::kEq:
-      return c == 0;
-    case CompareOp::kNe:
-      return c != 0;
-    case CompareOp::kLt:
-      return c < 0;
-    case CompareOp::kLe:
-      return c <= 0;
-    case CompareOp::kGt:
-      return c > 0;
-    case CompareOp::kGe:
-      return c >= 0;
-  }
-  return false;
-}
-
 int SignOf(double d) { return d < 0 ? -1 : (d > 0 ? 1 : 0); }
-
-/// Mirrors ArithExpr::Eval after the null check: returns false when the
-/// scalar plane would return a non-OK Status.
-bool ScalarArithValue(ArithOp op, const Value& lv, const Value& rv,
-                      Value* out) {
-  if (lv.is_null() || rv.is_null()) {
-    *out = Value::Null();
-    return true;
-  }
-  if (op == ArithOp::kAdd && lv.type() == ValueType::kString &&
-      rv.type() == ValueType::kString) {
-    *out = Value::String(lv.string_value() + rv.string_value());
-    return true;
-  }
-  if (lv.type() == ValueType::kInt64 && rv.type() == ValueType::kInt64) {
-    *out = Int64ArithValue(op, lv.int64_value(), rv.int64_value());
-    return true;
-  }
-  double a = 0, b = 0;
-  if (!lv.AsDouble(&a).ok() || !rv.AsDouble(&b).ok()) return false;
-  switch (op) {
-    case ArithOp::kAdd:
-      *out = Value::Double(a + b);
-      return true;
-    case ArithOp::kSub:
-      *out = Value::Double(a - b);
-      return true;
-    case ArithOp::kMul:
-      *out = Value::Double(a * b);
-      return true;
-    case ArithOp::kDiv:
-      *out = b == 0 ? Value::Null() : Value::Double(a / b);
-      return true;
-    case ArithOp::kMod:
-      *out = b == 0 ? Value::Null() : Value::Double(std::fmod(a, b));
-      return true;
-  }
-  return false;
-}
-
-/// Mirrors CompareExpr::Eval after child evaluation (never errors itself).
-bool ScalarCompare(CompareOp op, const Value& lv, const Value& rv) {
-  if (lv.is_null() || rv.is_null()) return false;
-  return ApplyCmp(op, lv.Compare(rv));
-}
 
 /// Predicate view of a Vec: truth bit = value is BOOL true (NULL and
 /// non-bool are false, per EvalPredicate). Errors pass through untouched.
@@ -297,63 +218,25 @@ struct StrSide {
   const std::string& Str(size_t i) const { return c ? c->strings()[i] : *cs; }
 };
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Compilation
-
-namespace {
-
-std::unique_ptr<CompiledExpr::Node> CompileNode(const Expr& e);
-
-std::unique_ptr<CompiledExpr::Node> CompileChild(const Expr* e) {
-  return e != nullptr ? CompileNode(*e) : nullptr;
-}
-
-std::unique_ptr<CompiledExpr::Node> CompileNode(const Expr& e) {
-  ExprInfo info = e.Info();
-  auto n = std::make_unique<CompiledExpr::Node>();
-  n->kind = info.kind;
-  n->literal = std::move(info.literal);
-  n->column = info.column;
-  n->cmp = info.cmp;
-  n->arith = info.arith;
-  n->l = CompileChild(info.left);
-  n->r = CompileChild(info.right);
-  return n;
-}
-
-}  // namespace
-
-std::unique_ptr<CompiledExpr> CompiledExpr::Compile(ExprPtr e) {
-  auto ce = std::unique_ptr<CompiledExpr>(new CompiledExpr());
-  ce->source_ = std::move(e);
-  ce->root_ = CompileNode(*ce->source_);
-  return ce;
-}
-
 // ---------------------------------------------------------------------------
 // Evaluation
 
-namespace {
-
-void EvalNode(const CompiledExpr::Node& node, const RowBatch& b, Vec* out);
+void EvalNode(const Expr& e, const RowBatch& b, Vec* out);
 
 /// Compare kernel: produces a kPred Vec.
-void EvalCompare(const CompiledExpr::Node& node, const RowBatch& b,
-                 Vec* out) {
+void EvalCompare(const Expr& e, const RowBatch& b, Vec* out) {
   size_t n = b.num_rows();
   Vec lv, rv;
-  EvalNode(*node.l, b, &lv);
-  EvalNode(*node.r, b, &rv);
+  EvalNode(*e.left, b, &lv);
+  EvalNode(*e.right, b, &rv);
   out->rep = Vec::Rep::kPred;
   out->truth.Reset(n);
   out->err = std::move(lv.err);
   out->err.OrWith(rv.err);
-  CompareOp op = node.cmp;
+  CompareOp op = e.cmp;
 
   if (lv.rep == Vec::Rep::kConst && rv.rep == Vec::Rep::kConst) {
-    if (ScalarCompare(op, lv.cval, rv.cval)) out->truth.SetAll();
+    if (CompareValues(op, lv.cval, rv.cval)) out->truth.SetAll();
     return;
   }
   NumSide ln = NumSide::Of(lv), rn = NumSide::Of(rv);
@@ -419,7 +302,7 @@ void EvalCompare(const CompiledExpr::Node& node, const RowBatch& b,
     } else {
       for (size_t i = 0; i < n; ++i) {
         if (ln.IsNull(i) || rn.IsNull(i)) continue;
-        if (ApplyCmp(op, SignOf(ln.F64(i) - rn.F64(i)))) out->truth.Set(i);
+        if (CompareHolds(op, SignOf(ln.F64(i) - rn.F64(i)))) out->truth.Set(i);
       }
     }
     return;
@@ -429,29 +312,29 @@ void EvalCompare(const CompiledExpr::Node& node, const RowBatch& b,
     for (size_t i = 0; i < n; ++i) {
       if (ls.IsNull(i) || rs.IsNull(i)) continue;
       int cc = ls.Str(i).compare(rs.Str(i));
-      if (ApplyCmp(op, cc < 0 ? -1 : (cc > 0 ? 1 : 0))) out->truth.Set(i);
+      if (CompareHolds(op, cc < 0 ? -1 : (cc > 0 ? 1 : 0))) out->truth.Set(i);
     }
     return;
   }
   // Generic boxed fallback (mixed columns, cross-type, BOOL columns).
   for (size_t i = 0; i < n; ++i) {
-    if (ScalarCompare(op, lv.BoxRow(i), rv.BoxRow(i))) out->truth.Set(i);
+    if (CompareValues(op, lv.BoxRow(i), rv.BoxRow(i))) out->truth.Set(i);
   }
 }
 
 /// Arithmetic kernel: produces a kCol (or kConst) Vec.
-void EvalArith(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
+void EvalArith(const Expr& e, const RowBatch& b, Vec* out) {
   size_t n = b.num_rows();
   Vec lv, rv;
-  EvalNode(*node.l, b, &lv);
-  EvalNode(*node.r, b, &rv);
+  EvalNode(*e.left, b, &lv);
+  EvalNode(*e.right, b, &rv);
   out->err = std::move(lv.err);
   out->err.OrWith(rv.err);
-  ArithOp op = node.arith;
+  ArithOp op = e.arith;
 
   if (lv.rep == Vec::Rep::kConst && rv.rep == Vec::Rep::kConst) {
     out->rep = Vec::Rep::kConst;
-    if (!ScalarArithValue(op, lv.cval, rv.cval, &out->cval)) {
+    if (!ArithValues(op, lv.cval, rv.cval, &out->cval).ok()) {
       out->err.Reset(n);
       out->err.SetAll();
       out->cval = Value::Null();
@@ -482,31 +365,11 @@ void EvalArith(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
           out->owned.AppendNull();
           continue;
         }
-        double a = ln.F64(i), c = rn.F64(i);
-        switch (op) {
-          case ArithOp::kAdd:
-            out->owned.AppendDouble(a + c);
-            break;
-          case ArithOp::kSub:
-            out->owned.AppendDouble(a - c);
-            break;
-          case ArithOp::kMul:
-            out->owned.AppendDouble(a * c);
-            break;
-          case ArithOp::kDiv:
-            if (c == 0) {
-              out->owned.AppendNull();
-            } else {
-              out->owned.AppendDouble(a / c);
-            }
-            break;
-          case ArithOp::kMod:
-            if (c == 0) {
-              out->owned.AppendNull();
-            } else {
-              out->owned.AppendDouble(std::fmod(a, c));
-            }
-            break;
+        double r = 0;
+        if (DoubleArith(op, ln.F64(i), rn.F64(i), &r)) {
+          out->owned.AppendDouble(r);
+        } else {
+          out->owned.AppendNull();
         }
       }
     }
@@ -528,7 +391,7 @@ void EvalArith(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
   out->owned = Column(Column::Kind::kMixed);
   for (size_t i = 0; i < n; ++i) {
     Value v;
-    if (!ScalarArithValue(op, lv.BoxRow(i), rv.BoxRow(i), &v)) {
+    if (!ArithValues(op, lv.BoxRow(i), rv.BoxRow(i), &v).ok()) {
       out->err.Set(i);
       v = Value::Null();
     }
@@ -536,17 +399,16 @@ void EvalArith(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
   }
 }
 
-void EvalNode(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
+void EvalNode(const Expr& e, const RowBatch& b, Vec* out) {
   size_t n = b.num_rows();
   out->err.Reset(n);
-  switch (node.kind) {
-    case ExprInfo::Kind::kLiteral:
+  switch (e.kind) {
+    case Expr::Kind::kLiteral:
       out->rep = Vec::Rep::kConst;
-      out->cval = node.literal;
+      out->cval = e.literal;
       return;
-    case ExprInfo::Kind::kColumn:
-      if (node.column < 0 ||
-          static_cast<size_t>(node.column) >= b.num_columns()) {
+    case Expr::Kind::kColumn:
+      if (e.column < 0 || static_cast<size_t>(e.column) >= b.num_columns()) {
         // Scalar plane: out-of-range column errors on every row.
         out->rep = Vec::Rep::kConst;
         out->cval = Value::Null();
@@ -554,26 +416,26 @@ void EvalNode(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
         return;
       }
       out->rep = Vec::Rep::kCol;
-      out->borrowed = &b.column(node.column);
+      out->borrowed = &b.column(e.column);
       return;
-    case ExprInfo::Kind::kCompare:
-      EvalCompare(node, b, out);
+    case Expr::Kind::kCompare:
+      EvalCompare(e, b, out);
       return;
-    case ExprInfo::Kind::kArith:
-      EvalArith(node, b, out);
+    case Expr::Kind::kArith:
+      EvalArith(e, b, out);
       return;
-    case ExprInfo::Kind::kAnd:
-    case ExprInfo::Kind::kOr: {
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr: {
       Vec lv, rv;
-      EvalNode(*node.l, b, &lv);
-      EvalNode(*node.r, b, &rv);
+      EvalNode(*e.left, b, &lv);
+      EvalNode(*e.right, b, &rv);
       Bitmap tl, tr;
       PredOf(lv, n, &tl);
       PredOf(rv, n, &tr);
       out->rep = Vec::Rep::kPred;
       // Short-circuit error algebra: the right side's error only counts on
       // rows where the scalar plane would have evaluated it.
-      if (node.kind == ExprInfo::Kind::kAnd) {
+      if (e.kind == Expr::Kind::kAnd) {
         Bitmap right_reached = tl;      // left true -> right evaluated
         right_reached.AndWith(rv.err);  // (empty rv.err short-circuits)
         out->err = std::move(lv.err);
@@ -591,29 +453,22 @@ void EvalNode(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
       }
       return;
     }
-    case ExprInfo::Kind::kNot: {
+    case Expr::Kind::kNot: {
       Vec cv;
-      EvalNode(*node.l, b, &cv);
+      EvalNode(*e.left, b, &cv);
       out->rep = Vec::Rep::kPred;
       PredOf(cv, n, &out->truth);
       out->truth.FlipAll();
       out->err = std::move(cv.err);
       return;
     }
-    case ExprInfo::Kind::kNeg: {
+    case Expr::Kind::kNeg: {
       Vec cv;
-      EvalNode(*node.l, b, &cv);
+      EvalNode(*e.left, b, &cv);
       out->err = std::move(cv.err);
       if (cv.rep == Vec::Rep::kConst) {
         out->rep = Vec::Rep::kConst;
-        const Value& v = cv.cval;
-        if (v.is_null()) {
-          out->cval = Value::Null();
-        } else if (v.type() == ValueType::kInt64) {
-          out->cval = Int64ArithValue(ArithOp::kSub, 0, v.int64_value());
-        } else if (v.type() == ValueType::kDouble) {
-          out->cval = Value::Double(-v.double_value());
-        } else {
+        if (!NegateValue(cv.cval, &out->cval).ok()) {
           out->cval = Value::Null();
           out->err.SetAll();
         }
@@ -649,31 +504,20 @@ void EvalNode(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
       // boxes per row.
       out->owned = Column(Column::Kind::kMixed);
       for (size_t i = 0; i < n; ++i) {
-        Value v = cv.BoxRow(i);
-        if (v.is_null()) {
-          out->owned.AppendNull();
-          continue;
-        }
-        if (v.type() == ValueType::kInt64) {
-          out->owned.AppendValue(
-              Int64ArithValue(ArithOp::kSub, 0, v.int64_value()));
-          continue;
-        }
-        double d = 0;
-        if (v.AsDouble(&d).ok()) {
-          out->owned.AppendValue(Value::Double(-d));
-        } else {
+        Value v;
+        if (!NegateValue(cv.BoxRow(i), &v).ok()) {
           out->err.Set(i);
-          out->owned.AppendNull();
+          v = Value::Null();
         }
+        out->owned.AppendValue(v);
       }
       return;
     }
-    case ExprInfo::Kind::kIsNull:
-    case ExprInfo::Kind::kIsNotNull: {
+    case Expr::Kind::kIsNull:
+    case Expr::Kind::kIsNotNull: {
       Vec cv;
-      EvalNode(*node.l, b, &cv);
-      bool negated = node.kind == ExprInfo::Kind::kIsNotNull;
+      EvalNode(*e.left, b, &cv);
+      bool negated = e.kind == Expr::Kind::kIsNotNull;
       out->rep = Vec::Rep::kPred;
       out->err = std::move(cv.err);
       out->truth.Reset(n);
@@ -700,18 +544,17 @@ void EvalNode(const CompiledExpr::Node& node, const RowBatch& b, Vec* out) {
 
 }  // namespace
 
-void CompiledExpr::EvalSelection(const RowBatch& b, Bitmap* out) const {
+void EvalSelection(const Expr& e, const RowBatch& b, Bitmap* out) {
   Vec v;
-  EvalNode(*root_, b, &v);
+  EvalNode(e, b, &v);
   PredOf(v, b.num_rows(), out);
   out->AndNotWith(v.err);
 }
 
-void CompiledExpr::EvalColumn(const RowBatch& b, Column* out,
-                              Bitmap* err) const {
+void EvalColumn(const Expr& e, const RowBatch& b, Column* out, Bitmap* err) {
   size_t n = b.num_rows();
   Vec v;
-  EvalNode(*root_, b, &v);
+  EvalNode(e, b, &v);
   *err = std::move(v.err);
   switch (v.rep) {
     case Vec::Rep::kConst: {
@@ -762,12 +605,11 @@ void VectorGroupBy::GrowSlots() {
 }
 
 size_t VectorGroupBy::FindOrCreateGroup(const RowBatch& b, size_t row) {
-  uint64_t h = 0x243f6a8885a308d3ull;  // HashTupleCols seed
+  uint64_t h = catalog::kHashTupleColsSeed;
   for (int c : group_cols_) {
-    uint64_t ch = c >= 0 && static_cast<size_t>(c) < b.num_columns()
-                      ? b.column(c).CellHash(row)
-                      : 0x9e3779b97f4a7c15ull;  // Value::Hash of NULL
-    h = HashCombine(h, ch);
+    h = HashCombine(h, c >= 0 && static_cast<size_t>(c) < b.num_columns()
+                           ? b.column(c).CellHash(row)
+                           : kNullHash);
   }
   if ((groups_.size() + 1) * 4 > slots_.size() * 3) GrowSlots();
   const size_t mask = slots_.size() - 1;
@@ -824,8 +666,8 @@ void VectorGroupBy::PushBatch(const RowBatch& b) {
       b.column(group_cols_[0]).kind() == Column::Kind::kInt64;
   if (single_i64_key) {
     // Unboxed probe for the dominant GROUP BY shape, with a last-key memo
-    // (skewed keys repeat in runs). Hashing matches CellHash/HashTupleCols
-    // bit for bit, so groups merge identically to the generic path.
+    // (skewed keys repeat in runs). Hashing matches FindOrCreateGroup's bit
+    // for bit, so groups merge identically to the generic path.
     const Column& kc = b.column(group_cols_[0]);
     const int64_t* lane = kc.int64s().data();
     bool have_last = false;
@@ -842,9 +684,8 @@ void VectorGroupBy::PushBatch(const RowBatch& b) {
         row_group_[i] = last_gi;
         continue;
       }
-      const uint64_t h = HashCombine(
-          0x243f6a8885a308d3ull,
-          Mix64(0x1234abcdull ^ static_cast<uint64_t>(key)));
+      const uint64_t h =
+          HashCombine(catalog::kHashTupleColsSeed, HashInt64(key));
       if ((groups_.size() + 1) * 4 > slots_.size() * 3) GrowSlots();
       const size_t mask = slots_.size() - 1;
       size_t pos = h & mask;

@@ -1,6 +1,7 @@
 #include "planner/planner.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "planner/join_cost.h"
 
@@ -31,66 +32,68 @@ bool ContainsAgg(const AstExprPtr& e) {
   return ContainsAgg(e->left) || ContainsAgg(e->right);
 }
 
-/// Binds an AST expression over `schema`, rejecting aggregate calls.
-Status BindScalar(const AstExprPtr& ast, const Schema& schema, ExprPtr* out) {
+/// Binds one leaf of an AST expression: a column or an aggregate call.
+using LeafBinder = std::function<Status(const AstExpr& leaf, ExprPtr* out)>;
+
+/// Binds `ast` node for node, handing its columns and aggregate calls to
+/// `leaf`.
+Status BindTree(const AstExprPtr& ast, const LeafBinder& leaf, ExprPtr* out) {
   if (ast == nullptr) return Status::InvalidArgument("null expression");
+  ExprPtr l, r;
   switch (ast->kind) {
     case AstExpr::Kind::kLiteral:
       *out = Expr::Literal(ast->literal);
       return Status::OK();
-    case AstExpr::Kind::kColumn: {
-      int index = -1;
-      PIER_RETURN_IF_ERROR(schema.Resolve(ast->column, &index));
-      *out = Expr::Column(index, ast->column);
-      return Status::OK();
-    }
-    case AstExpr::Kind::kCompare: {
-      ExprPtr l, r;
-      PIER_RETURN_IF_ERROR(BindScalar(ast->left, schema, &l));
-      PIER_RETURN_IF_ERROR(BindScalar(ast->right, schema, &r));
+    case AstExpr::Kind::kColumn:
+    case AstExpr::Kind::kAggCall:
+      return leaf(*ast, out);
+    case AstExpr::Kind::kCompare:
+      PIER_RETURN_IF_ERROR(BindTree(ast->left, leaf, &l));
+      PIER_RETURN_IF_ERROR(BindTree(ast->right, leaf, &r));
       *out = Expr::Compare(ast->cmp, l, r);
       return Status::OK();
-    }
-    case AstExpr::Kind::kArith: {
-      ExprPtr l, r;
-      PIER_RETURN_IF_ERROR(BindScalar(ast->left, schema, &l));
-      PIER_RETURN_IF_ERROR(BindScalar(ast->right, schema, &r));
+    case AstExpr::Kind::kArith:
+      PIER_RETURN_IF_ERROR(BindTree(ast->left, leaf, &l));
+      PIER_RETURN_IF_ERROR(BindTree(ast->right, leaf, &r));
       *out = Expr::Arith(ast->arith, l, r);
       return Status::OK();
-    }
     case AstExpr::Kind::kAnd:
-    case AstExpr::Kind::kOr: {
-      ExprPtr l, r;
-      PIER_RETURN_IF_ERROR(BindScalar(ast->left, schema, &l));
-      PIER_RETURN_IF_ERROR(BindScalar(ast->right, schema, &r));
+    case AstExpr::Kind::kOr:
+      PIER_RETURN_IF_ERROR(BindTree(ast->left, leaf, &l));
+      PIER_RETURN_IF_ERROR(BindTree(ast->right, leaf, &r));
       *out = ast->kind == AstExpr::Kind::kAnd ? Expr::And(l, r)
                                               : Expr::Or(l, r);
       return Status::OK();
-    }
-    case AstExpr::Kind::kNot: {
-      ExprPtr inner;
-      PIER_RETURN_IF_ERROR(BindScalar(ast->left, schema, &inner));
-      *out = Expr::Not(inner);
+    case AstExpr::Kind::kNot:
+      PIER_RETURN_IF_ERROR(BindTree(ast->left, leaf, &l));
+      *out = Expr::Not(l);
       return Status::OK();
-    }
-    case AstExpr::Kind::kNeg: {
-      ExprPtr inner;
-      PIER_RETURN_IF_ERROR(BindScalar(ast->left, schema, &inner));
-      *out = Expr::Negate(inner);
+    case AstExpr::Kind::kNeg:
+      PIER_RETURN_IF_ERROR(BindTree(ast->left, leaf, &l));
+      *out = Expr::Negate(l);
       return Status::OK();
-    }
     case AstExpr::Kind::kIsNull:
-    case AstExpr::Kind::kIsNotNull: {
-      ExprPtr inner;
-      PIER_RETURN_IF_ERROR(BindScalar(ast->left, schema, &inner));
-      *out = Expr::IsNull(inner, ast->kind == AstExpr::Kind::kIsNotNull);
+    case AstExpr::Kind::kIsNotNull:
+      PIER_RETURN_IF_ERROR(BindTree(ast->left, leaf, &l));
+      *out = Expr::IsNull(l, ast->kind == AstExpr::Kind::kIsNotNull);
       return Status::OK();
-    }
-    case AstExpr::Kind::kAggCall:
-      return Status::InvalidArgument(
-          "aggregate not allowed in this context: " + ast->ToString());
   }
   return Status::Internal("unreachable expr kind");
+}
+
+/// Binds an AST expression over `schema`, rejecting aggregate calls.
+Status BindScalar(const AstExprPtr& ast, const Schema& schema, ExprPtr* out) {
+  auto column = [&schema](const AstExpr& leaf, ExprPtr* bound) {
+    if (leaf.kind == AstExpr::Kind::kAggCall) {
+      return Status::InvalidArgument(
+          "aggregate not allowed in this context: " + leaf.ToString());
+    }
+    int index = -1;
+    PIER_RETURN_IF_ERROR(schema.Resolve(leaf.column, &index));
+    *bound = Expr::Column(index, leaf.column);
+    return Status::OK();
+  };
+  return BindTree(ast, column, out);
 }
 
 /// Flattens an AND tree into conjuncts.
@@ -147,77 +150,34 @@ int FindOrAddAgg(OpNode* agg, exec::AggFunc fn, int col,
 /// into the prefix; aggregate calls become refs past the prefix.
 Status BindOverAggLayout(const AstExprPtr& ast, const Schema& input,
                          OpNode* agg, ExprPtr* out) {
-  if (ast == nullptr) return Status::InvalidArgument("null expression");
-  if (ast->kind == AstExpr::Kind::kAggCall) {
-    int col = -1;
-    if (ast->left != nullptr) {
-      col = ColumnIndexIn(ast->left, input);
-      if (col < 0) {
-        return Status::InvalidArgument(
-            "aggregate argument must be a column: " + ast->ToString());
+  auto group_or_agg = [&input, agg](const AstExpr& leaf, ExprPtr* bound) {
+    if (leaf.kind == AstExpr::Kind::kAggCall) {
+      int col = -1;
+      if (leaf.left != nullptr) {
+        col = ColumnIndexIn(leaf.left, input);
+        if (col < 0) {
+          return Status::InvalidArgument(
+              "aggregate argument must be a column: " + leaf.ToString());
+        }
       }
+      int agg_index = FindOrAddAgg(agg, leaf.agg, col, leaf.ToString());
+      *bound = Expr::Column(
+          static_cast<int>(agg->group_cols.size()) + agg_index,
+          leaf.ToString());
+      return Status::OK();
     }
-    int agg_index = FindOrAddAgg(agg, ast->agg, col, ast->ToString());
-    *out = Expr::Column(static_cast<int>(agg->group_cols.size()) + agg_index,
-                        ast->ToString());
-    return Status::OK();
-  }
-  if (ast->kind == AstExpr::Kind::kColumn) {
     int input_index = -1;
-    PIER_RETURN_IF_ERROR(input.Resolve(ast->column, &input_index));
+    PIER_RETURN_IF_ERROR(input.Resolve(leaf.column, &input_index));
     for (size_t g = 0; g < agg->group_cols.size(); ++g) {
       if (agg->group_cols[g] == input_index) {
-        *out = Expr::Column(static_cast<int>(g), ast->column);
+        *bound = Expr::Column(static_cast<int>(g), leaf.column);
         return Status::OK();
       }
     }
-    return Status::InvalidArgument("column " + ast->column +
+    return Status::InvalidArgument("column " + leaf.column +
                                    " is neither grouped nor aggregated");
-  }
-  // Recurse structurally for composite expressions.
-  switch (ast->kind) {
-    case AstExpr::Kind::kLiteral:
-      *out = Expr::Literal(ast->literal);
-      return Status::OK();
-    case AstExpr::Kind::kCompare: {
-      ExprPtr l, r;
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, agg, &l));
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->right, input, agg, &r));
-      *out = Expr::Compare(ast->cmp, l, r);
-      return Status::OK();
-    }
-    case AstExpr::Kind::kArith: {
-      ExprPtr l, r;
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, agg, &l));
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->right, input, agg, &r));
-      *out = Expr::Arith(ast->arith, l, r);
-      return Status::OK();
-    }
-    case AstExpr::Kind::kAnd:
-    case AstExpr::Kind::kOr: {
-      ExprPtr l, r;
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, agg, &l));
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->right, input, agg, &r));
-      *out = ast->kind == AstExpr::Kind::kAnd ? Expr::And(l, r)
-                                              : Expr::Or(l, r);
-      return Status::OK();
-    }
-    case AstExpr::Kind::kNot: {
-      ExprPtr inner;
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, agg, &inner));
-      *out = Expr::Not(inner);
-      return Status::OK();
-    }
-    case AstExpr::Kind::kNeg: {
-      ExprPtr inner;
-      PIER_RETURN_IF_ERROR(BindOverAggLayout(ast->left, input, agg, &inner));
-      *out = Expr::Negate(inner);
-      return Status::OK();
-    }
-    default:
-      return Status::NotSupported("expression over aggregates: " +
-                                  ast->ToString());
-  }
+  };
+  return BindTree(ast, group_or_agg, out);
 }
 
 /// Binds GROUP BY / aggregate SELECT items / HAVING into the kFinalAgg node

@@ -1,5 +1,8 @@
 #include "query/opgraph.h"
 
+#include <algorithm>
+#include <string>
+
 namespace pier {
 namespace query {
 
@@ -99,6 +102,16 @@ Status GetIntVec(Reader* r, std::vector<int>* out) {
     out->push_back(static_cast<int>(x));
   }
   return Status::OK();
+}
+
+/// Whether every expression `n` carries nests within what
+/// exec::Expr::Deserialize accepts, so members can decode the plan.
+bool ExprsDecodable(const OpNode& n) {
+  auto fits = [](const exec::ExprPtr& e) {
+    return e == nullptr || e->Depth() <= exec::kMaxExprDepth;
+  };
+  return fits(n.predicate) && fits(n.having) &&
+         std::all_of(n.exprs.begin(), n.exprs.end(), fits);
 }
 
 // Wire caps that bound allocation on corrupt input.
@@ -339,6 +352,11 @@ Status OpGraph::Validate() const {
   };
   for (size_t i = 0; i < nodes.size(); ++i) {
     const OpNode& n = nodes[i];
+    if (!ExprsDecodable(n)) {
+      return Status::InvalidArgument(
+          "expression nests deeper than " +
+          std::to_string(exec::kMaxExprDepth) + " levels");
+    }
     for (uint32_t in : n.inputs) {
       if (in >= i) return Status::Corruption("opgraph edge not topological");
       if (nodes[in].out == ExchangeKind::kRehash && n.type != OpType::kJoin) {

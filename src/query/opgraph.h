@@ -147,9 +147,10 @@ struct OpGraph {
 
   /// Structural sanity: topological input edges, per-type arity, a single
   /// terminal collect, exchange kinds that the runtime can execute (a tree
-  /// edge leaves a partial-agg, a rehash edge ends at a join), and index and
-  /// join key columns inside their input layouts. Deserialized graphs MUST
-  /// be validated before execution.
+  /// edge leaves a partial-agg, a rehash edge ends at a join), index and
+  /// join key columns inside their input layouts, and expressions no deeper
+  /// than members decode (exec::kMaxExprDepth). Deserialized graphs MUST be
+  /// validated before execution.
   Status Validate() const;
 
   /// First node of `type`, or -1.

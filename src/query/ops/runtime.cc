@@ -215,11 +215,9 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
   switch (c.type) {
     case OpType::kFilter: {
       BatchEmitFn next = BuildBatchEmitFrom(cons_id);
-      std::shared_ptr<const exec::CompiledExpr> kernel =
-          exec::CompiledExpr::Compile(c.predicate);
-      return [kernel, next](exec::RowBatch& b) {
+      return [pred = c.predicate, next](exec::RowBatch& b) {
         exec::Bitmap keep;
-        kernel->EvalSelection(b, &keep);
+        exec::EvalSelection(*pred, b, &keep);
         exec::NarrowSelection(&b, keep);
         if (b.ActiveRows() == 0) return true;
         return next(b);
@@ -227,22 +225,17 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
     }
     case OpType::kProject: {
       BatchEmitFn next = BuildBatchEmitFrom(cons_id);
-      auto kernels = std::make_shared<
-          std::vector<std::unique_ptr<exec::CompiledExpr>>>();
-      for (const auto& e : c.exprs) {
-        kernels->push_back(exec::CompiledExpr::Compile(e));
-      }
-      return [kernels, next](exec::RowBatch& b) {
+      return [exprs = c.exprs, next](exec::RowBatch& b) {
         // Kernels evaluate physical rows; compact survivors first so the
         // projected batch holds exactly the live set.
         exec::RowBatch in = b.has_selection() ? b.Compact() : std::move(b);
         size_t rows = in.num_rows();
         std::vector<exec::Column> cols;
-        cols.reserve(kernels->size());
+        cols.reserve(exprs.size());
         exec::Bitmap err;
-        for (const auto& kernel : *kernels) {
+        for (const exec::ExprPtr& e : exprs) {
           exec::Column col;
-          kernel->EvalColumn(in, &col, &err);
+          exec::EvalColumn(*e, in, &col, &err);
           if (!err.none()) {
             // Rows whose scalar evaluation would error project as NULL,
             // as exec::Project does.

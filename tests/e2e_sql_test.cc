@@ -407,5 +407,94 @@ TEST(E2eSqlTest, ExplainRendersOpgraph) {
   EXPECT_EQ(net.node(0)->query_engine()->stats().queries_issued, 0u);
 }
 
+// Every member, the origin included, installs a plan by decoding it, and
+// the decoder refuses expressions nested past exec::kMaxExprDepth. A plan
+// it would refuse must fail at Execute, before anything is broadcast,
+// instead of returning an empty, degraded answer.
+TEST(E2eSqlTest, WhereDeeperThanThePlanDecoderIsRefused) {
+  PierNetworkOptions opts;
+  opts.seed = 139;
+  opts.node.router_kind = RouterKind::kOneHop;
+  opts.node.engine.result_wait = Seconds(5);
+  PierNetwork net(8, opts);
+  net.Boot(Seconds(5));
+  ASSERT_NO_FATAL_FAILURE(RegisterEverywhere(net, AlertsTable()));
+  std::vector<std::tuple<int, std::string, int>> rows;
+  for (int i = 0; i < 32; ++i) rows.push_back({i, "r", 100 + i});
+  ASSERT_NO_FATAL_FAILURE(PublishAlerts(net, rows));
+
+  // A left-deep AND of n conjuncts that every row satisfies.
+  auto where = [](int n) {
+    std::string sql = "SELECT rule_id FROM alerts WHERE hits <> 0";
+    for (int i = 1; i < n; ++i) sql += " AND hits <> " + std::to_string(i);
+    return sql;
+  };
+  std::vector<ResultBatch> batches;
+  auto deep = planner::ExecuteSql(
+      net.node(0)->query_engine(), where(70),
+      [&](const ResultBatch& b) { batches.push_back(b); });
+  EXPECT_FALSE(deep.ok());
+  net.RunFor(Seconds(8));
+  EXPECT_TRUE(batches.empty());
+  for (size_t i = 0; i < net.size(); ++i) {
+    const query::EngineStats& s = net.node(i)->query_engine()->stats();
+    EXPECT_EQ(s.queries_issued, 0u) << "node " << i;
+    EXPECT_EQ(s.plans_received, 0u) << "node " << i;
+  }
+
+  auto ok = planner::ExecuteSql(
+      net.node(0)->query_engine(), where(40),
+      [&](const ResultBatch& b) { batches.push_back(b); });
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  net.RunFor(Seconds(8));
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].rows.size(), rows.size());
+}
+
+// HAVING binds IS [NOT] NULL over an aggregate like WHERE does over a
+// column: MAX over a group whose every input is NULL is NULL.
+TEST(E2eSqlTest, HavingIsNullOverAnAggregate) {
+  PierNetworkOptions opts;
+  opts.seed = 149;
+  opts.node.router_kind = RouterKind::kOneHop;
+  opts.node.engine.result_wait = Seconds(5);
+  opts.node.engine.agg_hold_base = Millis(400);
+  PierNetwork net(8, opts);
+  net.Boot(Seconds(5));
+  ASSERT_NO_FATAL_FAILURE(RegisterEverywhere(net, AlertsTable()));
+  // Rules 1 and 2 carry descriptions; every row of rules 3 and 4 has none.
+  for (int i = 0; i < 24; ++i) {
+    int64_t rule = 1 + i % 4;
+    Value descr = rule <= 2 ? Value::String("d" + std::to_string(i))
+                            : Value::Null();
+    ASSERT_TRUE(net.node(i % net.size())
+                    ->query_engine()
+                    ->Publish("alerts", Tuple{Value::Int64(rule), descr,
+                                              Value::Int64(i)})
+                    .ok());
+  }
+  net.RunFor(Seconds(5));
+
+  auto rules_having = [&](const std::string& having) {
+    std::vector<ResultBatch> batches;
+    auto r = planner::ExecuteSql(
+        net.node(3)->query_engine(),
+        "SELECT rule_id, MAX(descr) AS d FROM alerts GROUP BY rule_id "
+        "HAVING " + having,
+        [&](const ResultBatch& b) { batches.push_back(b); });
+    EXPECT_TRUE(r.ok()) << having << ": " << r.status().ToString();
+    net.RunFor(Seconds(10));
+    std::set<int64_t> rules;
+    EXPECT_EQ(batches.size(), 1u) << having;
+    for (const ResultBatch& b : batches) {
+      for (const Tuple& t : b.rows) rules.insert(t[0].int64_value());
+    }
+    return rules;
+  };
+  EXPECT_EQ(rules_having("MAX(descr) IS NOT NULL"),
+            (std::set<int64_t>{1, 2}));
+  EXPECT_EQ(rules_having("MAX(descr) IS NULL"), (std::set<int64_t>{3, 4}));
+}
+
 }  // namespace
 }  // namespace pier

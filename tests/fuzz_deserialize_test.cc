@@ -141,20 +141,85 @@ TEST(FuzzDeserialize, SchemaGarbage) {
   NoCrashOnMutation(parse, w.buffer(), 5);
 }
 
+/// One expression of every node kind with its exact wire bytes (hex) and
+/// its rendering. Plans carry these bytes to every member, so a member
+/// built from another revision must decode them unchanged.
+struct GoldenExpr {
+  const char* name;
+  exec::ExprPtr expr;
+  std::string hex;
+  std::string text;
+};
+
+std::vector<GoldenExpr> GoldenExprs() {
+  using exec::ArithOp;
+  using exec::CompareOp;
+  using exec::Expr;
+  auto lit = [](Value v) { return Expr::Literal(std::move(v)); };
+  return {
+      {"negative literal", lit(Value::Int64(-3)), "010205", "-3"},
+      {"string literal", lit(Value::String("ab")), "0104026162", "'ab'"},
+      {"named column", Expr::Column(2, "hits"), "02020468697473", "hits"},
+      {"compare",
+       Expr::Compare(CompareOp::kGe, Expr::Column(0), lit(Value::Int64(5))),
+       "030502000001020a", "($0 >= 5)"},
+      {"arith",
+       Expr::Arith(ArithOp::kMod, Expr::Column(1), lit(Value::Double(2.5))),
+       "040402010001030000000000000440", "($1 % 2.5)"},
+      {"and over or",
+       Expr::And(Expr::Or(lit(Value::Bool(true)), lit(Value::Null())),
+                 lit(Value::Bool(false))),
+       "05060101010100010100", "((TRUE OR NULL) AND FALSE)"},
+      {"not over negate",
+       Expr::Not(Expr::Compare(CompareOp::kLt, Expr::Negate(Expr::Column(0)),
+                               lit(Value::Int64(0)))),
+       "07030208020000010200", "(NOT ((-$0) < 0))"},
+      {"is null", Expr::IsNull(Expr::Column(1)), "09020100", "($1 IS NULL)"},
+      {"is not null", Expr::IsNull(Expr::Column(1), /*negated=*/true),
+       "0a020100", "($1 IS NOT NULL)"},
+  };
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (unsigned char b : bytes) {
+    out.push_back(kHex[b >> 4]);
+    out.push_back(kHex[b & 0xf]);
+  }
+  return out;
+}
+
+TEST(ExprWireTest, GoldenBytesRoundTrip) {
+  for (const GoldenExpr& g : GoldenExprs()) {
+    Writer w;
+    g.expr->Serialize(&w);
+    EXPECT_EQ(Hex(w.buffer()), g.hex) << g.name;
+    EXPECT_EQ(g.expr->ToString(), g.text) << g.name;
+    Reader r(w.buffer());
+    exec::ExprPtr back;
+    ASSERT_TRUE(exec::Expr::Deserialize(&r, &back).ok()) << g.name;
+    EXPECT_TRUE(r.AtEnd()) << g.name;
+    Writer again;
+    back->Serialize(&again);
+    EXPECT_EQ(again.buffer(), w.buffer()) << g.name;
+    EXPECT_EQ(back->ToString(), g.text) << g.name;
+  }
+}
+
 TEST(FuzzDeserialize, ExprGarbage) {
-  auto original = exec::Expr::And(
-      exec::Expr::Compare(exec::CompareOp::kGt, exec::Expr::Column(0),
-                          exec::Expr::Literal(Value::Int64(5))),
-      exec::Expr::IsNull(exec::Expr::Column(1)));
-  Writer w;
-  original->Serialize(&w);
   auto parse = [](const std::string& b) {
     Reader r(b);
     exec::ExprPtr e;
     (void)exec::Expr::Deserialize(&r, &e);
   };
   NoCrashOnGarbage(parse, 3000, 48, 6);
-  NoCrashOnMutation(parse, w.buffer(), 7);
+  uint64_t seed = 7;
+  for (const GoldenExpr& g : GoldenExprs()) {
+    Writer w;
+    g.expr->Serialize(&w);
+    NoCrashOnMutation(parse, w.buffer(), seed++);
+  }
 }
 
 TEST(FuzzDeserialize, ExprDepthBombRejected) {

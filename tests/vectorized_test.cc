@@ -1,4 +1,4 @@
-// Differential tests for the vectorized data plane: compiled batch kernels
+// Differential tests for the vectorized data plane: batch expression kernels
 // must agree with scalar Expr::Eval row for row (including SQL NULL
 // semantics, division-by-zero-to-NULL, type-error rows, and short-circuit
 // error behavior), the RowBatch wire codec must round-trip, and
@@ -109,14 +109,13 @@ void ExpectValuesIdentical(const Value& scalar, const Value& vec,
 
 /// The differential oracle: evaluates `e` both ways over every row.
 void CheckExpr(const ExprPtr& e, const TestBatch& tb, uint64_t seed) {
-  auto compiled = CompiledExpr::Compile(e);
   std::string ctx = "expr=" + e->ToString() + " seed=" + std::to_string(seed);
 
   Column out;
   Bitmap err;
-  compiled->EvalColumn(tb.batch, &out, &err);
+  EvalColumn(*e, tb.batch, &out, &err);
   Bitmap sel;
-  compiled->EvalSelection(tb.batch, &sel);
+  EvalSelection(*e, tb.batch, &sel);
 
   for (size_t i = 0; i < tb.rows.size(); ++i) {
     std::string rctx = ctx + " row=" + std::to_string(i) + " " +
