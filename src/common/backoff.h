@@ -8,30 +8,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string_view>
 
+#include "common/hash.h"
 #include "common/time_util.h"
 
 namespace pier {
-
-/// Deterministic avalanche hash (splitmix64 finalizer).
-inline uint64_t MixHash64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Deterministic string hash (FNV-1a) for salting jitter with names
-/// (namespaces, table names) instead of ambient randomness.
-inline uint64_t HashBytes(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 /// Delay before retransmit attempt `attempt` (the first retry is attempt 1):
 /// initial * 2^(attempt-1), capped at max, then scaled by a factor in
@@ -42,7 +23,7 @@ inline Duration RetryDelay(Duration initial, Duration max, double jitter,
   for (int i = 1; i < attempt && base < max; ++i) base *= 2;
   base = std::min(base, max);
   if (jitter > 0) {
-    uint64_t h = MixHash64(salt ^ (static_cast<uint64_t>(attempt) << 56));
+    uint64_t h = Mix64(salt ^ (static_cast<uint64_t>(attempt) << 56));
     double frac = static_cast<double>(h >> 11) / 9007199254740992.0;  // 2^53
     base = static_cast<Duration>(
         static_cast<double>(base) * (1.0 - jitter + 2.0 * jitter * frac));

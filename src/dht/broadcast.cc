@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/backoff.h"
+#include "common/hash.h"
 
 namespace pier {
 namespace dht {
@@ -121,9 +122,9 @@ void BroadcastService::ScheduleEdgeRetry(sim::HostId origin, uint64_t seq,
     if (e.host == child) edge = &e;
   }
   if (edge == nullptr) return;
-  uint64_t salt = MixHash64(
-      (static_cast<uint64_t>(origin) << 32) ^ seq ^
-      (static_cast<uint64_t>(child) << 17) ^ transport_->self());
+  uint64_t salt = Mix64((static_cast<uint64_t>(origin) << 32) ^ seq ^
+                        (static_cast<uint64_t>(child) << 17) ^
+                        transport_->self());
   Duration delay = RetryDelay(options_.ack_timeout, options_.ack_max,
                                      0.25, salt, edge->attempts);
   ScheduleTimer(delay, [this, origin, seq, child] {
@@ -311,8 +312,8 @@ void BroadcastService::SendCoverOnce(sim::HostId origin, uint64_t seq,
 void BroadcastService::ScheduleCoverRetry(sim::HostId origin, uint64_t seq) {
   RelayState* state = FindRelay(origin, seq);
   if (state == nullptr) return;
-  uint64_t salt = MixHash64((static_cast<uint64_t>(origin) << 32) ^
-                                   seq ^ (~0u - transport_->self()));
+  uint64_t salt = Mix64((static_cast<uint64_t>(origin) << 32) ^ seq ^
+                        (~0u - transport_->self()));
   Duration delay = RetryDelay(options_.ack_timeout, options_.ack_max,
                                      0.25, salt, state->cover_attempts);
   ScheduleTimer(delay, [this, origin, seq] {

@@ -1,6 +1,6 @@
 #include "index/pht.h"
 
-#include "common/backoff.h"
+#include "common/hash.h"
 
 namespace pier {
 namespace index {
@@ -76,12 +76,12 @@ PhtIndex::PhtIndex(dht::Dht* dht, sim::Simulation* sim, std::string ns,
   // Deterministic (node, namespace) phase/period spread: without it every
   // node booted at t=0 fires its sweep on the same tick, and the repair
   // traffic arrives in synchronized bursts.
-  uint64_t salt = MixHash64(HashBytes(ns_) ^
-                            (static_cast<uint64_t>(dht_->self()) << 32));
+  uint64_t salt =
+      Mix64(HashBytes(ns_) ^ (static_cast<uint64_t>(dht_->self()) << 32));
   auto jittered = [&](Duration base, uint64_t lane) {
     double j = options_.repair_jitter;
     if (j <= 0) return base;
-    uint64_t h = MixHash64(salt ^ (lane << 56));
+    uint64_t h = Mix64(salt ^ (lane << 56));
     double f = 1.0 + j * (2.0 * (static_cast<double>(h >> 11) /
                                  static_cast<double>(1ull << 53)) -
                           1.0);

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/backoff.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "index/index_manager.h"
 #include "query/reliable.h"
@@ -587,9 +588,8 @@ void QueryEngine::ScheduleFrameRetry(uint64_t qid, uint64_t frame_id) {
   if (it == queries_.end()) return;
   ReliableOutbox::Frame* f = it->second->outbox.Get(frame_id);
   if (f == nullptr) return;
-  uint64_t salt = MixHash64(
-      qid ^ (frame_id << 20) ^
-      (static_cast<uint64_t>(transport_->self()) << 48));
+  uint64_t salt = Mix64(qid ^ (frame_id << 20) ^
+                        (static_cast<uint64_t>(transport_->self()) << 48));
   Duration delay =
       RetryDelay(kRetryInitial, kRetryMax, kRetryJitter, salt, f->attempts);
   ScheduleEngineTimer(delay, [this, qid, frame_id] {

@@ -169,7 +169,7 @@ TEST(RetryDelayTest, SaltsDecorrelateSenders) {
   std::set<Duration> delays;
   for (uint64_t salt = 1; salt <= 16; ++salt) {
     delays.insert(RetryDelay(Millis(300), Seconds(2), 0.25,
-                             MixHash64(salt), /*attempt=*/3));
+                             Mix64(salt), /*attempt=*/3));
   }
   EXPECT_GT(delays.size(), 8u);
 }
