@@ -85,14 +85,7 @@ void ChordNode::AttemptJoin() {
         Stabilize();
       },
       options_.rpc_timeout);
-
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kFindSuccReq));
-  self_.id.Serialize(&w);
-  w.PutVarint64(req_id);
-  w.PutFixed32(self_.host);
-  w.PutVarint32(0);  // hops
-  SendMsg(join_bootstrap_, w);
+  SendFindSuccReq(join_bootstrap_, self_.id, req_id, self_.host, 0);
 }
 
 void ChordNode::Leave() {
@@ -167,6 +160,11 @@ bool ChordNode::IsResponsibleFor(const Id160& key) const {
 
 NodeInfo ChordNode::successor() const {
   return successors_.empty() ? self_ : successors_[0];
+}
+
+bool ChordNode::AtHopLimit(uint32_t hops) const {
+  // Compared in 64 bits: no hop count off the wire wraps or turns negative.
+  return static_cast<int64_t>(hops) >= options_.max_route_hops;
 }
 
 const std::vector<NodeInfo>& ChordNode::CompactFingers() const {
@@ -273,8 +271,8 @@ void ChordNode::HandleRoute(Reader* r, const sim::Payload& body) {
       !r->GetFixed32(&origin).ok() || !r->GetVarint32(&hops).ok()) {
     return;
   }
-  if (state_ != State::kActive) return;
-  if (static_cast<int>(hops) >= options_.max_route_hops) return;  // loop guard
+  // The loop guard. Below it `hops` fits an int and `hops + 1` cannot wrap.
+  if (state_ != State::kActive || AtHopLimit(hops)) return;
   NodeInfo hop = NextHop(key);
   if (hop.host == self_.host) {
     if (deliver_) {
@@ -328,54 +326,51 @@ void ChordNode::Lookup(const Id160& key, LookupCallback cb) {
 }
 
 void ChordNode::ForwardFindSucc(const Id160& key, uint64_t req_id,
-                                sim::HostId reply_to, int hops) {
+                                sim::HostId reply_to, uint32_t hops) {
   if (IsResponsibleFor(key)) {
-    Writer w;
-    w.PutU8(static_cast<uint8_t>(MsgType::kFindSuccResp));
-    w.PutVarint64(req_id);
-    self_.Serialize(&w);
-    w.PutVarint32(static_cast<uint32_t>(hops));
-    if (reply_to == self_.host) {
-      // Local completion without a network round trip.
-      Reader r(w.buffer());
-      uint8_t type = 0;
-      uint64_t id = 0;
-      (void)r.GetU8(&type);
-      (void)r.GetVarint64(&id);
-      rpc_.Complete(id, &r);
-    } else {
-      SendMsg(reply_to, w);
-    }
+    AnswerFindSucc(self_, req_id, reply_to, hops);
     return;
   }
-  if (hops >= options_.max_route_hops) return;
+  if (AtHopLimit(hops)) return;
   NodeInfo hop = NextHop(key);
   if (hop.host == self_.host) {
     // Inconsistent transient state: answer with our best known successor.
-    Writer w;
-    w.PutU8(static_cast<uint8_t>(MsgType::kFindSuccResp));
-    w.PutVarint64(req_id);
-    successor().Serialize(&w);
-    w.PutVarint32(static_cast<uint32_t>(hops));
-    if (reply_to == self_.host) {
-      Reader r(w.buffer());
-      uint8_t type = 0;
-      uint64_t id = 0;
-      (void)r.GetU8(&type);
-      (void)r.GetVarint64(&id);
-      rpc_.Complete(id, &r);
-    } else {
-      SendMsg(reply_to, w);
-    }
+    AnswerFindSucc(successor(), req_id, reply_to, hops);
     return;
   }
+  SendFindSuccReq(hop.host, key, req_id, reply_to, hops);
+}
+
+void ChordNode::SendFindSuccReq(sim::HostId to, const Id160& key,
+                                uint64_t req_id, sim::HostId reply_to,
+                                uint32_t hops) {
   Writer w;
   w.PutU8(static_cast<uint8_t>(MsgType::kFindSuccReq));
   key.Serialize(&w);
   w.PutVarint64(req_id);
   w.PutFixed32(reply_to);
-  w.PutVarint32(static_cast<uint32_t>(hops));
-  SendMsg(hop.host, w);
+  w.PutVarint32(hops);
+  SendMsg(to, w);
+}
+
+void ChordNode::AnswerFindSucc(const NodeInfo& owner, uint64_t req_id,
+                               sim::HostId reply_to, uint32_t hops) {
+  Writer w;
+  w.PutU8(static_cast<uint8_t>(MsgType::kFindSuccResp));
+  w.PutVarint64(req_id);
+  owner.Serialize(&w);
+  w.PutVarint32(hops);
+  if (reply_to != self_.host) {
+    SendMsg(reply_to, w);
+    return;
+  }
+  // Local completion without a network round trip.
+  Reader r(w.buffer());
+  uint8_t type = 0;
+  uint64_t id = 0;
+  (void)r.GetU8(&type);
+  (void)r.GetVarint64(&id);
+  rpc_.Complete(id, &r);
 }
 
 void ChordNode::HandleFindSuccReq(Reader* r) {
@@ -386,8 +381,9 @@ void ChordNode::HandleFindSuccReq(Reader* r) {
       !r->GetFixed32(&reply_to).ok() || !r->GetVarint32(&hops).ok()) {
     return;
   }
-  if (state_ != State::kActive) return;
-  ForwardFindSucc(key, req_id, reply_to, static_cast<int>(hops) + 1);
+  // The loop guard, before the count that arrived is raised by one.
+  if (state_ != State::kActive || AtHopLimit(hops)) return;
+  ForwardFindSucc(key, req_id, reply_to, hops + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -713,19 +709,46 @@ void ChordNode::FixFingers() {
       SetFinger(index, successors_[0]);
       continue;
     }
-    uint64_t req_id = rpc_.Begin(
-        [this, index](Status s, Reader* r) {
-          if (!s.ok() || state_ != State::kActive) return;
+    // On a settled ring the finger a slot holds still owns its target, so
+    // it is asked first: one request and its reply, where a routed lookup
+    // takes several hops to reach that same node.
+    const std::optional<NodeInfo>& held = fingers_[index];
+    ResolveFinger(index, held.has_value() && !IsSuspect(held->host)
+                             ? held->host
+                             : sim::kInvalidHost);
+  }
+}
+
+void ChordNode::ResolveFinger(int index, sim::HostId finger) {
+  uint64_t req_id = rpc_.Begin(
+      [this, index, finger](Status s, Reader* r) {
+        if (state_ != State::kActive) return;
+        if (s.ok()) {
           NodeInfo owner;
           uint32_t hops = 0;
-          if (!NodeInfo::Deserialize(r, &owner).ok() ||
-              !r->GetVarint32(&hops).ok()) {
-            return;
+          if (NodeInfo::Deserialize(r, &owner).ok() &&
+              r->GetVarint32(&hops).ok()) {
+            SetFinger(index, owner);
           }
-          SetFinger(index, owner);
-        },
-        options_.rpc_timeout);
+          return;
+        }
+        // A routed lookup that fails is retried next cycle.
+        if (finger == sim::kInvalidHost) return;
+        // The finger did not answer: stop routing through this slot, then
+        // look the slot up the routed way. Not a suspicion, so under loss
+        // one lost request does not evict a live finger for suspect_ttl.
+        if (fingers_[index].has_value() && fingers_[index]->host == finger) {
+          fingers_[index].reset();
+          InvalidateFingerCache();
+        }
+        ResolveFinger(index, sim::kInvalidHost);
+      },
+      options_.rpc_timeout);
+  Id160 target = self_.id.AddPowerOfTwo(index);
+  if (finger == sim::kInvalidHost) {
     ForwardFindSucc(target, req_id, self_.host, 0);
+  } else {
+    SendFindSuccReq(finger, target, req_id, self_.host, 0);
   }
 }
 

@@ -15,8 +15,12 @@
 //               the adoption rules on its cached copy. A predecessor's
 //               requests are its heartbeat: the liveness ping goes out only
 //               after a check interval without one. Fix-fingers sets a
-//               finger whose target the successor owns from it locally, so
-//               only slots past the successor cost a FIND_SUCCESSOR lookup
+//               finger whose target the successor owns from it locally; a
+//               slot past the successor asks the finger it holds, which
+//               answers while it still owns the target and otherwise
+//               forwards like any lookup, so a settled slot costs one round
+//               trip. A finger that does not answer is dropped from its
+//               slot (not suspected), and an empty slot is looked up routed
 //   - failure:  RPC timeouts mark hosts suspect; suspects are routed around
 //               until stabilization removes them
 //
@@ -56,7 +60,9 @@ struct ChordOptions {
   Duration fix_fingers_interval = Millis(500);
   /// Finger slots refreshed per fix-fingers tick (round-robin). A slot whose
   /// target lies in (self, successor] is set to the successor without a
-  /// message; each other slot costs one FIND_SUCCESSOR lookup.
+  /// message; each other slot sends its FIND_SUCCESSOR to the finger it
+  /// holds (a request and a reply while that finger still owns the target),
+  /// or routes it when the slot is empty.
   int fingers_per_tick = 8;
   /// Predecessor liveness check period. The predecessor's stabilize
   /// requests count as its heartbeat; the node pings it (and suspects it on
@@ -189,6 +195,9 @@ class ChordNode : public Router {
   void ApplyNotify(const NodeInfo& candidate);
   void HandleLeaveNotice(Reader* r);
 
+  /// True when a message that has taken `hops` hops is at or past the loop
+  /// guard (max_route_hops).
+  bool AtHopLimit(uint32_t hops) const;
   /// Greedy next hop for `key`; self when locally responsible.
   NodeInfo NextHop(const Id160& key) const;
   /// Deduplicated finger entries in slot order (cached).
@@ -196,7 +205,15 @@ class ChordNode : public Router {
   void InvalidateFingerCache() { finger_cache_dirty_ = true; }
   /// Forwards a find-successor query one hop (or answers it).
   void ForwardFindSucc(const Id160& key, uint64_t req_id,
-                       sim::HostId reply_to, int hops);
+                       sim::HostId reply_to, uint32_t hops);
+  /// Sends a FIND_SUCCESSOR(key) request to `to`; the owner answers
+  /// `reply_to`.
+  void SendFindSuccReq(sim::HostId to, const Id160& key, uint64_t req_id,
+                       sim::HostId reply_to, uint32_t hops);
+  /// Answers `reply_to` that `owner` owns the key (completes locally when
+  /// the asker is us).
+  void AnswerFindSucc(const NodeInfo& owner, uint64_t req_id,
+                      sim::HostId reply_to, uint32_t hops);
   void StartTasks();
   void StopTasks();
   /// One periodic stabilize round: suspicion upkeep, a rejoin probe, then
@@ -212,6 +229,11 @@ class ChordNode : public Router {
   void RememberEvicted(const NodeInfo& info);
   void ConsiderRejoinCandidate(const NodeInfo& candidate);
   void FixFingers();
+  /// Resolves finger slot `index`, whose target lies past the successor:
+  /// asks `finger` (the entry the slot holds) directly, or routes the
+  /// lookup from here when `finger` is kInvalidHost. A direct ask that times
+  /// out empties the slot if it still holds `finger`, then routes.
+  void ResolveFinger(int index, sim::HostId finger);
   /// Sets finger slot `index` to `owner` (empty when we own the target
   /// ourselves); the compact cache is rebuilt only if the slot changed.
   void SetFinger(int index, const NodeInfo& owner);
