@@ -177,18 +177,21 @@ void BroadcastService::OnData(sim::HostId from, Reader* r,
   }
   SendAck(from, origin, seq, kAckData);
   ExpireSeen();
-  if (RelayState* seen = FindRelay(origin, seq)) {
+  if (seen_.count({origin, seq}) != 0) {
     ++stats_.duplicates;
     // A second parent picked us up. Its subtree count must not double-count
     // ours (the first parent accounts for it), so cover it with zero
     // additional members — delivered, nothing new underneath.
     //
     // Our OWN parent retransmitting (its ack got lost) must NOT get that
-    // zero-cover: it is the one accounting for our subtree, and a zero that
-    // races ahead of the real cover would erase the subtree from the
-    // origin's count while leaving the wave marked complete. The ack above
-    // already stops its retries; the real cover has its own retry loop.
-    if (seen->parent != from) {
+    // zero-cover while our wave is open: it is the one accounting for our
+    // subtree, and a zero that races ahead of the real cover would erase
+    // the subtree from the origin's count while leaving the wave marked
+    // complete. The ack above already stops its retries; the real cover has
+    // its own retry loop. Once that cover is acked the parent's edge is
+    // covered, and a zero changes nothing there.
+    const RelayState* open = FindRelay(origin, seq);
+    if (open == nullptr || open->parent != from) {
       Writer w;
       w.PutU8(kCover);
       w.PutFixed32(origin);
@@ -222,7 +225,7 @@ void BroadcastService::OnAck(sim::HostId from, Reader* r) {
   if (state == nullptr) return;
   ++stats_.acks_received;
   if (what == kAckCover) {
-    state->cover_acked = true;
+    CloseRelay(origin, seq);
     return;
   }
   for (auto& e : state->children) {
@@ -283,17 +286,18 @@ void BroadcastService::MaybeFinishCover(sim::HostId origin, uint64_t seq,
   state->cover_complete = complete;
   if (state->is_origin) {
     // Deferred a tick: a childless origin finishes its cover synchronously
-    // inside Broadcast(), and the caller registers interest in `seq` only
-    // after Broadcast returns it.
+    // inside Broadcast(), before the caller has its seq back.
     if (coverage_fn_) {
-      ScheduleTimer(0, [this, seq, count, complete] {
-        if (coverage_fn_) coverage_fn_(seq, count, complete);
+      ScheduleTimer(0, [this, origin, seq, count, complete] {
+        if (coverage_fn_) coverage_fn_(origin, seq, count, complete);
       });
     }
+    CloseRelay(origin, seq);
     return;
   }
   SendCoverOnce(origin, seq, state);
   ScheduleCoverRetry(origin, seq);
+  if (coverage_fn_) coverage_fn_(origin, seq, count, complete);
 }
 
 void BroadcastService::SendCoverOnce(sim::HostId origin, uint64_t seq,
@@ -318,7 +322,7 @@ void BroadcastService::ScheduleCoverRetry(sim::HostId origin, uint64_t seq) {
                                      0.25, salt, state->cover_attempts);
   ScheduleTimer(delay, [this, origin, seq] {
     RelayState* s = FindRelay(origin, seq);
-    if (s == nullptr || s->cover_acked) return;
+    if (s == nullptr) return;  // acked
     if (s->cover_attempts >= options_.retries) return;  // give up quietly
     SendCoverOnce(origin, seq, s);
     ScheduleCoverRetry(origin, seq);
@@ -357,6 +361,7 @@ void BroadcastService::Deliver(sim::HostId origin, uint64_t seq,
 void BroadcastService::ExpireSeen() {
   TimePoint now = transport_->simulation()->now();
   while (!expiry_.empty() && expiry_.front().first <= now) {
+    seen_.erase(expiry_.front().second);
     relays_.erase(expiry_.front().second);
     expiry_.pop_front();
   }
@@ -365,6 +370,7 @@ void BroadcastService::ExpireSeen() {
 BroadcastService::RelayState& BroadcastService::MarkSeen(sim::HostId origin,
                                                         uint64_t seq) {
   RelayKey key{origin, seq};
+  seen_.insert(key);
   expiry_.emplace_back(transport_->simulation()->now() + kSeenTtl, key);
   return relays_[key];
 }

@@ -12,12 +12,17 @@
 // retransmitted with jittered backoff (a lost kPlan/kCancel no longer
 // silently excludes a subtree), and a "cover wave" flows back up the tree —
 // each node reports its subtree's delivered-node count and a complete flag
-// once all children have covered or conclusively failed. The origin's
-// coverage callback is how the query engine learns members_expected /
-// coverage_complete for its Completeness accounting.
+// once all children have covered or conclusively failed. The coverage
+// callback fires at every node as its subtree's wave completes: at the
+// origin it is how the query engine learns members_expected /
+// coverage_complete for its Completeness accounting; at a relay it is how
+// many contributors that node's tree aggregation waits for.
 //
-// The relay state is the seen-cache: holding it for (origin, seq) marks a
-// duplicate. Entries live a fixed kSeenTtl, so they expire in creation order.
+// A node keeps a wave's relay state (children, payload, cover) only while
+// the wave is open here: until its cover is acked, or at the origin until
+// the wave closes. The seen-cache keeps the bare (origin, seq) key, which
+// marks a duplicate, for a fixed kSeenTtl, so entries expire in creation
+// order.
 
 #ifndef PIER_DHT_BROADCAST_H_
 #define PIER_DHT_BROADCAST_H_
@@ -26,6 +31,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -72,11 +78,15 @@ class BroadcastService {
   using Handler =
       std::function<void(sim::HostId origin, uint64_t seq, sim::HostId parent,
                          int depth, const sim::Payload& payload)>;
-  /// Cover-wave upcall at the origin: broadcast `seq` reached `members`
-  /// nodes (self included); `complete` means every subtree reported in —
-  /// no edge was abandoned and no cover was forced by timeout.
-  using CoverageFn =
-      std::function<void(uint64_t seq, uint64_t members, bool complete)>;
+  /// Cover-wave upcall, raised once per broadcast at every node it reached
+  /// first-hand: `origin`'s broadcast `seq` reached `members` nodes through
+  /// this one (self included; the whole reach at the origin). A duplicate
+  /// delivery covers its extra parent with zero, so each node counts under
+  /// exactly one parent. `complete` means every subtree reported in — no
+  /// edge was abandoned and no cover was forced by timeout. A relay raises
+  /// it as its cover goes up; the origin a tick after its wave closes.
+  using CoverageFn = std::function<void(sim::HostId origin, uint64_t seq,
+                                        uint64_t members, bool complete)>;
 
   BroadcastService(overlay::Transport* transport, overlay::Router* router,
                    BroadcastOptions options = BroadcastOptions());
@@ -121,7 +131,6 @@ class BroadcastService {
     sim::Payload payload;
     std::vector<ChildEdge> children;
     bool cover_sent = false;
-    bool cover_acked = false;
     int cover_attempts = 0;
     uint64_t cover_count = 0;
     bool cover_complete = true;
@@ -143,7 +152,7 @@ class BroadcastService {
   void ScheduleCoverRetry(sim::HostId origin, uint64_t seq);
   void SendAck(sim::HostId to, sim::HostId origin, uint64_t seq,
                AckWhat what);
-  /// Fires the cover (or the origin callback) once every child has either
+  /// Fires the cover and the coverage callback once every child has either
   /// covered or conclusively failed.
   void MaybeFinishCover(sim::HostId origin, uint64_t seq, RelayState* state);
   void ArmCoverDeadline(sim::HostId origin, uint64_t seq);
@@ -155,6 +164,10 @@ class BroadcastService {
   void ExpireSeen();
   /// Creates the relay state (and seen-cache entry) for a first delivery.
   RelayState& MarkSeen(sim::HostId origin, uint64_t seq);
+  /// The wave closed here: its relay state goes, its seen-cache key stays.
+  void CloseRelay(sim::HostId origin, uint64_t seq) {
+    relays_.erase({origin, seq});
+  }
   sim::TimerId ScheduleTimer(Duration delay, std::function<void()> fn);
 
   overlay::Transport* transport_;
@@ -164,8 +177,11 @@ class BroadcastService {
   CoverageFn coverage_fn_;
   bool running_ = true;
   uint64_t next_seq_ = 1;
+  /// Waves still open here.
   std::map<RelayKey, RelayState> relays_;
-  /// (expiry, key) of every relays_ entry, in creation (= expiry) order.
+  /// The seen-cache: every (origin, seq) delivered here within kSeenTtl.
+  std::set<RelayKey> seen_;
+  /// (expiry, key) of every seen_ entry, in creation (= expiry) order.
   std::deque<std::pair<TimePoint, RelayKey>> expiry_;
   /// Timers scheduled and not yet fired or cancelled.
   std::unordered_set<sim::TimerId> timers_;

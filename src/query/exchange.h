@@ -8,8 +8,9 @@
 //                RehashTuple/OnTempArrival.
 //   kTree     -> no object here: AggStage (query/ops/agg_stage.h) keeps
 //                one exec::GroupBy per epoch over its children's partials;
-//                interior nodes forward one merged partial upward, and the
-//                origin, the tree's root, hands it to its CollectStage.
+//                interior nodes forward one merged partial upward once its
+//                contributor count covers their subtree, and the origin,
+//                the tree's root, hands it to its CollectStage.
 //   kToOrigin -> no object needed: members send through
 //                StageHost::DeliverResultBatch/DeliverPartialBatch; at
 //                the origin the runtime feeds its own stages directly.

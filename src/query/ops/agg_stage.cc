@@ -30,26 +30,10 @@ Duration AggStage::HoldDelay() const {
   return host_->engine_options().agg_hold_base * levels_above;
 }
 
-void AggStage::Ship(uint64_t epoch, const std::vector<Tuple>& partials) {
-  if (root_ == nullptr && route_ != ExchangeKind::kTree) {
-    // One column-major frame per flush instead of one message per group;
-    // the receiver unpacks and folds row by row, so combine semantics are
-    // untouched.
-    host_->DeliverPartialBatch(qid_, epoch, partials, route_);
-    return;
-  }
-  // A tree node holds its own partials in its combiner so children flush
-  // before parents; the root folds them like any child's.
-  for (const Tuple& p : partials) {
-    if (root_ == nullptr || root_->Admit(host_->self_host(), epoch)) {
-      Fold(epoch, p);
-    }
-  }
-}
-
 void AggStage::BeginEpoch(uint64_t epoch) {
   scan_epoch_ = epoch;
   vgb_.reset();
+  if (Combines()) Open(epoch);
 }
 
 bool AggStage::PushRawBatch(exec::RowBatch& b) {
@@ -78,31 +62,91 @@ void AggStage::FlushAccumulator(uint64_t epoch) {
     });
     vgb_.reset();
   }
-  Ship(epoch, partials);
+  // Scan-fed, this node is one contributor whether or not it holds rows;
+  // join-fed partials count nothing.
+  const uint64_t self = streaming_ ? 0 : 1;
+  if (!Combines()) {
+    // One column-major frame per flush instead of one message per group.
+    host_->DeliverPartialBatch(qid_, epoch, self, partials, route_);
+    return;
+  }
+  // A tree node folds its own partials like any child's.
+  OnRemotePartial(host_->self_host(), epoch, self, partials);
 }
 
 // -- tree combine -----------------------------------------------------------
 
-void AggStage::Fold(uint64_t epoch, const Tuple& partial) {
+AggStage::Combiner& AggStage::Open(uint64_t epoch) {
   auto it = combiners_.find(epoch);
-  if (it == combiners_.end()) {
-    // An interior node holds one combiner, flushed on its hold timer or
-    // when the next epoch opens; the root holds one per open epoch until
-    // the origin finalizes it.
-    if (root_ == nullptr && !combiners_.empty()) {
-      FlushCombiner(combiners_.begin()->first);
-    }
-    it = combiners_
-             .try_emplace(epoch, Combiner{exec::GroupBy(
-                                     node_->group_cols, node_->aggs,
-                                     exec::AggPhase::kCombine)})
-             .first;
-    if (root_ == nullptr) {
-      it->second.flush_timer = host_->ScheduleStageTimer(
-          HoldDelay(), qid_, node_id_, /*token=*/1 + epoch);
+  if (it != combiners_.end()) return it->second;
+  if (root_ == nullptr && !combiners_.empty()) {
+    FlushCombiner(combiners_.begin()->first);
+  }
+  opened_epoch_ = std::max(opened_epoch_, static_cast<int64_t>(epoch));
+  return combiners_
+      .try_emplace(epoch, Combiner{exec::GroupBy(node_->group_cols,
+                                                 node_->aggs,
+                                                 exec::AggPhase::kCombine)})
+      .first->second;
+}
+
+void AggStage::OnSubtreeCovered(uint64_t epoch, uint64_t members,
+                                bool complete) {
+  if (root_ != nullptr || route_ != ExchangeKind::kTree || streaming_) return;
+  // The wave of an epoch this node already flushed came too late to matter.
+  if (combiners_.count(epoch) == 0 &&
+      static_cast<int64_t>(epoch) <= opened_epoch_) {
+    return;
+  }
+  Open(epoch).subtree = complete ? members : 0;
+  MaybeFlush(epoch);
+}
+
+void AggStage::OnRemotePartial(uint32_t from, uint64_t epoch,
+                               uint64_t contributors,
+                               const std::vector<Tuple>& rows) {
+  if (rows.empty() && contributors == 0) return;  // nothing to fold
+  Combiner* c = nullptr;
+  if (root_ != nullptr) {
+    if (!root_->Admit(from, epoch)) return;  // counted late
+    c = &Open(epoch);
+  } else {
+    if (host_->EpochClosed(qid_, epoch)) return;  // the query ended here
+    auto it = combiners_.find(epoch);
+    if (it != combiners_.end()) {
+      c = &it->second;
+    } else if (streaming_) {
+      // Join-fed aggregation has no epoch scans to open combine windows,
+      // so the first partial opens one.
+      c = &Open(epoch);
+    } else {
+      // Scan-fed: this epoch's combiner has flushed (or is not open here):
+      // the partial goes on upward with its count, so the root's total
+      // still adds up.
+      host_->DeliverPartialBatch(qid_, epoch, contributors, rows, route_);
+      return;
     }
   }
-  it->second.partials.Push(partial);
+  c->contributors += contributors;
+  for (const Tuple& p : rows) c->partials.Push(p);
+  if (root_ == nullptr && c->flush_timer == 0) {
+    c->flush_timer = host_->ScheduleStageTimer(HoldDelay(), qid_, node_id_,
+                                               /*token=*/1 + epoch);
+  }
+  MaybeFlush(epoch);
+}
+
+void AggStage::MaybeFlush(uint64_t epoch) {
+  if (root_ != nullptr) return;  // the origin finalizes the root's epochs
+  auto it = combiners_.find(epoch);
+  if (it == combiners_.end()) return;
+  const Combiner& c = it->second;
+  if (c.subtree != 0 && c.contributors >= c.subtree) FlushCombiner(epoch);
+}
+
+uint64_t AggStage::contributors(uint64_t epoch) const {
+  auto it = combiners_.find(epoch);
+  return it == combiners_.end() ? 0 : it->second.contributors;
 }
 
 std::vector<Tuple> AggStage::TakeCombined(uint64_t epoch) {
@@ -115,25 +159,9 @@ std::vector<Tuple> AggStage::TakeCombined(uint64_t epoch) {
 }
 
 void AggStage::FlushCombiner(uint64_t epoch) {
-  host_->DeliverPartialBatch(qid_, epoch, TakeCombined(epoch), route_);
-}
-
-void AggStage::OnRemotePartial(uint32_t from, uint64_t epoch,
-                               const Tuple& t) {
-  if (root_ != nullptr) {
-    if (root_->Admit(from, epoch)) Fold(epoch, t);  // else counted late
-    return;
-  }
-  if (host_->EpochClosed(qid_, epoch)) return;  // the query ended here
-  // Join-fed aggregation has no epoch scans to open combine windows, so a
-  // tree parent opens one lazily on the first child partial.
-  if (streaming_ || combiners_.count(epoch) != 0) {
-    Fold(epoch, t);
-    return;
-  }
-  // Epochal: the combine window for this epoch already closed (or never
-  // opened here) — relay upward unmodified, like a late child.
-  host_->DeliverPartialBatch(qid_, epoch, {t}, route_);
+  const uint64_t folded = contributors(epoch);
+  host_->DeliverPartialBatch(qid_, epoch, folded, TakeCombined(epoch),
+                             route_);
 }
 
 void AggStage::OnTimer(uint64_t token) {

@@ -11,18 +11,26 @@
 //    at the join site instead of shipping raw rows to the origin.
 // The closed accumulator's partials flush by the node's output exchange:
 // kTree folds them into this node's combiner for the epoch, a kCombine
-// exec::GroupBy (held until children have flushed); anything else ships
-// them immediately.
+// exec::GroupBy; anything else ships them immediately.
 //
-// Either way, partials relayed through this node as a dissemination-tree
-// parent (OnRemotePartial) merge into the open combiner, or relay upward
-// unmodified when the epochal combine window already closed.
+// Every kPartial frame carries the number of contributors folded into it.
+// Scan-fed, a node counts itself once its scan ends (rows or not), and the
+// dissemination cover wave tells each tree node how many nodes its subtree
+// holds (OnSubtreeCovered). An interior combiner opens at BeginEpoch and
+// flushes exactly once, when its count reaches that subtree size. The
+// depth-paced hold timer, armed at the combiner's first contribution, is
+// only the fallback for a count that never completes (a crashed child, a
+// shed member, an incomplete cover wave); join-fed combiners close on it
+// alone and count nothing. A partial arriving after its node flushed goes
+// on upward with its count, so the root's total adds up on any path.
 //
 // At the origin the stage is the root of the combine tree: its own and its
 // children's partials fold into one combiner per open epoch (result
 // windows longer than the period overlap epochs), with no hold timer and
-// no relay. Finalizing an epoch takes its combined partials to the
-// CollectStage; later partials for it count as late.
+// no relay. The origin certifies an epoch exact when the root's
+// contributor total equals the members its cover wave reached. Finalizing
+// an epoch takes its combined partials to the CollectStage; later partials
+// for it count as late.
 
 #ifndef PIER_QUERY_OPS_AGG_STAGE_H_
 #define PIER_QUERY_OPS_AGG_STAGE_H_
@@ -48,18 +56,28 @@ class AggStage : public Stage {
   AggStage(StageHost* host, uint64_t qid, uint32_t node_id,
            const OpNode* node, CollectStage* root, bool streaming);
 
-  /// Scan-fed: opens `epoch`'s accumulator pass.
+  /// Scan-fed: opens `epoch`'s accumulator pass and its combiner.
   void BeginEpoch(uint64_t epoch);
   /// Folds every live row of `b` into the accumulator's grouped partial
   /// states (BatchEmitFn shape). Join-fed, the first batch after a flush
   /// arms the hold timer.
   bool PushRawBatch(exec::RowBatch& b);
-  /// Scan-fed: the epoch's scans finished; flush its partials.
+  /// Scan-fed: the epoch's scans finished; this node's partials join the
+  /// epoch as one contributor, even when it holds no rows.
   void EndScan();
 
-  /// A partial from `from`: a child in the tree, or any member at the root.
-  void OnRemotePartial(uint32_t from, uint64_t epoch,
-                       const catalog::Tuple& t);
+  /// Scan-fed tree node: `epoch`'s plan broadcast reached `members` nodes
+  /// through this one (self included); `complete` = its cover wave
+  /// confirmed every subtree. The combiner flushes once it has folded that
+  /// many contributors; an incomplete wave leaves the hold timer to it.
+  void OnSubtreeCovered(uint64_t epoch, uint64_t members, bool complete);
+  /// One kPartial frame from `from` (a child in the tree, or any member at
+  /// the root): `contributors` nodes' partials folded into `rows`.
+  void OnRemotePartial(uint32_t from, uint64_t epoch, uint64_t contributors,
+                       const std::vector<catalog::Tuple>& rows);
+  /// Contributors folded into `epoch`'s open combiner so far (0 once it is
+  /// spent). At the root, the total the origin certifies on.
+  uint64_t contributors(uint64_t epoch) const;
   /// The epoch's combined partials; its combiner is spent. The origin takes
   /// each epoch's when it finalizes it.
   std::vector<catalog::Tuple> TakeCombined(uint64_t epoch);
@@ -69,12 +87,32 @@ class AggStage : public Stage {
  private:
   static constexpr uint64_t kStreamFlushToken = 0;  // combiner tokens: 1+epoch
 
+  /// One epoch's combine: partials in, one merged partial stream out when
+  /// drained.
+  struct Combiner {
+    exec::GroupBy partials;
+    /// Nodes whose partials are folded in (scan-fed only).
+    uint64_t contributors = 0;
+    /// Interior node: its subtree's size from a complete cover wave; 0
+    /// until that arrives, and for good after an incomplete one.
+    uint64_t subtree = 0;
+    /// Interior node: the hold fallback, armed at the first contribution.
+    sim::TimerId flush_timer = 0;
+  };
+
   Duration HoldDelay() const;
+  /// Whether partials combine here: at the root and on kTree nodes (a
+  /// kDirect member ships its own straight to the origin).
+  bool Combines() const {
+    return root_ != nullptr || route_ == ExchangeKind::kTree;
+  }
+  /// `epoch`'s combiner, opened if absent. An interior node holds one at a
+  /// time: opening a newer epoch flushes the older one.
+  Combiner& Open(uint64_t epoch);
   /// Closes the accumulator and flushes its partials for `epoch`.
   void FlushAccumulator(uint64_t epoch);
-  /// This node's own partials: into a combiner, or straight to the origin.
-  void Ship(uint64_t epoch, const std::vector<catalog::Tuple>& partials);
-  void Fold(uint64_t epoch, const catalog::Tuple& partial);
+  /// An interior combiner flushes once it has its whole subtree.
+  void MaybeFlush(uint64_t epoch);
   void FlushCombiner(uint64_t epoch);
 
   StageHost* host_;
@@ -90,15 +128,12 @@ class AggStage : public Stage {
   /// scan-fed epoch's rows, or the join-fed rows since the last flush.
   std::unique_ptr<exec::VectorGroupBy> vgb_;
 
-  /// One epoch's combine: partials in, one merged partial stream out when
-  /// drained. Only an interior node arms a flush timer.
-  struct Combiner {
-    exec::GroupBy partials;
-    sim::TimerId flush_timer = 0;
-  };
   /// Open combiners by epoch: at most one on an interior node, one per
   /// open epoch at the root.
   std::map<uint64_t, Combiner> combiners_;
+  /// Highest epoch a combiner was opened for (-1: none): a cover wave for
+  /// an epoch at or below it with no open combiner came after the flush.
+  int64_t opened_epoch_ = -1;
 };
 
 }  // namespace ops

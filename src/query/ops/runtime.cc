@@ -377,13 +377,21 @@ void QueryRuntime::OnArrival(const std::string& ns,
   }
 }
 
-void QueryRuntime::OnRemoteRow(uint32_t from, uint64_t epoch, const Tuple& t,
-                               bool partial) {
-  if (partial) {
-    if (agg_ != nullptr) agg_->OnRemotePartial(from, epoch, t);
-  } else if (collection_ != nullptr) {
-    collection_->Accept(from, epoch, t);
-  }
+void QueryRuntime::OnRemoteResult(uint32_t from, uint64_t epoch,
+                                  const std::vector<Tuple>& rows) {
+  if (collection_ == nullptr) return;
+  for (const Tuple& t : rows) collection_->Accept(from, epoch, t);
+}
+
+void QueryRuntime::OnRemotePartial(uint32_t from, uint64_t epoch,
+                                   uint64_t contributors,
+                                   const std::vector<Tuple>& rows) {
+  if (agg_ != nullptr) agg_->OnRemotePartial(from, epoch, contributors, rows);
+}
+
+void QueryRuntime::OnSubtreeCovered(uint64_t epoch, uint64_t members,
+                                    bool complete) {
+  if (agg_ != nullptr) agg_->OnSubtreeCovered(epoch, members, complete);
 }
 
 void QueryRuntime::FinishEpoch(uint64_t epoch, ResultBatch* out) {

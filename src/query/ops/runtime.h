@@ -54,6 +54,9 @@ class QueryRuntime {
   bool accountable() const {
     return epochal_ && agg_ == nullptr && index_scans_.empty();
   }
+  /// Scan-fed aggregation: every partial carries its contributor count up
+  /// the combine tree, and the root's total certifies an epoch exact.
+  bool counted() const { return epochal_ && agg_ != nullptr; }
   /// Exchange namespaces this query consumes on this node (subscribe at
   /// install, drop at query end).
   std::vector<std::string> Namespaces() const;
@@ -68,11 +71,17 @@ class QueryRuntime {
   /// Runs one epoch of every epochal scan pipeline.
   void StartEpoch(uint64_t epoch);
   void OnArrival(const std::string& ns, const dht::StoredItem& item);
-  /// One row of a member's frame: a partial for the aggregation stage, a
-  /// result for the origin's collection. Anything else is malformed (every
-  /// member builds the same graph) and dropped.
-  void OnRemoteRow(uint32_t from, uint64_t epoch, const catalog::Tuple& t,
-                   bool partial);
+  /// A member's kResult frame, for the origin's collection.
+  void OnRemoteResult(uint32_t from, uint64_t epoch,
+                      const std::vector<catalog::Tuple>& rows);
+  /// A member's kPartial frame (`contributors` nodes folded into `rows`),
+  /// for the aggregation stage. Either kind reaching a node without its
+  /// stage is malformed (every member builds the same graph) and dropped.
+  void OnRemotePartial(uint32_t from, uint64_t epoch, uint64_t contributors,
+                       const std::vector<catalog::Tuple>& rows);
+  /// `epoch`'s plan broadcast covered `members` nodes through this one
+  /// (see AggStage::OnSubtreeCovered).
+  void OnSubtreeCovered(uint64_t epoch, uint64_t members, bool complete);
   void OnFetchReq(uint32_t from, Reader* r);
   void OnFetchResp(Reader* r);
   /// Filter-wave frames route per-edge by the frame's join node id (a
@@ -83,6 +92,10 @@ class QueryRuntime {
   Stage* stage(uint32_t node_id);
 
   // -- origin only -----------------------------------------------------------
+  /// Members folded into the root's `epoch` so far (counted() graphs).
+  uint64_t contributors(uint64_t epoch) const {
+    return agg_ != nullptr ? agg_->contributors(epoch) : 0;
+  }
   /// Closes `epoch`: fills `out`'s rows and reporters (CollectStage).
   void FinishEpoch(uint64_t epoch, ResultBatch* out);
   /// The engine rewrote the index scans into scans: the cursors stop, the

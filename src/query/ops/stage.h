@@ -62,8 +62,10 @@ class StageHost {
                                   const exec::RowBatch& b) = 0;
   /// Sends partial aggregates: kTree to the dissemination-tree parent
   /// (which combines before forwarding), anything else to the origin. One
-  /// kPartial frame carries a whole flush.
+  /// kPartial frame carries a whole flush and the number of contributors
+  /// folded into it; it goes out even without rows while that is nonzero.
   virtual void DeliverPartialBatch(uint64_t qid, uint64_t epoch,
+                                   uint64_t contributors,
                                    const std::vector<catalog::Tuple>& partials,
                                    ExchangeKind route) = 0;
   /// Raw engine-protocol message (semi-join fetch and Bloom traffic).

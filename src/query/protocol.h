@@ -40,10 +40,13 @@ struct EngineOptions {
   /// epoch (the paper's demo semantics: sum over nodes *responding* in the
   /// window).
   Duration result_wait = Seconds(8);
-  /// Tree aggregation: a node at depth d holds partials for
-  /// agg_hold_base * max(1, kAggAssumedDepth - d) before flushing to its
-  /// parent (kAggAssumedDepth = 8, query/ops/agg_stage.cc), so children
-  /// flush before parents.
+  /// Tree aggregation's fallback close. A scan-fed tree node flushes once
+  /// its partials' contributor count reaches its subtree's size; when that
+  /// count never completes (a crashed child, a shed member, an incomplete
+  /// cover wave), and for join-fed aggregation always, a node at depth d
+  /// flushes agg_hold_base * max(1, kAggAssumedDepth - d) after its first
+  /// contribution (kAggAssumedDepth = 8, query/ops/agg_stage.cc), so
+  /// children flush before parents.
   Duration agg_hold_base = Millis(800);
   /// Bloom join: origin collects per-node filters for this long before
   /// redistributing the union (filter geometry: query/bloom_wire.h).
@@ -74,9 +77,9 @@ struct EngineStats {
   uint64_t result_msgs_received = 0;
   uint64_t partial_msgs_sent = 0;
   uint64_t partial_msgs_received = 0;
-  /// Results/partials reaching the origin after their epoch finalized —
-  /// stragglers the best-effort window dropped (they are counted, not
-  /// folded into the already-delivered answer).
+  /// Result rows and partial frames reaching the origin after their epoch
+  /// finalized — stragglers the best-effort window dropped (they are
+  /// counted, not folded into the already-delivered answer).
   uint64_t late_partials = 0;
   uint64_t rehash_puts = 0;
   uint64_t fetch_gets = 0;
@@ -163,7 +166,8 @@ struct Completeness {
   /// disabled or the cover wave had not returned by finalize time).
   uint64_t members_expected = 0;
   /// Members whose results (or per-epoch completion reports) reached the
-  /// origin for this epoch, origin included.
+  /// origin for this epoch, origin included. For scan-fed aggregation, the
+  /// contributors the partials that reached the root's combine count.
   uint64_t members_reported = 0;
   /// The broadcast cover wave confirmed every reachable subtree delivered.
   bool coverage_complete = false;
@@ -184,11 +188,13 @@ struct Completeness {
   uint64_t filter_waves_degraded = 0;
   bool cancelled = false;
   bool deadline_expired = false;
-  /// Engine-certified: coverage complete, every member reported this epoch,
-  /// zero frames lost, zero members shed, and every data frame members
-  /// claim to have sent was admitted at the origin. Only the reliable
-  /// direct-to-origin pipeline certifies; tree-aggregated and join answers
-  /// stay conservatively non-exact even when they happen to be complete.
+  /// Engine-certified: coverage complete, the topology stable, zero
+  /// members shed, no budget tripped, and every covered member accounted
+  /// for. Scan pipelines account by per-member reports (zero frames lost,
+  /// every data frame a member claims to have sent admitted at the
+  /// origin); scan-fed aggregation by contributor counts (the root's total
+  /// equals members_expected). Join answers stay conservatively non-exact
+  /// even when they happen to be complete.
   bool exact = false;
 
   std::string ToString() const {
@@ -235,15 +241,21 @@ enum class MsgType : uint8_t {
   kFetchReq = 3,
   kFetchResp = 4,
   kBloomPart = 5,
-  /// Result rows (kToOrigin) and partial aggregates (kTree / to the
-  /// origin). Payload: [qid][epoch][RowBatch] — one frame carries a batch
-  /// of rows, and a single row goes in RowBatch's tuple-encoded one-row
-  /// form.
+  /// Result rows (kToOrigin). Payload: [qid][epoch][RowBatch] — one frame
+  /// carries a batch of rows, and a single row goes in RowBatch's
+  /// tuple-encoded one-row form.
   kResult = 6,
+  /// Partial aggregates (kTree / to the origin). Payload: [qid][epoch]
+  /// [contributors][RowBatch]: the varint counts the nodes whose partials
+  /// are folded into the batch (0 for join-fed aggregation). A count-only
+  /// frame carries an empty batch. A frame whose count or batch fails to
+  /// decode is dropped whole.
   kPartial = 7,
-  /// Reliable envelope: [qid][frame_id][inner message bytes]. The inner
-  /// bytes are a complete direct message (kResult/kPartial/kEpochReport/
-  /// kBudgetTrip). Receivers always ack —
+  /// Reliable envelope: [qid][incarnation][frame_id][inner message bytes].
+  /// The inner bytes are a complete direct message (kResult/kPartial/
+  /// kEpochReport/kBudgetTrip). Frame ids count from 1 per incarnation: the
+  /// sender's install time of the query (ms), so a rebooted or re-installed
+  /// sender is not taken for a retransmitter. Receivers always ack —
   /// including duplicates and unknown queries, so retransmit storms die —
   /// and admit the inner message only on first sight of the frame id.
   kFrame = 8,

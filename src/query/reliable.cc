@@ -5,8 +5,15 @@
 namespace pier {
 namespace query {
 
-bool FrameDedupe::Admit(uint64_t frame_id) {
+bool FrameDedupe::Admit(uint64_t frame_id, uint64_t incarnation) {
   if (frame_id == 0) return false;  // ids start at 1; 0 is malformed
+  if (incarnation < incarnation_) return false;  // a superseded sender
+  if (incarnation > incarnation_) {
+    // The sender restarted: its ids count from 1 again.
+    incarnation_ = incarnation;
+    max_contig_ = 0;
+    sparse_.clear();
+  }
   if (frame_id <= max_contig_ || sparse_.count(frame_id)) return false;
   ++admitted_;
   if (frame_id == max_contig_ + 1) {

@@ -19,15 +19,22 @@
 namespace pier {
 namespace query {
 
-/// Receiver-side frame-id dedupe: frame ids are per-(query, sender) and
-/// monotone from 1, so a contiguous watermark plus a sparse out-of-order set
-/// stays O(gaps). Admit() returns true exactly once per id.
+/// Receiver-side frame-id dedupe, one per (query, sender). A sender numbers
+/// its frames monotone from 1 within one incarnation — one install of the
+/// query on that node, stamped with its install time. A reboot, or a
+/// re-install once its tombstone expired, numbers from 1 again under a
+/// later stamp: that restarts the window, and frames of an older
+/// incarnation are refused. Within an incarnation a contiguous watermark
+/// plus a sparse out-of-order set stays O(gaps). Admit() returns true
+/// exactly once per (incarnation, id).
 class FrameDedupe {
  public:
-  bool Admit(uint64_t frame_id);
+  bool Admit(uint64_t frame_id, uint64_t incarnation = 0);
   uint64_t admitted() const { return admitted_; }
+  uint64_t incarnation() const { return incarnation_; }
 
  private:
+  uint64_t incarnation_ = 0;
   // Ids <= max_contig_ are all seen; sparse_ holds seen ids above it.
   uint64_t max_contig_ = 0;
   std::set<uint64_t> sparse_;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -565,6 +566,133 @@ TEST(BroadcastTest, SeenCacheSuppressesReplayUntilTtlExpires) {
 
   replay_at(delivered_at + kSeenTtl + Seconds(1));
   EXPECT_EQ(deliveries, 2) << "replay after the TTL must deliver again";
+}
+
+// The cover wave's count at every relay: each node the broadcast reached
+// is told, once, how many nodes it reached through that node — itself plus
+// what each child it forwarded to covered. Tree aggregation waits for
+// exactly that many contributors, so the sums must close at every level.
+TEST(BroadcastTest, EveryRelaysCoverCountIsOnePlusItsChildren) {
+  PierNetwork net(32, ChordOpts(33));
+  net.Boot(Seconds(90));
+  const size_t n = net.size();
+  std::map<sim::HostId, size_t> index;
+  for (size_t i = 0; i < n; ++i) index[net.node(i)->host()] = i;
+  std::vector<sim::HostId> parent(n, sim::kInvalidHost);
+  std::vector<int> upcalls(n, 0);
+  std::vector<uint64_t> members(n, 0);
+  std::vector<bool> complete(n, false);
+  int max_depth = 0;
+  for (size_t i = 0; i < n; ++i) {
+    BroadcastService* b = net.node(i)->broadcast();
+    b->SetHandler([&, i](sim::HostId, uint64_t, sim::HostId p, int depth,
+                         const sim::Payload&) {
+      parent[i] = p;
+      max_depth = std::max(max_depth, depth);
+    });
+    b->SetCoverageHandler(
+        [&, i](sim::HostId, uint64_t, uint64_t m, bool c) {
+          ++upcalls[i];
+          members[i] = m;
+          complete[i] = c;
+        });
+  }
+  net.node(0)->broadcast()->Broadcast(sim::Payload("plan"));
+  net.RunFor(Seconds(15));
+
+  ASSERT_GT(max_depth, 1) << "the tree must have interior relays";
+  std::vector<uint64_t> below(n, 1);  // self
+  for (size_t i = 1; i < n; ++i) {
+    ASSERT_NE(parent[i], sim::kInvalidHost) << "node " << i << " unreached";
+    below[index.at(parent[i])] += members[i];
+  }
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(upcalls[i], 1) << "node " << i;
+    EXPECT_TRUE(complete[i]) << "node " << i;
+    EXPECT_EQ(members[i], below[i]) << "node " << i;
+  }
+  EXPECT_EQ(members[0], n);
+}
+
+// A node already holding the broadcast covers any OTHER parent that
+// forwards it again with zero, so it counts under one parent only. Here a
+// forged first delivery from a peer makes the real parent a second one: its
+// count then leaves the target out, and the target's own upcall fires only
+// for its first delivery.
+TEST(BroadcastTest, DuplicateDeliveryCoversItsExtraParentWithZero) {
+  PierNetwork net(8, OneHopOpts());
+  net.Boot(Seconds(5));
+  constexpr size_t kOrigin = 0, kTarget = 3, kForger = 5;
+  std::vector<int> upcalls(net.size(), 0);
+  std::vector<uint64_t> members(net.size(), 0);
+  std::vector<bool> complete(net.size(), false);
+  for (size_t i = 0; i < net.size(); ++i) {
+    net.node(i)->broadcast()->SetCoverageHandler(
+        [&, i](sim::HostId, uint64_t, uint64_t m, bool c) {
+          ++upcalls[i];
+          members[i] = m;
+          complete[i] = c;
+        });
+  }
+  // The target's ring successor bounds an interval holding no node, so the
+  // forged delivery makes the target a leaf under the forger.
+  std::vector<Id160> ids;
+  for (size_t i = 0; i < net.size(); ++i) ids.push_back(net.node(i)->id());
+  std::sort(ids.begin(), ids.end());
+  const Id160 target_id = net.node(kTarget)->id();
+  auto next = std::upper_bound(ids.begin(), ids.end(), target_id);
+  const Id160 limit = next == ids.end() ? ids.front() : *next;
+  Writer w;
+  w.PutU8(1);  // kData
+  w.PutFixed32(net.node(kOrigin)->host());
+  w.PutVarint64(1);  // the origin's first broadcast
+  limit.Serialize(&w);
+  w.PutVarint32(1);  // depth
+  net.node(kForger)->transport()->SendWithBody(
+      net.node(kTarget)->host(), overlay::Proto::kBroadcast, w,
+      sim::Payload("plan"));
+  net.RunFor(Seconds(1));
+  ASSERT_EQ(upcalls[kTarget], 1);
+  EXPECT_EQ(members[kTarget], 1u);
+
+  ASSERT_EQ(net.node(kOrigin)->broadcast()->Broadcast(sim::Payload("plan")),
+            1u);
+  net.RunFor(Seconds(10));
+  EXPECT_EQ(net.node(kTarget)->broadcast()->stats().duplicates, 1u);
+  EXPECT_EQ(upcalls[kTarget], 1) << "a duplicate must not raise the upcall";
+  ASSERT_EQ(upcalls[kOrigin], 1);
+  EXPECT_TRUE(complete[kOrigin]);
+  EXPECT_EQ(members[kOrigin], net.size() - 1)
+      << "the zero cover must add nothing to the origin's count";
+}
+
+// The origin's upcall is what it always was: its whole reach, complete,
+// raised once — and never inside Broadcast() itself, even when a childless
+// origin closes its wave synchronously there.
+TEST(BroadcastTest, OriginUpcallIsDeferredPastBroadcast) {
+  PierNetwork net(1, OneHopOpts());
+  net.Boot(Seconds(5));
+  int upcalls = 0;
+  uint64_t members = 0, seq_seen = 0;
+  bool complete = false;
+  sim::HostId origin_seen = sim::kInvalidHost;
+  BroadcastService* b = net.node(0)->broadcast();
+  b->SetCoverageHandler(
+      [&](sim::HostId o, uint64_t seq, uint64_t m, bool c) {
+        ++upcalls;
+        origin_seen = o;
+        seq_seen = seq;
+        members = m;
+        complete = c;
+      });
+  uint64_t seq = b->Broadcast(sim::Payload("plan"));
+  EXPECT_EQ(upcalls, 0) << "raised before Broadcast returned its seq";
+  net.RunFor(Millis(1));
+  ASSERT_EQ(upcalls, 1);
+  EXPECT_EQ(origin_seen, net.node(0)->host());
+  EXPECT_EQ(seq_seen, seq);
+  EXPECT_EQ(members, 1u);
+  EXPECT_TRUE(complete);
 }
 
 }  // namespace

@@ -125,6 +125,65 @@ TEST(E2eSqlTest, DistributedAggregateOverEightNodes) {
   }
 }
 
+// A tree GROUP BY closes by count on a settled Chord ring. Every kPartial
+// carries how many members it folds in; each interior node flushes once
+// its subtree's count (from the plan's cover wave) is in, and the origin
+// certifies the answer exact the moment the root's total equals the
+// members the wave reached — well before result_wait. Three rule ids put
+// all rows on a few DHT owners, so most members scan nothing: they must
+// still be counted, or the total never closes.
+TEST(E2eSqlTest, TreeGroupByClosesByCountAndCertifies) {
+  PierNetworkOptions opts;
+  opts.seed = 151;
+  opts.node.router_kind = RouterKind::kChord;
+  opts.node.engine.result_wait = Seconds(8);
+  PierNetwork net(24, opts);
+  net.Boot(Seconds(60));
+  ASSERT_NO_FATAL_FAILURE(RegisterEverywhere(net, AlertsTable()));
+  std::vector<std::tuple<int, std::string, int>> rows;
+  std::map<int64_t, int64_t> expected_sum;
+  for (int i = 0; i < 36; ++i) {
+    int rule = 1 + (i % 3);
+    rows.push_back({rule, "r" + std::to_string(rule), 10 + i});
+    expected_sum[rule] += 10 + i;
+  }
+  ASSERT_NO_FATAL_FAILURE(PublishAlerts(net, rows));
+  // Settled: no overlay neighbourhood changed inside the certify window.
+  net.RunFor(Seconds(40));
+
+  std::vector<ResultBatch> batches;
+  TimePoint answered = 0;
+  const TimePoint issued = net.sim()->now();
+  auto r = planner::ExecuteSql(
+      net.node(0)->query_engine(),
+      "SELECT rule_id, SUM(hits) AS total FROM alerts GROUP BY rule_id",
+      [&](const ResultBatch& b) {
+        batches.push_back(b);
+        answered = net.sim()->now();
+      });
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  net.RunFor(Seconds(12));
+
+  ASSERT_EQ(batches.size(), 1u);
+  ASSERT_EQ(batches[0].rows.size(), 3u);
+  for (const Tuple& t : batches[0].rows) {
+    EXPECT_EQ(t[1].int64_value(), expected_sum[t[0].int64_value()]);
+  }
+  const query::Completeness& c = batches[0].completeness;
+  EXPECT_TRUE(c.exact) << c.ToString();
+  EXPECT_EQ(c.members_expected, net.size());
+  EXPECT_EQ(c.members_reported, c.members_expected);
+  EXPECT_LT(answered - issued, opts.node.engine.result_wait / 4);
+  size_t empty_members = 0;
+  for (size_t i = 0; i < net.size(); ++i) {
+    if (net.node(i)->query_engine()->stats().tuples_scanned == 0) {
+      ++empty_members;
+    }
+  }
+  EXPECT_GT(empty_members, net.size() / 2)
+      << "most members must hold no rows for the test to bite";
+}
+
 // The same aggregate answered over multi-hop Chord routing on 16 nodes: the
 // plan travels the real dissemination tree and partials combine hop-by-hop.
 TEST(E2eSqlTest, AggregateOnChordOverlay) {

@@ -45,6 +45,22 @@ TEST(FrameDedupeTest, AdmitsEachIdExactlyOnce) {
   EXPECT_EQ(d.admitted(), 3u);
 }
 
+// A sender that restarts (a reboot, a re-install) numbers its frames from 1
+// again under a later incarnation: the window restarts instead of taking
+// them for retransmits, and the superseded incarnation's frames bounce.
+TEST(FrameDedupeTest, NewerIncarnationRestartsTheWindow) {
+  FrameDedupe d;
+  EXPECT_TRUE(d.Admit(1, /*incarnation=*/5));
+  EXPECT_TRUE(d.Admit(2, 5));
+  EXPECT_FALSE(d.Admit(1, 5));
+  EXPECT_TRUE(d.Admit(1, 9));   // restarted sender, not a retransmit
+  EXPECT_FALSE(d.Admit(1, 9));
+  EXPECT_FALSE(d.Admit(3, 5));  // the superseded incarnation
+  EXPECT_TRUE(d.Admit(2, 9));
+  EXPECT_EQ(d.incarnation(), 9u);
+  EXPECT_EQ(d.admitted(), 4u);
+}
+
 TEST(FrameDedupeTest, RejectsMalformedZeroId) {
   FrameDedupe d;
   EXPECT_FALSE(d.Admit(0));
@@ -307,10 +323,12 @@ TEST(ReliablePlaneTest, FramedPartialForSelectQueryIsDroppedAtMember) {
   Writer w;
   w.PutU8(static_cast<uint8_t>(MsgType::kFrame));
   w.PutVarint64(r.value());
+  w.PutVarint64(/*incarnation=*/0);
   w.PutVarint64(/*frame_id=*/1);
   w.PutU8(static_cast<uint8_t>(MsgType::kPartial));
   w.PutVarint64(r.value());
   w.PutVarint64(/*epoch=*/0);
+  w.PutVarint64(/*contributors=*/1);
   catalog::SerializeTuple(Tuple{Value::Int64(7)}, &w);
   const EngineStats& member = net.node(2)->query_engine()->stats();
   const EngineStats& origin = net.node(0)->query_engine()->stats();
@@ -327,6 +345,121 @@ TEST(ReliablePlaneTest, FramedPartialForSelectQueryIsDroppedAtMember) {
   EXPECT_EQ(origin.partial_msgs_received, origin_received);
   net.node(0)->query_engine()->Cancel(r.value());
   net.RunFor(Seconds(2));
+}
+
+// ---------------------------------------------------------------------------
+// Contributor counts on kPartial frames
+// ---------------------------------------------------------------------------
+
+/// SELECT rule_id, SUM(hits) FROM alerts GROUP BY rule_id, combined up the
+/// dissemination tree (one level deep on the one-hop overlay).
+QueryPlan AlertsTreeSum() {
+  QueryPlan plan;
+  AddScan(&plan.graph, "alerts", AlertsTable().schema);
+  AppendTail(&plan.graph, nullptr,
+             AggNode({0}, {{exec::AggFunc::kSum, 2, "total"}}), {},
+             AggStrategy::kTree);
+  return plan;
+}
+
+/// Frames `inner` (a complete direct message) as frame `frame_id` of
+/// query `qid` and sends it from `from` to the origin, node 0. Incarnation
+/// 0 precedes the sender's own install, so its real frames still count.
+void InjectFrame(PierNetwork& net, size_t from, uint64_t qid,
+                 uint64_t frame_id, const std::string& inner) {
+  Writer w;
+  w.PutU8(static_cast<uint8_t>(MsgType::kFrame));
+  w.PutVarint64(qid);
+  w.PutVarint64(/*incarnation=*/0);
+  w.PutVarint64(frame_id);
+  w.PutRaw(inner.data(), inner.size());
+  ASSERT_TRUE(net.node(from)
+                  ->transport()
+                  ->Send(net.node(0)->host(), overlay::Proto::kQuery, w)
+                  .ok());
+}
+
+/// [kPartial][qid][epoch 0], then `rest`.
+std::string PartialHead(uint64_t qid) {
+  Writer w;
+  w.PutU8(static_cast<uint8_t>(MsgType::kPartial));
+  w.PutVarint64(qid);
+  w.PutVarint64(/*epoch=*/0);
+  return w.Release();
+}
+
+/// Every rule's SUM(hits) as SeedAlerts publishes them: rule r has r * 10.
+void ExpectTreeSums(const ResultBatch& batch) {
+  ASSERT_EQ(batch.rows.size(), 30u);
+  for (const Tuple& t : batch.rows) {
+    EXPECT_EQ(t[1].int64_value(), t[0].int64_value() * 10) << t[0].ToString();
+  }
+}
+
+// A kPartial frame is taken whole or not at all. One frame ends before its
+// contributor count, another in the middle of its batch: neither may add
+// its count without its rows (or rows without their count), so the answer
+// still certifies with exactly the members the cover wave reached.
+TEST(ReliablePlaneTest, TruncatedPartialFrameIsDroppedWhole) {
+  PierNetwork net(6, CleanOneHopOpts());
+  SeedAlerts(net);
+  std::vector<ResultBatch> batches;
+  auto r = net.node(0)->query_engine()->Execute(
+      AlertsTreeSum(), [&](const ResultBatch& b) { batches.push_back(b); });
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  // Frame ids far above node 3's own keep its real frames admissible.
+  InjectFrame(net, 3, r.value(), 1000, PartialHead(r.value()));
+  exec::RowBatchBuilder forged({ValueType::kInt64, ValueType::kInt64});
+  forged.Append(Tuple{Value::Int64(1), Value::Int64(1000)});
+  forged.Append(Tuple{Value::Int64(2), Value::Int64(1000)});
+  Writer body;
+  body.PutVarint64(/*contributors=*/1);
+  forged.Take().Encode(&body);
+  std::string cut = body.Release();
+  cut.pop_back();
+  InjectFrame(net, 3, r.value(), 1001, PartialHead(r.value()) + cut);
+  net.RunFor(Seconds(10));
+
+  ASSERT_EQ(batches.size(), 1u);
+  ExpectTreeSums(batches[0]);
+  const Completeness& c = batches[0].completeness;
+  EXPECT_TRUE(c.exact) << c.ToString();
+  EXPECT_EQ(c.members_expected, 6u);
+  EXPECT_EQ(c.members_reported, 6u);
+  // One kPartial per member; the two cut frames never decoded.
+  EXPECT_EQ(net.node(0)->query_engine()->stats().partial_msgs_received, 5u);
+}
+
+// The root's contributor total must EQUAL the members its cover wave
+// reached. A well-formed surplus partial (one contributor, no rows) pushes
+// the total past it: the answer is still right, but nothing vouches for
+// it, so it waits out result_wait and is not certified.
+TEST(ReliablePlaneTest, SurplusContributorBarsCertification) {
+  PierNetwork net(6, CleanOneHopOpts());
+  SeedAlerts(net);
+  std::vector<ResultBatch> batches;
+  TimePoint answered = 0;
+  const TimePoint issued = net.sim()->now();
+  auto r = net.node(0)->query_engine()->Execute(
+      AlertsTreeSum(), [&](const ResultBatch& b) {
+        batches.push_back(b);
+        answered = net.sim()->now();
+      });
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  Writer body;
+  body.PutVarint64(/*contributors=*/1);
+  exec::RowBatch().Encode(&body);
+  InjectFrame(net, 3, r.value(), 1000, PartialHead(r.value()) + body.Release());
+  net.RunFor(Seconds(10));
+
+  ASSERT_EQ(batches.size(), 1u);
+  ExpectTreeSums(batches[0]);
+  const Completeness& c = batches[0].completeness;
+  EXPECT_FALSE(c.exact) << c.ToString();
+  EXPECT_EQ(c.members_expected, 6u);
+  EXPECT_EQ(c.members_reported, 7u);
+  EXPECT_EQ(answered - issued, CleanOneHopOpts().node.engine.result_wait);
 }
 
 // ---------------------------------------------------------------------------

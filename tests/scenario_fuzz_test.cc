@@ -110,9 +110,18 @@ ScenarioReport RunFuzzCase(uint64_t seed, const FaultScript* override_script,
                  .wait = 0,
                  .min_recall = churn ? -1.0 : 0.5,
                  .min_precision = churn ? -1.0 : 0.8})
+      // Tree aggregate: partials carry contributor counts up the
+      // dissemination tree and the origin certifies on their total. No
+      // floor: the CompletenessChecker is the referee, and an exact claim
+      // must match the oracle under every sampled fault.
+      .AddQuery({.sql = "SELECT rule_id, SUM(hits) FROM alerts "
+                        "GROUP BY rule_id",
+                 .issue_at = issue_at + Seconds(40),
+                 .origin = 0,
+                 .wait = 0})
       .WithHealSettle(Seconds(chord ? 60 : 25))
       .WithDefaultCheckers()
-      // Both workload queries are one-shot and long finished by check time,
+      // The workload queries are one-shot and long finished by check time,
       // so no alive node may still hold live per-query exchange state —
       // especially after the cancel/deadline directives Sample() now mixes
       // in a third of the time ("no namespace squatting after cancel").

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -335,6 +336,82 @@ TEST(ScenarioTest, AsymmetricLinkHealsAndConverges) {
   ScenarioReport report = s.Run();
   EXPECT_TRUE(report.ok()) << report.ToString();
   EXPECT_GT(report.messages_faulted, 0u);
+}
+
+// An interior tree node dies with its subtree's partials on their way to
+// it: after the plan reached it and its cover went up (so the origin
+// expects its whole subtree), before it flushed. Its children's frames die
+// with it, its parent's count never completes and falls back to the hold,
+// and the root's contributor total comes up short. The answer must say so
+// — members_reported < members_expected — and must not claim exact.
+TEST(ScenarioTest, InteriorTreeNodeCrashBeforeFlushIsNotExact) {
+  constexpr size_t kNodes = 16;
+  constexpr TimePoint kIssue = Seconds(100);
+  // Polled every millisecond from the issue on: the first non-origin node
+  // that forwarded the plan, heard every child's cover (so it sent its
+  // own) and has not sent a partial yet is the victim.
+  struct Probe {
+    std::vector<uint64_t> forwarded, covers, partials;
+    int victim = -1;
+    int polls = 0;
+  } probe;
+  std::function<void(core::PierNetwork&)> poll =
+      [&probe, &poll](core::PierNetwork& net) {
+        for (size_t i = 1; i < net.size() && probe.victim < 0; ++i) {
+          core::PierNode* node = net.node(i);
+          if (!node->alive()) continue;
+          const dht::BroadcastStats& b = node->broadcast()->stats();
+          uint64_t forwarded = b.forwarded - probe.forwarded[i];
+          uint64_t covers = b.covers_received - probe.covers[i];
+          uint64_t sent = node->query_engine()->stats().partial_msgs_sent -
+                          probe.partials[i];
+          if (forwarded > 0 && covers == forwarded && sent == 0) {
+            probe.victim = static_cast<int>(i);
+            node->Crash();
+          }
+        }
+        if (probe.victim < 0 && ++probe.polls < 2000) {
+          net.sim()->ScheduleAfter(Millis(1), [&net, &poll] { poll(net); });
+        }
+      };
+  // Thousands of rows per node keep every scan busy for several scheduler
+  // rounds, so a relay's cover goes up while its children's partials are
+  // still being scanned.
+  std::vector<Tuple> rows;
+  for (int i = 0; i < 48000; ++i) {
+    rows.push_back(Tuple{Value::Int64(i % 512), Value::Int64(i % 97)});
+  }
+  Scenario s(/*seed=*/4229);
+  s.WithNodes(kNodes)
+      .WithRouter(RouterKind::kChord)
+      .WithTable(AlertsTable())
+      .PublishRows("alerts", std::move(rows))
+      .AddQuery({.sql = kSumSql, .issue_at = kIssue, .origin = 0})
+      // Runs just before the query goes out at the same instant.
+      .At(kIssue,
+          [&probe, &poll](core::PierNetwork& net) {
+            for (size_t i = 0; i < net.size(); ++i) {
+              core::PierNode* node = net.node(i);
+              probe.forwarded.push_back(node->broadcast()->stats().forwarded);
+              probe.covers.push_back(
+                  node->broadcast()->stats().covers_received);
+              probe.partials.push_back(
+                  node->query_engine()->stats().partial_msgs_sent);
+            }
+            poll(net);
+          })
+      .WithHealSettle(Seconds(60))
+      .WithDefaultCheckers();
+  ScenarioReport report = s.Run();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  ASSERT_GE(probe.victim, 1) << "no interior node was caught before its flush";
+  ASSERT_EQ(report.queries.size(), 1u);
+  ASSERT_TRUE(report.queries[0].completed) << report.ToString();
+  const query::Completeness& c = report.queries[0].batch.completeness;
+  EXPECT_FALSE(c.exact) << c.ToString();
+  EXPECT_TRUE(c.coverage_complete) << c.ToString();
+  EXPECT_EQ(c.members_expected, kNodes) << c.ToString();
+  EXPECT_LT(c.members_reported, c.members_expected) << c.ToString();
 }
 
 // Sustained random loss on every link. Before the reliable result plane
