@@ -14,10 +14,12 @@
 //     to, given its dissemination-tree position);
 //   - the reliable result plane, budgets and exact-answer certification;
 //   - each epoch's finalize deadline, and handing its answer to the client;
-//   - recursion quiescence detection and query teardown/GC.
+//   - recursion quiescence detection and query teardown.
 //
 // Everything is soft state: one-shot results are "best effort within the
-// result wait window", exactly the guarantee the paper's demo gives.
+// result wait window", exactly the guarantee the paper's demo gives. Every
+// node, the origin included, frees an ended query at once and keeps only a
+// tombstone of its id for a while.
 
 #ifndef PIER_QUERY_ENGINE_H_
 #define PIER_QUERY_ENGINE_H_
@@ -27,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -84,9 +87,10 @@ class QueryEngine : public ops::StageHost {
                           uint64_t instance);
 
   /// Issues a distributed query from this node. `cb` fires once per epoch
-  /// (exactly once for one-shot queries). Refused with Status::Busy when
-  /// this node's admission budgets (live queries, plan operators, pending
-  /// reliable-result bytes) are exhausted. Returns the query id.
+  /// (exactly once for one-shot queries); it may Cancel this query or
+  /// Execute another. Refused with Status::Busy when this node's admission
+  /// budgets (live queries, plan operators, pending reliable-result bytes)
+  /// are exhausted. Returns the query id.
   Result<uint64_t> Execute(QueryPlan plan, ResultCallback cb);
 
   /// Stops a (typically continuous) query network-wide: broadcasts kCancel
@@ -95,29 +99,29 @@ class QueryEngine : public ops::StageHost {
   /// result callbacks fire (cancellation never emits a final batch).
   void Cancel(uint64_t query_id);
 
-  /// Kills every pending engine timer and epoch task (node crash/leave).
-  /// A stopped engine must never fire another result callback: a crashed
-  /// origin's result-window timer delivering an answer from beyond the
-  /// grave is exactly the kind of zombie lifecycle this forbids.
+  /// Kills every pending engine timer and frees every query with its epoch
+  /// tasks (node crash/leave). A stopped engine must never fire another
+  /// result callback: a crashed origin's result-window timer delivering an
+  /// answer from beyond the grave is exactly the kind of zombie lifecycle
+  /// this forbids.
   void Stop();
 
   const EngineStats& stats() const { return stats_; }
   const EngineOptions& options() const { return options_; }
 
-  /// Number of queries this node currently tracks (diagnostics).
+  /// Number of queries live on this node (diagnostics; an ended query is
+  /// gone, not counted).
   size_t active_queries() const { return queries_.size(); }
 
-  /// Whether `qid` is tracked here and not yet torn down — the testkit's
-  /// namespace-hygiene probe (ended-but-unGCed husks don't count).
-  bool HasLiveQuery(uint64_t qid) const;
+  /// Whether `qid` is live here — the testkit's namespace-hygiene probe.
+  bool HasLiveQuery(uint64_t qid) const { return queries_.count(qid) != 0; }
 
   /// Audits the reliable result plane's teardown accounting: the admission
   /// gate's pending-byte counter must equal the bytes actually sitting in
-  /// live outboxes, its live-query counter must equal the number of tracked
-  /// queries not yet ended, and ended queries must hold no reliable-plane
-  /// state (frames, dedupe windows, member reports). The testkit's
-  /// ExchangeHygieneChecker runs this on every node — a leak here is what
-  /// wedges admission into permanent Busy under query storms.
+  /// the live queries' outboxes (an ended query's were refunded when it
+  /// ended). The testkit's ExchangeHygieneChecker runs this on every node —
+  /// a leak here is what wedges admission into permanent Busy under query
+  /// storms.
   Status CheckReliableAccounting() const;
 
   // -- ops::StageHost --------------------------------------------------------
@@ -217,11 +221,11 @@ class QueryEngine : public ops::StageHost {
   void FinalizeEpoch(ActiveQuery* aq, uint64_t epoch,
                      bool exact_certified = false);
   void EndQuery(uint64_t query_id);
-  /// End-of-query teardown (also the local path for origin-local queries
-  /// that never broadcast). The origin keeps the ended query until
-  /// GcQuery; a member keeps only a tombstone.
+  /// End-of-query teardown, the same on every node (also the local path for
+  /// origin-local queries that never broadcast): refunds the outbox, drops
+  /// the query's scans, timers and exchange namespaces, leaves a tombstone
+  /// and erases the query.
   void HandleQueryEnd(uint64_t query_id);
-  void GcQuery(uint64_t query_id);
   /// Drops the tombstones whose kCleanupDelay has run out (FIFO order).
   void ExpireTombstones();
   /// Rewrites an index-scan query into the equivalent broadcast scan and
@@ -254,19 +258,19 @@ class QueryEngine : public ops::StageHost {
 
   uint64_t next_query_seq_ = 1;
   uint64_t publish_seq_ = 1;
+  /// The live queries; the admission gate counts them.
   std::map<uint64_t, std::unique_ptr<ActiveQuery>> queries_;
-  /// Entries of queries_ not yet ended — the admission gate's live count.
-  size_t live_queries_ = 0;
   /// Engine timers scheduled and not yet fired or cancelled.
   std::unordered_set<sim::TimerId> engine_timers_;
   bool stopped_ = false;
   /// Bytes sitting in unacked reliable outboxes across all queries — the
   /// admission gate's backpressure signal.
   uint64_t pending_result_bytes_ = 0;
-  /// Queries that ended here as a member, within kCleanupDelay: a plan
-  /// delivery for one installs nothing. The FIFO holds (expiry, qid) in
-  /// end (= expiry) order.
-  std::unordered_set<uint64_t> tombstones_;
+  /// Queries that ended here within kCleanupDelay -> the last epoch this
+  /// node closed for each (-1 on a member). A plan delivery for one installs
+  /// nothing, and a result or partial frame for an epoch at or below it
+  /// counts as late. The FIFO holds (expiry, qid) in end (= expiry) order.
+  std::unordered_map<uint64_t, int64_t> tombstones_;
   std::deque<std::pair<TimePoint, uint64_t>> tombstone_fifo_;
   /// (origin, seq) of a kPlan broadcast delivered here -> the (qid, epoch)
   /// its cover wave reports on: the members an origin certifies against,

@@ -111,7 +111,6 @@ void AggStage::OnRemotePartial(uint32_t from, uint64_t epoch,
     if (!root_->Admit(from, epoch)) return;  // counted late
     c = &Open(epoch);
   } else {
-    if (host_->EpochClosed(qid_, epoch)) return;  // the query ended here
     auto it = combiners_.find(epoch);
     if (it != combiners_.end()) {
       c = &it->second;

@@ -28,8 +28,23 @@ bool CollectStage::Admit(uint32_t from, uint64_t epoch) {
   return true;
 }
 
-void CollectStage::Accept(uint32_t from, uint64_t epoch, const Tuple& t) {
-  if (!Admit(from, epoch)) return;
+void CollectStage::Accept(uint32_t from, uint64_t epoch,
+                          const std::vector<Tuple>& rows) {
+  if (rows.empty() || !Admit(from, epoch)) return;
+  for (const Tuple& t : rows) Keep(epoch, t);
+}
+
+void CollectStage::Accept(uint32_t from, uint64_t epoch,
+                          const exec::RowBatch& b) {
+  if (b.ActiveRows() == 0 || !Admit(from, epoch)) return;
+  Tuple t;
+  for (size_t i = 0; i < b.ActiveRows(); ++i) {
+    b.ToTuple(b.RowId(i), &t);
+    Keep(epoch, t);
+  }
+}
+
+void CollectStage::Keep(uint64_t epoch, const Tuple& t) {
   if (dedup_) {
     // The same pair may be reported via multiple temp owners after churn.
     if (!seen_.insert(catalog::TupleToBytes(t)).second) return;
@@ -38,15 +53,6 @@ void CollectStage::Accept(uint32_t from, uint64_t epoch, const Tuple& t) {
   std::vector<Tuple>& rows = epochs_[epoch].rows;
   if (!host_->ChargeResultRow(qid_, rows.size())) return;
   rows.push_back(t);
-}
-
-void CollectStage::Accept(uint32_t from, uint64_t epoch,
-                          const exec::RowBatch& b) {
-  Tuple t;
-  for (size_t i = 0; i < b.ActiveRows(); ++i) {
-    b.ToTuple(b.RowId(i), &t);
-    Accept(from, epoch, t);
-  }
 }
 
 void CollectStage::Finish(uint64_t epoch, const std::vector<Tuple>& partials,

@@ -31,10 +31,13 @@ class CollectStage : public Stage {
   CollectStage(StageHost* host, uint64_t qid, const OpNode* final_agg,
                const OpNode* collect, bool partials, bool dedup);
 
-  /// False, counting a late arrival, once `epoch` is closed; else records
+  /// False, counting one late arrival, once `epoch` is closed; else records
   /// `from` as one of the epoch's reporters.
   bool Admit(uint32_t from, uint64_t epoch);
-  void Accept(uint32_t from, uint64_t epoch, const catalog::Tuple& t);
+  /// Admits one member frame's rows (or one batch of this node's own) as a
+  /// whole: a frame past its epoch counts once as late, not once per row.
+  void Accept(uint32_t from, uint64_t epoch,
+              const std::vector<catalog::Tuple>& rows);
   void Accept(uint32_t from, uint64_t epoch, const exec::RowBatch& b);
   /// Runs the tail over `epoch`'s rows and the root's combined `partials`
   /// into `out`'s rows and reporters; the epoch's state is spent.
@@ -50,6 +53,9 @@ class CollectStage : public Stage {
     std::set<uint32_t> reporters;
     std::vector<catalog::Tuple> rows;
   };
+
+  /// Adds one admitted row to `epoch`, deduped and charged to the budget.
+  void Keep(uint64_t epoch, const catalog::Tuple& t);
 
   StageHost* host_;
   uint64_t qid_;

@@ -379,8 +379,7 @@ void QueryRuntime::OnArrival(const std::string& ns,
 
 void QueryRuntime::OnRemoteResult(uint32_t from, uint64_t epoch,
                                   const std::vector<Tuple>& rows) {
-  if (collection_ == nullptr) return;
-  for (const Tuple& t : rows) collection_->Accept(from, epoch, t);
+  if (collection_ != nullptr) collection_->Accept(from, epoch, rows);
 }
 
 void QueryRuntime::OnRemotePartial(uint32_t from, uint64_t epoch,

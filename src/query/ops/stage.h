@@ -36,8 +36,9 @@ namespace ops {
 class Stage;
 
 /// Engine services available to stages and exchanges. Implemented by
-/// QueryEngine. All callbacks dispatched through the host are dropped
-/// automatically once the query ends or the engine dies, so stages never
+/// QueryEngine. A query's stages are freed the moment it ends, on every
+/// node; all callbacks dispatched through the host are dropped
+/// automatically from then on (or once the engine dies), so stages never
 /// have to defend against their own destruction.
 class StageHost {
  public:
@@ -52,8 +53,9 @@ class StageHost {
   /// This node's current dissemination-tree depth for `qid` (refresh
   /// broadcasts can reparent a node between epochs).
   virtual int QueryDepth(uint64_t qid) const = 0;
-  /// True once this node takes no more data for `epoch` of `qid`: at the
-  /// origin the epoch was finalized, elsewhere the query ended here.
+  /// True once the origin has finalized `epoch` of `qid` (it takes no more
+  /// data for it). Only the origin closes epochs: a member's stages live
+  /// exactly as long as the query does here, so this is always false there.
   virtual bool EpochClosed(uint64_t qid, uint64_t epoch) const = 0;
 
   /// kToOrigin exchange: sends every live row of `b` to the origin in

@@ -77,9 +77,10 @@ struct EngineStats {
   uint64_t result_msgs_received = 0;
   uint64_t partial_msgs_sent = 0;
   uint64_t partial_msgs_received = 0;
-  /// Result rows and partial frames reaching the origin after their epoch
-  /// finalized — stragglers the best-effort window dropped (they are
-  /// counted, not folded into the already-delivered answer).
+  /// Result and partial frames reaching the origin after their epoch
+  /// finalized, one per frame, before and after the query ended there —
+  /// stragglers the best-effort window dropped (they are counted, not
+  /// folded into the already-delivered answer).
   uint64_t late_partials = 0;
   uint64_t rehash_puts = 0;
   uint64_t fetch_gets = 0;

@@ -68,11 +68,5 @@ void ReliableOutbox::MarkLost(uint64_t frame_id) {
   pending_.erase(it);
 }
 
-void ReliableOutbox::Clear() {
-  pending_.clear();
-  pending_bytes_ = 0;
-  data_pending_ = 0;
-}
-
 }  // namespace query
 }  // namespace pier

@@ -147,11 +147,10 @@ Status ExchangeHygieneChecker::Check(const CheckContext& ctx) {
   for (size_t i = 0; i < net.size(); ++i) {
     core::PierNode* node = net.node(i);
     if (!node->alive()) continue;
-    // Rule 0 — reliable-plane teardown accounting: ended queries must hold
-    // no outbox frames / dedupe windows / member reports, and the admission
-    // gate's pending-byte and live-query counters must match what live
-    // outboxes and queries actually hold. A drifted counter wedges admission
-    // into permanent Busy.
+    // Rule 0 — reliable-plane teardown accounting: the admission gate's
+    // pending-byte counter must match what the live queries' outboxes
+    // actually hold (an ended query is freed, its bytes refunded). A
+    // drifted counter wedges admission into permanent Busy.
     Status acct = node->query_engine()->CheckReliableAccounting();
     if (!acct.ok()) {
       return Status::Internal("reliable-plane accounting at " +
