@@ -9,12 +9,19 @@
 //   EVERY 10 SECONDS WINDOW 30 SECONDS
 // re-evaluates per epoch. We print the measured series alongside the
 // workload oracle so the tracking behaviour (the figure's shape) is visible.
+//
+// Usage: bench_figure1_continuous_sum [--json[=PATH]]
+//   --json  merge mean_error, epochs, responders_per_alive (the mean over
+//           epochs of responding nodes divided by alive nodes) and
+//           wall_clock into the BENCH json (default BENCH_PR10.json).
+// Exits nonzero unless at least 20 epochs report at under 20% mean error.
 
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
+#include "common/bench_json.h"
 #include "core/network.h"
 #include "planner/planner.h"
 #include "workload/workloads.h"
@@ -22,7 +29,13 @@
 namespace pier {
 namespace {
 
-int Run() {
+struct Figure1Metrics {
+  size_t epochs = 0;
+  double mean_error = 1.0;
+  double responders_per_alive = 0;
+};
+
+int Run(Figure1Metrics* metrics) {
   const size_t kNodes = 300;
   core::PierNetworkOptions opts;
   opts.seed = 1007705;  // the paper's DOI suffix
@@ -85,6 +98,7 @@ int Run() {
   std::printf("\n# time_s\tsum_mbps\tresponding\toracle_mbps\talive\n");
   double err_sum = 0;
   size_t err_n = 0;
+  double share_sum = 0;
   for (const Sample& s : series) {
     std::printf("%8.1f\t%8.2f\t%10" PRId64 "\t%8.2f\t%5zu\n", s.t,
                 s.measured_kbps / 1000.0, s.nodes, s.oracle_kbps / 1000.0,
@@ -93,8 +107,15 @@ int Run() {
       err_sum += std::abs(s.measured_kbps - s.oracle_kbps) / s.oracle_kbps;
       ++err_n;
     }
+    if (s.alive > 0) {
+      share_sum += static_cast<double>(s.nodes) / static_cast<double>(s.alive);
+    }
   }
   double mean_err = err_n > 0 ? err_sum / static_cast<double>(err_n) : 1.0;
+  metrics->epochs = series.size();
+  metrics->mean_error = mean_err;
+  metrics->responders_per_alive =
+      series.empty() ? 0 : share_sum / static_cast<double>(series.size());
   std::printf("\nepochs reported: %zu; mean |relative error| vs oracle: %.1f%%\n",
               series.size(), 100.0 * mean_err);
   std::printf(
@@ -109,4 +130,26 @@ int Run() {
 }  // namespace
 }  // namespace pier
 
-int main() { return pier::Run(); }
+int main(int argc, char** argv) {
+  using namespace pier;
+  bench::JsonOptions json = bench::ParseJsonFlag(argc, argv);
+  Figure1Metrics metrics;
+  bench::WallTimer timer;
+  int rc = Run(&metrics);
+  double wall = timer.Seconds();
+  if (json.enabled) {
+    bench::JsonReport report("bench_figure1_continuous_sum");
+    report.Metric("wall_clock", wall, "s");
+    report.Metric("epochs", static_cast<double>(metrics.epochs), "count");
+    report.Metric("mean_error", metrics.mean_error, "ratio");
+    report.Metric("responders_per_alive", metrics.responders_per_alive,
+                  "ratio");
+    if (!report.WriteMerged(json.path)) {
+      std::printf("failed to write %s\n", json.path.c_str());
+      return 1;
+    }
+    std::printf("merged metrics into %s (wall-clock %.2fs)\n",
+                json.path.c_str(), wall);
+  }
+  return rc;
+}

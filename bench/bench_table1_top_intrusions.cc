@@ -23,7 +23,12 @@ namespace {
 
 struct Table1Metrics {
   int matches = 0;
+  /// NetworkStats::bytes_sent for the whole run, from t = 0: boot, publish
+  /// and the 20 s after issue. Ring upkeep is most of it.
   uint64_t bytes_sent = 0;
+  /// Bytes sent network-wide from the query's issue until its answer
+  /// arrived: what the answer cost, ring upkeep in that span included.
+  uint64_t bytes_to_answer = 0;
   uint64_t partial_msgs = 0;
   size_t reporting_nodes = 0;
   // When the answer arrived (virtual seconds after issue) and what the
@@ -76,7 +81,9 @@ int Run(Table1Metrics* metrics, bool lossy) {
 
   std::vector<query::ResultBatch> batches;
   const TimePoint issued = net.sim()->now();
+  const uint64_t bytes_at_issue = net.net()->stats().bytes_sent;
   TimePoint answered = 0;
+  uint64_t bytes_at_answer = 0;
   auto r = planner::ExecuteSql(
       net.node(0)->query_engine(),
       "SELECT rule_id, descr, SUM(hits) AS hits FROM snort_alerts "
@@ -84,6 +91,7 @@ int Run(Table1Metrics* metrics, bool lossy) {
       [&](const query::ResultBatch& b) {
         batches.push_back(b);
         answered = net.sim()->now();
+        bytes_at_answer = net.net()->stats().bytes_sent;
       });
   if (!r.ok()) {
     std::printf("query failed: %s\n", r.status().ToString().c_str());
@@ -131,6 +139,10 @@ int Run(Table1Metrics* metrics, bool lossy) {
               batches[0].reporting_nodes, st.partial_msgs_received);
   metrics->matches = matches;
   metrics->bytes_sent = net.net()->stats().bytes_sent;
+  metrics->bytes_to_answer = bytes_at_answer - bytes_at_issue;
+  std::printf("bytes to answer: %" PRIu64 " (issue to answer, network-wide); "
+              "bytes sent: %" PRIu64 " (whole run from boot)\n",
+              metrics->bytes_to_answer, metrics->bytes_sent);
   metrics->partial_msgs = st.partial_msgs_received;
   metrics->reporting_nodes = batches[0].reporting_nodes;
   // Senders of reliable result frames are the members, not the origin, so
@@ -183,6 +195,8 @@ int main(int argc, char** argv) {
     report.Metric("rows_matched", metrics.matches, "count");
     report.Metric("bytes_sent", static_cast<double>(metrics.bytes_sent),
                   "bytes");
+    report.Metric("bytes_to_answer",
+                  static_cast<double>(metrics.bytes_to_answer), "bytes");
     report.Metric("reporting_nodes",
                   static_cast<double>(metrics.reporting_nodes), "count");
     report.Metric("answer_s", metrics.answer_s, "s");
