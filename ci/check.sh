@@ -18,9 +18,9 @@
 #                bench_join_strategies + bench_churn +
 #                bench_figure1_continuous_sum +
 #                bench_aggregation_tree + bench_recursive +
-#                bench_overlay_routing with --json, merged into
-#                BENCH_PR10.json, then short pierbench storm, table1,
-#                table1_lossy and joins runs). The smoke fails only
+#                bench_overlay_routing + bench_dissemination with --json,
+#                merged into BENCH_PR10.json, then short pierbench storm,
+#                table1, table1_lossy and joins runs). The smoke fails only
 #                on a bench self-check mismatch (all deterministic; for
 #                the vectorized bench, its two planes' answers differing
 #                — its >=5x speedup target is printed, not gated, since
@@ -28,8 +28,9 @@
 #                bench's >=5x traffic-reduction gate, the churn bench's
 #                coverage floor, Figure 1's epoch count and error gate,
 #                the recursion bench's exact-closure gate, an unanswered
-#                overlay lookup, or a pierbench oracle failure, never on
-#                raw timing.
+#                overlay lookup, a broadcast that misses a node or whose
+#                cover wave does not count every node, or a pierbench
+#                oracle failure, never on raw timing.
 #   --fuzz       Also run the extended fault-injection fuzz lane: configures
 #                with -DPIER_FUZZ_LANE=ON and runs `ctest -L fuzz`
 #                (PIER_FUZZ_ITERS scenarios, default 60). Failing seeds +
@@ -160,6 +161,10 @@ if [[ $PERF -eq 1 ]]; then
   # and bytes per node-second over a quiet window). Gates on all 300
   # lookups answering at every size; the upkeep is recorded, not gated.
   "$BUILD_DIR/bench_overlay_routing" --json=BENCH_PR10.json | tail -2
+  # One broadcast over 16..512 Chord nodes. Gates on it reaching every node
+  # and on the origin's cover wave completing with every node counted;
+  # records reach, messages per node, tree depth and duplicates per size.
+  "$BUILD_DIR/bench_dissemination" --json=BENCH_PR10.json | tail -2
   # End-to-end correctness smoke on pierbench, checked by its oracle:
   # storm runs index ranges, broadcast scans and binary joins on 128 nodes;
   # table1 the tree aggregate on 300 nodes, and table1_lossy the same under

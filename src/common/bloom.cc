@@ -76,6 +76,10 @@ Status BloomFilter::Deserialize(Reader* r, BloomFilter* out) {
   if (nwords == 0 || nwords > (1u << 24)) {
     return Status::Corruption("bloom filter size out of range");
   }
+  // The words must be there before the filter is allocated for them.
+  if (r->remaining() / 8 < nwords) {
+    return Status::Corruption("bloom filter truncated");
+  }
   BloomFilter filter(static_cast<size_t>(nwords) * 64, k);
   for (uint32_t i = 0; i < nwords; ++i) {
     PIER_RETURN_IF_ERROR(r->GetFixed64(&filter.words_[i]));

@@ -29,8 +29,7 @@ void PierNode::OnMessage(sim::HostId from, const sim::Packet& packet) {
 void PierNode::BuildComponents() {
   transport_ = std::make_unique<overlay::Transport>(network_, host_);
   if (options_.router_kind == RouterKind::kChord) {
-    chord_ = std::make_unique<overlay::ChordNode>(transport_.get(), id_,
-                                                  options_.chord);
+    chord_ = std::make_unique<overlay::ChordNode>(transport_.get(), id_);
     router_ = chord_.get();
   } else {
     one_hop_ = std::make_unique<overlay::OneHopRouter>(transport_.get(), id_,
@@ -38,12 +37,11 @@ void PierNode::BuildComponents() {
     router_ = one_hop_.get();
   }
   mux_ = std::make_unique<overlay::RouteMux>(router_);
-  dht_ = std::make_unique<dht::Dht>(transport_.get(), router_, mux_.get(),
-                                    options_.dht);
+  dht_ = std::make_unique<dht::Dht>(transport_.get(), router_, mux_.get());
   broadcast_ = std::make_unique<dht::BroadcastService>(
       transport_.get(), router_, options_.broadcast);
   index_manager_ = std::make_unique<index::IndexManager>(
-      dht_.get(), network_->simulation(), options_.index);
+      dht_.get(), network_->simulation());
   // Index maintenance tracks the catalog: definitions registered at any
   // time wire up their PHT handles, and a reboot (which rebuilds the
   // manager but keeps the catalog) replays the existing registrations.

@@ -34,13 +34,15 @@ enum class RouterKind {
   kOneHop,  ///< idealized full-membership router (tests/ablations)
 };
 
+/// A node's settings follow the engine's option rule (query/protocol.h):
+/// only what a deployment (or a test shrinking virtual time) actually sets.
+/// The Chord, DHT, broadcast-retry and index timers and sizes are named
+/// constants in the .cc that reads each (chord.cc, storage.cc,
+/// broadcast.cc, pht.cc).
 struct NodeOptions {
   RouterKind router_kind = RouterKind::kChord;
-  overlay::ChordOptions chord;
-  dht::DhtOptions dht;
   dht::BroadcastOptions broadcast;
   query::EngineOptions engine;
-  index::IndexOptions index;
 };
 
 /// One PIER node. Owns every per-node component and wires them together.

@@ -9,6 +9,15 @@
 namespace pier {
 namespace dht {
 
+namespace {
+/// First retransmit after this long; exponential backoff (x2) up to
+/// kAckMax, jittered +/-25% per attempt (deterministic hash jitter).
+constexpr Duration kAckTimeout = Millis(400);
+constexpr Duration kAckMax = Seconds(2);
+/// Send attempts per edge (and per cover report) before giving up.
+constexpr int kRetries = 6;
+}  // namespace
+
 BroadcastService::BroadcastService(overlay::Transport* transport,
                                    overlay::Router* router,
                                    BroadcastOptions options)
@@ -125,8 +134,8 @@ void BroadcastService::ScheduleEdgeRetry(sim::HostId origin, uint64_t seq,
   uint64_t salt = Mix64((static_cast<uint64_t>(origin) << 32) ^ seq ^
                         (static_cast<uint64_t>(child) << 17) ^
                         transport_->self());
-  Duration delay = RetryDelay(options_.ack_timeout, options_.ack_max,
-                                     0.25, salt, edge->attempts);
+  Duration delay =
+      RetryDelay(kAckTimeout, kAckMax, 0.25, salt, edge->attempts);
   ScheduleTimer(delay, [this, origin, seq, child] {
     RelayState* s = FindRelay(origin, seq);
     if (s == nullptr || s->cover_sent) return;
@@ -135,7 +144,7 @@ void BroadcastService::ScheduleEdgeRetry(sim::HostId origin, uint64_t seq,
       if (c.host == child) e = &c;
     }
     if (e == nullptr || e->acked || e->covered || e->failed) return;
-    if (e->attempts >= options_.retries) {
+    if (e->attempts >= kRetries) {
       e->failed = true;
       ++stats_.edges_failed;
       MaybeFinishCover(origin, seq, s);
@@ -318,12 +327,12 @@ void BroadcastService::ScheduleCoverRetry(sim::HostId origin, uint64_t seq) {
   if (state == nullptr) return;
   uint64_t salt = Mix64((static_cast<uint64_t>(origin) << 32) ^ seq ^
                         (~0u - transport_->self()));
-  Duration delay = RetryDelay(options_.ack_timeout, options_.ack_max,
-                                     0.25, salt, state->cover_attempts);
+  Duration delay =
+      RetryDelay(kAckTimeout, kAckMax, 0.25, salt, state->cover_attempts);
   ScheduleTimer(delay, [this, origin, seq] {
     RelayState* s = FindRelay(origin, seq);
     if (s == nullptr) return;  // acked
-    if (s->cover_attempts >= options_.retries) return;  // give up quietly
+    if (s->cover_attempts >= kRetries) return;  // give up quietly
     SendCoverOnce(origin, seq, s);
     ScheduleCoverRetry(origin, seq);
   });

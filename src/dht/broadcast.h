@@ -43,13 +43,9 @@
 namespace pier {
 namespace dht {
 
+/// The one broadcast setting: tests shrink it to force every cover wave
+/// incomplete. The edge retry policy is fixed in broadcast.cc.
 struct BroadcastOptions {
-  /// First retransmit after this long; exponential backoff (x2) up to
-  /// ack_max, jittered +/-25% per attempt (deterministic hash jitter).
-  Duration ack_timeout = Millis(400);
-  Duration ack_max = Seconds(2);
-  /// Send attempts per edge (and per cover report) before giving up.
-  int retries = 6;
   /// A relay forces its cover upward after this long even if some children
   /// never covered (they are marked failed; the wave reports incomplete).
   Duration cover_timeout = Seconds(6);
@@ -105,7 +101,6 @@ class BroadcastService {
   void Stop() { running_ = false; }
 
   const BroadcastStats& stats() const { return stats_; }
-  const BroadcastOptions& options() const { return options_; }
 
  private:
   /// Leading kind byte of every Proto::kBroadcast frame.

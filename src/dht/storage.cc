@@ -5,12 +5,24 @@
 namespace pier {
 namespace dht {
 
+namespace {
+/// Lifetime applied when the caller does not specify one.
+constexpr Duration kDefaultTtl = Seconds(120);
+/// Extra copies pushed to ring successors (0 = owner only).
+constexpr int kReplicas = 1;
+/// Acked-put retry policy.
+constexpr Duration kPutTimeout = Seconds(2);
+constexpr int kPutRetries = 2;
+/// Get retry policy.
+constexpr Duration kGetTimeout = Seconds(2);
+constexpr int kGetRetries = 2;
+}  // namespace
+
 Dht::Dht(overlay::Transport* transport, overlay::Router* router,
-         overlay::RouteMux* mux, DhtOptions options)
+         overlay::RouteMux* mux)
     : transport_(transport),
       router_(router),
       sim_(transport->simulation()),
-      options_(options),
       rpc_(transport->simulation()) {
   mux->Register(kPutTag, [this](const overlay::RoutedMessage& m) {
     OnRoutedPut(m);
@@ -27,10 +39,9 @@ Dht::Dht(overlay::Transport* transport, overlay::Router* router,
 
 void Dht::Start() {
   running_ = true;
-  sweep_task_.Start(sim_, options_.sweep_interval, options_.sweep_interval,
-                    [this] {
-                      stats_.items_swept += store_.Sweep(sim_->now());
-                    });
+  sweep_task_.Start(sim_, kSweepInterval, kSweepInterval, [this] {
+    stats_.items_swept += store_.Sweep(sim_->now());
+  });
 }
 
 void Dht::Stop() {
@@ -50,7 +61,7 @@ void Dht::Put(const DhtKey& key, std::string value, Duration ttl,
 
 void Dht::PutEx(const DhtKey& key, std::string value, Duration ttl,
                 bool replicate, PutCallback done) {
-  if (ttl <= 0) ttl = options_.default_ttl;
+  if (ttl <= 0) ttl = kDefaultTtl;
   SendPutOnce(key, value, ttl, replicate, std::move(done), 0);
 }
 
@@ -79,7 +90,7 @@ void Dht::SendPutOnce(const DhtKey& key, const std::string& value,
             done(Status::OK());
             return;
           }
-          if (attempt < options_.put_retries) {
+          if (attempt < kPutRetries) {
             ++stats_.put_retries;
             SendPutOnce(key, value, ttl, replicate, done, attempt + 1);
           } else {
@@ -87,7 +98,7 @@ void Dht::SendPutOnce(const DhtKey& key, const std::string& value,
             done(Status::Timeout("put: no ack after retries"));
           }
         },
-        options_.put_timeout);
+        kPutTimeout);
   }
   Writer w;
   key.Serialize(&w);
@@ -114,7 +125,7 @@ void Dht::SendGetOnce(const std::string& ns, const std::string& resource,
   uint64_t req_id = rpc_.Begin(
       [this, ns, resource, cb, attempt](Status s, Reader* r) {
         if (!s.ok()) {
-          if (attempt < options_.get_retries) {
+          if (attempt < kGetRetries) {
             ++stats_.get_retries;
             SendGetOnce(ns, resource, cb, attempt + 1);
           } else {
@@ -128,8 +139,9 @@ void Dht::SendGetOnce(const std::string& ns, const std::string& resource,
           cb(Status::Corruption("bad get response"), {});
           return;
         }
+        // `count` is the sender's word: nothing is reserved from it, so a
+        // forged count fails on the missing items instead of allocating.
         std::vector<DhtItem> items;
-        items.reserve(count);
         for (uint32_t i = 0; i < count; ++i) {
           DhtItem item;
           if (!DhtKey::Deserialize(r, &item.key).ok() ||
@@ -142,7 +154,7 @@ void Dht::SendGetOnce(const std::string& ns, const std::string& resource,
         ++stats_.gets_ok;
         cb(Status::OK(), std::move(items));
       },
-      options_.get_timeout);
+      kGetTimeout);
 
   DhtKey probe{ns, resource, 0};
   Writer w;
@@ -229,11 +241,10 @@ void Dht::OnRoutedGet(const overlay::RoutedMessage& m) {
 }
 
 void Dht::ReplicateOut(const StoredItem& item) {
-  if (options_.replicas <= 0) return;
   std::vector<overlay::NodeInfo> neighbors = router_->RoutingNeighbors();
   int pushed = 0;
   for (const overlay::NodeInfo& n : neighbors) {
-    if (pushed >= options_.replicas) break;
+    if (pushed >= kReplicas) break;
     Writer w;
     w.PutU8(static_cast<uint8_t>(MsgType::kReplicate));
     item.key.Serialize(&w);

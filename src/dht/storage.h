@@ -1,10 +1,12 @@
-// Dht: the node-level storage API PIER runs on — asynchronous Put/Get/Renew
+// Dht: the node-level storage API PIER runs on — asynchronous Put/Get
 // against the ring plus local scans, with soft-state TTLs, bounded retries,
-// and successor replication.
+// and successor replication. A publisher renews an item by putting it
+// again: the re-put is idempotent and extends the expiry.
 //
 // Writes and reads are routed to the key's owner via the overlay Router;
 // acks and responses return directly to the requester (one hop). Everything
-// is idempotent so retries after loss or churn are safe.
+// is idempotent so retries after loss or churn are safe. The default TTL,
+// the replica count and the retry policy are constants in storage.cc.
 
 #ifndef PIER_DHT_STORAGE_H_
 #define PIER_DHT_STORAGE_H_
@@ -34,20 +36,8 @@ struct DhtItem {
   std::string value;
 };
 
-struct DhtOptions {
-  /// Lifetime applied when the caller does not specify one.
-  Duration default_ttl = Seconds(120);
-  /// Extra copies pushed to ring successors (0 = owner only).
-  int replicas = 1;
-  /// Acked-put retry policy.
-  Duration put_timeout = Seconds(2);
-  int put_retries = 2;
-  /// Get retry policy.
-  Duration get_timeout = Seconds(2);
-  int get_retries = 2;
-  /// Expired-item reclamation period.
-  Duration sweep_interval = Seconds(5);
-};
+/// Expired-item reclamation period.
+inline constexpr Duration kSweepInterval = Seconds(5);
 
 struct DhtStats {
   uint64_t puts_sent = 0;
@@ -74,14 +64,14 @@ class Dht {
   /// `transport`, `router`, and `mux` must outlive this object. Registers
   /// handlers for Proto::kDht and the kPutTag/kGetTag route tags.
   Dht(overlay::Transport* transport, overlay::Router* router,
-      overlay::RouteMux* mux, DhtOptions options);
+      overlay::RouteMux* mux);
 
   /// Starts the sweep timer.
   void Start();
   /// Stops timers and outstanding requests (node shutdown/crash).
   void Stop();
 
-  /// Stores `value` under `key` for `ttl` (default_ttl when ttl==0).
+  /// Stores `value` under `key` for `ttl` (a default TTL when ttl==0).
   /// `done` may be null for fire-and-forget; when set, the put is acked by
   /// the owner and retried on timeout.
   void Put(const DhtKey& key, std::string value, Duration ttl,
@@ -105,13 +95,6 @@ class Dht {
   using ArrivalFn = std::function<bool(const StoredItem&)>;
   void SubscribeArrivals(const std::string& ns, ArrivalFn fn);
   void UnsubscribeArrivals(const std::string& ns);
-
-  /// Re-publishes (identical to Put; renewal is just an idempotent re-put
-  /// that extends the expiry — the soft-state heartbeat).
-  void Renew(const DhtKey& key, std::string value, Duration ttl,
-             PutCallback done) {
-    Put(key, std::move(value), ttl, std::move(done));
-  }
 
   /// Fetches all live instances under (ns, resource) from the owner.
   void Get(const std::string& ns, const std::string& resource,
@@ -152,7 +135,6 @@ class Dht {
   const LocalStore& local_store() const { return store_; }
 
   const DhtStats& stats() const { return stats_; }
-  DhtOptions* mutable_options() { return &options_; }
   sim::HostId self() const { return transport_->self(); }
 
  private:
@@ -175,7 +157,6 @@ class Dht {
   overlay::Transport* transport_;
   overlay::Router* router_;
   sim::Simulation* sim_;
-  DhtOptions options_;
   LocalStore store_;
   overlay::RpcManager rpc_;
   sim::PeriodicTask sweep_task_;

@@ -5,9 +5,8 @@
 namespace pier {
 namespace index {
 
-IndexManager::IndexManager(dht::Dht* dht, sim::Simulation* sim,
-                           IndexOptions options)
-    : dht_(dht), sim_(sim), options_(options) {}
+IndexManager::IndexManager(dht::Dht* dht, sim::Simulation* sim)
+    : dht_(dht), sim_(sim) {}
 
 void IndexManager::RegisterTable(const catalog::TableDef& def) {
   // Drop handles the new definition no longer declares — or declares with
@@ -21,22 +20,17 @@ void IndexManager::RegisterTable(const catalog::TableDef& def) {
     bool unchanged = false;
     for (const catalog::IndexDef& idx : def.indexes) {
       unchanged |= idx.col == it->first.second &&
-                   idx.bucket_size == it->second->options().bucket_size;
+                   idx.bucket_size == it->second->bucket_size();
     }
     it = unchanged ? std::next(it) : indexes_.erase(it);
   }
   for (const catalog::IndexDef& idx : def.indexes) {
     auto key = std::make_pair(def.name, idx.col);
     if (indexes_.count(key) > 0) continue;
-    PhtOptions options;
-    options.bucket_size = idx.bucket_size;
-    options.repair_interval = options_.repair_interval;
-    options.repair_jitter = options_.repair_jitter;
-    options.marker_ttl = options_.marker_ttl;
     indexes_.emplace(key, std::make_unique<PhtIndex>(
                               dht_, sim_,
                               PhtIndex::NamespaceFor(def.name, idx.col),
-                              options));
+                              idx.bucket_size));
   }
 }
 

@@ -6,7 +6,8 @@
 // or not it ever publishes), the manager instantiates a PhtIndex per
 // indexed column and subscribes it to the index namespace. The publish path
 // (QueryEngine::Publish) calls OnPublish to piggyback index maintenance on
-// every tuple put.
+// every tuple put. Each index takes its bucket size from the catalog's
+// IndexDef; the marker TTL and the repair pacing are constants in pht.cc.
 
 #ifndef PIER_INDEX_INDEX_MANAGER_H_
 #define PIER_INDEX_INDEX_MANAGER_H_
@@ -22,22 +23,10 @@
 namespace pier {
 namespace index {
 
-/// Node-level indexing knobs, threaded into every PhtIndex the manager
-/// creates (per-index bucket sizes still come from the catalog's IndexDef).
-struct IndexOptions {
-  /// Residual-repair sweep period and its deterministic per-node spread
-  /// (see PhtOptions::repair_jitter).
-  Duration repair_interval = Seconds(15);
-  double repair_jitter = 0.25;
-  /// Trie-marker lifetime.
-  Duration marker_ttl = Seconds(600);
-};
-
 class IndexManager {
  public:
   /// `dht` and `sim` must outlive the manager.
-  IndexManager(dht::Dht* dht, sim::Simulation* sim,
-               IndexOptions options = IndexOptions());
+  IndexManager(dht::Dht* dht, sim::Simulation* sim);
 
   /// Creates (or rebuilds, on re-registration) the PHT handles for `def`'s
   /// indexed columns. Tables without indexes tear down any stale handles.
@@ -59,7 +48,6 @@ class IndexManager {
  private:
   dht::Dht* dht_;
   sim::Simulation* sim_;
-  IndexOptions options_;
   /// (table, column) -> live index handle.
   std::map<std::pair<std::string, int>, std::unique_ptr<PhtIndex>> indexes_;
 };

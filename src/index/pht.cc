@@ -61,6 +61,18 @@ std::string MarkerBytes(bool internal) {
   return w.Release();
 }
 
+/// Marker lifetime. Long relative to entry TTLs so the trie shape
+/// outlives individual entries; short enough that a dead index decays.
+constexpr Duration kMarkerTtl = Seconds(600);
+/// Period of the residual-repair sweep: entries stranded at internal
+/// nodes (moves that could not ack mid-partition, failover ghosts) are
+/// re-driven toward their leaf until they land or expire.
+constexpr Duration kRepairInterval = Seconds(15);
+/// Deterministic per-(node, namespace) spread of the sweep phase and
+/// period, +/- this fraction, so a thousand nodes booted together do not
+/// sweep in lockstep.
+constexpr double kRepairJitter = 0.25;
+
 }  // namespace
 
 std::string PhtIndex::NamespaceFor(const std::string& table, int col) {
@@ -68,8 +80,8 @@ std::string PhtIndex::NamespaceFor(const std::string& table, int col) {
 }
 
 PhtIndex::PhtIndex(dht::Dht* dht, sim::Simulation* sim, std::string ns,
-                   PhtOptions options)
-    : dht_(dht), sim_(sim), ns_(std::move(ns)), options_(options) {
+                   int bucket_size)
+    : dht_(dht), sim_(sim), ns_(std::move(ns)), bucket_size_(bucket_size) {
   dht_->SubscribeArrivals(ns_, [this](const dht::StoredItem& item) {
     return OnArrival(item);
   });
@@ -78,18 +90,14 @@ PhtIndex::PhtIndex(dht::Dht* dht, sim::Simulation* sim, std::string ns,
   // traffic arrives in synchronized bursts.
   uint64_t salt =
       Mix64(HashBytes(ns_) ^ (static_cast<uint64_t>(dht_->self()) << 32));
-  auto jittered = [&](Duration base, uint64_t lane) {
-    double j = options_.repair_jitter;
-    if (j <= 0) return base;
+  auto jittered = [&](uint64_t lane) {
     uint64_t h = Mix64(salt ^ (lane << 56));
-    double f = 1.0 + j * (2.0 * (static_cast<double>(h >> 11) /
-                                 static_cast<double>(1ull << 53)) -
-                          1.0);
-    Duration d = static_cast<Duration>(static_cast<double>(base) * f);
-    return d < Millis(1) ? Millis(1) : d;
+    double f = 1.0 + kRepairJitter * (2.0 * (static_cast<double>(h >> 11) /
+                                             static_cast<double>(1ull << 53)) -
+                                      1.0);
+    return static_cast<Duration>(static_cast<double>(kRepairInterval) * f);
   };
-  repair_task_.Start(sim_, jittered(options_.repair_interval, 1),
-                     jittered(options_.repair_interval, 2),
+  repair_task_.Start(sim_, jittered(1), jittered(2),
                      [this] { RepairSweep(); });
   attached_ = true;
 }
@@ -177,7 +185,7 @@ void PhtIndex::TouchMarker(const std::string& prefix, bool internal) {
   dht::StoredItem marker;
   marker.key = dht::DhtKey{ns_, prefix, kMarkerInstance};
   marker.value = MarkerBytes(internal);
-  marker.expires_at = sim_->now() + options_.marker_ttl;
+  marker.expires_at = sim_->now() + kMarkerTtl;
   marker.stored_at = sim_->now();
   marker.replica = false;
   dht_->local_store()->Put(std::move(marker));
@@ -242,8 +250,7 @@ bool PhtIndex::OnArrival(const dht::StoredItem& item) {
                                    return true;
                                  });
   if (renewal) --occupancy;
-  if (depth < kKeyBits &&
-      occupancy > static_cast<size_t>(options_.bucket_size)) {
+  if (depth < kKeyBits && occupancy > static_cast<size_t>(bucket_size_)) {
     Split(prefix, item);
     return false;  // incoming entry re-routed by the split
   }
@@ -260,7 +267,7 @@ void PhtIndex::Split(const std::string& prefix,
   // routed self-put so the internal marker is replicated like any item.
   TouchMarker(prefix, /*internal=*/true);
   dht_->Put(dht::DhtKey{ns_, prefix, kMarkerInstance},
-            MarkerBytes(/*internal=*/true), options_.marker_ttl, nullptr);
+            MarkerBytes(/*internal=*/true), kMarkerTtl, nullptr);
   // Materialize BOTH children: every internal node's children exist (as
   // leaf markers at their owners, possibly with zero entries). This is the
   // trie-consistency signal cursors rely on — a probe finding NOTHING
@@ -271,7 +278,7 @@ void PhtIndex::Split(const std::string& prefix,
     std::string child = prefix;
     child.push_back(bit);
     dht_->Put(dht::DhtKey{ns_, child, kMarkerInstance},
-              MarkerBytes(/*internal=*/false), options_.marker_ttl, nullptr);
+              MarkerBytes(/*internal=*/false), kMarkerTtl, nullptr);
   }
 
   // Materialize the bucket before issuing moves: the re-puts below can loop

@@ -73,23 +73,6 @@ struct PhtEntry {
   static Status Deserialize(Reader* r, PhtEntry* out);
 };
 
-struct PhtOptions {
-  /// Leaf bucket capacity: an owner splits a leaf whose occupancy exceeds
-  /// this (PHT's B parameter).
-  int bucket_size = 8;
-  /// Marker lifetime. Long relative to entry TTLs so the trie shape
-  /// outlives individual entries; short enough that a dead index decays.
-  Duration marker_ttl = Seconds(600);
-  /// Period of the residual-repair sweep: entries stranded at internal
-  /// nodes (moves that could not ack mid-partition, failover ghosts) are
-  /// re-driven toward their leaf until they land or expire.
-  Duration repair_interval = Seconds(15);
-  /// Deterministic per-(node, namespace) spread of the sweep phase and
-  /// period, +/- this fraction, so a thousand nodes booted together do not
-  /// sweep in lockstep.
-  double repair_jitter = 0.25;
-};
-
 struct PhtStats {
   uint64_t inserts = 0;           ///< client-side entry puts issued
   uint64_t entries_stored = 0;    ///< entries accepted at leaves we own
@@ -107,9 +90,11 @@ struct PhtStats {
 class PhtIndex {
  public:
   /// `dht` and `sim` must outlive this object. Subscribes to arrivals on
-  /// `ns` immediately; call Detach() (or destroy) to unsubscribe.
+  /// `ns` immediately; call Detach() (or destroy) to unsubscribe. An owner
+  /// splits a leaf whose occupancy exceeds `bucket_size` (PHT's B
+  /// parameter, from the catalog's IndexDef).
   PhtIndex(dht::Dht* dht, sim::Simulation* sim, std::string ns,
-           PhtOptions options);
+           int bucket_size);
   ~PhtIndex();
 
   PhtIndex(const PhtIndex&) = delete;
@@ -127,7 +112,7 @@ class PhtIndex {
   void Detach();
 
   const std::string& ns() const { return ns_; }
-  const PhtOptions& options() const { return options_; }
+  int bucket_size() const { return bucket_size_; }
   const PhtStats& stats() const { return stats_; }
 
  private:
@@ -154,7 +139,7 @@ class PhtIndex {
   dht::Dht* dht_;
   sim::Simulation* sim_;
   std::string ns_;
-  PhtOptions options_;
+  int bucket_size_;
   PhtStats stats_;
   bool attached_ = false;
   sim::PeriodicTask repair_task_;

@@ -15,13 +15,45 @@ std::string Who(const NodeInfo& n) { return n.ToString(); }
 // The form byte of a stabilize reply, after its request id.
 constexpr uint8_t kNeighbourhoodUnchanged = 0;
 constexpr uint8_t kNeighbourhoodFollows = 1;
+
+/// Successor-list length; the ring survives up to this many simultaneous
+/// adjacent failures.
+constexpr int kSuccessorListSize = 8;
+/// How often to run the stabilize exchange with our successor.
+constexpr Duration kStabilizeInterval = Millis(500);
+/// How often to refresh a batch of finger-table entries.
+constexpr Duration kFixFingersInterval = Millis(500);
+/// Finger slots refreshed per fix-fingers tick (round-robin). A slot whose
+/// target lies in (self, successor] is set to the successor without a
+/// message; each other slot sends its FIND_SUCCESSOR to the finger it
+/// holds (a request and a reply while that finger still owns the target),
+/// or routes it when the slot is empty.
+constexpr int kFingersPerTick = 8;
+/// Predecessor liveness check period. The predecessor's stabilize
+/// requests count as its heartbeat; the node pings it (and suspects it on
+/// timeout) only after this long without one.
+constexpr Duration kCheckPredecessorInterval = Seconds(1);
+/// Timeout for all overlay RPCs.
+constexpr Duration kRpcTimeout = Millis(1500);
+/// How long a timed-out host stays on the suspects list.
+constexpr Duration kSuspectTtl = Seconds(8);
+/// Join retry backoff.
+constexpr Duration kJoinRetryInterval = Seconds(1);
+constexpr int kMaxJoinAttempts = 8;
+/// Routing loop guard.
+constexpr int kMaxRouteHops = 64;
+/// Partition healing: peers evicted on suspicion are remembered and
+/// re-probed (one per stabilize round) for this long. A ring split by a
+/// network partition has no in-band path between its halves, so these
+/// probes are the only way the halves re-merge after the heal; the cache
+/// TTL bounds how long a partition may last and still self-heal.
+constexpr Duration kRejoinCacheTtl = Seconds(240);
+constexpr size_t kRejoinCacheSize = 16;
 }  // namespace
 
-ChordNode::ChordNode(Transport* transport, const Id160& id,
-                     ChordOptions options)
+ChordNode::ChordNode(Transport* transport, const Id160& id)
     : transport_(transport),
       self_{transport->self(), id},
-      options_(options),
       rpc_(transport->simulation()) {
   transport_->RegisterHandler(
       Proto::kOverlay, [this](sim::HostId from, Reader* r,
@@ -54,7 +86,7 @@ void ChordNode::Join(sim::HostId bootstrap, std::function<void(Status)> done) {
 void ChordNode::AttemptJoin() {
   if (state_ != State::kJoining) return;
   ++join_attempts_;
-  if (join_attempts_ > options_.max_join_attempts) {
+  if (join_attempts_ > kMaxJoinAttempts) {
     state_ = State::kIdle;
     if (join_done_) join_done_(Status::Unavailable("join: no response"));
     return;
@@ -65,8 +97,8 @@ void ChordNode::AttemptJoin() {
         if (state_ != State::kJoining) return;
         if (!s.ok()) {
           // Back off and retry; the bootstrap may be down or slow.
-          transport_->simulation()->ScheduleAfter(
-              options_.join_retry_interval, [this] { AttemptJoin(); });
+          transport_->simulation()->ScheduleAfter(kJoinRetryInterval,
+                                                  [this] { AttemptJoin(); });
           return;
         }
         NodeInfo owner;
@@ -84,7 +116,7 @@ void ChordNode::AttemptJoin() {
         // Kick off an immediate stabilize to learn the successor list.
         Stabilize();
       },
-      options_.rpc_timeout);
+      kRpcTimeout);
   SendFindSuccReq(join_bootstrap_, self_.id, req_id, self_.host, 0);
 }
 
@@ -122,14 +154,12 @@ void ChordNode::StartTasks() {
   // synchronize across the network.
   Duration phase0 = static_cast<Duration>(
       sim->rng().Fork(self_.host ^ 0x74696d65ull)
-          .NextBelow(static_cast<uint64_t>(options_.stabilize_interval) + 1));
-  stabilize_task_.Start(sim, phase0, options_.stabilize_interval,
+          .NextBelow(static_cast<uint64_t>(kStabilizeInterval) + 1));
+  stabilize_task_.Start(sim, phase0, kStabilizeInterval,
                         [this] { Stabilize(); });
-  fix_fingers_task_.Start(sim, phase0 + Millis(50),
-                          options_.fix_fingers_interval,
+  fix_fingers_task_.Start(sim, phase0 + Millis(50), kFixFingersInterval,
                           [this] { FixFingers(); });
-  check_pred_task_.Start(sim, phase0 + Millis(100),
-                         options_.check_predecessor_interval,
+  check_pred_task_.Start(sim, phase0 + Millis(100), kCheckPredecessorInterval,
                          [this] { CheckPredecessor(); });
 }
 
@@ -164,7 +194,7 @@ NodeInfo ChordNode::successor() const {
 
 bool ChordNode::AtHopLimit(uint32_t hops) const {
   // Compared in 64 bits: no hop count off the wire wraps or turns negative.
-  return static_cast<int64_t>(hops) >= options_.max_route_hops;
+  return static_cast<int64_t>(hops) >= kMaxRouteHops;
 }
 
 const std::vector<NodeInfo>& ChordNode::CompactFingers() const {
@@ -321,7 +351,7 @@ void ChordNode::Lookup(const Id160& key, LookupCallback cb) {
         stats_.lookup_hops.Add(hops);
         cb(Status::OK(), owner, static_cast<int>(hops));
       },
-      options_.rpc_timeout);
+      kRpcTimeout);
   ForwardFindSucc(key, req_id, self_.host, 0);
 }
 
@@ -455,10 +485,7 @@ void ChordNode::StabilizeWith(const NodeInfo& succ) {
           bool dup = false;
           for (const auto& m : merged) dup = dup || m.host == e.host;
           if (!dup) merged.push_back(e);
-          if (static_cast<int>(merged.size()) >=
-              options_.successor_list_size) {
-            break;
-          }
+          if (static_cast<int>(merged.size()) >= kSuccessorListSize) break;
         }
         if (merged != successors_) {
           successors_ = std::move(merged);
@@ -468,7 +495,7 @@ void ChordNode::StabilizeWith(const NodeInfo& succ) {
         // which also tells it about us (Chord's notify).
         if (closer) StabilizeWith(successors_[0]);
       },
-      options_.rpc_timeout);
+      kRpcTimeout);
   SendStabilizeReq(succ.host, req_id, echo);
 }
 
@@ -540,15 +567,14 @@ uint64_t ChordNode::Neighbourhood::Digest() const {
 
 void ChordNode::RememberEvicted(const NodeInfo& info) {
   if (info.host == self_.host) return;
-  TimePoint until =
-      transport_->simulation()->now() + options_.rejoin_cache_ttl;
+  TimePoint until = transport_->simulation()->now() + kRejoinCacheTtl;
   for (EvictedPeer& e : evicted_) {
     if (e.info.host == info.host) {
       e.until = until;  // refresh
       return;
     }
   }
-  if (evicted_.size() >= options_.rejoin_cache_size) {
+  if (evicted_.size() >= kRejoinCacheSize) {
     evicted_.erase(evicted_.begin());  // oldest remembered drops first
   }
   evicted_.push_back(EvictedPeer{info, until});
@@ -600,7 +626,7 @@ void ChordNode::ProbeEvicted() {
         if (view.pred.has_value()) ConsiderRejoinCandidate(*view.pred);
         for (const NodeInfo& e : view.successors) ConsiderRejoinCandidate(e);
       },
-      options_.rpc_timeout);
+      kRpcTimeout);
   // The probe carries our notify, so the other half knits symmetrically;
   // echo 0 asks for the full neighbourhood.
   SendStabilizeReq(target.host, req_id, 0);
@@ -608,8 +634,8 @@ void ChordNode::ProbeEvicted() {
 
 void ChordNode::AdoptSuccessorCandidate(const NodeInfo& candidate) {
   successors_.insert(successors_.begin(), candidate);
-  if (static_cast<int>(successors_.size()) > options_.successor_list_size) {
-    successors_.resize(options_.successor_list_size);
+  if (static_cast<int>(successors_.size()) > kSuccessorListSize) {
+    successors_.resize(kSuccessorListSize);
   }
   NotifyNeighborsChanged();
 }
@@ -699,7 +725,7 @@ void ChordNode::HandleLeaveNotice(Reader* r) {
 
 void ChordNode::FixFingers() {
   if (state_ != State::kActive || successors_.empty()) return;
-  for (int i = 0; i < options_.fingers_per_tick; ++i) {
+  for (int i = 0; i < kFingersPerTick; ++i) {
     int index = next_finger_;
     next_finger_ = (next_finger_ - 1 + Id160::kBits) % Id160::kBits;
     Id160 target = self_.id.AddPowerOfTwo(index);
@@ -736,14 +762,14 @@ void ChordNode::ResolveFinger(int index, sim::HostId finger) {
         if (finger == sim::kInvalidHost) return;
         // The finger did not answer: stop routing through this slot, then
         // look the slot up the routed way. Not a suspicion, so under loss
-        // one lost request does not evict a live finger for suspect_ttl.
+        // one lost request does not evict a live finger for kSuspectTtl.
         if (fingers_[index].has_value() && fingers_[index]->host == finger) {
           fingers_[index].reset();
           InvalidateFingerCache();
         }
         ResolveFinger(index, sim::kInvalidHost);
       },
-      options_.rpc_timeout);
+      kRpcTimeout);
   Id160 target = self_.id.AddPowerOfTwo(index);
   if (finger == sim::kInvalidHost) {
     ForwardFindSucc(target, req_id, self_.host, 0);
@@ -766,7 +792,7 @@ void ChordNode::CheckPredecessor() {
   // alive; only silence costs a ping.
   if (pred_heard_host_ == pred_->host &&
       transport_->simulation()->now() - pred_heard_at_ <
-          options_.check_predecessor_interval) {
+          kCheckPredecessorInterval) {
     return;
   }
   NodeInfo pred = *pred_;
@@ -781,7 +807,7 @@ void ChordNode::CheckPredecessor() {
           }
         }
       },
-      options_.rpc_timeout);
+      kRpcTimeout);
   Writer w;
   w.PutU8(static_cast<uint8_t>(MsgType::kPingReq));
   w.PutVarint64(req_id);
@@ -798,7 +824,7 @@ void ChordNode::Suspect(sim::HostId host) {
   // or present but expired — expired entries linger until pruned).
   auto sit = suspects_.find(host);
   if (sit == suspects_.end() || now >= sit->second) ++stats_.suspects_marked;
-  suspects_[host] = now + options_.suspect_ttl;
+  suspects_[host] = now + kSuspectTtl;
   // Remember the identity we are about to forget, while we still have it:
   // if this "failure" is really a partition, the rejoin probe needs the
   // NodeInfo to find the other half again after the heal.

@@ -49,43 +49,6 @@
 namespace pier {
 namespace overlay {
 
-/// Tuning knobs for the Chord protocol.
-struct ChordOptions {
-  /// Successor-list length; the ring survives up to this many simultaneous
-  /// adjacent failures.
-  int successor_list_size = 8;
-  /// How often to run the stabilize exchange with our successor.
-  Duration stabilize_interval = Millis(500);
-  /// How often to refresh a batch of finger-table entries.
-  Duration fix_fingers_interval = Millis(500);
-  /// Finger slots refreshed per fix-fingers tick (round-robin). A slot whose
-  /// target lies in (self, successor] is set to the successor without a
-  /// message; each other slot sends its FIND_SUCCESSOR to the finger it
-  /// holds (a request and a reply while that finger still owns the target),
-  /// or routes it when the slot is empty.
-  int fingers_per_tick = 8;
-  /// Predecessor liveness check period. The predecessor's stabilize
-  /// requests count as its heartbeat; the node pings it (and suspects it on
-  /// timeout) only after this long without one.
-  Duration check_predecessor_interval = Seconds(1);
-  /// Timeout for all overlay RPCs.
-  Duration rpc_timeout = Millis(1500);
-  /// How long a timed-out host stays on the suspects list.
-  Duration suspect_ttl = Seconds(8);
-  /// Join retry backoff.
-  Duration join_retry_interval = Seconds(1);
-  int max_join_attempts = 8;
-  /// Routing loop guard.
-  int max_route_hops = 64;
-  /// Partition healing: peers evicted on suspicion are remembered and
-  /// re-probed (one per stabilize round) for this long. A ring split by a
-  /// network partition has no in-band path between its halves, so these
-  /// probes are the only way the halves re-merge after the heal; the cache
-  /// TTL bounds how long a partition may last and still self-heal.
-  Duration rejoin_cache_ttl = Seconds(240);
-  size_t rejoin_cache_size = 16;
-};
-
 /// Counters exposed for experiments.
 struct ChordStats {
   uint64_t lookups_ok = 0;
@@ -110,15 +73,16 @@ struct ChordStats {
 class ChordNode : public Router {
  public:
   /// `transport` must outlive the node. The node registers itself as the
-  /// Proto::kOverlay handler.
-  ChordNode(Transport* transport, const Id160& id, ChordOptions options);
+  /// Proto::kOverlay handler. The protocol's timers and sizes are constants
+  /// in chord.cc.
+  ChordNode(Transport* transport, const Id160& id);
   ~ChordNode() override;
 
   /// Becomes the first node of a fresh ring (no bootstrap needed).
   void Create();
 
   /// Joins the ring known to `bootstrap`. `done` fires once the node has a
-  /// successor (or with an error after max_join_attempts timeouts).
+  /// successor (or with an error after kMaxJoinAttempts timeouts).
   void Join(sim::HostId bootstrap, std::function<void(Status)> done);
 
   /// Graceful departure: tells neighbors to splice around us, then stops.
@@ -196,7 +160,7 @@ class ChordNode : public Router {
   void HandleLeaveNotice(Reader* r);
 
   /// True when a message that has taken `hops` hops is at or past the loop
-  /// guard (max_route_hops).
+  /// guard (kMaxRouteHops).
   bool AtHopLimit(uint32_t hops) const;
   /// Greedy next hop for `key`; self when locally responsible.
   NodeInfo NextHop(const Id160& key) const;
@@ -250,7 +214,6 @@ class ChordNode : public Router {
 
   Transport* transport_;
   NodeInfo self_;
-  ChordOptions options_;
   State state_ = State::kIdle;
 
   std::optional<NodeInfo> pred_;

@@ -46,11 +46,6 @@ constexpr size_t kMaxPlanOperators = 64;
 /// reported" over its shrunken ring. Sized so a one-shot query issued
 /// within ~window - result_wait of a split cannot certify in its window.
 constexpr Duration kCertifyStabilityWindow = Seconds(30);
-/// QueryScheduler pacing: rows per query per round-robin round, the delay
-/// between rounds, and how long a store sweep stays shareable.
-constexpr uint32_t kSchedQuantumRows = 2048;
-constexpr Duration kSchedRoundInterval = Millis(5);
-constexpr Duration kSharedScanWindow = Millis(500);
 
 /// Starts a result or partial message: [type][qid][epoch], then its rows.
 Writer DataMessage(MsgType type, uint64_t qid, uint64_t epoch) {
@@ -183,9 +178,6 @@ QueryEngine::QueryEngine(overlay::Transport* transport,
     OnCoverage(origin, seq, members, complete);
   });
   QueryScheduler::Options sched;
-  sched.quantum_rows = kSchedQuantumRows;
-  sched.round_interval = kSchedRoundInterval;
-  sched.shared_window = kSharedScanWindow;
   sched.batch_rows = options_.batch_size;
   scheduler_ = std::make_unique<QueryScheduler>(
       sim_, dht_, &stats_,

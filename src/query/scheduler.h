@@ -65,9 +65,14 @@ struct ScanWork {
 /// the QueryEngine; single-threaded like everything in the sim.
 class QueryScheduler {
  public:
+  /// The engine sets only batch_rows and runs the pacing defaults; the
+  /// scheduler's own tests shrink them.
   struct Options {
+    /// Rows per query per round-robin round.
     uint32_t quantum_rows = 2048;
+    /// The delay between rounds while tasks remain.
     Duration round_interval = Millis(5);
+    /// How long a store sweep stays shareable.
     Duration shared_window = Millis(500);
     /// Rows per materialized sweep batch (the engine's batch_size, so
     /// mid-batch LIMIT pushdown sees the same granularity as a solo scan).

@@ -253,7 +253,7 @@ ScenarioReport Scenario::Run() {
     ctx.net = &net;
     ctx.plane = &plane;
     ctx.queries = &report.queries;
-    ctx.sweep_interval = options_.node.dht.sweep_interval;
+    ctx.sweep_interval = dht::kSweepInterval;
     for (auto& checker : checkers_) {
       Status s = checker->Check(ctx);
       if (!s.ok()) {

@@ -1,20 +1,25 @@
-// DHT layer tests: the local soft-state store, Put/Get/Renew over both
+// DHT layer tests: the local soft-state store, Put/Get over both
 // routers, TTL expiry, replication failover after owner crashes, namespace
-// scans, renewing publishers, and dissemination trees.
+// scans, forged and truncated get responses, renewing publishers, and
+// dissemination trees.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/serialize.h"
 #include "core/network.h"
 #include "dht/broadcast.h"
 #include "dht/key.h"
 #include "dht/local_store.h"
 #include "dht/storage.h"
+#include "sim/network.h"
 
 namespace pier {
 namespace dht {
@@ -314,9 +319,7 @@ TEST(DhtTest, TtlExpiresWithoutRenewal) {
 }
 
 TEST(DhtTest, ReplicationSurvivesOwnerCrash) {
-  PierNetworkOptions opts = ChordOpts(21);
-  opts.node.dht.replicas = 2;
-  PierNetwork net(12, opts);
+  PierNetwork net(12, ChordOpts(21));
   net.Boot(Seconds(60));
 
   net.node(0)->dht()->Put(DhtKey{"durable", "k", 0}, "replicated",
@@ -376,6 +379,162 @@ TEST(DhtTest, StatsAccount) {
   net.RunFor(Seconds(5));
   EXPECT_GE(net.node(0)->dht()->stats().puts_sent, 1u);
   EXPECT_GE(net.node(0)->dht()->stats().gets_ok, 1u);
+}
+
+// Hostile get responses. A node's host handler is swapped for this one,
+// which passes every packet on to the node, except that while `rewrite` is
+// set it replaces the next DHT get response ([Proto::kDht][kGetResp][req
+// id][count][items]) with whatever `rewrite` makes of it, once.
+class GetResponseTamper : public sim::MessageHandler {
+ public:
+  /// Dht's wire type byte of a get response.
+  static constexpr char kGetResp = 2;
+
+  explicit GetResponseTamper(core::PierNode* node) : node_(node) {}
+
+  std::function<std::string(const std::string& genuine)> rewrite;
+
+  void OnMessage(sim::HostId from, const sim::Packet& packet) override {
+    std::string_view head = packet.head.view();
+    if (rewrite && head.size() >= 2 &&
+        head[0] == static_cast<char>(overlay::Proto::kDht) &&
+        head[1] == kGetResp) {
+      std::string forged = rewrite(std::string(head));
+      rewrite = nullptr;
+      node_->OnMessage(from, sim::Packet(std::move(forged)));
+      return;
+    }
+    node_->OnMessage(from, packet);
+  }
+
+ private:
+  core::PierNode* node_;
+};
+
+/// Bytes of `genuine` up to and including its request id.
+size_t GetResponseHeaderBytes(const std::string& genuine) {
+  Reader r(genuine);
+  uint8_t proto = 0, type = 0;
+  uint64_t req_id = 0;
+  EXPECT_TRUE(r.GetU8(&proto).ok() && r.GetU8(&type).ok() &&
+              r.GetVarint64(&req_id).ok());
+  return genuine.size() - r.remaining();
+}
+
+/// A resource under `ns` that node `owner` of `net` owns.
+std::string ResourceOwnedBy(PierNetwork& net, size_t owner,
+                            const std::string& ns) {
+  for (int i = 0;; ++i) {
+    std::string res = "res" + std::to_string(i);
+    if (net.node(owner)->router()->IsResponsibleFor(
+            DhtKey{ns, res, 0}.RoutingKey())) {
+      return res;
+    }
+  }
+}
+
+// A get response whose item count claims 2^32 - 1 items with none behind
+// it fails that get once, with Corruption, and allocates nothing for the
+// claimed items; the node then answers the next get normally.
+TEST(DhtTest, ForgedGetResponseCountFailsOnlyThatGet) {
+  PierNetwork net(2, OneHopOpts());
+  net.Boot(Seconds(5));
+  const std::string res = ResourceOwnedBy(net, 1, "forged");
+  net.node(1)->dht()->Put(DhtKey{"forged", res, 1}, "genuine", Seconds(600),
+                          nullptr);
+  net.RunFor(Seconds(1));
+  GetResponseTamper tamper(net.node(0));
+  net.net()->SetHandler(0, &tamper);
+
+  tamper.rewrite = [](const std::string& genuine) {
+    std::string forged = genuine.substr(0, GetResponseHeaderBytes(genuine));
+    Writer count;
+    count.PutVarint32(0xFFFFFFFFu);
+    return forged + count.buffer();
+  };
+  int calls = 0;
+  Status status = Status::OK();
+  net.node(0)->dht()->Get("forged", res,
+                          [&](Status s, std::vector<DhtItem> items) {
+                            ++calls;
+                            status = s;
+                            EXPECT_TRUE(items.empty());
+                          });
+  net.RunFor(Seconds(10));  // past every retry the get could still make
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_FALSE(tamper.rewrite) << "no get response was forged";
+
+  std::vector<DhtItem> items;
+  status = Status::Internal("not called");
+  net.node(0)->dht()->Get("forged", res,
+                          [&](Status s, std::vector<DhtItem> got) {
+                            status = s;
+                            items = std::move(got);
+                          });
+  net.RunFor(Seconds(5));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0].value, "genuine");
+  net.net()->SetHandler(0, net.node(0));
+}
+
+// Every truncation of a genuine two-item get response: a cut that keeps
+// the request id fails the get with Corruption; a shorter one cannot name
+// the request, so it is dropped and the retry's genuine response answers.
+// Either way the callback fires exactly once.
+TEST(DhtTest, TruncatedGetResponsesFailCleanly) {
+  PierNetwork net(2, OneHopOpts());
+  net.Boot(Seconds(5));
+  const std::string res = ResourceOwnedBy(net, 1, "cut");
+  net.node(1)->dht()->Put(DhtKey{"cut", res, 1}, "first", Seconds(600),
+                          nullptr);
+  net.node(1)->dht()->Put(DhtKey{"cut", res, 2}, "second", Seconds(600),
+                          nullptr);
+  net.RunFor(Seconds(1));
+  GetResponseTamper tamper(net.node(0));
+  net.net()->SetHandler(0, &tamper);
+
+  size_t genuine_size = 0;
+  tamper.rewrite = [&](const std::string& genuine) {
+    genuine_size = genuine.size();
+    return genuine;
+  };
+  size_t items_seen = 0;
+  net.node(0)->dht()->Get("cut", res, [&](Status s, std::vector<DhtItem> v) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    items_seen = v.size();
+  });
+  net.RunFor(Seconds(1));
+  ASSERT_EQ(items_seen, 2u);
+  ASSERT_GT(genuine_size, 0u);
+
+  for (size_t cut = 0; cut < genuine_size; ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    bool keeps_req_id = false;
+    tamper.rewrite = [&](const std::string& genuine) {
+      keeps_req_id = cut >= GetResponseHeaderBytes(genuine);
+      return genuine.substr(0, cut);
+    };
+    int calls = 0;
+    Status status = Status::OK();
+    size_t items = 0;
+    net.node(0)->dht()->Get("cut", res,
+                            [&](Status s, std::vector<DhtItem> v) {
+                              ++calls;
+                              status = s;
+                              items = v.size();
+                            });
+    net.RunFor(Seconds(5));  // one get timeout and its retry
+    EXPECT_EQ(calls, 1);
+    if (keeps_req_id) {
+      EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+    } else {
+      EXPECT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(items, 2u);
+    }
+  }
+  net.net()->SetHandler(0, net.node(0));
 }
 
 // ---------------------------------------------------------------------------

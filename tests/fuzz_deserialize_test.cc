@@ -526,6 +526,18 @@ TEST(FuzzDeserialize, BloomGarbage) {
   };
   NoCrashOnGarbage(parse, 2000, 128, 10);
   NoCrashOnMutation(parse, w.buffer(), 11);
+
+  // The largest size the decoder admits (2^24 words, 128 MiB) with no words
+  // behind it: five bytes that must be refused before anything is
+  // allocated for them.
+  Writer huge;
+  huge.PutVarint32(1u << 24);
+  huge.PutU8(5);
+  ASSERT_EQ(huge.size(), 5u);
+  Reader r(huge.buffer());
+  BloomFilter f(64, 1);
+  EXPECT_TRUE(BloomFilter::Deserialize(&r, &f).IsCorruption());
+  EXPECT_EQ(f.bit_count(), 64u);
 }
 
 TEST(FuzzDeserialize, TableDefGarbage) {

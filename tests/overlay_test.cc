@@ -101,7 +101,7 @@ class ChordRing : public ::testing::Test {
     }
   };
 
-  void Build(int n, uint64_t seed = 42, ChordOptions options = {}) {
+  void Build(int n, uint64_t seed = 42) {
     // Tear down any previous ring first (nodes before the sim they run on),
     // so one test can build several sizes in turn.
     endpoints_.clear();
@@ -109,7 +109,7 @@ class ChordRing : public ::testing::Test {
     sim_ = std::make_unique<sim::Simulation>(seed);
     net_ = std::make_unique<sim::Network>(sim_.get(), sim::NetworkOptions{});
     for (int i = 0; i < n; ++i) {
-      AddNode("chord-node-" + std::to_string(i), options);
+      AddNode("chord-node-" + std::to_string(i));
     }
     // Node 0 creates; others join through node 0, staggered.
     endpoints_[0]->chord->Create();
@@ -122,12 +122,12 @@ class ChordRing : public ::testing::Test {
 
   // Adds a node (not yet joined) whose id hashes `name`; returns its index,
   // which is also its host id.
-  int AddNode(const std::string& name, ChordOptions options = {}) {
+  int AddNode(const std::string& name) {
     auto ep = std::make_unique<Endpoint>();
     sim::HostId host = net_->AddHost(ep.get());
     ep->transport = std::make_unique<Transport>(net_.get(), host);
     ep->chord = std::make_unique<ChordNode>(ep->transport.get(),
-                                            Id160::FromName(name), options);
+                                            Id160::FromName(name));
     Endpoint* raw = ep.get();
     ep->chord->SetDeliverCallback([raw](const RoutedMessage& m) {
       raw->delivered.push_back(m);
@@ -382,12 +382,8 @@ TEST_F(ChordRing, JoinToDeadBootstrapFails) {
   auto ep = std::make_unique<Endpoint>();
   sim::HostId host = net_->AddHost(ep.get());
   ep->transport = std::make_unique<Transport>(net_.get(), host);
-  ChordOptions fast;
-  fast.max_join_attempts = 2;
-  fast.join_retry_interval = Millis(500);
-  ep->chord =
-      std::make_unique<ChordNode>(ep->transport.get(),
-                                  Id160::FromName("late-joiner"), fast);
+  ep->chord = std::make_unique<ChordNode>(ep->transport.get(),
+                                          Id160::FromName("late-joiner"));
   net_->SetHostUp(sim::HostId(0), false);
   endpoints_[0]->chord->Fail();
   Status join_status = Status::OK();
@@ -396,7 +392,7 @@ TEST_F(ChordRing, JoinToDeadBootstrapFails) {
     join_status = s;
     done = true;
   });
-  Stabilize(Seconds(30));
+  Stabilize(Seconds(30));  // the 8 join attempts give up after about 20 s
   EXPECT_TRUE(done);
   EXPECT_FALSE(join_status.ok());
   endpoints_.push_back(std::move(ep));
@@ -762,8 +758,8 @@ TEST_F(ChordRing, RestartedSuccessorIsNotServedFromCache) {
   // Restart: a fresh instance on the same host and id, with no ring state.
   Endpoint& restarted = *endpoints_[s];
   Id160 id = restarted.chord->self().id;
-  restarted.chord = std::make_unique<ChordNode>(restarted.transport.get(),
-                                                id, ChordOptions{});
+  restarted.chord =
+      std::make_unique<ChordNode>(restarted.transport.get(), id);
   restarted.chord->Create();
 
   std::optional<uint8_t> first_form;
