@@ -56,11 +56,11 @@ SizeResult RunSize(size_t n) {
   const sim::HostId origin = net.node(0)->host();
   net.node(0)->broadcast()->SetCoverageHandler(
       [&result, origin](sim::HostId from, uint64_t, uint64_t members,
-                        bool complete) {
+                        bool complete, bool vouched) {
         if (from != origin) return;
         result.covered = true;
         result.cover_members = members;
-        result.cover_complete = complete;
+        result.cover_complete = complete && vouched;
       });
   net.node(0)->broadcast()->Broadcast(sim::Payload("query-plan-payload"));
   net.RunFor(Seconds(20));

@@ -11,7 +11,9 @@
 #   --release    Full-optimization lane (-DCMAKE_BUILD_TYPE=Release, no
 #                asserts): catches NDEBUG-only breakage — side effects in
 #                assert(), UB the optimizer exploits — that the default
-#                RelWithDebInfo build hides.
+#                RelWithDebInfo build hides. Its perf smoke runs and gates
+#                the same, but writes <build-dir>/BENCH_PR10.json, so the
+#                committed BENCH_PR10.json keeps the default lane's figures.
 #   --no-perf    Skip the perf-smoke step (bench_sim_core + bench_table1 +
 #                bench_range_scan + bench_multiway_join +
 #                bench_exec_vectorized + bench_query_storm +
@@ -60,12 +62,15 @@ while [[ "${1:-}" == --* ]]; do
   shift
 done
 
+# The perf smoke's JSON: the committed trajectory, except in the release lane.
+BENCH_JSON=BENCH_PR10.json
 if [[ $SANITIZE -eq 1 ]]; then
   BUILD_DIR="${1:-build-asan}"
   EXTRA_CMAKE_ARGS=(-DCMAKE_BUILD_TYPE=Debug "-DPIER_SANITIZE=address;undefined")
 elif [[ $RELEASE -eq 1 ]]; then
   BUILD_DIR="${1:-build-release}"
   EXTRA_CMAKE_ARGS=(-DCMAKE_BUILD_TYPE=Release)
+  BENCH_JSON="$BUILD_DIR/BENCH_PR10.json"
 else
   BUILD_DIR="${1:-build}"
   EXTRA_CMAKE_ARGS=()
@@ -115,56 +120,58 @@ if [[ $PERF -eq 1 ]]; then
   # exact rows on both access paths, index touching < 25% of nodes while
   # the scan touches all of them, both answers closing well inside the
   # result window); wall-clock numbers are recorded, never gated on.
-  echo "== perf smoke (BENCH_PR10.json) =="
-  "$BUILD_DIR/bench_sim_core" --json=BENCH_PR10.json
-  "$BUILD_DIR/bench_table1_top_intrusions" --json=BENCH_PR10.json | tail -6
+  echo "== perf smoke (${BENCH_JSON}) =="
+  "$BUILD_DIR/bench_sim_core" --json="$BENCH_JSON"
+  "$BUILD_DIR/bench_table1_top_intrusions" --json="$BENCH_JSON" | tail -6
   # Same Table 1 query under 20% link loss: records what the reliable
   # result plane paid (retransmit frames/bytes), the answer's latency and
-  # what the Completeness summary admits about coverage. Non-gating: at
-  # this loss the cover wave does not complete, so nothing certifies —
-  # under loss the contract is honesty, not telepathy.
-  "$BUILD_DIR/bench_table1_top_intrusions" --lossy --json=BENCH_PR10.json | tail -8
-  "$BUILD_DIR/bench_range_scan" --json=BENCH_PR10.json | tail -3
-  "$BUILD_DIR/bench_multiway_join" --json=BENCH_PR10.json | tail -3
+  # what the Completeness summary admits about coverage. Non-gating: the
+  # cover wave completes (300/300) and every count arrives, but the
+  # origin's ring view changed within the 30 s certify window, so the
+  # answer waits out the 12 s window degraded — under loss the contract is
+  # honesty, not telepathy.
+  "$BUILD_DIR/bench_table1_top_intrusions" --lossy --json="$BENCH_JSON" | tail -8
+  "$BUILD_DIR/bench_range_scan" --json="$BENCH_JSON" | tail -3
+  "$BUILD_DIR/bench_multiway_join" --json="$BENCH_JSON" | tail -3
   # Self-check: both planes must drain identical group-by rows. The
   # printed batch-vs-tuple speedup (target >=5x, unmet on the all-column
   # decode path) is recorded, not gated: --min-speedup is not passed.
-  "$BUILD_DIR/bench_exec_vectorized" --json=BENCH_PR10.json | tail -3
+  "$BUILD_DIR/bench_exec_vectorized" --json="$BENCH_JSON" | tail -3
   # The multi-tenant storm: 1000 mixed index/scan/join queries over 256
   # nodes. Gates on exact answers for every query, zero admission refusals
   # or budget trips at the raised budgets, and the scheduler's sweep
   # sharing actually engaging (store sweeps < scan tasks).
-  "$BUILD_DIR/bench_query_storm" --json=BENCH_PR10.json | tail -4
+  "$BUILD_DIR/bench_query_storm" --json="$BENCH_JSON" | tail -4
   # Join-strategy ablation + planner selection. Gates on every strategy
   # returning the exact join answer and on the stats-driven planner choice
   # cutting query-plane bytes >=5x versus the stats-blind symmetric-hash
   # plan for the same low-match workload (deterministic virtual time).
-  "$BUILD_DIR/bench_join_strategies" --json=BENCH_PR10.json | tail -6
+  "$BUILD_DIR/bench_join_strategies" --json="$BENCH_JSON" | tail -6
   # Chord repair under churn, the one bench here that runs it: 1,000 nodes at
   # medium churn (180 s mean sessions) under a continuous SUM. Gates on the
   # query answering with a mean coverage above 30% of the alive nodes.
-  "$BUILD_DIR/bench_churn" --json=BENCH_PR10.json | tail -4
+  "$BUILD_DIR/bench_churn" --json="$BENCH_JSON" | tail -4
   # The paper's Figure 1: a continuous tree SUM over 300 Chord nodes under
   # churn, ended by Cancel at its origin after five minutes. Gates on at
   # least 20 epochs reported at a mean error under 20% against the oracle;
   # records the error and the mean share of alive nodes that responded.
-  "$BUILD_DIR/bench_figure1_continuous_sum" --json=BENCH_PR10.json | tail -3
+  "$BUILD_DIR/bench_figure1_continuous_sum" --json="$BENCH_JSON" | tail -3
   # The combine tree against direct collection at 32..256 nodes. Gates on
   # both strategies counting every node and on the tree's origin taking
   # fewer partial messages than direct collection at every size.
-  "$BUILD_DIR/bench_aggregation_tree" --json=BENCH_PR10.json | tail -3
+  "$BUILD_DIR/bench_aggregation_tree" --json="$BENCH_JSON" | tail -3
   # Recursion to fixpoint on 32 Chord nodes at 8..48 vertices. Gates on the
   # reported closure equalling the exact in-memory closure at every size —
   # reach pairs that beat the plan to their owner must not be lost.
-  "$BUILD_DIR/bench_recursive" --json=BENCH_PR10.json | tail -2
+  "$BUILD_DIR/bench_recursive" --json="$BENCH_JSON" | tail -2
   # Chord lookups at 16..512 nodes, and the settled ring's upkeep (messages
   # and bytes per node-second over a quiet window). Gates on all 300
   # lookups answering at every size; the upkeep is recorded, not gated.
-  "$BUILD_DIR/bench_overlay_routing" --json=BENCH_PR10.json | tail -2
+  "$BUILD_DIR/bench_overlay_routing" --json="$BENCH_JSON" | tail -2
   # One broadcast over 16..512 Chord nodes. Gates on it reaching every node
   # and on the origin's cover wave completing with every node counted;
   # records reach, messages per node, tree depth and duplicates per size.
-  "$BUILD_DIR/bench_dissemination" --json=BENCH_PR10.json | tail -2
+  "$BUILD_DIR/bench_dissemination" --json="$BENCH_JSON" | tail -2
   # End-to-end correctness smoke on pierbench, checked by its oracle:
   # storm runs index ranges, broadcast scans and binary joins on 128 nodes;
   # table1 the tree aggregate on 300 nodes, and table1_lossy the same under

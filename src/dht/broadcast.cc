@@ -66,6 +66,11 @@ uint64_t BroadcastService::Broadcast(sim::Payload payload) {
   return seq;
 }
 
+void BroadcastService::Unvouch(sim::HostId origin, uint64_t seq) {
+  RelayState* state = FindRelay(origin, seq);
+  if (state != nullptr && !state->cover_sent) state->vouched = false;
+}
+
 void BroadcastService::Relay(RelayState& state, sim::HostId origin,
                              uint64_t seq, const Id160& limit, int depth,
                              const sim::Payload& payload) {
@@ -88,6 +93,10 @@ void BroadcastService::Relay(RelayState& state, sim::HostId origin,
                                return a.second.host == b.second.host;
                              }),
                  in_range.end());
+  // Nothing goes to (self, first child), or to (self, limit) without a
+  // child: a node we suspect there is one this wave skips.
+  const Id160& gap_end = in_range.empty() ? limit : in_range[0].second.id;
+  if (router_->SuspectBetween(self_id, gap_end)) state.vouched = false;
   for (size_t i = 0; i < in_range.size(); ++i) {
     // Neighbor i covers up to the next neighbor (or our limit for the last).
     const Id160& sub_limit =
@@ -206,7 +215,7 @@ void BroadcastService::OnData(sim::HostId from, Reader* r,
       w.PutFixed32(origin);
       w.PutVarint64(seq);
       w.PutVarint64(0);
-      w.PutU8(1);
+      w.PutU8(kCoverComplete);
       transport_->Send(from, overlay::Proto::kBroadcast, w);
     }
     return;
@@ -245,9 +254,9 @@ void BroadcastService::OnAck(sim::HostId from, Reader* r) {
 void BroadcastService::OnCover(sim::HostId from, Reader* r) {
   uint32_t origin = 0;
   uint64_t seq = 0, count = 0;
-  uint8_t complete = 0;
+  uint8_t flags = 0;
   if (!r->GetFixed32(&origin).ok() || !r->GetVarint64(&seq).ok() ||
-      !r->GetVarint64(&count).ok() || !r->GetU8(&complete).ok()) {
+      !r->GetVarint64(&count).ok() || !r->GetU8(&flags).ok()) {
     return;
   }
   // Always ack, even when our state is gone — the child keeps retrying
@@ -259,7 +268,8 @@ void BroadcastService::OnCover(sim::HostId from, Reader* r) {
     if (e.host == from && !e.covered) {
       e.covered = true;
       e.cover_count = count;
-      e.cover_complete = complete != 0;
+      e.cover_complete = (flags & kCoverComplete) != 0;
+      e.cover_vouched = (flags & kCoverUnvouched) == 0;
       ++stats_.covers_received;
     }
   }
@@ -281,11 +291,13 @@ void BroadcastService::MaybeFinishCover(sim::HostId origin, uint64_t seq,
   if (state->cover_sent) return;
   uint64_t count = 1;  // self
   bool complete = true;
+  bool vouched = state->vouched;
   for (const auto& e : state->children) {
     if (!e.covered && !e.failed) return;  // still waiting
     if (e.covered) {
       count += e.cover_count;
       complete = complete && e.cover_complete;
+      vouched = vouched && e.cover_vouched;
     } else {
       complete = false;
     }
@@ -293,12 +305,13 @@ void BroadcastService::MaybeFinishCover(sim::HostId origin, uint64_t seq,
   state->cover_sent = true;
   state->cover_count = count;
   state->cover_complete = complete;
+  state->cover_vouched = vouched;
   if (state->is_origin) {
     // Deferred a tick: a childless origin finishes its cover synchronously
     // inside Broadcast(), before the caller has its seq back.
     if (coverage_fn_) {
-      ScheduleTimer(0, [this, origin, seq, count, complete] {
-        if (coverage_fn_) coverage_fn_(origin, seq, count, complete);
+      ScheduleTimer(0, [this, origin, seq, count, complete, vouched] {
+        if (coverage_fn_) coverage_fn_(origin, seq, count, complete, vouched);
       });
     }
     CloseRelay(origin, seq);
@@ -306,7 +319,7 @@ void BroadcastService::MaybeFinishCover(sim::HostId origin, uint64_t seq,
   }
   SendCoverOnce(origin, seq, state);
   ScheduleCoverRetry(origin, seq);
-  if (coverage_fn_) coverage_fn_(origin, seq, count, complete);
+  if (coverage_fn_) coverage_fn_(origin, seq, count, complete, vouched);
 }
 
 void BroadcastService::SendCoverOnce(sim::HostId origin, uint64_t seq,
@@ -316,7 +329,8 @@ void BroadcastService::SendCoverOnce(sim::HostId origin, uint64_t seq,
   w.PutFixed32(origin);
   w.PutVarint64(seq);
   w.PutVarint64(state->cover_count);
-  w.PutU8(state->cover_complete ? 1 : 0);
+  w.PutU8((state->cover_complete ? kCoverComplete : 0) |
+          (state->cover_vouched ? 0 : kCoverUnvouched));
   transport_->Send(state->parent, overlay::Proto::kBroadcast, w);
   if (state->cover_attempts > 0) ++stats_.retransmits;
   ++state->cover_attempts;

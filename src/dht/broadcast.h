@@ -18,6 +18,14 @@
 // coverage_complete for its Completeness accounting; at a relay it is how
 // many contributors that node's tree aggregation waits for.
 //
+// A relay also vouches for the gap between itself and its first child: it
+// claims no node lies there. If it suspects a node that does (the overlay
+// left that node out of its neighbors), the wave skipped it, so the relay's
+// cover goes up unvouched, and the flag propagates to the origin the way
+// an incomplete subtree does. The application may unvouch a node's cover
+// too (Unvouch: the query engine's scan read failed-over replicas). The
+// count stays what it is: relays' combiners wait for it either way.
+//
 // A node keeps a wave's relay state (children, payload, cover) only while
 // the wave is open here: until its cover is acked, or at the origin until
 // the wave closes. The seen-cache keeps the bare (origin, seq) key, which
@@ -79,10 +87,13 @@ class BroadcastService {
   /// this one (self included; the whole reach at the origin). A duplicate
   /// delivery covers its extra parent with zero, so each node counts under
   /// exactly one parent. `complete` means every subtree reported in — no
-  /// edge was abandoned and no cover was forced by timeout. A relay raises
-  /// it as its cover goes up; the origin a tick after its wave closes.
-  using CoverageFn = std::function<void(sim::HostId origin, uint64_t seq,
-                                        uint64_t members, bool complete)>;
+  /// edge was abandoned and no cover was forced by timeout. `vouched`
+  /// means no node of the subtree skipped a node in its gap or was
+  /// unvouched by the application. A relay raises it as its cover goes
+  /// up; the origin a tick after its wave closes.
+  using CoverageFn =
+      std::function<void(sim::HostId origin, uint64_t seq, uint64_t members,
+                         bool complete, bool vouched)>;
 
   BroadcastService(overlay::Transport* transport, overlay::Router* router,
                    BroadcastOptions options = BroadcastOptions());
@@ -90,6 +101,11 @@ class BroadcastService {
 
   void SetHandler(Handler handler) { handler_ = std::move(handler); }
   void SetCoverageHandler(CoverageFn fn) { coverage_fn_ = std::move(fn); }
+
+  /// Marks this node's cover of `origin`'s broadcast `seq` unvouched, if
+  /// the wave is still open here and its cover has not gone up. Call it
+  /// from the delivery handler: a node covers once its children have.
+  void Unvouch(sim::HostId origin, uint64_t seq);
 
   /// Disseminates `payload` to every reachable node, including this one.
   /// The payload is serialized exactly once (by the caller); every relay
@@ -106,6 +122,8 @@ class BroadcastService {
   /// Leading kind byte of every Proto::kBroadcast frame.
   enum Kind : uint8_t { kData = 1, kAck = 2, kCover = 3 };
   enum AckWhat : uint8_t { kAckData = 1, kAckCover = 2 };
+  /// Bits of a cover's flags byte.
+  enum CoverFlag : uint8_t { kCoverComplete = 1, kCoverUnvouched = 2 };
 
   /// One downstream edge of a relayed broadcast.
   struct ChildEdge {
@@ -118,6 +136,7 @@ class BroadcastService {
     bool failed = false;
     uint64_t cover_count = 0;
     bool cover_complete = true;
+    bool cover_vouched = true;
   };
   /// Per-(origin, seq) relay bookkeeping while the wave is in flight.
   struct RelayState {
@@ -127,8 +146,13 @@ class BroadcastService {
     std::vector<ChildEdge> children;
     bool cover_sent = false;
     int cover_attempts = 0;
+    /// No node this relay suspects lies before its first child, and the
+    /// application did not unvouch this node.
+    bool vouched = true;
     uint64_t cover_count = 0;
     bool cover_complete = true;
+    /// This node and every node under it vouched.
+    bool cover_vouched = true;
   };
   using RelayKey = std::pair<sim::HostId, uint64_t>;
 
@@ -137,7 +161,8 @@ class BroadcastService {
   void OnAck(sim::HostId from, Reader* r);
   void OnCover(sim::HostId from, Reader* r);
   /// Forwards into (self, limit), splitting among neighbors; the edges are
-  /// recorded in `state` for ack tracking.
+  /// recorded in `state` for ack tracking, and the gap before the first
+  /// child is checked for suspects.
   void Relay(RelayState& state, sim::HostId origin, uint64_t seq,
              const Id160& limit, int depth, const sim::Payload& payload);
   void SendDataEdge(sim::HostId origin, uint64_t seq, ChildEdge* edge,

@@ -134,8 +134,11 @@ void Dht::SendGetOnce(const std::string& ns, const std::string& resource,
           }
           return;
         }
+        // A malformed response fails the get like a timeout that ran out
+        // of retries: it counts in get_failures.
         uint32_t count = 0;
         if (!r->GetVarint32(&count).ok()) {
+          ++stats_.get_failures;
           cb(Status::Corruption("bad get response"), {});
           return;
         }
@@ -146,6 +149,7 @@ void Dht::SendGetOnce(const std::string& ns, const std::string& resource,
           DhtItem item;
           if (!DhtKey::Deserialize(r, &item.key).ok() ||
               !r->GetString(&item.value).ok()) {
+            ++stats_.get_failures;
             cb(Status::Corruption("bad get item"), {});
             return;
           }

@@ -30,12 +30,15 @@ constexpr Duration kFixFingersInterval = Millis(500);
 /// or routes it when the slot is empty.
 constexpr int kFingersPerTick = 8;
 /// Predecessor liveness check period. The predecessor's stabilize
-/// requests count as its heartbeat; the node pings it (and suspects it on
-/// timeout) only after this long without one.
+/// requests count as its heartbeat; the node pings it only after this long
+/// without one, and suspects it only if the ping times out with no request
+/// from it since.
 constexpr Duration kCheckPredecessorInterval = Seconds(1);
-/// Timeout for all overlay RPCs.
+/// Timeout for all overlay RPCs. Three stabilize rounds fit in it, so a
+/// live successor answers a later request before an earlier one times out
+/// unless about three round trips in a row are lost.
 constexpr Duration kRpcTimeout = Millis(1500);
-/// How long a timed-out host stays on the suspects list.
+/// How long a host that timed out and stayed silent is suspected.
 constexpr Duration kSuspectTtl = Seconds(8);
 /// Join retry backoff.
 constexpr Duration kJoinRetryInterval = Seconds(1);
@@ -427,7 +430,7 @@ void ChordNode::Stabilize() {
   // long-running churn (IsSuspect already ignores them).
   TimePoint now = transport_->simulation()->now();
   for (auto it = suspects_.begin(); it != suspects_.end();) {
-    it = now >= it->second ? suspects_.erase(it) : std::next(it);
+    it = now >= it->second.until ? suspects_.erase(it) : std::next(it);
   }
   // Drop suspect successors from the head.
   while (!successors_.empty() && IsSuspect(successors_[0].host)) {
@@ -446,13 +449,20 @@ void ChordNode::StabilizeWith(const NodeInfo& succ) {
   // Echo the digest of what this successor last sent us in full; 0 (a new
   // successor) asks for its neighbourhood outright.
   uint64_t echo = view_host_ == succ.host ? view_digest_ : 0;
+  const TimePoint sent_at = transport_->simulation()->now();
   uint64_t req_id = rpc_.Begin(
-      [this, succ, echo](Status s, Reader* r) {
+      [this, succ, echo, sent_at](Status s, Reader* r) {
         if (state_ != State::kActive) return;
         if (!s.ok()) {
-          Suspect(succ.host);
+          // Suspect silence, not loss: a reply to a later request that came
+          // back since this one went out shows the successor alive.
+          if (succ_heard_host_ != succ.host || succ_heard_at_ <= sent_at) {
+            Suspect(succ);
+          }
           return;
         }
+        succ_heard_host_ = succ.host;
+        succ_heard_at_ = transport_->simulation()->now();
         // The reply describes succ's neighbourhood. If succ is no longer our
         // head (it left, or was evicted or displaced meanwhile), the next
         // round asks the new head instead.
@@ -796,15 +806,17 @@ void ChordNode::CheckPredecessor() {
     return;
   }
   NodeInfo pred = *pred_;
+  const TimePoint sent_at = transport_->simulation()->now();
   uint64_t req_id = rpc_.Begin(
-      [this, pred](Status s, Reader* /*r*/) {
-        if (state_ != State::kActive) return;
-        if (!s.ok()) {
-          Suspect(pred.host);
-          if (pred_.has_value() && pred_->host == pred.host) {
-            pred_.reset();
-            NotifyNeighborsChanged();
-          }
+      [this, pred, sent_at](Status s, Reader* /*r*/) {
+        if (state_ != State::kActive || s.ok()) return;
+        // Only silence since the ping went out: a stabilize request from
+        // the predecessor in the meantime shows it alive.
+        if (pred_heard_host_ == pred.host && pred_heard_at_ > sent_at) return;
+        Suspect(pred);
+        if (pred_.has_value() && pred_->host == pred.host) {
+          pred_.reset();
+          NotifyNeighborsChanged();
         }
       },
       kRpcTimeout);
@@ -818,13 +830,16 @@ void ChordNode::CheckPredecessor() {
 // Failure suspicion
 // ---------------------------------------------------------------------------
 
-void ChordNode::Suspect(sim::HostId host) {
+void ChordNode::Suspect(const NodeInfo& node) {
+  const sim::HostId host = node.host;
   TimePoint now = transport_->simulation()->now();
   // A new suspicion episode = the host was not currently suspect (absent,
   // or present but expired — expired entries linger until pruned).
   auto sit = suspects_.find(host);
-  if (sit == suspects_.end() || now >= sit->second) ++stats_.suspects_marked;
-  suspects_[host] = now + kSuspectTtl;
+  if (sit == suspects_.end() || now >= sit->second.until) {
+    ++stats_.suspects_marked;
+  }
+  suspects_[host] = Suspicion{node.id, now + kSuspectTtl};
   // Remember the identity we are about to forget, while we still have it:
   // if this "failure" is really a partition, the rejoin probe needs the
   // NodeInfo to find the other half again after the heal.
@@ -849,7 +864,17 @@ bool ChordNode::IsSuspect(sim::HostId host) const {
   if (suspects_.empty()) return false;  // the common case on a stable ring
   auto it = suspects_.find(host);
   if (it == suspects_.end()) return false;
-  return transport_->simulation()->now() < it->second;
+  return transport_->simulation()->now() < it->second.until;
+}
+
+bool ChordNode::SuspectBetween(const Id160& from, const Id160& to) const {
+  TimePoint now = transport_->simulation()->now();
+  for (const auto& [host, suspicion] : suspects_) {
+    if (now < suspicion.until && suspicion.id.InIntervalOpenOpen(from, to)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void ChordNode::RemoveSuccessor(sim::HostId host) {
@@ -875,7 +900,9 @@ bool ChordNode::RingStable(Duration window) const {
 size_t ChordNode::suspect_count() const {
   TimePoint now = transport_->simulation()->now();
   size_t n = 0;
-  for (const auto& [host, until] : suspects_) n += now < until ? 1 : 0;
+  for (const auto& [host, suspicion] : suspects_) {
+    n += now < suspicion.until ? 1 : 0;
+  }
   return n;
 }
 

@@ -21,8 +21,13 @@
 //               forwards like any lookup, so a settled slot costs one round
 //               trip. A finger that does not answer is dropped from its
 //               slot (not suspected), and an empty slot is looked up routed
-//   - failure:  RPC timeouts mark hosts suspect; suspects are routed around
-//               until stabilization removes them
+//   - failure:  a neighbour is suspected only on silence: a stabilize
+//               request to the successor, or a liveness ping to the
+//               predecessor, that times out marks the host suspect only if
+//               nothing came back from it since that request went out (a
+//               stabilize reply from the successor, a stabilize request
+//               from the predecessor). A suspect is routed around and
+//               evicted from the successor list for kSuspectTtl
 //
 // Everything is timer-driven soft state: no operation blocks, every remote
 // exchange can be lost, and the ring heals as long as successor lists
@@ -57,7 +62,9 @@ struct ChordStats {
   uint64_t messages_forwarded = 0;
   uint64_t stabilize_rounds = 0;
   uint64_t successor_failovers = 0;
-  /// Hosts newly marked suspect after an RPC timeout (churn/partition
+  /// Hosts newly marked suspect: a stabilize request or predecessor ping
+  /// timed out and the host stayed silent since it went out. A crash or a
+  /// cut link raises it; one lost packet does not (churn/partition
   /// observability: rises while links are faulted, flat once healed).
   uint64_t suspects_marked = 0;
   /// Ring-neighborhood changes (successor/predecessor/successor-list edits).
@@ -99,6 +106,7 @@ class ChordNode : public Router {
   NodeInfo self() const override { return self_; }
   std::vector<NodeInfo> RoutingNeighbors() const override;
   void Lookup(const Id160& key, LookupCallback cb) override;
+  bool SuspectBetween(const Id160& from, const Id160& to) const override;
 
   /// Current immediate successor (self when singleton).
   NodeInfo successor() const;
@@ -205,7 +213,7 @@ class ChordNode : public Router {
   void AttemptJoin();
   void AdoptSuccessorCandidate(const NodeInfo& candidate);
   void RemoveSuccessor(sim::HostId host);
-  void Suspect(sim::HostId host);
+  void Suspect(const NodeInfo& node);
   bool IsSuspect(sim::HostId host) const;
   /// Must follow every edit of pred_ or successors_: it stamps the change
   /// time and drops own_digest_.
@@ -230,6 +238,10 @@ class ChordNode : public Router {
   /// heartbeat (see CheckPredecessor).
   sim::HostId pred_heard_host_ = sim::kInvalidHost;
   TimePoint pred_heard_at_ = 0;
+  /// The last stabilize reply that came from a successor: a timed-out
+  /// request to that host suspects it only if this predates the request.
+  sim::HostId succ_heard_host_ = sim::kInvalidHost;
+  TimePoint succ_heard_at_ = 0;
   std::array<std::optional<NodeInfo>, Id160::kBits> fingers_;
   int next_finger_ = Id160::kBits - 1;
   /// Distinct finger entries in slot order, rebuilt lazily: NextHop runs on
@@ -237,7 +249,13 @@ class ChordNode : public Router {
   mutable std::vector<NodeInfo> finger_compact_;
   mutable bool finger_cache_dirty_ = true;
 
-  std::unordered_map<sim::HostId, TimePoint> suspects_;
+  /// A suspected host's ring id, kept for SuspectBetween, and when the
+  /// suspicion expires.
+  struct Suspicion {
+    Id160 id;
+    TimePoint until;
+  };
+  std::unordered_map<sim::HostId, Suspicion> suspects_;
   /// Evicted-peer memory for partition healing (see ProbeEvicted).
   struct EvictedPeer {
     NodeInfo info;

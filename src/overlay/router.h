@@ -67,6 +67,16 @@ class Router {
   /// omniscient directory never drifts, so the default stands.
   virtual TimePoint last_topology_change() const { return 0; }
 
+  /// True when this node currently suspects a node whose id lies in the
+  /// open ring interval (from, to); (from, from) is the whole ring but
+  /// `from`. A suspect is missing from RoutingNeighbors, so a broadcast
+  /// relay asks this of the gap it claims holds no node. The one-hop
+  /// router suspects no one.
+  virtual bool SuspectBetween(const Id160& /*from*/,
+                              const Id160& /*to*/) const {
+    return false;
+  }
+
   /// Resolves the responsible node for `key` asynchronously.
   /// `cb(status, owner, hops)`.
   using LookupCallback =

@@ -141,6 +141,10 @@ struct QueryEngine::ActiveQuery {
   /// broadcast reached, and whether every subtree confirmed.
   uint64_t members_expected = 0;
   bool coverage_complete = false;
+  /// Epochs whose scans here read failed-over replica copies (their plan
+  /// wave goes up unvouched); at the origin also those whose wave came back
+  /// unvouched. None certifies.
+  std::set<uint64_t> unvouched_epochs;
 
   // -- Bloom filter waves (PR 10) --------------------------------------------
   /// Origin-side: waves this query broadcast incomplete (parts lost/late
@@ -174,8 +178,9 @@ QueryEngine::QueryEngine(overlay::Transport* transport,
     OnBroadcast(origin, seq, parent, depth, payload);
   });
   broadcast_->SetCoverageHandler([this](sim::HostId origin, uint64_t seq,
-                                        uint64_t members, bool complete) {
-    OnCoverage(origin, seq, members, complete);
+                                        uint64_t members, bool complete,
+                                        bool vouched) {
+    OnCoverage(origin, seq, members, complete, vouched);
   });
   QueryScheduler::Options sched;
   sched.batch_rows = options_.batch_size;
@@ -647,7 +652,7 @@ void QueryEngine::SendEpochReport(ActiveQuery* aq) {
 }
 
 void QueryEngine::OnCoverage(sim::HostId origin, uint64_t seq,
-                             uint64_t members, bool complete) {
+                             uint64_t members, bool complete, bool vouched) {
   auto it = plan_waves_.find({origin, seq});
   if (it == plan_waves_.end()) return;
   auto [qid, epoch] = it->second;
@@ -656,12 +661,17 @@ void QueryEngine::OnCoverage(sim::HostId origin, uint64_t seq,
   if (qit == queries_.end() || qit->second->runtime == nullptr) return;
   ActiveQuery* aq = qit->second.get();
   if (!aq->is_origin) {
-    // How many contributors this node's combiner waits for.
+    // How many contributors this node's combiner waits for: the subtree
+    // count holds whether or not the wave vouched.
     aq->runtime->OnSubtreeCovered(epoch, members, complete);
     return;
   }
+  // An unvouched wave skipped a node or rests on a failed-over scan: the
+  // count cannot show either, so the wave is incomplete and its epoch
+  // never certifies.
   aq->members_expected = members;
-  aq->coverage_complete = complete;
+  aq->coverage_complete = complete && vouched;
+  if (!vouched) aq->unvouched_epochs.insert(epoch);
   MaybeEarlyFinalize(aq);
 }
 
@@ -695,6 +705,7 @@ void QueryEngine::MaybeEarlyFinalize(ActiveQuery* aq) {
   // The origin's own scheduled scans must have drained: its own rows are
   // part of the answer being certified.
   if (aq->scans_done_epoch < static_cast<int64_t>(epoch)) return;
+  if (aq->unvouched_epochs.count(epoch) != 0) return;
   if (counted) {
     // Every covered member's partial, the origin's own included, is folded
     // into the root: its contributor total is the cover wave's count. A
@@ -739,7 +750,15 @@ void QueryEngine::SubmitScan(ScanWork work) {
     auto it = queries_.find(qid);
     return it == queries_.end() || it->second->budget_tripped;
   };
-  scheduler_->Submit(std::move(work));
+  const uint64_t epoch = work.epoch;
+  // A sweep that read replicas for an owner this node took over from may
+  // hold rows the owner, still alive, scans too, or miss rows never
+  // replicated: replicas are pushed without an ack. The epoch's plan wave
+  // goes up unvouched from here (OnBroadcast), and it never certifies.
+  if (scheduler_->Submit(std::move(work))) {
+    auto it = queries_.find(qid);
+    if (it != queries_.end()) it->second->unvouched_epochs.insert(epoch);
+  }
 }
 
 void QueryEngine::OnEpochScansDone(uint64_t qid, uint64_t epoch) {
@@ -1070,8 +1089,13 @@ void QueryEngine::OnBroadcast(sim::HostId bcast_origin, uint64_t seq,
       // its cover wave, when it comes back through here, is that epoch's.
       auto it = queries_.find(env.query_id);
       if (it != queries_.end()) {
-        plan_waves_[{bcast_origin, seq}] = {env.query_id,
-                                            CurrentEpoch(*it->second)};
+        const uint64_t epoch = CurrentEpoch(*it->second);
+        plan_waves_[{bcast_origin, seq}] = {env.query_id, epoch};
+        // The epoch's scans ran before its wave got here (at install, or
+        // at the epoch boundary).
+        if (it->second->unvouched_epochs.count(epoch) != 0) {
+          broadcast_->Unvouch(bcast_origin, seq);
+        }
       }
       break;
     }
@@ -1435,6 +1459,7 @@ void QueryEngine::FinalizeEpoch(ActiveQuery* aq, uint64_t epoch,
   if (exact_certified &&
       (!aq->shed_members.empty() || aq->cancelled || aq->deadline_expired ||
        aq->budget_tripped || !aq->budget_tripped_members.empty() ||
+       aq->unvouched_epochs.count(epoch) != 0 ||
        (aq->runtime->counted() && contributors != aq->members_expected))) {
     exact_certified = false;
   }

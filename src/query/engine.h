@@ -195,7 +195,7 @@ class QueryEngine : public ops::StageHost {
   /// The cover wave of `origin`'s broadcast `seq` came back through this
   /// node, having reached `members` nodes through it.
   void OnCoverage(sim::HostId origin, uint64_t seq, uint64_t members,
-                  bool complete);
+                  bool complete, bool vouched);
   /// `reporters`: the epoch's direct reporters; `contributors`: the root's
   /// contributor total (scan-fed aggregation).
   Completeness BuildCompleteness(ActiveQuery* aq, uint64_t epoch,

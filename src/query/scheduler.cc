@@ -6,8 +6,8 @@
 namespace pier {
 namespace query {
 
-void QueryScheduler::Submit(ScanWork work) {
-  if (stopped_) return;
+bool QueryScheduler::Submit(ScanWork work) {
+  if (stopped_) return false;
   // A fresh epoch for a continuous query supersedes any scan of an earlier
   // epoch still queued (its results would be discarded at the origin
   // anyway): drop the stale task without callbacks — the runtime already
@@ -24,11 +24,13 @@ void QueryScheduler::Submit(ScanWork work) {
   Task task;
   task.sweep = AcquireSweep(work);
   task.work = std::move(work);
+  const bool failed_over = task.sweep->failed_over;
   tasks_.push_back(std::move(task));
   // An idle scheduler serves immediately (a lone scan pays no pacing tax —
   // the 0-delay hop keeps it at the submit instant in virtual time); the
   // round interval only paces follow-up rounds while scans remain queued.
   ArmRound(0);
+  return failed_over;
 }
 
 std::shared_ptr<QueryScheduler::Sweep> QueryScheduler::AcquireSweep(
@@ -80,6 +82,7 @@ std::shared_ptr<QueryScheduler::Sweep> QueryScheduler::AcquireSweep(
   };
   dht_->ForEachLocalReadable(work.table, [&](const dht::StoredItem& item) {
     if (item.stored_at < cutoff) return true;
+    sweep->failed_over = sweep->failed_over || item.replica;
     // AppendSerialized skips exactly the rows a tuple scan skips:
     // undecodable bytes and width mismatches.
     builder.AppendSerialized(item.value);

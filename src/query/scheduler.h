@@ -90,8 +90,10 @@ class QueryScheduler {
   /// Enqueues one scan pass. Materializes or attaches to a shared sweep
   /// immediately (the store may mutate before the first round fires; the
   /// sweep pins this scan's snapshot). A newer-epoch submit for the same
-  /// query silently supersedes any queued older-epoch scan.
-  void Submit(ScanWork work);
+  /// query silently supersedes any queued older-epoch scan. Returns true
+  /// when the sweep read replica copies this node holds for an owner it
+  /// took over from (Dht::ForEachLocalReadable's failover rule).
+  bool Submit(ScanWork work);
 
   /// Drops every queued scan for `qid` without firing its callbacks. Must
   /// be called before the query's runtime is destroyed — queued feeds
@@ -114,6 +116,8 @@ class QueryScheduler {
     catalog::Schema schema;
     std::vector<exec::RowBatch> batches;
     size_t total_rows = 0;
+    /// Some row came from a replica copy.
+    bool failed_over = false;
   };
 
   struct Task {

@@ -1,12 +1,13 @@
 // DHT layer tests: the local soft-state store, Put/Get over both
 // routers, TTL expiry, replication failover after owner crashes, namespace
 // scans, forged and truncated get responses, renewing publishers, and
-// dissemination trees.
+// dissemination trees and their cover waves.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -19,6 +20,7 @@
 #include "dht/key.h"
 #include "dht/local_store.h"
 #include "dht/storage.h"
+#include "sim/fault_plane.h"
 #include "sim/network.h"
 
 namespace pier {
@@ -434,8 +436,9 @@ std::string ResourceOwnedBy(PierNetwork& net, size_t owner,
 }
 
 // A get response whose item count claims 2^32 - 1 items with none behind
-// it fails that get once, with Corruption, and allocates nothing for the
-// claimed items; the node then answers the next get normally.
+// it fails that get once, with Corruption, counted in get_failures, and
+// allocates nothing for the claimed items; the node then answers the next
+// get normally.
 TEST(DhtTest, ForgedGetResponseCountFailsOnlyThatGet) {
   PierNetwork net(2, OneHopOpts());
   net.Boot(Seconds(5));
@@ -460,10 +463,13 @@ TEST(DhtTest, ForgedGetResponseCountFailsOnlyThatGet) {
                             status = s;
                             EXPECT_TRUE(items.empty());
                           });
+  const DhtStats& stats = net.node(0)->dht()->stats();
+  const uint64_t failures_before = stats.get_failures;
   net.RunFor(Seconds(10));  // past every retry the get could still make
   EXPECT_EQ(calls, 1);
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
   EXPECT_FALSE(tamper.rewrite) << "no get response was forged";
+  EXPECT_EQ(stats.get_failures, failures_before + 1);
 
   std::vector<DhtItem> items;
   status = Status::Internal("not called");
@@ -480,9 +486,9 @@ TEST(DhtTest, ForgedGetResponseCountFailsOnlyThatGet) {
 }
 
 // Every truncation of a genuine two-item get response: a cut that keeps
-// the request id fails the get with Corruption; a shorter one cannot name
-// the request, so it is dropped and the retry's genuine response answers.
-// Either way the callback fires exactly once.
+// the request id fails the get with Corruption, counted in get_failures; a
+// shorter one cannot name the request, so it is dropped and the retry's
+// genuine response answers. Either way the callback fires exactly once.
 TEST(DhtTest, TruncatedGetResponsesFailCleanly) {
   PierNetwork net(2, OneHopOpts());
   net.Boot(Seconds(5));
@@ -519,6 +525,7 @@ TEST(DhtTest, TruncatedGetResponsesFailCleanly) {
     int calls = 0;
     Status status = Status::OK();
     size_t items = 0;
+    const uint64_t failures_before = net.node(0)->dht()->stats().get_failures;
     net.node(0)->dht()->Get("cut", res,
                             [&](Status s, std::vector<DhtItem> v) {
                               ++calls;
@@ -527,11 +534,14 @@ TEST(DhtTest, TruncatedGetResponsesFailCleanly) {
                             });
     net.RunFor(Seconds(5));  // one get timeout and its retry
     EXPECT_EQ(calls, 1);
+    const uint64_t failures = net.node(0)->dht()->stats().get_failures;
     if (keeps_req_id) {
       EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+      EXPECT_EQ(failures, failures_before + 1);
     } else {
       EXPECT_TRUE(status.ok()) << status.ToString();
       EXPECT_EQ(items, 2u);
+      EXPECT_EQ(failures, failures_before);
     }
   }
   net.net()->SetHandler(0, net.node(0));
@@ -750,7 +760,7 @@ TEST(BroadcastTest, EveryRelaysCoverCountIsOnePlusItsChildren) {
       max_depth = std::max(max_depth, depth);
     });
     b->SetCoverageHandler(
-        [&, i](sim::HostId, uint64_t, uint64_t m, bool c) {
+        [&, i](sim::HostId, uint64_t, uint64_t m, bool c, bool) {
           ++upcalls[i];
           members[i] = m;
           complete[i] = c;
@@ -773,6 +783,93 @@ TEST(BroadcastTest, EveryRelaysCoverCountIsOnePlusItsChildren) {
   EXPECT_EQ(members[0], n);
 }
 
+// A relay vouches that no node lies between itself and its first child. On
+// a settled ring only a node's predecessor relays to it, so a predecessor
+// that suspects it skips it. Here a one-way cut silences a relay's first
+// child toward that relay, the relay suspects it, and the next wave leaves
+// it out: every node still reports its own subtree's count, complete, so
+// the combiners' counts are as before, but the skipping relay's cover and
+// every cover above it go up unvouched, and the origin's wave with them.
+TEST(BroadcastTest, SuspectInARelaysGapUnvouchesTheOriginsWave) {
+  PierNetwork net(32, ChordOpts(33));
+  net.Boot(Seconds(90));
+  const size_t n = net.size();
+  std::map<sim::HostId, size_t> index;
+  for (size_t i = 0; i < n; ++i) index[net.node(i)->host()] = i;
+  struct Wave {
+    std::vector<sim::HostId> parent;
+    std::vector<int> upcalls;
+    std::vector<uint64_t> members;
+    std::vector<bool> complete, vouched;
+  };
+  auto run_wave = [&] {
+    Wave w{std::vector<sim::HostId>(n, sim::kInvalidHost),
+           std::vector<int>(n, 0), std::vector<uint64_t>(n, 0),
+           std::vector<bool>(n, false), std::vector<bool>(n, false)};
+    for (size_t i = 0; i < n; ++i) {
+      BroadcastService* b = net.node(i)->broadcast();
+      b->SetHandler([&w, i](sim::HostId, uint64_t, sim::HostId p, int,
+                            const sim::Payload&) { w.parent[i] = p; });
+      b->SetCoverageHandler(
+          [&w, i](sim::HostId, uint64_t, uint64_t m, bool c, bool v) {
+            ++w.upcalls[i];
+            w.members[i] = m;
+            w.complete[i] = c;
+            w.vouched[i] = v;
+          });
+    }
+    net.node(0)->broadcast()->Broadcast(sim::Payload("plan"));
+    net.RunFor(Seconds(5));
+    return w;
+  };
+
+  // A relay other than the origin whose first child is its ring successor.
+  const Wave clean = run_wave();
+  ASSERT_TRUE(clean.complete[0] && clean.vouched[0]);
+  ASSERT_EQ(clean.members[0], n);
+  size_t relay = n, skipped = n;
+  for (size_t i = 1; i < n && relay == n; ++i) {
+    const size_t succ = index.at(net.node(i)->chord()->successor().host);
+    if (succ != 0 && clean.parent[succ] == net.node(i)->host()) {
+      relay = i;
+      skipped = succ;
+    }
+  }
+  ASSERT_LT(relay, n) << "no relay forwards to its own successor";
+
+  sim::FaultPlane plane(net.sim()->rng().Fork(0x676170ull));  // "gap"
+  net.net()->SetFaultPlane(&plane);
+  plane.Partition({net.node(skipped)->host()}, {net.node(relay)->host()},
+                  net.sim()->now(), std::numeric_limits<TimePoint>::max(),
+                  /*bidirectional=*/false);
+  net.RunFor(Seconds(3));  // a stabilize timeout, and silence since
+  ASSERT_TRUE(net.node(relay)->router()->SuspectBetween(
+      net.node(relay)->id(), net.node(skipped)->id().AddPowerOfTwo(0)));
+
+  const Wave gap = run_wave();
+  net.net()->SetFaultPlane(nullptr);
+  EXPECT_EQ(gap.parent[skipped], sim::kInvalidHost) << "the node was reached";
+  std::vector<uint64_t> below(n, 1);  // self
+  std::vector<bool> above_relay(n, false);
+  for (size_t i = 1; i < n; ++i) {
+    if (gap.parent[i] != sim::kInvalidHost) {
+      below[index.at(gap.parent[i])] += gap.members[i];
+    }
+  }
+  for (size_t at = relay; at != 0; at = index.at(gap.parent[at])) {
+    ASSERT_NE(gap.parent[at], sim::kInvalidHost);
+    above_relay[at] = true;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (i == skipped) continue;
+    EXPECT_EQ(gap.upcalls[i], 1) << "node " << i;
+    EXPECT_TRUE(gap.complete[i]) << "node " << i;
+    EXPECT_EQ(gap.members[i], below[i]) << "node " << i;
+    EXPECT_EQ(gap.vouched[i], i != 0 && !above_relay[i]) << "node " << i;
+  }
+  EXPECT_EQ(gap.members[0], n - 1);
+}
+
 // A node already holding the broadcast covers any OTHER parent that
 // forwards it again with zero, so it counts under one parent only. Here a
 // forged first delivery from a peer makes the real parent a second one: its
@@ -787,7 +884,7 @@ TEST(BroadcastTest, DuplicateDeliveryCoversItsExtraParentWithZero) {
   std::vector<bool> complete(net.size(), false);
   for (size_t i = 0; i < net.size(); ++i) {
     net.node(i)->broadcast()->SetCoverageHandler(
-        [&, i](sim::HostId, uint64_t, uint64_t m, bool c) {
+        [&, i](sim::HostId, uint64_t, uint64_t m, bool c, bool) {
           ++upcalls[i];
           members[i] = m;
           complete[i] = c;
@@ -837,7 +934,7 @@ TEST(BroadcastTest, OriginUpcallIsDeferredPastBroadcast) {
   sim::HostId origin_seen = sim::kInvalidHost;
   BroadcastService* b = net.node(0)->broadcast();
   b->SetCoverageHandler(
-      [&](sim::HostId o, uint64_t seq, uint64_t m, bool c) {
+      [&](sim::HostId o, uint64_t seq, uint64_t m, bool c, bool) {
         ++upcalls;
         origin_seen = o;
         seq_seen = seq;

@@ -3,13 +3,16 @@
 // maintenance cost on a stable ring, the stabilize exchange (changes past
 // the neighbourhood digest, the heartbeat, malformed messages), finger
 // refresh (asking the held finger, recovery from crashes and joins, an
-// unanswered finger dropped but not suspected), the routing loop guard, and
-// the one-hop baseline router.
+// unanswered finger dropped but not suspected), suspicion on silence only (a
+// lost stabilize exchange suspects no one; a crashed neighbour is evicted
+// within a bound, lossy links or not), the routing loop guard, and the
+// one-hop baseline router.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -24,6 +27,7 @@
 #include "overlay/one_hop.h"
 #include "overlay/transport.h"
 #include "sim/event_queue.h"
+#include "sim/fault_plane.h"
 #include "sim/network.h"
 
 namespace pier {
@@ -732,6 +736,101 @@ TEST_F(ChordRing, StabilizeRequestIsThePredecessorHeartbeat) {
   // The silence cost a ping, and its timeout the suspicion.
   EXPECT_GT(succ.stats().suspects_marked, suspects_before);
   for (auto& ep : endpoints_) ep->intercept = nullptr;
+}
+
+// A lost stabilize request or reply is not a crash. Each node in turn loses
+// one stabilize reply from its successor, then its successor loses one of
+// its requests: the timed-out request finds a later reply already in, so no
+// node marks a suspect and every neighbourhood stays as it was.
+TEST_F(ChordRing, OneLostStabilizeExchangeSuspectsNoOne) {
+  const int n = 16;
+  Build(n);
+  Stabilize(Seconds(60));
+  auto suspects = [&] {
+    uint64_t total = 0;
+    for (const auto& ep : endpoints_) {
+      total += ep->chord->stats().suspects_marked;
+    }
+    return total;
+  };
+  std::vector<std::vector<NodeInfo>> lists;
+  std::vector<std::optional<NodeInfo>> preds;
+  for (const auto& ep : endpoints_) {
+    lists.push_back(ep->chord->successor_list());
+    preds.push_back(ep->chord->predecessor());
+  }
+  const uint64_t suspects_before = suspects();
+  for (int i = 0; i < n; ++i) {
+    const sim::HostId succ = endpoints_[i]->chord->successor().host;
+    for (bool lose_reply : {true, false}) {
+      SCOPED_TRACE("node " + std::to_string(i) +
+                   (lose_reply ? " loses a reply" : " loses a request"));
+      Endpoint& at = lose_reply ? *endpoints_[i] : *endpoints_[succ];
+      const sim::HostId from = lose_reply ? succ : sim::HostId(i);
+      const uint8_t type = lose_reply ? kStabilizeRespType : kStabilizeReqType;
+      bool lost = false;
+      at.intercept = [&](sim::HostId sender, const sim::Packet& packet) {
+        if (lost || sender != from || OverlayType(packet) != type) {
+          return false;
+        }
+        lost = true;
+        return true;
+      };
+      ASSERT_TRUE(RunUntil([&] { return lost; }, Seconds(2)));
+      at.intercept = nullptr;
+      Stabilize(Seconds(3));  // past the lost request's timeout
+      EXPECT_EQ(suspects(), suspects_before);
+    }
+  }
+  for (int i = 0; i < n; ++i) {
+    EXPECT_TRUE(endpoints_[i]->chord->successor_list() == lists[i])
+        << "node " << i << "'s successor list changed";
+    EXPECT_TRUE(endpoints_[i]->chord->predecessor() == preds[i])
+        << "node " << i << "'s predecessor changed";
+  }
+}
+
+// A crash is silence, so it is still evicted fast, lossy links or not: the
+// crashed node leaves the successor list of every node within 10 s, and its
+// successor drops it as predecessor within 5 s, at 0% and at 10% loss on
+// every link.
+TEST_F(ChordRing, CrashedNeighbourIsEvictedWithinBound) {
+  for (double loss : {0.0, 0.1}) {
+    SCOPED_TRACE("loss " + std::to_string(loss));
+    const int n = 32;
+    Build(n);
+    Stabilize(Seconds(60));
+    sim::FaultPlane plane(sim_->rng().Fork(0x6c6f7373ull));  // "loss"
+    net_->SetFaultPlane(&plane);
+    plane.Loss({}, {}, loss, sim_->now(),
+               std::numeric_limits<TimePoint>::max());
+    Stabilize(Seconds(10));
+    const int victim = 7;
+    ChordNode& succ =
+        *endpoints_[endpoints_[victim]->chord->successor().host]->chord;
+    ASSERT_TRUE(succ.predecessor().has_value());
+    ASSERT_EQ(succ.predecessor()->host, sim::HostId(victim));
+    endpoints_[victim]->chord->Fail();
+    net_->SetHostUp(sim::HostId(victim), false);
+    const TimePoint crashed_at = sim_->now();
+    auto listed = [&] {
+      for (const auto& ep : endpoints_) {
+        if (!ep->chord->active()) continue;
+        for (const NodeInfo& s : ep->chord->successor_list()) {
+          if (s.host == sim::HostId(victim)) return true;
+        }
+      }
+      return false;
+    };
+    auto pred_dropped = [&] {
+      return !succ.predecessor().has_value() ||
+             succ.predecessor()->host != sim::HostId(victim);
+    };
+    EXPECT_TRUE(RunUntil(pred_dropped, Seconds(5)));
+    EXPECT_TRUE(RunUntil([&] { return !listed(); },
+                         crashed_at + Seconds(10) - sim_->now()));
+    net_->SetFaultPlane(nullptr);
+  }
 }
 
 // The cached neighbourhood is keyed by a digest of its content, not by a

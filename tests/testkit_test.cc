@@ -414,6 +414,148 @@ TEST(ScenarioTest, InteriorTreeNodeCrashBeforeFlushIsNotExact) {
   EXPECT_LT(c.members_reported, c.members_expected) << c.ToString();
 }
 
+// The alerts table keyed by `hits`, which is distinct per AlertRows row: the
+// rows hash one per key around the ring, so every node owns some.
+TableDef SpreadAlertsTable() {
+  TableDef def = AlertsTable();
+  def.partition_cols = {1};
+  return def;
+}
+
+// Walks `hops` successor pointers from node `from`; returns the node index
+// (PierNetwork host ids equal indices).
+size_t RingWalk(core::PierNetwork& net, size_t from, int hops) {
+  for (int i = 0; i < hops; ++i) {
+    from = net.node(from)->chord()->successor().host;
+  }
+  return from;
+}
+
+// A one-way cut silences a node toward its ring predecessor, which suspects
+// it and drops it from its neighbours. The predecessor is the only relay
+// that could forward the plan to it, so the broadcast skips it: the cover
+// wave comes back complete over every other node, and the root's
+// contributor total matches that count although the skipped node's rows are
+// missing. The relay knows it suspects a node in the gap it vouches for, so
+// its cover goes up unvouched and the origin must not certify the answer.
+TEST(ScenarioTest, NodeSkippedByASuspectingRelayIsNotCertified) {
+  constexpr size_t kNodes = 32;
+  constexpr TimePoint kIssue = Seconds(100);
+  size_t relay = 0, skipped = 0;
+  bool suspected = false;
+  Scenario s(/*seed=*/4231);
+  s.WithNodes(kNodes)
+      .WithRouter(RouterKind::kChord)
+      .WithTable(SpreadAlertsTable())
+      .PublishRows("alerts", AlertRows(320))
+      .AddQuery({.sql = kSumSql, .issue_at = kIssue, .origin = 0})
+      .At(kIssue - Seconds(4),
+          [&](core::PierNetwork& net) {
+            // The first relay 8 or more hops past the origin (so the origin's
+            // own neighbourhood stays settled) whose successor no node holds
+            // as a finger: nothing but the relay would forward to it.
+            for (int hop = 8; hop < 24 && relay == 0; ++hop) {
+              const size_t r = RingWalk(net, 0, hop);
+              const size_t n = RingWalk(net, r, 1);
+              bool fingered = false;
+              for (size_t i = 0; i < net.size(); ++i) {
+                for (const overlay::NodeInfo& f :
+                     net.node(i)->chord()->FingerEntries()) {
+                  fingered = fingered || (i != r && f.host == n);
+                }
+              }
+              if (!fingered) {
+                relay = r;
+                skipped = n;
+              }
+            }
+            if (relay == 0) return;
+            net.net()->fault_plane()->Partition(
+                {sim::HostId(skipped)}, {sim::HostId(relay)},
+                net.sim()->now(), kIssue + Seconds(12),
+                /*bidirectional=*/false);
+          })
+      .At(kIssue,
+          [&](core::PierNetwork& net) {
+            suspected = relay != 0 &&
+                        net.node(relay)->chord()->suspect_count() > 0;
+          })
+      .WithDefaultCheckers();
+  ScenarioReport report = s.Run();
+  ASSERT_NE(relay, 0u) << "every candidate's successor is someone's finger";
+  EXPECT_TRUE(suspected) << "the relay did not suspect its successor";
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_GT(report.messages_faulted, 0u);
+  ASSERT_EQ(report.queries.size(), 1u);
+  ASSERT_TRUE(report.queries[0].completed) << report.ToString();
+  const query::Completeness& c = report.queries[0].batch.completeness;
+  EXPECT_FALSE(c.exact) << c.ToString();
+  EXPECT_FALSE(c.coverage_complete) << c.ToString();
+  EXPECT_EQ(c.members_expected, kNodes - 1) << c.ToString();
+}
+
+// Scan-side failover must not certify. A one-way cut silences an owner
+// toward its successor, which suspects it, unsets its predecessor and so
+// claims the owner's keys: its scans read the owner's replicas, while the
+// owner, alive and reached through another relay, scans the same rows. The
+// plan reaches the successor straight from the origin (it is the origin's
+// farthest finger), so the cover wave reaches every node and every node
+// counts once, but the SUM counts the owner's rows twice, and a plain scan
+// returns them twice. The successor's scans read replicas, so its covers go
+// up unvouched: the origin's waves are incomplete and neither answer is
+// exact.
+TEST(ScenarioTest, FailedOverScanIsNotCertified) {
+  constexpr size_t kNodes = 32;
+  constexpr TimePoint kIssue = Seconds(100);
+  size_t owner = 0, successor = 0;
+  bool pred_unset = false;
+  Scenario s(/*seed=*/4233);
+  s.WithNodes(kNodes)
+      .WithRouter(RouterKind::kChord)
+      .WithTable(SpreadAlertsTable())
+      .PublishRows("alerts", AlertRows(320))
+      .AddQuery({.sql = kSumSql, .issue_at = kIssue, .origin = 0})
+      .AddQuery({.sql = kScanSql, .issue_at = kIssue, .origin = 0})
+      .At(kIssue - Seconds(6),
+          [&](core::PierNetwork& net) {
+            successor = net.node(0)->chord()->FingerEntries().back().host;
+            for (size_t i = 1; i < net.size(); ++i) {
+              if (RingWalk(net, i, 1) == successor) owner = i;
+            }
+            if (owner == 0) return;
+            net.net()->fault_plane()->Partition(
+                {sim::HostId(owner)}, {sim::HostId(successor)},
+                net.sim()->now(), kIssue + Seconds(12),
+                /*bidirectional=*/false);
+          })
+      .At(kIssue,
+          [&](core::PierNetwork& net) {
+            pred_unset = owner != 0 &&
+                         !net.node(successor)->chord()->predecessor();
+          })
+      .WithDefaultCheckers();
+  ScenarioReport report = s.Run();
+  ASSERT_NE(owner, 0u) << "the origin's farthest finger follows the origin";
+  EXPECT_TRUE(pred_unset) << "the successor still had a predecessor";
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_GT(report.messages_faulted, 0u);
+  ASSERT_EQ(report.queries.size(), 2u);
+  const QueryOutcome& sum = report.queries[0];
+  ASSERT_TRUE(sum.completed) << report.ToString();
+  const query::Completeness& c = sum.batch.completeness;
+  EXPECT_LT(sum.score.recall, 1.0) << "no row was read twice";
+  EXPECT_FALSE(c.exact) << c.ToString();
+  EXPECT_FALSE(c.coverage_complete) << c.ToString();
+  EXPECT_EQ(c.members_expected, kNodes) << c.ToString();
+  EXPECT_EQ(c.members_reported, kNodes) << c.ToString();
+  // Extra rows leave recall at 1, so only the claim itself shows the scan.
+  const QueryOutcome& scan = report.queries[1];
+  ASSERT_TRUE(scan.completed) << report.ToString();
+  EXPECT_LT(scan.score.precision, 1.0) << "no row was read twice";
+  EXPECT_FALSE(scan.batch.completeness.exact)
+      << scan.batch.completeness.ToString();
+}
+
 // Sustained random loss on every link. Before the reliable result plane
 // this scenario asserted a 0.5 recall *floor*; with acked, retried frames
 // and coverage-certified finalization the same adversity now demands the
