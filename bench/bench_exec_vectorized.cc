@@ -110,8 +110,8 @@ std::vector<exec::AggSpec> Aggs() {
 }
 
 /// The tuple plane: per-row deserialize, scalar predicate, scalar
-/// group-by — the per-tuple pipeline ScanStage + filter + AggStage ran
-/// before vectorization.
+/// group-by — the per-tuple scan + filter + aggregation pipeline the
+/// engine ran before vectorization.
 std::vector<Tuple> RunTuplePlane(const std::vector<std::string>& slice,
                                  const exec::ExprPtr& pred) {
   exec::GroupBy gb({kRuleId}, Aggs(), exec::AggPhase::kPartial);
@@ -133,7 +133,7 @@ std::vector<Tuple> RunBatchPlane(const std::vector<std::string>& slice,
                                  size_t batch_size) {
   exec::RowBatchBuilder builder(RawAlertSchema());
   builder.Reserve(batch_size);
-  exec::VectorGroupBy vgb({kRuleId}, Aggs(), /*finalize=*/false);
+  exec::VectorGroupBy vgb({kRuleId}, Aggs());
   exec::Bitmap keep;
   auto flush = [&]() {
     exec::RowBatch b = builder.Take();
@@ -147,12 +147,7 @@ std::vector<Tuple> RunBatchPlane(const std::vector<std::string>& slice,
     if (builder.num_rows() >= batch_size) flush();
   }
   flush();
-  std::vector<Tuple> out;
-  vgb.DrainAndReset([&](Tuple& t) {
-    out.push_back(std::move(t));
-    return true;
-  });
-  return out;
+  return vgb.Drain();
 }
 
 int Run(const Config& cfg, bench::JsonReport* report) {

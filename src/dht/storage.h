@@ -102,7 +102,7 @@ class Dht {
 
   /// PIER's "lscan": visits this node's local slice of a namespace in
   /// place (no value copies); `fn(const StoredItem&)` returns false to
-  /// stop early. The hot path for every ScanStage pass and join catch-up.
+  /// stop early.
   template <typename Fn>
   void ForEachLocal(std::string_view ns, Fn&& fn) const {
     store_.ForEach(ns, sim_->now(), std::forward<Fn>(fn));

@@ -588,10 +588,8 @@ void NarrowSelection(RowBatch* b, const Bitmap& keep) {
 // VectorGroupBy
 
 VectorGroupBy::VectorGroupBy(std::vector<int> group_cols,
-                             std::vector<AggSpec> aggs, bool finalize)
-    : group_cols_(std::move(group_cols)),
-      aggs_(std::move(aggs)),
-      finalize_(finalize) {}
+                             std::vector<AggSpec> aggs)
+    : group_cols_(std::move(group_cols)), aggs_(std::move(aggs)) {}
 
 void VectorGroupBy::GrowSlots() {
   size_t n = slots_.empty() ? 16 : slots_.size() * 2;
@@ -987,31 +985,24 @@ void VectorGroupBy::FoldAgg(const RowBatch& b, size_t a) {
   }
 }
 
-void VectorGroupBy::DrainAndReset(
-    const std::function<bool(catalog::Tuple&)>& emit) {
+std::vector<catalog::Tuple> VectorGroupBy::Drain() {
   std::vector<uint32_t> order(groups_.size());
   for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
     return catalog::CompareTuples(groups_[a].key, groups_[b].key) < 0;
   });
-  bool more = true;
+  std::vector<catalog::Tuple> out;
+  out.reserve(order.size());
   for (uint32_t gi : order) {
-    if (!more) break;
     Group& g = groups_[gi];
-    catalog::Tuple out = std::move(g.key);
-    if (finalize_) {
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        out.push_back(AggFinalize(aggs_[a], g.state[a * kPartialWidth],
-                                  g.state[a * kPartialWidth + 1]));
-      }
-    } else {
-      for (Value& v : g.state) out.push_back(std::move(v));
-    }
-    more = emit(out);
+    catalog::Tuple row = std::move(g.key);
+    for (Value& v : g.state) row.push_back(std::move(v));
+    out.push_back(std::move(row));
   }
   groups_.clear();
   group_hash_.clear();
   slots_.clear();
+  return out;
 }
 
 }  // namespace exec

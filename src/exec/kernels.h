@@ -15,7 +15,7 @@
 // NegateValue.
 //
 // VectorGroupBy is the batch twin of the scalar exec::GroupBy
-// (exec/operators.h) for the raw-row phases: it accumulates grouped
+// (exec/operators.h) for the raw-row partial phase: it accumulates grouped
 // partial states per batch through the same AggInit/AggUpdateValue folds,
 // and drains in the same sorted group order.
 
@@ -105,23 +105,18 @@ void EvalColumn(const Expr& e, const RowBatch& b, Column* out, Bitmap* err);
 /// materializing survivors.
 void NarrowSelection(RowBatch* b, const Bitmap& keep);
 
-/// Batch-at-a-time GROUP BY accumulator for the raw-row phases. With
-/// `finalize` false it drains partial tuples [group values..., v1, v2 per
-/// agg] (GroupBy kPartial); with `finalize` true it drains finalized rows
-/// (kComplete). Drain order matches GroupBy's sorted map order.
+/// Batch-at-a-time GROUP BY accumulator for the raw-row partial phase: it
+/// drains partial tuples [group values..., v1, v2 per agg], as GroupBy
+/// kPartial does, in the same sorted group order.
 class VectorGroupBy {
  public:
-  VectorGroupBy(std::vector<int> group_cols, std::vector<AggSpec> aggs,
-                bool finalize);
+  VectorGroupBy(std::vector<int> group_cols, std::vector<AggSpec> aggs);
 
   /// Folds every live row of `b` into its group's partial states.
   void PushBatch(const RowBatch& b);
 
-  size_t group_count() const { return groups_.size(); }
-
-  /// Emits groups in sorted key order and clears state. Stops early when
-  /// `emit` returns false (remaining groups are still discarded).
-  void DrainAndReset(const std::function<bool(catalog::Tuple&)>& emit);
+  /// The groups' partial tuples in sorted key order; state is cleared.
+  std::vector<catalog::Tuple> Drain();
 
  private:
   struct Group {
@@ -139,7 +134,6 @@ class VectorGroupBy {
 
   std::vector<int> group_cols_;
   std::vector<AggSpec> aggs_;
-  bool finalize_;
   std::vector<Group> groups_;
   /// Open-addressing group index: slot = group idx + 1, 0 = empty. Linear
   /// probing over a power-of-two table; group_hash_ is parallel to groups_

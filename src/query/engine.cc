@@ -103,6 +103,9 @@ struct QueryEngine::ActiveQuery {
   /// Member-side origin-liveness lease (reclaims state if the origin died
   /// without broadcasting an end).
   sim::TimerId lease_timer = 0;
+  /// Origin-side: re-checks certification when the overlay's stability
+  /// window runs out (see MaybeEarlyFinalize).
+  sim::TimerId certify_timer = 0;
 
   // -- reliable result plane (PR 8) ------------------------------------------
   ReliableOutbox outbox;
@@ -182,14 +185,12 @@ QueryEngine::QueryEngine(overlay::Transport* transport,
                                         bool vouched) {
     OnCoverage(origin, seq, members, complete, vouched);
   });
-  QueryScheduler::Options sched;
-  sched.batch_rows = options_.batch_size;
   scheduler_ = std::make_unique<QueryScheduler>(
       sim_, dht_, &stats_,
       [this](Duration delay, std::function<void()> fn) {
         return ScheduleEngineTimer(delay, std::move(fn));
       },
-      sched);
+      QueryScheduler::Options{});
 }
 
 QueryEngine::~QueryEngine() {
@@ -682,14 +683,6 @@ void QueryEngine::MaybeEarlyFinalize(ActiveQuery* aq) {
   if (aq->cancelled || aq->deadline_expired) return;
   if (!aq->coverage_complete || aq->members_expected == 0) return;
   if (!aq->shed_members.empty()) return;
-  // A recently changed overlay neighborhood means this node's "everyone"
-  // may be one side of a partition (the minority ring's cover wave returns
-  // complete over 3 nodes of 10): no global exactness claim until the view
-  // has been stable for a detection window.
-  const TimePoint topo = router_->last_topology_change();
-  if (topo != 0 && sim_->now() - topo < kCertifyStabilityWindow) {
-    return;
-  }
   // Budget degradation anywhere bars exactness.
   if (aq->budget_tripped || !aq->budget_tripped_members.empty()) return;
   // Epochs are delivered in order, so only the oldest open one may close
@@ -722,6 +715,26 @@ void QueryEngine::MaybeEarlyFinalize(ActiveQuery* aq) {
       uint64_t admitted = rx == aq->rx_data_frames.end() ? 0 : rx->second;
       if (admitted < rep.frames_to_origin) return;  // data still in flight
     }
+  }
+  // A recently changed overlay neighborhood means this node's "everyone"
+  // may be one side of a partition (the minority ring's cover wave returns
+  // complete over 3 nodes of 10): no global exactness claim until the view
+  // has been stable for a detection window. Checked last: when the window
+  // is all that blocks, nothing may arrive to re-check once it runs out,
+  // so a timer does.
+  const TimePoint topo = router_->last_topology_change();
+  if (topo != 0 && sim_->now() - topo < kCertifyStabilityWindow) {
+    if (aq->certify_timer == 0) {
+      const uint64_t qid = aq->env.query_id;
+      aq->certify_timer =
+          ScheduleEngineTimerAt(topo + kCertifyStabilityWindow, [this, qid] {
+            auto it = queries_.find(qid);
+            if (it == queries_.end()) return;
+            it->second->certify_timer = 0;
+            MaybeEarlyFinalize(it->second.get());
+          });
+    }
+    return;
   }
   eit->second.early_finalize_scheduled = true;
   ++stats_.reliable_early_finalizes;
@@ -1131,6 +1144,7 @@ void QueryEngine::HandleQueryEnd(uint64_t qid) {
   scheduler_->DropQuery(qid);
   if (aq->deadline_timer != 0) CancelTimer(aq->deadline_timer);
   if (aq->lease_timer != 0) CancelTimer(aq->lease_timer);
+  if (aq->certify_timer != 0) CancelTimer(aq->certify_timer);
   if (aq->runtime != nullptr) {
     for (const std::string& ns : aq->runtime->Namespaces()) {
       dht_->UnsubscribeArrivals(ns);

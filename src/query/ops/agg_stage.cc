@@ -39,8 +39,7 @@ void AggStage::BeginEpoch(uint64_t epoch) {
 bool AggStage::PushRawBatch(exec::RowBatch& b) {
   if (vgb_ == nullptr) {
     vgb_ = std::make_unique<exec::VectorGroupBy>(node_->group_cols,
-                                                 node_->aggs,
-                                                 /*finalize=*/false);
+                                                 node_->aggs);
     if (streaming_) {
       host_->ScheduleStageTimer(HoldDelay(), qid_, node_id_,
                                 kStreamFlushToken);
@@ -56,10 +55,7 @@ void AggStage::FlushAccumulator(uint64_t epoch) {
   std::vector<Tuple> partials;
   if (vgb_ != nullptr) {
     // Sorted group order, the same as exec::GroupBy's drain.
-    vgb_->DrainAndReset([&partials](Tuple& t) {
-      partials.push_back(std::move(t));
-      return true;
-    });
+    partials = vgb_->Drain();
     vgb_.reset();
   }
   // Scan-fed, this node is one contributor whether or not it holds rows;

@@ -58,7 +58,7 @@ index::PhtCursor::RowFn IndexScanStage::MakeRowFn(const BatchEmitFn& emit) {
     // Fan-out cursors share the upper trie path, so residual entries at
     // internal nodes could reach more than one of them: dedup epoch-wide.
     if (!emitted_.insert(instance).second) return true;
-    // Undecodable or wrong-width entries soft-skip, like ScanStage.
+    // Undecodable or wrong-width entries soft-skip, as in a scan sweep.
     exec::RowBatchBuilder builder(node_->schema);
     if (!builder.AppendSerialized(entry.tuple_bytes)) return true;
     ++host_->mutable_stats()->index_rows;

@@ -1,7 +1,7 @@
 // IndexScanStage: the runtime box for an OpType::kIndexScan node — the
 // origin-side driver of a PhtCursor range walk.
 //
-// Unlike ScanStage (every member scans its local slice), an index scan runs
+// Unlike a scan (every member sweeps its local slice), an index scan runs
 // ONLY at the query origin: the cursor contacts the DHT owners of the trie
 // nodes covering the predicate's range, so the set of machines doing work
 // scales with the answer instead of the overlay. Rows stream into the same

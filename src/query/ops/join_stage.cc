@@ -2,6 +2,8 @@
 
 #include <numeric>
 
+#include "common/hash.h"
+
 namespace pier {
 namespace query {
 namespace ops {
@@ -15,13 +17,17 @@ constexpr uint64_t kBloomBroadcastToken = 0;
 /// Every node: the distribution never arrived — produce the full rehash.
 constexpr uint64_t kBloomFallbackToken = 1;
 
-/// `rows` as one batch with `schema`'s column kinds, ready to rehash.
-exec::RowBatch BatchOf(const catalog::Schema& schema,
-                       const std::vector<Tuple>& rows) {
-  exec::RowBatchBuilder builder(schema);
-  builder.Reserve(rows.size());
-  for (const Tuple& t : rows) builder.Append(t);
-  return builder.Take();
+/// catalog::HashTupleCols of live row `row`'s `cols`, from the columns:
+/// Column::CellHash is Value::Hash without the boxing.
+uint64_t KeyHash(const exec::RowBatch& b, uint32_t row,
+                 const std::vector<int>& cols) {
+  uint64_t h = catalog::kHashTupleColsSeed;
+  for (int c : cols) {
+    h = HashCombine(h, c >= 0 && static_cast<size_t>(c) < b.num_columns()
+                           ? b.column(static_cast<size_t>(c)).CellHash(row)
+                           : 0);
+  }
+  return h;
 }
 
 /// Layout of the semi-join's rehashed key projection:
@@ -58,20 +64,24 @@ std::vector<int> RendezvousKeys(const OpNode& node, int side) {
 
 JoinStage::JoinStage(StageHost* host, uint64_t qid, uint32_t node_id,
                      const OpNode* node, const OpNode* left_scan,
-                     const OpNode* right_scan, Duration window,
-                     bool is_origin, uint32_t origin_host)
+                     const OpNode* right_scan, bool is_origin,
+                     uint32_t origin_host)
     : host_(host),
       qid_(qid),
       node_id_(node_id),
       node_(node),
       left_scan_(left_scan),
       right_scan_(right_scan),
-      window_(window),
       is_origin_(is_origin),
       origin_host_(origin_host),
       join_(RendezvousKeys(*node, 0), RendezvousKeys(*node, 1)) {
   if (node_->strategy != JoinStrategy::kFetchMatches) {
     exchange_ = std::make_unique<RehashExchange>(host_, qid_, node_id_);
+  }
+  if (node_->strategy == JoinStrategy::kBloom) {
+    for (auto& part : part_) {
+      part = std::make_unique<BloomFilter>(kBloomBits, kBloomHashes);
+    }
   }
 }
 
@@ -97,8 +107,10 @@ void JoinStage::OnTimer(uint64_t token) {
     uint64_t expected = 0;
     bool covered = false;
     host_->QueryCoverage(qid_, &expected, &covered);
-    // +1: the origin's own scan contributed directly to the collectors.
-    uint64_t reported = static_cast<uint64_t>(part_senders_.size()) + 1;
+    // The origin's own part went straight into the collectors once its
+    // scans were in.
+    uint64_t reported = static_cast<uint64_t>(part_senders_.size()) +
+                        (scans_pending_ == 0 ? 1 : 0);
     bool complete = covered && expected > 0 && reported >= expected;
     host_->BroadcastBloomFilters(qid_, node_id_, expected, reported,
                                  complete, *collect_left_, *collect_right_);
@@ -108,65 +120,68 @@ void JoinStage::OnTimer(uint64_t token) {
     // No kBloomDist by the deadline (lost broadcast, partitioned origin):
     // this node's slices must still reach the rendezvous. Produce the full
     // unsuppressed rehash — the degraded-but-lossless baseline.
-    if (produced_ || node_->strategy != JoinStrategy::kBloom) return;
+    if (wave_decided_) return;
     ++host_->mutable_stats()->bloom_dist_timeouts;
-    ProduceFromScans(/*bloom_phase2=*/true);
+    wave_decided_ = true;
+    MaybeProduceBloomPhase2();
   }
 }
 
 void JoinStage::Setup() {
-  if (node_->strategy == JoinStrategy::kBloom) {
-    BloomPhase1();
-    // Backstop for a lost distribution: twice the collection window gives
-    // the origin's bloom_wait timer plus the broadcast hop ample slack,
-    // and still lands well inside any sane result window.
-    host_->ScheduleStageTimer(2 * host_->engine_options().bloom_wait, qid_,
-                              node_id_, kBloomFallbackToken);
-  } else {
-    ProduceFromScans(/*bloom_phase2=*/false);
+  if (node_->strategy != JoinStrategy::kBloom) return;
+  // Backstop for a lost distribution: twice the collection window gives
+  // the origin's bloom_wait timer plus the broadcast hop ample slack, and
+  // still lands well inside any sane result window.
+  host_->ScheduleStageTimer(2 * host_->engine_options().bloom_wait, qid_,
+                            node_id_, kBloomFallbackToken);
+}
+
+void JoinStage::Consume(int side, exec::RowBatch& b) {
+  switch (node_->strategy) {
+    case JoinStrategy::kSymmetricHash:
+      // One frame per rendezvous owner per batch, instead of one DHT put
+      // per tuple.
+      exchange_->PublishBatch(side, keys(side), b);
+      break;
+    case JoinStrategy::kBloom:
+      for (size_t i = 0; i < b.ActiveRows(); ++i) {
+        part_[side]->Add(KeyHash(b, b.RowId(i), keys(side)));
+      }
+      held_[side].push_back(std::move(b));
+      break;
+    case JoinStrategy::kSymmetricSemi:
+      RehashKeyProjection(side, b);
+      break;
+    case JoinStrategy::kFetchMatches:
+      // Only the outer relation is scanned: the inner is probed by DHT get.
+      ProbeMatches(b);
+      break;
   }
 }
 
-void JoinStage::BloomPhase1() {
-  BloomFilter left(kBloomBits, kBloomHashes);
-  BloomFilter right(kBloomBits, kBloomHashes);
-  // One pass per side: the same scan builds the filter AND caches the rows
-  // phase 2 publishes. Besides halving the scan cost, this pins the filter
-  // and the published snapshot to the same instant — a tuple arriving
-  // between two separate passes used to be suppressed by a filter that had
-  // never seen its key.
-  if (left_scan_ != nullptr) {
-    ScanStage scan(host_, left_scan_, window_);
-    scan.Run([&](const Tuple& t) {
-      left.Add(catalog::HashTupleCols(t, node_->left_keys));
-      cached_left_.push_back(t);
-      return true;
-    });
-  }
-  if (right_scan_ != nullptr) {
-    ScanStage scan(host_, right_scan_, window_);
-    scan.Run([&](const Tuple& t) {
-      right.Add(catalog::HashTupleCols(t, node_->right_keys));
-      cached_right_.push_back(t);
-      return true;
-    });
-  }
-  scans_cached_ = true;
-  if (is_origin_) {
-    if (collect_left_ != nullptr) (void)collect_left_->UnionWith(left);
-    if (collect_right_ != nullptr) (void)collect_right_->UnionWith(right);
+void JoinStage::OnScanDone() {
+  if (node_->strategy != JoinStrategy::kBloom || --scans_pending_ != 0) {
     return;
   }
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(MsgType::kBloomPart));
-  BloomPartFrame frame;
-  frame.qid = qid_;
-  frame.join_node = node_id_;
-  frame.left = std::move(left);
-  frame.right = std::move(right);
-  frame.Serialize(&w);
-  ++host_->mutable_stats()->bloom_filters_sent;
-  host_->SendQueryBytes(origin_host_, w);
+  // Phase 1 is whole: this node's part goes into the origin's union.
+  if (is_origin_) {
+    if (collect_left_ != nullptr) (void)collect_left_->UnionWith(*part_[0]);
+    if (collect_right_ != nullptr) (void)collect_right_->UnionWith(*part_[1]);
+  } else {
+    Writer w;
+    w.PutU8(static_cast<uint8_t>(MsgType::kBloomPart));
+    BloomPartFrame frame;
+    frame.qid = qid_;
+    frame.join_node = node_id_;
+    frame.left = std::move(*part_[0]);
+    frame.right = std::move(*part_[1]);
+    frame.Serialize(&w);
+    ++host_->mutable_stats()->bloom_filters_sent;
+    host_->SendQueryBytes(origin_host_, w);
+  }
+  part_[0].reset();
+  part_[1].reset();
+  MaybeProduceBloomPhase2();
 }
 
 void JoinStage::OnBloomPart(uint32_t from, const BloomPartFrame& frame) {
@@ -188,138 +203,101 @@ void JoinStage::OnBloomPart(uint32_t from, const BloomPartFrame& frame) {
 }
 
 void JoinStage::OnBloomDist(BloomDistFrame frame) {
-  if (node_->strategy != JoinStrategy::kBloom || produced_) return;
+  if (node_->strategy != JoinStrategy::kBloom || wave_decided_) return;
+  wave_decided_ = true;
   if (frame.complete) {
     dist_left_ = std::make_unique<BloomFilter>(std::move(frame.left));
     dist_right_ = std::make_unique<BloomFilter>(std::move(frame.right));
   }
   // An incomplete wave leaves the dist filters null: phase 2 publishes
   // everything (full rehash). Degraded, never lossy.
-  ProduceFromScans(/*bloom_phase2=*/true);
+  MaybeProduceBloomPhase2();
 }
 
-void JoinStage::ProduceFromScans(bool bloom_phase2) {
-  std::vector<Tuple> left, right;
-  if (scans_cached_) {
-    left = std::move(cached_left_);
-    right = std::move(cached_right_);
-    cached_left_.clear();
-    cached_right_.clear();
-    scans_cached_ = false;
-  } else {
-    if (left_scan_ != nullptr) {
-      ScanStage scan(host_, left_scan_, window_);
-      scan.Run([&](const Tuple& t) {
-        left.push_back(t);
-        return true;
-      });
-    }
-    if (right_scan_ != nullptr) {
-      ScanStage scan(host_, right_scan_, window_);
-      scan.Run([&](const Tuple& t) {
-        right.push_back(t);
-        return true;
-      });
+void JoinStage::MaybeProduceBloomPhase2() {
+  if (!wave_decided_ || scans_pending_ > 0) return;
+  for (int side : {0, 1}) {
+    // Each side is suppressed by the other side's union.
+    const BloomFilter* suppress =
+        side == 0 ? dist_right_.get() : dist_left_.get();
+    std::vector<exec::RowBatch> held = std::move(held_[side]);
+    held_[side].clear();
+    for (exec::RowBatch& b : held) {
+      if (suppress != nullptr) {
+        std::vector<uint32_t> kept;
+        kept.reserve(b.ActiveRows());
+        Tuple t;
+        for (size_t i = 0; i < b.ActiveRows(); ++i) {
+          const uint32_t row = b.RowId(i);
+          if (suppress->MayContain(KeyHash(b, row, keys(side)))) {
+            kept.push_back(row);
+            continue;
+          }
+          ++host_->mutable_stats()->bloom_suppressed;
+          b.ToTuple(row, &t);
+          host_->mutable_stats()->bloom_bytes_saved +=
+              catalog::TupleToBytes(t).size();
+        }
+        b.SetSelection(std::move(kept));
+      }
+      exchange_->PublishBatch(side, keys(side), b);
     }
   }
+}
 
-  switch (node_->strategy) {
-    case JoinStrategy::kBloom:
-      if (!bloom_phase2) return;  // phase 2 starts when filters arrive
-      produced_ = true;
-      [[fallthrough]];
-    case JoinStrategy::kSymmetricHash: {
-      auto publish_side = [&](std::vector<Tuple>& rows,
-                              const std::vector<int>& keys,
-                              const BloomFilter* suppress,
-                              const OpNode* scan, int side) {
-        if (bloom_phase2 && suppress != nullptr) {
-          auto kept = rows.begin();
-          for (Tuple& t : rows) {
-            if (!suppress->MayContain(catalog::HashTupleCols(t, keys))) {
-              ++host_->mutable_stats()->bloom_suppressed;
-              host_->mutable_stats()->bloom_bytes_saved +=
-                  catalog::TupleToBytes(t).size();
-              continue;
-            }
-            if (&*kept != &t) *kept = std::move(t);  // self-move would clear t
-            ++kept;
-          }
-          rows.erase(kept, rows.end());
-        }
-        // Rows only ever come from this side's own (non-null) scan. One
-        // frame per rendezvous owner per scan, instead of one DHT put per
-        // tuple.
-        if (rows.empty()) return;
-        exchange_->PublishBatch(side, keys, BatchOf(scan->schema, rows));
-      };
-      publish_side(left, node_->left_keys, dist_right_.get(), left_scan_, 0);
-      publish_side(right, node_->right_keys, dist_left_.get(), right_scan_,
-                   1);
-      break;
+void JoinStage::RehashKeyProjection(int side, exec::RowBatch& b) {
+  const std::vector<int>& cols = keys(side);
+  const OpNode* scan = side == 0 ? left_scan_ : right_scan_;
+  exec::RowBatchBuilder projs(SemiProjectionSchema(scan->schema, cols));
+  projs.Reserve(b.ActiveRows());
+  const uint32_t batch = static_cast<uint32_t>(shipped_.size());
+  uint64_t saved = 0;
+  Tuple t;
+  for (size_t i = 0; i < b.ActiveRows(); ++i) {
+    const uint32_t row = b.RowId(i);
+    b.ToTuple(row, &t);
+    shipped_rows_.emplace_back(batch, row);
+    const uint64_t row_id = shipped_rows_.size();
+    Tuple proj;
+    proj.reserve(cols.size() + 2);
+    for (int c : cols) {
+      proj.push_back(c >= 0 && static_cast<size_t>(c) < t.size()
+                         ? t[c]
+                         : Value::Null());
     }
-    case JoinStrategy::kSymmetricSemi: {
-      auto rehash_keys = [&](std::vector<Tuple>& rows,
-                             const std::vector<int>& keys,
-                             const OpNode* scan, int side) {
-        std::vector<int> leading;
-        for (size_t i = 0; i < keys.size(); ++i) {
-          leading.push_back(static_cast<int>(i));
-        }
-        std::vector<Tuple> projs;
-        projs.reserve(rows.size());
-        uint64_t saved = 0;
-        for (Tuple& t : rows) {
-          uint64_t row_id = next_row_id_++;
-          Tuple proj;
-          proj.reserve(keys.size() + 2);
-          for (int c : keys) {
-            proj.push_back(c >= 0 && static_cast<size_t>(c) < t.size()
-                               ? t[c]
-                               : Value::Null());
-          }
-          proj.push_back(Value::Int64(host_->self_host()));
-          proj.push_back(Value::Int64(static_cast<int64_t>(row_id)));
-          size_t full = catalog::TupleToBytes(t).size();
-          size_t slim = catalog::TupleToBytes(proj).size();
-          if (full > slim) saved += full - slim;
-          row_registry_.emplace(row_id, std::move(t));
-          projs.push_back(std::move(proj));
-        }
-        host_->mutable_stats()->semijoin_bytes_saved += saved;
-        // Key projections ride the batch plane exactly like the hash path:
-        // one frame per rendezvous owner instead of one put per row.
-        if (projs.empty()) return;
-        exchange_->PublishBatch(
-            side, leading,
-            BatchOf(SemiProjectionSchema(scan->schema, keys), projs));
-      };
-      rehash_keys(left, node_->left_keys, left_scan_, 0);
-      rehash_keys(right, node_->right_keys, right_scan_, 1);
-      break;
-    }
-    case JoinStrategy::kFetchMatches: {
-      for (const Tuple& t : left) {
-        std::string resource =
-            catalog::ResourceForCols(t, node_->left_keys);
-        ++host_->mutable_stats()->fetch_gets;
-        Tuple probe = t;
-        StageHost* host = host_;
-        uint64_t qid = qid_;
-        uint32_t node_id = node_id_;
-        host_->dht()->Get(
-            right_scan_->table, resource,
-            [host, qid, node_id, probe](Status s,
-                                        std::vector<dht::DhtItem> items) {
-              if (!s.ok()) return;
-              host->PostToStage(qid, node_id, [&](Stage* stage) {
-                static_cast<JoinStage*>(stage)->ResolveFetchMatches(probe,
-                                                                    items);
-              });
-            });
-      }
-      break;
-    }
+    proj.push_back(Value::Int64(host_->self_host()));
+    proj.push_back(Value::Int64(static_cast<int64_t>(row_id)));
+    size_t full = catalog::TupleToBytes(t).size();
+    size_t slim = catalog::TupleToBytes(proj).size();
+    if (full > slim) saved += full - slim;
+    projs.Append(proj);
+  }
+  host_->mutable_stats()->semijoin_bytes_saved += saved;
+  if (projs.Empty()) return;
+  shipped_.push_back(std::move(b));
+  // Key projections ride the batch plane exactly like the hash path: one
+  // frame per rendezvous owner instead of one put per row.
+  exchange_->PublishBatch(side, RendezvousKeys(*node_, side), projs.Take());
+}
+
+void JoinStage::ProbeMatches(const exec::RowBatch& b) {
+  for (size_t i = 0; i < b.ActiveRows(); ++i) {
+    Tuple probe;
+    b.ToTuple(b.RowId(i), &probe);
+    std::string resource = catalog::ResourceForCols(probe, node_->left_keys);
+    ++host_->mutable_stats()->fetch_gets;
+    StageHost* host = host_;
+    uint64_t qid = qid_;
+    uint32_t node_id = node_id_;
+    host_->dht()->Get(
+        right_scan_->table, resource,
+        [host, qid, node_id, probe](Status s,
+                                    std::vector<dht::DhtItem> items) {
+          if (!s.ok()) return;
+          host->PostToStage(qid, node_id, [&](Stage* stage) {
+            static_cast<JoinStage*>(stage)->ResolveFetchMatches(probe, items);
+          });
+        });
   }
 }
 
@@ -350,12 +328,6 @@ void JoinStage::ResolveFetchMatches(const Tuple& probe,
     joined.insert(joined.end(), rt.begin(), rt.end());
     HandleJoinOutput(joined);
   }
-}
-
-void JoinStage::PublishUpstream(int side, const exec::RowBatch& b) {
-  if (exchange_ == nullptr) return;
-  exchange_->PublishBatch(
-      side, side == 0 ? node_->left_keys : node_->right_keys, b);
 }
 
 void JoinStage::OnArrival(const dht::StoredItem& item) {
@@ -415,15 +387,19 @@ void JoinStage::OnFetchReq(uint32_t /*from*/, Reader* r) {
       !r->GetVarint64(&row_id).ok() || !r->GetFixed32(&reply_to).ok()) {
     return;
   }
-  auto row = row_registry_.find(row_id);
   Writer w;
   w.PutU8(static_cast<uint8_t>(MsgType::kFetchResp));
   w.PutVarint64(qid_);
   w.PutVarint64(match_id);
   w.PutU8(side);
-  bool found = row != row_registry_.end();
+  const bool found = row_id >= 1 && row_id <= shipped_rows_.size();
   w.PutBool(found);
-  if (found) catalog::SerializeTuple(row->second, &w);
+  if (found) {
+    const auto [batch, row] = shipped_rows_[row_id - 1];
+    Tuple t;
+    shipped_[batch].ToTuple(row, &t);
+    catalog::SerializeTuple(t, &w);
+  }
   host_->SendQueryBytes(reply_to, w);
 }
 

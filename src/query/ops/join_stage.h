@@ -1,10 +1,11 @@
 // JoinStage: one kJoin opgraph node instantiated at every network node.
 //
 // Every node plays two roles at once:
-//  - producer: scans its local slices of the join's scan inputs and ships
-//    them through the join's RehashExchange (or DHT gets for
-//    fetch-matches); chained joins receive their upstream side from the
-//    previous join's output instead of a scan;
+//  - producer: consumes the RowBatches of its local slices of the join's
+//    scan inputs — swept by the node's QueryScheduler, which the runtime
+//    submits them to at install — and ships them through the join's
+//    RehashExchange (or probes by DHT get for fetch-matches); chained joins
+//    receive their upstream side from the previous join's output instead;
 //  - rendezvous: consumes exchange arrivals for keys this node owns and
 //    joins them incrementally with a pipelined symmetric hash join.
 //
@@ -28,13 +29,13 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bloom.h"
 #include "exec/operators.h"
 #include "query/bloom_wire.h"
 #include "query/exchange.h"
-#include "query/ops/scan_stage.h"
 #include "query/ops/stage.h"
 
 namespace pier {
@@ -49,8 +50,7 @@ class JoinStage : public Stage {
   /// on, so exchange arrivals are joined whenever they land.
   JoinStage(StageHost* host, uint64_t qid, uint32_t node_id,
             const OpNode* node, const OpNode* left_scan,
-            const OpNode* right_scan, Duration window, bool is_origin,
-            uint32_t origin_host);
+            const OpNode* right_scan, bool is_origin, uint32_t origin_host);
 
   /// Receives full joined rows, one-row batches (the runtime attaches the
   /// residual filter / projection / aggregation chain here).
@@ -63,12 +63,20 @@ class JoinStage : public Stage {
   /// filter-collection window before the plan broadcast goes out.
   void InitOrigin();
 
-  /// Produces this node's slice (phase 1 for Bloom joins). Exchange
-  /// arrivals that beat the plan here are the runtime's to replay first.
+  /// At install, before the input scans are submitted: Bloom joins arm the
+  /// fallback for a distribution that never arrives. Exchange arrivals that
+  /// beat the plan here are the runtime's to replay first.
   void Setup();
 
-  /// An upstream join's output entering this join on `side`.
-  void PublishUpstream(int side, const exec::RowBatch& b);
+  /// One batch of this node's input on `side`: a swept batch of a scan
+  /// input, or an upstream join's output. Hash joins rehash it as it is,
+  /// semi-joins its key projection, fetch-matches probes with its outer
+  /// rows; Bloom joins fold its keys into this node's filter part and hold
+  /// it for phase 2.
+  void Consume(int side, exec::RowBatch& b);
+  /// One of the join's scheduled input scans finished (`Consume` has seen
+  /// all its batches). Once both have, a Bloom join's filter part is whole.
+  void OnScanDone();
 
   /// A rehash frame for a key this node owns: its rows join incrementally.
   void OnArrival(const dht::StoredItem& item);
@@ -86,8 +94,14 @@ class JoinStage : public Stage {
   JoinStrategy strategy() const { return node_->strategy; }
 
  private:
-  void ProduceFromScans(bool bloom_phase2);
-  void BloomPhase1();
+  const std::vector<int>& keys(int side) const {
+    return side == 0 ? node_->left_keys : node_->right_keys;
+  }
+  void RehashKeyProjection(int side, exec::RowBatch& b);
+  void ProbeMatches(const exec::RowBatch& b);
+  /// Bloom phase 2: once the wave (or the fallback) decided and both scans
+  /// are in, publishes the held batches, suppressed on a complete wave.
+  void MaybeProduceBloomPhase2();
   void HandleJoinOutput(const catalog::Tuple& joined);
   void EmitJoined(const catalog::Tuple& joined);
   void ResolveFetchMatches(const catalog::Tuple& probe,
@@ -99,7 +113,6 @@ class JoinStage : public Stage {
   const OpNode* node_;
   const OpNode* left_scan_;
   const OpNode* right_scan_;
-  Duration window_;
   bool is_origin_;
   uint32_t origin_host_;
   BatchEmitFn downstream_;
@@ -112,10 +125,11 @@ class JoinStage : public Stage {
   /// fetch-matches, which joins as its fetches return).
   exec::SymmetricHashJoin join_;
 
-  // Semi-join: this node's shipped rows, fetchable by id, and matches
-  // awaiting both full tuples.
-  std::unordered_map<uint64_t, catalog::Tuple> row_registry_;
-  uint64_t next_row_id_ = 1;
+  // Semi-join: the batches this node shipped key projections of, and
+  // where each shipped row sits in them (row id - 1 -> batch, row): a
+  // fetch boxes only a matched row. And matches awaiting both full tuples.
+  std::vector<exec::RowBatch> shipped_;
+  std::vector<std::pair<uint32_t, uint32_t>> shipped_rows_;
   struct PendingMatch {
     catalog::Tuple left, right;
     bool have_left = false, have_right = false;
@@ -129,13 +143,16 @@ class JoinStage : public Stage {
   std::unique_ptr<BloomFilter> dist_left_, dist_right_;
   std::set<uint32_t> part_senders_;  ///< origin: members unioned in-window
   bool wave_closed_ = false;         ///< origin: bloom_wait broadcast fired
-  /// Phase 1's single scan pass caches the rows phase 2 publishes, so a
-  /// Bloom join costs one scan, not two.
-  std::vector<catalog::Tuple> cached_left_, cached_right_;
-  bool scans_cached_ = false;
-  /// Phase 2 ran (filters arrived or the fallback timer fired); guards
-  /// against double production when both happen.
-  bool produced_ = false;
+  /// Phase 1 per side: this node's filter part, and the swept batches
+  /// phase 2 publishes — one scan serves both, and pins the filter and the
+  /// published snapshot to the same instant.
+  std::unique_ptr<BloomFilter> part_[2];
+  std::vector<exec::RowBatch> held_[2];
+  /// The input scans still sweeping (both sides are scans on a Bloom join).
+  int scans_pending_ = 2;
+  /// The distribution arrived or its fallback timer fired, whichever was
+  /// first: it decided whether phase 2 suppresses.
+  bool wave_decided_ = false;
 };
 
 }  // namespace ops

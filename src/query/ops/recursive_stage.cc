@@ -1,6 +1,7 @@
 #include "query/ops/recursive_stage.h"
 
 #include "exec/expr.h"
+#include "exec/kernels.h"
 
 namespace pier {
 namespace query {
@@ -10,13 +11,12 @@ using catalog::Tuple;
 
 RecursiveStage::RecursiveStage(StageHost* host, uint64_t qid,
                                uint32_t node_id, const OpNode* node,
-                               const OpNode* edge_scan, Duration window)
+                               const OpNode* edge_scan)
     : host_(host),
       qid_(qid),
       node_id_(node_id),
       node_(node),
       edge_scan_(edge_scan),
-      window_(window),
       exchange_(host, qid, "q" + std::to_string(qid) + ".reach") {}
 
 void RecursiveStage::PublishReach(const Tuple& reach, bool is_expansion) {
@@ -25,20 +25,19 @@ void RecursiveStage::PublishReach(const Tuple& reach, bool is_expansion) {
                          catalog::TupleToBytes(reach));
 }
 
-void RecursiveStage::Setup() {
-  // Seed: every local edge is a 1-hop path.
-  ScanStage scan(host_, edge_scan_, window_);
-  scan.Run([&](const Tuple& e) {
-    if (node_->predicate != nullptr) {
-      bool pass = false;
-      if (!exec::EvalPredicate(*node_->predicate, e, &pass).ok() || !pass) {
-        return true;
-      }
-    }
-    Tuple reach{e[node_->src_col], e[node_->dst_col], Value::Int64(1)};
+void RecursiveStage::Seed(exec::RowBatch& edges) {
+  if (node_->predicate != nullptr) {
+    exec::Bitmap keep;
+    exec::EvalSelection(*node_->predicate, edges, &keep);
+    exec::NarrowSelection(&edges, keep);
+  }
+  const exec::Column& src = edges.column(static_cast<size_t>(node_->src_col));
+  const exec::Column& dst = edges.column(static_cast<size_t>(node_->dst_col));
+  for (size_t i = 0; i < edges.ActiveRows(); ++i) {
+    const uint32_t row = edges.RowId(i);
+    Tuple reach{src.ValueAt(row), dst.ValueAt(row), Value::Int64(1)};
     PublishReach(reach, /*is_expansion=*/false);
-    return true;
-  });
+  }
 }
 
 void RecursiveStage::OnArrival(const dht::StoredItem& item) {

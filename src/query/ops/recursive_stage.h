@@ -3,7 +3,9 @@
 //
 // Reach tuples (src, dst, hops) live in a per-query DHT namespace keyed on
 // the canonical (src, dst) pair, so the pair's owner deduplicates
-// re-derivations in-network. A reach tuple that lands before the plan does
+// re-derivations in-network. The closure is seeded from the batches of the
+// node's edge-table sweep, which the runtime submits to the node's
+// QueryScheduler at install. A reach tuple that lands before the plan does
 // waits in the namespace until the runtime replays it. Each new pair is
 // reported downstream as a one-row batch (the runtime attaches the outer
 // filter/projection chain) and expanded by probing the edge table — which
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "query/exchange.h"
-#include "query/ops/scan_stage.h"
 #include "query/ops/stage.h"
 
 namespace pier {
@@ -28,16 +29,16 @@ class RecursiveStage : public Stage {
  public:
   /// `node` is the kRecurse OpNode; `edge_scan` the kScan node feeding it.
   RecursiveStage(StageHost* host, uint64_t qid, uint32_t node_id,
-                 const OpNode* node, const OpNode* edge_scan,
-                 Duration window);
+                 const OpNode* node, const OpNode* edge_scan);
 
   /// Receives deduplicated (src, dst, hops) rows, one-row batches.
   void SetDownstream(BatchEmitFn fn) { downstream_ = std::move(fn); }
 
   const std::string& ns() const { return exchange_.ns(); }
 
-  /// Seeds the closure: every local edge becomes a 1-hop path.
-  void Setup();
+  /// Seeds the closure from one swept batch of the edge table: every edge
+  /// passing the edge predicate becomes a 1-hop path.
+  void Seed(exec::RowBatch& edges);
 
   /// A reach tuple arriving at this node as the (src, dst) owner.
   void OnArrival(const dht::StoredItem& item);
@@ -52,7 +53,6 @@ class RecursiveStage : public Stage {
   uint32_t node_id_;
   const OpNode* node_;
   const OpNode* edge_scan_;
-  Duration window_;
   /// Reach tuples travel like any rehash traffic, keyed on the canonical
   /// (src, dst) resource; only the namespace name is bespoke.
   RehashExchange exchange_;

@@ -61,8 +61,8 @@ Status QueryRuntime::Init() {
               "chained joins require the symmetric-hash strategy");
         }
         auto stage = std::make_unique<JoinStage>(
-            host_, qid_, id, &n, left_scan, right_scan, env_->plan.window,
-            is_origin_, env_->origin);
+            host_, qid_, id, &n, left_scan, right_scan, is_origin_,
+            env_->origin);
         joins_.push_back(stage.get());
         if (!stage->ns().empty()) ns_to_stage_[stage->ns()] = id;
         stages_[id] = std::move(stage);
@@ -90,8 +90,8 @@ Status QueryRuntime::Init() {
             n.dst_col >= width) {
           return Status::InvalidArgument("recurse column out of range");
         }
-        auto stage = std::make_unique<RecursiveStage>(host_, qid_, id, &n,
-                                                      edge, env_->plan.window);
+        auto stage =
+            std::make_unique<RecursiveStage>(host_, qid_, id, &n, edge);
         recurse_ = stage.get();
         ns_to_stage_[stage->ns()] = id;
         stages_[id] = std::move(stage);
@@ -99,13 +99,18 @@ Status QueryRuntime::Init() {
       }
       case OpType::kScan: {
         int cons = graph_->ConsumerOf(id);
-        if (cons >= 0) {
-          OpType ct = graph_->nodes[cons].type;
-          // Scans feeding joins or recursion are driven by those stages;
-          // the rest are epoch-driven pipelines.
-          if (ct != OpType::kJoin && ct != OpType::kRecurse) {
-            epochal_scans_.push_back(id);
+        if (cons < 0) break;
+        const OpNode& c = graph_->nodes[cons];
+        if (c.type == OpType::kJoin || c.type == OpType::kRecurse) {
+          // Join and recursion inputs are swept once, at install.
+          // Fetch-matches probes its inner relation by DHT get instead.
+          if (c.type == OpType::kRecurse ||
+              c.strategy != JoinStrategy::kFetchMatches ||
+              c.inputs[0] == id) {
+            start_scans_.push_back(id);
           }
+        } else {
+          epochal_scans_.push_back(id);
         }
         break;
       }
@@ -189,13 +194,14 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
       };
     }
     case ExchangeKind::kRehash: {
-      // OpGraph::Validate guarantees a rehash edge ends at a join; here it
-      // leaves a join's output for the next join of the chain.
+      // OpGraph::Validate guarantees a rehash edge ends at a join: it
+      // leaves a scan's sweep, or a join's output for the next join of the
+      // chain.
       int cons = graph_->ConsumerOf(producer_id);
       JoinStage* js = static_cast<JoinStage*>(stages_[cons].get());
       int side = graph_->nodes[cons].inputs[0] == producer_id ? 0 : 1;
       return [js, side](exec::RowBatch& b) {
-        js->PublishUpstream(side, b);
+        js->Consume(side, b);
         return true;
       };
     }
@@ -260,6 +266,13 @@ BatchEmitFn QueryRuntime::BuildBatchEmitFrom(uint32_t producer_id) {
       AggStage* as = static_cast<AggStage*>(stages_[cons_id].get());
       return [as](exec::RowBatch& b) { return as->PushRawBatch(b); };
     }
+    case OpType::kRecurse: {
+      RecursiveStage* rs = static_cast<RecursiveStage*>(stages_[cons_id].get());
+      return [rs](exec::RowBatch& b) {
+        rs->Seed(b);
+        return true;
+      };
+    }
     default:
       // Origin-side nodes (final-agg, collect) are fed through exchanges,
       // never local member edges.
@@ -287,9 +300,10 @@ void QueryRuntime::Start() {
     CatchUp(js->ns());
     js->Setup();
   }
-  if (recurse_ != nullptr) {
-    CatchUp(recurse_->ns());
-    recurse_->Setup();
+  if (recurse_ != nullptr) CatchUp(recurse_->ns());
+  // Each input is swept once; Submit snapshots this node's slice now.
+  for (uint32_t id : start_scans_) {
+    host_->SubmitScan(BuildScanWork(id, /*epoch=*/0));
   }
 }
 
@@ -342,7 +356,15 @@ ScanWork QueryRuntime::BuildScanWork(uint32_t scan_id, uint64_t epoch) {
   work.schema = node.schema;
   work.window = env_->plan.window;
   work.feed = BuildBatchEmitFrom(scan_id);
-  work.done = [this, epoch](bool) { OnEpochScanDone(epoch); };
+  if (epochal_) {
+    work.done = [this, epoch](bool) { OnEpochScanDone(epoch); };
+    return work;
+  }
+  const int cons = graph_->ConsumerOf(scan_id);
+  if (graph_->nodes[cons].type == OpType::kJoin) {
+    JoinStage* js = static_cast<JoinStage*>(stages_[cons].get());
+    work.done = [js](bool) { js->OnScanDone(); };
+  }
   return work;
 }
 

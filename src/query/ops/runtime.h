@@ -6,8 +6,10 @@
 // the kLocal edges into direct call chains (filter/project fused into
 // their producer's emit path), and routes engine events — exchange
 // arrivals, members' rows and partials, fetch/Bloom traffic, timers — to
-// the right stage. The engine owns one runtime per active query and
-// destroys it at query GC.
+// the right stage. It is also where the plan's scan leaves are compiled
+// and submitted to the node's QueryScheduler: epochal scans once per epoch,
+// join and recursion inputs once at install. The engine owns one runtime
+// per live query and frees it when the query ends.
 
 #ifndef PIER_QUERY_OPS_RUNTIME_H_
 #define PIER_QUERY_OPS_RUNTIME_H_
@@ -23,7 +25,6 @@
 #include "query/ops/index_scan_stage.h"
 #include "query/ops/join_stage.h"
 #include "query/ops/recursive_stage.h"
-#include "query/ops/scan_stage.h"
 #include "query/ops/stage.h"
 #include "query/plan.h"
 
@@ -66,7 +67,8 @@ class QueryRuntime {
   /// setup such as the Bloom collection window.
   void InitOrigin();
   /// One-time member setup for non-epochal graphs (joins, recursion):
-  /// each stage catches up on early arrivals, then produces.
+  /// each stage catches up on early arrivals, then the input scans are
+  /// submitted.
   void Start();
   /// Runs one epoch of every epochal scan pipeline.
   void StartEpoch(uint64_t epoch);
@@ -107,14 +109,15 @@ class QueryRuntime {
   /// Compiles the chain downstream of `producer_id` — a scan, join,
   /// recursion or index scan — into a RowBatch pipeline: kernel filters
   /// narrowing selections, vectorized projection, VectorGroupBy partial
-  /// aggregation, the kRehash edge into the next join, and
+  /// aggregation, the kRehash edge into a join, the recursion's seed, and
   /// one-frame-per-few-rows origin delivery.
   BatchEmitFn BuildBatchEmitFrom(uint32_t producer_id);
   /// Replays the items already stored in exchange namespace `ns` through
   /// OnArrival: what fast nodes rehashed here before the plan arrived.
   void CatchUp(const std::string& ns);
-  /// Packages one epochal scan as scheduler work: the compiled batch chain
-  /// as the feed, and an epoch-completion callback as done.
+  /// Packages one scan as scheduler work: the compiled batch chain as the
+  /// feed, and as done the epoch's completion (epochal scans) or the
+  /// consuming join's (join inputs).
   ScanWork BuildScanWork(uint32_t scan_id, uint64_t epoch);
   /// One scheduled scan of `epoch` finished; when the last one does, runs
   /// the end-of-scan work (agg EndScan, the host's scans-done gate).
@@ -143,6 +146,8 @@ class QueryRuntime {
   const OpNode* final_agg_ = nullptr;
   const OpNode* collect_ = nullptr;
   std::vector<uint32_t> epochal_scans_;
+  /// Join and recursion input scans, submitted once by Start.
+  std::vector<uint32_t> start_scans_;
   /// kIndexScan nodes; their stages exist (and run) only at the origin —
   /// members receiving an index graph install an inert runtime.
   std::vector<uint32_t> index_scans_;

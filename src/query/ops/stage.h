@@ -11,8 +11,9 @@
 // the runtime hands them to its own CollectStage and root AggStage.
 //
 // Between stages on one node rows flow in one form only: RowBatches pushed
-// down a BatchEmitFn chain the runtime compiles from the graph. Scalar
-// producers (join output, recursion, index cursors) push one-row batches.
+// down a BatchEmitFn chain the runtime compiles from the graph. Every scan
+// leaf is a QueryScheduler sweep feeding such a chain; scalar producers
+// (join output, recursion, index cursors) push one-row batches.
 
 #ifndef PIER_QUERY_OPS_STAGE_H_
 #define PIER_QUERY_OPS_STAGE_H_
@@ -110,9 +111,11 @@ class StageHost {
   /// baseline, it never errors.
   virtual void OnIndexScanDone(uint64_t qid, bool ok) = 0;
 
-  /// Hands one epochal scan pass to the node's QueryScheduler (round-robin
-  /// quanta + shared-sweep batching). The engine injects its abort probe
-  /// before enqueueing; `work.done` fires when the scan finishes.
+  /// Hands one scan pass — an epochal scan's, or a join or recursion
+  /// input's — to the node's QueryScheduler (round-robin quanta +
+  /// shared-sweep batching). The engine injects its abort probe before
+  /// enqueueing, and marks the epoch unvouched when the sweep read
+  /// failed-over replicas; `work.done` fires when the scan finishes.
   virtual void SubmitScan(ScanWork work) = 0;
   /// The scheduler finished every epochal scan for `epoch` (immediately
   /// when there are none): members may report their outbox-drain epoch

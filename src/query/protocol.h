@@ -55,10 +55,6 @@ struct EngineOptions {
   /// result, bounded by recursion_deadline.
   Duration quiesce_window = Seconds(6);
   Duration recursion_deadline = Seconds(120);
-  /// Rows per column batch: the scheduler's shared store sweeps decode
-  /// slices into batches of this many rows, which the compiled
-  /// filter/project/aggregate kernels consume a batch at a time.
-  uint32_t batch_size = 1024;
   // -- admission control ------------------------------------------------------
   /// Per-node live-query budget. Origins refuse Execute() with
   /// Status::Busy; members shed the plan at install time and answer with a
@@ -117,10 +113,9 @@ struct EngineStats {
                                      ///< re-planned as broadcast scan
   // -- vectorized data plane -------------------------------------------------
   uint64_t batches_scanned = 0;      ///< RowBatches flushed by batch scans
-  /// Row-at-a-time producer passes: join and recursion scans
-  /// (ScanStage::Run) and index-cursor epochs (IndexScanStage::RunEpoch),
-  /// which feed the batch chain one-row batches — the stragglers the
-  /// vectorized scan does not cover yet.
+  /// Row-at-a-time producer passes: index-cursor epochs
+  /// (IndexScanStage::RunEpoch), which feed the batch chain one-row
+  /// batches. Every local scan is a batch sweep.
   uint64_t vectorized_fallbacks = 0;
   // -- reliable result plane -------------------------------------------------
   uint64_t frames_sent = 0;           ///< kFrame envelopes first-sent

@@ -64,7 +64,9 @@ std::shared_ptr<QueryScheduler::Sweep> QueryScheduler::AcquireSweep(
 
   // Materialize one LocalStore pass into dense column batches. All columns
   // are decoded — consumers with different projections share the stream,
-  // and each applies its own pruning downstream.
+  // and each applies its own pruning downstream. Columns grow with the
+  // slice rather than reserving a whole batch: the sweep stays cached for
+  // shared_window, and most slices are far smaller than one batch.
   ++stats_->store_sweeps;
   auto sweep = std::make_shared<Sweep>();
   sweep->table = work.table;
@@ -74,7 +76,6 @@ std::shared_ptr<QueryScheduler::Sweep> QueryScheduler::AcquireSweep(
   sweep->schema = work.schema;
   size_t batch_rows = std::max<uint32_t>(1, opts_.batch_rows);
   exec::RowBatchBuilder builder(work.schema);
-  builder.Reserve(batch_rows);
   auto flush = [&]() {
     if (builder.Empty()) return;
     sweep->total_rows += builder.num_rows();

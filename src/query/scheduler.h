@@ -1,8 +1,11 @@
-// QueryScheduler: the per-node multi-tenant dispatch loop for epochal scan
-// work. PR 7's runtime ran every scan synchronously inside StartEpoch, so a
-// node hosting many live queries served them strictly in plan-arrival order
-// — one heavy scan starved every neighbor, and N concurrent queries over
-// the same table walked the LocalStore N times. The scheduler fixes both:
+// QueryScheduler: the per-node multi-tenant dispatch loop for every local
+// scan — PIER's lscan access method. Epochal scans are submitted once per
+// epoch, join and recursion inputs once at install; nothing else in the
+// engine walks a table's local slice. Running each scan synchronously
+// where it was needed served a node's live queries strictly in
+// plan-arrival order — one heavy scan starved every neighbor, and N
+// concurrent queries over the same table walked the LocalStore N times.
+// The scheduler fixes both:
 //
 //   - fairness: submitted scans join a round-robin ring and each round
 //     serves at most `quantum_rows` rows per query before the cursor moves
@@ -15,9 +18,9 @@
 //     to the shared stream, so answers are byte-identical to a solo scan.
 //
 // The scheduler knows nothing about queries beyond the ScanWork contract:
-// the runtime hands it a feed callback (the same batch pipeline StartEpoch
-// used to drive) plus a completion callback, and the engine injects an
-// abort probe so ended or budget-tripped queries stop consuming quanta.
+// the runtime hands it a feed callback (the scan's compiled batch chain)
+// plus a completion callback, and the engine injects an abort probe so
+// ended or budget-tripped queries stop consuming quanta.
 
 #ifndef PIER_QUERY_SCHEDULER_H_
 #define PIER_QUERY_SCHEDULER_H_
@@ -39,7 +42,8 @@
 namespace pier {
 namespace query {
 
-/// One epochal scan pass, submitted by ops::QueryRuntime::StartEpoch.
+/// One scan pass, submitted by ops::QueryRuntime: per epoch for epochal
+/// scans, once at install for join and recursion inputs (epoch 0).
 struct ScanWork {
   uint64_t qid = 0;
   uint64_t epoch = 0;
@@ -65,8 +69,7 @@ struct ScanWork {
 /// the QueryEngine; single-threaded like everything in the sim.
 class QueryScheduler {
  public:
-  /// The engine sets only batch_rows and runs the pacing defaults; the
-  /// scheduler's own tests shrink them.
+  /// The engine runs the defaults; the scheduler's own tests shrink them.
   struct Options {
     /// Rows per query per round-robin round.
     uint32_t quantum_rows = 2048;
@@ -74,8 +77,8 @@ class QueryScheduler {
     Duration round_interval = Millis(5);
     /// How long a store sweep stays shareable.
     Duration shared_window = Millis(500);
-    /// Rows per materialized sweep batch (the engine's batch_size, so
-    /// mid-batch LIMIT pushdown sees the same granularity as a solo scan).
+    /// Rows per materialized sweep batch, which the compiled
+    /// filter/project/aggregate kernels consume a batch at a time.
     uint32_t batch_rows = 1024;
   };
   /// Schedules an engine-owned timer (auto-cancelled with the engine).
@@ -90,7 +93,8 @@ class QueryScheduler {
   /// Enqueues one scan pass. Materializes or attaches to a shared sweep
   /// immediately (the store may mutate before the first round fires; the
   /// sweep pins this scan's snapshot). A newer-epoch submit for the same
-  /// query silently supersedes any queued older-epoch scan. Returns true
+  /// query silently supersedes any queued older-epoch scan; same-epoch
+  /// scans of one query (a join's two inputs) coexist. Returns true
   /// when the sweep read replica copies this node holds for an owner it
   /// took over from (Dht::ForEachLocalReadable's failover rule).
   bool Submit(ScanWork work);

@@ -131,11 +131,13 @@ Status CompletenessChecker::Check(const CheckContext& ctx) {
   if (ctx.queries == nullptr) return Status::OK();
   for (const QueryOutcome& q : *ctx.queries) {
     if (!q.completed || !q.oracle_ok) continue;
-    if (q.batch.completeness.exact && q.score.recall < 1.0) {
+    if (!q.batch.completeness.exact) continue;
+    if (q.score.recall < 1.0 || q.score.precision < 1.0) {
       return Status::Internal(
-          "completeness claims exact for \"" + q.sql +
-          "\" but the oracle sees missing rows: " + q.score.ToString() +
-          " (" + q.batch.completeness.ToString() + ")");
+          "completeness claims exact for \"" + q.sql + "\" but the oracle " +
+          (q.score.recall < 1.0 ? "sees missing rows: "
+                                : "sees duplicate or extra rows: ") +
+          q.score.ToString() + " (" + q.batch.completeness.ToString() + ")");
     }
   }
   return Status::OK();

@@ -114,8 +114,9 @@ class OracleFloorChecker : public InvariantChecker {
 };
 
 /// Completeness honesty: a result batch whose Completeness summary claims
-/// `exact` while the central oracle sees missing rows is lying — the one
-/// thing the accounting must never do. ("Degrade loudly, never silently.")
+/// `exact` while the central oracle sees missing rows, or rows it does not
+/// have (duplicates included), is lying — the one thing the accounting
+/// must never do. ("Degrade loudly, never silently.")
 class CompletenessChecker : public InvariantChecker {
  public:
   std::string name() const override { return "completeness-honesty"; }

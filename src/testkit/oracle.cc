@@ -34,9 +34,9 @@ std::vector<Tuple> CollectTable(core::PierNetwork& net,
         scan.table, [&](const dht::StoredItem& item) {
           if (seen.insert({item.key.resource, item.key.instance}).second) {
             Tuple t;
-            // Mirror ScanStage's arity filter: a stored blob that decodes
-            // to the wrong width is dropped by the system and must not
-            // inflate the ground truth either.
+            // Mirror the scan sweep's arity filter: a stored blob that
+            // decodes to the wrong width is dropped by the system and must
+            // not inflate the ground truth either.
             if (catalog::TupleFromBytes(item.value, &t).ok() &&
                 t.size() == scan.schema.num_columns()) {
               rows.push_back(std::move(t));

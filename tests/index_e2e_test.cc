@@ -129,7 +129,7 @@ TEST(IndexE2eTest, RangeQueryOn64NodeChordIsExactAndSparse) {
   EXPECT_DOUBLE_EQ(score.precision, 1.0) << score.ToString();
 
   // Sparseness: data-plane work confined to < 25% of the overlay. A
-  // broadcast scan runs a ScanStage on every single node.
+  // broadcast scan sweeps its slice on every single node.
   size_t contacted = NodesContacted(net, before);
   EXPECT_LT(contacted, kNodes / 4)
       << "index scan touched " << contacted << "/" << kNodes << " nodes";

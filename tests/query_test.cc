@@ -221,13 +221,12 @@ TEST(QuerySelectTest, OrderByAndLimitAtOrigin) {
 // member scans. The batch plane stops mid-batch: the answer has exactly k
 // rows, and members stop reading the store long before exhausting it.
 TEST(QuerySelectTest, LimitPushdownStopsBatchScanEarly) {
-  PierNetworkOptions opts = OneHopOpts(53);
-  opts.node.engine.batch_size = 4;
-  PierNetwork net(2, opts);
+  PierNetwork net(2, OneHopOpts(53));
   net.Boot(Seconds(5));
   RegisterEverywhere(net, AlertsTable());
+  // About three of the scheduler's 1024-row sweep batches per member.
   std::vector<std::tuple<int, std::string, int>> rows;
-  for (int i = 0; i < 64; ++i) rows.push_back({i, "r", i});
+  for (int i = 0; i < 6 * 1024; ++i) rows.push_back({i, "r", i});
   PublishAlerts(net, rows);
 
   OpNode collect;
@@ -249,9 +248,8 @@ TEST(QuerySelectTest, LimitPushdownStopsBatchScanEarly) {
     scanned += net.node(i)->query_engine()->stats().tuples_scanned;
     batch_scans += net.node(i)->query_engine()->stats().batches_scanned;
   }
-  // Each member serves one 4-row batch — nowhere near the 64 published
-  // rows.
-  EXPECT_LE(scanned, 16u);
+  // Each member serves one batch — nowhere near the 6,144 published rows.
+  EXPECT_LE(scanned, 2u * 1024u);
   EXPECT_GT(batch_scans, 0u);
 }
 
@@ -430,6 +428,49 @@ TEST(QueryAggregateTest, TreeAggregationOnChordMatchesReference) {
   ASSERT_EQ(batches[0].rows.size(), 1u);
   EXPECT_EQ(batches[0].rows[0][1].int64_value(), expected);
   EXPECT_EQ(batches[0].rows[0][2].int64_value(), 48);
+}
+
+// An answer held back only by the overlay's stability window certifies when
+// the window runs out, though nothing arrives then to re-check it. The
+// origin's ring view last changed during boot; the aggregate goes out 25 s
+// later with a 12 s result window, so its counts are in well before the
+// 30 s window ends, 7 s before the result window would close it degraded.
+TEST(QueryAggregateTest, TreeAggregateCertifiesWhenTheStabilityWindowEnds) {
+  PierNetworkOptions opts = ChordOpts(31);
+  opts.node.engine.result_wait = Seconds(12);
+  PierNetwork net(16, opts);
+  net.Boot(Seconds(20));
+  RegisterEverywhere(net, AlertsTable());
+  std::vector<std::tuple<int, std::string, int>> rows;
+  for (int i = 0; i < 48; ++i) rows.push_back({i % 4, "r", i});
+  PublishAlerts(net, rows);
+  const TimePoint topo = net.node(0)->chord()->last_topology_change();
+  ASSERT_GT(topo, 0);
+  ASSERT_LT(net.sim()->now(), topo + Seconds(25));
+  net.RunFor(topo + Seconds(25) - net.sim()->now());
+  ASSERT_EQ(net.node(0)->chord()->last_topology_change(), topo)
+      << "the ring was still settling";
+
+  QueryPlan plan = AlertsPlan(
+      nullptr,
+      AggNode({0}, {{AggFunc::kSum, 2, "total"}, {AggFunc::kCount, -1, "n"}}),
+      {}, AggStrategy::kTree);
+  std::vector<ResultBatch> batches;
+  TimePoint answered_at = 0;
+  ASSERT_TRUE(net.node(0)
+                  ->query_engine()
+                  ->Execute(plan,
+                            [&](const ResultBatch& b) {
+                              batches.push_back(b);
+                              answered_at = net.sim()->now();
+                            })
+                  .ok());
+  net.RunFor(Seconds(20));
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].rows.size(), 4u);
+  EXPECT_TRUE(batches[0].completeness.exact)
+      << batches[0].completeness.ToString();
+  EXPECT_EQ(answered_at, topo + Seconds(30));
 }
 
 // ---------------------------------------------------------------------------
@@ -987,6 +1028,167 @@ TEST(QueryJoinTest2, FetchMatchesRequiresCompatiblePartitioning) {
   auto r = net.node(0)->query_engine()->Execute(plan,
                                                 [](const ResultBatch&) {});
   EXPECT_FALSE(r.ok());
+}
+
+// ---------------------------------------------------------------------------
+// One scan path: every local scan is a QueryScheduler sweep
+// ---------------------------------------------------------------------------
+
+/// Registers alerts and rules (partitioned on rule_id) on every node and
+/// publishes `fx`, as EquiJoinMatchesReference does.
+void PublishJoinFixture(PierNetwork& net, const JoinFixture& fx) {
+  RegisterEverywhere(net, AlertsTable());
+  RegisterEverywhere(net, RulesTable());
+  PublishAlerts(net, fx.alerts);
+  for (size_t i = 0; i < fx.rules.size(); ++i) {
+    Tuple t{Value::Int64(fx.rules[i].first),
+            Value::Int64(fx.rules[i].second)};
+    ASSERT_TRUE(net.node((i + 3) % net.size())
+                    ->query_engine()
+                    ->Publish("rules", t)
+                    .ok());
+  }
+  net.RunFor(Seconds(5));
+}
+
+JoinFixture ScanPathFixture() {
+  JoinFixture fx;
+  fx.alerts = {{1, "a", 10}, {2, "b", 20}, {2, "c", 25},
+               {3, "d", 30}, {4, "e", 40}, {5, "f", 50}};
+  fx.rules = {{1, 1}, {2, 2}, {3, 3}, {4, 2}, {9, 5}};
+  return fx;
+}
+
+/// The fixture's join under `strategy`, checked against its reference.
+QueryPlan FixtureJoinPlan(JoinStrategy strategy) {
+  return AlertsRulesJoinPlan(
+      strategy,
+      Expr::Compare(CompareOp::kGe, Expr::Column(4),
+                    Expr::Literal(Value::Int64(2))),
+      ProjectNode({Expr::Column(0), Expr::Column(2), Expr::Column(4)}));
+}
+
+std::multiset<std::tuple<int64_t, int64_t, int64_t>> JoinedRows(
+    const ResultBatch& b) {
+  std::multiset<std::tuple<int64_t, int64_t, int64_t>> got;
+  for (const Tuple& t : b.rows) {
+    got.insert({t[0].int64_value(), t[1].int64_value(), t[2].int64_value()});
+  }
+  return got;
+}
+
+// Fetch-matches probes its inner relation by DHT get: every node sweeps its
+// outer slice once and never scans the inner one.
+TEST(QueryScanPathTest, FetchMatchesScansOnlyItsOuterRelation) {
+  PierNetworkOptions opts = OneHopOpts(89);
+  opts.node.engine.result_wait = Seconds(12);
+  PierNetwork net(6, opts);
+  net.Boot(Seconds(5));
+  const JoinFixture fx = ScanPathFixture();
+  PublishJoinFixture(net, fx);
+
+  std::vector<uint64_t> before;
+  for (size_t i = 0; i < net.size(); ++i) {
+    before.push_back(net.node(i)->query_engine()->stats().scans_run);
+  }
+  std::vector<ResultBatch> batches;
+  ASSERT_TRUE(net.node(0)
+                  ->query_engine()
+                  ->Execute(FixtureJoinPlan(JoinStrategy::kFetchMatches),
+                            [&](const ResultBatch& b) { batches.push_back(b); })
+                  .ok());
+  net.RunFor(Seconds(20));
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(JoinedRows(batches[0]), fx.Expected());
+  for (size_t i = 0; i < net.size(); ++i) {
+    EXPECT_EQ(net.node(i)->query_engine()->stats().scans_run - before[i], 1u)
+        << "node " << i;
+  }
+}
+
+// A join's input scan is an ordinary scheduler sweep: a plain scan of the
+// same table and schema issued within the scheduler's shared window
+// attaches to it instead of walking the store again.
+TEST(QueryScanPathTest, JoinAndScanOfOneTableShareASweep) {
+  PierNetworkOptions opts = OneHopOpts(97);
+  opts.node.engine.result_wait = Seconds(12);
+  PierNetwork net(6, opts);
+  net.Boot(Seconds(5));
+  const JoinFixture fx = ScanPathFixture();
+  PublishJoinFixture(net, fx);
+
+  std::vector<ResultBatch> joined, scanned;
+  QueryEngine* origin = net.node(0)->query_engine();
+  ASSERT_TRUE(origin
+                  ->Execute(FixtureJoinPlan(JoinStrategy::kSymmetricHash),
+                            [&](const ResultBatch& b) { joined.push_back(b); })
+                  .ok());
+  ASSERT_TRUE(origin
+                  ->Execute(AlertsPlan(nullptr, ProjectNode({})),
+                            [&](const ResultBatch& b) { scanned.push_back(b); })
+                  .ok());
+  net.RunFor(Seconds(20));
+  ASSERT_EQ(joined.size(), 1u);
+  ASSERT_EQ(scanned.size(), 1u);
+  EXPECT_EQ(JoinedRows(joined[0]), fx.Expected());
+  EXPECT_EQ(scanned[0].rows.size(), fx.alerts.size());
+  uint64_t shared = 0;
+  for (size_t i = 0; i < net.size(); ++i) {
+    shared += net.node(i)->query_engine()->stats().shared_scan_hits;
+  }
+  EXPECT_GT(shared, 0u);
+}
+
+// Bloom join, semi-join, recursion and a plain scan side by side: every
+// scan any node ran was a store sweep or attached to one, and none was a
+// row-at-a-time pass.
+TEST(QueryScanPathTest, EveryScanIsASchedulerSweep) {
+  PierNetworkOptions opts = OneHopOpts(101);
+  opts.node.engine.result_wait = Seconds(12);
+  opts.node.engine.bloom_wait = Seconds(3);
+  opts.node.engine.quiesce_window = Seconds(5);
+  PierNetwork net(8, opts);
+  net.Boot(Seconds(5));
+  const JoinFixture fx = ScanPathFixture();
+  PublishJoinFixture(net, fx);
+  RegisterEverywhere(net, LinksTable());
+  for (auto [src, dst] : std::vector<std::pair<const char*, const char*>>{
+           {"a", "b"}, {"b", "c"}, {"c", "d"}}) {
+    ASSERT_TRUE(net.node(1)
+                    ->query_engine()
+                    ->Publish("links",
+                              Tuple{Value::String(src), Value::String(dst)})
+                    .ok());
+  }
+  net.RunFor(Seconds(5));
+
+  std::vector<std::vector<ResultBatch>> answers(4);
+  auto collect = [&answers](size_t i) {
+    return [&answers, i](const ResultBatch& b) { answers[i].push_back(b); };
+  };
+  QueryEngine* origin = net.node(0)->query_engine();
+  ASSERT_TRUE(
+      origin->Execute(FixtureJoinPlan(JoinStrategy::kBloom), collect(0)).ok());
+  ASSERT_TRUE(
+      origin->Execute(FixtureJoinPlan(JoinStrategy::kSymmetricSemi), collect(1))
+          .ok());
+  ASSERT_TRUE(origin->Execute(ClosurePlan(8), collect(2)).ok());
+  ASSERT_TRUE(
+      origin->Execute(AlertsPlan(nullptr, ProjectNode({})), collect(3)).ok());
+  net.RunFor(Seconds(40));
+
+  for (const std::vector<ResultBatch>& a : answers) ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(JoinedRows(answers[0][0]), fx.Expected());
+  EXPECT_EQ(JoinedRows(answers[1][0]), fx.Expected());
+  EXPECT_EQ(answers[2][0].rows.size(), 6u);  // the closure of a -> b -> c -> d
+  EXPECT_EQ(answers[3][0].rows.size(), fx.alerts.size());
+  for (size_t i = 0; i < net.size(); ++i) {
+    const EngineStats& st = net.node(i)->query_engine()->stats();
+    SCOPED_TRACE("node " + std::to_string(i));
+    EXPECT_GT(st.scans_run, 0u);
+    EXPECT_EQ(st.store_sweeps + st.shared_scan_hits, st.scans_run);
+    EXPECT_EQ(st.vectorized_fallbacks, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

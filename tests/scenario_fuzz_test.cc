@@ -1,6 +1,8 @@
 // Randomized scenario fuzzing: samples fault scripts + topologies from a
-// seed, runs query workloads through them, and checks every invariant
-// (routing convergence, soft-state expiry, payload leaks, oracle floors).
+// seed, runs query workloads through them (a scan, an index range, a tree
+// aggregate and a two-table join), and checks every invariant (routing
+// convergence, soft-state expiry, payload leaks, oracle floors, honest
+// completeness claims, exchange hygiene).
 //
 // On a violation the test FAILS and prints:
 //   - the failing seed (replay: PIER_FUZZ_SEED=<seed> PIER_FUZZ_ITERS=1),
@@ -53,6 +55,19 @@ TableDef FuzzTable() {
   return def;
 }
 
+/// The join's second relation. Partitioned on severity, not the join key,
+/// so the planner rehashes both sides through a q<id>.x<n> namespace
+/// instead of probing by fetch-matches.
+TableDef FuzzRulesTable() {
+  TableDef def;
+  def.name = "rules";
+  def.schema = Schema("rules", {{"rule_id", ValueType::kInt64},
+                                {"severity", ValueType::kInt64}});
+  def.partition_cols = {1};
+  def.ttl = Seconds(600);
+  return def;
+}
+
 /// Builds and runs one fuzz case, fully determined by `seed`. When
 /// `override_script` is set it replaces the sampled script (minimization
 /// replays); `out_script` receives the script actually used.
@@ -74,6 +89,11 @@ ScenarioReport RunFuzzCase(uint64_t seed, const FaultScript* override_script,
     rows.push_back(Tuple{Value::Int64(1 + static_cast<int64_t>(i % 5)),
                          Value::Int64(static_cast<int64_t>(10 + i))});
   }
+  // Rules 1..6: rule 6 matches no alert.
+  std::vector<Tuple> rules;
+  for (int64_t rule = 1; rule <= 6; ++rule) {
+    rules.push_back(Tuple{Value::Int64(rule), Value::Int64(rule % 3)});
+  }
 
   // The query goes out only after every fault window has closed and the
   // overlay has had a stabilization window: the invariant under test is
@@ -85,7 +105,9 @@ ScenarioReport RunFuzzCase(uint64_t seed, const FaultScript* override_script,
   s.WithNodes(nodes)
       .WithRouter(chord ? RouterKind::kChord : RouterKind::kOneHop)
       .WithTable(FuzzTable())
+      .WithTable(FuzzRulesTable())
       .PublishRows("alerts", rows)
+      .PublishRows("rules", rules)
       .WithFaults(script)
       .AddQuery({.sql = "SELECT rule_id, hits FROM alerts",
                  .issue_at = issue_at,
@@ -117,6 +139,14 @@ ScenarioReport RunFuzzCase(uint64_t seed, const FaultScript* override_script,
       .AddQuery({.sql = "SELECT rule_id, SUM(hits) FROM alerts "
                         "GROUP BY rule_id",
                  .issue_at = issue_at + Seconds(40),
+                 .origin = 0,
+                 .wait = 0})
+      // Two-table equi-join: both input scans run as scheduler sweeps and
+      // rehash through the join's exchange namespace, which the hygiene
+      // checker then requires torn down. No floor, as for the aggregate.
+      .AddQuery({.sql = "SELECT a.hits, r.severity FROM alerts a, rules r "
+                        "WHERE a.rule_id = r.rule_id",
+                 .issue_at = issue_at + Seconds(60),
                  .origin = 0,
                  .wait = 0})
       .WithHealSettle(Seconds(chord ? 60 : 25))

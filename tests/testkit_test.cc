@@ -233,6 +233,29 @@ TEST(OracleScoreTest, MultisetRecallPrecision) {
   EXPECT_DOUBLE_EQ(ScoreAnswer(oracle, {}).precision, 1.0);
 }
 
+// An `exact` claim is a lie in either direction: a duplicated row leaves
+// recall at 1, and only precision shows it.
+TEST(CompletenessCheckerTest, RejectsExactClaimWithDuplicateRow) {
+  auto row = [](int64_t v) { return Tuple{Value::Int64(v)}; };
+  std::vector<QueryOutcome> queries(1);
+  QueryOutcome& q = queries[0];
+  q.sql = "SELECT v FROM t";
+  q.completed = true;
+  q.oracle_ok = true;
+  q.oracle_rows = {row(1), row(2)};
+  q.batch.rows = {row(1), row(2), row(2)};
+  q.batch.completeness.exact = true;
+  q.score = ScoreAnswer(q.oracle_rows, q.batch.rows);
+  ASSERT_DOUBLE_EQ(q.score.recall, 1.0);
+  CheckContext ctx;
+  ctx.queries = &queries;
+  CompletenessChecker checker;
+  EXPECT_FALSE(checker.Check(ctx).ok());
+  // The same answer declared degraded is honest.
+  q.batch.completeness.exact = false;
+  EXPECT_TRUE(checker.Check(ctx).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Scripted scenarios
 // ---------------------------------------------------------------------------
@@ -1076,6 +1099,50 @@ TEST(ScenarioTest, LostBloomPartsDegradeToFullRehashNotRowLoss) {
   // back, and the engine counted the incomplete wave and the late parts.
   EXPECT_GE(q.batch.completeness.filter_waves_degraded, 1u);
   EXPECT_FALSE(q.batch.completeness.exact);
+}
+
+// FailedOverScanIsNotCertified's fault, under a Bloom join: the successor
+// that lost its predecessor sweeps the owner's replicas as the join's
+// input, so its cover of the join's plan wave goes up unvouched. The
+// origin's coverage is then incomplete, so the answer says
+// coverage-unknown and the filter wave degrades to the full rehash rather
+// than suppress against filters built from those rows.
+TEST(ScenarioTest, FailedOverJoinScanDegradesItsFilterWave) {
+  constexpr TimePoint kIssue = Seconds(100);
+  size_t owner = 0, successor = 0;
+  TableDef alerts = SpreadAlertsTable();
+  alerts.stats = BloomStatsAlerts().stats;
+  Scenario s(/*seed=*/4233);
+  s.WithNodes(32)
+      .WithRouter(RouterKind::kChord)
+      .WithTable(alerts)
+      .WithTable(BloomStatsRules())
+      .PublishRows("alerts", AlertRows(320))
+      .PublishRows("rules", RuleRows(4))
+      .AddQuery({.sql = kJoinSql, .issue_at = kIssue, .origin = 0})
+      .At(kIssue - Seconds(6),
+          [&](core::PierNetwork& net) {
+            successor = net.node(0)->chord()->FingerEntries().back().host;
+            for (size_t i = 1; i < net.size(); ++i) {
+              if (RingWalk(net, i, 1) == successor) owner = i;
+            }
+            if (owner == 0) return;
+            net.net()->fault_plane()->Partition(
+                {sim::HostId(owner)}, {sim::HostId(successor)},
+                net.sim()->now(), kIssue + Seconds(12),
+                /*bidirectional=*/false);
+          })
+      .WithDefaultCheckers();
+  ScenarioReport report = s.Run();
+  ASSERT_NE(owner, 0u) << "the origin's farthest finger follows the origin";
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  ASSERT_EQ(report.queries.size(), 1u);
+  const QueryOutcome& q = report.queries[0];
+  ASSERT_TRUE(q.completed) << report.ToString();
+  const query::Completeness& c = q.batch.completeness;
+  EXPECT_FALSE(c.coverage_complete) << c.ToString();
+  EXPECT_EQ(c.filter_waves_degraded, 1u) << c.ToString();
+  EXPECT_FALSE(c.exact) << c.ToString();
 }
 
 }  // namespace

@@ -505,23 +505,17 @@ std::vector<AggSpec> AllAggs() {
   };
 }
 
-void CheckGroupBy(const std::vector<int>& group_cols, bool finalize,
-                  uint64_t seed) {
+void CheckGroupBy(const std::vector<int>& group_cols, uint64_t seed) {
   Rng rng(seed);
   TestBatch tb = MakeBatch(&rng, 400);
 
-  GroupBy reference(group_cols, AllAggs(),
-                    finalize ? AggPhase::kComplete : AggPhase::kPartial);
+  GroupBy reference(group_cols, AllAggs(), AggPhase::kPartial);
   for (const Tuple& t : tb.rows) reference.Push(t);
   std::vector<Tuple> want = reference.Drain();
 
-  VectorGroupBy vgb(group_cols, AllAggs(), finalize);
+  VectorGroupBy vgb(group_cols, AllAggs());
   vgb.PushBatch(tb.batch);
-  std::vector<Tuple> got;
-  vgb.DrainAndReset([&](Tuple& t) {
-    got.push_back(std::move(t));
-    return true;
-  });
+  std::vector<Tuple> got = vgb.Drain();
 
   ASSERT_EQ(got.size(), want.size()) << "seed=" << seed;
   for (size_t i = 0; i < got.size(); ++i) {
@@ -536,17 +530,11 @@ void CheckGroupBy(const std::vector<int>& group_cols, bool finalize,
 }
 
 TEST(VectorGroupByTest, MatchesGroupByPartialPhase) {
-  CheckGroupBy({3}, /*finalize=*/false, 17);
-  CheckGroupBy({3, 2}, /*finalize=*/false, 18);
-  CheckGroupBy({}, /*finalize=*/false, 19);     // global aggregate
-  CheckGroupBy({42}, /*finalize=*/false, 20);   // out-of-range group col
-  CheckGroupBy({5}, /*finalize=*/false, 21);    // mixed-lane group key
-}
-
-TEST(VectorGroupByTest, MatchesGroupByCompletePhase) {
-  CheckGroupBy({3}, /*finalize=*/true, 22);
-  CheckGroupBy({3, 4}, /*finalize=*/true, 23);
-  CheckGroupBy({}, /*finalize=*/true, 24);
+  CheckGroupBy({3}, 17);
+  CheckGroupBy({3, 2}, 18);
+  CheckGroupBy({}, 19);    // global aggregate
+  CheckGroupBy({42}, 20);  // out-of-range group col
+  CheckGroupBy({5}, 21);   // mixed-lane group key
 }
 
 // Join-fed aggregation: joined rows reach the accumulator one-row batch at
@@ -563,13 +551,9 @@ TEST(VectorGroupByTest, OneRowBatchesMatchGroupByPartialPhase) {
     for (const Tuple& t : rows) reference.Push(t);
     std::vector<Tuple> want = reference.Drain();
 
-    VectorGroupBy vgb(group_cols, AllAggs(), /*finalize=*/false);
+    VectorGroupBy vgb(group_cols, AllAggs());
     for (const Tuple& t : rows) vgb.PushBatch(RowBatch::OfRow(t));
-    std::vector<Tuple> got;
-    vgb.DrainAndReset([&](Tuple& t) {
-      got.push_back(std::move(t));
-      return true;
-    });
+    std::vector<Tuple> got = vgb.Drain();
 
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < got.size(); ++i) {
@@ -592,13 +576,9 @@ TEST(VectorGroupByTest, SelectionRestrictsAccumulation) {
   for (uint32_t r : tb.batch.selection()) reference.Push(tb.rows[r]);
   std::vector<Tuple> want = reference.Drain();
 
-  VectorGroupBy vgb({3}, AllAggs(), /*finalize=*/false);
+  VectorGroupBy vgb({3}, AllAggs());
   vgb.PushBatch(tb.batch);
-  std::vector<Tuple> got;
-  vgb.DrainAndReset([&](Tuple& t) {
-    got.push_back(std::move(t));
-    return true;
-  });
+  std::vector<Tuple> got = vgb.Drain();
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(catalog::CompareTuples(got[i], want[i]), 0);
@@ -625,44 +605,36 @@ TEST(VectorGroupByTest, OverflowingSumWidensLikeScalarFold) {
       {row(1, 5), row(3, INT64_MIN), row(3, 7)},
   };
   for (const std::vector<AggSpec>& aggs : {fused, per_agg}) {
-    for (bool finalize : {false, true}) {
-      SCOPED_TRACE(std::to_string(aggs.size()) + " aggs, " +
-                   (finalize ? "complete" : "partial"));
-      GroupBy reference({0}, aggs,
-                        finalize ? AggPhase::kComplete : AggPhase::kPartial);
-      VectorGroupBy vgb({0}, aggs, finalize);
-      for (const std::vector<Tuple>& rows : batches) {
-        RowBatchBuilder builder(std::vector<ValueType>{
-            ValueType::kInt64, ValueType::kInt64, ValueType::kDouble});
-        for (const Tuple& t : rows) {
-          builder.Append(t);
-          reference.Push(t);
-        }
-        vgb.PushBatch(builder.Take());
+    SCOPED_TRACE(std::to_string(aggs.size()) + " aggs");
+    GroupBy reference({0}, aggs, AggPhase::kPartial);
+    VectorGroupBy vgb({0}, aggs);
+    for (const std::vector<Tuple>& rows : batches) {
+      RowBatchBuilder builder(std::vector<ValueType>{
+          ValueType::kInt64, ValueType::kInt64, ValueType::kDouble});
+      for (const Tuple& t : rows) {
+        builder.Append(t);
+        reference.Push(t);
       }
-      std::vector<Tuple> want = reference.Drain();
-      std::vector<Tuple> got;
-      vgb.DrainAndReset([&](Tuple& t) {
-        got.push_back(std::move(t));
-        return true;
-      });
-      ASSERT_EQ(got.size(), 3u);
-      ASSERT_EQ(want.size(), 3u);
-      for (size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].size(), want[i].size());
-        for (size_t c = 0; c < got[i].size(); ++c) {
-          ExpectValuesIdentical(want[i][c], got[i][c],
-                                "group=" + std::to_string(i) +
-                                    " col=" + std::to_string(c));
-        }
-      }
-      // Group 1 overflowed in the first batch and kept accumulating as
-      // DOUBLE in the second; group 2 overflowed below INT64_MIN; group 3
-      // nets back into range without ever overflowing and stays INT64.
-      EXPECT_EQ(got[0][1].type(), ValueType::kDouble);
-      EXPECT_EQ(got[1][1].type(), ValueType::kDouble);
-      EXPECT_EQ(got[2][1].type(), ValueType::kInt64);
+      vgb.PushBatch(builder.Take());
     }
+    std::vector<Tuple> want = reference.Drain();
+    std::vector<Tuple> got = vgb.Drain();
+    ASSERT_EQ(got.size(), 3u);
+    ASSERT_EQ(want.size(), 3u);
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].size(), want[i].size());
+      for (size_t c = 0; c < got[i].size(); ++c) {
+        ExpectValuesIdentical(want[i][c], got[i][c],
+                              "group=" + std::to_string(i) +
+                                  " col=" + std::to_string(c));
+      }
+    }
+    // Group 1 overflowed in the first batch and kept accumulating as
+    // DOUBLE in the second; group 2 overflowed below INT64_MIN; group 3
+    // nets back into range without ever overflowing and stays INT64.
+    EXPECT_EQ(got[0][1].type(), ValueType::kDouble);
+    EXPECT_EQ(got[1][1].type(), ValueType::kDouble);
+    EXPECT_EQ(got[2][1].type(), ValueType::kInt64);
   }
 }
 
