@@ -119,7 +119,8 @@ if [[ $PERF -eq 1 ]]; then
   # counts, and bench_range_scan's deterministic virtual-time contract:
   # exact rows on both access paths, index touching < 25% of nodes while
   # the scan touches all of them, both answers closing well inside the
-  # result window); wall-clock numbers are recorded, never gated on.
+  # result window, the index answering no later than the scan); wall-clock
+  # numbers are recorded, never gated on.
   echo "== perf smoke (${BENCH_JSON}) =="
   "$BUILD_DIR/bench_sim_core" --json="$BENCH_JSON"
   "$BUILD_DIR/bench_table1_top_intrusions" --json="$BENCH_JSON" | tail -6

@@ -59,5 +59,10 @@ const PhtIndex* IndexManager::Find(const std::string& table, int col) const {
   return it == indexes_.end() ? nullptr : it->second.get();
 }
 
+PhtIndex* IndexManager::Find(const std::string& table, int col) {
+  auto it = indexes_.find(std::make_pair(table, col));
+  return it == indexes_.end() ? nullptr : it->second.get();
+}
+
 }  // namespace index
 }  // namespace pier

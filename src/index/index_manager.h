@@ -40,9 +40,10 @@ class IndexManager {
   void OnPublish(const catalog::TableDef& def, const catalog::Tuple& t,
                  uint64_t instance, Duration ttl);
 
-  /// The index handle for (table, col); nullptr when absent (diagnostics
-  /// and tests).
+  /// The index handle for (table, col); nullptr when absent. The query
+  /// runtime reads and writes its leaf-depth hint through the mutable one.
   const PhtIndex* Find(const std::string& table, int col) const;
+  PhtIndex* Find(const std::string& table, int col);
   size_t index_count() const { return indexes_.size(); }
 
  private:

@@ -256,6 +256,7 @@ bool PhtIndex::OnArrival(const dht::StoredItem& item) {
   }
   TouchMarker(prefix, /*internal=*/false);
   ++stats_.entries_stored;
+  leaf_depth_hint_ = depth;
   return true;
 }
 
@@ -263,6 +264,7 @@ void PhtIndex::Split(const std::string& prefix,
                      const dht::StoredItem& incoming) {
   ++stats_.splits;
   known_internal_.insert(prefix);
+  leaf_depth_hint_ = static_cast<int>(prefix.size()) + 1;
   // Immediate local transition so every subsequent arrival forwards, then a
   // routed self-put so the internal marker is replicated like any item.
   TouchMarker(prefix, /*internal=*/true);

@@ -37,6 +37,15 @@
 // The write path piggybacks on publishes (QueryEngine::Publish inserts into
 // every index of the table); the read path is the client-side PhtCursor
 // (pht_cursor.h).
+//
+// Each handle also keeps one leaf-depth hint for its trie: the depth of the
+// last leaf this node saw, learned at no message cost. The owner side
+// writes it when it stores an entry at a leaf or materializes a split's
+// children, so a node that owns any leaf starts its first index query
+// warm; the query runtime writes it when a cursor classifies a leaf. A
+// cursor's first probe lands there. The hint only aims probes — every
+// probe still classifies what it finds, so a wrong hint costs probes,
+// never rows.
 
 #ifndef PIER_INDEX_PHT_H_
 #define PIER_INDEX_PHT_H_
@@ -115,6 +124,11 @@ class PhtIndex {
   int bucket_size() const { return bucket_size_; }
   const PhtStats& stats() const { return stats_; }
 
+  /// Depth of the last leaf this node stored at, split into or saw a
+  /// cursor classify; -1 until then.
+  int leaf_depth_hint() const { return leaf_depth_hint_; }
+  void set_leaf_depth_hint(int depth) { leaf_depth_hint_ = depth; }
+
  private:
   /// DHT arrival hook for ns_: the owner-side protocol. Returns false when
   /// the item was consumed (forwarded) instead of stored.
@@ -146,6 +160,7 @@ class PhtIndex {
   /// Prefixes this node has learned are internal (from splits and forwards
   /// it performed) — lets local inserts skip the upper trie levels.
   std::unordered_set<std::string> known_internal_;
+  int leaf_depth_hint_ = -1;
 };
 
 }  // namespace index

@@ -1,11 +1,17 @@
 #include "index/pht_cursor.h"
 
+#include <algorithm>
+
 namespace pier {
 namespace index {
 
 PhtCursor::PhtCursor(GetFn get, uint64_t lo, uint64_t hi,
-                     uint64_t max_leaves)
-    : get_(std::move(get)), lo_(lo), hi_(hi), max_leaves_(max_leaves) {}
+                     uint64_t max_leaves, int depth_hint)
+    : get_(std::move(get)),
+      lo_(lo),
+      hi_(hi),
+      max_leaves_(max_leaves),
+      depth_hint_(depth_hint) {}
 
 void PhtCursor::Run(RowFn row, DoneFn done) {
   row_ = std::move(row);
@@ -21,18 +27,28 @@ void PhtCursor::Run(RowFn row, DoneFn done) {
 void PhtCursor::Locate() {
   lo_depth_ = 0;
   hi_depth_ = kKeyBits;
-  use_hint_ = depth_hint_ >= 0;
+  aim_ = depth_hint_;
+  step_ = 0;
   Probe();
 }
 
 int PhtCursor::ProbeDepth() const {
-  if (use_hint_) {
-    int d = depth_hint_;
-    if (d < lo_depth_) d = lo_depth_;
-    if (d > hi_depth_) d = hi_depth_;
-    return d;
+  if (aim_ < 0) return (lo_depth_ + hi_depth_) / 2;
+  return std::clamp(aim_, lo_depth_, hi_depth_);
+}
+
+void PhtCursor::Narrow(int depth, int dir) {
+  if (dir > 0) {
+    lo_depth_ = depth + 1;
+  } else {
+    hi_depth_ = depth - 1;
   }
-  return (lo_depth_ + hi_depth_) / 2;
+  if (aim_ < 0 || step_ * dir < 0) {
+    aim_ = -1;  // bracketed from both sides: bisect
+    return;
+  }
+  step_ = step_ == 0 ? dir : 2 * step_;
+  aim_ = depth + step_;
 }
 
 void PhtCursor::Probe() {
@@ -57,8 +73,7 @@ void PhtCursor::Probe() {
     // Prefixes already known internal resolve without the network: sibling
     // locates share the upper trie path.
     if (known_internal_.count(Prefix(cur_key_, depth)) > 0) {
-      use_hint_ = false;
-      lo_depth_ = depth + 1;
+      Narrow(depth, +1);
       continue;
     }
     if (stats_.probes >= kMaxProbes) {
@@ -102,7 +117,6 @@ void PhtCursor::OnProbe(Status s, std::vector<dht::DhtItem> items) {
     return;
   }
   int depth = ProbeDepth();
-  use_hint_ = false;  // the hint is only ever the first probe of a locate
   switch (Classify(items)) {
     case NodeClass::kInternal:
       saw_trie_state_ = true;
@@ -113,7 +127,7 @@ void PhtCursor::OnProbe(Status s, std::vector<dht::DhtItem> items) {
       // under arbitrary fault timing; the instance dedup keeps exactness.
       EmitLeaf(Prefix(cur_key_, depth), items);
       if (finished_) return;
-      lo_depth_ = depth + 1;
+      Narrow(depth, +1);
       Probe();
       return;
     case NodeClass::kLeaf: {
@@ -126,7 +140,7 @@ void PhtCursor::OnProbe(Status s, std::vector<dht::DhtItem> items) {
       return;
     }
     case NodeClass::kEmpty:
-      hi_depth_ = depth - 1;
+      Narrow(depth, -1);
       Probe();
       return;
   }

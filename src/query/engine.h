@@ -130,6 +130,7 @@ class QueryEngine : public ops::StageHost {
   uint32_t self_host() const override { return transport_->self(); }
   const EngineOptions& engine_options() const override { return options_; }
   EngineStats* mutable_stats() override { return &stats_; }
+  index::IndexManager* index_manager() override { return index_manager_; }
   int QueryDepth(uint64_t qid) const override;
   bool EpochClosed(uint64_t qid, uint64_t epoch) const override;
   void DeliverResultBatch(uint64_t qid, uint64_t epoch,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "index/index_manager.h"
 #include "index/pht.h"
 
 namespace pier {
@@ -28,6 +29,14 @@ IndexScanStage::IndexScanStage(StageHost* host, uint64_t qid,
   bounds_ok_ = lo_ok && hi_ok;
 }
 
+IndexScanStage::~IndexScanStage() { DropWalks(); }
+
+index::PhtIndex* IndexScanStage::Index() {
+  index::IndexManager* manager = host_->index_manager();
+  return manager == nullptr ? nullptr
+                            : manager->Find(node_->table, node_->index_col);
+}
+
 index::PhtCursor::GetFn IndexScanStage::MakeGetFn(uint64_t token) {
   // Every DHT continuation round-trips through PostToStage keyed by the
   // run token: a stale epoch's (or a dead query's) callbacks evaporate.
@@ -37,6 +46,7 @@ index::PhtCursor::GetFn IndexScanStage::MakeGetFn(uint64_t token) {
   std::string ns = ns_;
   return [host, qid, node_id, ns, token](const std::string& resource,
                                          index::PhtCursor::GetCb cb) {
+    ++host->mutable_stats()->index_probes;
     host->dht()->Get(
         ns, resource,
         [host, qid, node_id, token, cb](Status s,
@@ -68,10 +78,10 @@ index::PhtCursor::RowFn IndexScanStage::MakeRowFn(const BatchEmitFn& emit) {
 }
 
 void IndexScanStage::StartCursor(uint64_t lo, uint64_t hi,
-                                 uint64_t max_leaves,
+                                 uint64_t max_leaves, int depth_hint,
                                  const BatchEmitFn& emit) {
   cursors_.push_back(std::make_unique<index::PhtCursor>(
-      MakeGetFn(run_token_), lo, hi, max_leaves));
+      MakeGetFn(run_token_), lo, hi, max_leaves, depth_hint));
   index::PhtCursor* cursor = cursors_.back().get();
   ++cursors_pending_;
   BatchEmitFn emit_copy = emit;
@@ -84,8 +94,7 @@ void IndexScanStage::StartCursor(uint64_t lo, uint64_t hi,
 
 void IndexScanStage::RunEpoch(const BatchEmitFn& emit) {
   ++run_token_;
-  cursors_.clear();  // previous epoch's walk (if any) is token-invalidated
-  cursors_pending_ = 0;
+  DropWalks();  // previous epoch's walk (if any) is token-invalidated
   emitted_.clear();
   reported_ = false;
   EngineStats* stats = host_->mutable_stats();
@@ -95,24 +104,28 @@ void IndexScanStage::RunEpoch(const BatchEmitFn& emit) {
     host_->OnIndexScanDone(qid_, /*ok=*/false);
     return;
   }
-  // Phase 1: the scout. Selective ranges end inside its leaf budget.
-  StartCursor(lo_key_, hi_key_, kScoutLeaves, emit);
+  // Round one: the scout reads the range's first leaf.
+  index::PhtIndex* index = Index();
+  StartCursor(lo_key_, hi_key_, /*max_leaves=*/1,
+              index != nullptr ? index->leaf_depth_hint() : -1, emit);
 }
 
 void IndexScanStage::OnCursorDone(index::PhtCursor* cursor,
                                   index::PhtCursor::Outcome outcome,
                                   const BatchEmitFn& emit) {
-  EngineStats* stats = host_->mutable_stats();
-  stats->index_probes += cursor->stats().probes;
-  stats->index_leaves += cursor->stats().leaves;
+  host_->mutable_stats()->index_leaves += cursor->stats().leaves;
   --cursors_pending_;
+  if (cursor->leaf_depth() >= 0) {
+    index::PhtIndex* index = Index();
+    if (index != nullptr) index->set_leaf_depth_hint(cursor->leaf_depth());
+  }
   switch (outcome) {
     case index::PhtCursor::Outcome::kOk:
       if (cursors_pending_ == 0) ReportDone(/*ok=*/true);
       return;
     case index::PhtCursor::Outcome::kMore:
-      // Only the scout carries a leaf budget, so kMore means phase 2.
-      FanOut(cursor->next_key(), emit);
+      // Only the scout carries a leaf budget, so kMore means round two.
+      Tile(cursor->next_key(), cursor->leaf_depth(), emit);
       return;
     case index::PhtCursor::Outcome::kColdIndex:
     case index::PhtCursor::Outcome::kError:
@@ -124,29 +137,34 @@ void IndexScanStage::OnCursorDone(index::PhtCursor* cursor,
   }
 }
 
-void IndexScanStage::FanOut(uint64_t resume, const BatchEmitFn& emit) {
-  // Partition the unvisited remainder by the leaf density the scout saw:
-  // it covered (resume - lo) of encoded keyspace with kScoutLeaves leaves,
-  // so size sub-ranges to a handful of leaves' worth each, capped at the
-  // fan-out width. Skewed data just makes some sub-walks longer — never
-  // wrong, only slower.
-  uint64_t covered = resume - lo_key_;
-  uint64_t remaining = hi_key_ - resume;
-  uint64_t per_leaf = std::max<uint64_t>(1, covered / kScoutLeaves);
-  uint64_t est_leaves = remaining / per_leaf;  // saturates fine
-  int k = static_cast<int>(
-      std::min<uint64_t>(kFanOut, std::max<uint64_t>(1, est_leaves / 4)));
-  uint64_t step = remaining / static_cast<uint64_t>(k);
-  if (k <= 1 || step == 0) {
-    StartCursor(resume, hi_key_, /*max_leaves=*/0, emit);
-    return;
-  }
+void IndexScanStage::Tile(uint64_t resume, int depth,
+                          const BatchEmitFn& emit) {
+  // The scout's leaf ended on a depth-`depth` boundary, so the remainder
+  // splits into whole blocks of 2^(64 - depth) keys, the last one cut at
+  // hi (resume > 0, so the block count cannot wrap). A block whose trie is
+  // shallower or deeper than the scout's leaf costs its cursor a probe or
+  // two more, never a row.
+  const uint64_t block_bits = static_cast<uint64_t>(index::kKeyBits - depth);
+  const uint64_t blocks = ((hi_key_ - resume) >> block_bits) + 1;
+  const uint64_t cursors = std::min<uint64_t>(blocks, kFanOut);
   uint64_t start = resume;
-  for (int i = 0; i < k; ++i) {
-    uint64_t end = i + 1 == k ? hi_key_ : start + step - 1;
-    StartCursor(start, end, /*max_leaves=*/0, emit);
+  for (uint64_t i = 0; i < cursors; ++i) {
+    // The first (blocks % cursors) cursors take one block more.
+    uint64_t span = blocks / cursors + (i < blocks % cursors ? 1 : 0);
+    uint64_t end =
+        i + 1 == cursors ? hi_key_ : start + (span << block_bits) - 1;
+    StartCursor(start, end, /*max_leaves=*/0, depth, emit);
     start = end + 1;
   }
+}
+
+void IndexScanStage::DropWalks() {
+  EngineStats* stats = host_->mutable_stats();
+  for (const auto& cursor : cursors_) {
+    if (!cursor->finished()) stats->index_leaves += cursor->stats().leaves;
+  }
+  cursors_.clear();
+  cursors_pending_ = 0;
 }
 
 void IndexScanStage::ReportDone(bool ok) {

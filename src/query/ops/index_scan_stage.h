@@ -9,10 +9,18 @@
 // straight into origin collection), one-row batches asynchronously across
 // the epoch's result window.
 //
+// The walk takes two rounds of gets (RunEpoch): a scout that finds the
+// range's first leaf, aimed by the node's leaf-depth hint, then one
+// parallel round over the rest of the range cut at that leaf's depth. One
+// failed cursor fails the whole walk, and the engine falls back to the
+// broadcast scan.
+//
 // All cursor continuations re-enter through StageHost::PostToStage, so a
 // query that ends (or a runtime replaced by fallback) mid-walk simply drops
 // the remaining callbacks — stages never defend against their own
-// destruction.
+// destruction. The accounting does not lose them either: every trie get
+// counts in EngineStats::index_probes as it is issued, and the leaves of a
+// walk dropped in flight are folded into index_leaves when it is freed.
 
 #ifndef PIER_QUERY_OPS_INDEX_SCAN_STAGE_H_
 #define PIER_QUERY_OPS_INDEX_SCAN_STAGE_H_
@@ -33,18 +41,22 @@ class IndexScanStage : public Stage {
   /// `node` must be a kIndexScan OpNode and outlive the stage.
   IndexScanStage(StageHost* host, uint64_t qid, uint32_t node_id,
                  const OpNode* node);
+  ~IndexScanStage() override;
 
   /// Starts one epoch's range walk, feeding rows into `emit`. A walk still
   /// running from the previous epoch is abandoned (its callbacks are
   /// invalidated by the run token). Completion reports through
   /// StageHost::OnIndexScanDone.
   ///
-  /// Two-phase walk: a scout cursor reads the first kScoutLeaves leaves
-  /// sequentially — the common selective query finishes right there. A
-  /// range that turns out wider fans out into parallel sub-range cursors
-  /// over the remainder, partitioned by the leaf density the scout
-  /// observed, so broad ranges trade O(answer) sequential round-trips for
-  /// O(answer / fan-out) and still close within the result window.
+  /// Two rounds. The scout locates the range's first leaf, starting at the
+  /// node's leaf-depth hint (PhtIndex::leaf_depth_hint()): with a right
+  /// hint that is one probe, and a range inside that leaf ends there. The
+  /// leaf's verified depth d then cuts the rest of the range into
+  /// d-aligned blocks — each the key span of one depth-d trie node — and
+  /// the next round walks them in parallel, one cursor per block, each
+  /// aimed at depth d. Beyond kFanOut blocks, adjacent blocks share a
+  /// cursor. Where the trie is as deep as the scout's leaf, a range of up
+  /// to kFanOut + 1 leaves costs two dependent gets.
   void RunEpoch(const BatchEmitFn& emit);
 
   /// True once the bounds encode for the declared column type. A plan whose
@@ -53,22 +65,27 @@ class IndexScanStage : public Stage {
   bool bounds_ok() const { return bounds_ok_; }
 
  private:
-  /// Leaves the scout walks before fanning out, and the fan-out width.
-  /// The width only matters for broad ranges (selective queries end inside
-  /// the scout); 16 parallel walks keep even a whole-table range inside a
-  /// typical result window — though at that point a cost-based planner
-  /// would pick the broadcast scan anyway.
-  static constexpr uint64_t kScoutLeaves = 8;
+  /// Most cursors one walk runs at once. Past it, adjacent blocks are
+  /// grouped, so a walk costs at most ceil(blocks / kFanOut) leaves per
+  /// cursor in sequence.
   static constexpr int kFanOut = 16;
 
+  /// The node's handle on this trie, or nullptr (no index manager, or the
+  /// table's definition here declares no index on the column).
+  index::PhtIndex* Index();
   index::PhtCursor::GetFn MakeGetFn(uint64_t token);
   index::PhtCursor::RowFn MakeRowFn(const BatchEmitFn& emit);
   void StartCursor(uint64_t lo, uint64_t hi, uint64_t max_leaves,
-                   const BatchEmitFn& emit);
+                   int depth_hint, const BatchEmitFn& emit);
   void OnCursorDone(index::PhtCursor* cursor,
                     index::PhtCursor::Outcome outcome,
                     const BatchEmitFn& emit);
-  void FanOut(uint64_t resume, const BatchEmitFn& emit);
+  /// Round two: walks [resume, hi_key_] in blocks of one depth-`depth`
+  /// trie node each (`resume` is aligned to such a block).
+  void Tile(uint64_t resume, int depth, const BatchEmitFn& emit);
+  /// Frees this epoch's cursors, first counting the leaves of the ones
+  /// still walking (their gets were counted as issued).
+  void DropWalks();
   void ReportDone(bool ok);
 
   StageHost* host_;
@@ -83,7 +100,7 @@ class IndexScanStage : public Stage {
   uint64_t run_token_ = 0;
   std::vector<std::unique_ptr<index::PhtCursor>> cursors_;
   size_t cursors_pending_ = 0;
-  /// Epoch-wide emitted-instance dedup across the scout and its fan-out.
+  /// Epoch-wide emitted-instance dedup across the scout and the blocks.
   std::unordered_set<uint64_t> emitted_;
   bool reported_ = false;
 };

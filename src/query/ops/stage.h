@@ -31,6 +31,10 @@
 #include "sim/event_queue.h"
 
 namespace pier {
+namespace index {
+class IndexManager;
+}  // namespace index
+
 namespace query {
 namespace ops {
 
@@ -51,6 +55,9 @@ class StageHost {
   virtual uint32_t self_host() const = 0;
   virtual const EngineOptions& engine_options() const = 0;
   virtual EngineStats* mutable_stats() = 0;
+  /// This node's PHT handles (their leaf-depth hints aim index scans);
+  /// nullptr on an engine run without indexing.
+  virtual index::IndexManager* index_manager() = 0;
   /// This node's current dissemination-tree depth for `qid` (refresh
   /// broadcasts can reparent a node between epochs).
   virtual int QueryDepth(uint64_t qid) const = 0;

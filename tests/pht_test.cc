@@ -9,7 +9,9 @@
 //     max-depth bucket);
 //   - seed-replay determinism: the same seed rebuilds the same trie and
 //     returns the same rows, logged via Rng::seed() SCOPED_TRACE like the
-//     other fuzz suites.
+//     other fuzz suites;
+//   - a cursor's depth hint aims its probes and nothing else: from any
+//     starting depth it reads the same rows.
 
 #include <gtest/gtest.h>
 
@@ -385,6 +387,49 @@ TEST(PhtTrieTest, SeedReplayIsDeterministic) {
   auto second = run(seed);
   EXPECT_EQ(first.first, second.first);
   EXPECT_EQ(first.second, second.second);
+}
+
+TEST(PhtCursorTest, AnyDepthHintReadsTheExactRange) {
+  // Two regions whose leaves sit at different depths: 60 keys 50 apart
+  // (leaves of 256 keys) and 60 keys one apart (leaves of 8 keys).
+  Deployment d(4, 525252);
+  std::multiset<int64_t> published;
+  for (int i = 0; i < 120; ++i) {
+    int64_t v = i < 60 ? 50 * i : 100000 + i;
+    published.insert(v);
+    ASSERT_TRUE(d.net->node(i % d.net->size())
+                    ->query_engine()
+                    ->Publish("points",
+                              Tuple{Value::Int64(v), Value::Int64(i)})
+                    .ok());
+  }
+  d.net->RunFor(Seconds(40));
+
+  const std::string ns = PhtIndex::NamespaceFor("points", 0);
+  dht::Dht* dht = d.net->node(0)->dht();
+  for (int hint : {-1, 0, 1, 32, 55, 56, 57, 61, 63, 64}) {
+    SCOPED_TRACE("hint " + std::to_string(hint));
+    PhtCursor cursor(
+        [dht, ns](const std::string& resource, PhtCursor::GetCb cb) {
+          dht->Get(ns, resource, std::move(cb));
+        },
+        0, std::numeric_limits<uint64_t>::max(), /*max_leaves=*/0, hint);
+    std::vector<Tuple> rows;
+    PhtCursor::Outcome outcome = PhtCursor::Outcome::kError;
+    cursor.Run(
+        [&](const PhtEntry& entry, uint64_t) {
+          Tuple t;
+          if (catalog::TupleFromBytes(entry.tuple_bytes, &t).ok()) {
+            rows.push_back(std::move(t));
+          }
+          return true;
+        },
+        [&](PhtCursor::Outcome o, Status) { outcome = o; });
+    d.net->RunFor(Seconds(30));
+    ASSERT_TRUE(cursor.finished());
+    EXPECT_EQ(outcome, PhtCursor::Outcome::kOk);
+    EXPECT_EQ(FirstCols(rows), published);
+  }
 }
 
 }  // namespace
