@@ -1,5 +1,7 @@
 #include "dht/storage.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace pier {
@@ -16,6 +18,11 @@ constexpr int kPutRetries = 2;
 /// Get retry policy.
 constexpr Duration kGetTimeout = Seconds(2);
 constexpr int kGetRetries = 2;
+/// An owner whose range moved (or that started) this recently may not hold
+/// all of it yet, or only as replicas: its get answers go out unvouched.
+constexpr Duration kRangeSettle = Seconds(30);
+/// kGetResp flags bit: the owner does not vouch for its answer.
+constexpr uint64_t kGetRespUnvouched = 1;
 }  // namespace
 
 Dht::Dht(overlay::Transport* transport, overlay::Router* router,
@@ -39,9 +46,19 @@ Dht::Dht(overlay::Transport* transport, overlay::Router* router,
 
 void Dht::Start() {
   running_ = true;
+  range_start_ = router_->OwnedRangeStart();
+  range_changed_at_ = sim_->now();
   sweep_task_.Start(sim_, kSweepInterval, kSweepInterval, [this] {
     stats_.items_swept += store_.Sweep(sim_->now());
+    NoteRange();
   });
+}
+
+void Dht::NoteRange() {
+  const Id160 start = router_->OwnedRangeStart();
+  if (start == range_start_) return;
+  range_start_ = start;
+  range_changed_at_ = sim_->now();
 }
 
 void Dht::Stop() {
@@ -112,13 +129,32 @@ void Dht::SendPutOnce(const DhtKey& key, const std::string& value,
 
 void Dht::Get(const std::string& ns, const std::string& resource,
               GetCallback cb) {
+  SendGetOnce(ns, resource,
+              [cb = std::move(cb)](Status s, std::vector<DhtItem> items,
+                                   bool /*vouched*/) {
+                cb(std::move(s), std::move(items));
+              },
+              0);
+}
+
+void Dht::GetVouched(const std::string& ns, const std::string& resource,
+                     VouchedGetCallback cb) {
   SendGetOnce(ns, resource, std::move(cb), 0);
 }
 
+bool Dht::HoldsForeignPrimaries(std::string_view ns) const {
+  bool found = false;
+  store_.ForEach(ns, sim_->now(), [&](const StoredItem& item) {
+    found = !item.replica && !router_->IsResponsibleFor(item.key.RoutingKey());
+    return !found;
+  });
+  return found;
+}
+
 void Dht::SendGetOnce(const std::string& ns, const std::string& resource,
-                      GetCallback cb, int attempt) {
+                      VouchedGetCallback cb, int attempt) {
   if (!running_) {
-    cb(Status::Unavailable("dht stopped"), {});
+    cb(Status::Unavailable("dht stopped"), {}, false);
     return;
   }
   ++stats_.gets_sent;
@@ -130,7 +166,7 @@ void Dht::SendGetOnce(const std::string& ns, const std::string& resource,
             SendGetOnce(ns, resource, cb, attempt + 1);
           } else {
             ++stats_.get_failures;
-            cb(s, {});
+            cb(s, {}, false);
           }
           return;
         }
@@ -139,7 +175,7 @@ void Dht::SendGetOnce(const std::string& ns, const std::string& resource,
         uint32_t count = 0;
         if (!r->GetVarint32(&count).ok()) {
           ++stats_.get_failures;
-          cb(Status::Corruption("bad get response"), {});
+          cb(Status::Corruption("bad get response"), {}, false);
           return;
         }
         // `count` is the sender's word: nothing is reserved from it, so a
@@ -150,13 +186,19 @@ void Dht::SendGetOnce(const std::string& ns, const std::string& resource,
           if (!DhtKey::Deserialize(r, &item.key).ok() ||
               !r->GetString(&item.value).ok()) {
             ++stats_.get_failures;
-            cb(Status::Corruption("bad get item"), {});
+            cb(Status::Corruption("bad get item"), {}, false);
             return;
           }
           items.push_back(std::move(item));
         }
+        uint64_t flags = 0;
+        if (!r->GetVarint64(&flags).ok()) {
+          ++stats_.get_failures;
+          cb(Status::Corruption("bad get flags"), {}, false);
+          return;
+        }
         ++stats_.gets_ok;
-        cb(Status::OK(), std::move(items));
+        cb(Status::OK(), std::move(items), (flags & kGetRespUnvouched) == 0);
       },
       kGetTimeout);
 
@@ -226,11 +268,18 @@ void Dht::OnRoutedGet(const overlay::RoutedMessage& m) {
   TimePoint now = sim_->now();
   uint32_t count = 0;
   size_t bytes = 0;
+  bool served_replica = false;
   store_.ForEachAt(ns, resource, now, [&](const StoredItem& item) {
     ++count;
     bytes += item.key.resource.size() + item.value.size() + 24;
+    served_replica |= item.replica;
     return true;
   });
+  NoteRange();
+  const TimePoint settled_at =
+      std::max(range_changed_at_, router_->last_topology_change()) +
+      kRangeSettle;
+  const bool vouched = !served_replica && now >= settled_at;
   Writer w;
   w.Reserve(bytes + 16);
   w.PutU8(static_cast<uint8_t>(MsgType::kGetResp));
@@ -241,6 +290,8 @@ void Dht::OnRoutedGet(const overlay::RoutedMessage& m) {
     w.PutString(item.value);
     return true;
   });
+  // Last, so a response cut short anywhere fails to parse.
+  w.PutVarint64(vouched ? 0 : kGetRespUnvouched);
   transport_->Send(origin, overlay::Proto::kDht, w);
 }
 

@@ -100,6 +100,22 @@ class Dht {
   void Get(const std::string& ns, const std::string& resource,
            GetCallback cb);
 
+  /// Get that also says whether the owner vouched for its answer: it
+  /// served no replica copy, and its owned range has not changed (nor has
+  /// it started) within a settle window. An unvouched answer may be short:
+  /// the DHT hands nothing over on join (the old owner keeps the
+  /// primaries), and a range taken over from a failed node survives only
+  /// as replicas, which are pushed without an ack.
+  using VouchedGetCallback =
+      std::function<void(Status, std::vector<DhtItem>, bool vouched)>;
+  void GetVouched(const std::string& ns, const std::string& resource,
+                  VouchedGetCallback cb);
+
+  /// True when this node holds a live primary copy under `ns` whose key it
+  /// no longer owns: its range shrank after the item was stored, so a get
+  /// for that key reaches a node that lacks it.
+  bool HoldsForeignPrimaries(std::string_view ns) const;
+
   /// PIER's "lscan": visits this node's local slice of a namespace in
   /// place (no value copies); `fn(const StoredItem&)` returns false to
   /// stop early.
@@ -141,6 +157,8 @@ class Dht {
   // Direct (non-routed) message types under Proto::kDht.
   enum class MsgType : uint8_t {
     kPutAck = 1,
+    /// [req id][count]([key][value])*count[flags]; flags bit 0: the owner
+    /// does not vouch for its answer (see GetVouched).
     kGetResp = 2,
     kReplicate = 3,
   };
@@ -151,8 +169,11 @@ class Dht {
   void SendPutOnce(const DhtKey& key, const std::string& value, Duration ttl,
                    bool replicate, PutCallback done, int attempt);
   void SendGetOnce(const std::string& ns, const std::string& resource,
-                   GetCallback cb, int attempt);
+                   VouchedGetCallback cb, int attempt);
   void ReplicateOut(const StoredItem& item);
+  /// Samples the router's range start, stamping range_changed_at_ when it
+  /// moved (the one-hop router keeps no topology clock of its own).
+  void NoteRange();
 
   overlay::Transport* transport_;
   overlay::Router* router_;
@@ -163,6 +184,11 @@ class Dht {
   bool running_ = false;
   DhtStats stats_;
   std::unordered_map<std::string, ArrivalFn> arrival_subscribers_;
+  /// This node's owned range as last sampled, and when it last moved (or
+  /// the DHT started): an owner vouches for a get only once both it and
+  /// the router's topology clock are a settle window old.
+  Id160 range_start_;
+  TimePoint range_changed_at_ = 0;
 };
 
 }  // namespace dht

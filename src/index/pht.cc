@@ -1,5 +1,7 @@
 #include "index/pht.h"
 
+#include <algorithm>
+
 #include "common/hash.h"
 
 namespace pier {
@@ -264,7 +266,10 @@ void PhtIndex::Split(const std::string& prefix,
                      const dht::StoredItem& incoming) {
   ++stats_.splits;
   known_internal_.insert(prefix);
-  leaf_depth_hint_ = static_cast<int>(prefix.size()) + 1;
+  // Only deepens: a shallow split (the root's, say) says nothing about how
+  // deep the rest of the trie's leaves sit.
+  leaf_depth_hint_ =
+      std::max(leaf_depth_hint_, static_cast<int>(prefix.size()) + 1);
   // Immediate local transition so every subsequent arrival forwards, then a
   // routed self-put so the internal marker is replicated like any item.
   TouchMarker(prefix, /*internal=*/true);

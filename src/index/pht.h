@@ -40,8 +40,8 @@
 //
 // Each handle also keeps one leaf-depth hint for its trie: the depth of the
 // last leaf this node saw, learned at no message cost. The owner side
-// writes it when it stores an entry at a leaf or materializes a split's
-// children, so a node that owns any leaf starts its first index query
+// writes it when it stores an entry at a leaf, and a split's children
+// deepen it, so a node that owns any leaf starts its first index query
 // warm; the query runtime writes it when a cursor classifies a leaf. A
 // cursor's first probe lands there. The hint only aims probes — every
 // probe still classifies what it finds, so a wrong hint costs probes,
@@ -124,8 +124,8 @@ class PhtIndex {
   int bucket_size() const { return bucket_size_; }
   const PhtStats& stats() const { return stats_; }
 
-  /// Depth of the last leaf this node stored at, split into or saw a
-  /// cursor classify; -1 until then.
+  /// Depth of the last leaf this node stored at or saw a cursor classify,
+  /// or of a split's children when deeper; -1 until then.
   int leaf_depth_hint() const { return leaf_depth_hint_; }
   void set_leaf_depth_hint(int depth) { leaf_depth_hint_ = depth; }
 

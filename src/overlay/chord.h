@@ -104,6 +104,9 @@ class ChordNode : public Router {
   void Route(const Id160& key, uint8_t app_tag, sim::Payload payload) override;
   bool IsResponsibleFor(const Id160& key) const override;
   NodeInfo self() const override { return self_; }
+  Id160 OwnedRangeStart() const override {
+    return pred_.has_value() ? pred_->id : self_.id;
+  }
   std::vector<NodeInfo> RoutingNeighbors() const override;
   void Lookup(const Id160& key, LookupCallback cb) override;
   bool SuspectBetween(const Id160& from, const Id160& to) const override;

@@ -9,6 +9,7 @@
 #ifndef PIER_OVERLAY_ONE_HOP_H_
 #define PIER_OVERLAY_ONE_HOP_H_
 
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -31,6 +32,14 @@ class Directory {
     auto it = ring_.lower_bound(key);
     if (it == ring_.end()) it = ring_.begin();  // wrap
     return it->second;
+  }
+
+  /// The live node before `id` in ring order (`id` itself when alone).
+  Id160 Predecessor(const Id160& id) const {
+    if (ring_.empty()) return id;
+    auto it = ring_.lower_bound(id);
+    if (it == ring_.begin()) it = ring_.end();  // wrap
+    return std::prev(it)->first;
   }
 
   /// All live nodes in ring order.
@@ -64,6 +73,9 @@ class OneHopRouter : public Router {
   void Route(const Id160& key, uint8_t app_tag, sim::Payload payload) override;
   bool IsResponsibleFor(const Id160& key) const override;
   NodeInfo self() const override { return self_; }
+  Id160 OwnedRangeStart() const override {
+    return directory_->Predecessor(self_.id);
+  }
   std::vector<NodeInfo> RoutingNeighbors() const override;
   void Lookup(const Id160& key, LookupCallback cb) override;
 

@@ -54,6 +54,13 @@ class Router {
   /// This node's identity.
   virtual NodeInfo self() const = 0;
 
+  /// Where the key range this node believes it owns starts: it takes keys
+  /// in (OwnedRangeStart(), self().id]. self().id means the whole ring
+  /// (no predecessor known). A join's rendezvous reports the range it
+  /// consumed under, so that an origin can see two nodes that each took
+  /// the same key.
+  virtual Id160 OwnedRangeStart() const = 0;
+
   /// Live routing neighbors, deduplicated, for building dissemination trees:
   /// successors first, then fingers in increasing clockwise distance.
   virtual std::vector<NodeInfo> RoutingNeighbors() const = 0;

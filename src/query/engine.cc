@@ -1,6 +1,7 @@
 #include "query/engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "common/backoff.h"
@@ -46,6 +47,23 @@ constexpr size_t kMaxPlanOperators = 64;
 /// reported" over its shrunken ring. Sized so a one-shot query issued
 /// within ~window - result_wait of a split cannot certify in its window.
 constexpr Duration kCertifyStabilityWindow = Seconds(30);
+
+/// True when two of the ownership ranges (from, to] overlap. Sorted by
+/// their ends, two ranges overlap exactly when some range holds the end
+/// before its own.
+bool RangesOverlap(std::vector<std::pair<Id160, Id160>> ranges) {
+  if (ranges.size() < 2) return false;
+  std::sort(ranges.begin(), ranges.end(),
+            [](const auto& a, const auto& b) { return a.second < b.second; });
+  for (size_t i = 0; i < ranges.size(); ++i) {
+    const Id160& prev_end =
+        ranges[(i + ranges.size() - 1) % ranges.size()].second;
+    if (prev_end.InIntervalOpenClosed(ranges[i].first, ranges[i].second)) {
+      return true;
+    }
+  }
+  return false;
+}
 
 /// Starts a result or partial message: [type][qid][epoch], then its rows.
 Writer DataMessage(MsgType type, uint64_t qid, uint64_t epoch) {
@@ -121,6 +139,11 @@ struct QueryEngine::ActiveQuery {
     uint64_t frames_to_origin = 0;
     uint64_t retried = 0;
     uint64_t lost = 0;
+    /// Join graphs: the member's books per join node, and the ownership
+    /// range (from, self] it consumed arrivals under, if it consumed any.
+    std::map<uint32_t, JoinBooks> books;
+    std::optional<std::pair<Id160, Id160>> range;
+    bool range_moved = false;
   };
   std::map<uint32_t, MemberReport> reports;
   /// Members that refused the plan at admission.
@@ -153,6 +176,17 @@ struct QueryEngine::ActiveQuery {
   /// Origin-side: waves this query broadcast incomplete (parts lost/late
   /// or coverage unknown at bloom_wait) — those edges ran the full rehash.
   uint64_t filter_waves_degraded = 0;
+
+  // -- join books ------------------------------------------------------------
+  /// A settle check is queued (OnJoinProgress runs one per tick).
+  bool settle_check_queued = false;
+  /// Member: the last report sent; a join member reports again only when
+  /// its report would change.
+  std::string last_report;
+  /// When the join installed here, and where this node's key range
+  /// started then (see RangeMoved).
+  TimePoint installed_at = 0;
+  Id160 range_from;
 };
 
 // ---------------------------------------------------------------------------
@@ -630,6 +664,10 @@ void QueryEngine::OnFrameAck(Reader* r) {
 
 void QueryEngine::OnOutboxDrained(ActiveQuery* aq) {
   if (aq->is_origin || !aq->runtime->accountable()) return;
+  if (aq->runtime->keeps_books()) {
+    SendEpochReport(aq);  // checks that the joins have settled
+    return;
+  }
   // A drained outbox means nothing while this epoch's scheduled scans are
   // still queued: more data frames are coming, and an early "done" claim
   // would let the origin certify an answer missing them.
@@ -638,18 +676,104 @@ void QueryEngine::OnOutboxDrained(ActiveQuery* aq) {
 }
 
 void QueryEngine::SendEpochReport(ActiveQuery* aq) {
+  const bool books = aq->runtime->keeps_books();
+  // A join member has nothing to claim while it still owes a rehash put,
+  // a fetch, or a data frame to the origin.
+  if (books && (!aq->runtime->Settled() || !aq->outbox.data_drained())) {
+    return;
+  }
   Writer w;
   w.PutU8(static_cast<uint8_t>(MsgType::kEpochReport));
   w.PutVarint64(aq->env.query_id);
   w.PutVarint64(CurrentEpoch(*aq));
   w.PutVarint64(aq->outbox.data_to_origin);
   w.PutVarint64(aq->outbox.retried);
-  w.PutVarint64(aq->outbox.lost);
-  // Flags bit 0: a budget tripped here — rides the report so an origin that
-  // missed the kBudgetTrip frame still learns of the degradation.
-  w.PutVarint64(aq->budget_tripped ? 1 : 0);
+  w.PutVarint64(aq->outbox.lost + aq->runtime->JoinLosses());
+  // A budget trip rides the report so an origin that missed the
+  // kBudgetTrip frame still learns of the degradation.
+  uint64_t flags = aq->budget_tripped ? kReportBudgetTripped : 0;
+  if (!books) {
+    w.PutVarint64(flags);
+  } else {
+    flags |= kReportBooks | (RangeMoved(*aq) ? kReportRangeMoved : 0);
+    w.PutVarint64(flags);
+    const std::vector<JoinBooks> all = aq->runtime->Books();
+    bool consumed = false;
+    w.PutVarint64(all.size());
+    for (const JoinBooks& b : all) {
+      w.PutVarint32(b.join_node);
+      w.PutVarint64(b.shipped);
+      w.PutVarint64(b.consumed);
+      consumed |= b.consumed > 0;
+    }
+    // Only a consumer's range can split a rendezvous.
+    w.PutBool(consumed);
+    if (consumed) {
+      aq->range_from.Serialize(&w);
+      router_->self().id.Serialize(&w);
+    }
+    if (w.buffer() == aq->last_report) return;
+    aq->last_report = w.buffer();
+  }
   ++stats_.epoch_reports_sent;
   SendReliable(aq, aq->env.origin, std::move(w), /*control=*/true);
+}
+
+bool QueryEngine::RangeMoved(const ActiveQuery& aq) const {
+  // Chord stamps every predecessor change, a reset included, so a move
+  // that went away again still shows; the one-hop directory keeps no such
+  // clock, and its range is compared instead.
+  const TimePoint changed = router_->last_topology_change();
+  return (changed != 0 && changed >= aq.installed_at) ||
+         router_->OwnedRangeStart() != aq.range_from ||
+         aq.runtime->InnerRowsOutOfReach();
+}
+
+bool QueryEngine::JoinBooksBalance(const ActiveQuery& aq) const {
+  if (aq.runtime->JoinLosses() > 0 || RangeMoved(aq)) return false;
+  std::map<uint32_t, std::pair<uint64_t, uint64_t>> sums;  // shipped, consumed
+  std::vector<std::pair<Id160, Id160>> ranges;
+  bool consumed = false;
+  for (const JoinBooks& b : aq.runtime->Books()) {
+    sums[b.join_node].first += b.shipped;
+    sums[b.join_node].second += b.consumed;
+    consumed |= b.consumed > 0;
+  }
+  if (consumed) ranges.emplace_back(aq.range_from, router_->self().id);
+  for (const auto& [host, rep] : aq.reports) {
+    if (rep.range_moved) return false;
+    for (const auto& [node, b] : rep.books) {
+      sums[node].first += b.shipped;
+      sums[node].second += b.consumed;
+    }
+    if (rep.range.has_value()) ranges.push_back(*rep.range);
+  }
+  for (const auto& [node, sum] : sums) {
+    if (sum.first != sum.second) return false;
+  }
+  return !RangesOverlap(std::move(ranges));
+}
+
+void QueryEngine::OnJoinProgress(uint64_t qid) {
+  auto it = queries_.find(qid);
+  if (it == queries_.end() || it->second->settle_check_queued ||
+      it->second->runtime == nullptr || !it->second->runtime->keeps_books()) {
+    return;
+  }
+  it->second->settle_check_queued = true;
+  // A tick later: the change may be mid-cascade (a consumed arrival's
+  // joined rows still being rehashed or sent further up this very stack).
+  ScheduleEngineTimer(0, [this, qid] {
+    auto qit = queries_.find(qid);
+    if (qit == queries_.end()) return;
+    ActiveQuery* aq = qit->second.get();
+    aq->settle_check_queued = false;
+    if (aq->is_origin) {
+      MaybeEarlyFinalize(aq);
+    } else {
+      SendEpochReport(aq);
+    }
+  });
 }
 
 void QueryEngine::OnCoverage(sim::HostId origin, uint64_t seq,
@@ -673,6 +797,7 @@ void QueryEngine::OnCoverage(sim::HostId origin, uint64_t seq,
   aq->members_expected = members;
   aq->coverage_complete = complete && vouched;
   if (!vouched) aq->unvouched_epochs.insert(epoch);
+  aq->runtime->OnCoverageKnown();
   MaybeEarlyFinalize(aq);
 }
 
@@ -695,9 +820,13 @@ void QueryEngine::MaybeEarlyFinalize(ActiveQuery* aq) {
     return;
   }
   const uint64_t epoch = eit->first;
-  // The origin's own scheduled scans must have drained: its own rows are
-  // part of the answer being certified.
-  if (aq->scans_done_epoch < static_cast<int64_t>(epoch)) return;
+  // The origin's own part must be done: its scheduled scans drained, or,
+  // for joins, nothing it owes still outstanding.
+  const bool books = aq->runtime->keeps_books();
+  if (books ? !aq->runtime->Settled()
+            : aq->scans_done_epoch < static_cast<int64_t>(epoch)) {
+    return;
+  }
   if (aq->unvouched_epochs.count(epoch) != 0) return;
   if (counted) {
     // Every covered member's partial, the origin's own included, is folded
@@ -715,6 +844,7 @@ void QueryEngine::MaybeEarlyFinalize(ActiveQuery* aq) {
       uint64_t admitted = rx == aq->rx_data_frames.end() ? 0 : rx->second;
       if (admitted < rep.frames_to_origin) return;  // data still in flight
     }
+    if (books && !JoinBooksBalance(*aq)) return;
   }
   // A recently changed overlay neighborhood means this node's "everyone"
   // may be one side of a partition (the minority ring's cover wave returns
@@ -923,7 +1053,7 @@ Completeness QueryEngine::BuildCompleteness(ActiveQuery* aq, uint64_t epoch,
     c.frames_lost += rep.lost;
   }
   c.frames_retried += aq->outbox.retried;
-  c.frames_lost += aq->outbox.lost;
+  c.frames_lost += aq->outbox.lost + aq->runtime->JoinLosses();
   c.filter_waves_degraded = aq->filter_waves_degraded;
   c.exact = exact_certified && aq->filter_waves_degraded == 0;
   return c;
@@ -1258,6 +1388,8 @@ void QueryEngine::InstallQuery(const PlanEnvelope& env, sim::HostId parent,
   } else {
     // Joins and recursion set up once: subscribe this node's exchange
     // namespaces, then let the stages produce.
+    aq->installed_at = sim_->now();
+    aq->range_from = router_->OwnedRangeStart();
     uint64_t qid = env.query_id;
     for (const std::string& ns : aq->runtime->Namespaces()) {
       dht_->SubscribeArrivals(ns,
@@ -1346,6 +1478,32 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
       auto it = queries_.find(qid);
       if (it == queries_.end() || !it->second->is_origin) return;
       ActiveQuery* aq = it->second.get();
+      std::vector<JoinBooks> books;
+      std::optional<std::pair<Id160, Id160>> range;
+      if (flags & kReportBooks) {
+        // Every join node of the plan at most once: a hostile count fails
+        // on the graph's size, not on memory.
+        uint64_t n = 0;
+        if (!r->GetVarint64(&n).ok() || n > aq->env.plan.graph.size()) return;
+        for (uint64_t i = 0; i < n; ++i) {
+          JoinBooks b;
+          if (!r->GetVarint32(&b.join_node).ok() ||
+              !r->GetVarint64(&b.shipped).ok() ||
+              !r->GetVarint64(&b.consumed).ok()) {
+            return;
+          }
+          books.push_back(b);
+        }
+        bool has_range = false;
+        if (!r->GetBool(&has_range).ok()) return;
+        if (has_range) {
+          range.emplace();
+          if (!Id160::Deserialize(r, &range->first).ok() ||
+              !Id160::Deserialize(r, &range->second).ok()) {
+            return;
+          }
+        }
+      }
       ++stats_.epoch_reports_received;
       // Counters are cumulative; component-wise max makes retransmit
       // reorderings harmless.
@@ -1354,7 +1512,17 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
       rep.frames_to_origin = std::max(rep.frames_to_origin, frames);
       rep.retried = std::max(rep.retried, retried);
       rep.lost = std::max(rep.lost, lost);
-      if (flags & 1) aq->budget_tripped_members.insert(from);
+      for (const JoinBooks& b : books) {
+        JoinBooks& have = rep.books[b.join_node];
+        have.join_node = b.join_node;
+        have.shipped = std::max(have.shipped, b.shipped);
+        have.consumed = std::max(have.consumed, b.consumed);
+      }
+      if (range.has_value()) rep.range = range;
+      if (flags & kReportRangeMoved) rep.range_moved = true;
+      if (flags & kReportBudgetTripped) {
+        aq->budget_tripped_members.insert(from);
+      }
       MaybeEarlyFinalize(aq);
       return;
     }

@@ -154,6 +154,7 @@ class QueryEngine : public ops::StageHost {
   void OnIndexScanDone(uint64_t qid, bool ok) override;
   void SubmitScan(ScanWork work) override;
   void OnEpochScansDone(uint64_t qid, uint64_t epoch) override;
+  void OnJoinProgress(uint64_t qid) override;
   bool ChargeRehashPuts(uint64_t qid, uint64_t n) override;
   bool ChargeResultRow(uint64_t qid, uint64_t held) override;
 
@@ -187,7 +188,19 @@ class QueryEngine : public ops::StageHost {
   /// Member side: the reliable outbox just drained of data frames — tell
   /// the origin how much this member has contributed so far.
   void OnOutboxDrained(ActiveQuery* aq);
+  /// Sends this member's completion claim. A join member's claim goes out
+  /// only once it has settled, and again only when it changed.
   void SendEpochReport(ActiveQuery* aq);
+  /// Join graphs: this node's key range may have moved since the join
+  /// installed here (its ring neighbourhood changed, or its range start
+  /// differs), or, under fetch-matches, it holds inner rows no probe can
+  /// reach. A member reports it; the origin refuses to certify on it.
+  bool RangeMoved(const ActiveQuery& aq) const;
+  /// Origin, join graphs: summed over its own books and every member's
+  /// report, each join's shipped frames equal its consumed arrivals,
+  /// nothing was lost, no range moved, and no two consumers claimed the
+  /// same key range.
+  bool JoinBooksBalance(const ActiveQuery& aq) const;
   /// Origin side: finalize the oldest open epoch before its result window
   /// closes if every covered member has reported it complete and
   /// loss-free, or (scan-fed aggregation) the root has folded in exactly

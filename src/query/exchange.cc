@@ -34,12 +34,22 @@ void RehashExchange::PublishValue(const std::string& resource,
   // Temp tuples skip replication: cheap to recreate, dead within the query.
   // The non-null callback makes the put acked and retried (the DHT's own
   // retry plane), so a single lost message no longer drops join state; the
-  // owner-side arrival dedupe absorbs any retry duplicates.
-  EngineStats* stats = host_->mutable_stats();
+  // owner-side arrival dedupe absorbs any retry duplicates. The owner
+  // hands an arrival to its join (or stores it for the join's catch-up)
+  // before it acks, so an acked put is on the consumer's books before it
+  // is on ours.
+  ++puts_->in_flight;
   host_->dht()->PutEx(dht::DhtKey{ns_, resource, instance}, std::move(value),
                       kTempTtl, /*replicate=*/false,
-                      [stats](Status s) {
-                        if (!s.ok()) ++stats->rehash_put_failures;
+                      [puts = puts_, host = host_, qid = qid_](Status s) {
+                        --puts->in_flight;
+                        if (s.ok()) {
+                          ++puts->acked;
+                        } else {
+                          ++puts->failed;
+                          ++host->mutable_stats()->rehash_put_failures;
+                        }
+                        host->OnJoinProgress(qid);
                       });
 }
 

@@ -24,6 +24,7 @@
 #ifndef PIER_QUERY_EXCHANGE_H_
 #define PIER_QUERY_EXCHANGE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,11 +65,22 @@ class RehashExchange {
   static Status DecodeArrival(const dht::StoredItem& item, int* side,
                               std::vector<catalog::Tuple>* rows);
 
+  /// This exchange's puts as the DHT resolved them: the shipped side of a
+  /// join's books, and what it still owes.
+  struct Puts {
+    uint64_t in_flight = 0;
+    uint64_t acked = 0;
+    uint64_t failed = 0;  ///< out of DHT retries: the frame is lost
+  };
+  const Puts& puts() const { return *puts_; }
+
  private:
   ops::StageHost* host_;
   uint64_t qid_;
   std::string ns_;
   uint64_t seq_ = 1;
+  /// Shared with the put callbacks, which can outlive the exchange.
+  std::shared_ptr<Puts> puts_ = std::make_shared<Puts>();
 };
 
 }  // namespace query

@@ -12,7 +12,7 @@ using catalog::Tuple;
 
 namespace {
 const std::string kNoNamespace;
-/// Origin: bloom_wait elapsed — account the wave and broadcast the union.
+/// Origin: bloom_wait elapsed — close the wave as it stands.
 constexpr uint64_t kBloomBroadcastToken = 0;
 /// Every node: the distribution never arrived — produce the full rehash.
 constexpr uint64_t kBloomFallbackToken = 1;
@@ -65,7 +65,7 @@ std::vector<int> RendezvousKeys(const OpNode& node, int side) {
 JoinStage::JoinStage(StageHost* host, uint64_t qid, uint32_t node_id,
                      const OpNode* node, const OpNode* left_scan,
                      const OpNode* right_scan, bool is_origin,
-                     uint32_t origin_host)
+                     uint32_t origin_host, int swept_inputs)
     : host_(host),
       qid_(qid),
       node_id_(node_id),
@@ -74,7 +74,8 @@ JoinStage::JoinStage(StageHost* host, uint64_t qid, uint32_t node_id,
       right_scan_(right_scan),
       is_origin_(is_origin),
       origin_host_(origin_host),
-      join_(RendezvousKeys(*node, 0), RendezvousKeys(*node, 1)) {
+      join_(RendezvousKeys(*node, 0), RendezvousKeys(*node, 1)),
+      scans_pending_(swept_inputs) {
   if (node_->strategy != JoinStrategy::kFetchMatches) {
     exchange_ = std::make_unique<RehashExchange>(host_, qid_, node_id_);
   }
@@ -97,23 +98,49 @@ void JoinStage::InitOrigin() {
                             node_id_, kBloomBroadcastToken);
 }
 
+bool JoinStage::Settled() const {
+  // Every join sweeps an input here, so this also waits for Start.
+  return scans_pending_ == 0 &&
+         (node_->strategy != JoinStrategy::kBloom || phase2_done_) &&
+         pending_matches_.empty() && pending_gets_ == 0 &&
+         (exchange_ == nullptr || exchange_->puts().in_flight == 0);
+}
+
+JoinBooks JoinStage::books() const {
+  JoinBooks b;
+  b.join_node = node_id_;
+  b.shipped = exchange_ != nullptr ? exchange_->puts().acked : 0;
+  b.consumed = consumed_;
+  return b;
+}
+
+uint64_t JoinStage::lost() const {
+  return lost_ + (exchange_ != nullptr ? exchange_->puts().failed : 0);
+}
+
+void JoinStage::CloseWave(bool deadline) {
+  if (!is_origin_ || collect_left_ == nullptr || wave_closed_) return;
+  uint64_t expected = 0;
+  bool covered = false;
+  host_->QueryCoverage(qid_, &expected, &covered);
+  // The origin's own part went straight into the collectors once its
+  // scans were in. Parts come only from nodes the plan reached, so once
+  // the senders and the origin number the covered members, every part is
+  // in.
+  const uint64_t reported = static_cast<uint64_t>(part_senders_.size()) +
+                            (scans_pending_ == 0 ? 1 : 0);
+  const bool complete = covered && expected > 0 && reported >= expected;
+  if (!complete && !deadline) return;
+  wave_closed_ = true;
+  host_->BroadcastBloomFilters(qid_, node_id_, expected, reported, complete,
+                               *collect_left_, *collect_right_);
+}
+
 void JoinStage::OnTimer(uint64_t token) {
   if (token == kBloomBroadcastToken) {
-    // Bloom collection window over: close the wave, account the parts
-    // against the plan broadcast's confirmed coverage, and redistribute
-    // the union network-wide with the verdict.
-    if (!is_origin_ || collect_left_ == nullptr || wave_closed_) return;
-    wave_closed_ = true;
-    uint64_t expected = 0;
-    bool covered = false;
-    host_->QueryCoverage(qid_, &expected, &covered);
-    // The origin's own part went straight into the collectors once its
-    // scans were in.
-    uint64_t reported = static_cast<uint64_t>(part_senders_.size()) +
-                        (scans_pending_ == 0 ? 1 : 0);
-    bool complete = covered && expected > 0 && reported >= expected;
-    host_->BroadcastBloomFilters(qid_, node_id_, expected, reported,
-                                 complete, *collect_left_, *collect_right_);
+    // Collection window over with parts still missing: the wave goes out
+    // flagged incomplete, and the edge runs the full rehash.
+    CloseWave(/*deadline=*/true);
     return;
   }
   if (token == kBloomFallbackToken) {
@@ -160,9 +187,9 @@ void JoinStage::Consume(int side, exec::RowBatch& b) {
 }
 
 void JoinStage::OnScanDone() {
-  if (node_->strategy != JoinStrategy::kBloom || --scans_pending_ != 0) {
-    return;
-  }
+  --scans_pending_;
+  host_->OnJoinProgress(qid_);
+  if (node_->strategy != JoinStrategy::kBloom || scans_pending_ != 0) return;
   // Phase 1 is whole: this node's part goes into the origin's union.
   if (is_origin_) {
     if (collect_left_ != nullptr) (void)collect_left_->UnionWith(*part_[0]);
@@ -181,6 +208,7 @@ void JoinStage::OnScanDone() {
   }
   part_[0].reset();
   part_[1].reset();
+  CloseWave(/*deadline=*/false);
   MaybeProduceBloomPhase2();
 }
 
@@ -200,6 +228,7 @@ void JoinStage::OnBloomPart(uint32_t from, const BloomPartFrame& frame) {
   if (!ok) return;
   part_senders_.insert(from);
   ++host_->mutable_stats()->bloom_parts_received;
+  CloseWave(/*deadline=*/false);
 }
 
 void JoinStage::OnBloomDist(BloomDistFrame frame) {
@@ -215,7 +244,8 @@ void JoinStage::OnBloomDist(BloomDistFrame frame) {
 }
 
 void JoinStage::MaybeProduceBloomPhase2() {
-  if (!wave_decided_ || scans_pending_ > 0) return;
+  if (!wave_decided_ || scans_pending_ > 0 || phase2_done_) return;
+  phase2_done_ = true;
   for (int side : {0, 1}) {
     // Each side is suppressed by the other side's union.
     const BloomFilter* suppress =
@@ -243,6 +273,7 @@ void JoinStage::MaybeProduceBloomPhase2() {
       exchange_->PublishBatch(side, keys(side), b);
     }
   }
+  host_->OnJoinProgress(qid_);
 }
 
 void JoinStage::RehashKeyProjection(int side, exec::RowBatch& b) {
@@ -286,19 +317,35 @@ void JoinStage::ProbeMatches(const exec::RowBatch& b) {
     b.ToTuple(b.RowId(i), &probe);
     std::string resource = catalog::ResourceForCols(probe, node_->left_keys);
     ++host_->mutable_stats()->fetch_gets;
+    ++pending_gets_;
     StageHost* host = host_;
     uint64_t qid = qid_;
     uint32_t node_id = node_id_;
-    host_->dht()->Get(
+    host_->dht()->GetVouched(
         right_scan_->table, resource,
-        [host, qid, node_id, probe](Status s,
-                                    std::vector<dht::DhtItem> items) {
-          if (!s.ok()) return;
+        [host, qid, node_id, probe](
+            Status s, std::vector<dht::DhtItem> items, bool vouched) {
           host->PostToStage(qid, node_id, [&](Stage* stage) {
-            static_cast<JoinStage*>(stage)->ResolveFetchMatches(probe, items);
+            static_cast<JoinStage*>(stage)->OnProbeDone(s, vouched, probe,
+                                                        items);
           });
         });
   }
+}
+
+void JoinStage::OnProbeDone(const Status& s, bool vouched, const Tuple& probe,
+                            const std::vector<dht::DhtItem>& items) {
+  --pending_gets_;
+  if (s.ok()) ResolveFetchMatches(probe, items);
+  // Out of retries, the probe's matches are gone; from an owner that could
+  // not vouch for its range, they may be short.
+  if (!s.ok() || !vouched) ++lost_;
+  host_->OnJoinProgress(qid_);
+}
+
+bool JoinStage::InnerRowsOutOfReach() const {
+  return node_->strategy == JoinStrategy::kFetchMatches &&
+         host_->dht()->HoldsForeignPrimaries(right_scan_->table);
 }
 
 void JoinStage::ResolveFetchMatches(const Tuple& probe,
@@ -333,12 +380,18 @@ void JoinStage::ResolveFetchMatches(const Tuple& probe,
 void JoinStage::OnArrival(const dht::StoredItem& item) {
   int side = 0;
   std::vector<Tuple> rows;
-  if (!RehashExchange::DecodeArrival(item, &side, &rows).ok()) return;
-  for (const Tuple& t : rows) {
-    join_.Insert(side, t, [this](const Tuple& joined) {
-      HandleJoinOutput(joined);
-    });
+  if (RehashExchange::DecodeArrival(item, &side, &rows).ok()) {
+    ++consumed_;
+    for (const Tuple& t : rows) {
+      join_.Insert(side, t, [this](const Tuple& joined) {
+        HandleJoinOutput(joined);
+      });
+    }
+  } else {
+    // Its shipper's put was acked: the frame's rows are lost here.
+    ++lost_;
   }
+  host_->OnJoinProgress(qid_);
 }
 
 void JoinStage::HandleJoinOutput(const Tuple& joined) {
@@ -414,7 +467,10 @@ void JoinStage::OnFetchResp(Reader* r) {
   auto pm = pending_matches_.find(match_id);
   if (pm == pending_matches_.end()) return;
   if (!found) {
+    // The shipper no longer holds the row: the match is lost for good.
     pending_matches_.erase(pm);
+    ++lost_;
+    host_->OnJoinProgress(qid_);
     return;
   }
   Tuple t;
@@ -433,6 +489,7 @@ void JoinStage::OnFetchResp(Reader* r) {
     pending_matches_.erase(pm);
     // Route through the standard full-row path (residual + project).
     EmitJoined(joined);
+    host_->OnJoinProgress(qid_);
   }
 }
 

@@ -10,6 +10,16 @@ namespace ops {
 
 using catalog::Tuple;
 
+namespace {
+/// A scan feeding a join or recursion is swept once, at install, except a
+/// fetch-matches join's inner relation, which is probed by DHT get.
+bool SweptAtInstall(const OpNode& consumer, uint32_t input) {
+  return consumer.type == OpType::kRecurse ||
+         consumer.strategy != JoinStrategy::kFetchMatches ||
+         consumer.inputs[0] == input;
+}
+}  // namespace
+
 QueryRuntime::QueryRuntime(StageHost* host, const PlanEnvelope* env,
                            bool is_origin)
     : host_(host),
@@ -60,9 +70,12 @@ Status QueryRuntime::Init() {
           return Status::InvalidArgument(
               "chained joins require the symmetric-hash strategy");
         }
+        const int swept =
+            (left_scan != nullptr && SweptAtInstall(n, n.inputs[0]) ? 1 : 0) +
+            (SweptAtInstall(n, n.inputs[1]) ? 1 : 0);
         auto stage = std::make_unique<JoinStage>(
             host_, qid_, id, &n, left_scan, right_scan, is_origin_,
-            env_->origin);
+            env_->origin, swept);
         joins_.push_back(stage.get());
         if (!stage->ns().empty()) ns_to_stage_[stage->ns()] = id;
         stages_[id] = std::move(stage);
@@ -102,13 +115,7 @@ Status QueryRuntime::Init() {
         if (cons < 0) break;
         const OpNode& c = graph_->nodes[cons];
         if (c.type == OpType::kJoin || c.type == OpType::kRecurse) {
-          // Join and recursion inputs are swept once, at install.
-          // Fetch-matches probes its inner relation by DHT get instead.
-          if (c.type == OpType::kRecurse ||
-              c.strategy != JoinStrategy::kFetchMatches ||
-              c.inputs[0] == id) {
-            start_scans_.push_back(id);
-          }
+          if (SweptAtInstall(c, id)) start_scans_.push_back(id);
         } else {
           epochal_scans_.push_back(id);
         }
@@ -468,6 +475,38 @@ void QueryRuntime::OnBloomDist(BloomDistFrame frame) {
   }
   Stage* s = stage(frame.join_node);
   if (s != nullptr) static_cast<JoinStage*>(s)->OnBloomDist(std::move(frame));
+}
+
+bool QueryRuntime::Settled() const {
+  for (const JoinStage* js : joins_) {
+    if (!js->Settled()) return false;
+  }
+  return true;
+}
+
+std::vector<JoinBooks> QueryRuntime::Books() const {
+  std::vector<JoinBooks> out;
+  for (const JoinStage* js : joins_) {
+    if (!js->ns().empty()) out.push_back(js->books());
+  }
+  return out;
+}
+
+uint64_t QueryRuntime::JoinLosses() const {
+  uint64_t lost = 0;
+  for (const JoinStage* js : joins_) lost += js->lost();
+  return lost;
+}
+
+bool QueryRuntime::InnerRowsOutOfReach() const {
+  for (const JoinStage* js : joins_) {
+    if (js->InnerRowsOutOfReach()) return true;
+  }
+  return false;
+}
+
+void QueryRuntime::OnCoverageKnown() {
+  for (JoinStage* js : joins_) js->OnCoverageKnown();
 }
 
 Stage* QueryRuntime::stage(uint32_t node_id) {

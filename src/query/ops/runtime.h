@@ -50,10 +50,19 @@ class QueryRuntime {
   /// distributed operator): it runs at the origin, never disseminated.
   bool origin_local() const { return !index_scans_.empty(); }
   /// Members produce each epoch from their own scans alone and ship it
-  /// straight to the origin — no relay, hold, join or cursor owes rows
-  /// after the scans finish — so their reports can certify it exact.
+  /// straight to the origin — no relay, hold or cursor owes rows after the
+  /// scans finish — so their reports can certify it exact. A join graph
+  /// that keeps books qualifies too: its members report once settled.
   bool accountable() const {
-    return epochal_ && agg_ == nullptr && index_scans_.empty();
+    return agg_ == nullptr && index_scans_.empty() &&
+           (epochal_ || keeps_books());
+  }
+  /// A one-shot join graph whose joined rows go straight to the origin
+  /// (no in-network aggregation, no recursion): each node's reports carry
+  /// its join books, and the origin certifies when they balance.
+  bool keeps_books() const {
+    return !joins_.empty() && agg_ == nullptr && recurse_ == nullptr &&
+           env_->plan.every == 0;
   }
   /// Scan-fed aggregation: every partial carries its contributor count up
   /// the combine tree, and the root's total certifies an epoch exact.
@@ -92,6 +101,22 @@ class QueryRuntime {
   void OnBloomPart(uint32_t from, const BloomPartFrame& frame);
   void OnBloomDist(BloomDistFrame frame);
   Stage* stage(uint32_t node_id);
+
+  // -- join books ------------------------------------------------------------
+  /// This node owes its joins nothing more: the plan is installed, the
+  /// input scans are done and every join stage has settled (data frames to
+  /// the origin still unacked are the engine's to check).
+  bool Settled() const;
+  /// One entry per join that consumes an exchange namespace.
+  std::vector<JoinBooks> Books() const;
+  /// Rehash frames and fetches this node's joins lost for good, and
+  /// probes that may have come back short.
+  uint64_t JoinLosses() const;
+  /// A fetch-matches join's inner rows held here are out of its probes'
+  /// reach (JoinStage::InnerRowsOutOfReach).
+  bool InnerRowsOutOfReach() const;
+  /// Origin-only: the plan's cover wave came back.
+  void OnCoverageKnown();
 
   // -- origin only -----------------------------------------------------------
   /// Members folded into the root's `epoch` so far (counted() graphs).

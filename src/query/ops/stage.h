@@ -128,6 +128,12 @@ class StageHost {
   /// when there are none): members may report their outbox-drain epoch
   /// claims, origins may certify.
   virtual void OnEpochScansDone(uint64_t qid, uint64_t epoch) = 0;
+  /// A join's books or in-flight work changed on this node: a rehash put
+  /// resolved, an arrival was consumed, a fetch came back, an input scan
+  /// or Bloom phase 2 finished. A tick later the engine checks whether the
+  /// node has settled (QueryRuntime::Settled): a member then reports its
+  /// books, an origin re-checks certification.
+  virtual void OnJoinProgress(uint64_t qid) = 0;
   /// Budget gate for rehash-exchange fan-out: returns false (and trips the
   /// query's budget) when `n` more puts would exceed the per-query cap —
   /// the exchange drops the put and the query degrades loudly.

@@ -168,7 +168,11 @@ struct Completeness {
   /// The broadcast cover wave confirmed every reachable subtree delivered.
   bool coverage_complete = false;
   /// Frame retransmits / frames dropped after the retry budget, summed over
-  /// the members that reported (plus the origin's own outbox).
+  /// the members that reported (plus the origin's own outbox). Joins add
+  /// what their edges lost for good: rehash puts and fetch-matches gets
+  /// that ran out of DHT retries, arrivals that failed to decode, and
+  /// semi-join fetches that found no row; and fetch-matches gets whose
+  /// owner could not vouch for its answer (dht::Dht::GetVouched).
   uint64_t frames_retried = 0;
   uint64_t frames_lost = 0;
   /// Members that refused the plan at admission (kAdmissionReject).
@@ -189,8 +193,10 @@ struct Completeness {
   /// for. Scan pipelines account by per-member reports (zero frames lost,
   /// every data frame a member claims to have sent admitted at the
   /// origin); scan-fed aggregation by contributor counts (the root's total
-  /// equals members_expected). Join answers stay conservatively non-exact
-  /// even when they happen to be complete.
+  /// equals members_expected). Joins whose rows go to the origin account
+  /// by reports too, and each join edge's books must balance: the rehash
+  /// frames shipped into it equal the arrivals consumed from it. Join-fed
+  /// aggregation and recursion stay non-exact.
   bool exact = false;
 
   std::string ToString() const {
@@ -263,6 +269,13 @@ enum class MsgType : uint8_t {
   /// (flags bit 0: a per-query budget tripped on this member). The origin
   /// certifies an epoch exact only when every covered member's claim
   /// matches what it admitted and no flags are set.
+  /// Join graphs set flags bit 1 (kReportBooks), and the member's join
+  /// books follow: [n]([join node][shipped][consumed])*n, then [bool] and,
+  /// if set, the ownership range (from, self] it consumed under as two
+  /// node ids. Flags bit 2 (kReportRangeMoved): the member's range may
+  /// have moved since the join installed there (its ring neighbourhood
+  /// changed), or it holds fetch-matches inner rows no probe can reach.
+  /// Reports without joins carry neither bit.
   kEpochReport = 10,
   /// Member -> origin, admission shed: [qid][reason u8]. Sent instead of
   /// installing the plan when the member is over budget.
@@ -271,6 +284,23 @@ enum class MsgType : uint8_t {
   /// per-query budget trips on the member: [qid]. The origin folds it into
   /// Completeness::budget_trips and withholds the exact certification.
   kBudgetTrip = 12,
+};
+
+/// kEpochReport flag bits.
+inline constexpr uint64_t kReportBudgetTripped = 1;
+inline constexpr uint64_t kReportBooks = 2;
+inline constexpr uint64_t kReportRangeMoved = 4;
+
+/// One join's rehash books on one node: the rehash frames into the join's
+/// exchange namespace the DHT acked (`shipped`, one per owner bucket, not
+/// per row), and the arrivals handed to the join after the runtime's
+/// instance dedupe that decoded (`consumed`). Summed over every node, a
+/// join's two columns balance once nothing shipped into it is still in
+/// flight or unconsumed. Both are cumulative, so reports merge by max.
+struct JoinBooks {
+  uint32_t join_node = 0;
+  uint64_t shipped = 0;
+  uint64_t consumed = 0;
 };
 
 /// kAdmissionReject reasons.

@@ -177,7 +177,7 @@ ScenarioReport Scenario::Run() {
         continue;
       }
       auto plan = planner::PlanStatement(parsed.value(),
-                                         *origin->catalog(), {});
+                                         *origin->catalog(), spec.planner);
       if (!plan.ok()) {
         report.violations.push_back("plan \"" + spec.sql +
                                     "\": " + plan.status().ToString());

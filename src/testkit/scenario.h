@@ -32,6 +32,7 @@
 
 #include "catalog/table_def.h"
 #include "core/network.h"
+#include "planner/planner.h"
 #include "sim/churn.h"
 #include "testkit/fault_script.h"
 #include "testkit/invariants.h"
@@ -56,6 +57,8 @@ struct QuerySpec {
   Duration cancel_after = 0;
   /// > 0: per-query deadline (QueryPlan::deadline; 0 = none).
   Duration deadline = 0;
+  /// How the planner plans it (a join's strategy, say).
+  planner::PlannerOptions planner = {};
 };
 
 /// Everything a run produced (checkers already applied).

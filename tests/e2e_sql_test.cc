@@ -346,13 +346,19 @@ TEST(E2eSqlTest, ThreeTableJoinWithGroupByOnChord) {
   planner::PlannerOptions popts;
   popts.agg_strategy = query::AggStrategy::kTree;
   std::vector<ResultBatch> batches;
+  TimePoint answered = 0;
+  const TimePoint issued = net.sim()->now();
   auto r = planner::ExecuteSql(
       net.node(0)->query_engine(),
       "SELECT s.label, SUM(a.hits) AS total, COUNT(*) AS n "
       "FROM alerts a, rules r, sevs s "
       "WHERE a.rule_id = r.rule_id AND r.severity = s.severity "
       "GROUP BY s.label",
-      [&](const ResultBatch& b) { batches.push_back(b); }, popts);
+      [&](const ResultBatch& b) {
+        batches.push_back(b);
+        answered = net.sim()->now();
+      },
+      popts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   net.RunFor(Seconds(40));
 
@@ -362,6 +368,12 @@ TEST(E2eSqlTest, ThreeTableJoinWithGroupByOnChord) {
     got[t[0].string_value()] = {t[1].int64_value(), t[2].int64_value()};
   }
   EXPECT_EQ(got, expected);
+  // Join-fed aggregation still closes on its timers: a rendezvous's partial
+  // is not final while arrivals can still reach it, so nothing certifies
+  // and the answer waits out result_wait.
+  EXPECT_FALSE(batches[0].completeness.exact)
+      << batches[0].completeness.ToString();
+  EXPECT_EQ(answered - issued, opts.node.engine.result_wait);
 
   // In-network aggregation: partials must combine at interior tree nodes,
   // so at least one NON-origin node received partial-aggregate traffic.
@@ -412,13 +424,18 @@ TEST(E2eSqlTest, ThreeTableJoinProjectionNoAggregate) {
   net.RunFor(Seconds(5));
 
   std::vector<ResultBatch> batches;
+  TimePoint answered = 0;
+  const TimePoint issued = net.sim()->now();
   auto r = planner::ExecuteSql(
       net.node(2)->query_engine(),
       "SELECT a.descr, s.label FROM alerts a "
       "JOIN rules r ON a.rule_id = r.rule_id "
       "JOIN sevs s ON r.severity = s.severity "
       "WHERE s.severity >= 2",
-      [&](const ResultBatch& b) { batches.push_back(b); });
+      [&](const ResultBatch& b) {
+        batches.push_back(b);
+        answered = net.sim()->now();
+      });
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   net.RunFor(Seconds(25));
 
@@ -431,6 +448,11 @@ TEST(E2eSqlTest, ThreeTableJoinProjectionNoAggregate) {
   std::multiset<std::pair<std::string, std::string>> expected = {
       {"a2", "medium"}, {"a3", "medium"}, {"a4", "high"}};
   EXPECT_EQ(got, expected);
+  // Both edges' books balance (the first join's rendezvous ship its output
+  // into the second's namespace): certified, long before result_wait.
+  EXPECT_TRUE(batches[0].completeness.exact)
+      << batches[0].completeness.ToString();
+  EXPECT_LT(answered - issued, opts.node.engine.result_wait / 4);
 }
 
 // EXPLAIN returns the planned opgraph rendering as a one-row result and

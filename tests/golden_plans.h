@@ -69,7 +69,8 @@ struct Shape {
   const char* explain;
   /// The plan runs at the origin alone and is never disseminated.
   bool origin_local = false;
-  /// Members report each epoch, so the origin can certify the answer exact.
+  /// Members report each epoch (a join's members once they have settled,
+  /// with their join books), so the origin can certify the answer exact.
   bool accountable = false;
 };
 
@@ -173,7 +174,7 @@ inline std::vector<Shape> Shapes() {
        "  4: project(2 exprs) <- (3) => to-origin\n"
        "  5: collect() <- (4)\n"
        "}",
-       /*origin_local=*/false, /*accountable=*/false},
+       /*origin_local=*/false, /*accountable=*/true},
       {"join_fetch_matches",
        kJoinSql,
        {},
@@ -185,7 +186,7 @@ inline std::vector<Shape> Shapes() {
        "  4: project(2 exprs) <- (3) => to-origin\n"
        "  5: collect() <- (4)\n"
        "}",
-       /*origin_local=*/false, /*accountable=*/false},
+       /*origin_local=*/false, /*accountable=*/true},
       {"join_symmetric_semi",
        kJoinSql,
        Options(JoinStrategy::kSymmetricSemi),
@@ -197,7 +198,7 @@ inline std::vector<Shape> Shapes() {
        "  4: project(2 exprs) <- (3) => to-origin\n"
        "  5: collect() <- (4)\n"
        "}",
-       /*origin_local=*/false, /*accountable=*/false},
+       /*origin_local=*/false, /*accountable=*/true},
       {"join_bloom",
        kJoinSql,
        Options(JoinStrategy::kBloom),
@@ -209,7 +210,7 @@ inline std::vector<Shape> Shapes() {
        "  4: project(2 exprs) <- (3) => to-origin\n"
        "  5: collect() <- (4)\n"
        "}",
-       /*origin_local=*/false, /*accountable=*/false},
+       /*origin_local=*/false, /*accountable=*/true},
       {"join_group_by",
        "SELECT r.severity, COUNT(*) AS n FROM alerts a JOIN rules r "
        "ON a.rule_id = r.rule_id GROUP BY r.severity",
@@ -221,7 +222,7 @@ inline std::vector<Shape> Shapes() {
        "  3: final-agg(group=[4] aggs=COUNT) <- (2)\n"
        "  4: collect(select=[0,1]) <- (3)\n"
        "}",
-       /*origin_local=*/false, /*accountable=*/false},
+       /*origin_local=*/false, /*accountable=*/true},
       {"three_way_join_group_by",
        "SELECT s.label, SUM(a.hits) AS total FROM alerts a, rules r, sevs s "
        "WHERE a.rule_id = r.rule_id AND r.severity = s.severity "

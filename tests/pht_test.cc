@@ -389,6 +389,48 @@ TEST(PhtTrieTest, SeedReplayIsDeterministic) {
   EXPECT_EQ(first.second, second.second);
 }
 
+// A split deepens the owner's leaf-depth hint and never makes it
+// shallower: the root splitting says nothing about how deep the rest of
+// the trie's leaves sit.
+TEST(PhtTrieTest, ShallowSplitKeepsADeeperHint) {
+  Deployment d(16, 545454);
+  const std::string ns = PhtIndex::NamespaceFor("points", 0);
+  auto owner = [&d, &ns](const std::string& prefix) {
+    const sim::HostId host =
+        d.net->directory()
+            ->Owner(dht::DhtKey{ns, prefix, kMarkerInstance}.RoutingKey())
+            .host;
+    for (size_t i = 0; i < d.net->size(); ++i) {
+      if (d.net->node(i)->host() == host) return i;
+    }
+    return d.net->size();
+  };
+  const size_t root = owner("");
+  ASSERT_NE(root, owner("0")) << "the root's owner would store a child";
+  ASSERT_NE(root, owner("1")) << "the root's owner would store a child";
+  // Nine keys, four below zero (first bit 0), five above: the ninth splits
+  // the root (bucket 8) into two children that hold theirs.
+  auto publish = [&d](int64_t v) {
+    ASSERT_TRUE(d.net->node(0)
+                    ->query_engine()
+                    ->Publish("points", Tuple{Value::Int64(v), Value::Int64(0)})
+                    .ok());
+    d.net->RunFor(Seconds(2));
+  };
+  for (int64_t v = -4; v < 4; ++v) publish(v);
+  PhtIndex* idx = d.net->node(root)->index_manager()->Find("points", 0);
+  ASSERT_NE(idx, nullptr);
+  ASSERT_EQ(idx->stats().splits, 0u);
+  idx->set_leaf_depth_hint(40);
+  publish(4);
+  EXPECT_EQ(idx->stats().splits, 1u);
+  EXPECT_EQ(idx->leaf_depth_hint(), 40);
+  std::vector<Tuple> rows;
+  ASSERT_TRUE(CursorCollect(d.net.get(), ns, 0,
+                            std::numeric_limits<uint64_t>::max(), &rows));
+  EXPECT_EQ(rows.size(), 9u);
+}
+
 TEST(PhtCursorTest, AnyDepthHintReadsTheExactRange) {
   // Two regions whose leaves sit at different depths: 60 keys 50 apart
   // (leaves of 256 keys) and 60 keys one apart (leaves of 8 keys).

@@ -1192,6 +1192,309 @@ TEST(QueryScanPathTest, EveryScanIsASchedulerSweep) {
 }
 
 // ---------------------------------------------------------------------------
+// Joins close by count: members report their rehash books, and an answer
+// whose books balance is certified exact before result_wait
+// ---------------------------------------------------------------------------
+
+class QueryJoinCertifyTest : public ::testing::TestWithParam<JoinStrategy> {};
+
+// On a clean, settled Chord ring every strategy returns its exact rows,
+// certified, in a fraction of result_wait; a Bloom join's filter wave goes
+// out once every member's part is in, well before bloom_wait.
+TEST_P(QueryJoinCertifyTest, CleanRingCertifiesBeforeResultWait) {
+  PierNetworkOptions opts = ChordOpts(131);
+  opts.node.engine.result_wait = Seconds(20);
+  opts.node.engine.bloom_wait = Seconds(5);
+  PierNetwork net(16, opts);
+  net.Boot(Seconds(60));
+  const JoinFixture fx = ScanPathFixture();
+  PublishJoinFixture(net, fx);
+  net.RunFor(Seconds(30));  // past the certify stability window
+
+  std::vector<ResultBatch> batches;
+  TimePoint answered = 0;
+  const TimePoint issued = net.sim()->now();
+  ASSERT_TRUE(net.node(0)
+                  ->query_engine()
+                  ->Execute(FixtureJoinPlan(GetParam()),
+                            [&](const ResultBatch& b) {
+                              batches.push_back(b);
+                              answered = net.sim()->now();
+                            })
+                  .ok());
+  net.RunFor(Seconds(30));
+
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(JoinedRows(batches[0]), fx.Expected());
+  const Completeness& c = batches[0].completeness;
+  EXPECT_TRUE(c.exact) << c.ToString();
+  EXPECT_EQ(c.members_reported, net.size()) << c.ToString();
+  EXPECT_LT(answered - issued, opts.node.engine.result_wait / 4);
+  if (GetParam() == JoinStrategy::kBloom) {
+    EXPECT_LT(answered - issued, opts.node.engine.bloom_wait);
+    EXPECT_EQ(net.node(0)->query_engine()->stats().bloom_waves_complete, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Strategies, QueryJoinCertifyTest,
+                         ::testing::Values(JoinStrategy::kSymmetricHash,
+                                           JoinStrategy::kFetchMatches,
+                                           JoinStrategy::kSymmetricSemi,
+                                           JoinStrategy::kBloom));
+
+/// Index of the node whose host owns `key` on a one-hop ring.
+size_t OwnerIndex(PierNetwork& net, const dht::DhtKey& key) {
+  const sim::HostId host = net.directory()->Owner(key.RoutingKey()).host;
+  for (size_t i = 0; i < net.size(); ++i) {
+    if (net.node(i)->host() == host) return i;
+  }
+  return net.size();
+}
+
+/// The fixture's join on 8 one-hop nodes, issued from node 0 while
+/// `fault` (given the query id the issue will get) is in force. Returns
+/// the one answer and how long it took.
+struct FaultedJoin {
+  ResultBatch batch;
+  Duration took = 0;
+  uint64_t rehash_put_failures = 0;  ///< summed over the nodes
+};
+
+FaultedJoin RunFaultedJoin(
+    JoinStrategy strategy,
+    const std::function<void(PierNetwork&, sim::FaultPlane&, uint64_t)>&
+        fault) {
+  PierNetworkOptions opts = OneHopOpts(137);
+  opts.node.engine.result_wait = Seconds(12);
+  PierNetwork net(8, opts);
+  net.Boot(Seconds(5));
+  PublishJoinFixture(net, ScanPathFixture());
+  // Long enough up that every owner vouches for its get answers.
+  net.RunFor(Seconds(30));
+  sim::FaultPlane plane(net.sim()->rng().Fork(0x626f6f6bull));  // "book"
+  net.net()->SetFaultPlane(&plane);
+  // Node 0's first query: in its plan the join is graph node 2.
+  const uint64_t qid =
+      ((static_cast<uint64_t>(net.node(0)->host()) + 1) << 32) | 1;
+  fault(net, plane, qid);
+
+  FaultedJoin out;
+  std::vector<ResultBatch> batches;
+  const TimePoint issued = net.sim()->now();
+  auto r = net.node(0)->query_engine()->Execute(
+      FixtureJoinPlan(strategy), [&](const ResultBatch& b) {
+        batches.push_back(b);
+        out.took = net.sim()->now() - issued;
+      });
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), qid);
+  net.RunFor(Seconds(30));
+  net.net()->SetFaultPlane(nullptr);
+  for (size_t i = 0; i < net.size(); ++i) {
+    out.rehash_put_failures +=
+        net.node(i)->query_engine()->stats().rehash_put_failures;
+  }
+  EXPECT_EQ(batches.size(), 1u);
+  if (!batches.empty()) out.batch = batches[0];
+  return out;
+}
+
+/// The fixture's expected rows without those of rule `rule`.
+std::multiset<std::tuple<int64_t, int64_t, int64_t>> ExpectedWithout(
+    int rule) {
+  auto rows = ScanPathFixture().Expected();
+  for (auto it = rows.begin(); it != rows.end();) {
+    it = std::get<0>(*it) == rule ? rows.erase(it) : std::next(it);
+  }
+  return rows;
+}
+
+/// A fixture rule whose alerts rows (partitioned on rule_id) live on
+/// another node than the owner of `target(rule)`, with both node indexes:
+/// a one-way cut `from` -> `to` breaks that rule's traffic.
+struct CutEdge {
+  int rule = 0;
+  size_t from = 0, to = 0;
+};
+
+CutEdge FindCutEdge(PierNetwork& net,
+                    const std::function<dht::DhtKey(int)>& target) {
+  for (int rule : {2, 3, 4}) {
+    const Tuple probe{Value::Int64(rule)};
+    const size_t from = OwnerIndex(
+        net, dht::DhtKey{"alerts", catalog::ResourceForCols(probe, {0}), 0});
+    const size_t to = OwnerIndex(net, target(rule));
+    if (from != to) return {rule, from, to};
+  }
+  return {};
+}
+
+// A rehash put that runs out of DHT retries is missing from both sides of
+// the books, so they would balance without it: its loss must count.
+TEST(QueryJoinCertifyFaultTest, FailedRehashPutBarsCertification) {
+  CutEdge cut;
+  FaultedJoin j = RunFaultedJoin(
+      JoinStrategy::kSymmetricHash,
+      [&cut](PierNetwork& net, sim::FaultPlane& plane, uint64_t qid) {
+        cut = FindCutEdge(net, [qid](int rule) {
+          return dht::DhtKey{RehashExchange::NamespaceFor(qid, 2),
+                             catalog::ResourceForCols(
+                                 Tuple{Value::Int64(rule)}, {0}),
+                             0};
+        });
+        // One producer can no longer reach one rendezvous.
+        plane.Partition({net.node(cut.from)->host()},
+                        {net.node(cut.to)->host()}, net.sim()->now(),
+                        net.sim()->now() + Seconds(20),
+                        /*bidirectional=*/false);
+      });
+  ASSERT_NE(cut.rule, 0) << "every rule's producer is its rendezvous";
+  EXPECT_EQ(JoinedRows(j.batch), ExpectedWithout(cut.rule));
+  const Completeness& c = j.batch.completeness;
+  EXPECT_TRUE(c.coverage_complete) << c.ToString();
+  EXPECT_FALSE(c.exact) << c.ToString();
+  EXPECT_GE(c.frames_lost, 1u) << c.ToString();
+  EXPECT_GE(j.rehash_put_failures, 1u);
+  EXPECT_EQ(j.took, Seconds(12));
+}
+
+// A semi-join match waits for both full tuples; one fetch response that
+// never arrives leaves its rendezvous unsettled, so nothing certifies.
+TEST(QueryJoinCertifyFaultTest, SwallowedSemiJoinFetchBarsCertification) {
+  // Drops the first kFetchResp any node receives, then steps aside.
+  class SwallowFirstFetchResp : public sim::MessageHandler {
+   public:
+    SwallowFirstFetchResp(core::PierNode* node, int* budget)
+        : node_(node), budget_(budget) {}
+    void OnMessage(sim::HostId from, const sim::Packet& packet) override {
+      Reader r(packet.head.view());
+      uint8_t proto = 0, type = 0;
+      if (*budget_ > 0 && r.GetU8(&proto).ok() &&
+          proto == static_cast<uint8_t>(overlay::Proto::kQuery) &&
+          r.GetU8(&type).ok() &&
+          type == static_cast<uint8_t>(MsgType::kFetchResp)) {
+        --*budget_;
+        return;
+      }
+      node_->OnMessage(from, packet);
+    }
+
+   private:
+    core::PierNode* node_;
+    int* budget_;
+  };
+  int budget = 1;
+  std::vector<std::unique_ptr<SwallowFirstFetchResp>> hooks;
+  FaultedJoin j = RunFaultedJoin(
+      JoinStrategy::kSymmetricSemi,
+      [&](PierNetwork& net, sim::FaultPlane&, uint64_t) {
+        for (size_t i = 0; i < net.size(); ++i) {
+          hooks.push_back(
+              std::make_unique<SwallowFirstFetchResp>(net.node(i), &budget));
+          net.net()->SetHandler(net.node(i)->host(), hooks.back().get());
+        }
+      });
+  EXPECT_EQ(budget, 0) << "no fetch response was swallowed";
+  // The lost match may be one the residual filter drops anyway.
+  const auto expected = ScanPathFixture().Expected();
+  const auto got = JoinedRows(j.batch);
+  EXPECT_TRUE(std::includes(expected.begin(), expected.end(), got.begin(),
+                            got.end()));
+  const Completeness& c = j.batch.completeness;
+  EXPECT_TRUE(c.coverage_complete) << c.ToString();
+  EXPECT_FALSE(c.exact) << c.ToString();
+  EXPECT_EQ(j.took, Seconds(12));
+}
+
+// A fetch-matches get that runs out of retries loses its probe's matches.
+TEST(QueryJoinCertifyFaultTest, FailedFetchMatchesGetBarsCertification) {
+  CutEdge cut;
+  FaultedJoin j = RunFaultedJoin(
+      JoinStrategy::kFetchMatches,
+      [&cut](PierNetwork& net, sim::FaultPlane& plane, uint64_t) {
+        cut = FindCutEdge(net, [](int rule) {
+          return dht::DhtKey{
+              "rules",
+              catalog::ResourceForCols(Tuple{Value::Int64(rule)}, {0}), 0};
+        });
+        // The prober's gets can no longer reach the inner relation's owner.
+        plane.Partition({net.node(cut.from)->host()},
+                        {net.node(cut.to)->host()}, net.sim()->now(),
+                        net.sim()->now() + Seconds(20),
+                        /*bidirectional=*/false);
+      });
+  ASSERT_NE(cut.rule, 0) << "every rule's prober owns its rules row";
+  EXPECT_EQ(JoinedRows(j.batch), ExpectedWithout(cut.rule));
+  const Completeness& c = j.batch.completeness;
+  EXPECT_TRUE(c.coverage_complete) << c.ToString();
+  EXPECT_FALSE(c.exact) << c.ToString();
+  EXPECT_GE(c.frames_lost, 1u) << c.ToString();
+  EXPECT_EQ(j.took, Seconds(12));
+}
+
+// A rehash frame its rendezvous cannot decode was still acked to its
+// shipper: the rendezvous must count it lost, not consumed, or the books
+// balance without its rows.
+TEST(QueryJoinCertifyFaultTest, UndecodableArrivalBarsCertification) {
+  // Overwrites the side byte of the first rehash frame into `ns` that
+  // crosses the network (a routed one-hop put: the DHT framing stays
+  // valid), then steps aside.
+  class CorruptFirstFrame : public sim::MessageHandler {
+   public:
+    CorruptFirstFrame(core::PierNode* node, std::string ns, int* budget)
+        : node_(node), ns_(std::move(ns)), budget_(budget) {}
+    void OnMessage(sim::HostId from, const sim::Packet& packet) override {
+      Reader head(packet.head.view());
+      uint8_t proto = 0, tag = 0;
+      Id160 key;
+      std::string body(packet.body.view());
+      Reader r(body);
+      dht::DhtKey put;
+      uint64_t len = 0;
+      if (*budget_ > 0 && head.GetU8(&proto).ok() &&
+          proto == static_cast<uint8_t>(overlay::Proto::kOverlay) &&
+          Id160::Deserialize(&head, &key).ok() && head.GetU8(&tag).ok() &&
+          tag == dht::kPutTag && dht::DhtKey::Deserialize(&r, &put).ok() &&
+          put.ns == ns_ && r.GetVarint64(&len).ok() && len > 0) {
+        --*budget_;
+        body[body.size() - r.remaining()] = 0x7f;  // no such side
+        node_->OnMessage(from,
+                         sim::Packet(packet.head, sim::Payload(std::move(body))));
+        return;
+      }
+      node_->OnMessage(from, packet);
+    }
+
+   private:
+    core::PierNode* node_;
+    std::string ns_;
+    int* budget_;
+  };
+  int budget = 1;
+  std::vector<std::unique_ptr<CorruptFirstFrame>> hooks;
+  FaultedJoin j = RunFaultedJoin(
+      JoinStrategy::kSymmetricHash,
+      [&](PierNetwork& net, sim::FaultPlane&, uint64_t qid) {
+        for (size_t i = 0; i < net.size(); ++i) {
+          hooks.push_back(std::make_unique<CorruptFirstFrame>(
+              net.node(i), RehashExchange::NamespaceFor(qid, 2), &budget));
+          net.net()->SetHandler(net.node(i)->host(), hooks.back().get());
+        }
+      });
+  EXPECT_EQ(budget, 0) << "no rehash frame was corrupted";
+  const auto expected = ScanPathFixture().Expected();
+  const auto got = JoinedRows(j.batch);
+  EXPECT_TRUE(std::includes(expected.begin(), expected.end(), got.begin(),
+                            got.end()));
+  const Completeness& c = j.batch.completeness;
+  EXPECT_TRUE(c.coverage_complete) << c.ToString();
+  EXPECT_FALSE(c.exact) << c.ToString();
+  EXPECT_GE(c.frames_lost, 1u) << c.ToString();
+  EXPECT_EQ(j.rehash_put_failures, 0u);
+  EXPECT_EQ(j.took, Seconds(12));
+}
+
+// ---------------------------------------------------------------------------
 // Recursion
 // ---------------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 // Randomized scenario fuzzing: samples fault scripts + topologies from a
 // seed, runs query workloads through them (a scan, an index range, a tree
-// aggregate and a two-table join), and checks every invariant (routing
+// aggregate, a two-table join under a sampled strategy and a chained
+// three-table join), and checks every invariant (routing
 // convergence, soft-state expiry, payload leaks, oracle floors, honest
 // completeness claims, exchange hygiene).
 //
@@ -56,14 +57,27 @@ TableDef FuzzTable() {
 }
 
 /// The join's second relation. Partitioned on severity, not the join key,
-/// so the planner rehashes both sides through a q<id>.x<n> namespace
-/// instead of probing by fetch-matches.
-TableDef FuzzRulesTable() {
+/// so the planner rehashes both sides through a q<id>.x<n> namespace —
+/// except for fetch-matches, which probes an inner relation partitioned on
+/// the join key.
+TableDef FuzzRulesTable(query::JoinStrategy strategy) {
   TableDef def;
   def.name = "rules";
   def.schema = Schema("rules", {{"rule_id", ValueType::kInt64},
                                 {"severity", ValueType::kInt64}});
-  def.partition_cols = {1};
+  def.partition_cols = {strategy == query::JoinStrategy::kFetchMatches ? 0
+                                                                        : 1};
+  def.ttl = Seconds(600);
+  return def;
+}
+
+/// The chained join's third relation.
+TableDef FuzzSevsTable() {
+  TableDef def;
+  def.name = "sevs";
+  def.schema = Schema("sevs", {{"severity", ValueType::kInt64},
+                               {"label", ValueType::kString}});
+  def.partition_cols = {0};
   def.ttl = Seconds(600);
   return def;
 }
@@ -94,6 +108,19 @@ ScenarioReport RunFuzzCase(uint64_t seed, const FaultScript* override_script,
   for (int64_t rule = 1; rule <= 6; ++rule) {
     rules.push_back(Tuple{Value::Int64(rule), Value::Int64(rule % 3)});
   }
+  // Severities 0..1: severity 2 (rules 2 and 5) has no label.
+  std::vector<Tuple> sevs;
+  for (int64_t sev = 0; sev < 2; ++sev) {
+    sevs.push_back(
+        Tuple{Value::Int64(sev), Value::String("sev" + std::to_string(sev))});
+  }
+  // The two-table join's strategy, sampled across all four.
+  constexpr query::JoinStrategy kStrategies[] = {
+      query::JoinStrategy::kSymmetricHash, query::JoinStrategy::kFetchMatches,
+      query::JoinStrategy::kSymmetricSemi, query::JoinStrategy::kBloom};
+  planner::PlannerOptions join_options;
+  join_options.join_strategy = kStrategies[meta.NextBelow(4)];
+  join_options.prefer_fetch_matches = false;
 
   // The query goes out only after every fault window has closed and the
   // overlay has had a stabilization window: the invariant under test is
@@ -105,9 +132,11 @@ ScenarioReport RunFuzzCase(uint64_t seed, const FaultScript* override_script,
   s.WithNodes(nodes)
       .WithRouter(chord ? RouterKind::kChord : RouterKind::kOneHop)
       .WithTable(FuzzTable())
-      .WithTable(FuzzRulesTable())
+      .WithTable(FuzzRulesTable(join_options.join_strategy))
+      .WithTable(FuzzSevsTable())
       .PublishRows("alerts", rows)
       .PublishRows("rules", rules)
+      .PublishRows("sevs", sevs)
       .WithFaults(script)
       .AddQuery({.sql = "SELECT rule_id, hits FROM alerts",
                  .issue_at = issue_at,
@@ -141,12 +170,24 @@ ScenarioReport RunFuzzCase(uint64_t seed, const FaultScript* override_script,
                  .issue_at = issue_at + Seconds(40),
                  .origin = 0,
                  .wait = 0})
-      // Two-table equi-join: both input scans run as scheduler sweeps and
-      // rehash through the join's exchange namespace, which the hygiene
-      // checker then requires torn down. No floor, as for the aggregate.
+      // Two-table equi-join under the sampled strategy: its input scans
+      // run as scheduler sweeps, and all but fetch-matches rehash through
+      // the join's exchange namespace, which the hygiene checker then
+      // requires torn down. It closes by count when its members' books
+      // balance; no floor, as for the aggregate.
       .AddQuery({.sql = "SELECT a.hits, r.severity FROM alerts a, rules r "
                         "WHERE a.rule_id = r.rule_id",
                  .issue_at = issue_at + Seconds(60),
+                 .origin = 0,
+                 .wait = 0,
+                 .planner = join_options})
+      // Chained three-table join, no aggregation: the first join's
+      // rendezvous rehash their output into the second's namespace, and
+      // both edges' books must balance for an exact claim. No floor.
+      .AddQuery({.sql = "SELECT a.hits, s.label FROM alerts a, rules r, "
+                        "sevs s WHERE a.rule_id = r.rule_id "
+                        "AND r.severity = s.severity",
+                 .issue_at = issue_at + Seconds(80),
                  .origin = 0,
                  .wait = 0})
       .WithHealSettle(Seconds(chord ? 60 : 25))

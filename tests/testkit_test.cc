@@ -917,10 +917,11 @@ TEST(ScenarioTest, CancelledQueryFreesExchangeStateBeforeTtl) {
       .AddQuery({.sql = kJoinSql,
                  .issue_at = Seconds(30),
                  .origin = 0,
-                 .cancel_after = Seconds(3)})
+                 .cancel_after = Millis(150)})
       // Snapshot while the join's rehash exchanges are in flight (before
-      // the cancel at t=33s): the state we later require freed must exist.
-      .At(Seconds(32),
+      // the cancel at t=30.15s, and before the join, which closes by count,
+      // could answer): the state we later require freed must exist.
+      .At(Seconds(30) + Millis(120),
           [&mid_query_holders](core::PierNetwork& net) {
             mid_query_holders = NodesWithExchangeState(net);
           })
@@ -933,6 +934,184 @@ TEST(ScenarioTest, CancelledQueryFreesExchangeStateBeforeTtl) {
   // The origin never delivers a batch for a cancelled query.
   ASSERT_EQ(report.queries.size(), 1u);
   EXPECT_FALSE(report.queries[0].completed);
+}
+
+// A node rejoins the ring between a join's rendezvous and its predecessor
+// while the join runs. Rehash frames for the keys it takes over may reach
+// it (it never got the plan) or the rendezvous that no longer owns them,
+// and the rendezvous's range moves under it: the answer may still claim
+// exact, but only with the oracle's rows (the CompletenessChecker is the
+// referee). Every node holds the rendezvous of a few of the 48 join keys.
+TEST(ScenarioTest, NodeJoiningBesideARendezvousNeverCertifiesWrongRows) {
+  constexpr size_t kJoiner = 9;
+  constexpr TimePoint kIssue = Seconds(150);
+  std::vector<Tuple> alerts, rules;
+  for (int64_t k = 0; k < 48; ++k) {
+    alerts.push_back(Tuple{Value::Int64(k), Value::Int64(100 + k)});
+    rules.push_back(Tuple{Value::Int64(k), Value::Int64(k % 3)});
+  }
+  bool spliced = false;
+  Scenario s(/*seed=*/4241);
+  s.WithNodes(16)
+      .WithRouter(RouterKind::kChord)
+      .WithTable(AlertsTable())
+      .WithTable(RulesTable())
+      .PublishRows("alerts", std::move(alerts))
+      .PublishRows("rules", std::move(rules))
+      // Down before any row is published, so it holds none when it rejoins.
+      .At(Seconds(40), [](core::PierNetwork& net) { net.Crash(kJoiner); })
+      .At(kIssue, [](core::PierNetwork& net) { net.Reboot(kJoiner); })
+      .At(kIssue + Seconds(5),
+          [&spliced](core::PierNetwork& net) {
+            const auto pred =
+                net.node(RingWalk(net, kJoiner, 1))->chord()->predecessor();
+            spliced = pred.has_value() && pred->host == kJoiner;
+          })
+      .AddQuery({.sql = kJoinSql, .issue_at = kIssue, .origin = 0})
+      .WithDefaultCheckers();
+  ScenarioReport report = s.Run();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_TRUE(spliced) << "the joiner never became its successor's "
+                          "predecessor while the join ran";
+  ASSERT_EQ(report.queries.size(), 1u);
+  ASSERT_TRUE(report.queries[0].completed) << report.ToString();
+}
+
+// Fetch-matches reads its inner relation by DHT get, which answers from
+// whatever the key's owner holds: these scenarios move that ownership.
+TableDef KeyedRulesTable() {
+  TableDef def = RulesTable();
+  def.partition_cols = {0};  // the join key: the planner picks fetch-matches
+  return def;
+}
+
+/// 48 join keys, one alerts and one rules row each: every node of a
+/// 16-node ring owns a few.
+Scenario& WithKeyedJoinRows(Scenario& s) {
+  std::vector<Tuple> alerts, rules;
+  for (int64_t k = 0; k < 48; ++k) {
+    alerts.push_back(Tuple{Value::Int64(k), Value::Int64(100 + k)});
+    rules.push_back(Tuple{Value::Int64(k), Value::Int64(k % 3)});
+  }
+  return s.WithNodes(16)
+      .WithRouter(RouterKind::kChord)
+      .WithTable(AlertsTable())
+      .WithTable(KeyedRulesTable())
+      .PublishRows("alerts", std::move(alerts))
+      .PublishRows("rules", std::move(rules));
+}
+
+/// Fetch-matches gets summed over every node.
+uint64_t FetchGets(core::PierNetwork& net) {
+  uint64_t gets = 0;
+  for (size_t i = 0; i < net.size(); ++i) {
+    if (net.node(i)->alive()) {
+      gets += net.node(i)->query_engine()->stats().fetch_gets;
+    }
+  }
+  return gets;
+}
+
+/// A node crashes before any row is published, so its successor stores
+/// the rows of its range as primaries, and rejoins at `rejoin_at`: the
+/// DHT hands nothing back, so a probe for one of its keys finds nothing
+/// there, while the successor still holds the row. Issued at `issue`.
+ScenarioReport RunFetchMatchesBesideARejoin(TimePoint rejoin_at,
+                                            TimePoint issue, bool* spliced,
+                                            uint64_t* gets) {
+  constexpr size_t kJoiner = 9;
+  Scenario s(/*seed=*/4243);
+  WithKeyedJoinRows(s)
+      .At(Seconds(40), [](core::PierNetwork& net) { net.Crash(kJoiner); })
+      .At(rejoin_at, [](core::PierNetwork& net) { net.Reboot(kJoiner); })
+      .At(issue + Seconds(5),
+          [spliced](core::PierNetwork& net) {
+            const auto pred =
+                net.node(RingWalk(net, kJoiner, 1))->chord()->predecessor();
+            *spliced = pred.has_value() && pred->host == kJoiner;
+          })
+      .At(issue + Seconds(20),
+          [gets](core::PierNetwork& net) { *gets = FetchGets(net); })
+      .AddQuery({.sql = kJoinSql, .issue_at = issue, .origin = 0})
+      .WithDefaultCheckers();
+  return s.Run();
+}
+
+// The node rejoins moments before the join: the probes for its keys reach
+// an owner that started seconds ago and does not vouch for its answers,
+// so each counts as lost.
+TEST(ScenarioTest, FetchMatchesBesideANodeRejoiningJustBeforeIsNotCertified) {
+  bool spliced = false;
+  uint64_t gets = 0;
+  ScenarioReport report = RunFetchMatchesBesideARejoin(
+      /*rejoin_at=*/Seconds(148), /*issue=*/Seconds(150), &spliced, &gets);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_TRUE(spliced) << "the joiner never took its range back";
+  EXPECT_GT(gets, 0u) << "the join did not run as fetch-matches";
+  ASSERT_EQ(report.queries.size(), 1u);
+  const QueryOutcome& q = report.queries[0];
+  ASSERT_TRUE(q.completed) << report.ToString();
+  EXPECT_LT(q.score.recall, 1.0) << "no probe missed a row";
+  EXPECT_FALSE(q.batch.completeness.exact) << q.batch.completeness.ToString();
+  EXPECT_GE(q.batch.completeness.frames_lost, 1u)
+      << q.batch.completeness.ToString();
+}
+
+// The node rejoined well before the join, past the owners' settle window:
+// its own answers are vouched, but its successor still holds primaries of
+// the inner relation under keys it no longer owns, which every probe
+// misses, and says so in its report.
+TEST(ScenarioTest, FetchMatchesBesideALongRejoinedNodeIsNotCertified) {
+  bool spliced = false;
+  uint64_t gets = 0;
+  ScenarioReport report = RunFetchMatchesBesideARejoin(
+      /*rejoin_at=*/Seconds(105), /*issue=*/Seconds(150), &spliced, &gets);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_TRUE(spliced) << "the joiner never took its range back";
+  EXPECT_GT(gets, 0u) << "the join did not run as fetch-matches";
+  ASSERT_EQ(report.queries.size(), 1u);
+  const QueryOutcome& q = report.queries[0];
+  ASSERT_TRUE(q.completed) << report.ToString();
+  EXPECT_LT(q.score.recall, 1.0) << "no probe missed a row";
+  EXPECT_FALSE(q.batch.completeness.exact) << q.batch.completeness.ToString();
+}
+
+// The owner of some of the inner relation's rows crashes shortly before
+// the join: its successor answers those probes from replicas, which were
+// pushed without an ack, so each counts as lost and no answer resting on
+// them certifies.
+TEST(ScenarioTest, FetchMatchesAfterItsInnerOwnerCrashedIsNotCertified) {
+  constexpr TimePoint kIssue = Seconds(150);
+  size_t crashed = 0;
+  uint64_t gets = 0;
+  Scenario s(/*seed=*/4247);
+  WithKeyedJoinRows(s)
+      .At(kIssue - Seconds(10),
+          [&crashed](core::PierNetwork& net) {
+            // Not the origin: the owner of rule 7's row.
+            const Id160 key = KeyedRulesTable()
+                                  .KeyFor(Tuple{Value::Int64(7),
+                                                Value::Int64(1)},
+                                          0)
+                                  .RoutingKey();
+            for (size_t i = 1; i < net.size(); ++i) {
+              if (net.node(i)->router()->IsResponsibleFor(key)) crashed = i;
+            }
+            if (crashed != 0) net.Crash(crashed);
+          })
+      .At(kIssue + Seconds(20),
+          [&gets](core::PierNetwork& net) { gets = FetchGets(net); })
+      .AddQuery({.sql = kJoinSql, .issue_at = kIssue, .origin = 0})
+      .WithDefaultCheckers();
+  ScenarioReport report = s.Run();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  ASSERT_NE(crashed, 0u) << "the origin owns rule 7";
+  EXPECT_GT(gets, 0u) << "the join did not run as fetch-matches";
+  ASSERT_EQ(report.queries.size(), 1u);
+  const query::Completeness& c = report.queries[0].batch.completeness;
+  ASSERT_TRUE(report.queries[0].completed) << report.ToString();
+  EXPECT_FALSE(c.exact) << c.ToString();
+  EXPECT_GE(c.frames_lost, 1u) << c.ToString();
 }
 
 // Post-run probe for the origin-crash scenario: every surviving member must
@@ -976,7 +1155,9 @@ TEST(ScenarioTest, OriginCrashMidQueryReclaimsMemberState) {
       .PublishRows("alerts", AlertRows(32))
       .PublishRows("rules", RuleRows(4))
       .AddQuery({.sql = kJoinSql, .issue_at = Seconds(30), .origin = 1})
-      .At(Seconds(32), [](core::PierNetwork& net) { net.node(1)->Crash(); })
+      // Before the join, which closes by count, could answer.
+      .At(Seconds(30) + Millis(150),
+          [](core::PierNetwork& net) { net.node(1)->Crash(); })
       // Leases fire around t=58s and the reclaimed queries GC 30s later;
       // check only after both have clearly passed.
       .WithHealSettle(Seconds(60))
