@@ -28,7 +28,9 @@
 #                — its >=5x speedup target is printed, not gated, since
 #                --min-speedup is not passed), the join-strategy
 #                bench's >=5x traffic-reduction gate and its every answer
-#                certified exact within half the result window, the storm
+#                certified exact within half the result window, the
+#                multiway-join bench's three-way GROUP BY answer certified
+#                exact within half its result window, the storm
 #                bench's p99 answer inside the result window, the churn bench's
 #                coverage floor, Figure 1's epoch count and error gate,
 #                the recursion bench's exact-closure gate, an unanswered
@@ -135,6 +137,11 @@ if [[ $PERF -eq 1 ]]; then
   # honesty, not telepathy.
   "$BUILD_DIR/bench_table1_top_intrusions" --lossy --json="$BENCH_JSON" | tail -8
   "$BUILD_DIR/bench_range_scan" --json="$BENCH_JSON" | tail -3
+  # Three-way join with GROUP BY on 32 Chord nodes: the final join's
+  # rendezvous ship their partial groups straight to the origin once
+  # settled. Gates on every group and row and on the answer certified exact
+  # within half the 25 s result window (its answer_s and exact are
+  # recorded): join-fed aggregation closes on the join's books.
   "$BUILD_DIR/bench_multiway_join" --json="$BENCH_JSON" | tail -3
   # Self-check: both planes must drain identical group-by rows. The
   # printed batch-vs-tuple speedup (target >=5x, unmet on the all-column

@@ -331,7 +331,9 @@ Status PlanOutput(const SelectStmt& stmt, const Schema& layout, OpNode* body,
 /// scans rehash into the first join, each join's output rehashes into the
 /// next on the following join key, and — when aggregating — a partial-agg
 /// stage runs at the final join's rendezvous nodes so aggregation happens
-/// in-network (kTree combines partials up the dissemination tree).
+/// in-network. Each rendezvous ships its partial groups straight to the
+/// origin whatever the AggStrategy: the origin accounts for every frame it
+/// admits against the join's books.
 Result<QueryPlan> PlanMultiwayJoin(const SelectStmt& stmt,
                                    const catalog::Catalog& catalog,
                                    const PlannerOptions& options) {
@@ -449,10 +451,10 @@ Result<QueryPlan> PlanMultiwayJoin(const SelectStmt& stmt,
                               steps[k].left_keys, steps[k].right_keys);
   }
   // In-network aggregation over the join output: partial-aggregate at the
-  // final join's rendezvous nodes, combine per AggStrategy, finalize at the
-  // origin.
+  // final join's rendezvous nodes, which ship their groups to the origin to
+  // combine and finalize.
   query::AppendTail(&plan.graph, where, std::move(body), std::move(collect),
-                    options.agg_strategy);
+                    query::AggStrategy::kDirect);
   return plan;
 }
 

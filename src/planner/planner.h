@@ -5,7 +5,7 @@
 // Responsibilities: name resolution (aliases, qualified columns), equi-join
 // key extraction from WHERE / ON conjuncts, join-order selection for 3+
 // relation FROM lists (left-deep join chains, with group-by pushed to the
-// join rendezvous per AggStrategy),
+// final join's rendezvous, which ship their partial groups to the origin),
 // aggregate analysis (partial/final split, HAVING and ORDER BY rewritten
 // over the aggregate layout), join/aggregation strategy selection, and
 // validation (e.g. fetch-matches partitioning compatibility is re-checked
@@ -26,6 +26,10 @@ namespace planner {
 
 struct PlannerOptions {
   query::JoinStrategy join_strategy = query::JoinStrategy::kSymmetricHash;
+  /// How a scan-fed aggregate's partials combine: up the dissemination
+  /// tree (kTree) or at the origin (kDirect). Join-fed partials always go
+  /// straight to the origin, whose checks see only the frames it admits,
+  /// so a multiway join plans the same graph under either strategy.
   query::AggStrategy agg_strategy = query::AggStrategy::kTree;
   /// When true, a join whose inner relation is already partitioned on the
   /// join key is downgraded from rehashing to fetch-matches automatically.

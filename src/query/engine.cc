@@ -48,11 +48,22 @@ constexpr size_t kMaxPlanOperators = 64;
 /// within ~window - result_wait of a split cannot certify in its window.
 constexpr Duration kCertifyStabilityWindow = Seconds(30);
 
-/// True when two of the ownership ranges (from, to] overlap. Sorted by
-/// their ends, two ranges overlap exactly when some range holds the end
-/// before its own.
+/// Starts a result or partial message: [type][qid][epoch], then its rows.
+Writer DataMessage(MsgType type, uint64_t qid, uint64_t epoch) {
+  Writer w;
+  w.PutU8(static_cast<uint8_t>(type));
+  w.PutVarint64(qid);
+  w.PutVarint64(epoch);
+  return w;
+}
+
+}  // namespace
+
 bool RangesOverlap(std::vector<std::pair<Id160, Id160>> ranges) {
   if (ranges.size() < 2) return false;
+  // Sorted by their ends, two ranges overlap exactly when some range holds
+  // the end before its own (the first range's is the last one's: the ring
+  // wraps).
   std::sort(ranges.begin(), ranges.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
   for (size_t i = 0; i < ranges.size(); ++i) {
@@ -64,17 +75,6 @@ bool RangesOverlap(std::vector<std::pair<Id160, Id160>> ranges) {
   }
   return false;
 }
-
-/// Starts a result or partial message: [type][qid][epoch], then its rows.
-Writer DataMessage(MsgType type, uint64_t qid, uint64_t epoch) {
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(type));
-  w.PutVarint64(qid);
-  w.PutVarint64(epoch);
-  return w;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Per-query state
@@ -678,9 +678,13 @@ void QueryEngine::OnOutboxDrained(ActiveQuery* aq) {
 void QueryEngine::SendEpochReport(ActiveQuery* aq) {
   const bool books = aq->runtime->keeps_books();
   // A join member has nothing to claim while it still owes a rehash put,
-  // a fetch, or a data frame to the origin.
-  if (books && (!aq->runtime->Settled() || !aq->outbox.data_drained())) {
-    return;
+  // a fetch, or a data frame to the origin. Once settled, its join-fed
+  // partial groups are whole until another arrival: they ship first, and
+  // the report that counts them follows their ack.
+  if (books) {
+    if (!aq->runtime->Settled()) return;
+    aq->runtime->FlushJoinPartials();
+    if (!aq->outbox.data_drained()) return;
   }
   Writer w;
   w.PutU8(static_cast<uint8_t>(MsgType::kEpochReport));
@@ -1648,6 +1652,9 @@ void QueryEngine::FinalizeEpoch(ActiveQuery* aq, uint64_t epoch,
   // A continuous query may race its early finalize against the result-wait
   // timer; whichever fired first already closed the epoch.
   if (static_cast<int64_t>(epoch) <= aq->last_finalized_epoch) return;
+  // The origin's own join-fed partial groups join the root while it still
+  // admits them.
+  aq->runtime->FlushJoinPartials();
   aq->last_finalized_epoch = static_cast<int64_t>(epoch);
   auto eit = aq->epochs.find(epoch);
   if (eit != aq->epochs.end()) {

@@ -31,10 +31,12 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "catalog/table_def.h"
 #include "catalog/tuple.h"
+#include "common/id160.h"
 #include "common/result.h"
 #include "dht/broadcast.h"
 #include "dht/storage.h"
@@ -52,6 +54,12 @@ class IndexManager;
 }  // namespace index
 
 namespace query {
+
+/// True when two of the ownership ranges (from, to] overlap (a range with
+/// from == to is the whole ring). Two join rendezvous whose reported
+/// ranges overlap may each have consumed part of one key's arrivals, so
+/// the origin certifies no join or join-fed aggregate over them.
+bool RangesOverlap(std::vector<std::pair<Id160, Id160>> ranges);
 
 /// Per-node query processor. Registers for Proto::kQuery and owns the
 /// node's broadcast handler.

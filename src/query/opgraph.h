@@ -11,8 +11,8 @@
 //             how PIER partitions join and rendezvous state);
 //   kToOrigin direct message to the query origin (results, or raw rows the
 //             origin aggregates itself);
-//   kTree     partial aggregates combining hop-by-hop up the dissemination
-//             tree that delivered the plan.
+//   kTree     scan-fed partial aggregates combining hop-by-hop up the
+//             dissemination tree that delivered the plan.
 //
 // The graph is pure data: nodes carry bound expressions and column indices,
 // never live operator state. It is the whole executable plan: the plan
@@ -44,7 +44,8 @@ enum class JoinStrategy : uint8_t {
   kBloom = 3,          ///< pre-filter both sides with exchanged Bloom filters
 };
 
-/// How partial aggregates reach the query origin.
+/// How a scan-fed aggregate's partials reach the query origin (join-fed
+/// partials always go straight there).
 enum class AggStrategy : uint8_t {
   kDirect = 0,  ///< every node sends partials straight to the origin
   kTree = 1,    ///< partials combine hop-by-hop up the dissemination tree

@@ -41,8 +41,8 @@ bool AggStage::PushRawBatch(exec::RowBatch& b) {
     vgb_ = std::make_unique<exec::VectorGroupBy>(node_->group_cols,
                                                  node_->aggs);
     if (streaming_) {
-      host_->ScheduleStageTimer(HoldDelay(), qid_, node_id_,
-                                kStreamFlushToken);
+      hold_timer_ = host_->ScheduleStageTimer(HoldDelay(), qid_, node_id_,
+                                              kStreamFlushToken);
     }
   }
   vgb_->PushBatch(b);
@@ -50,6 +50,13 @@ bool AggStage::PushRawBatch(exec::RowBatch& b) {
 }
 
 void AggStage::EndScan() { FlushAccumulator(scan_epoch_); }
+
+void AggStage::FlushStreaming() {
+  if (!streaming_ || vgb_ == nullptr) return;
+  if (hold_timer_ != 0) host_->CancelTimer(hold_timer_);
+  hold_timer_ = 0;
+  FlushAccumulator(/*epoch=*/0);
+}
 
 void AggStage::FlushAccumulator(uint64_t epoch) {
   std::vector<Tuple> partials;
@@ -88,7 +95,7 @@ AggStage::Combiner& AggStage::Open(uint64_t epoch) {
 
 void AggStage::OnSubtreeCovered(uint64_t epoch, uint64_t members,
                                 bool complete) {
-  if (root_ != nullptr || route_ != ExchangeKind::kTree || streaming_) return;
+  if (root_ != nullptr || route_ != ExchangeKind::kTree) return;
   // The wave of an epoch this node already flushed came too late to matter.
   if (combiners_.count(epoch) == 0 &&
       static_cast<int64_t>(epoch) <= opened_epoch_) {
@@ -108,19 +115,14 @@ void AggStage::OnRemotePartial(uint32_t from, uint64_t epoch,
     c = &Open(epoch);
   } else {
     auto it = combiners_.find(epoch);
-    if (it != combiners_.end()) {
-      c = &it->second;
-    } else if (streaming_) {
-      // Join-fed aggregation has no epoch scans to open combine windows,
-      // so the first partial opens one.
-      c = &Open(epoch);
-    } else {
-      // Scan-fed: this epoch's combiner has flushed (or is not open here):
-      // the partial goes on upward with its count, so the root's total
-      // still adds up.
+    if (it == combiners_.end()) {
+      // This epoch's combiner has flushed (or is not open here): the
+      // partial goes on upward with its count, so the root's total still
+      // adds up.
       host_->DeliverPartialBatch(qid_, epoch, contributors, rows, route_);
       return;
     }
+    c = &it->second;
   }
   c->contributors += contributors;
   for (const Tuple& p : rows) c->partials.Push(p);
@@ -161,7 +163,8 @@ void AggStage::FlushCombiner(uint64_t epoch) {
 
 void AggStage::OnTimer(uint64_t token) {
   if (token == kStreamFlushToken) {
-    FlushAccumulator(/*epoch=*/0);
+    hold_timer_ = 0;
+    FlushStreaming();
     return;
   }
   FlushCombiner(token - 1);

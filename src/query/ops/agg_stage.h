@@ -5,29 +5,37 @@
 // VectorGroupBy) whoever produced them; only what closes it differs:
 //  - Scan-fed (epochal): BeginEpoch / PushRawBatch / EndScan once per
 //    epoch.
-//  - Join-fed (streaming): joined rows arrive continuously at rendezvous
-//    nodes, one-row batches; the first batch after a flush arms a hold
-//    timer that closes the accumulator, so aggregation happens in-network
-//    at the join site instead of shipping raw rows to the origin.
+//  - Join-fed (streaming): joined rows arrive continuously at the final
+//    join's rendezvous nodes, one-row batches, so aggregation happens
+//    in-network at the join site instead of shipping raw rows to the
+//    origin. FlushStreaming ships the accumulator's partial groups straight
+//    to the origin; the engine calls it whenever the node's joins settle,
+//    just before the epoch report that counts the frame, and the origin
+//    folds its own accumulator in before it finalizes. A later arrival
+//    opens a fresh accumulator for the next settle. The first batch after
+//    a flush arms a hold timer, only the fallback for a node that never
+//    settles.
 // The closed accumulator's partials flush by the node's output exchange:
 // kTree folds them into this node's combiner for the epoch, a kCombine
-// exec::GroupBy; anything else ships them immediately.
+// exec::GroupBy; anything else ships them immediately. Only scan-fed
+// partials ride the tree (QueryRuntime::Init refuses a join-fed kTree).
 //
-// Every kPartial frame carries the number of contributors folded into it.
-// Scan-fed, a node counts itself once its scan ends (rows or not), and the
+// Every scan-fed kPartial frame carries the number of contributors folded
+// into it. A node counts itself once its scan ends (rows or not), and the
 // dissemination cover wave tells each tree node how many nodes its subtree
 // holds (OnSubtreeCovered). An interior combiner opens at BeginEpoch and
 // flushes exactly once, when its count reaches that subtree size. The
 // depth-paced hold timer, armed at the combiner's first contribution, is
 // only the fallback for a count that never completes (a crashed child, a
-// shed member, an incomplete cover wave); join-fed combiners close on it
-// alone and count nothing. A partial arriving after its node flushed goes
-// on upward with its count, so the root's total adds up on any path.
+// shed member, an incomplete cover wave). A partial arriving after its
+// node flushed goes on upward with its count, so the root's total adds up
+// on any path. Join-fed partials count nothing: their origin accounts for
+// them on the join's books and the members' reported frames instead.
 //
 // At the origin the stage is the root of the combine tree: its own and its
 // children's partials fold into one combiner per open epoch (result
 // windows longer than the period overlap epochs), with no hold timer and
-// no relay. The origin certifies an epoch exact when the root's
+// no relay. The origin certifies a scan-fed epoch exact when the root's
 // contributor total equals the members its cover wave reached. Finalizing
 // an epoch takes its combined partials to the CollectStage; later partials
 // for it count as late.
@@ -62,6 +70,10 @@ class AggStage : public Stage {
   /// states (BatchEmitFn shape). Join-fed, the first batch after a flush
   /// arms the hold timer.
   bool PushRawBatch(exec::RowBatch& b);
+  /// Join-fed: ships the partial groups folded since the last flush to the
+  /// origin (at the origin, into the root's combiner); no-op when none are
+  /// held or the stage is scan-fed.
+  void FlushStreaming();
   /// Scan-fed: the epoch's scans finished; this node's partials join the
   /// epoch as one contributor, even when it holds no rows.
   void EndScan();
@@ -127,6 +139,8 @@ class AggStage : public Stage {
   /// The open accumulator (created on the first batch after a flush): the
   /// scan-fed epoch's rows, or the join-fed rows since the last flush.
   std::unique_ptr<exec::VectorGroupBy> vgb_;
+  /// Join-fed: the open accumulator's hold fallback (0: none armed).
+  sim::TimerId hold_timer_ = 0;
 
   /// Open combiners by epoch: at most one on an interior node, one per
   /// open epoch at the root.

@@ -85,6 +85,12 @@ Status QueryRuntime::Init() {
         if (agg_ != nullptr) {
           return Status::InvalidArgument("multiple partial-agg nodes");
         }
+        // Join-fed partials go to the origin, whose checks see only the
+        // frames it admits; a tree parent would fold them out of its sight.
+        if (!epochal_ && n.out == ExchangeKind::kTree) {
+          return Status::InvalidArgument(
+              "join-fed partial-agg must ship to the origin");
+        }
         auto stage = std::make_unique<AggStage>(host_, qid_, id, &n,
                                                 collection_, !epochal_);
         agg_ = stage.get();

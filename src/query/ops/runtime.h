@@ -54,15 +54,14 @@ class QueryRuntime {
   /// scans finish — so their reports can certify it exact. A join graph
   /// that keeps books qualifies too: its members report once settled.
   bool accountable() const {
-    return agg_ == nullptr && index_scans_.empty() &&
-           (epochal_ || keeps_books());
+    return index_scans_.empty() &&
+           (keeps_books() || (epochal_ && agg_ == nullptr));
   }
-  /// A one-shot join graph whose joined rows go straight to the origin
-  /// (no in-network aggregation, no recursion): each node's reports carry
-  /// its join books, and the origin certifies when they balance.
+  /// A one-shot join graph (no recursion) whose joined rows, or the final
+  /// join's partial groups, go straight to the origin: each node's reports
+  /// carry its join books, and the origin certifies when they balance.
   bool keeps_books() const {
-    return !joins_.empty() && agg_ == nullptr && recurse_ == nullptr &&
-           env_->plan.every == 0;
+    return !joins_.empty() && recurse_ == nullptr && env_->plan.every == 0;
   }
   /// Scan-fed aggregation: every partial carries its contributor count up
   /// the combine tree, and the root's total certifies an epoch exact.
@@ -115,6 +114,12 @@ class QueryRuntime {
   /// A fetch-matches join's inner rows held here are out of its probes'
   /// reach (JoinStage::InnerRowsOutOfReach).
   bool InnerRowsOutOfReach() const;
+  /// Join-fed aggregation: ships the partial groups joined here since the
+  /// last flush (AggStage::FlushStreaming). A member calls it once settled,
+  /// before its report; the origin before it closes the answer.
+  void FlushJoinPartials() {
+    if (agg_ != nullptr) agg_->FlushStreaming();
+  }
   /// Origin-only: the plan's cover wave came back.
   void OnCoverageKnown();
 

@@ -235,11 +235,11 @@ inline std::vector<Shape> Shapes() {
        "  3: scan(sevs) => rehash\n"
        "  4: join[symmetric-hash] keys=[4]x[0] <- (2,3)\n"
        "  5: filter((a.hits > 0)) <- (4)\n"
-       "  6: partial-agg(group=[6] aggs=SUM) <- (5) => tree\n"
+       "  6: partial-agg(group=[6] aggs=SUM) <- (5) => to-origin\n"
        "  7: final-agg(group=[6] aggs=SUM) <- (6)\n"
        "  8: collect(select=[0,1]) <- (7)\n"
        "}",
-       /*origin_local=*/false, /*accountable=*/false},
+       /*origin_local=*/false, /*accountable=*/true},
       {"index_select",
        "SELECT host, value FROM metrics WHERE value BETWEEN 10 AND 20",
        {},

@@ -1495,6 +1495,342 @@ TEST(QueryJoinCertifyFaultTest, UndecodableArrivalBarsCertification) {
 }
 
 // ---------------------------------------------------------------------------
+// Join-fed aggregation closes on the join's books: each rendezvous of the
+// final join ships its partial groups to the origin once it has settled,
+// ahead of the report that counts the frame
+// ---------------------------------------------------------------------------
+
+TableDef SevsTable() {
+  TableDef def;
+  def.name = "sevs";
+  def.schema = Schema("sevs", {{"severity", ValueType::kInt64},
+                               {"label", ValueType::kString}});
+  def.partition_cols = {0};
+  def.ttl = Seconds(600);
+  return def;
+}
+
+/// alerts ⋈ rules ⋈ sevs with SUM(hits), COUNT(*) GROUP BY label: rules
+/// 1..12, four alerts each, two rules per severity 1..6.
+struct ChainFixture {
+  static int Severity(int rule) { return (rule + 1) / 2; }
+  static std::string Label(int sev) { return "sev" + std::to_string(sev); }
+  static int Hits(int rule, int k) { return 10 * rule + k; }
+
+  /// label -> (SUM(hits), COUNT(*)).
+  static std::map<std::string, std::pair<int64_t, int64_t>> Expected() {
+    std::map<std::string, std::pair<int64_t, int64_t>> out;
+    for (int rule = 1; rule <= 12; ++rule) {
+      for (int k = 0; k < 4; ++k) {
+        auto& [sum, n] = out[Label(Severity(rule))];
+        sum += Hits(rule, k);
+        ++n;
+      }
+    }
+    return out;
+  }
+
+  static void Publish(PierNetwork& net) {
+    RegisterEverywhere(net, AlertsTable());
+    RegisterEverywhere(net, RulesTable());
+    RegisterEverywhere(net, SevsTable());
+    std::vector<std::tuple<int, std::string, int>> alerts;
+    for (int rule = 1; rule <= 12; ++rule) {
+      for (int k = 0; k < 4; ++k) {
+        alerts.push_back({rule, "a" + std::to_string(rule), Hits(rule, k)});
+      }
+    }
+    PublishAlerts(net, alerts);
+    for (int rule = 1; rule <= 12; ++rule) {
+      ASSERT_TRUE(net.node(static_cast<size_t>(rule) % net.size())
+                      ->query_engine()
+                      ->Publish("rules", Tuple{Value::Int64(rule),
+                                               Value::Int64(Severity(rule))})
+                      .ok());
+    }
+    for (int sev = 1; sev <= 6; ++sev) {
+      ASSERT_TRUE(net.node(static_cast<size_t>(sev + 3) % net.size())
+                      ->query_engine()
+                      ->Publish("sevs", Tuple{Value::Int64(sev),
+                                              Value::String(Label(sev))})
+                      .ok());
+    }
+    net.RunFor(Seconds(5));
+  }
+
+  /// Chained symmetric-hash joins: the first is graph node 2, the second
+  /// (keyed on rules.severity, column 4) node 4; partial-agg runs at the
+  /// second's rendezvous and ships to the origin.
+  static QueryPlan Plan() {
+    QueryPlan plan;
+    const uint32_t first = AddJoin(
+        &plan.graph, AddScan(&plan.graph, "alerts", AlertsTable().schema),
+        "rules", RulesTable().schema, JoinStrategy::kSymmetricHash, {0}, {0});
+    AddJoin(&plan.graph, first, "sevs", SevsTable().schema,
+            JoinStrategy::kSymmetricHash, {4}, {0});
+    AppendTail(&plan.graph, nullptr,
+               AggNode({6}, {{AggFunc::kSum, 2, "total"},
+                             {AggFunc::kCount, -1, "n"}}),
+               {}, AggStrategy::kDirect);
+    return plan;
+  }
+
+  static std::map<std::string, std::pair<int64_t, int64_t>> Got(
+      const ResultBatch& b) {
+    std::map<std::string, std::pair<int64_t, int64_t>> got;
+    for (const Tuple& t : b.rows) {
+      got[t[0].string_value()] = {t[1].int64_value(), t[2].int64_value()};
+    }
+    return got;
+  }
+};
+
+/// The id of node `i`'s first query.
+uint64_t FirstQueryId(PierNetwork& net, size_t i) {
+  return ((static_cast<uint64_t>(net.node(i)->host()) + 1) << 32) | 1;
+}
+
+/// The key severity `sev` rehashes to in join node `join` of query `qid`.
+dht::DhtKey ChainKey(uint64_t qid, uint32_t join, int64_t key) {
+  return dht::DhtKey{RehashExchange::NamespaceFor(qid, join),
+                     catalog::ResourceForCols(Tuple{Value::Int64(key)}, {0}),
+                     0};
+}
+
+/// The chain fixture's aggregate on 8 one-hop nodes, issued from node
+/// `origin` once `fault` (given the query id) is in force.
+struct ChainRun {
+  ResultBatch batch;
+  Duration took = 0;
+  uint64_t rehash_put_failures = 0;  ///< summed over the nodes
+  size_t answers = 0;
+  /// kPartial frames each host sent.
+  std::map<sim::HostId, uint64_t> partials_sent;
+};
+
+ChainRun RunChainedJoinSum(
+    PierNetworkOptions opts, size_t origin,
+    const std::function<void(PierNetwork&, sim::FaultPlane&, uint64_t)>&
+        fault) {
+  PierNetwork net(8, opts);
+  net.Boot(Seconds(5));
+  ChainFixture::Publish(net);
+  net.RunFor(Seconds(30));
+  sim::FaultPlane plane(net.sim()->rng().Fork(0x636861696eull));  // "chain"
+  net.net()->SetFaultPlane(&plane);
+  const uint64_t qid = FirstQueryId(net, origin);
+  fault(net, plane, qid);
+
+  ChainRun out;
+  std::vector<ResultBatch> batches;
+  const TimePoint issued = net.sim()->now();
+  auto r = net.node(origin)->query_engine()->Execute(
+      ChainFixture::Plan(), [&](const ResultBatch& b) {
+        batches.push_back(b);
+        out.took = net.sim()->now() - issued;
+      });
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value(), qid);
+  net.RunFor(Seconds(30));
+  net.net()->SetFaultPlane(nullptr);
+  for (size_t i = 0; i < net.size(); ++i) {
+    const EngineStats& stats = net.node(i)->query_engine()->stats();
+    out.rehash_put_failures += stats.rehash_put_failures;
+    out.partials_sent[net.node(i)->host()] = stats.partial_msgs_sent;
+  }
+  out.answers = batches.size();
+  if (!batches.empty()) out.batch = batches[0];
+  return out;
+}
+
+// One rehash frame into the final join reaches its rendezvous only after
+// that node settled, shipped its partial groups and reported. The arrival
+// joins into a fresh accumulator, and the node flushes and reports again:
+// the origin certifies only on the second report, whose frame count covers
+// the second partial, and the answer holds the late rows.
+TEST(QueryJoinAggregateTest, LateArrivalIsFlushedBeforeTheReportCountingIt) {
+  // Holds the first join-output frame into `ns` bound for a member, then
+  // delivers it `delay` later and steps aside.
+  struct Held {
+    int budget = 1;
+    sim::HostId to = sim::kInvalidHost;
+    TimePoint landed = 0;
+  };
+  class DelayFirstFrame : public sim::MessageHandler {
+   public:
+    DelayFirstFrame(PierNetwork* net, core::PierNode* node, std::string ns,
+                    Held* held)
+        : net_(net), node_(node), ns_(std::move(ns)), held_(held) {}
+    void OnMessage(sim::HostId from, const sim::Packet& packet) override {
+      Reader head(packet.head.view());
+      Reader r(packet.body.view());
+      uint8_t proto = 0, tag = 0, side = 1;
+      Id160 key;
+      dht::DhtKey put;
+      uint64_t len = 0;
+      if (held_->budget > 0 && head.GetU8(&proto).ok() &&
+          proto == static_cast<uint8_t>(overlay::Proto::kOverlay) &&
+          Id160::Deserialize(&head, &key).ok() && head.GetU8(&tag).ok() &&
+          tag == dht::kPutTag && dht::DhtKey::Deserialize(&r, &put).ok() &&
+          put.ns == ns_ && r.GetVarint64(&len).ok() && r.GetU8(&side).ok() &&
+          side == 0) {
+        --held_->budget;
+        held_->to = node_->host();
+        net_->sim()->ScheduleAfter(
+            Seconds(1), [net = net_, node = node_, held = held_, from,
+                         packet] {
+              held->landed = net->sim()->now();
+              node->OnMessage(from, packet);
+            });
+        return;
+      }
+      node_->OnMessage(from, packet);
+    }
+
+   private:
+    PierNetwork* net_;
+    core::PierNode* node_;
+    std::string ns_;
+    Held* held_;
+  };
+
+  PierNetworkOptions opts = OneHopOpts(137);
+  opts.node.engine.result_wait = Seconds(12);
+  // The hold fallback (7 agg_hold_base on a member) must not flush first.
+  opts.node.engine.agg_hold_base = Seconds(5);
+  Held held;
+  std::vector<std::unique_ptr<DelayFirstFrame>> hooks;
+  TimePoint issued = 0;
+  ChainRun run = RunChainedJoinSum(
+      opts, /*origin=*/0,
+      [&](PierNetwork& net, sim::FaultPlane&, uint64_t qid) {
+        issued = net.sim()->now();
+        for (size_t i = 1; i < net.size(); ++i) {
+          hooks.push_back(std::make_unique<DelayFirstFrame>(
+              &net, net.node(i), RehashExchange::NamespaceFor(qid, 4),
+              &held));
+          net.net()->SetHandler(net.node(i)->host(), hooks.back().get());
+        }
+      });
+  ASSERT_EQ(held.budget, 0) << "no join-output frame reached a member";
+  ASSERT_EQ(run.answers, 1u);
+  EXPECT_EQ(ChainFixture::Got(run.batch), ChainFixture::Expected());
+  const Completeness& c = run.batch.completeness;
+  EXPECT_TRUE(c.exact) << c.ToString();
+  EXPECT_GT(issued + run.took, held.landed);
+  EXPECT_LT(run.took, opts.node.engine.result_wait / 4);
+  // The late arrival's rendezvous flushed once before it and once after.
+  EXPECT_GE(run.partials_sent[held.to], 2u);
+}
+
+// A chained put into the final join's namespace that runs out of DHT
+// retries is on neither side of that edge's books: its loss must keep the
+// aggregate from certifying.
+TEST(QueryJoinAggregateTest, FailedChainedRehashPutBarsCertification) {
+  // A rule whose first-join rendezvous is neither the origin nor the
+  // rendezvous of its severity in the second join, which is not the origin
+  // either: a one-way cut between the two breaks that rule's chained puts.
+  PierNetworkOptions opts = OneHopOpts(137);
+  opts.node.engine.result_wait = Seconds(12);  // past the put's retries
+  CutEdge cut;
+  ChainRun run = RunChainedJoinSum(
+      opts, /*origin=*/0,
+      [&cut](PierNetwork& net, sim::FaultPlane& plane, uint64_t qid) {
+        for (int rule = 1; rule <= 12 && cut.rule == 0; ++rule) {
+          const size_t from = OwnerIndex(net, ChainKey(qid, 2, rule));
+          const size_t to = OwnerIndex(
+              net, ChainKey(qid, 4, ChainFixture::Severity(rule)));
+          if (from != to && from != 0 && to != 0) cut = {rule, from, to};
+        }
+        if (cut.rule == 0) return;
+        plane.Partition({net.node(cut.from)->host()},
+                        {net.node(cut.to)->host()}, net.sim()->now(),
+                        net.sim()->now() + Seconds(20),
+                        /*bidirectional=*/false);
+      });
+  ASSERT_NE(cut.rule, 0) << "no rule's chained puts cross between members";
+  ASSERT_EQ(run.answers, 1u);
+  const Completeness& c = run.batch.completeness;
+  EXPECT_TRUE(c.coverage_complete) << c.ToString();
+  EXPECT_FALSE(c.exact) << c.ToString();
+  EXPECT_GE(c.frames_lost, 1u) << c.ToString();
+  EXPECT_GE(run.rehash_put_failures, 1u);
+  EXPECT_EQ(run.took, opts.node.engine.result_wait);
+  // Every group the answer holds is at most its oracle value, and the cut
+  // rule's group is short.
+  const auto expected = ChainFixture::Expected();
+  const auto got = ChainFixture::Got(run.batch);
+  for (const auto& [label, agg] : got) {
+    ASSERT_EQ(expected.count(label), 1u) << label;
+    EXPECT_LE(agg.second, expected.at(label).second) << label;
+  }
+  const std::string short_label =
+      ChainFixture::Label(ChainFixture::Severity(cut.rule));
+  EXPECT_LT(got.count(short_label) == 0 ? 0 : got.at(short_label).second,
+            expected.at(short_label).second);
+}
+
+// The origin is a rendezvous of the final join too, and its own partial
+// groups fold into the root when it closes the answer. Here result_wait
+// ends before any hold timer could flush them and the answer cannot
+// certify (every cover wave reports incomplete): it still holds every
+// group, the origin's own included.
+TEST(QueryJoinAggregateTest, OriginsOwnGroupsSurviveAResultWaitBeforeTheHold) {
+  PierNetworkOptions opts = OneHopOpts(139);
+  opts.node.engine.result_wait = Seconds(3);
+  opts.node.engine.agg_hold_base = Seconds(1);  // holds of 7-8 s
+  opts.node.broadcast.cover_timeout = Millis(1);
+  // An origin that owns some severity in the second join's namespace.
+  size_t origin = 0;
+  std::set<int> own;
+  {
+    PierNetwork probe(8, opts);
+    probe.Boot(Seconds(5));
+    for (size_t i = 0; i < probe.size() && own.empty(); ++i) {
+      for (int sev = 1; sev <= 6; ++sev) {
+        if (OwnerIndex(probe, ChainKey(FirstQueryId(probe, i), 4, sev)) ==
+            i) {
+          origin = i;
+          own.insert(sev);
+        }
+      }
+    }
+  }
+  ASSERT_FALSE(own.empty()) << "no node owns a group it could issue for";
+  ChainRun run = RunChainedJoinSum(opts, origin,
+                                   [](PierNetwork&, sim::FaultPlane&,
+                                      uint64_t) {});
+  ASSERT_EQ(run.answers, 1u);
+  const Completeness& c = run.batch.completeness;
+  EXPECT_FALSE(c.exact) << c.ToString();
+  EXPECT_EQ(run.took, opts.node.engine.result_wait);
+  EXPECT_EQ(ChainFixture::Got(run.batch), ChainFixture::Expected());
+}
+
+// The consumer-range guard: the origin certifies no join, or join-fed
+// aggregate, over two rendezvous that reported overlapping key ranges.
+TEST(RangesOverlapTest, FlagsEveryOverlapOnTheRing) {
+  const Id160 a = Id160::FromUint64(100), b = Id160::FromUint64(200),
+              c = Id160::FromUint64(300), d = Id160::FromUint64(400);
+  // Adjacent ranges share only their boundary, which the first one owns.
+  EXPECT_FALSE(RangesOverlap({{a, b}, {b, c}}));
+  EXPECT_FALSE(RangesOverlap({{b, c}, {a, b}, {c, a}}));
+  // One range inside another.
+  EXPECT_TRUE(RangesOverlap({{a, d}, {b, c}}));
+  // (c, a] runs through zero and meets (b, d] over (c, d]: sorted by end,
+  // only the comparison that wraps from the last range to the first sees
+  // it.
+  EXPECT_TRUE(RangesOverlap({{c, a}, {b, d}}));
+  // A node that is its own predecessor claims the whole ring.
+  EXPECT_TRUE(RangesOverlap({{b, b}, {c, d}}));
+  EXPECT_TRUE(RangesOverlap({{a, b}, {d, d}}));
+  // One range alone overlaps nothing, the whole ring included.
+  EXPECT_FALSE(RangesOverlap({{a, b}}));
+  EXPECT_FALSE(RangesOverlap({{c, c}}));
+  EXPECT_FALSE(RangesOverlap({}));
+}
+
+// ---------------------------------------------------------------------------
 // Recursion
 // ---------------------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 // Randomized scenario fuzzing: samples fault scripts + topologies from a
 // seed, runs query workloads through them (a scan, an index range, a tree
-// aggregate, a two-table join under a sampled strategy and a chained
-// three-table join), and checks every invariant (routing
-// convergence, soft-state expiry, payload leaks, oracle floors, honest
-// completeness claims, exchange hygiene).
+// aggregate, a two-table join under a sampled strategy, and a chained
+// three-table join with and without GROUP BY), and checks every invariant
+// (routing convergence, soft-state expiry, payload leaks, oracle floors,
+// honest completeness claims, exchange hygiene).
 //
 // On a violation the test FAILS and prints:
 //   - the failing seed (replay: PIER_FUZZ_SEED=<seed> PIER_FUZZ_ITERS=1),
@@ -188,6 +188,17 @@ ScenarioReport RunFuzzCase(uint64_t seed, const FaultScript* override_script,
                         "sevs s WHERE a.rule_id = r.rule_id "
                         "AND r.severity = s.severity",
                  .issue_at = issue_at + Seconds(80),
+                 .origin = 0,
+                 .wait = 0})
+      // The same chain with GROUP BY: the second join's rendezvous
+      // aggregate in the network and ship their partial groups to the
+      // origin once settled, and an exact claim also needs every partial
+      // frame admitted. No floor.
+      .AddQuery({.sql = "SELECT s.label, SUM(a.hits), COUNT(*) "
+                        "FROM alerts a, rules r, sevs s "
+                        "WHERE a.rule_id = r.rule_id "
+                        "AND r.severity = s.severity GROUP BY s.label",
+                 .issue_at = issue_at + Seconds(100),
                  .origin = 0,
                  .wait = 0})
       .WithHealSettle(Seconds(chord ? 60 : 25))

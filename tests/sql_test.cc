@@ -323,8 +323,9 @@ TEST(PlannerTest, MultiwayJoinComposesOpgraph) {
   ASSERT_FALSE(p.graph.empty());
   EXPECT_TRUE(p.graph.Validate().ok()) << p.graph.Validate().ToString();
   // Three scans chained through two binary symmetric-hash joins, with the
-  // group-by pushed below the origin: partial-agg ships over the tree
-  // exchange and finalizes at the origin.
+  // group-by pushed below the origin: partial-agg runs at the final join's
+  // rendezvous, ships straight to the origin (under the default kTree
+  // strategy too) and finalizes there.
   int scans = 0, joins = 0, partial = 0, final_agg = 0;
   for (const query::OpNode& n : p.graph.nodes) {
     scans += n.type == query::OpType::kScan;
@@ -336,7 +337,7 @@ TEST(PlannerTest, MultiwayJoinComposesOpgraph) {
       EXPECT_EQ(n.left_keys.size(), n.right_keys.size());
     }
     if (n.type == query::OpType::kPartialAgg) {
-      EXPECT_EQ(n.out, query::ExchangeKind::kTree);
+      EXPECT_EQ(n.out, query::ExchangeKind::kToOrigin);
     }
   }
   EXPECT_EQ(scans, 3);
