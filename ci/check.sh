@@ -143,9 +143,11 @@ if [[ $PERF -eq 1 ]]; then
   # within half the 25 s result window (its answer_s and exact are
   # recorded): join-fed aggregation closes on the join's books.
   "$BUILD_DIR/bench_multiway_join" --json="$BENCH_JSON" | tail -3
-  # Self-check: both planes must drain identical group-by rows. The
-  # printed batch-vs-tuple speedup (target >=5x, unmet on the all-column
-  # decode path) is recorded, not gated: --min-speedup is not passed.
+  # Self-check: both planes must drain identical final group-by rows (the
+  # tuple plane's one-pass scalar GroupBy against VectorGroupBy's
+  # finalized drain). The printed batch-vs-tuple speedup (target >=5x,
+  # unmet on the all-column decode path) is recorded, not gated:
+  # --min-speedup is not passed.
   "$BUILD_DIR/bench_exec_vectorized" --json="$BENCH_JSON" | tail -3
   # The multi-tenant storm: 1000 mixed index/scan/join queries over 256
   # nodes. Gates on exact answers for every query, zero admission refusals

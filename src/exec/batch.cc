@@ -367,6 +367,17 @@ RowBatch RowBatch::OfRow(const catalog::Tuple& t) {
   return out;
 }
 
+RowBatch RowBatch::OfRows(const std::vector<catalog::Tuple>& rows) {
+  if (rows.empty()) return RowBatch();
+  std::vector<ValueType> types;
+  types.reserve(rows[0].size());
+  for (const Value& v : rows[0]) types.push_back(v.type());
+  RowBatchBuilder builder(std::move(types));
+  builder.Reserve(rows.size());
+  for (const catalog::Tuple& t : rows) builder.Append(t);
+  return builder.Take();
+}
+
 void RowBatch::AssignRow(const catalog::Tuple& t) {
   ClearSelection();
   cols_.resize(t.size());

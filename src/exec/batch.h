@@ -174,6 +174,13 @@ class RowBatch {
   /// (NULL and BYTES ride the boxed lane) — how scalar producers (join
   /// output, recursion, fetched rows) enter the batch chain.
   static RowBatch OfRow(const catalog::Tuple& t);
+  /// A batch of `rows`, each column's kind taken from the first row's
+  /// value; a later value of another type boxes its column (an INT64 sum
+  /// that widened to DOUBLE stays lossless). Every row takes the first
+  /// row's width: a shorter one pads with NULL. No rows make an empty batch
+  /// with no columns. How drained group-by rows become a kPartial frame,
+  /// and the origin's collected rows a group-by input.
+  static RowBatch OfRows(const std::vector<catalog::Tuple>& rows);
   /// Makes this batch OfRow(t) in place, from any prior state (narrowed,
   /// truncated or moved from), keeping its columns' storage: a producer
   /// that emits row after row refills one batch instead of allocating one

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "common/hash.h"
 
@@ -589,7 +590,11 @@ void NarrowSelection(RowBatch* b, const Bitmap& keep) {
 
 VectorGroupBy::VectorGroupBy(std::vector<int> group_cols,
                              std::vector<AggSpec> aggs)
-    : group_cols_(std::move(group_cols)), aggs_(std::move(aggs)) {}
+    : group_cols_(std::move(group_cols)),
+      partial_key_cols_(group_cols_.size()),
+      aggs_(std::move(aggs)) {
+  std::iota(partial_key_cols_.begin(), partial_key_cols_.end(), 0);
+}
 
 void VectorGroupBy::GrowSlots() {
   size_t n = slots_.empty() ? 16 : slots_.size() * 2;
@@ -602,9 +607,10 @@ void VectorGroupBy::GrowSlots() {
   }
 }
 
-size_t VectorGroupBy::FindOrCreateGroup(const RowBatch& b, size_t row) {
+size_t VectorGroupBy::FindOrCreateGroup(const RowBatch& b, size_t row,
+                                        const std::vector<int>& key_cols) {
   uint64_t h = catalog::kHashTupleColsSeed;
-  for (int c : group_cols_) {
+  for (int c : key_cols) {
     h = HashCombine(h, c >= 0 && static_cast<size_t>(c) < b.num_columns()
                            ? b.column(c).CellHash(row)
                            : kNullHash);
@@ -617,8 +623,8 @@ size_t VectorGroupBy::FindOrCreateGroup(const RowBatch& b, size_t row) {
     if (group_hash_[gi] == h) {
       const catalog::Tuple& key = groups_[gi].key;
       bool match = true;
-      for (size_t k = 0; k < group_cols_.size(); ++k) {
-        int c = group_cols_[k];
+      for (size_t k = 0; k < key_cols.size(); ++k) {
+        int c = key_cols[k];
         if (c >= 0 && static_cast<size_t>(c) < b.num_columns()) {
           if (!b.column(c).CellEquals(row, key[k])) {
             match = false;
@@ -634,8 +640,8 @@ size_t VectorGroupBy::FindOrCreateGroup(const RowBatch& b, size_t row) {
     pos = (pos + 1) & mask;
   }
   Group g;
-  g.key.reserve(group_cols_.size());
-  for (int c : group_cols_) {
+  g.key.reserve(key_cols.size());
+  for (int c : key_cols) {
     g.key.push_back(c >= 0 && static_cast<size_t>(c) < b.num_columns()
                         ? b.column(c).ValueAt(row)
                         : Value::Null());
@@ -652,215 +658,40 @@ size_t VectorGroupBy::FindOrCreateGroup(const RowBatch& b, size_t row) {
   return gi;
 }
 
+void VectorGroupBy::ResolveGroups(const RowBatch& b,
+                                  const std::vector<int>& key_cols) {
+  const size_t live = b.ActiveRows();
+  row_group_.resize(live);
+  for (size_t i = 0; i < live; ++i) {
+    row_group_[i] =
+        static_cast<uint32_t>(FindOrCreateGroup(b, b.RowId(i), key_cols));
+  }
+}
+
 void VectorGroupBy::PushBatch(const RowBatch& b) {
+  if (b.ActiveRows() == 0) return;
+  // Resolve every live row to its group first, so the folds run
+  // column-at-a-time over each aggregate's input lane.
+  ResolveGroups(b, group_cols_);
+  for (size_t a = 0; a < aggs_.size(); ++a) FoldAgg(b, a);
+}
+
+void VectorGroupBy::MergeBatch(const RowBatch& b) {
   const size_t live = b.ActiveRows();
   if (live == 0) return;
-  // Pass 1: resolve every live row to its group, so the fold loops below
-  // run column-at-a-time over each aggregate's input lane.
-  row_group_.resize(live);
-  const bool single_i64_key =
-      group_cols_.size() == 1 && group_cols_[0] >= 0 &&
-      static_cast<size_t>(group_cols_[0]) < b.num_columns() &&
-      b.column(group_cols_[0]).kind() == Column::Kind::kInt64;
-  if (single_i64_key) {
-    // Unboxed probe for the dominant GROUP BY shape, with a last-key memo
-    // (skewed keys repeat in runs). Hashing matches FindOrCreateGroup's bit
-    // for bit, so groups merge identically to the generic path.
-    const Column& kc = b.column(group_cols_[0]);
-    const int64_t* lane = kc.int64s().data();
-    bool have_last = false;
-    int64_t last_key = 0;
-    uint32_t last_gi = 0;
+  ResolveGroups(b, partial_key_cols_);
+  // A partial arrives from another node: a state column past the batch's
+  // end reads as NULL, and AggMerge takes any value type.
+  auto cell = [&b](size_t col, size_t row) {
+    return col < b.num_columns() ? b.column(col).ValueAt(row) : Value::Null();
+  };
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    const size_t s1 = a * kPartialWidth;
+    const size_t in1 = partial_key_cols_.size() + s1;
     for (size_t i = 0; i < live; ++i) {
       const size_t row = b.RowId(i);
-      if (kc.IsNull(row)) {
-        row_group_[i] = static_cast<uint32_t>(FindOrCreateGroup(b, row));
-        continue;
-      }
-      const int64_t key = lane[row];
-      if (have_last && key == last_key) {
-        row_group_[i] = last_gi;
-        continue;
-      }
-      const uint64_t h =
-          HashCombine(catalog::kHashTupleColsSeed, HashInt64(key));
-      if ((groups_.size() + 1) * 4 > slots_.size() * 3) GrowSlots();
-      const size_t mask = slots_.size() - 1;
-      size_t pos = h & mask;
-      uint32_t gi = 0;
-      bool found = false;
-      while (slots_[pos] != 0) {
-        gi = slots_[pos] - 1;
-        if (group_hash_[gi] == h) {
-          const Value& k0 = groups_[gi].key[0];
-          // An integral DOUBLE key from an earlier boxed batch hashes and
-          // compares equal to the INT64 cell; route through CellEquals.
-          if (k0.type() == ValueType::kInt64 ? k0.int64_value() == key
-                                             : kc.CellEquals(row, k0)) {
-            found = true;
-            break;
-          }
-        }
-        pos = (pos + 1) & mask;
-      }
-      if (!found) {
-        Group g;
-        g.key.push_back(Value::Int64(key));
-        g.state.resize(aggs_.size() * kPartialWidth);
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          AggInit(aggs_[a], &g.state[a * kPartialWidth],
-                  &g.state[a * kPartialWidth + 1]);
-        }
-        gi = static_cast<uint32_t>(groups_.size());
-        groups_.push_back(std::move(g));
-        group_hash_.push_back(h);
-        slots_[pos] = gi + 1;
-      }
-      row_group_[i] = gi;
-      have_last = true;
-      last_key = key;
-      last_gi = gi;
-    }
-  } else {
-    for (size_t i = 0; i < live; ++i) {
-      row_group_[i] = static_cast<uint32_t>(FindOrCreateGroup(b, b.RowId(i)));
-    }
-  }
-  // Pass 2: fold. When every aggregate has an unboxed step (COUNT, or
-  // SUM/AVG/MIN/MAX over an INT64 lane) run one fused row loop so each
-  // row's group state is resolved exactly once; otherwise fold per
-  // aggregate through FoldAgg.
-  struct FoldStep {
-    enum class K {
-      kCountStar,
-      kCountCol,
-      kSumI64,
-      kAvgI64,
-      kMinI64,
-      kMaxI64,
-      kNoop,  // out-of-range column: input NULL every row
-    };
-    K k = K::kNoop;
-    const Column* col = nullptr;
-    const int64_t* lane = nullptr;
-    size_t s1 = 0;
-  };
-  std::vector<FoldStep> steps(aggs_.size());
-  bool fused = true;
-  for (size_t a = 0; a < aggs_.size() && fused; ++a) {
-    const AggSpec& spec = aggs_[a];
-    FoldStep& f = steps[a];
-    f.s1 = a * kPartialWidth;
-    if (spec.col < 0) {
-      f.k = spec.fn == AggFunc::kCount ? FoldStep::K::kCountStar
-                                       : FoldStep::K::kNoop;
-      continue;
-    }
-    if (static_cast<size_t>(spec.col) >= b.num_columns()) {
-      f.k = FoldStep::K::kNoop;
-      continue;
-    }
-    f.col = &b.column(spec.col);
-    if (spec.fn == AggFunc::kCount) {
-      f.k = FoldStep::K::kCountCol;
-      continue;
-    }
-    if (f.col->kind() != Column::Kind::kInt64) {
-      fused = false;
-      break;
-    }
-    f.lane = f.col->int64s().data();
-    switch (spec.fn) {
-      case AggFunc::kSum:
-        f.k = FoldStep::K::kSumI64;
-        break;
-      case AggFunc::kAvg:
-        f.k = FoldStep::K::kAvgI64;
-        break;
-      case AggFunc::kMin:
-        f.k = FoldStep::K::kMinI64;
-        break;
-      case AggFunc::kMax:
-        f.k = FoldStep::K::kMaxI64;
-        break;
-      case AggFunc::kCount:
-        break;  // handled above
-    }
-  }
-  if (!fused) {
-    for (size_t a = 0; a < aggs_.size(); ++a) FoldAgg(b, a);
-    return;
-  }
-  for (size_t i = 0; i < live; ++i) {
-    const size_t row = b.RowId(i);
-    Value* st = groups_[row_group_[i]].state.data();
-    for (const FoldStep& f : steps) {
-      switch (f.k) {
-        case FoldStep::K::kCountStar: {
-          Value& v1 = st[f.s1];
-          v1 = Value::Int64(v1.int64_value() + 1);
-          break;
-        }
-        case FoldStep::K::kCountCol: {
-          if (f.col->IsNull(row)) break;
-          Value& v1 = st[f.s1];
-          v1 = Value::Int64(v1.int64_value() + 1);
-          break;
-        }
-        case FoldStep::K::kAvgI64: {
-          if (f.col->IsNull(row)) break;
-          Value& v2 = st[f.s1 + 1];
-          v2 = Value::Int64(v2.int64_value() + 1);
-          [[fallthrough]];
-        }
-        case FoldStep::K::kSumI64: {
-          if (f.col->IsNull(row)) break;
-          const int64_t v = f.lane[row];
-          Value& v1 = st[f.s1];
-          int64_t sum = 0;
-          if (v1.is_null()) {
-            v1 = Value::Int64(v);
-          } else if (v1.type() == ValueType::kInt64 &&
-                     !__builtin_add_overflow(v1.int64_value(), v, &sum)) {
-            v1 = Value::Int64(sum);
-          } else {
-            double x = 0;
-            (void)v1.AsDouble(&x);
-            v1 = Value::Double(x + static_cast<double>(v));
-          }
-          break;
-        }
-        case FoldStep::K::kMinI64: {
-          if (f.col->IsNull(row)) break;
-          const int64_t v = f.lane[row];
-          Value& v1 = st[f.s1];
-          if (v1.is_null()) {
-            v1 = Value::Int64(v);
-          } else if (v1.type() == ValueType::kInt64) {
-            if (v < v1.int64_value()) v1 = Value::Int64(v);
-          } else {
-            Value in = Value::Int64(v);
-            if (in.Compare(v1) < 0) v1 = in;
-          }
-          break;
-        }
-        case FoldStep::K::kMaxI64: {
-          if (f.col->IsNull(row)) break;
-          const int64_t v = f.lane[row];
-          Value& v1 = st[f.s1];
-          if (v1.is_null()) {
-            v1 = Value::Int64(v);
-          } else if (v1.type() == ValueType::kInt64) {
-            if (v > v1.int64_value()) v1 = Value::Int64(v);
-          } else {
-            Value in = Value::Int64(v);
-            if (in.Compare(v1) > 0) v1 = in;
-          }
-          break;
-        }
-        case FoldStep::K::kNoop:
-          break;
-      }
+      Value* st = groups_[row_group_[i]].state.data() + s1;
+      AggMerge(aggs_[a], cell(in1, row), cell(in1 + 1, row), st, st + 1);
     }
   }
 }
@@ -985,7 +816,7 @@ void VectorGroupBy::FoldAgg(const RowBatch& b, size_t a) {
   }
 }
 
-std::vector<catalog::Tuple> VectorGroupBy::Drain() {
+std::vector<catalog::Tuple> VectorGroupBy::Drain(bool finalize) {
   std::vector<uint32_t> order(groups_.size());
   for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
@@ -996,7 +827,14 @@ std::vector<catalog::Tuple> VectorGroupBy::Drain() {
   for (uint32_t gi : order) {
     Group& g = groups_[gi];
     catalog::Tuple row = std::move(g.key);
-    for (Value& v : g.state) row.push_back(std::move(v));
+    if (finalize) {
+      for (size_t a = 0; a < aggs_.size(); ++a) {
+        row.push_back(AggFinalize(aggs_[a], g.state[a * kPartialWidth],
+                                  g.state[a * kPartialWidth + 1]));
+      }
+    } else {
+      for (Value& v : g.state) row.push_back(std::move(v));
+    }
     out.push_back(std::move(row));
   }
   groups_.clear();

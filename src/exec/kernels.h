@@ -14,10 +14,10 @@
 // fallback lanes call the scalar plane's own CompareValues, ArithValues and
 // NegateValue.
 //
-// VectorGroupBy is the batch twin of the scalar exec::GroupBy
-// (exec/operators.h) for the raw-row partial phase: it accumulates grouped
-// partial states per batch through the same AggInit/AggUpdateValue folds,
-// and drains in the same sorted group order.
+// VectorGroupBy is the engine's one group-by: it folds raw rows through
+// the AggInit/AggUpdateValue definitions, merges partial states with
+// AggMerge and finalizes with AggFinalize (exec/agg.h). The scalar
+// exec::GroupBy (exec/operators.h) is its one-pass raw-to-final reference.
 
 #ifndef PIER_EXEC_KERNELS_H_
 #define PIER_EXEC_KERNELS_H_
@@ -105,18 +105,25 @@ void EvalColumn(const Expr& e, const RowBatch& b, Column* out, Bitmap* err);
 /// materializing survivors.
 void NarrowSelection(RowBatch* b, const Bitmap& keep);
 
-/// Batch-at-a-time GROUP BY accumulator for the raw-row partial phase: it
-/// drains partial tuples [group values..., v1, v2 per agg], as GroupBy
-/// kPartial does, in the same sorted group order.
+/// The engine's GROUP BY accumulator, batch at a time. PushBatch folds raw
+/// rows (group_cols and each agg's col index the raw schema); MergeBatch
+/// merges partial tuples [group values..., v1, v2 per agg], the layout
+/// Drain(false) yields, so a tree node or the origin combines what other
+/// accumulators drained. Groups drain in sorted key order.
 class VectorGroupBy {
  public:
   VectorGroupBy(std::vector<int> group_cols, std::vector<AggSpec> aggs);
 
   /// Folds every live row of `b` into its group's partial states.
   void PushBatch(const RowBatch& b);
+  /// Merges every live row of `b`, a partial tuple, into its group's
+  /// states with AggMerge. A column past the batch's end reads as NULL.
+  void MergeBatch(const RowBatch& b);
 
-  /// The groups' partial tuples in sorted key order; state is cleared.
-  std::vector<catalog::Tuple> Drain();
+  /// The groups in sorted key order; state is cleared. Each row is the
+  /// group's values, then per agg its partial states (v1, v2) or, when
+  /// `finalize`, its one AggFinalize value.
+  std::vector<catalog::Tuple> Drain(bool finalize);
 
  private:
   struct Group {
@@ -124,7 +131,12 @@ class VectorGroupBy {
     std::vector<Value> state;
   };
 
-  size_t FindOrCreateGroup(const RowBatch& b, size_t row);
+  /// The group of physical row `row`, keyed on columns `key_cols` of `b`
+  /// (a key column outside the batch reads as NULL), created if absent.
+  size_t FindOrCreateGroup(const RowBatch& b, size_t row,
+                           const std::vector<int>& key_cols);
+  /// Fills row_group_ with the group of every live row of `b`.
+  void ResolveGroups(const RowBatch& b, const std::vector<int>& key_cols);
   void GrowSlots();
   /// Folds column `spec.col` of every live row into agg slot `a`, using a
   /// typed lane loop where the fold can stay unboxed (COUNT, and
@@ -133,6 +145,8 @@ class VectorGroupBy {
   void FoldAgg(const RowBatch& b, size_t a);
 
   std::vector<int> group_cols_;
+  /// A partial tuple's group columns: its first group_cols_.size().
+  std::vector<int> partial_key_cols_;
   std::vector<AggSpec> aggs_;
   std::vector<Group> groups_;
   /// Open-addressing group index: slot = group idx + 1, 0 = empty. Linear

@@ -78,31 +78,16 @@ std::vector<Tuple> TopK(std::vector<Tuple> rows, int order_col,
 // GroupBy
 // ---------------------------------------------------------------------------
 
-GroupBy::GroupBy(std::vector<int> group_cols, std::vector<AggSpec> aggs,
-                 AggPhase phase)
-    : group_cols_(std::move(group_cols)),
-      aggs_(std::move(aggs)),
-      phase_(phase) {}
-
-Tuple GroupBy::GroupKey(const Tuple& t) const {
-  Tuple key;
-  if (phase_ == AggPhase::kCombine || phase_ == AggPhase::kFinal) {
-    // Partial layout: group values occupy the first G slots.
-    key.assign(t.begin(),
-               t.begin() + std::min(t.size(), group_cols_.size()));
-  } else {
-    key.reserve(group_cols_.size());
-    for (int c : group_cols_) {
-      key.push_back(c >= 0 && static_cast<size_t>(c) < t.size()
-                        ? t[c]
-                        : Value::Null());
-    }
-  }
-  return key;
-}
+GroupBy::GroupBy(std::vector<int> group_cols, std::vector<AggSpec> aggs)
+    : group_cols_(std::move(group_cols)), aggs_(std::move(aggs)) {}
 
 void GroupBy::Push(const Tuple& t) {
-  Tuple key = GroupKey(t);
+  Tuple key;
+  key.reserve(group_cols_.size());
+  for (int c : group_cols_) {
+    key.push_back(c >= 0 && static_cast<size_t>(c) < t.size() ? t[c]
+                                                              : Value::Null());
+  }
   auto it = groups_.find(key);
   if (it == groups_.end()) {
     std::vector<Value> state(aggs_.size() * kPartialWidth);
@@ -113,23 +98,9 @@ void GroupBy::Push(const Tuple& t) {
     it = groups_.emplace(std::move(key), std::move(state)).first;
   }
   std::vector<Value>& state = it->second;
-  if (phase_ == AggPhase::kComplete || phase_ == AggPhase::kPartial) {
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      AggUpdate(aggs_[a], t, &state[a * kPartialWidth],
-                &state[a * kPartialWidth + 1]);
-    }
-  } else {
-    // Merging partials: states follow the group values.
-    size_t base = group_cols_.size();
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      size_t off = base + a * kPartialWidth;
-      const Value& in1 =
-          off < t.size() ? t[off] : Value::Null();
-      const Value& in2 =
-          off + 1 < t.size() ? t[off + 1] : Value::Null();
-      AggMerge(aggs_[a], in1, in2, &state[a * kPartialWidth],
-               &state[a * kPartialWidth + 1]);
-    }
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    AggUpdate(aggs_[a], t, &state[a * kPartialWidth],
+              &state[a * kPartialWidth + 1]);
   }
 }
 
@@ -138,13 +109,9 @@ std::vector<Tuple> GroupBy::Drain() {
   out.reserve(groups_.size());
   for (auto& [key, state] : groups_) {
     Tuple row = key;
-    if (phase_ == AggPhase::kComplete || phase_ == AggPhase::kFinal) {
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        row.push_back(AggFinalize(aggs_[a], state[a * kPartialWidth],
-                                  state[a * kPartialWidth + 1]));
-      }
-    } else {
-      for (Value& v : state) row.push_back(std::move(v));
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      row.push_back(AggFinalize(aggs_[a], state[a * kPartialWidth],
+                                state[a * kPartialWidth + 1]));
     }
     out.push_back(std::move(row));
   }

@@ -1,9 +1,11 @@
 // The scalar relational operator library: plain row functions (filter,
-// project, distinct, top-k) and the two accumulators (group-by in every
-// aggregation phase, symmetric hash join). The query layer calls them
-// directly — the origin tail, the combine tree, the join rendezvous — and
-// the test oracle calls the same functions, so both evaluate a plan with
-// one set of semantics. Batch-at-a-time twins live in exec/kernels.h.
+// project, distinct, top-k) and two accumulators (a one-pass group-by,
+// symmetric hash join). The query layer calls the row functions and the
+// join directly — the origin tail, the join rendezvous — and the test
+// oracle calls the same functions, so both evaluate a plan with one set of
+// semantics. Group-by is the exception: the engine runs the batch
+// exec::VectorGroupBy (exec/kernels.h) in every phase, and GroupBy here is
+// the oracle's independent one-pass reference for it.
 
 #ifndef PIER_EXEC_OPERATORS_H_
 #define PIER_EXEC_OPERATORS_H_
@@ -39,36 +41,23 @@ std::vector<catalog::Tuple> Distinct(std::vector<catalog::Tuple> rows);
 std::vector<catalog::Tuple> TopK(std::vector<catalog::Tuple> rows,
                                  int order_col, bool descending, size_t k);
 
-/// Which transformation a GroupBy performs (see agg.h for the partial
-/// representation).
-enum class AggPhase : uint8_t {
-  kComplete = 0,  ///< raw rows -> final aggregates (single-site execution)
-  kPartial = 1,   ///< raw rows -> partial states (leaf of the agg tree)
-  kCombine = 2,   ///< partials -> partials (interior tree node)
-  kFinal = 3,     ///< partials -> final aggregates (tree root)
-};
-
-/// Hash group-by accumulator: push rows, then Drain() per window.
-///
-/// Input layout: raw rows for kComplete/kPartial (group_cols/agg cols index
-/// into the raw schema); partial tuples for kCombine/kFinal, laid out as
-/// [group values..., partial states...] — group_cols are then implicitly
-/// 0..G-1.
+/// The scalar GROUP BY reference: raw rows in, final aggregates out, in
+/// one pass (AggInit and AggUpdate per row, AggFinalize at Drain). The
+/// engine aggregates with exec::VectorGroupBy (exec/kernels.h); the test
+/// oracle and the differential tests hold it to this.
 class GroupBy {
  public:
-  GroupBy(std::vector<int> group_cols, std::vector<AggSpec> aggs,
-          AggPhase phase);
+  GroupBy(std::vector<int> group_cols, std::vector<AggSpec> aggs);
 
+  /// Folds one raw row (a group column past its end reads as NULL).
   void Push(const catalog::Tuple& t);
-  /// The groups in sorted key order; state is cleared (window boundary).
+  /// [group values..., one final value per agg] per group, in sorted key
+  /// order; state is cleared (window boundary).
   std::vector<catalog::Tuple> Drain();
 
  private:
-  catalog::Tuple GroupKey(const catalog::Tuple& t) const;
-
   std::vector<int> group_cols_;
   std::vector<AggSpec> aggs_;
-  AggPhase phase_;
   // Group key -> accumulated partial states (2 values per agg).
   std::map<catalog::Tuple, std::vector<Value>> groups_;
 };

@@ -358,9 +358,9 @@ void QueryEngine::DeliverResultBatch(uint64_t qid, uint64_t epoch,
 
 void QueryEngine::DeliverPartialBatch(uint64_t qid, uint64_t epoch,
                                       uint64_t contributors,
-                                      const std::vector<Tuple>& partials,
+                                      const exec::RowBatch& partials,
                                       ExchangeKind route) {
-  if (partials.empty() && contributors == 0) return;
+  if (partials.ActiveRows() == 0 && contributors == 0) return;
   auto it = queries_.find(qid);
   if (it == queries_.end()) return;
   ActiveQuery* aq = it->second.get();
@@ -372,20 +372,7 @@ void QueryEngine::DeliverPartialBatch(uint64_t qid, uint64_t epoch,
   // A budget trip here cuts this node's scans short: its rows stop being
   // its whole contribution, so it vouches for no contributor from then on.
   w.PutVarint64(aq->budget_tripped ? 0 : contributors);
-  if (partials.empty()) {
-    exec::RowBatch().Encode(&w);
-  } else {
-    // Partial rows from one flush share a layout ([group..., v1, v2 per
-    // agg]); columns whose state types diverge across rows (the int->double
-    // widening ladder) ride the boxed lane via AppendValue's promotion.
-    std::vector<ValueType> types;
-    types.reserve(partials[0].size());
-    for (const Value& v : partials[0]) types.push_back(v.type());
-    exec::RowBatchBuilder builder(types);
-    builder.Reserve(partials.size());
-    for (const Tuple& t : partials) builder.Append(t);
-    builder.Take().Encode(&w);
-  }
+  partials.Encode(&w);
   ++stats_.partial_msgs_sent;
   SendReliable(aq, to, std::move(w), /*control=*/false);
 }
@@ -1560,12 +1547,16 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
     case MsgType::kPartial: {
       const bool partial = static_cast<MsgType>(type) == MsgType::kPartial;
       uint64_t qid = 0, epoch = 0, contributors = 0;
+      // The combiner merges a partial frame as a batch; the collection
+      // keeps result rows as tuples.
+      exec::RowBatch partials;
       std::vector<Tuple> rows;
       // A frame is taken whole or not at all: a partial's count never
       // lands without its rows.
       if (!r->GetVarint64(&qid).ok() || !r->GetVarint64(&epoch).ok() ||
-          (partial && !r->GetVarint64(&contributors).ok()) ||
-          !exec::RowBatch::DecodeRows(r, &rows).ok()) {
+          (partial ? !r->GetVarint64(&contributors).ok() ||
+                         !exec::RowBatch::Decode(r, &partials).ok()
+                   : !exec::RowBatch::DecodeRows(r, &rows).ok())) {
         return;
       }
       // Epochs count periods since issue time; anything near the integer
@@ -1588,7 +1579,7 @@ void QueryEngine::DispatchMessage(sim::HostId from, uint8_t type, Reader* r) {
       ops::QueryRuntime* runtime = it->second->runtime.get();
       if (runtime == nullptr) break;
       if (partial) {
-        runtime->OnRemotePartial(from, epoch, contributors, rows);
+        runtime->OnRemotePartial(from, epoch, contributors, partials);
       } else {
         runtime->OnRemoteResult(from, epoch, rows);
       }

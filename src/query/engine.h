@@ -145,7 +145,7 @@ class QueryEngine : public ops::StageHost {
                           const exec::RowBatch& b) override;
   void DeliverPartialBatch(uint64_t qid, uint64_t epoch,
                            uint64_t contributors,
-                           const std::vector<catalog::Tuple>& partials,
+                           const exec::RowBatch& partials,
                            ExchangeKind route) override;
   void SendQueryBytes(uint32_t to, const Writer& w) override;
   void BroadcastBloomFilters(uint64_t qid, uint32_t node_id,

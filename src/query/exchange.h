@@ -7,10 +7,11 @@
 //                the traffic that used to be inlined in the engine as
 //                RehashTuple/OnTempArrival.
 //   kTree     -> no object here: AggStage (query/ops/agg_stage.h) keeps
-//                one exec::GroupBy per epoch over its children's partials;
-//                interior nodes forward one merged partial upward once its
-//                contributor count covers their subtree, and the origin,
-//                the tree's root, hands it to its CollectStage.
+//                one exec::VectorGroupBy per epoch that merges each child's
+//                kPartial batch whole; interior nodes forward one merged
+//                partial upward once its contributor count covers their
+//                subtree, and the origin, the tree's root, drains its
+//                groups finalized into its CollectStage.
 //   kToOrigin -> no object needed: members send through
 //                StageHost::DeliverResultBatch/DeliverPartialBatch; at
 //                the origin the runtime feeds its own stages directly.

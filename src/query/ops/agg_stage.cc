@@ -59,10 +59,9 @@ void AggStage::FlushStreaming() {
 }
 
 void AggStage::FlushAccumulator(uint64_t epoch) {
-  std::vector<Tuple> partials;
+  exec::RowBatch partials;
   if (vgb_ != nullptr) {
-    // Sorted group order, the same as exec::GroupBy's drain.
-    partials = vgb_->Drain();
+    partials = exec::RowBatch::OfRows(vgb_->Drain(/*finalize=*/false));
     vgb_.reset();
   }
   // Scan-fed, this node is one contributor whether or not it holds rows;
@@ -87,9 +86,8 @@ AggStage::Combiner& AggStage::Open(uint64_t epoch) {
   }
   opened_epoch_ = std::max(opened_epoch_, static_cast<int64_t>(epoch));
   return combiners_
-      .try_emplace(epoch, Combiner{exec::GroupBy(node_->group_cols,
-                                                 node_->aggs,
-                                                 exec::AggPhase::kCombine)})
+      .try_emplace(epoch, Combiner{exec::VectorGroupBy(node_->group_cols,
+                                                       node_->aggs)})
       .first->second;
 }
 
@@ -107,8 +105,8 @@ void AggStage::OnSubtreeCovered(uint64_t epoch, uint64_t members,
 
 void AggStage::OnRemotePartial(uint32_t from, uint64_t epoch,
                                uint64_t contributors,
-                               const std::vector<Tuple>& rows) {
-  if (rows.empty() && contributors == 0) return;  // nothing to fold
+                               const exec::RowBatch& rows) {
+  if (rows.ActiveRows() == 0 && contributors == 0) return;  // nothing to fold
   Combiner* c = nullptr;
   if (root_ != nullptr) {
     if (!root_->Admit(from, epoch)) return;  // counted late
@@ -125,7 +123,7 @@ void AggStage::OnRemotePartial(uint32_t from, uint64_t epoch,
     c = &it->second;
   }
   c->contributors += contributors;
-  for (const Tuple& p : rows) c->partials.Push(p);
+  c->partials.MergeBatch(rows);
   if (root_ == nullptr && c->flush_timer == 0) {
     c->flush_timer = host_->ScheduleStageTimer(HoldDelay(), qid_, node_id_,
                                                /*token=*/1 + epoch);
@@ -150,14 +148,17 @@ std::vector<Tuple> AggStage::TakeCombined(uint64_t epoch) {
   auto it = combiners_.find(epoch);
   if (it == combiners_.end()) return {};
   if (it->second.flush_timer != 0) host_->CancelTimer(it->second.flush_timer);
-  std::vector<Tuple> combined = it->second.partials.Drain();
+  // The root's groups are the answer; an interior node's go on upward.
+  std::vector<Tuple> combined =
+      it->second.partials.Drain(/*finalize=*/root_ != nullptr);
   combiners_.erase(it);
   return combined;
 }
 
 void AggStage::FlushCombiner(uint64_t epoch) {
   const uint64_t folded = contributors(epoch);
-  host_->DeliverPartialBatch(qid_, epoch, folded, TakeCombined(epoch),
+  host_->DeliverPartialBatch(qid_, epoch, folded,
+                             exec::RowBatch::OfRows(TakeCombined(epoch)),
                              route_);
 }
 

@@ -16,9 +16,10 @@
 //    a flush arms a hold timer, only the fallback for a node that never
 //    settles.
 // The closed accumulator's partials flush by the node's output exchange:
-// kTree folds them into this node's combiner for the epoch, a kCombine
-// exec::GroupBy; anything else ships them immediately. Only scan-fed
-// partials ride the tree (QueryRuntime::Init refuses a join-fed kTree).
+// kTree merges them into this node's combiner for the epoch, a second
+// VectorGroupBy that merges each arriving kPartial batch whole; anything
+// else ships them immediately. Only scan-fed partials ride the tree
+// (QueryRuntime::Init refuses a join-fed kTree).
 //
 // Every scan-fed kPartial frame carries the number of contributors folded
 // into it. A node counts itself once its scan ends (rows or not), and the
@@ -33,12 +34,12 @@
 // them on the join's books and the members' reported frames instead.
 //
 // At the origin the stage is the root of the combine tree: its own and its
-// children's partials fold into one combiner per open epoch (result
+// children's partials merge into one combiner per open epoch (result
 // windows longer than the period overlap epochs), with no hold timer and
 // no relay. The origin certifies a scan-fed epoch exact when the root's
 // contributor total equals the members its cover wave reached. Finalizing
-// an epoch takes its combined partials to the CollectStage; later partials
-// for it count as late.
+// an epoch drains its combiner's finalized groups to the CollectStage;
+// later partials for it count as late.
 
 #ifndef PIER_QUERY_OPS_AGG_STAGE_H_
 #define PIER_QUERY_OPS_AGG_STAGE_H_
@@ -48,7 +49,6 @@
 #include <vector>
 
 #include "exec/kernels.h"
-#include "exec/operators.h"
 #include "query/ops/collect_stage.h"
 #include "query/ops/stage.h"
 
@@ -86,12 +86,13 @@ class AggStage : public Stage {
   /// One kPartial frame from `from` (a child in the tree, or any member at
   /// the root): `contributors` nodes' partials folded into `rows`.
   void OnRemotePartial(uint32_t from, uint64_t epoch, uint64_t contributors,
-                       const std::vector<catalog::Tuple>& rows);
+                       const exec::RowBatch& rows);
   /// Contributors folded into `epoch`'s open combiner so far (0 once it is
   /// spent). At the root, the total the origin certifies on.
   uint64_t contributors(uint64_t epoch) const;
-  /// The epoch's combined partials; its combiner is spent. The origin takes
-  /// each epoch's when it finalizes it.
+  /// The epoch's combined groups, finalized at the root and partial states
+  /// elsewhere; its combiner is spent. The origin takes each epoch's when it
+  /// finalizes it.
   std::vector<catalog::Tuple> TakeCombined(uint64_t epoch);
 
   void OnTimer(uint64_t token) override;
@@ -99,10 +100,10 @@ class AggStage : public Stage {
  private:
   static constexpr uint64_t kStreamFlushToken = 0;  // combiner tokens: 1+epoch
 
-  /// One epoch's combine: partials in, one merged partial stream out when
+  /// One epoch's combine: partials in, one merged group per key out when
   /// drained.
   struct Combiner {
-    exec::GroupBy partials;
+    exec::VectorGroupBy partials;
     /// Nodes whose partials are folded in (scan-fed only).
     uint64_t contributors = 0;
     /// Interior node: its subtree's size from a complete cover wave; 0

@@ -1,5 +1,6 @@
 #include "query/ops/collect_stage.h"
 
+#include "exec/kernels.h"
 #include "exec/operators.h"
 
 namespace pier {
@@ -55,7 +56,7 @@ void CollectStage::Keep(uint64_t epoch, const Tuple& t) {
   rows.push_back(t);
 }
 
-void CollectStage::Finish(uint64_t epoch, const std::vector<Tuple>& partials,
+void CollectStage::Finish(uint64_t epoch, std::vector<Tuple> groups,
                           ResultBatch* out) {
   EpochRows e;
   if (auto it = epochs_.find(epoch); it != epochs_.end()) {
@@ -66,12 +67,13 @@ void CollectStage::Finish(uint64_t epoch, const std::vector<Tuple>& partials,
   out->reporting_nodes = out->reporters.size();
   std::vector<Tuple> rows = std::move(e.rows);
   if (final_agg_ != nullptr) {
-    exec::GroupBy gb(
-        final_agg_->group_cols, final_agg_->aggs,
-        partials_ ? exec::AggPhase::kFinal : exec::AggPhase::kComplete);
-    for (const Tuple& t : partials) gb.Push(t);
-    for (const Tuple& t : rows) gb.Push(t);
-    rows = gb.Drain();
+    if (partials_) {
+      rows = std::move(groups);
+    } else {
+      exec::VectorGroupBy gb(final_agg_->group_cols, final_agg_->aggs);
+      gb.PushBatch(exec::RowBatch::OfRows(rows));
+      rows = gb.Drain(/*finalize=*/true);
+    }
     if (final_agg_->group_cols.empty() && rows.empty()) {
       rows.push_back(exec::AggIdentityRow(final_agg_->aggs));
     }

@@ -1,12 +1,12 @@
 // CollectStage: the graph's kFinalAgg and kCollect nodes, instantiated at
 // the query origin only. An epoch collects kToOrigin rows — batches
-// straight from this node's chains, or rows unpacked from members' frames
-// — and, when it closes, the combined partials of the root AggStage, where
-// the combine tree ends. Finish runs the tail once: final (or, over raw
-// rows, complete) group-by, the scalar identity row, HAVING, the SELECT
-// permutation, DISTINCT, ORDER BY / top-k and LIMIT. Rows are capped per
-// epoch by the query's max_result_rows budget and, for recursion, deduped
-// across the query.
+// straight from this node's chains, or members' frames — and, when it
+// closes, the finalized groups of the root AggStage, where the combine
+// tree ends. Finish runs the tail once: the group-by over raw rows (a
+// binary join's or an index scan's GROUP BY, through exec::VectorGroupBy),
+// the scalar identity row, HAVING, the SELECT permutation, DISTINCT,
+// ORDER BY / top-k and LIMIT. Rows are capped per epoch by the query's
+// max_result_rows budget and, for recursion, deduped across the query.
 
 #ifndef PIER_QUERY_OPS_COLLECT_STAGE_H_
 #define PIER_QUERY_OPS_COLLECT_STAGE_H_
@@ -26,8 +26,9 @@ namespace ops {
 class CollectStage : public Stage {
  public:
   /// `final_agg` (null without aggregation) and `collect` must outlive the
-  /// stage. `partials`: the final aggregate merges partial states, not raw
-  /// rows. `dedup`: drop rows collected before (recursion).
+  /// stage. `partials`: the root AggStage aggregates, and Finish takes its
+  /// groups instead of grouping raw rows. `dedup`: drop rows collected
+  /// before (recursion).
   CollectStage(StageHost* host, uint64_t qid, const OpNode* final_agg,
                const OpNode* collect, bool partials, bool dedup);
 
@@ -39,9 +40,10 @@ class CollectStage : public Stage {
   void Accept(uint32_t from, uint64_t epoch,
               const std::vector<catalog::Tuple>& rows);
   void Accept(uint32_t from, uint64_t epoch, const exec::RowBatch& b);
-  /// Runs the tail over `epoch`'s rows and the root's combined `partials`
-  /// into `out`'s rows and reporters; the epoch's state is spent.
-  void Finish(uint64_t epoch, const std::vector<catalog::Tuple>& partials,
+  /// Runs the tail over `epoch`'s rows, or the root's finalized `groups`
+  /// when the root aggregates, into `out`'s rows and reporters; the
+  /// epoch's state is spent.
+  void Finish(uint64_t epoch, std::vector<catalog::Tuple> groups,
               ResultBatch* out);
   /// Drops what `epoch` collected so far: the plan re-runs it.
   void Restart(uint64_t epoch) { epochs_.erase(epoch); }

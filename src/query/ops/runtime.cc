@@ -419,7 +419,7 @@ void QueryRuntime::OnRemoteResult(uint32_t from, uint64_t epoch,
 
 void QueryRuntime::OnRemotePartial(uint32_t from, uint64_t epoch,
                                    uint64_t contributors,
-                                   const std::vector<Tuple>& rows) {
+                                   const exec::RowBatch& rows) {
   if (agg_ != nullptr) agg_->OnRemotePartial(from, epoch, contributors, rows);
 }
 

@@ -88,7 +88,7 @@ class QueryRuntime {
   /// for the aggregation stage. Either kind reaching a node without its
   /// stage is malformed (every member builds the same graph) and dropped.
   void OnRemotePartial(uint32_t from, uint64_t epoch, uint64_t contributors,
-                       const std::vector<catalog::Tuple>& rows);
+                       const exec::RowBatch& rows);
   /// `epoch`'s plan broadcast covered `members` nodes through this one
   /// (see AggStage::OnSubtreeCovered).
   void OnSubtreeCovered(uint64_t epoch, uint64_t members, bool complete);

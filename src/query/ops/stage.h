@@ -70,13 +70,14 @@ class StageHost {
   /// kResult frames of a few rows each.
   virtual void DeliverResultBatch(uint64_t qid, uint64_t epoch,
                                   const exec::RowBatch& b) = 0;
-  /// Sends partial aggregates: kTree to the dissemination-tree parent
-  /// (which combines before forwarding), anything else to the origin. One
-  /// kPartial frame carries a whole flush and the number of contributors
-  /// folded into it; it goes out even without rows while that is nonzero.
+  /// Sends partial aggregates, every live row of `partials`: kTree to the
+  /// dissemination-tree parent (which combines before forwarding),
+  /// anything else to the origin. One kPartial frame carries a whole flush
+  /// and the number of contributors folded into it; it goes out even
+  /// without rows while that is nonzero.
   virtual void DeliverPartialBatch(uint64_t qid, uint64_t epoch,
                                    uint64_t contributors,
-                                   const std::vector<catalog::Tuple>& partials,
+                                   const exec::RowBatch& partials,
                                    ExchangeKind route) = 0;
   /// Raw engine-protocol message (semi-join fetch and Bloom traffic).
   virtual void SendQueryBytes(uint32_t to, const Writer& w) = 0;

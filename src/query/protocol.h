@@ -40,11 +40,12 @@ struct EngineOptions {
   /// epoch (the paper's demo semantics: sum over nodes *responding* in the
   /// window).
   Duration result_wait = Seconds(8);
-  /// Tree aggregation's fallback close. A scan-fed tree node flushes once
-  /// its partials' contributor count reaches its subtree's size; when that
-  /// count never completes (a crashed child, a shed member, an incomplete
-  /// cover wave), and for join-fed aggregation always, a node at depth d
-  /// flushes agg_hold_base * max(1, kAggAssumedDepth - d) after its first
+  /// Aggregation's fallback close. A scan-fed tree node flushes once its
+  /// partials' contributor count reaches its subtree's size, and a
+  /// join-fed rendezvous flushes whenever its joins settle. When that never
+  /// happens (a crashed child, a shed member, an incomplete cover wave, a
+  /// rendezvous that never settles), a node at depth d flushes
+  /// agg_hold_base * max(1, kAggAssumedDepth - d) after its first
   /// contribution (kAggAssumedDepth = 8, query/ops/agg_stage.cc), so
   /// children flush before parents.
   Duration agg_hold_base = Millis(800);
@@ -193,10 +194,11 @@ struct Completeness {
   /// for. Scan pipelines account by per-member reports (zero frames lost,
   /// every data frame a member claims to have sent admitted at the
   /// origin); scan-fed aggregation by contributor counts (the root's total
-  /// equals members_expected). Joins whose rows go to the origin account
-  /// by reports too, and each join edge's books must balance: the rehash
-  /// frames shipped into it equal the arrivals consumed from it. Join-fed
-  /// aggregation and recursion stay non-exact.
+  /// equals members_expected). Joins account by reports too, and each join
+  /// edge's books must balance: the rehash frames shipped into it equal the
+  /// arrivals consumed from it. That covers join-fed aggregation, whose
+  /// rendezvous ship their partial groups to the origin as data frames
+  /// their reports claim. Recursion stays non-exact.
   bool exact = false;
 
   std::string ToString() const {

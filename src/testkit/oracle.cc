@@ -48,15 +48,6 @@ std::vector<Tuple> CollectTable(core::PierNetwork& net,
   return rows;
 }
 
-std::vector<Tuple> RunGroupBy(const std::vector<Tuple>& input,
-                              const std::vector<int>& group_cols,
-                              const std::vector<exec::AggSpec>& aggs,
-                              exec::AggPhase phase) {
-  exec::GroupBy gb(group_cols, aggs, phase);
-  for (const Tuple& t : input) gb.Push(t);
-  return gb.Drain();
-}
-
 }  // namespace
 
 Result<std::vector<Tuple>> OracleEvaluate(core::PierNetwork& net,
@@ -122,17 +113,16 @@ Result<std::vector<Tuple>> OracleEvaluate(core::PierNetwork& net,
         break;
       }
       case OpType::kPartialAgg:
-        out[id] = RunGroupBy(out[node.inputs[0]], node.group_cols, node.aggs,
-                             exec::AggPhase::kPartial);
+        // The engine splits aggregation into partial states and their
+        // merge; the oracle checks that split, so it does not reuse it.
+        // Its input rows pass through to the final aggregate, which folds
+        // them once: over one partition, partial-then-final is that fold.
+        out[id] = std::move(out[node.inputs[0]]);
         break;
       case OpType::kFinalAgg: {
-        // Mirrors the origin: partial states merge with kFinal; raw rows
-        // (join output shipped straight to the origin) aggregate complete.
-        bool from_partials =
-            g.nodes[node.inputs[0]].type == OpType::kPartialAgg;
-        out[id] = RunGroupBy(out[node.inputs[0]], node.group_cols, node.aggs,
-                             from_partials ? exec::AggPhase::kFinal
-                                           : exec::AggPhase::kComplete);
+        exec::GroupBy gb(node.group_cols, node.aggs);
+        for (const Tuple& t : out[node.inputs[0]]) gb.Push(t);
+        out[id] = gb.Drain();
         if (node.group_cols.empty() && out[id].empty()) {
           out[id].push_back(exec::AggIdentityRow(node.aggs));
         }

@@ -6,7 +6,9 @@
 // a boolean. The oracle makes that degree measurable: it snapshots every
 // alive node's local store (deduplicating replicas by DHT key), runs the
 // same bound opgraph through the local exec operators in one process — no
-// network, no loss — and reports recall/precision of the distributed rows
+// network, no loss; a GROUP BY folds its rows once through the scalar
+// exec::GroupBy, never through the engine's partial/merge split — and
+// reports recall/precision of the distributed rows
 // against that ground truth. Scenario floors then assert "a query issued
 // after the heal recovers >= 90% of the reachable answer", which is the
 // acceptance bar PIQL-style success-tolerant systems need.

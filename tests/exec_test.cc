@@ -1,15 +1,13 @@
 // Exec tests: expression evaluation and serialization, aggregate partial/
-// merge/finalize algebra, and every scalar operator — including a
-// property-style check that partial+combine+final equals single-site
-// aggregation for random inputs, the invariant in-network aggregation
-// depends on.
+// merge/finalize algebra, and every scalar operator. The engine's
+// group-by split (partial -> merge -> finalize) is checked against the
+// scalar one-pass GroupBy in vectorized_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -256,7 +254,7 @@ TEST(AggTest, OverflowingSumWidensToDouble) {
   ASSERT_EQ(p1.type(), ValueType::kDouble);
   EXPECT_DOUBLE_EQ(p1.double_value(), static_cast<double>(INT64_MIN) - 1);
 
-  GroupBy gb({}, {sum, {AggFunc::kAvg, 0, "a"}}, AggPhase::kComplete);
+  GroupBy gb({}, {sum, {AggFunc::kAvg, 0, "a"}});
   for (int i = 0; i < 4; ++i) gb.Push(Tuple{Value::Int64(INT64_MAX)});
   std::vector<Tuple> rows = gb.Drain();
   ASSERT_EQ(rows.size(), 1u);
@@ -264,77 +262,6 @@ TEST(AggTest, OverflowingSumWidensToDouble) {
   EXPECT_DOUBLE_EQ(rows[0][0].double_value(), 4 * kBig);
   EXPECT_DOUBLE_EQ(rows[0][1].double_value(), kBig);
 }
-
-// A partial arrives from another node, so its AVG count slot may hold any
-// type. A count that is not numeric, or is zero, finalizes to NULL instead
-// of aborting the node that merges it.
-TEST(AggTest, AvgWithMalformedPartialCountIsNull) {
-  std::vector<AggSpec> specs = {{AggFunc::kAvg, 1, "a"}};
-  GroupBy final_gb({0}, specs, AggPhase::kFinal);
-  final_gb.Push(Tuple{Value::Int64(1), Value::Int64(10), Value::String("x")});
-  final_gb.Push(Tuple{Value::Int64(2), Value::Int64(10), Value::Int64(0)});
-  final_gb.Push(Tuple{Value::Int64(3), Value::Int64(10), Value::Double(4)});
-  std::vector<Tuple> rows = final_gb.Drain();
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_TRUE(rows[0][1].is_null());
-  EXPECT_TRUE(rows[1][1].is_null());
-  EXPECT_DOUBLE_EQ(rows[2][1].double_value(), 2.5);
-}
-
-// Property: for random data and any partition into k fragments,
-// partial -> combine -> final equals single-site aggregation.
-class AggDecomposabilityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(AggDecomposabilityTest, PartialsComposeToSameAnswer) {
-  const int kFragments = GetParam();
-  Rng rng(1234 + kFragments);
-  std::vector<AggSpec> specs = {{AggFunc::kCount, -1, "c"},
-                                {AggFunc::kSum, 1, "s"},
-                                {AggFunc::kAvg, 1, "a"},
-                                {AggFunc::kMin, 1, "mn"},
-                                {AggFunc::kMax, 1, "mx"}};
-  // Random rows: (group, value).
-  std::vector<Tuple> rows;
-  for (int i = 0; i < 200; ++i) {
-    rows.push_back(Tuple{Value::Int64(rng.UniformInt(0, 4)),
-                         Value::Int64(rng.UniformInt(-50, 50))});
-  }
-
-  // Reference: single-site complete aggregation.
-  GroupBy reference({0}, specs, AggPhase::kComplete);
-  for (const Tuple& t : rows) reference.Push(t);
-
-  // Distributed: k partial fragments, one combine stage, then final.
-  GroupBy combine({0}, specs, AggPhase::kCombine);
-  for (int f = 0; f < kFragments; ++f) {
-    GroupBy partial({0}, specs, AggPhase::kPartial);
-    for (size_t i = f; i < rows.size(); i += kFragments) {
-      partial.Push(rows[i]);
-    }
-    for (const Tuple& t : partial.Drain()) combine.Push(t);
-  }
-  GroupBy final_gb({0}, specs, AggPhase::kFinal);
-  for (const Tuple& t : combine.Drain()) final_gb.Push(t);
-
-  // Same groups, same values.
-  auto key_fn = [](const std::vector<Tuple>& ts) {
-    std::map<int64_t, Tuple> by_group;
-    for (const Tuple& t : ts) by_group[t[0].int64_value()] = t;
-    return by_group;
-  };
-  auto ref = key_fn(reference.Drain());
-  auto got = key_fn(final_gb.Drain());
-  ASSERT_EQ(ref.size(), got.size());
-  for (const auto& [group, expected] : ref) {
-    ASSERT_TRUE(got.count(group));
-    EXPECT_EQ(catalog::CompareTuples(expected, got[group]), 0)
-        << "group " << group << ": " << catalog::TupleToString(expected)
-        << " vs " << catalog::TupleToString(got[group]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Fragments, AggDecomposabilityTest,
-                         ::testing::Values(1, 2, 3, 7, 16));
 
 // ---------------------------------------------------------------------------
 // Operators
@@ -542,8 +469,7 @@ TEST(OperatorTest, SymmetricHashJoinKeyPastTupleEndNeverMatches) {
 }
 
 TEST(OperatorTest, GroupByReferenceMatchesHandComputation) {
-  GroupBy gb({0}, {{AggFunc::kSum, 1, "s"}, {AggFunc::kMax, 1, "m"}},
-             AggPhase::kComplete);
+  GroupBy gb({0}, {{AggFunc::kSum, 1, "s"}, {AggFunc::kMax, 1, "m"}});
   gb.Push(Tuple{Value::String("a"), Value::Int64(1)});
   gb.Push(Tuple{Value::String("b"), Value::Int64(5)});
   gb.Push(Tuple{Value::String("a"), Value::Int64(3)});
@@ -556,7 +482,7 @@ TEST(OperatorTest, GroupByReferenceMatchesHandComputation) {
 }
 
 TEST(OperatorTest, GroupByDrainResetsForWindows) {
-  GroupBy gb({}, {{AggFunc::kCount, -1, "c"}}, AggPhase::kComplete);
+  GroupBy gb({}, {{AggFunc::kCount, -1, "c"}});
   gb.Push(Tuple{Value::Int64(1)});
   gb.Push(Tuple{Value::Int64(2)});
   std::vector<Tuple> first = gb.Drain();

@@ -1,7 +1,8 @@
 // Randomized scenario fuzzing: samples fault scripts + topologies from a
 // seed, runs query workloads through them (a scan, an index range, a tree
-// aggregate, a two-table join under a sampled strategy, and a chained
-// three-table join with and without GROUP BY), and checks every invariant
+// aggregate over every aggregate function, a two-table join under a
+// sampled strategy with and without GROUP BY, and a chained three-table
+// join with and without GROUP BY), and checks every invariant
 // (routing convergence, soft-state expiry, payload leaks, oracle floors,
 // honest completeness claims, exchange hygiene).
 //
@@ -162,10 +163,13 @@ ScenarioReport RunFuzzCase(uint64_t seed, const FaultScript* override_script,
                  .min_recall = churn ? -1.0 : 0.5,
                  .min_precision = churn ? -1.0 : 0.8})
       // Tree aggregate: partials carry contributor counts up the
-      // dissemination tree and the origin certifies on their total. No
-      // floor: the CompletenessChecker is the referee, and an exact claim
-      // must match the oracle under every sampled fault.
-      .AddQuery({.sql = "SELECT rule_id, SUM(hits) FROM alerts "
+      // dissemination tree and the origin certifies on their total. Every
+      // aggregate function rides it, so each one's partial states cross
+      // the wire and merge at the tree's combiners. No floor: the
+      // CompletenessChecker is the referee, and an exact claim must match
+      // the oracle under every sampled fault.
+      .AddQuery({.sql = "SELECT rule_id, SUM(hits), COUNT(*), AVG(hits), "
+                        "MIN(hits), MAX(hits) FROM alerts "
                         "GROUP BY rule_id",
                  .issue_at = issue_at + Seconds(40),
                  .origin = 0,
@@ -201,6 +205,16 @@ ScenarioReport RunFuzzCase(uint64_t seed, const FaultScript* override_script,
                  .issue_at = issue_at + Seconds(100),
                  .origin = 0,
                  .wait = 0})
+      // The two-table join with GROUP BY: its joined rows go to the origin
+      // raw, and the origin aggregates them itself, the one case here that
+      // groups raw rows at the origin. No floor.
+      .AddQuery({.sql = "SELECT r.severity, SUM(a.hits), COUNT(*) "
+                        "FROM alerts a, rules r "
+                        "WHERE a.rule_id = r.rule_id GROUP BY r.severity",
+                 .issue_at = issue_at + Seconds(120),
+                 .origin = 0,
+                 .wait = 0,
+                 .planner = join_options})
       .WithHealSettle(Seconds(chord ? 60 : 25))
       .WithDefaultCheckers()
       // The workload queries are one-shot and long finished by check time,

@@ -1,16 +1,21 @@
 // Differential tests for the vectorized data plane: batch expression kernels
 // must agree with scalar Expr::Eval row for row (including SQL NULL
 // semantics, division-by-zero-to-NULL, type-error rows, and short-circuit
-// error behavior), the RowBatch wire codec must round-trip, and
-// VectorGroupBy must drain exactly what the scalar GroupBy drains. Expressions come
+// error behavior), the RowBatch wire codec must round-trip, VectorGroupBy's
+// partial states must match a row-by-row AggInit/AggUpdate fold, and its
+// raw -> partial -> merge -> finalize must equal the scalar one-pass
+// GroupBy for any split of the rows. Expressions come
 // from a hand-built corpus covering every node kind plus WHERE clauses and
 // projections planned from the SQL corpus the sql/fuzz tests exercise.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/table_def.h"
@@ -462,6 +467,46 @@ TEST(RowBatchCodecTest, DecodeAndDecodeRowsReadBothForms) {
   }
 }
 
+// OfRows is how drained group-by rows become a kPartial frame: it must
+// encode byte for byte as the builder it replaced (column types from the
+// first row, later rows appended through AppendValue), including a state
+// column that widens from INT64 to DOUBLE partway down and a first row
+// whose NULL boxes its column.
+TEST(RowBatchCodecTest, OfRowsEncodesLikeFirstRowTypedBuilder) {
+  auto builder_bytes = [](const std::vector<Tuple>& rows) {
+    std::vector<ValueType> types;
+    for (const Value& v : rows[0]) types.push_back(v.type());
+    RowBatchBuilder builder(types);
+    builder.Reserve(rows.size());
+    for (const Tuple& t : rows) builder.Append(t);
+    return builder.Take().EncodeToBytes();
+  };
+  const std::vector<std::vector<Tuple>> cases = {
+      {Tuple{Value::Int64(1), Value::Int64(7), Value::Null()},
+       Tuple{Value::Int64(2), Value::Double(9.5e18), Value::Int64(3)},
+       Tuple{Value::Int64(3), Value::Int64(-4), Value::Int64(0)}},
+      {Tuple{Value::String("a"), Value::Null(), Value::Int64(2)},
+       Tuple{Value::String("b"), Value::Int64(5), Value::Double(2.5)}},
+      {Tuple{Value::Int64(1), Value::Int64(1), Value::Int64(1)}},
+  };
+  for (const std::vector<Tuple>& rows : cases) {
+    RowBatch batch = RowBatch::OfRows(rows);
+    EXPECT_EQ(batch.EncodeToBytes(), builder_bytes(rows))
+        << rows.size() << " rows";
+    ASSERT_EQ(batch.num_rows(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      Tuple t;
+      batch.ToTuple(i, &t);
+      for (size_t c = 0; c < t.size(); ++c) {
+        ExpectValuesIdentical(rows[i][c], t[c], "OfRows");
+      }
+    }
+  }
+  // The widened column went to the boxed lane; no rows, no columns.
+  EXPECT_EQ(RowBatch::OfRows(cases[0]).column(1).kind(), Column::Kind::kMixed);
+  EXPECT_EQ(RowBatch::OfRows({}).EncodeToBytes(), RowBatch().EncodeToBytes());
+}
+
 TEST(RowBatchCodecTest, UnknownLeadByteIsCorruption) {
   Rng rng(9);
   std::string columnar = MakeBatch(&rng, 3).batch.EncodeToBytes();
@@ -492,7 +537,7 @@ TEST(RowBatchCodecTest, AppendSerializedRejectsTruncatedBool) {
 }
 
 // ---------------------------------------------------------------------------
-// VectorGroupBy vs GroupBy
+// VectorGroupBy against a row-by-row fold and the one-pass GroupBy
 // ---------------------------------------------------------------------------
 
 std::vector<AggSpec> AllAggs() {
@@ -505,31 +550,82 @@ std::vector<AggSpec> AllAggs() {
   };
 }
 
-void CheckGroupBy(const std::vector<int>& group_cols, uint64_t seed) {
-  Rng rng(seed);
-  TestBatch tb = MakeBatch(&rng, 400);
+/// The partial states a row-by-row AggInit/AggUpdate fold leaves per
+/// group, in sorted key order: [group values..., v1, v2 per agg]. These
+/// are the bytes a kPartial frame carries, so VectorGroupBy::Drain(false)
+/// must match them value for value and type for type.
+std::vector<Tuple> FoldRowByRow(const std::vector<Tuple>& rows,
+                                const std::vector<int>& group_cols,
+                                const std::vector<AggSpec>& aggs) {
+  std::map<Tuple, std::vector<Value>> groups;
+  for (const Tuple& t : rows) {
+    Tuple key;
+    for (int c : group_cols) {
+      key.push_back(c >= 0 && static_cast<size_t>(c) < t.size()
+                        ? t[c]
+                        : Value::Null());
+    }
+    auto [it, fresh] = groups.try_emplace(std::move(key));
+    std::vector<Value>& st = it->second;
+    if (fresh) {
+      st.resize(aggs.size() * kPartialWidth);
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        AggInit(aggs[a], &st[a * kPartialWidth], &st[a * kPartialWidth + 1]);
+      }
+    }
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      AggUpdate(aggs[a], t, &st[a * kPartialWidth],
+                &st[a * kPartialWidth + 1]);
+    }
+  }
+  std::vector<Tuple> out;
+  for (auto& [key, st] : groups) {
+    Tuple row = key;
+    row.insert(row.end(), st.begin(), st.end());
+    out.push_back(std::move(row));
+  }
+  return out;
+}
 
-  GroupBy reference(group_cols, AllAggs(), AggPhase::kPartial);
-  for (const Tuple& t : tb.rows) reference.Push(t);
-  std::vector<Tuple> want = reference.Drain();
+std::vector<Tuple> OnePass(const std::vector<Tuple>& rows,
+                           const std::vector<int>& group_cols,
+                           const std::vector<AggSpec>& aggs) {
+  GroupBy gb(group_cols, aggs);
+  for (const Tuple& t : rows) gb.Push(t);
+  return gb.Drain();
+}
 
-  VectorGroupBy vgb(group_cols, AllAggs());
-  vgb.PushBatch(tb.batch);
-  std::vector<Tuple> got = vgb.Drain();
-
-  ASSERT_EQ(got.size(), want.size()) << "seed=" << seed;
+void ExpectRowsIdentical(const std::vector<Tuple>& want,
+                         const std::vector<Tuple>& got,
+                         const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx;
   for (size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].size(), want[i].size()) << "seed=" << seed;
+    ASSERT_EQ(got[i].size(), want[i].size()) << ctx;
     for (size_t c = 0; c < got[i].size(); ++c) {
       ExpectValuesIdentical(want[i][c], got[i][c],
-                            "groupby seed=" + std::to_string(seed) +
-                                " group=" + std::to_string(i) +
+                            ctx + " group=" + std::to_string(i) +
                                 " col=" + std::to_string(c));
     }
   }
 }
 
-TEST(VectorGroupByTest, MatchesGroupByPartialPhase) {
+void CheckGroupBy(const std::vector<int>& group_cols, uint64_t seed) {
+  Rng rng(seed);
+  TestBatch tb = MakeBatch(&rng, 400);
+  const std::string ctx = "seed=" + std::to_string(seed);
+
+  VectorGroupBy partial(group_cols, AllAggs());
+  partial.PushBatch(tb.batch);
+  ExpectRowsIdentical(FoldRowByRow(tb.rows, group_cols, AllAggs()),
+                      partial.Drain(/*finalize=*/false), ctx + " partial");
+
+  VectorGroupBy final_gb(group_cols, AllAggs());
+  final_gb.PushBatch(tb.batch);
+  ExpectRowsIdentical(OnePass(tb.rows, group_cols, AllAggs()),
+                      final_gb.Drain(/*finalize=*/true), ctx + " final");
+}
+
+TEST(VectorGroupByTest, MatchesRowByRowFoldAndOnePass) {
   CheckGroupBy({3}, 17);
   CheckGroupBy({3, 2}, 18);
   CheckGroupBy({}, 19);    // global aggregate
@@ -539,7 +635,7 @@ TEST(VectorGroupByTest, MatchesGroupByPartialPhase) {
 
 // Join-fed aggregation: joined rows reach the accumulator one-row batch at
 // a time, each batch's column kinds taken from that row's values.
-TEST(VectorGroupByTest, OneRowBatchesMatchGroupByPartialPhase) {
+TEST(VectorGroupByTest, OneRowBatchesMatchRowByRowFold) {
   for (const std::vector<int>& group_cols :
        {std::vector<int>{3}, std::vector<int>{3, 2}, std::vector<int>{},
         std::vector<int>{5}}) {
@@ -547,23 +643,11 @@ TEST(VectorGroupByTest, OneRowBatchesMatchGroupByPartialPhase) {
     std::vector<Tuple> rows;
     for (int i = 0; i < 300; ++i) rows.push_back(RandomRow(&rng));
 
-    GroupBy reference(group_cols, AllAggs(), AggPhase::kPartial);
-    for (const Tuple& t : rows) reference.Push(t);
-    std::vector<Tuple> want = reference.Drain();
-
     VectorGroupBy vgb(group_cols, AllAggs());
     for (const Tuple& t : rows) vgb.PushBatch(RowBatch::OfRow(t));
-    std::vector<Tuple> got = vgb.Drain();
-
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].size(), want[i].size());
-      for (size_t c = 0; c < got[i].size(); ++c) {
-        ExpectValuesIdentical(want[i][c], got[i][c],
-                              "group=" + std::to_string(i) +
-                                  " col=" + std::to_string(c));
-      }
-    }
+    ExpectRowsIdentical(FoldRowByRow(rows, group_cols, AllAggs()),
+                        vgb.Drain(/*finalize=*/false),
+                        "cols=" + std::to_string(group_cols.size()));
   }
 }
 
@@ -571,31 +655,23 @@ TEST(VectorGroupByTest, SelectionRestrictsAccumulation) {
   Rng rng(31);
   TestBatch tb = MakeBatch(&rng, 100);
   tb.batch.SetSelection({2, 40, 41, 97});
-
-  GroupBy reference({3}, AllAggs(), AggPhase::kPartial);
-  for (uint32_t r : tb.batch.selection()) reference.Push(tb.rows[r]);
-  std::vector<Tuple> want = reference.Drain();
+  std::vector<Tuple> live;
+  for (uint32_t r : tb.batch.selection()) live.push_back(tb.rows[r]);
 
   VectorGroupBy vgb({3}, AllAggs());
   vgb.PushBatch(tb.batch);
-  std::vector<Tuple> got = vgb.Drain();
-  ASSERT_EQ(got.size(), want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(catalog::CompareTuples(got[i], want[i]), 0);
-  }
+  ExpectRowsIdentical(FoldRowByRow(live, {3}, AllAggs()),
+                      vgb.Drain(/*finalize=*/false), "selection");
 }
 
 // An INT64 SUM/AVG that would overflow widens to DOUBLE on the typed lanes
 // exactly as the scalar fold does — including a group that overflows in
-// one batch and keeps accumulating in the next. Aggregates over INT64
-// columns alone take the fused row loop; a DOUBLE aggregate beside them
-// sends every aggregate through the per-aggregate fold.
+// one batch and keeps accumulating in the next.
 TEST(VectorGroupByTest, OverflowingSumWidensLikeScalarFold) {
-  const std::vector<AggSpec> fused = {{AggFunc::kSum, 1, "s"},
-                                      {AggFunc::kAvg, 1, "a"},
-                                      {AggFunc::kCount, 1, "c"}};
-  std::vector<AggSpec> per_agg = fused;
-  per_agg.push_back({AggFunc::kSum, 2, "d"});
+  const std::vector<AggSpec> aggs = {{AggFunc::kSum, 1, "s"},
+                                     {AggFunc::kAvg, 1, "a"},
+                                     {AggFunc::kCount, 1, "c"},
+                                     {AggFunc::kSum, 2, "d"}};
   auto row = [](int64_t k, int64_t v) {
     return Tuple{Value::Int64(k), Value::Int64(v), Value::Double(0.5)};
   };
@@ -604,38 +680,163 @@ TEST(VectorGroupByTest, OverflowingSumWidensLikeScalarFold) {
        row(3, INT64_MAX)},
       {row(1, 5), row(3, INT64_MIN), row(3, 7)},
   };
-  for (const std::vector<AggSpec>& aggs : {fused, per_agg}) {
-    SCOPED_TRACE(std::to_string(aggs.size()) + " aggs");
-    GroupBy reference({0}, aggs, AggPhase::kPartial);
-    VectorGroupBy vgb({0}, aggs);
-    for (const std::vector<Tuple>& rows : batches) {
-      RowBatchBuilder builder(std::vector<ValueType>{
-          ValueType::kInt64, ValueType::kInt64, ValueType::kDouble});
-      for (const Tuple& t : rows) {
-        builder.Append(t);
-        reference.Push(t);
-      }
-      vgb.PushBatch(builder.Take());
-    }
-    std::vector<Tuple> want = reference.Drain();
-    std::vector<Tuple> got = vgb.Drain();
-    ASSERT_EQ(got.size(), 3u);
-    ASSERT_EQ(want.size(), 3u);
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].size(), want[i].size());
-      for (size_t c = 0; c < got[i].size(); ++c) {
-        ExpectValuesIdentical(want[i][c], got[i][c],
-                              "group=" + std::to_string(i) +
-                                  " col=" + std::to_string(c));
-      }
-    }
-    // Group 1 overflowed in the first batch and kept accumulating as
-    // DOUBLE in the second; group 2 overflowed below INT64_MIN; group 3
-    // nets back into range without ever overflowing and stays INT64.
-    EXPECT_EQ(got[0][1].type(), ValueType::kDouble);
-    EXPECT_EQ(got[1][1].type(), ValueType::kDouble);
-    EXPECT_EQ(got[2][1].type(), ValueType::kInt64);
+  VectorGroupBy vgb({0}, aggs);
+  std::vector<Tuple> all;
+  for (const std::vector<Tuple>& rows : batches) {
+    RowBatchBuilder builder(std::vector<ValueType>{
+        ValueType::kInt64, ValueType::kInt64, ValueType::kDouble});
+    for (const Tuple& t : rows) builder.Append(t);
+    vgb.PushBatch(builder.Take());
+    all.insert(all.end(), rows.begin(), rows.end());
   }
+  std::vector<Tuple> got = vgb.Drain(/*finalize=*/false);
+  ExpectRowsIdentical(FoldRowByRow(all, {0}, aggs), got, "overflow");
+  ASSERT_EQ(got.size(), 3u);
+  // Group 1 overflowed in the first batch and kept accumulating as
+  // DOUBLE in the second; group 2 overflowed below INT64_MIN; group 3
+  // nets back into range without ever overflowing and stays INT64.
+  EXPECT_EQ(got[0][1].type(), ValueType::kDouble);
+  EXPECT_EQ(got[1][1].type(), ValueType::kDouble);
+  EXPECT_EQ(got[2][1].type(), ValueType::kInt64);
+}
+
+// ---------------------------------------------------------------------------
+// raw -> partial -> MergeBatch -> finalize equals the one-pass GroupBy
+// ---------------------------------------------------------------------------
+
+/// Random rows whose DOUBLE sums are exact in any order (quarters well
+/// inside the mantissa), so a split may regroup the additions freely.
+std::vector<Tuple> SplittableRows(Rng* rng, size_t n) {
+  std::vector<Tuple> rows;
+  for (size_t i = 0; i < n; ++i) {
+    Tuple t = RandomRow(rng);
+    if (t[1].type() == ValueType::kDouble) {
+      t[1] = Value::Double(std::round(t[1].double_value() * 4) / 4);
+    }
+    rows.push_back(std::move(t));
+  }
+  return rows;
+}
+
+/// What the origin answers when row i goes to fragment i % `fragments`:
+/// each fragment's accumulator drains its partials into one kPartial frame
+/// (through the wire codec), and one combiner merges the frames and
+/// finalizes. `one_row`: rows and partials travel as one-row batches, the
+/// join-fed and relay shapes.
+std::vector<Tuple> MergedSplit(const std::vector<Tuple>& rows,
+                               const std::vector<int>& group_cols,
+                               size_t fragments, bool one_row) {
+  std::vector<VectorGroupBy> parts(fragments,
+                                   VectorGroupBy(group_cols, AllAggs()));
+  if (one_row) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      parts[i % fragments].PushBatch(RowBatch::OfRow(rows[i]));
+    }
+  } else {
+    for (size_t f = 0; f < fragments; ++f) {
+      RowBatchBuilder builder(TestSchema());
+      for (size_t i = f; i < rows.size(); i += fragments) {
+        builder.Append(rows[i]);
+      }
+      parts[f].PushBatch(builder.Take());
+    }
+  }
+  VectorGroupBy combine(group_cols, AllAggs());
+  for (VectorGroupBy& part : parts) {
+    std::vector<Tuple> partials = part.Drain(/*finalize=*/false);
+    if (one_row) {
+      for (const Tuple& p : partials) combine.MergeBatch(RowBatch::OfRow(p));
+      continue;
+    }
+    RowBatch frame;
+    EXPECT_TRUE(
+        RowBatch::FromBytes(RowBatch::OfRows(partials).EncodeToBytes(), &frame)
+            .ok());
+    combine.MergeBatch(frame);
+  }
+  return combine.Drain(/*finalize=*/true);
+}
+
+// The invariant in-network aggregation depends on: for any partition of
+// the rows into k fragments, raw -> partial -> merge -> finalize equals
+// single-site aggregation, value for value and type for type.
+class AggDecomposabilityTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(AggDecomposabilityTest, PartialsComposeToSameAnswer) {
+  const size_t fragments = GetParam();
+  for (const std::vector<int>& group_cols :
+       {std::vector<int>{3}, std::vector<int>{3, 2}, std::vector<int>{},
+        std::vector<int>{5}, std::vector<int>{42}}) {
+    Rng rng(500 + fragments);
+    std::vector<Tuple> rows = SplittableRows(&rng, 300);
+    std::vector<Tuple> want = OnePass(rows, group_cols, AllAggs());
+    const std::string ctx = "fragments=" + std::to_string(fragments) +
+                            " cols=" + std::to_string(group_cols.size());
+    ExpectRowsIdentical(want, MergedSplit(rows, group_cols, fragments, false),
+                        ctx);
+    ExpectRowsIdentical(want, MergedSplit(rows, group_cols, fragments, true),
+                        ctx + " one-row");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fragments, AggDecomposabilityTest,
+                         ::testing::Values(1, 2, 3, 7, 16));
+
+// A partial arrives from another node, so its AVG count slot may hold any
+// type. A count that is not numeric, is zero or is missing finalizes to
+// NULL instead of aborting the node that merges it.
+TEST(AggTest, AvgWithMalformedPartialCountIsNull) {
+  std::vector<AggSpec> specs = {{AggFunc::kAvg, 1, "a"}};
+  VectorGroupBy merge({0}, specs);
+  // One frame: its count column boxes (STRING, INT64, DOUBLE cells).
+  merge.MergeBatch(RowBatch::OfRows(
+      {Tuple{Value::Int64(1), Value::Int64(10), Value::String("x")},
+       Tuple{Value::Int64(2), Value::Int64(10), Value::Int64(0)},
+       Tuple{Value::Int64(3), Value::Int64(10), Value::Double(4)}}));
+  // A frame cut short: its count column is missing, so it reads as NULL.
+  merge.MergeBatch(
+      RowBatch::OfRows({Tuple{Value::Int64(4), Value::Int64(10)}}));
+  std::vector<Tuple> rows = merge.Drain(/*finalize=*/true);
+  ASSERT_EQ(rows.size(), 4u);
+  EXPECT_TRUE(rows[0][1].is_null());
+  EXPECT_TRUE(rows[1][1].is_null());
+  EXPECT_DOUBLE_EQ(rows[2][1].double_value(), 2.5);
+  EXPECT_TRUE(rows[3][1].is_null());
+}
+
+// Partials that each fit INT64 overflow once merged, and widen to DOUBLE
+// exactly where the one-pass fold does; a partial that already widened
+// keeps the merged state DOUBLE.
+TEST(VectorGroupByTest, OverflowWidensAcrossAMerge) {
+  const std::vector<AggSpec> aggs = {{AggFunc::kSum, 1, "s"},
+                                     {AggFunc::kAvg, 1, "a"}};
+  constexpr int64_t kQuarter = int64_t{1} << 62;
+  auto row = [](int64_t k, int64_t v) {
+    return Tuple{Value::Int64(k), Value::Int64(v)};
+  };
+  // Group 1 fits in each fragment and overflows at the merge; group 2 has
+  // widened in fragment A before meeting fragment B's INT64 partial; group
+  // 3 reaches INT64_MIN exactly in fragment A and overflows below it at the
+  // merge.
+  const std::vector<std::vector<Tuple>> fragments = {
+      {row(1, kQuarter), row(2, kQuarter), row(2, kQuarter),
+       row(3, -kQuarter), row(3, -kQuarter)},
+      {row(1, kQuarter), row(2, 5), row(3, -kQuarter)},
+  };
+  std::vector<Tuple> all;
+  VectorGroupBy combine({0}, aggs);
+  for (const std::vector<Tuple>& rows : fragments) {
+    VectorGroupBy part({0}, aggs);
+    part.PushBatch(RowBatch::OfRows(rows));
+    combine.MergeBatch(RowBatch::OfRows(part.Drain(/*finalize=*/false)));
+    all.insert(all.end(), rows.begin(), rows.end());
+  }
+  std::vector<Tuple> got = combine.Drain(/*finalize=*/true);
+  // Fragment order is row order here, so the one pass adds in the same
+  // order the merge does.
+  ExpectRowsIdentical(OnePass(all, {0}, aggs), got, "overflow merge");
+  ASSERT_EQ(got.size(), 3u);
+  for (const Tuple& g : got) EXPECT_EQ(g[1].type(), ValueType::kDouble);
 }
 
 }  // namespace
